@@ -179,9 +179,6 @@ class ClassTable:
     def field_type(self, fieldname: str) -> str:
         return self._field_type[fieldname]
 
-    def field_owner(self, fieldname: str) -> str:
-        return self._field_owner[fieldname]
-
     @property
     def reference_fields(self) -> frozenset[str]:
         return frozenset(

@@ -17,10 +17,10 @@ from .domain import RcValue
 from .formula import FieldUniverse, PathFormula
 from .oracle import BudgetExceeded, NullDereference, check_soundness, run_concrete
 from .parser import ParseError, parse_program
-from .render import render_compare, render_final, render_table, result_to_json
-from .semantics import AnalysisError, analyze_program, find_entry_sig
+from .render import render_compare, render_final, render_sharing, render_table, result_to_json
+from .semantics import AnalysisError, analyze_program, entry_scope
 from .sharing import SharingState
-from .syntax import Program, RESULT_VAR
+from .syntax import Program
 from .typecheck import TypeCheckError, type_check
 
 USAGE_ERROR = 2
@@ -147,6 +147,10 @@ def run(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    if args.entry != "main" and (args.dump_sharing or args.oracle_check):
+        flag = "--dump-sharing" if args.dump_sharing else "--oracle-check"
+        print(f"error: {flag} needs the main entry", file=sys.stderr)
+        return USAGE_ERROR
 
     try:
         program = parse_program(source)
@@ -155,27 +159,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         tracked = None
         if args.track_fields != "all":
             tracked = [f.strip() for f in args.track_fields.split(",") if f.strip()]
-            unknown = set(tracked) - set(ct.reference_fields)
-            if unknown:
-                raise AnalysisError(f"unknown tracked fields: {sorted(unknown)}")
-        universe = (
-            FieldUniverse.of(ct.reference_fields)
-            if tracked is None
-            else FieldUniverse.tracked(ct.reference_fields, tracked)
+        universe, entry, variables, refs = entry_scope(
+            program, ct, typeinfo, tracked=tracked, entry=args.entry
         )
-        if args.entry == "main":
-            if program.main is None:
-                raise AnalysisError("program has no main block")
-            env = typeinfo.env_for("main")
-            variables = tuple(env.variables) + (RESULT_VAR,)
-            refs = frozenset(env.ref_vars) | {RESULT_VAR}
-            entry: object = "main"
-        else:
-            sig = find_entry_sig(ct, args.entry)
-            env = typeinfo.env_for(sig.key)
-            variables = sig.input_vars
-            refs = frozenset(v for v in sig.input_vars if env.type_of(v) != "int")
-            entry = sig
         init_rc, init_sp = parse_init_annotations(program, universe, variables, refs)
         result = analyze_program(
             program,
@@ -205,9 +191,6 @@ def run(argv: Optional[list[str]] = None) -> int:
 
     oracle_report = None
     if args.oracle_check:
-        if args.entry != "main":
-            print("error: --oracle-check needs the main entry", file=sys.stderr)
-            return USAGE_ERROR
         try:
             oracle = run_concrete(program, ct, budget=args.heap_budget)
         except (NullDereference, BudgetExceeded) as exc:
@@ -223,15 +206,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         if args.dump_lines:
             sys.stdout.write(render_table(result))
         if args.dump_sharing:
-            if args.entry != "main":
-                print("error: --dump-sharing needs the main entry", file=sys.stderr)
-                return USAGE_ERROR
-            from .render import render_sharing
-            from .sharing import SharingAnalysis
-
-            sharing = SharingAnalysis(program, ct, typeinfo)
-            sharing.analyze_main(init_sp)
-            sys.stdout.write(render_sharing(program, sharing))
+            sys.stdout.write(render_sharing(program, result.sharing))
         sys.stdout.write(render_final(result))
         if args.compare_domains:
             sys.stdout.write(render_compare(result, ct, typeinfo))

@@ -2,9 +2,10 @@
 
 The interpreter executes main directly, records the concrete state after
 every command (including inside callees, keyed by the shared node ids), and
-aborts cleanly when a step budget runs out.  Saturation enumerates, per
-source location, every (target, traversed-field-set) pair — finite even on
-cyclic heaps because field sets are sets.  From that, a state abstracts to
+aborts cleanly when the step budget or the call depth budget runs out.
+Saturation enumerates, per source location, every (target,
+traversed-field-set) pair — finite even on cyclic heaps because field sets
+are sets.  From that, a state abstracts to
 the exact reachability/cyclicity value: the models of an entry are precisely
 the field sets realized in the state.
 """
@@ -39,6 +40,9 @@ from .syntax import (
     INT_TYPE,
     OUT_VAR,
 )
+
+# calls nested deeper than this abort the run like an exhausted step budget
+MAX_CALL_DEPTH = 100
 
 # integer arithmetic wraps at 64 bits, two's complement
 WRAP = 1 << 64
@@ -101,6 +105,7 @@ class _Interp:
         self.budget = budget
         self.record = record
         self.steps = 0
+        self.depth = 0  # calls in progress
         self.allocations = 0
         self.next_addr = 1
         self.heap: dict[int, Obj] = {}
@@ -232,14 +237,21 @@ class _Interp:
         for ltype, lname in self.ct.method_locals(sig):
             callee_frame[lname] = 0 if ltype == INT_TYPE else None
         callee_frame[OUT_VAR] = None
+        if self.depth == MAX_CALL_DEPTH:
+            raise BudgetExceeded(f"call depth budget {MAX_CALL_DEPTH} exceeded at line {e.line}")
+        self.depth += 1
         self.exec_body(self.ct.method_body(sig), callee_frame)
+        self.depth -= 1
         return callee_frame.get(OUT_VAR)
 
 
 def run_concrete(
     program: Program, ct: ClassTable, budget: int = 100_000, record: bool = True
 ) -> OracleResult:
-    return _Interp(program, ct, budget, record).run_main()
+    try:
+        return _Interp(program, ct, budget, record).run_main()
+    except RecursionError:  # nested blocks inside calls can outgrow the stack
+        raise BudgetExceeded("execution nests deeper than the interpreter's stack") from None
 
 
 def heap_to_dot(state: ConcreteState) -> str:

@@ -22,6 +22,10 @@ Grammar (statement separators are semicolons, blocks are braced):
 Guards must be side-effect free: method calls and allocations inside a guard
 are rejected at parse time.
 
+Blocks, parentheses and operators nest at most ``MAX_NESTING`` deep along any
+path from a command to an expression leaf, which keeps every later phase's
+recursive walk within Python's stack.
+
 Line comments start with '//'.  A comment whose text starts with '@' is an
 annotation line, e.g. ``//@ init reach(a,b): [[f],[f,g]]``; annotations are
 collected on the Program for the driver to resolve.
@@ -59,6 +63,9 @@ from .syntax import (
     INT_TYPE,
     OUT_VAR,
 )
+
+
+MAX_NESTING = 100
 
 
 class ParseError(Exception):
@@ -240,6 +247,8 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self._next_nid = 0
+        self._depth = 0  # enclosing blocks, parentheses and unary minus signs
+        self._height: dict[int, int] = {}  # operator node id -> expression tree height
 
     # -- token helpers
 
@@ -268,6 +277,24 @@ class Parser:
     def nid(self) -> int:
         self._next_nid += 1
         return self._next_nid
+
+    def _nest(self, tok: Token, extra: int = 1) -> None:
+        if self._depth + extra > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
+
+    def _binop(self, tok: Token, op: str, left: Expr, right: Expr) -> BinOp:
+        height = 1 + max(self._height.get(left.nid, 1), self._height.get(right.nid, 1))
+        self._nest(tok, height)
+        node = BinOp(self.nid(), tok.line, tok.col, op, left, right)
+        self._height[node.nid] = height
+        return node
+
+    def _nested(self, tok: Token, parse):
+        self._nest(tok)
+        self._depth += 1
+        result = parse()
+        self._depth -= 1
+        return result
 
     def ident(self, what: str = "identifier") -> Token:
         tok = self.peek()
@@ -418,10 +445,10 @@ class Parser:
         guard = self.parse_guard()
         self.expect("sym", ")")
         self.accept("kw", "then")
-        then_body = self.parse_stmt_or_block()
+        then_body = self._nested(kw, self.parse_stmt_or_block)
         else_body: list[Command] = []
         if self.accept("kw", "else"):
-            else_body = self.parse_stmt_or_block()
+            else_body = self._nested(kw, self.parse_stmt_or_block)
         return If(self.nid(), kw.line, kw.col, guard, then_body, else_body)
 
     def parse_while(self) -> While:
@@ -430,7 +457,7 @@ class Parser:
         guard = self.parse_guard()
         self.expect("sym", ")")
         self.accept("kw", "do")
-        body = self.parse_stmt_or_block()
+        body = self._nested(kw, self.parse_stmt_or_block)
         return While(self.nid(), kw.line, kw.col, guard, body)
 
     def parse_guard(self) -> Comparison:
@@ -466,8 +493,7 @@ class Parser:
             tok = self.peek()
             if tok.kind == "sym" and tok.text in ("+", "-"):
                 self.advance()
-                right = self.parse_term()
-                left = BinOp(self.nid(), tok.line, tok.col, tok.text, left, right)
+                left = self._binop(tok, tok.text, left, self.parse_term())
             else:
                 return left
 
@@ -477,8 +503,7 @@ class Parser:
             tok = self.peek()
             if tok.kind == "sym" and tok.text == "*":
                 self.advance()
-                right = self.parse_atom()
-                left = BinOp(self.nid(), tok.line, tok.col, "*", left, right)
+                left = self._binop(tok, "*", left, self.parse_atom())
             else:
                 return left
 
@@ -489,15 +514,15 @@ class Parser:
             return IntLit(self.nid(), tok.line, tok.col, int(tok.text))
         if tok.kind == "sym" and tok.text == "-":
             self.advance()
-            inner = self.parse_atom()
+            inner = self._nested(tok, self.parse_atom)
             if isinstance(inner, IntLit):
                 inner.value = -inner.value
                 return inner
             zero = IntLit(self.nid(), tok.line, tok.col, 0)
-            return BinOp(self.nid(), tok.line, tok.col, "-", zero, inner)
+            return self._binop(tok, "-", zero, inner)
         if tok.kind == "sym" and tok.text == "(":
             self.advance()
-            expr = self.parse_expr()
+            expr = self._nested(tok, self.parse_expr)
             self.expect("sym", ")")
             return expr
         if tok.kind == "kw" and tok.text == "null":

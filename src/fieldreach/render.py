@@ -8,13 +8,9 @@ from typing import Optional
 from .classtable import ClassTable
 from .compare import alpha_monotone, alpha_nofields, alpha_q, alpha_scapin
 from .domain import RcValue
-from .formula import PathFormula
 from .semantics import AnalysisResult
+from .syntax import walk_commands
 from .typecheck import TypeInfo
-
-
-def render_formula(f: PathFormula) -> str:
-    return f.render()
 
 
 def _display_pairs(value: RcValue, display_vars: tuple[str, ...]) -> list[tuple[str, str]]:
@@ -108,14 +104,11 @@ def alpha_class_pairs_line(nf, ct, var_types) -> str:
     return ", ".join(f"({a},{b})" for a, b in sorted(cp.pairs)) or "(none)"
 
 
-def render_sharing(program, analysis, ctx_key="main") -> str:
-    """Per-line deep-sharing pairs in annotation style: ``DS(a,b), ...``."""
-    from .syntax import walk_commands
-
-    body = program.main.body if ctx_key == "main" else []
-    post = analysis.point_post.get(ctx_key, {})
+def render_sharing(program, analysis) -> str:
+    """Per-line deep-sharing pairs of main in annotation style: ``DS(a,b), ...``."""
+    post = analysis.point_post["main"]
     lines = []
-    for cmd in walk_commands(body):
+    for cmd in walk_commands(program.main.body):
         state = post.get(cmd.nid)
         if state is None:
             continue

@@ -9,22 +9,26 @@ summaries with purity- and deep-sharing-guarded repair of everything the
 callee might have rewired.
 
 Method denotations map an abstract entry value over the inputs to an exit
-value over inputs plus the return value.  They are computed per distinct
-entry value by a memoized global fixpoint; inside a body, shadow copies of
-the parameters pin the structures the inputs pointed to on entry, so
-reassigning a parameter does not lose its summary rows.  Loops iterate to a
-local fixpoint with per-entry widening to the tautology after a configurable
-number of changes.
+value over inputs plus the return value.  A ``Fixpoint`` worklist holds one
+per context (method, entry value, entry sharing state), joined under
+per-entry widening; a context re-runs only when a denotation it read has
+grown, and the entry body only once no context is pending.  A recording pass
+over the entry and every context then fills the per-point values.  Inside a
+body, shadow copies of the parameters pin the structures the inputs pointed
+to on entry, so reassigning a parameter does not lose its summary rows.
+Loops iterate to a local fixpoint with per-entry widening to the tautology
+after a configurable number of changes.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .classtable import ClassTable, MethodSig
 from .domain import RcValue
+from .fixpoint import Fixpoint
 from .formula import FieldUniverse, PathFormula, Viability
 from .sharing import SharingAnalysis, SharingState
 from .syntax import (
@@ -78,6 +82,7 @@ class AnalysisResult:
     loop_passes: dict[int, int]
     widenings: int
     via: Viability
+    sharing: SharingAnalysis  # the deep-sharing tables the analysis read
     elapsed: float
 
     def trace_cell(self, line: int, visit: int = 1) -> RcValue:
@@ -149,7 +154,6 @@ class Analyzer:
         sharing: SharingAnalysis,
         universe: FieldUniverse,
         widening_k: Optional[int] = 16,
-        check_normal_form: bool = True,
     ):
         self.program = program
         self.ct = ct
@@ -158,11 +162,13 @@ class Analyzer:
         self.universe = universe
         self.via = Viability(ct, universe)
         self.widening_k = widening_k
-        self.check_normal_form = check_normal_form
-        self._zeta: dict[tuple, RcValue] = {}
-        self._zeta_inputs: dict[tuple, tuple[MethodSig, RcValue, SharingState]] = {}
-        self._zeta_widen: dict[tuple, dict] = {}
-        self._new_context = False
+        # context (method, entry value, entry sharing) -> method denotation
+        self.memo = Fixpoint(
+            lambda inp: self._run_method(*inp),
+            self._widen_memo,
+            lambda inp: RcValue.bottom(universe, *summary_scope(inp[0], typeinfo)),
+        )
+        self._memo_counters: dict[tuple, dict] = {}
         self._widenings = 0
 
     # ------------------------------------------------------------------
@@ -177,11 +183,8 @@ class Analyzer:
     def _true(self) -> PathFormula:
         return PathFormula.true(self.universe)
 
-    def _sp_before(self, ctx: _Ctx, nid: int) -> SharingState:
-        return self.sharing.state_before(ctx.sp_ctx, nid)
-
     def _assert_normal(self, value: RcValue) -> None:
-        if self.check_normal_form and not value.is_normal():
+        if not value.is_normal():
             raise AssertionError("transfer produced a value out of normal form")
 
     # ------------------------------------------------------------------
@@ -210,7 +213,7 @@ class Analyzer:
     def _eval_field_read(self, e: FieldRead, I: RcValue, ctx: _Ctx) -> RcValue:
         if self.ct.field_type(e.fieldname) == INT_TYPE:
             return I
-        sp = self._sp_before(ctx, e.nid)
+        sp = self.sharing.state_before(ctx.sp_ctx, e.nid)
         v = e.var
         fld = self._only([e.fieldname])
         fld_mask = self.universe.abstract_mask([e.fieldname])
@@ -234,7 +237,7 @@ class Analyzer:
         return I.join(extra).normalize()
 
     def _eval_call(self, e: MethodCall, I: RcValue, ctx: _Ctx) -> RcValue:
-        sp = self._sp_before(ctx, e.nid)
+        sp = self.sharing.state_before(ctx.sp_ctx, e.nid)
         actuals = [e.receiver] + list(e.args)
         ref_actual = [a for a in actuals if a in I.ref_vars]
         callees = self.typeinfo.call_targets[e.nid]
@@ -242,20 +245,15 @@ class Analyzer:
         projected = I.project([x for x in I.variables if x not in set(actuals)])
         summary_back = RcValue.bottom(self.universe, I.variables, I.ref_vars)
         for sig in callees:
-            callee_env = self.typeinfo.env_for(sig.key)
             formals = list(sig.input_vars)
-            callee_vars = tuple(formals) + (OUT_VAR,)
-            callee_refs = frozenset(
-                f for f in formals if callee_env.type_of(f) != INT_TYPE
-            ) | (frozenset([OUT_VAR]) if sig.return_type != INT_TYPE else frozenset())
-            entry = RcValue.bottom(self.universe, callee_vars, callee_refs)
+            entry = RcValue.bottom(self.universe, *summary_scope(sig, self.typeinfo))
             formal_to_actual = dict(zip(formals, actuals))
             for f1 in formals:
-                if f1 not in callee_refs:
+                if f1 not in entry.ref_vars:
                     continue
                 a1 = formal_to_actual[f1]
                 for f2 in formals:
-                    if f2 in callee_refs:
+                    if f2 in entry.ref_vars:
                         entry.reach[(f1, f2)] = projected.reach_at(
                             a1, formal_to_actual[f2]
                         )
@@ -459,19 +457,13 @@ class Analyzer:
     # method denotations
 
     def _denotation(self, sig: MethodSig, entry: RcValue, sp_entry: SharingState) -> RcValue:
-        key = (sig.key, entry.key(), sp_entry.key())
-        if key not in self._zeta:
-            env = self.typeinfo.env_for(sig.key)
-            out_refs = frozenset(
-                f for f in sig.input_vars if env.type_of(f) != INT_TYPE
-            ) | (frozenset([OUT_VAR]) if sig.return_type != INT_TYPE else frozenset())
-            self._zeta[key] = RcValue.bottom(
-                self.universe, tuple(sig.input_vars) + (OUT_VAR,), out_refs
-            )
-            self._zeta_inputs[key] = (sig, entry, sp_entry)
-            self._zeta_widen[key] = {}
-            self._new_context = True
-        return self._zeta[key]
+        return self.memo.lookup(
+            (sig.key, entry.key(), sp_entry.key()), (sig, entry, sp_entry)
+        )
+
+    def _widen_memo(self, key: tuple, old: RcValue, new: RcValue) -> RcValue:
+        counters = self._memo_counters.setdefault(key, {})
+        return self._widen_value(old, old.join(new), counters, record=False)
 
     def _run_method(
         self,
@@ -483,22 +475,19 @@ class Analyzer:
     ) -> RcValue:
         env = self.typeinfo.env_for(sig.key)
         decl = self.ct.method_decl(sig)
-        inputs = list(sig.input_vars)
+        out_vars, out_refs = summary_scope(sig, self.typeinfo)
         local_names = [n for _, n in self.ct.method_locals(sig)]
-        ref_inputs = [f for f in inputs if env.type_of(f) != INT_TYPE]
         shadow_params = [w for w in sig.param_names if env.type_of(w) != INT_TYPE]
         shadows = {w: shallow_name(w) for w in shadow_params}
         body_vars = (
-            tuple(inputs)
+            tuple(sig.input_vars)
             + tuple(local_names)
             + (OUT_VAR,)
             + tuple(shadows.values())
             + (RESULT_VAR,)
         )
-        refs = set(ref_inputs) | set(shadows.values()) | {RESULT_VAR}
+        refs = set(out_refs) | set(shadows.values()) | {RESULT_VAR}
         refs |= {n for n in local_names if env.type_of(n) != INT_TYPE}
-        if sig.return_type != INT_TYPE:
-            refs.add(OUT_VAR)
         I0 = RcValue.bottom(self.universe, body_vars, frozenset(refs))
         for (a, b), f in entry.reach.items():
             if (a, b) in I0.reach:
@@ -517,82 +506,38 @@ class Analyzer:
             keep.add("this")
         I2 = I1.project([x for x in body_vars if x not in keep])
         I3 = I2.rename({u: w for w, u in shadows.items()})
-        out_vars = tuple(inputs) + (OUT_VAR,)
-        out_refs = frozenset(ref_inputs) | (
-            frozenset([OUT_VAR]) if sig.return_type != INT_TYPE else frozenset()
-        )
         result = I3.remap({x: x for x in out_vars}, out_vars, out_refs)
         return result.normalize().canonical(self.via)
 
     # ------------------------------------------------------------------
     # drivers
 
-    def _stabilize(self, run_entry: Callable[[], None]) -> int:
-        rounds = 0
-        while True:
-            rounds += 1
-            self._new_context = False
-            changed = False
-            run_entry()
-            for key, (sig, entry, sp_entry) in list(self._zeta_inputs.items()):
-                out = self._run_method(sig, entry, sp_entry)
-                merged = self._widen_memo(key, self._zeta[key], self._zeta[key].join(out))
-                if merged != self._zeta[key]:
-                    self._zeta[key] = merged
-                    changed = True
-            if not changed and not self._new_context:
-                return rounds
+    def analyze(self, entry: Union[str, MethodSig], start: RcValue, sp_start: SharingState):
+        """Solve the fixpoint from the entry, then run the recording pass over
+        the entry and every context with the final denotations."""
+        if entry == "main":
+            self.sharing.analyze_main(sp_start)
+            env = self.typeinfo.env_for("main")
 
-    def _widen_memo(self, key: tuple, old: RcValue, new: RcValue) -> RcValue:
-        if self.widening_k is None:
-            return new
-        return self._widen_value(old, new, self._zeta_widen[key], record=False)
+            def run(recorder: Optional[_Recorder] = None) -> RcValue:
+                if recorder is not None:
+                    recorder.trace_line(self.program.main.line, start)
+                ctx = _Ctx(env, "main", recorder, trace_on=True)
+                return self.exec_body(self.program.main.body, start, ctx)
 
-    def analyze_main(self, init_rc: Optional[RcValue], init_sp: Optional[SharingState]):
-        if self.program.main is None:
-            raise AnalysisError("program has no main block")
-        env = self.typeinfo.env_for("main")
-        variables = tuple(env.variables) + (RESULT_VAR,)
-        refs = frozenset(env.ref_vars) | {RESULT_VAR}
-        bottom = RcValue.bottom(self.universe, variables, refs)
-        entry = bottom
-        if init_rc is not None:
-            entry = bottom.join(init_rc.remap({x: x for x in init_rc.variables}, variables, refs))
-        entry = entry.normalize()
-        sp_entry = init_sp or SharingState.empty()
-        self.sharing.analyze_main(sp_entry)
-        ctx_plain = _Ctx(env, "main", None)
+        else:
+            self.sharing.analyze_method_entry(entry, sp_start)
 
-        def run_entry():
-            self.exec_body(self.program.main.body, entry, ctx_plain)
+            def run(recorder: Optional[_Recorder] = None) -> RcValue:
+                return self._run_method(entry, start, sp_start, recorder, trace_on=True)
 
-        rounds = self._stabilize(run_entry)
+        rounds = self.memo.solve(run)
         recorder = _Recorder()
         self._widenings = 0
-        ctx_rec = _Ctx(env, "main", recorder, trace_on=True)
-        recorder.trace_line(self.program.main.line, entry)
-        final = self.exec_body(self.program.main.body, entry, ctx_rec)
-        self._record_contexts(recorder)
-        return entry, final, recorder, rounds
-
-    def analyze_method(self, sig: MethodSig, init_rc: RcValue, init_sp: SharingState):
-        self.sharing.analyze_method_entry(sig, init_sp)
-
-        def run_entry():
-            self._run_method(sig, init_rc, init_sp)
-
-        rounds = self._stabilize(run_entry)
-        recorder = _Recorder()
-        self._widenings = 0
-        final = self._run_method(sig, init_rc, init_sp, recorder, trace_on=True)
-        self._record_contexts(recorder)
+        final = run(recorder)
+        for sig, value, sp_value in list(self.memo.inputs.values()):
+            self._run_method(sig, value, sp_value, recorder)
         return final, recorder, rounds
-
-    def _record_contexts(self, recorder: _Recorder) -> None:
-        """One recording pass over every callee context with the final
-        interpretation, so per-point values cover all call contexts."""
-        for key, (sig, entry, sp_entry) in list(self._zeta_inputs.items()):
-            self._run_method(sig, entry, sp_entry, recorder, trace_on=False)
 
 
 # --------------------------------------------------------------------------
@@ -612,6 +557,45 @@ def find_entry_sig(ct: ClassTable, name: str) -> MethodSig:
     return matches[0]
 
 
+def summary_scope(sig: MethodSig, typeinfo: TypeInfo) -> tuple[tuple[str, ...], frozenset[str]]:
+    """Variables and reference variables of a method summary: the formals
+    plus ``out``."""
+    env = typeinfo.env_for(sig.key)
+    refs = frozenset(f for f in sig.input_vars if env.type_of(f) != INT_TYPE)
+    if sig.return_type != INT_TYPE:
+        refs |= {OUT_VAR}
+    return tuple(sig.input_vars) + (OUT_VAR,), refs
+
+
+def entry_scope(
+    program: Program,
+    ct: ClassTable,
+    typeinfo: TypeInfo,
+    *,
+    tracked: Optional[Iterable[str]] = None,
+    entry: EntryKey = "main",
+) -> tuple[FieldUniverse, Union[str, MethodSig], tuple[str, ...], frozenset[str]]:
+    """The field universe, the entry (``"main"`` or a method), and the
+    variables and reference variables the entry's ``//@ init`` lines may name."""
+    if tracked is None:
+        universe = FieldUniverse.of(ct.reference_fields)
+    else:
+        tracked = list(tracked)
+        unknown = set(tracked) - set(ct.reference_fields)
+        if unknown:
+            raise AnalysisError(f"unknown tracked fields: {sorted(unknown)}")
+        universe = FieldUniverse.tracked(ct.reference_fields, tracked)
+    if entry == "main":
+        if program.main is None:
+            raise AnalysisError("program has no main block")
+        env = typeinfo.env_for("main")
+        variables = tuple(env.variables) + (RESULT_VAR,)
+        return universe, "main", variables, frozenset(env.ref_vars) | {RESULT_VAR}
+    sig = entry if isinstance(entry, MethodSig) else find_entry_sig(ct, str(entry))
+    _, refs = summary_scope(sig, typeinfo)
+    return universe, sig, tuple(sig.input_vars), refs - {OUT_VAR}
+
+
 def analyze_program(
     program: Program,
     ct: ClassTable,
@@ -622,58 +606,39 @@ def analyze_program(
     init_rc: Optional[RcValue] = None,
     init_sp: Optional[SharingState] = None,
     widening_k: Optional[int] = 16,
-    check_normal_form: bool = True,
 ) -> AnalysisResult:
     started = time.perf_counter()
-    if tracked is None:
-        universe = FieldUniverse.of(ct.reference_fields)
-    else:
-        universe = FieldUniverse.tracked(ct.reference_fields, tracked)
-    sharing = SharingAnalysis(program, ct, typeinfo)
-    analyzer = Analyzer(
-        program, ct, typeinfo, sharing, universe, widening_k, check_normal_form
+    universe, entry, variables, refs = entry_scope(
+        program, ct, typeinfo, tracked=tracked, entry=entry
     )
-    if entry == "main":
-        entry_value, final, recorder, rounds = analyzer.analyze_main(init_rc, init_sp)
-        env = typeinfo.env_for("main")
-        display = tuple(v for v in env.ref_vars)
-        entry_key: EntryKey = "main"
-    else:
-        sig = entry if isinstance(entry, MethodSig) else find_entry_sig(ct, str(entry))
-        env = typeinfo.env_for(sig.key)
-        variables = tuple(sig.input_vars) + (OUT_VAR,)
-        refs = frozenset(f for f in sig.input_vars if env.type_of(f) != INT_TYPE)
-        if sig.return_type != INT_TYPE:
-            refs = refs | {OUT_VAR}
-        bottom = RcValue.bottom(analyzer.universe, variables, refs)
-        start = bottom if init_rc is None else bottom.join(
-            init_rc.remap({x: x for x in init_rc.variables}, variables, refs)
-        )
-        start = start.normalize()
-        sp_start = init_sp or SharingState.empty()
-        final, recorder, rounds = analyzer.analyze_method(sig, start, sp_start)
-        display = tuple(env.ref_vars)
-        entry_key = sig.key
+    sharing = SharingAnalysis(program, ct, typeinfo)
+    analyzer = Analyzer(program, ct, typeinfo, sharing, universe, widening_k)
+    entry_key = "main" if entry == "main" else entry.key
+    if entry != "main":
+        variables, refs = summary_scope(entry, typeinfo)
+    start = RcValue.bottom(universe, variables, refs)
+    if init_rc is not None:
+        start = start.join(init_rc.remap({x: x for x in init_rc.variables}, variables, refs))
+    final, recorder, rounds = analyzer.analyze(
+        entry, start.normalize(), init_sp or SharingState.empty()
+    )
     denotations: dict[tuple[str, str], dict[tuple, RcValue]] = {}
-    for key, value in analyzer._zeta.items():
+    for key, value in analyzer.memo.table.items():
         denotations.setdefault(key[0], {})[key[1:]] = value
-    final = final.canonical(analyzer.via)
-    point_post = {
-        nid: v.canonical(analyzer.via) for nid, v in recorder.point_post.items()
-    }
     return AnalysisResult(
-        universe=analyzer.universe,
+        universe=universe,
         entry=entry_key,
-        display_vars=display,
-        final=final,
+        display_vars=tuple(typeinfo.env_for(entry_key).ref_vars),
+        final=final.canonical(analyzer.via),
         trace=[
             TraceRow(r.line, r.visit, r.value.canonical(analyzer.via)) for r in recorder.trace
         ],
-        point_post=point_post,
+        point_post={nid: v.canonical(analyzer.via) for nid, v in recorder.point_post.items()},
         denotations=denotations,
         rounds=rounds,
         loop_passes=dict(recorder.loop_passes),
         widenings=analyzer._widenings,
         via=analyzer.via,
+        sharing=sharing,
         elapsed=time.perf_counter() - started,
     )

@@ -14,8 +14,10 @@ the structure the argument pointed to on entry; entry structures are pinned
 with internal shadow variables so reassignment of a parameter does not lose
 them.  Method summaries map an entry state over the formals to an exit state
 over formals plus the return value, with the set of possibly-impure argument
-positions (0 is the receiver); they are computed per distinct entry state by
-a memoized global fixpoint.
+positions (0 is the receiver).  A ``Fixpoint`` worklist grows one summary per
+context (method, entry state) by union; a context re-runs only when a
+summary it read has grown.  Each run replaces the context's point tables, so
+they end with its last run, which read only final summaries.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
 from .classtable import ClassTable, MethodSig
+from .fixpoint import Fixpoint
 from .syntax import (
     Assign,
     BinOp,
@@ -176,10 +179,13 @@ class SharingAnalysis:
         self.program = program
         self.ct = ct
         self.typeinfo = typeinfo
-        self._summaries: dict[tuple, SharingSummary] = {}
-        self._inputs: dict[tuple, tuple[MethodSig, SharingState]] = {}
-        self._changed = False
-        # per analysis context: sharing state before/after each program point
+        # context (method, entry state) -> sharing summary
+        self.memo = Fixpoint(
+            lambda inp: self._compute_summary(*inp),
+            lambda key, old, new: old.union(new),
+            lambda inp: SharingSummary.bottom(),
+        )
+        # per context: the sharing state before/after each point in its last run
         self.point_pre: dict[CtxKey, dict[int, SharingState]] = {}
         self.point_post: dict[CtxKey, dict[int, SharingState]] = {}
 
@@ -189,55 +195,30 @@ class SharingAnalysis:
         if self.program.main is None:
             raise ValueError("program has no main block")
         entry = entry_state or SharingState.empty()
-        result = SharingState.empty()
-        while True:
-            self._changed = False
-            self.point_pre = {}
-            self.point_post = {}
-            env = self.typeinfo.env_for("main")
-            result = self._exec_body(self.program.main.body, entry, "main", env, None, None)
-            self._recompute_all()
-            if not self._changed:
-                return result
+        env = self.typeinfo.env_for("main")
+        exit_state = entry
+
+        def run_main() -> None:
+            nonlocal exit_state
+            self.point_pre["main"], self.point_post["main"] = {}, {}
+            exit_state = self._exec_body(self.program.main.body, entry, "main", env, None, None)
+
+        self.memo.solve(run_main)
+        return exit_state
 
     def analyze_method_entry(self, sig: MethodSig, entry_state: SharingState) -> SharingSummary:
-        summary = SharingSummary.bottom()
-        while True:
-            self._changed = False
-            self.point_pre = {}
-            self.point_post = {}
-            summary = self._compute_summary(sig, entry_state)
-            self._recompute_all()
-            if not self._changed:
-                return summary
+        self.memo.solve(lambda: self.summary(sig, entry_state))
+        return self.summary(sig, entry_state)
 
     def summary(self, sig: MethodSig, entry_state: SharingState) -> SharingSummary:
-        """Memoized method denotation; grows across fixpoint rounds."""
-        key = (sig.key, entry_state.key())
-        if key not in self._summaries:
-            self._summaries[key] = SharingSummary.bottom()
-            self._inputs[key] = (sig, entry_state)
-            self._changed = True
-        return self._summaries[key]
-
-    def _recompute_all(self) -> None:
-        # keep recomputing known contexts until the summary table is stable
-        while True:
-            before = dict(self._summaries)
-            for key, (sig, entry) in list(self._inputs.items()):
-                new = self._compute_summary(sig, entry)
-                merged = self._summaries[key].union(new)
-                if merged != self._summaries[key]:
-                    self._summaries[key] = merged
-                    self._changed = True
-            if dict(self._summaries) == before:
-                return
+        """Memoized method denotation; grows until the fixpoint is solved."""
+        return self.memo.lookup(self.ctx_key(sig, entry_state), (sig, entry_state))
 
     def ctx_key(self, sig: MethodSig, entry_state: SharingState) -> CtxKey:
         return (sig.key, entry_state.key())
 
     def state_before(self, ctx: CtxKey, nid: int) -> SharingState:
-        return self.point_pre.get(ctx, {}).get(nid, SharingState.empty())
+        return self.point_pre[ctx][nid]  # a miss raises: empty would be unsound
 
     # -- summary computation
 
@@ -257,6 +238,7 @@ class SharingAnalysis:
             st = st.copy_alias(name, sh_name)
         impure: set[int] = set()
         ctx = self.ctx_key(sig, entry_state)
+        self.point_pre[ctx], self.point_post[ctx] = {}, {}
         exit_state = self._exec_body(decl.body, st, ctx, env, shadows, impure)
         keep = {shadows[i]: name for i, name in ref_params}
         keep[OUT_VAR] = OUT_VAR
@@ -266,7 +248,7 @@ class SharingAnalysis:
     # -- recording
 
     def _record(self, ctx: CtxKey, table: dict, nid: int, st: SharingState) -> None:
-        slot = table.setdefault(ctx, {})
+        slot = table[ctx]
         prev = slot.get(nid)
         slot[nid] = st if prev is None else prev.union(st)
 
@@ -426,15 +408,6 @@ class SharingAnalysis:
 
 # --------------------------------------------------------------------------
 # module-level entry points
-
-
-@dataclass
-class SpValue:
-    """Deep-sharing pairs visible at one point plus the enclosing method's
-    possibly-impure argument positions."""
-
-    ds: frozenset[Pair]
-    impure: frozenset[int]
 
 
 def analyze_purity(

@@ -187,12 +187,6 @@ class Program:
     main: Optional[MainBlock]
     annotations: list[InitAnnotation]
 
-    def class_named(self, name: str) -> Optional[ClassDecl]:
-        for c in self.classes:
-            if c.name == name:
-                return c
-        return None
-
 
 # --------------------------------------------------------------------------
 # traversal / pretty printing

@@ -204,3 +204,88 @@ def test_no_annotations_means_bottom_entry(capsys):
     first = doc["points"]["1#1"]
     assert all(models == [] for models in first["reach"].values())
     assert all(models == [] for models in first["cyc"].values())
+
+
+def test_dump_sharing_reads_the_analysis_tables(capsys, monkeypatch):
+    from fieldreach.sharing import SharingAnalysis
+
+    runs = []
+    original = SharingAnalysis.analyze_main
+
+    def counted(self, *args, **kwargs):
+        runs.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SharingAnalysis, "analyze_main", counted)
+    code, out, err = invoke(capsys, DLL, "--dump-sharing")
+    assert code == 0
+    assert len(runs) == 1
+    assert "DS(tmp,x)" in out
+
+
+@pytest.mark.parametrize("flag", ["--dump-sharing", "--oracle-check"])
+def test_main_only_flags_are_rejected_before_analysis(capsys, monkeypatch, flag):
+    import fieldreach.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the analysis ran")
+
+    monkeypatch.setattr(fieldreach.cli, "analyze_program", refuse)
+    code, out, err = invoke(capsys, TREE, "--entry", "join", "--dump-lines", flag)
+    assert code == 2
+    assert out == ""
+    assert f"{flag} needs the main entry" in err
+
+
+def _run_source(tmp_path, capsys, source, *flags):
+    path = tmp_path / "prog.lang"
+    path.write_text(source)
+    return invoke(capsys, str(path), *flags)
+
+
+def _nested_ifs(depth):
+    opening = "if (i == 0) then {\n" * depth
+    closing = "}\n" * depth
+    return "class K { K f; }\nmain { K x; int i;\n" + opening + "x := new K;\n" + closing + "}\n"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        _nested_ifs(400),
+        "main { int i; i := " + "(" * 400 + "1" + ")" * 400 + "; }\n",
+        "main { int i; i := " + " + ".join(["1"] * 2000) + "; }\n",
+    ],
+    ids=["ifs", "parentheses", "sum"],
+)
+def test_deep_syntax_is_an_analysis_error(tmp_path, capsys, source):
+    code, out, err = _run_source(tmp_path, capsys, source)
+    assert code == 1
+    assert err.startswith("error: ") and "nesting deeper than" in err
+
+
+def test_nesting_just_inside_the_limit_runs_every_phase(tmp_path, capsys):
+    loops = "while (i < 1) do {\n" * 98
+    source = (
+        "class K { K f; }\nmain { K x; int i;\n"
+        + loops
+        + "x := new K; i := i + 1;\n"
+        + "}\n" * 98
+        + "}\n"
+    )
+    code, out, err = _run_source(
+        tmp_path, capsys, source, "--oracle-check", "--dump-lines", "--dump-sharing",
+        "--compare-domains",
+    )
+    assert code == 0, err
+    assert "oracle check: ok" in out
+
+
+def test_unbounded_recursion_under_the_oracle_fails_cleanly(tmp_path, capsys):
+    source = (
+        "class K { K f; K loop(K a) { K r; r := this.loop(a); return r; } } "
+        "main { K x; K y; x := new K; y := x.loop(x); }"
+    )
+    code, out, err = _run_source(tmp_path, capsys, source, "--oracle-check")
+    assert code == 1
+    assert "concrete execution failed" in err and "call depth" in err

@@ -76,6 +76,50 @@ main {
         run(src, budget=200)
 
 
+
+def test_call_depth_budget():
+    from fieldreach.oracle import MAX_CALL_DEPTH
+
+    src = """
+class K {
+  K down(int k) {
+    K r;
+    int k2;
+    if (k > 0) then {
+      k2 := k - 1;
+      r := this.down(k2);
+    }
+    return r;
+  }
+}
+main {
+  K x;
+  K y;
+  int n;
+  x := new K;
+  n := DEPTH;
+  y := x.down(n);
+}
+"""
+    run(src.replace("DEPTH", str(MAX_CALL_DEPTH - 1)))
+    with pytest.raises(BudgetExceeded, match="call depth"):
+        run(src.replace("DEPTH", str(MAX_CALL_DEPTH)))
+
+
+def test_recursion_deeper_than_the_stack_is_a_budget_error():
+    # within the call depth budget, but every level sits inside nested blocks
+    guards = "if (k > 0) then {" * 12
+    src = (
+        "class K { K down(int k) { K r; int k2; "
+        + guards
+        + " k2 := k - 1; r := this.down(k2); "
+        + "}" * 12
+        + " return r; } }\n"
+        + "main { K x; K y; int n; x := new K; n := 90; y := x.down(n); }"
+    )
+    with pytest.raises(BudgetExceeded):
+        run(src)
+
 def test_arithmetic_wraps():
     src = """
 main {

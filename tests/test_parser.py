@@ -166,3 +166,25 @@ def test_nested_call_and_arith():
     assign = p.main.body[1]
     assert isinstance(assign, Assign)
     assert isinstance(assign.expr.left, MethodCall)
+
+
+def test_nesting_limit_reports_where_it_is_crossed():
+    from fieldreach.parser import MAX_NESTING
+
+    depth = MAX_NESTING + 1
+    source = "main { int i;\n" + "if (i == 0) then {\n" * depth + "skip;" + "}" * depth + " }"
+    with pytest.raises(ParseError) as exc:
+        parse_program(source)
+    assert (exc.value.line, exc.value.col) == (depth + 1, 1)
+    assert f"nesting deeper than {MAX_NESTING}" in exc.value.message
+
+
+def test_operator_chains_count_toward_the_nesting_limit():
+    from fieldreach.parser import MAX_NESTING
+
+    fits = "main { int i; i := " + " + ".join(["1"] * MAX_NESTING) + "; }"
+    parse_program(fits)
+    with pytest.raises(ParseError) as exc:
+        parse_program("main { int i; i := " + " + ".join(["1"] * (MAX_NESTING + 1)) + "; }")
+    # the operator that makes the tree one level too deep
+    assert exc.value.col == len("main { int i; i := ") + 4 * MAX_NESTING - 1
