@@ -10,12 +10,18 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from typing import Optional
+from typing import Optional, TextIO
 
 from .classtable import ClassTableError, build_class_table
 from .domain import RcValue
 from .formula import FieldUniverse, PathFormula
-from .oracle import BudgetExceeded, NullDereference, check_soundness, run_concrete
+from .oracle import (
+    BudgetExceeded,
+    NullDereference,
+    SoundnessReport,
+    check_soundness,
+    run_concrete,
+)
 from .parser import ParseError, parse_program
 from .render import render_compare, render_final, render_sharing, render_table, result_to_json
 from .semantics import AnalysisError, analyze_program, entry_scope
@@ -127,6 +133,23 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _print_oracle_report(report: SoundnessReport, out: TextIO) -> None:
+    if report.ok:
+        print(
+            f"oracle check: ok ({report.points_checked} points, "
+            f"{report.states_checked} states)",
+            file=out,
+        )
+        return
+    print(
+        f"oracle check: {len(report.violations)} violation(s), "
+        f"{len(report.missing_points)} unchecked point(s)",
+        file=out,
+    )
+    for v in report.violations:
+        print(f"  {v}", file=out)
+
+
 def run(argv: Optional[list[str]] = None) -> int:
     ap = build_arg_parser()
     try:
@@ -151,6 +174,15 @@ def run(argv: Optional[list[str]] = None) -> int:
         flag = "--dump-sharing" if args.dump_sharing else "--oracle-check"
         print(f"error: {flag} needs the main entry", file=sys.stderr)
         return USAGE_ERROR
+    if args.format == "json":
+        for flag, given in (
+            ("--dump-lines", args.dump_lines),
+            ("--dump-sharing", args.dump_sharing),
+            ("--compare-domains", args.compare_domains),
+        ):
+            if given:
+                print(f"error: {flag} needs --format text", file=sys.stderr)
+                return USAGE_ERROR
 
     try:
         program = parse_program(source)
@@ -202,6 +234,8 @@ def run(argv: Optional[list[str]] = None) -> int:
 
     if args.format == "json":
         sys.stdout.write(result_to_json(result, query_results))
+        if oracle_report is not None and not oracle_report.ok:
+            _print_oracle_report(oracle_report, sys.stderr)
     else:
         if args.dump_lines:
             sys.stdout.write(render_table(result))
@@ -216,18 +250,7 @@ def run(argv: Optional[list[str]] = None) -> int:
             else:
                 print(f"{raw} -> {res}")
         if oracle_report is not None:
-            if oracle_report.ok:
-                print(
-                    f"oracle check: ok ({oracle_report.points_checked} points, "
-                    f"{oracle_report.states_checked} states)"
-                )
-            else:
-                print(
-                    f"oracle check: {len(oracle_report.violations)} violation(s), "
-                    f"{len(oracle_report.missing_points)} unchecked point(s)"
-                )
-                for v in oracle_report.violations:
-                    print(f"  {v}")
+            _print_oracle_report(oracle_report, sys.stdout)
     return exit_code
 
 

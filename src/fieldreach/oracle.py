@@ -3,9 +3,11 @@
 The interpreter executes main directly, records the concrete state after
 every command (including inside callees, keyed by the shared node ids), and
 aborts cleanly when the step budget or the call depth budget runs out.
-Saturation enumerates, per source location, every (target,
+Consecutive records with no allocation or field write in between share one
+heap snapshot.  Saturation enumerates, per source location, every (target,
 traversed-field-set) pair — finite even on cyclic heaps because field sets
-are sets.  From that, a state abstracts to
+are sets.  Cycle sets come from the strongly connected components of
+each heap, computed once per snapshot.  From that, a state abstracts to
 the exact reachability/cyclicity value: the models of an entry are precisely
 the field sets realized in the state.
 """
@@ -17,7 +19,7 @@ from typing import Iterable, Optional, Union
 
 from .classtable import ClassTable
 from .domain import RcValue
-from .formula import FieldUniverse, PathFormula, Viability
+from .formula import FieldUniverse, PathFormula
 from .semantics import AnalysisResult
 from .syntax import (
     Assign,
@@ -70,14 +72,11 @@ Val = Union[int, Loc, None]
 
 @dataclass
 class ConcreteState:
+    """A frame and a heap.  Recorded states may share their heap with other
+    recorded states, so it must not be changed."""
+
     frame: dict[str, Val]
     heap: dict[int, Obj]
-
-    def snapshot(self) -> "ConcreteState":
-        return ConcreteState(
-            dict(self.frame),
-            {a: Obj(o.classname, dict(o.fields)) for a, o in self.heap.items()},
-        )
 
 
 class NullDereference(Exception):
@@ -109,6 +108,8 @@ class _Interp:
         self.allocations = 0
         self.next_addr = 1
         self.heap: dict[int, Obj] = {}
+        # copy of the heap at the last record; None once the heap has changed
+        self.snapshot: Optional[dict[int, Obj]] = None
         self.point_states: dict[int, list[ConcreteState]] = {}
 
     def run_main(self) -> OracleResult:
@@ -135,9 +136,12 @@ class _Interp:
 
     def _record(self, nid: int, frame: dict[str, Val]) -> None:
         if self.record:
-            self.point_states.setdefault(nid, []).append(
-                ConcreteState(frame, self.heap).snapshot()
-            )
+            if self.snapshot is None:
+                self.snapshot = {
+                    a: Obj(o.classname, dict(o.fields)) for a, o in self.heap.items()
+                }
+            state = ConcreteState(dict(frame), self.snapshot)
+            self.point_states.setdefault(nid, []).append(state)
 
     def exec_body(self, body: list[Command], frame: dict[str, Val]) -> None:
         for cmd in body:
@@ -155,6 +159,7 @@ class _Interp:
             if not isinstance(base, Loc):
                 raise NullDereference(cmd.line)
             self.heap[base.addr].fields[cmd.fieldname] = value
+            self.snapshot = None
         elif isinstance(cmd, If):
             if self.eval_guard(cmd.guard, frame):
                 self.exec_body(cmd.then_body, frame)
@@ -221,6 +226,7 @@ class _Interp:
             for fname, ftype in self.ct.fields_of(classname)
         }
         self.heap[addr] = Obj(classname, fields)
+        self.snapshot = None
         return Loc(addr)
 
     def call(self, e: MethodCall, frame: dict[str, Val]) -> Val:
@@ -348,23 +354,174 @@ def concrete_deep_share_pairs(
     return frozenset(pairs)
 
 
+Edge = tuple[int, str, int]  # (source address, field, target address)
+
+
+def _components(
+    nodes: Iterable[int], edges: list[Edge]
+) -> tuple[list[list[int]], dict[int, int]]:
+    """Strongly connected components of the graph (Tarjan 1972), each listed
+    after every component it reaches, and the component index of each node."""
+    succ: dict[int, list[int]] = {}
+    for a, _, b in edges:
+        succ.setdefault(a, []).append(b)
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    comp_of: dict[int, int] = {}
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        work = [(root, iter(succ.get(root, ())), len(stack))]
+        stack.append(root)
+        while work:
+            node, targets, at = work[-1]
+            for nxt in targets:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    work.append((nxt, iter(succ.get(nxt, ())), len(stack)))
+                    stack.append(nxt)
+                    break
+                if nxt not in comp_of and index[nxt] < low[node]:  # nxt still on the stack
+                    low[node] = index[nxt]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    c = len(comps)
+                    comp = stack[at:]
+                    del stack[at:]
+                    for member in comp:
+                        comp_of[member] = c
+                    comps.append(comp)
+    return comps, comp_of
+
+
+def _inner_edges(
+    comps: list[list[int]], comp_of: dict[int, int], edges: list[Edge]
+) -> list[list[Edge]]:
+    """The edges of each component that stay inside it, grouped in one pass."""
+    inner: list[list[Edge]] = [[] for _ in comps]
+    for edge in edges:
+        c = comp_of[edge[0]]
+        if c == comp_of[edge[2]]:
+            inner[c].append(edge)
+    return inner
+
+
+def _peel(
+    nodes: list[int],
+    edges: list[Edge],
+    found: set[frozenset[str]],
+    seen: set[tuple[frozenset[int], frozenset[str]]],
+) -> None:
+    """Add to ``found`` the field set of every strongly connected component
+    of (nodes, edges) and of each subgraph left by dropping fields.
+
+    ``nodes`` is strongly connected through ``edges``, so some cycle
+    traverses exactly the fields on ``edges``.  A cycle that leaves out a
+    field f lies inside one component of the graph without f-edges."""
+    fields = frozenset(f for _, f, _ in edges)
+    key = (frozenset(nodes), fields)
+    if key in seen:
+        return
+    seen.add(key)
+    found.add(fields)
+    for dropped in fields:
+        kept = [e for e in edges if e[1] != dropped]
+        comps, comp_of = _components(nodes, kept)
+        for comp, inner in zip(comps, _inner_edges(comps, comp_of, kept)):
+            if inner:
+                _peel(comp, inner, found, seen)
+
+
+def cycle_table(heap: dict[int, Obj]) -> dict[int, frozenset[frozenset[str]]]:
+    """Traversal sets of the non-empty cycles reachable from each location.
+
+    A field set S is such a set for ``src`` if and only if some strongly
+    connected component of the S-labelled subgraph is reachable from
+    ``src`` and its internal edges carry every field in S.  Those
+    components are found by peeling each component of the heap, and the
+    sets flow back along the component graph: O(2^F·F·(V+E)) for the whole
+    heap with F fields, V objects and E non-null references."""
+    edges = [
+        (a, f, v.addr)
+        for a, o in heap.items()
+        for f, v in o.fields.items()
+        if isinstance(v, Loc)
+    ]
+    comps, comp_of = _components(heap, edges)
+    below: list[set[int]] = [set() for _ in comps]
+    for a, _, b in edges:
+        if comp_of[a] != comp_of[b]:
+            below[comp_of[a]].add(comp_of[b])
+    reached: list[frozenset[frozenset[str]]] = []
+    for c, (comp, inner) in enumerate(zip(comps, _inner_edges(comps, comp_of, edges))):
+        found: set[frozenset[str]] = set()
+        if inner:
+            _peel(comp, inner, found, set())
+        for d in below[c]:  # listed earlier, so already complete
+            found |= reached[d]
+        reached.append(frozenset(found))
+    return {a: reached[comp_of[a]] for a in heap}
+
+
 def cycle_field_sets(heap: dict[int, Obj], src: int) -> frozenset[frozenset[str]]:
     """Traversal sets of the non-empty cycles reachable from ``src``."""
-    out: set[frozenset[str]] = set()
-    for loc in reachable_addrs(heap, src):
-        for target, traversed in traversal_saturate(heap, loc, require_step=True):
-            if target == loc:
-                out.add(traversed)
-    return frozenset(out)
+    return cycle_table(heap)[src]
+
+
+class _SnapshotMemo:
+    """Per-snapshot results for one universe: the cycle table of each heap,
+    and the abstract traversal masks from each (heap, location) pair, per
+    target.  Keyed by heap identity, so the heaps it has seen must not
+    change while it is used; it holds them, so their identities are not
+    reused."""
+
+    def __init__(self, universe: FieldUniverse) -> None:
+        self.universe = universe
+        self.heaps: dict[int, dict[int, Obj]] = {}
+        self.cycles: dict[int, dict[int, frozenset[frozenset[str]]]] = {}
+        self.reached: dict[tuple[int, int], dict[int, frozenset[int]]] = {}
+        self.mask_sets: dict[frozenset[int], frozenset[int]] = {}  # one copy of each
+
+    def cycle_sets(self, heap: dict[int, Obj], src: int) -> frozenset[frozenset[str]]:
+        table = self.cycles.get(id(heap))
+        if table is None:
+            self.heaps[id(heap)] = heap
+            table = self.cycles[id(heap)] = cycle_table(heap)
+        return table[src]
+
+    def reach_masks(self, heap: dict[int, Obj], src: int) -> dict[int, frozenset[int]]:
+        key = (id(heap), src)
+        by_target = self.reached.get(key)
+        if by_target is None:
+            self.heaps[id(heap)] = heap
+            masks: dict[int, set[int]] = {}
+            for target, fs in traversal_saturate(heap, src):
+                masks.setdefault(target, set()).add(self.universe.abstract_mask(fs))
+            by_target = self.reached[key] = {
+                target: self.mask_sets.setdefault(frozenset(ms), frozenset(ms))
+                for target, ms in masks.items()
+            }
+        return by_target
 
 
 def alpha_state(
     state: ConcreteState,
     universe: FieldUniverse,
     variables: Iterable[str],
+    memo: Optional[_SnapshotMemo] = None,
 ) -> RcValue:
     """The exact abstraction of one state over the given reference variables:
-    entry models are precisely the realized traversal sets."""
+    entry models are precisely the realized traversal sets.  ``memo``, made
+    for the same universe, carries heap results over from earlier states."""
+    memo = memo or _SnapshotMemo(universe)
     vs = tuple(variables)
     value = RcValue.bottom(universe, vs, frozenset(vs))
     locs = {
@@ -372,15 +529,13 @@ def alpha_state(
         for v in vs
         if isinstance(state.frame.get(v), Loc)
     }
-    sat = {addr: traversal_saturate(state.heap, addr) for addr in set(locs.values())}
+    reach = {addr: memo.reach_masks(state.heap, addr) for addr in set(locs.values())}
     for v, av in locs.items():
         for w, aw in locs.items():
-            masks = {
-                universe.abstract_mask(fs) for target, fs in sat[av] if target == aw
-            }
+            masks = reach[av].get(aw)
             if masks:
                 value.reach[(v, w)] = PathFormula.from_models(universe, masks)
-        cyc_masks = {universe.abstract_mask(fs) for fs in cycle_field_sets(state.heap, av)}
+        cyc_masks = {universe.abstract_mask(fs) for fs in memo.cycle_sets(state.heap, av)}
         cyc_masks.add(0)  # a non-null variable always has its empty cycle
         value.cyc[v] = PathFormula.from_models(universe, cyc_masks)
     return value
@@ -419,13 +574,11 @@ class SoundnessReport:
         return not self.violations and not self.missing_points
 
 
-def check_soundness(
-    result: AnalysisResult, oracle: OracleResult, via: Optional[Viability] = None
-) -> SoundnessReport:
+def check_soundness(result: AnalysisResult, oracle: OracleResult) -> SoundnessReport:
     """Every realized traversal set at every recorded point must be a model
     of the corresponding abstract entry.  A concretely reached point the
     analysis never produced a value for counts against the check."""
-    via = via or result.via
+    memo = _SnapshotMemo(result.universe)
     violations: list[Violation] = []
     missing: list[int] = []
     points = 0
@@ -443,7 +596,7 @@ def check_soundness(
                 for v in abstract.variables
                 if v in abstract.ref_vars and v in state.frame
             ]
-            exact = alpha_state(state, result.universe, shared)
+            exact = alpha_state(state, result.universe, shared, memo)
             for (v, w), f in exact.reach.items():
                 target = abstract.reach_at(v, w)
                 for mask in f.model_masks():

@@ -1,6 +1,7 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from fieldreach import (
     FieldUniverse,
@@ -12,6 +13,11 @@ from fieldreach import (
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+# The same examples on every run, and no per-example time limit: the host's
+# speed must not decide whether a property test passes.
+settings.register_profile("fieldreach", deadline=None, derandomize=True)
+settings.load_profile("fieldreach")
 
 # Hierarchy used throughout: employees own devices, devices know their owner.
 #   Emp --mD--> LP      L2 --aD--> TB --lnk--> LP      Dev --owner--> Emp

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -235,6 +236,40 @@ def test_main_only_flags_are_rejected_before_analysis(capsys, monkeypatch, flag)
     assert code == 2
     assert out == ""
     assert f"{flag} needs the main entry" in err
+
+
+@pytest.mark.parametrize("flag", ["--dump-lines", "--dump-sharing", "--compare-domains"])
+def test_text_only_flags_are_rejected_with_json(capsys, monkeypatch, flag):
+    import fieldreach.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the analysis ran")
+
+    monkeypatch.setattr(fieldreach.cli, "analyze_program", refuse)
+    code, out, err = invoke(capsys, DLL, "--format", "json", flag)
+    assert code == 2
+    assert out == ""
+    assert f"error: {flag} needs --format text" in err
+
+
+def test_failed_oracle_check_in_json_reports_on_stderr(capsys, monkeypatch):
+    import fieldreach.cli
+    from fieldreach.oracle import SoundnessReport, Violation
+
+    _, clean, _ = invoke(capsys, DLL, "--format", "json")
+    violation = Violation(7, "cyc", ("x",), ("n", "p"), 3)
+    monkeypatch.setattr(
+        fieldreach.cli,
+        "check_soundness",
+        lambda result, oracle: SoundnessReport([violation], 5, 9, [11]),
+    )
+    code, out, err = invoke(capsys, DLL, "--format", "json", "--oracle-check")
+    assert code == 1
+    # stdout is the report alone, byte for byte apart from the timing
+    elapsed = re.compile(r'"elapsed_ms": [^\n]*')
+    assert elapsed.sub("", out) == elapsed.sub("", clean)
+    assert "oracle check: 1 violation(s), 1 unchecked point(s)" in err
+    assert f"  {violation}" in err
 
 
 def _run_source(tmp_path, capsys, source, *flags):

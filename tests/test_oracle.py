@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fieldreach import (
     BudgetExceeded,
@@ -17,6 +18,7 @@ from fieldreach.oracle import (
     Obj,
     concrete_deep_share_pairs,
     cycle_field_sets,
+    reachable_addrs,
 )
 from fieldreach.syntax import walk_commands
 
@@ -149,6 +151,32 @@ main {
     assert isinstance(oracle.final.frame["r"], Loc)
 
 
+def test_recorded_heaps_are_snapshots():
+    src = """
+main {
+  Node x;
+  Node y;
+  x := new Node;
+  y := x;
+  x.n := y;
+  y := new Node;
+}
+class Node { Node n; }
+"""
+    oracle, program, ct, info = run(src)
+    alloc, alias, write, alloc2 = [oracle.point_states[c.nid][0] for c in program.main.body]
+    # no allocation or field write in between: one shared snapshot, own frames
+    assert alias.heap is alloc.heap
+    assert alloc.frame["y"] is None and alias.frame["y"] == Loc(1)
+    # a state recorded before a field write does not see it
+    assert alloc.heap[1].fields["n"] is None
+    assert write.heap[1].fields["n"] == Loc(1)
+    # a state recorded before an allocation does not see the new object
+    assert set(write.heap) == {1}
+    assert set(alloc2.heap) == {1, 2}
+    assert oracle.final.heap is not alloc2.heap
+
+
 # --------------------------------------------------------------------------
 # saturation
 
@@ -194,6 +222,48 @@ def test_saturate_monotone_under_edges():
     heap[2].fields["g"] = Loc(1)
     after = traversal_saturate(heap, 1)
     assert before <= after
+
+
+def brute_cycle_sets(heap, src):
+    """The definition: the traversal set of every closed walk of at least one
+    step through a location reachable from ``src``."""
+    return frozenset(
+        fs
+        for loc in reachable_addrs(heap, src)
+        for target, fs in traversal_saturate(heap, loc, require_step=True)
+        if target == loc
+    )
+
+
+@st.composite
+def random_heaps(draw):
+    size = draw(st.integers(min_value=1, max_value=8))
+    fields = ("f", "g", "h", "k")[: draw(st.integers(min_value=1, max_value=4))]
+    value = st.one_of(st.none(), st.integers(min_value=1, max_value=size).map(Loc))
+    return {a: Obj("K", {f: draw(value) for f in fields}) for a in range(1, size + 1)}
+
+
+@settings(max_examples=300)
+@given(random_heaps())
+def test_cycle_sets_match_per_location_saturation(heap):
+    for src in heap:
+        assert cycle_field_sets(heap, src) == brute_cycle_sets(heap, src)
+
+
+def test_cycle_sets_of_nested_components():
+    # 1 <-f/g-> 2 is one component; without g, 2 -f-> 2 alone is a cycle;
+    # 3 -h-> 1 leads into it; 4 has its own h-cycle and leads to 3
+    heap = {
+        1: Obj("K", {"f": Loc(2), "g": None, "h": None}),
+        2: Obj("K", {"f": Loc(2), "g": Loc(1), "h": None}),
+        3: Obj("K", {"f": None, "g": None, "h": Loc(1)}),
+        4: Obj("K", {"f": None, "g": Loc(3), "h": Loc(4)}),
+    }
+    sets = {frozenset({"f", "g"}), frozenset({"f"})}
+    assert cycle_field_sets(heap, 1) == sets
+    assert cycle_field_sets(heap, 3) == sets
+    assert cycle_field_sets(heap, 4) == sets | {frozenset({"h"})}
+    assert all(cycle_field_sets(heap, a) == brute_cycle_sets(heap, a) for a in heap)
 
 
 # --------------------------------------------------------------------------
@@ -279,6 +349,32 @@ def test_corrupted_abstract_value_is_flagged():
     report = check_soundness(result, oracle)
     assert not report.ok
     assert any(v.kind == "reach" and v.subject == ("x", "tmp") for v in report.violations)
+
+
+def test_corrupted_cycle_value_is_flagged():
+    src = open("tests/data/dll.lang").read()
+    program, ct, info = build(src)
+    result = analyze_program(program, ct, info)
+    oracle = run_concrete(program, ct)
+    assert check_soundness(result, oracle).ok
+    # at the first point where the run closes an {n,p} cycle reachable from x,
+    # let the abstract value admit only the empty cycle: the checker must object
+    u = result.universe
+    cycle = u.mask_of(["n", "p"])
+    nid = next(
+        nid
+        for nid, states in sorted(oracle.point_states.items())
+        if any(alpha_state(s, u, ["x"]).cyc_at("x").has_model(cycle) for s in states)
+    )
+    value = result.point_post[nid]
+    assert value.cyc_at("x").has_model(cycle)
+    result.point_post[nid] = value.with_cyc("x", PathFormula.only(u, ()))
+    report = check_soundness(result, oracle)
+    assert not report.ok
+    assert any(
+        v.kind == "cyc" and v.nid == nid and v.subject == ("x",) and v.witness == ("n", "p")
+        for v in report.violations
+    )
 
 
 def test_empty_program_vacuously_sound():
