@@ -162,9 +162,10 @@ def run(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    if args.widening < 1:
-        print("error: --widening must be at least 1", file=sys.stderr)
-        return USAGE_ERROR
+    for flag, given in (("--widening", args.widening), ("--heap-budget", args.heap_budget)):
+        if given < 1:
+            print(f"error: {flag} must be at least 1", file=sys.stderr)
+            return USAGE_ERROR
     try:
         queries = [parse_query(q) for q in args.query]
     except UsageError as exc:

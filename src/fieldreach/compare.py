@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .classtable import ClassTable
-from .formula import FieldUniverse, PathFormula, class_reach_closure
+from .formula import FieldUniverse, PathFormula, class_reach_closure, models_of
 
 Pair = tuple[str, str]
 ReachMap = Mapping[Pair, PathFormula]
@@ -38,18 +38,7 @@ CycMap = Mapping[str, PathFormula]
 
 def is_monotone(f: PathFormula) -> bool:
     """Supersets of models are models."""
-    if f.is_true or f.is_false:
-        return True
-    models = f.model_masks()
-    full = f.universe.full_mask
-    for m in models:
-        bits = full & ~m
-        while bits:
-            bit = bits & -bits
-            bits ^= bit
-            if (m | bit) not in models:
-                return False
-    return True
+    return f.universe.up(f.table) == f.table
 
 
 def is_positive(f: PathFormula) -> bool:
@@ -59,19 +48,8 @@ def is_positive(f: PathFormula) -> bool:
 
 def is_definite(f: PathFormula) -> bool:
     """Models are closed under intersection."""
-    if f.is_true or f.is_false:
-        return True
-    models = f.model_masks()
-    return all((a & b) in models for a in models for b in models)
-
-
-def _entailed_clauses(f: PathFormula) -> list[int]:
-    """Non-empty positive clauses (as masks) every model intersects."""
-    return [
-        clause
-        for clause in range(1, 1 << f.universe.size)
-        if all(m & clause for m in f.model_masks())
-    ]
+    models = list(models_of(f.table))
+    return all(f.has_model(a & b) for a in models for b in models)
 
 
 # --------------------------------------------------------------------------
@@ -106,7 +84,7 @@ def alpha_nofields(
         frozenset(
             key
             for key, f in reach.items()
-            if key in admissible and any(m != 0 for m in f.model_masks())
+            if key in admissible and f.table & ~1  # a model besides {}
         )
     )
 
@@ -176,13 +154,8 @@ class MonotoneValue:
 
 
 def alpha_monotone_formula(f: PathFormula) -> PathFormula:
-    if f.is_false or f.is_true:
-        return f
-    clauses = _entailed_clauses(f)
-    return PathFormula.from_models(
-        f.universe,
-        [m for m in f.universe.all_masks() if all(m & c for c in clauses)],
-    )
+    """The least monotone formula above ``f``: its up-closure."""
+    return PathFormula(f.universe, f.universe.up(f.table))
 
 
 def alpha_monotone(reach: ReachMap) -> MonotoneValue:
@@ -198,13 +171,8 @@ def gamma_monotone(v: MonotoneValue) -> dict[Pair, PathFormula]:
 def enumerate_monotone(universe: FieldUniverse) -> list[PathFormula]:
     """All domain elements over a small universe: monotone formulas plus the
     contradiction."""
-    out = []
-    for models in range(1 << (1 << universe.size)):
-        masks = frozenset(m for m in universe.all_masks() if models & (1 << m))
-        f = PathFormula.from_models(universe, masks)
-        if is_monotone(f):
-            out.append(f)
-    return out
+    formulas = (PathFormula(universe, t) for t in range(universe.full_table + 1))
+    return [f for f in formulas if is_monotone(f)]
 
 
 # --------------------------------------------------------------------------
@@ -225,12 +193,8 @@ class ScapinValue:
 def alpha_scapin(reach: ReachMap) -> ScapinValue:
     entries = []
     for key, f in sorted(reach.items()):
-        universe = f.universe
-        banned = frozenset(
-            name
-            for name in universe.fields
-            if all(not (m & universe.bit(name)) for m in f.model_masks())
-        )
+        halves = zip(f.universe.fields, f.universe.halves.values())
+        banned = frozenset(name for name, (_, with_) in halves if not f.table & with_)
         entries.append((key, banned))
     return ScapinValue(tuple(entries))
 
@@ -270,12 +234,8 @@ def alpha_q(cyc: CycMap) -> QValue:
     for var, f in sorted(cyc.items()):
         if f.is_false:
             continue
-        universe = f.universe
-        required = frozenset(
-            name
-            for name in universe.fields
-            if all(m & universe.bit(name) for m in f.model_masks())
-        )
+        halves = zip(f.universe.fields, f.universe.halves.values())
+        required = frozenset(name for name, (without, _) in halves if not f.table & without)
         entries.append((var, required))
     return QValue(tuple(entries))
 

@@ -220,8 +220,8 @@ class RcValue:
 
     def key(self):
         return (
-            tuple(sorted((k, f.models) for k, f in self.reach.items())),
-            tuple(sorted((v, f.models) for v, f in self.cyc.items())),
+            tuple(sorted((k, f.table) for k, f in self.reach.items())),
+            tuple(sorted((v, f.table) for v, f in self.cyc.items())),
         )
 
     def __eq__(self, other: object) -> bool:

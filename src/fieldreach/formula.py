@@ -1,10 +1,13 @@
-"""Propositional formulas over field propositions, stored as model sets.
+"""Propositional formulas over field propositions, stored as truth tables.
 
-A formula's models are the field sets a heap path may traverse.  Models are
-bit masks over an indexed universe of field names, kept in a frozenset, so
-all connectives are bitwise set operations.  The contradiction is the empty
-model set; the tautology is kept as a lazy flag rather than as 2^n explicit
-masks, and every operation special-cases it.
+A formula's models are the field sets a heap path may traverse.  A field set
+is a bit mask over an indexed universe of n field names, and a formula is one
+int of 2^n bits, its truth table: bit m is set when mask m is a model.  The
+contradiction is 0 and the tautology is the full table, so join and meet are
+``|`` and ``&``.  Adding a field to every model that lacks it is one masked
+shift of the table by the field's bit; concatenation, difference and the
+up- and down-closures (the Boolean zeta transform) are built from these
+shifts.
 
 Two formulas are equal as analysis facts when they have the same *viable*
 models: assignments no heap admitted by the class declarations can realize
@@ -14,6 +17,7 @@ carry no information, and ``Viability`` decides realizability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Iterable, Iterator, Optional
 
@@ -56,6 +60,34 @@ class FieldUniverse:
     def full_mask(self) -> int:
         return (1 << len(self.fields)) - 1
 
+    @cached_property
+    def full_table(self) -> int:
+        """The truth table with every mask a model."""
+        return (1 << (1 << len(self.fields))) - 1
+
+    @cached_property
+    def halves(self) -> dict[int, tuple[int, int]]:
+        """Per field bit, in field order, the truth tables of the masks
+        without and with that field: runs of ``bit`` ones and zeros."""
+        out = {}
+        for i in range(len(self.fields)):
+            bit = 1 << i
+            without = self.full_table // ((1 << 2 * bit) - 1) * ((1 << bit) - 1)
+            out[bit] = (without, self.full_table ^ without)
+        return out
+
+    def up(self, table: int) -> int:
+        """Up-closure: every superset of a model becomes a model."""
+        for bit, (without, _) in self.halves.items():
+            table |= (table & without) << bit
+        return table
+
+    def down(self, table: int) -> int:
+        """Down-closure: every subset of a model becomes a model."""
+        for bit, (without, _) in self.halves.items():
+            table |= (table >> bit) & without
+        return table
+
     @property
     def has_any(self) -> bool:
         return ANY_FIELD in self._index
@@ -67,9 +99,6 @@ class FieldUniverse:
     @property
     def concrete_fields(self) -> tuple[str, ...]:
         return tuple(f for f in self.fields if f != ANY_FIELD)
-
-    def bit(self, name: str) -> int:
-        return 1 << self._index[name]
 
     def mask_of(self, names: Iterable[str]) -> int:
         m = 0
@@ -107,58 +136,37 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def up_closure(models: frozenset[int], full_mask: int) -> frozenset[int]:
-    out = set(models)
-    work = list(models)
-    while work:
-        m = work.pop()
-        rest = full_mask & ~m
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            m2 = m | bit
-            if m2 not in out:
-                out.add(m2)
-                work.append(m2)
-    return frozenset(out)
-
-
-def down_closure(models: frozenset[int]) -> frozenset[int]:
-    out: set[int] = set()
-    for m in models:
-        out.update(submasks(m))
-    return frozenset(out)
+def models_of(table: int) -> Iterator[int]:
+    """The models of a truth table, in increasing order."""
+    while table:
+        low = table & -table
+        yield low.bit_length() - 1
+        table ^= low
 
 
 @dataclass(frozen=True)
 class PathFormula:
     universe: FieldUniverse
-    models: Optional[frozenset[int]]  # None encodes the tautology
-
-    def __post_init__(self):
-        # keep the tautology in its canonical lazy shape
-        if self.models is not None and len(self.models) == (1 << self.universe.size):
-            object.__setattr__(self, "models", None)
+    table: int  # bit m is set when mask m is a model
 
     # -- constructors
 
     @staticmethod
     def from_models(universe: FieldUniverse, masks: Iterable[int]) -> "PathFormula":
-        ms = frozenset(masks)
-        if len(ms) == (1 << universe.size):
-            return PathFormula(universe, None)
-        for m in ms:
-            if m & ~universe.full_mask:
-                raise ValueError("model outside the universe")
-        return PathFormula(universe, ms)
+        table = 0
+        for m in masks:
+            table |= 1 << m
+        if table >> (1 << universe.size):
+            raise ValueError("model outside the universe")
+        return PathFormula(universe, table)
 
     @staticmethod
     def false(universe: FieldUniverse) -> "PathFormula":
-        return PathFormula(universe, frozenset())
+        return PathFormula(universe, 0)
 
     @staticmethod
     def true(universe: FieldUniverse) -> "PathFormula":
-        return PathFormula(universe, None)
+        return PathFormula(universe, universe.full_table)
 
     @staticmethod
     def only(universe: FieldUniverse, fields: Iterable[str]) -> "PathFormula":
@@ -172,29 +180,32 @@ class PathFormula:
     # -- inspection
 
     @property
+    def models(self) -> Optional[frozenset[int]]:
+        """The models as a set of masks, or None for the tautology."""
+        return None if self.is_true else self.model_masks()
+
+    @property
     def is_true(self) -> bool:
-        return self.models is None
+        return self.table == self.universe.full_table
 
     @property
     def is_false(self) -> bool:
-        return self.models is not None and not self.models
+        return not self.table
 
     def model_masks(self) -> frozenset[int]:
-        if self.models is None:
-            return frozenset(self.universe.all_masks())
-        return self.models
+        return frozenset(models_of(self.table))
 
     def model_sets(self) -> tuple[tuple[str, ...], ...]:
-        masks = sorted(self.model_masks(), key=lambda m: (bin(m).count("1"), m))
+        masks = sorted(models_of(self.table), key=lambda m: (bin(m).count("1"), m))
         return tuple(self.universe.names_of(m) for m in masks)
 
     def has_model(self, mask: int) -> bool:
-        return self.models is None or mask in self.models
+        return bool(self.table >> mask & 1)
 
     def has_model_named(self, names: Iterable[str]) -> bool:
         return self.has_model(self.universe.mask_of(names))
 
-    # -- lattice structure (pointwise on model sets)
+    # -- lattice structure (pointwise on truth tables)
 
     def _check(self, other: "PathFormula") -> None:
         if self.universe != other.universe:
@@ -202,92 +213,67 @@ class PathFormula:
 
     def join(self, other: "PathFormula") -> "PathFormula":
         self._check(other)
-        if self.is_true or other.is_true:
-            return PathFormula.true(self.universe)
-        return PathFormula.from_models(self.universe, self.models | other.models)
+        return PathFormula(self.universe, self.table | other.table)
 
     def meet(self, other: "PathFormula") -> "PathFormula":
         self._check(other)
-        if self.is_true:
-            return other
-        if other.is_true:
-            return self
-        return PathFormula.from_models(self.universe, self.models & other.models)
+        return PathFormula(self.universe, self.table & other.table)
 
     def leq(self, other: "PathFormula", via: "Viability | None" = None) -> bool:
         """Implication on viable models."""
         self._check(other)
-        if other.is_true:
-            return True
-        for m in self._viable_masks(via):
-            if not other.has_model(m):
-                return False
-        return True
+        extra = self.table & ~other.table
+        return not (extra if via is None else via.viable_part(extra))
 
     def equiv(self, other: "PathFormula", via: "Viability | None" = None) -> bool:
         return self.leq(other, via) and other.leq(self, via)
 
-    def _viable_masks(self, via: "Viability | None") -> Iterator[int]:
-        masks = self.universe.all_masks() if self.models is None else self.models
-        if via is None:
-            yield from masks
-        else:
-            for m in masks:
-                if via.is_viable_mask(m):
-                    yield m
-
     def drop_nonviable(self, via: "Viability | None") -> "PathFormula":
         """Display/fixpoint canonical form: forget unrealizable models.
 
-        The tautology is kept lazy; its unrealizable models carry no
+        The tautology stays the tautology; its unrealizable models carry no
         information and comparisons quotient them out anyway.
         """
         if via is None or self.is_true:
             return self
-        kept = frozenset(m for m in self.models if via.is_viable_mask(m))
-        if kept == self.models:
-            return self
-        return PathFormula.from_models(self.universe, kept)
+        kept = via.viable_part(self.table)
+        return self if kept == self.table else PathFormula(self.universe, kept)
 
     # -- path operators
 
     def concat(self, other: "PathFormula") -> "PathFormula":
         """Models of the result are pairwise unions: a path split into two
-        legs traverses the union of what each leg traverses."""
+        legs traverses the union of what each leg traverses.  Each model of
+        the sparser side widens the other table by its fields, one masked
+        shift per field."""
         self._check(other)
-        if self.is_false or other.is_false:
-            return PathFormula.false(self.universe)
-        if self.is_true and other.is_true:
-            return PathFormula.true(self.universe)
-        if self.is_true or other.is_true:
-            explicit = other if self.is_true else self
-            if 0 in explicit.models:
-                return PathFormula.true(self.universe)
-            return PathFormula.from_models(
-                self.universe, up_closure(explicit.models, self.universe.full_mask)
-            )
-        return PathFormula.from_models(
-            self.universe, {a | b for a in self.models for b in other.models}
-        )
+        few, many = self.table, other.table
+        if few.bit_count() > many.bit_count():
+            few, many = many, few
+        halves = self.universe.halves
+        out = 0
+        for x in models_of(few):
+            t = many
+            while x:
+                bit = x & -x
+                x ^= bit
+                without, with_ = halves[bit]
+                t = ((t & without) << bit) | (t & with_)
+            out |= t
+        return PathFormula(self.universe, out)
 
     def difference(self, other: "PathFormula") -> "PathFormula":
         """Models of the result drop any subset of some model of ``other``
         from a model of self: what remains of a path after cutting off a
         prefix.  With no model on the right the defining set is empty."""
         self._check(other)
-        if self.is_false or other.is_false:
-            return PathFormula.false(self.universe)
-        if self.is_true:
-            return PathFormula.true(self.universe)
-        if other.is_true:
-            return PathFormula.from_models(self.universe, down_closure(self.models))
-        out: set[int] = set()
-        for a in self.models:
-            for b in other.models:
-                removable = a & b
-                for x in submasks(removable):
-                    out.add(a & ~x)
-        return PathFormula.from_models(self.universe, out)
+        removable = self.universe.down(other.table)
+        out = 0
+        for a in models_of(self.table):
+            for x in submasks(a):
+                if removable >> x & 1:
+                    out |= 1 << (a ^ x)
+        return PathFormula(self.universe, out)
 
     # -- field abstraction
 
@@ -303,13 +289,9 @@ class PathFormula:
         if tracked_set == fields:
             return self
         new_universe = FieldUniverse.tracked(fields, tracked_set)
-        if self.is_true:
-            return PathFormula.true(new_universe)
-        out = set()
-        for m in self.models:
-            names = self.universe.names_of(m)
-            out.add(new_universe.abstract_mask(names))
-        return PathFormula.from_models(new_universe, out)
+        names_of = self.universe.names_of
+        masks = (new_universe.abstract_mask(names_of(m)) for m in models_of(self.table))
+        return PathFormula.from_models(new_universe, masks)
 
     # -- rendering
 
@@ -389,15 +371,23 @@ class Viability:
     def __init__(self, ct: ClassTable, universe: FieldUniverse):
         self.ct = ct
         self.universe = universe
-        self._memo: dict[int, bool] = {}
+        self.decided = 0  # truth table of the masks decided so far
+        self.viable = 0  # ... and of those found viable
 
     def is_viable_mask(self, mask: int) -> bool:
-        cached = self._memo.get(mask)
-        if cached is not None:
-            return cached
-        result = self._decide(mask)
-        self._memo[mask] = result
-        return result
+        bit = 1 << mask
+        if not self.decided & bit:
+            self.decided |= bit
+            if self._decide(mask):
+                self.viable |= bit
+        return bool(self.viable & bit)
+
+    def viable_part(self, table: int) -> int:
+        """The viable models of a truth table.  Only masks not decided
+        before go through ``is_viable_mask``."""
+        for m in models_of(table & ~self.decided):
+            self.is_viable_mask(m)
+        return table & self.viable
 
     def is_viable(self, names: Iterable[str]) -> bool:
         return self.is_viable_mask(self.universe.mask_of(names))

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Union
 
 from .classtable import ClassTable
 from .domain import RcValue
-from .formula import FieldUniverse, PathFormula
+from .formula import FieldUniverse, PathFormula, models_of
 from .semantics import AnalysisResult
 from .syntax import (
     Assign,
@@ -478,17 +478,16 @@ def cycle_field_sets(heap: dict[int, Obj], src: int) -> frozenset[frozenset[str]
 
 class _SnapshotMemo:
     """Per-snapshot results for one universe: the cycle table of each heap,
-    and the abstract traversal masks from each (heap, location) pair, per
-    target.  Keyed by heap identity, so the heaps it has seen must not
-    change while it is used; it holds them, so their identities are not
-    reused."""
+    and the truth table of the abstract traversal masks from each (heap,
+    location) pair, per target.  Keyed by heap identity, so the heaps it has
+    seen must not change while it is used; it holds them, so their
+    identities are not reused."""
 
     def __init__(self, universe: FieldUniverse) -> None:
         self.universe = universe
         self.heaps: dict[int, dict[int, Obj]] = {}
         self.cycles: dict[int, dict[int, frozenset[frozenset[str]]]] = {}
-        self.reached: dict[tuple[int, int], dict[int, frozenset[int]]] = {}
-        self.mask_sets: dict[frozenset[int], frozenset[int]] = {}  # one copy of each
+        self.reached: dict[tuple[int, int], dict[int, int]] = {}
 
     def cycle_sets(self, heap: dict[int, Obj], src: int) -> frozenset[frozenset[str]]:
         table = self.cycles.get(id(heap))
@@ -497,18 +496,15 @@ class _SnapshotMemo:
             table = self.cycles[id(heap)] = cycle_table(heap)
         return table[src]
 
-    def reach_masks(self, heap: dict[int, Obj], src: int) -> dict[int, frozenset[int]]:
+    def reach_tables(self, heap: dict[int, Obj], src: int) -> dict[int, int]:
         key = (id(heap), src)
         by_target = self.reached.get(key)
         if by_target is None:
             self.heaps[id(heap)] = heap
-            masks: dict[int, set[int]] = {}
+            by_target = self.reached[key] = {}
             for target, fs in traversal_saturate(heap, src):
-                masks.setdefault(target, set()).add(self.universe.abstract_mask(fs))
-            by_target = self.reached[key] = {
-                target: self.mask_sets.setdefault(frozenset(ms), frozenset(ms))
-                for target, ms in masks.items()
-            }
+                model = 1 << self.universe.abstract_mask(fs)
+                by_target[target] = by_target.get(target, 0) | model
         return by_target
 
 
@@ -529,15 +525,16 @@ def alpha_state(
         for v in vs
         if isinstance(state.frame.get(v), Loc)
     }
-    reach = {addr: memo.reach_masks(state.heap, addr) for addr in set(locs.values())}
+    reach = {addr: memo.reach_tables(state.heap, addr) for addr in set(locs.values())}
     for v, av in locs.items():
         for w, aw in locs.items():
-            masks = reach[av].get(aw)
-            if masks:
-                value.reach[(v, w)] = PathFormula.from_models(universe, masks)
-        cyc_masks = {universe.abstract_mask(fs) for fs in memo.cycle_sets(state.heap, av)}
-        cyc_masks.add(0)  # a non-null variable always has its empty cycle
-        value.cyc[v] = PathFormula.from_models(universe, cyc_masks)
+            table = reach[av].get(aw)
+            if table:
+                value.reach[(v, w)] = PathFormula(universe, table)
+        cyc_table = 1  # a non-null variable always has its empty cycle
+        for fs in memo.cycle_sets(state.heap, av):
+            cyc_table |= 1 << universe.abstract_mask(fs)
+        value.cyc[v] = PathFormula(universe, cyc_table)
     return value
 
 
@@ -597,22 +594,15 @@ def check_soundness(result: AnalysisResult, oracle: OracleResult) -> SoundnessRe
                 if v in abstract.ref_vars and v in state.frame
             ]
             exact = alpha_state(state, result.universe, shared, memo)
+            # the smallest realized mask outside the abstract entry is the witness
             for (v, w), f in exact.reach.items():
-                target = abstract.reach_at(v, w)
-                for mask in f.model_masks():
-                    if not target.has_model(mask):
-                        violations.append(
-                            Violation(
-                                nid, "reach", (v, w), result.universe.names_of(mask), idx
-                            )
-                        )
-                        break
+                outside = f.table & ~abstract.reach_at(v, w).table
+                if outside:
+                    witness = result.universe.names_of(next(models_of(outside)))
+                    violations.append(Violation(nid, "reach", (v, w), witness, idx))
             for v, f in exact.cyc.items():
-                target = abstract.cyc_at(v)
-                for mask in f.model_masks():
-                    if not target.has_model(mask):
-                        violations.append(
-                            Violation(nid, "cyc", (v,), result.universe.names_of(mask), idx)
-                        )
-                        break
+                outside = f.table & ~abstract.cyc_at(v).table
+                if outside:
+                    witness = result.universe.names_of(next(models_of(outside)))
+                    violations.append(Violation(nid, "cyc", (v,), witness, idx))
     return SoundnessReport(violations, points, states, missing)

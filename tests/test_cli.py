@@ -252,6 +252,22 @@ def test_text_only_flags_are_rejected_with_json(capsys, monkeypatch, flag):
     assert f"error: {flag} needs --format text" in err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--widening", "0"], ["--heap-budget", "0"], ["--heap-budget", "-5"]]
+)
+def test_budgets_below_one_are_rejected_before_analysis(capsys, monkeypatch, flags):
+    import fieldreach.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the analysis ran")
+
+    monkeypatch.setattr(fieldreach.cli, "analyze_program", refuse)
+    code, out, err = invoke(capsys, DLL, "--oracle-check", *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flags[0]} must be at least 1\n"
+
+
 def test_failed_oracle_check_in_json_reports_on_stderr(capsys, monkeypatch):
     import fieldreach.cli
     from fieldreach.oracle import SoundnessReport, Violation

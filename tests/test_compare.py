@@ -160,6 +160,27 @@ def test_monotone_strictness_witness(u2):
     assert xor.leq(widened) and not widened.leq(xor)
 
 
+def clause_hull(f: PathFormula) -> PathFormula:
+    """Reference monotone hull: the masks meeting every non-empty positive
+    clause that every model of ``f`` meets; the contradiction stays itself."""
+    if f.is_false:
+        return f
+    models = f.model_masks()
+    clauses = [
+        c for c in range(1, 1 << f.universe.size) if all(m & c for m in models)
+    ]
+    return PathFormula.from_models(
+        f.universe, [m for m in f.universe.all_masks() if all(m & c for c in clauses)]
+    )
+
+
+def test_alpha_monotone_matches_clause_hull(u3):
+    formulas = list(all_formulas(u3))
+    assert len(formulas) == 256
+    for f in formulas:
+        assert alpha_monotone_formula(f) == clause_hull(f), f.render()
+
+
 # --------------------------------------------------------------------------
 # exclusion sets
 

@@ -10,6 +10,7 @@ from fieldreach import (
     Viability,
     class_reach_closure,
 )
+from fieldreach.formula import submasks
 
 from conftest import pf
 
@@ -145,15 +146,58 @@ def test_concat_with_lazy_true(u2):
     assert f.concat(t) == pf(u2, ["f"], ["f", "g"])
 
 
-@given(
-    st.sets(st.integers(min_value=0, max_value=7), max_size=8),
-    st.sets(st.integers(min_value=0, max_value=7), max_size=8),
-)
-def test_concat_models_are_pairwise_unions(ma, mb):
-    u = FieldUniverse.of(["f", "g", "h"])
+# the devices fields plus one no class declares, so some masks are never viable
+FIELD_POOL = ("aD", "lnk", "mD", "owner", "zz")
+
+
+@st.composite
+def two_model_sets(draw):
+    """A universe of 1-5 fields and two model sets over it; a model set is
+    sometimes every mask, so the tautology is drawn too."""
+    fields = draw(st.lists(st.sampled_from(FIELD_POOL), min_size=1, max_size=5, unique=True))
+    u = FieldUniverse.of(fields)
+    model_set = st.one_of(
+        st.just(frozenset(u.all_masks())),
+        st.frozensets(st.integers(min_value=0, max_value=u.full_mask), max_size=12),
+    )
+    return u, draw(model_set), draw(model_set)
+
+
+@given(two_model_sets())
+def test_concat_models_are_pairwise_unions(drawn):
+    u, ma, mb = drawn
     a = PathFormula.from_models(u, ma)
     b = PathFormula.from_models(u, mb)
     assert a.concat(b).model_masks() == frozenset(x | y for x in ma for y in mb)
+
+
+@given(two_model_sets(), st.data())
+def test_operators_match_set_definitions(devices_ct, drawn, data):
+    u, ma, mb = drawn
+    a = PathFormula.from_models(u, ma)
+    b = PathFormula.from_models(u, mb)
+    assert a.models == (None if len(ma) == 1 << u.size else ma)
+    assert a.join(b).model_masks() == ma | mb
+    assert a.meet(b).model_masks() == ma & mb
+    assert a.difference(b).model_masks() == frozenset(
+        x & ~y for x in ma for z in mb for y in submasks(x & z)
+    )
+    assert a.leq(b) == (ma <= mb)
+    assert a.equiv(b) == (ma == mb)
+
+    via = Viability(devices_ct, u)
+    viable_a = frozenset(m for m in ma if brute_force_viable(devices_ct, u.names_of(m)))
+    viable_b = frozenset(m for m in mb if brute_force_viable(devices_ct, u.names_of(m)))
+    assert a.leq(b, via) == (viable_a <= mb)
+    assert a.equiv(b, via) == (viable_a == viable_b)
+    assert a.drop_nonviable(None) == a
+    kept = a.drop_nonviable(via)
+    assert kept == (a if a.is_true else PathFormula.from_models(u, viable_a))
+
+    tracked = data.draw(st.sets(st.sampled_from(u.fields)))
+    projected = a.project(tracked)
+    abstract = projected.universe.abstract_mask
+    assert projected.model_masks() == frozenset(abstract(u.names_of(m)) for m in ma)
 
 
 # --------------------------------------------------------------------------
