@@ -13,6 +13,9 @@ from typing import Optional
 
 from .syntax import ClassDecl, Command, INT_TYPE, MethodDecl, Program, OUT_VAR
 
+# the stand-in that field abstraction puts in place of the untracked fields
+ANY_FIELD = "any"
+
 
 class ClassTableError(Exception):
     def __init__(self, message: str, line: int = 0):
@@ -78,6 +81,8 @@ class ClassTable:
         for c in program.classes:
             own: list[tuple[str, str]] = []
             for fname, ftype in c.fields:
+                if fname == ANY_FIELD:
+                    raise ClassTableError(f"{ANY_FIELD!r} cannot be a field name", c.line)
                 if ftype != INT_TYPE and ftype not in self._classes:
                     raise ClassTableError(
                         f"field {fname!r} has unknown type {ftype!r}", c.line

@@ -11,19 +11,21 @@ shifts.
 
 Two formulas are equal as analysis facts when they have the same *viable*
 models: assignments no heap admitted by the class declarations can realize
-carry no information, and ``Viability`` decides realizability.
+carry no information.  ``Viability`` is the truth table of the realizable
+masks, built once per universe, so viable models are one ``&`` away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .classtable import ClassTable
+from .classtable import ANY_FIELD, ClassTable
 
-ANY_FIELD = "any"
+# the widest universe analyzed: a formula is an int of 2^n bits, and the
+# viability table is built from all 2^n masks
+MAX_FIELDS = 16
 
 
 @dataclass(frozen=True)
@@ -316,6 +318,32 @@ class PathFormula:
 # viability
 
 
+def field_steps(ct: ClassTable, fields: Iterable[str]) -> dict[str, tuple[int, int]]:
+    """Per declared field, two class sets as bits in ``ct.class_names``
+    order: the classes carrying it (inherited fields included) and the
+    subclasses of its declared type, where a step along it lands."""
+    bit = {c: 1 << i for i, c in enumerate(ct.class_names)}
+    steps = {}
+    for f in fields:
+        if ct.has_field(f):
+            carriers = sum(bit[c] for c in ct.class_names if ct.class_has_field(c, f))
+            steps[f] = (carriers, sum(bit[c] for c in ct.subclasses_of(ct.field_type(f))))
+    return steps
+
+
+def reach_from(classes: int, steps: Sequence[tuple[int, int]]) -> int:
+    """The class set closed under the given steps: from a carrier of a
+    field to any subclass of the field's declared type."""
+    while True:
+        grown = classes
+        for carriers, targets in steps:
+            if grown & carriers:
+                grown |= targets
+        if grown == classes:
+            return classes
+        classes = grown
+
+
 @dataclass(frozen=True)
 class ClassReach:
     """Which classes can reach which, traversing only a given field set."""
@@ -326,102 +354,58 @@ class ClassReach:
         return (a, b) in self.pairs
 
 
-def class_reach_closure(
-    ct: ClassTable, phi: Iterable[str], tracked: Optional[Iterable[str]] = None
-) -> ClassReach:
+def class_reach_closure(ct: ClassTable, phi: Iterable[str]) -> ClassReach:
     """Reflexive-transitive closure of one-step reachability between classes
-    restricted to the fields in ``phi``.
-
-    A step exists from any class carrying a field of ``phi`` (inherited
-    fields included) to any subclass of that field's declared type.  The
-    stand-in field expands to every reference field outside ``tracked``.
-    """
-    phi_set = set(phi)
-    if ANY_FIELD in phi_set:
-        phi_set.discard(ANY_FIELD)
-        tracked_set = set(tracked) if tracked is not None else set()
-        phi_set |= set(ct.reference_fields) - tracked_set
-    succ: dict[str, set[str]] = {c: {c} for c in ct.class_names}
-    edges: dict[str, set[str]] = {c: set() for c in ct.class_names}
-    for cls in ct.class_names:
-        for fname, ftype in ct.fields_of(cls):
-            if fname in phi_set and ct.is_class(ftype):
-                edges[cls].update(ct.subclasses_of(ftype))
-    for cls in ct.class_names:
-        work = [cls]
-        while work:
-            cur = work.pop()
-            for nxt in edges[cur]:
-                if nxt not in succ[cls]:
-                    succ[cls].add(nxt)
-                    work.append(nxt)
-    return ClassReach(frozenset((a, b) for a, bs in succ.items() for b in bs))
+    restricted to the fields in ``phi``: a step leads from any class
+    carrying a field of ``phi`` to any subclass of that field's type."""
+    steps = list(field_steps(ct, phi).values())
+    names = ct.class_names
+    pairs = set()
+    for i, a in enumerate(names):
+        reach = reach_from(1 << i, steps)
+        pairs.update((a, b) for j, b in enumerate(names) if reach >> j & 1)
+    return ClassReach(frozenset(pairs))
 
 
 class Viability:
-    """Decides whether a truth assignment can be the exact traversal set of
-    some path in some heap compatible with the class declarations.
+    """The truth table of a universe's viable masks: the field sets that can
+    be the exact traversal set of some path in some heap compatible with
+    the class declarations.  Built once, in ``__init__``.
 
-    The decision procedure: restrict class reachability to the assignment's
-    fields, then look for an ordering of those fields such that each
-    consecutive gap can be bridged — from some subclass of the previous
-    field's declared type to some class carrying the next field.
+    A mask holding the stand-in is viable, since the stand-in covers unknown
+    fields, and so is the empty mask.  A mask naming an undeclared field is
+    not.  Otherwise mask M is viable when every two of its fields f and g
+    are *bridged* one way or the other: f bridges to g when some subclass of
+    f's declared type reaches a class carrying g, stepping only along fields
+    of M.  Along a path traversing exactly M, each field bridges to the
+    next one the path traverses for the first time.  Conversely, bridging
+    is transitive (a carrier of g steps along g, which is in M, to any
+    subclass of g's type), so when every pair is bridged the fields can be
+    ordered with each gap bridged: a semicomplete digraph has a Hamiltonian
+    path (Rédei 1934).
     """
 
     def __init__(self, ct: ClassTable, universe: FieldUniverse):
-        self.ct = ct
         self.universe = universe
-        self.decided = 0  # truth table of the masks decided so far
-        self.viable = 0  # ... and of those found viable
+        steps = field_steps(ct, universe.fields)
+        by_bit = [(universe.mask_of([f]), step) for f, step in steps.items()]
+        self.table = universe.halves[universe.any_bit][1] if universe.has_any else 0
+        for mask in submasks(universe.mask_of(steps)):
+            fields = [step for bit, step in by_bit if mask & bit]
+            reach = [reach_from(targets, fields) for _, targets in fields]
+            if all(
+                reach[i] & fields[j][0] or reach[j] & fields[i][0]
+                for j in range(len(fields))
+                for i in range(j)
+            ):
+                self.table |= 1 << mask
 
     def is_viable_mask(self, mask: int) -> bool:
-        bit = 1 << mask
-        if not self.decided & bit:
-            self.decided |= bit
-            if self._decide(mask):
-                self.viable |= bit
-        return bool(self.viable & bit)
+        return bool(self.table >> mask & 1)
 
     def viable_part(self, table: int) -> int:
-        """The viable models of a truth table.  Only masks not decided
-        before go through ``is_viable_mask``."""
-        for m in models_of(table & ~self.decided):
-            self.is_viable_mask(m)
-        return table & self.viable
+        """The viable models of a truth table."""
+        return table & self.table
 
     def is_viable(self, names: Iterable[str]) -> bool:
         return self.is_viable_mask(self.universe.mask_of(names))
-
-    def _decide(self, mask: int) -> bool:
-        if self.universe.has_any and mask & self.universe.any_bit:
-            # the stand-in covers unknown fields; never rule it out
-            return True
-        names = self.universe.names_of(mask)
-        if not names:
-            return True  # the empty path exists in any heap with an object
-        for n in names:
-            if not self.ct.has_field(n):
-                return False
-        reach = class_reach_closure(self.ct, names)
-        carriers = {
-            n: tuple(c for c in self.ct.class_names if self.ct.class_has_field(c, n))
-            for n in names
-        }
-        decl_subs = {
-            n: tuple(self.ct.subclasses_of(self.ct.field_type(n))) for n in names
-        }
-        for order in permutations(names):
-            if not carriers[order[0]]:
-                continue
-            ok = True
-            for prev, nxt in zip(order, order[1:]):
-                if not any(
-                    reach.reaches(a, b)
-                    for a in decl_subs[prev]
-                    for b in carriers[nxt]
-                ):
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False

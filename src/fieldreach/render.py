@@ -6,7 +6,7 @@ import json
 from typing import Optional
 
 from .classtable import ClassTable
-from .compare import alpha_monotone, alpha_nofields, alpha_q, alpha_scapin
+from .compare import alpha_class_pairs, alpha_monotone, alpha_nofields, alpha_q, alpha_scapin
 from .domain import RcValue
 from .semantics import AnalysisResult
 from .syntax import walk_commands
@@ -74,8 +74,10 @@ def render_compare(result: AnalysisResult, ct: ClassTable, typeinfo: TypeInfo) -
         "  plain reachability: "
         + (", ".join(f"{a}~>{b}" for a, b in sorted(nf.statements)) or "(none)")
     )
-    cp = alpha_class_pairs_line(nf, ct, var_types)
-    lines.append("  class pairs: " + cp)
+    cp = alpha_class_pairs(nf, ct, var_types)
+    lines.append(
+        "  class pairs: " + (", ".join(f"({a},{b})" for a, b in sorted(cp.pairs)) or "(none)")
+    )
     mono = alpha_monotone(reach)
     for k, f in mono.entries:
         lines.append(f"  monotone reach({k[0]},{k[1]}) = {f.render()}")
@@ -95,13 +97,6 @@ def render_compare(result: AnalysisResult, ct: ClassTable, typeinfo: TypeInfo) -
         else:
             lines.append(f"  {v} is provably acyclic")
     return "\n".join(lines) + "\n"
-
-
-def alpha_class_pairs_line(nf, ct, var_types) -> str:
-    from .compare import alpha_class_pairs
-
-    cp = alpha_class_pairs(nf, ct, var_types)
-    return ", ".join(f"({a},{b})" for a, b in sorted(cp.pairs)) or "(none)"
 
 
 def render_sharing(program, analysis) -> str:

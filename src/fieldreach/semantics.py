@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Union
 from .classtable import ClassTable, MethodSig
 from .domain import RcValue
 from .fixpoint import Fixpoint
-from .formula import FieldUniverse, PathFormula, Viability
+from .formula import MAX_FIELDS, FieldUniverse, PathFormula, Viability
 from .sharing import SharingAnalysis, SharingState
 from .syntax import (
     Assign,
@@ -585,6 +585,11 @@ def entry_scope(
         if unknown:
             raise AnalysisError(f"unknown tracked fields: {sorted(unknown)}")
         universe = FieldUniverse.tracked(ct.reference_fields, tracked)
+    if universe.size > MAX_FIELDS:
+        raise AnalysisError(
+            f"the field universe has {universe.size} fields, more than {MAX_FIELDS}; "
+            "track fewer with --track-fields"
+        )
     if entry == "main":
         if program.main is None:
             raise AnalysisError("program has no main block")

@@ -41,6 +41,13 @@ def test_duplicate_field_across_classes():
     assert "declared in both" in str(err.value)
 
 
+def test_field_named_like_the_stand_in():
+    with pytest.raises(ClassTableError) as err:
+        build_class_table(parse_program("class A { A f; }\nclass N { N any; }"))
+    assert err.value.line == 2
+    assert "'any' cannot be a field name" in str(err.value)
+
+
 def test_cyclic_extends():
     with pytest.raises(ClassTableError):
         build_class_table(

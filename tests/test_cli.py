@@ -340,3 +340,21 @@ def test_unbounded_recursion_under_the_oracle_fails_cleanly(tmp_path, capsys):
     code, out, err = _run_source(tmp_path, capsys, source, "--oracle-check")
     assert code == 1
     assert "concrete execution failed" in err and "call depth" in err
+
+
+def test_field_named_like_the_stand_in_is_an_analysis_error(tmp_path, capsys):
+    source = "class N { N any; N nx; N pv; } main { N a; a := new N; a.any := a; }"
+    for flags in ((), ("--track-fields", "any"), ("--track-fields", "any,nx")):
+        code, out, err = _run_source(tmp_path, capsys, source, *flags)
+        assert code == 1
+        assert err == "error: line 1: 'any' cannot be a field name\n"
+
+
+def test_universe_above_the_field_cap_asks_for_tracked_fields(tmp_path, capsys):
+    decls = " ".join(f"N f{i};" for i in range(17))
+    source = f"class N {{ {decls} }} main {{ N a; a := new N; a.f0 := a; }}"
+    code, out, err = _run_source(tmp_path, capsys, source)
+    assert code == 1
+    assert err.startswith("error: ") and "17 fields" in err and "--track-fields" in err
+    code, out, err = _run_source(tmp_path, capsys, source, "--track-fields", "f0,f1")
+    assert code == 0, err

@@ -8,7 +8,9 @@ from fieldreach import (
     FieldUniverse,
     PathFormula,
     Viability,
+    build_class_table,
     class_reach_closure,
+    parse_program,
 )
 from fieldreach.formula import submasks
 
@@ -272,6 +274,50 @@ def test_viability_matches_brute_force(devices_ct, devices_universe, devices_via
             assert devices_via.is_viable(combo) == expected, combo
 
 
+@st.composite
+def class_tables(draw):
+    """1-5 classes, some with a superclass, and 1-6 reference fields of
+    random class types; returns the table and its field names."""
+    n = draw(st.integers(1, 5))
+    parents = [draw(st.none() | st.integers(0, i - 1)) if i else None for i in range(n)]
+    decls = [[] for _ in range(n)]
+    fields = [f"r{j}" for j in range(draw(st.integers(1, 6)))]
+    for f in fields:
+        decls[draw(st.integers(0, n - 1))].append(f"C{draw(st.integers(0, n - 1))} {f};")
+    source = " ".join(
+        f"class C{i}" + ("" if p is None else f" extends C{p}") + " { " + " ".join(d) + " }"
+        for i, (p, d) in enumerate(zip(parents, decls))
+    )
+    return build_class_table(parse_program(source)), fields
+
+
+@given(st.data())
+def test_viability_table_matches_walk_search(data):
+    ct, fields = data.draw(class_tables())
+    if data.draw(st.booleans()):
+        fields = fields + ["ghost"]  # no class declares it
+    if data.draw(st.booleans()):
+        tracked = data.draw(st.sets(st.sampled_from(fields), max_size=len(fields) - 1))
+        universe = FieldUniverse.tracked(fields, tracked)
+    else:
+        universe = FieldUniverse.of(fields)
+    expected = 0
+    for mask in universe.all_masks():
+        names = universe.names_of(mask)
+        if ANY_FIELD in names or brute_force_viable(ct, names):
+            expected |= 1 << mask
+    assert Viability(ct, universe).table == expected
+
+
+def test_chain_viability_is_the_contiguous_runs():
+    # C0 -f0-> C1 -f1-> ... -f8-> C9, and X -z-> X
+    chain = " ".join(f"class C{i} {{ C{i + 1} f{i}; }}" for i in range(9))
+    ct = build_class_table(parse_program(chain + " class C9 { } class X { X z; }"))
+    u = FieldUniverse.of(ct.reference_fields)
+    runs = [[f"f{i}" for i in range(a, b)] for a in range(9) for b in range(a + 1, 10)]
+    assert Viability(ct, u).table == pf(u, [], ["z"], *runs).table
+
+
 def test_nonviable_collapses_to_false(devices_ct, devices_universe, devices_via):
     bad = PathFormula.only(devices_universe, ["mD", "lnk"])
     false = PathFormula.false(devices_universe)
@@ -334,8 +380,6 @@ def test_any_assignments_always_viable(devices_ct):
 
 def test_viable_empty_for_every_class_table(devices_ct, devices_via):
     assert devices_via.is_viable([])
-    from fieldreach import build_class_table, parse_program
-
     for src in ("class A { }", "class A { A f; }", "class A { } class B extends A { B g; }"):
         ct = build_class_table(parse_program(src))
         u = FieldUniverse.of(ct.reference_fields)

@@ -11,7 +11,8 @@ from fieldreach import (
     SharingState,
     analyze_program,
 )
-from fieldreach.semantics import Analyzer, _Ctx
+from fieldreach.formula import MAX_FIELDS
+from fieldreach.semantics import AnalysisError, Analyzer, _Ctx, entry_scope
 from fieldreach.syntax import RESULT_VAR, walk_commands
 
 from conftest import build, pf
@@ -594,3 +595,18 @@ def test_field_read_transfer_monotone():
         assert analyzer.exec_cmd(read_cmd, small, ctx).leq(
             analyzer.exec_cmd(read_cmd, big, ctx)
         )
+
+
+def test_entry_scope_caps_the_universe_counting_the_stand_in():
+    decls = " ".join(f"K f{i};" for i in range(MAX_FIELDS))
+    program, ct, typeinfo = build(f"class K {{ {decls} }} main {{ K a; }}")
+    universe, *_ = entry_scope(program, ct, typeinfo)
+    assert universe.size == MAX_FIELDS
+    tracked = [f"f{i}" for i in range(MAX_FIELDS - 1)]
+    universe, *_ = entry_scope(program, ct, typeinfo, tracked=tracked)
+    assert universe.size == MAX_FIELDS and universe.has_any
+    program, ct, typeinfo = build(f"class K {{ {decls} K g; }} main {{ K a; }}")
+    with pytest.raises(AnalysisError, match="--track-fields"):
+        entry_scope(program, ct, typeinfo)
+    with pytest.raises(AnalysisError, match="--track-fields"):
+        entry_scope(program, ct, typeinfo, tracked=tracked + ["g"])
