@@ -1,23 +1,28 @@
 """Golden reports: the JSON report of every corpus program and of every
 entry the acceptance suite analyses in ``tests/data`` must stay byte for
-byte what ``data/report_digests.json`` records (``elapsed_ms`` aside).
+byte what ``data/report_digests.json`` records (``elapsed_ms`` aside), and
+the text report (the per-line table plus the final value) what
+``data/text_digests.json`` records.
 
 A change that alters a report on purpose must prove it is a precision gain;
-only then regenerate the file with ``PYTHONPATH=src python tests/test_reports.py``.
+only then regenerate both files with ``PYTHONPATH=src python tests/test_reports.py``.
 """
 
 import hashlib
 import json
 import re
 
+import pytest
+
 from fieldreach.cli import parse_init_annotations
-from fieldreach.render import result_to_json
+from fieldreach.render import render_final, render_table, result_to_json
 from fieldreach.semantics import analyze_program, entry_scope
 
 from conftest import DATA, build
 from corpus import CORPUS
 
 DIGESTS = DATA / "report_digests.json"
+TEXT_DIGESTS = DATA / "text_digests.json"
 _ELAPSED = re.compile(r'\n *"elapsed_ms": [^\n]*')
 
 # (name, source, entry, tracked fields)
@@ -28,30 +33,52 @@ CASES = [(f"corpus/{name}", src, "main", None) for name, src in sorted(CORPUS.it
 ]
 
 
-def report_digest(source: str, entry: str, tracked) -> str:
+def analyze_case(source: str, entry: str, tracked):
     program, ct, info = build(source)
     universe, entry, variables, refs = entry_scope(
         program, ct, info, tracked=tracked, entry=entry
     )
     init_rc, init_sp = parse_init_annotations(program, universe, variables, refs)
-    result = analyze_program(
+    return analyze_program(
         program, ct, info, tracked=tracked, entry=entry, init_rc=init_rc, init_sp=init_sp
     )
-    report = _ELAPSED.sub("", result_to_json(result))
-    return hashlib.sha256(report.encode()).hexdigest()
 
 
-def current_digests() -> dict[str, str]:
-    return {name: report_digest(src, entry, tracked) for name, src, entry, tracked in CASES}
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_reports_match_golden_digests():
-    expected = json.loads(DIGESTS.read_text())
-    got = current_digests()
+def current_digests() -> tuple[dict[str, str], dict[str, str]]:
+    """The JSON and the text report digest of every case."""
+    reports, texts = {}, {}
+    for name, src, entry, tracked in CASES:
+        result = analyze_case(src, entry, tracked)
+        reports[name] = _sha(_ELAPSED.sub("", result_to_json(result)))
+        texts[name] = _sha(render_table(result) + render_final(result))
+    return reports, texts
+
+
+@pytest.fixture(scope="module")
+def digests():
+    return current_digests()
+
+
+def _changed(got: dict[str, str], path) -> list[str]:
+    expected = json.loads(path.read_text())
     assert sorted(got) == sorted(expected)
-    changed = [name for name in got if got[name] != expected[name]]
+    return [name for name in got if got[name] != expected[name]]
+
+
+def test_reports_match_golden_digests(digests):
+    changed = _changed(digests[0], DIGESTS)
     assert not changed, f"reports differ from the golden digests: {changed}"
 
 
+def test_text_reports_match_golden_digests(digests):
+    changed = _changed(digests[1], TEXT_DIGESTS)
+    assert not changed, f"text reports differ from the golden digests: {changed}"
+
+
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps(current_digests(), indent=2, sort_keys=True) + "\n")
+    for path, got in zip((DIGESTS, TEXT_DIGESTS), current_digests()):
+        path.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
