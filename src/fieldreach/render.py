@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Optional
 
 from .classtable import ClassTable
 from .compare import alpha_class_pairs, alpha_monotone, alpha_nofields, alpha_q, alpha_scapin
 from .domain import RcValue
+from .formula import PathFormula
 from .semantics import AnalysisResult
 from .syntax import walk_commands
 from .typecheck import TypeInfo
@@ -20,7 +23,9 @@ def _display_pairs(value: RcValue, display_vars: tuple[str, ...]) -> list[tuple[
 
 def render_table(result: AnalysisResult) -> str:
     """One row per recorded visit of a source line: reachability columns for
-    the displayed variable pairs in lexicographic order, then cyclicity."""
+    the displayed variable pairs in lexicographic order, then cyclicity.
+    The trace values are canonical already, so the cells show them as they
+    are."""
     if not result.trace:
         return "(no trace)\n"
     sample = result.trace[0].value
@@ -31,11 +36,19 @@ def render_table(result: AnalysisResult) -> str:
         + [f"({v},{w})" for v, w in pairs]
         + [f"cyc({v})" for v in shown]
     )
+    rendered: dict[int, str] = {}  # each distinct table once
+
+    def cell(formula: PathFormula) -> str:
+        text = rendered.get(formula.table)
+        if text is None:
+            text = rendered[formula.table] = formula.render()
+        return text
+
     rows = [header]
     for row in result.trace:
         cells = [str(row.line), str(row.visit)]
-        cells += [row.value.reach_at(v, w).drop_nonviable(result.via).render() for v, w in pairs]
-        cells += [row.value.cyc_at(v).drop_nonviable(result.via).render() for v in shown]
+        cells += [cell(row.value.reach_at(v, w)) for v, w in pairs]
+        cells += [cell(row.value.cyc_at(v)) for v in shown]
         rows.append(cells)
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     lines = []
@@ -112,28 +125,120 @@ def render_sharing(program, analysis) -> str:
     return "\n".join(lines) + "\n"
 
 
+# -- JSON report
+#
+# The report is streamed in exactly the layout of ``json.dumps(doc,
+# sort_keys=True, indent=2)``, so that each distinct formula is encoded once
+# per report, not once per entry.  The document is a tree of members: a
+# (key, value) pair whose value is either text already encoded as JSON or a
+# list of members, an object.  Text nested ``depth`` levels deep is laid out
+# as at the top level with every line after the first indented by ``depth``
+# more steps; ``sort_keys`` orders an object's members by their key strings.
+
+_INDENT = "  "
+
+Members = list  # of (key, encoded text or Members)
+
+
+def _indent(text: str, depth: int) -> str:
+    """Encoded top-level ``text`` as it reads ``depth`` levels deep."""
+    return text.replace("\n", "\n" + _INDENT * depth) if depth else text
+
+
+def _dumps(obj, depth: int) -> str:
+    """``obj`` as ``json.dumps(..., sort_keys=True, indent=2)`` writes it
+    ``depth`` levels deep."""
+    return _indent(json.dumps(obj, sort_keys=True, indent=2), depth)
+
+
+def _array(items: list[str], depth: int) -> str:
+    """A JSON array of encoded items, ``depth`` levels deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + _INDENT * (depth + 1)
+    return "[" + ",".join(pad + text for text in items) + "\n" + _INDENT * depth + "]"
+
+
+def _write_object(out: list[str], members: Members, depth: int) -> None:
+    """Append the pieces of the object ``members``, ``depth`` levels deep."""
+    if not members:
+        out.append("{}")
+        return
+    members.sort(key=itemgetter(0))
+    sep = "{\n" + _INDENT * (depth + 1)
+    for key, value in members:
+        out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+        if isinstance(value, str):
+            out.append(value)
+        else:
+            _write_object(out, value, depth + 1)
+        sep = ",\n" + _INDENT * (depth + 1)
+    out.append("\n" + _INDENT * depth + "}")
+
+
+class _Entries:
+    """The encoded model lists of one report, one per (table, depth)."""
+
+    def __init__(self) -> None:
+        self._text: dict[tuple[int, int], str] = {}
+
+    def value_members(self, value: RcValue, depth: int) -> Members:
+        """The members of ``value.to_json()`` as an object ``depth`` levels
+        deep."""
+        entry = depth + 2
+        return [
+            ("cyc", [(v, self.encode(f, entry)) for v, f in value.cyc.items()]),
+            ("reach", [(f"({v},{w})", self.encode(f, entry)) for (v, w), f in value.reach.items()]),
+        ]
+
+    def encode(self, formula: PathFormula, depth: int) -> str:
+        """The model list of ``formula``, ``depth`` levels deep: encoded once
+        per table at depth 0, then re-indented once per depth."""
+        text = self._text.get((formula.table, depth))
+        if text is None:
+            base = self._text.get((formula.table, 0))
+            if base is None:
+                models = [
+                    _array([encode_basestring_ascii(name) for name in names], 1)
+                    for names in formula.json_models()
+                ]
+                base = self._text[formula.table, 0] = _array(models, 0)
+            text = self._text[formula.table, depth] = _indent(base, depth)
+        return text
+
+
 def result_to_json(
     result: AnalysisResult,
     queries: Optional[list[tuple[str, object]]] = None,
 ) -> str:
-    points = {}
-    for row in result.trace:
-        points[f"{row.line}#{row.visit}"] = {
-            "line": row.line,
-            "visit": row.visit,
-            **row.value.to_json(),
-        }
-    doc = {
-        "entry": result.entry if isinstance(result.entry, str) else ".".join(result.entry),
-        "universe": list(result.universe.fields),
-        "final": result.final.to_json(),
-        "points": points,
-        "queries": [{"query": q, "result": r} for q, r in (queries or [])],
-        "metadata": {
-            "iterations": result.rounds,
-            "loop_iterations": {str(k): v for k, v in sorted(result.loop_passes.items())},
-            "widenings": result.widenings,
-            "elapsed_ms": round(result.elapsed * 1000.0, 3),
-        },
+    """The JSON report: byte for byte ``json.dumps(doc, sort_keys=True,
+    indent=2) + "\\n"`` of the document whose ``final`` and point entries are
+    ``RcValue.to_json()``."""
+    entries = _Entries()
+    points = [
+        (
+            f"{row.line}#{row.visit}",
+            entries.value_members(row.value, 2)
+            + [("line", str(row.line)), ("visit", str(row.visit))],
+        )
+        for row in result.trace
+    ]
+    metadata = {
+        "iterations": result.rounds,
+        "loop_iterations": {str(k): v for k, v in sorted(result.loop_passes.items())},
+        "widenings": result.widenings,
+        "elapsed_ms": round(result.elapsed * 1000.0, 3),
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    entry = result.entry if isinstance(result.entry, str) else ".".join(result.entry)
+    doc = [
+        ("entry", _dumps(entry, 1)),
+        ("final", entries.value_members(result.final, 1)),
+        ("metadata", _dumps(metadata, 1)),
+        ("points", points),
+        ("queries", _dumps([{"query": q, "result": r} for q, r in (queries or [])], 1)),
+        ("universe", _dumps(list(result.universe.fields), 1)),
+    ]
+    out: list[str] = []
+    _write_object(out, doc, 0)
+    out.append("\n")
+    return "".join(out)

@@ -71,6 +71,10 @@ class TraceRow:
 
 @dataclass
 class AnalysisResult:
+    """The outcome of one analysis.  ``final``, ``trace`` and ``point_post``
+    hold canonical values (``RcValue.canonical``): every entry is already its
+    own ``drop_nonviable``, so readers show and query it as it is."""
+
     universe: FieldUniverse
     entry: EntryKey
     display_vars: tuple[str, ...]
@@ -107,7 +111,7 @@ class AnalysisResult:
         value = self._value_at(point)
         if (v, w) not in value.reach:
             raise AnalysisError(f"unknown reference variables ({v},{w})")
-        return value.reach_at(v, w).drop_nonviable(self.via).json_models()
+        return value.reach_at(v, w).json_models()
 
     def _value_at(self, point: Optional[int]) -> RcValue:
         if point is None:

@@ -11,6 +11,8 @@ from fieldreach import (
     parse_program,
     type_check,
 )
+from fieldreach.cli import parse_init_annotations
+from fieldreach.semantics import analyze_program, entry_scope
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -57,6 +59,19 @@ def build(source: str):
     ct = build_class_table(program)
     typeinfo = type_check(program, ct)
     return program, ct, typeinfo
+
+
+def analyze_entry(source: str, entry: str = "main", tracked=None):
+    """Analyse one entry of a source as the CLI does, ``//@ init`` lines
+    included; returns the ``AnalysisResult``."""
+    program, ct, info = build(source)
+    universe, entry, variables, refs = entry_scope(
+        program, ct, info, tracked=tracked, entry=entry
+    )
+    init_rc, init_sp = parse_init_annotations(program, universe, variables, refs)
+    return analyze_program(
+        program, ct, info, tracked=tracked, entry=entry, init_rc=init_rc, init_sp=init_sp
+    )
 
 
 def pf(universe: FieldUniverse, *sets) -> PathFormula:

@@ -14,11 +14,9 @@ import re
 
 import pytest
 
-from fieldreach.cli import parse_init_annotations
 from fieldreach.render import render_final, render_table, result_to_json
-from fieldreach.semantics import analyze_program, entry_scope
 
-from conftest import DATA, build
+from conftest import DATA, analyze_entry
 from corpus import CORPUS
 
 DIGESTS = DATA / "report_digests.json"
@@ -33,17 +31,6 @@ CASES = [(f"corpus/{name}", src, "main", None) for name, src in sorted(CORPUS.it
 ]
 
 
-def analyze_case(source: str, entry: str, tracked):
-    program, ct, info = build(source)
-    universe, entry, variables, refs = entry_scope(
-        program, ct, info, tracked=tracked, entry=entry
-    )
-    init_rc, init_sp = parse_init_annotations(program, universe, variables, refs)
-    return analyze_program(
-        program, ct, info, tracked=tracked, entry=entry, init_rc=init_rc, init_sp=init_sp
-    )
-
-
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -52,7 +39,7 @@ def current_digests() -> tuple[dict[str, str], dict[str, str]]:
     """The JSON and the text report digest of every case."""
     reports, texts = {}, {}
     for name, src, entry, tracked in CASES:
-        result = analyze_case(src, entry, tracked)
+        result = analyze_entry(src, entry, tracked)
         reports[name] = _sha(_ELAPSED.sub("", result_to_json(result)))
         texts[name] = _sha(render_table(result) + render_final(result))
     return reports, texts
