@@ -129,15 +129,13 @@ def render_sharing(program, analysis) -> str:
 #
 # The report is streamed in exactly the layout of ``json.dumps(doc,
 # sort_keys=True, indent=2)``, so that each distinct formula is encoded once
-# per report, not once per entry.  The document is a tree of members: a
-# (key, value) pair whose value is either text already encoded as JSON or a
-# list of members, an object.  Text nested ``depth`` levels deep is laid out
-# as at the top level with every line after the first indented by ``depth``
-# more steps; ``sort_keys`` orders an object's members by their key strings.
+# per report, not once per entry.  An object is a list of (key, value)
+# members whose value is either text already encoded as JSON or, for a nested
+# object, such a list.  Text nested ``depth`` levels deep is laid out as at
+# the top level with every line after the first indented by ``depth`` more
+# steps; ``sort_keys`` orders an object's members by their key strings.
 
 _INDENT = "  "
-
-Members = list  # of (key, encoded text or Members)
 
 
 def _indent(text: str, depth: int) -> str:
@@ -159,7 +157,7 @@ def _array(items: list[str], depth: int) -> str:
     return "[" + ",".join(pad + text for text in items) + "\n" + _INDENT * depth + "]"
 
 
-def _write_object(out: list[str], members: Members, depth: int) -> None:
+def _write_object(out: list[str], members: list, depth: int) -> None:
     """Append the pieces of the object ``members``, ``depth`` levels deep."""
     if not members:
         out.append("{}")
@@ -182,14 +180,13 @@ class _Entries:
     def __init__(self) -> None:
         self._text: dict[tuple[int, int], str] = {}
 
-    def value_members(self, value: RcValue, depth: int) -> Members:
+    def value_members(self, value: RcValue, depth: int) -> list:
         """The members of ``value.to_json()`` as an object ``depth`` levels
         deep."""
         entry = depth + 2
-        return [
-            ("cyc", [(v, self.encode(f, entry)) for v, f in value.cyc.items()]),
-            ("reach", [(f"({v},{w})", self.encode(f, entry)) for (v, w), f in value.reach.items()]),
-        ]
+        cyc = [(v, self.encode(f, entry)) for v, f in value.cyc.items()]
+        reach = [(f"({v},{w})", self.encode(f, entry)) for (v, w), f in value.reach.items()]
+        return [("cyc", cyc), ("reach", reach)]
 
     def encode(self, formula: PathFormula, depth: int) -> str:
         """The model list of ``formula``, ``depth`` levels deep: encoded once

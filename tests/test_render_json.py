@@ -84,11 +84,28 @@ CASES = [
         WIDE,
         "main",
         None,
-        [("cyc", "a", ("f3", "f4")), ("reach", "a", "d"), ("cyc", "d", ("g",)), ("reach", "p", "a")],
+        [
+            ("cyc", "a", ("f3", "f4")),
+            ("reach", "a", "d"),
+            ("cyc", "d", ("g",)),
+            ("reach", "p", "a"),
+        ],
     ),
-    ("tracked", (DATA / "tree_main.lang").read_text(), "main", ["left"], [("cyc", "x", ("left",)), ("reach", "x", "t1")]),
+    (
+        "tracked",
+        (DATA / "tree_main.lang").read_text(),
+        "main",
+        ["left"],
+        [("cyc", "x", ("left",)), ("reach", "x", "t1")],
+    ),
     ("only-result", ONLY_RESULT, "main", None, [("reach", "%res", "%res")]),
-    ("method", (DATA / "tree.lang").read_text(), "join", None, [("reach", "l", "out"), ("cyc", "l", ("parent",))]),
+    (
+        "method",
+        (DATA / "tree.lang").read_text(),
+        "join",
+        None,
+        [("reach", "l", "out"), ("cyc", "l", ("parent",))],
+    ),
 ]
 
 
