@@ -13,8 +13,6 @@ import sys
 from typing import Optional, TextIO
 
 from .classtable import ClassTableError, build_class_table
-from .domain import RcValue
-from .formula import FieldUniverse, PathFormula
 from .oracle import (
     BudgetExceeded,
     NullDereference,
@@ -24,9 +22,8 @@ from .oracle import (
 )
 from .parser import ParseError, parse_program
 from .render import render_compare, render_final, render_sharing, render_table, result_to_json
-from .semantics import AnalysisError, analyze_program, entry_scope
-from .sharing import SharingState
-from .syntax import Program
+from .semantics import AnalysisError, analyze_program
+from .semantics import parse_init_annotations  # noqa: F401  (importable from here too)
 from .typecheck import TypeCheckError, type_check
 
 USAGE_ERROR = 2
@@ -51,56 +48,6 @@ def parse_query(text: str):
         fields = tuple(f.strip() for f in m.group(3).split(",") if f.strip())
         return ("cyc", m.group(2), fields)
     return ("reach", m.group(5), m.group(6))
-
-
-def parse_init_annotations(
-    program: Program,
-    universe: FieldUniverse,
-    variables: tuple[str, ...],
-    ref_vars: frozenset[str],
-) -> tuple[RcValue, SharingState]:
-    """Resolve the ``//@ init`` lines into the entry abstract value and the
-    entry sharing state; unannotated entries stay at the contradiction."""
-    value = RcValue.bottom(universe, variables, ref_vars)
-    sp = SharingState.empty()
-    concrete = set(universe.concrete_fields)
-    mentioned: set[str] = set()
-    for ann in program.annotations:
-        for v in ann.variables:
-            if v not in ref_vars:
-                raise AnalysisError(
-                    f"line {ann.line}: annotation names unknown reference variable {v!r}"
-                )
-        mentioned.update(ann.variables)
-        if ann.kind == "ds":
-            a, b = ann.variables
-            sp = sp.add_ds([(a, b)]).add_sh([(a, b), (a, a), (b, b)])
-            continue
-        masks = set()
-        for model in ann.models or []:
-            for f in model:
-                if f not in concrete:
-                    raise AnalysisError(
-                        f"line {ann.line}: annotation names unknown field {f!r}"
-                    )
-            masks.add(universe.mask_of(model))
-        formula = PathFormula.from_models(universe, masks)
-        if ann.kind == "reach":
-            a, b = ann.variables
-            value.reach[(a, b)] = value.reach[(a, b)].join(formula)
-        else:
-            (a,) = ann.variables
-            value.cyc[a] = value.cyc[a].join(formula)
-    # a variable asserted reachable/cyclic may be non-null: give it a region
-    sp = sp.add_sh(
-        [(v, v) for v in mentioned]
-        + [
-            (a, b)
-            for (a, b), f in value.reach.items()
-            if not f.is_false and a != b
-        ]
-    )
-    return value.normalize(), sp
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -159,7 +106,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             source = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return USAGE_ERROR
     for flag, given in (("--widening", args.widening), ("--heap-budget", args.heap_budget)):
@@ -192,19 +139,8 @@ def run(argv: Optional[list[str]] = None) -> int:
         tracked = None
         if args.track_fields != "all":
             tracked = [f.strip() for f in args.track_fields.split(",") if f.strip()]
-        universe, entry, variables, refs = entry_scope(
-            program, ct, typeinfo, tracked=tracked, entry=args.entry
-        )
-        init_rc, init_sp = parse_init_annotations(program, universe, variables, refs)
         result = analyze_program(
-            program,
-            ct,
-            typeinfo,
-            tracked=tracked,
-            entry=entry,
-            init_rc=init_rc,
-            init_sp=init_sp,
-            widening_k=args.widening,
+            program, ct, typeinfo, tracked=tracked, entry=args.entry, widening_k=args.widening
         )
     except (ParseError, ClassTableError, TypeCheckError, AnalysisError) as exc:
         print(f"error: {exc}", file=sys.stderr)

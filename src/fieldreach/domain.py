@@ -48,21 +48,28 @@ class RcValue:
             out.cyc[v] = true
         return out
 
-    def _false(self) -> PathFormula:
-        return PathFormula.false(self.universe)
-
     def _fresh(self) -> "RcValue":
         return RcValue(
             self.universe, self.variables, self.ref_vars, dict(self.reach), dict(self.cyc)
         )
 
-    # -- lookups (int-typed variables read as the contradiction)
+    # -- lookups
 
     def reach_at(self, v: str, w: str) -> PathFormula:
-        return self.reach.get((v, w), self._false())
+        f = self.reach.get((v, w))
+        return f if f is not None else self._int_entry(v, w)
 
     def cyc_at(self, v: str) -> PathFormula:
-        return self.cyc.get(v, self._false())
+        f = self.cyc.get(v)
+        return f if f is not None else self._int_entry(v)
+
+    def _int_entry(self, *names: str) -> PathFormula:
+        """An int-typed variable reads as the contradiction; a name outside
+        the scope raises, since reading it as "no path" would be unsound."""
+        for n in names:
+            if n not in self.variables:
+                raise KeyError(f"{n!r} is not a variable of this value")
+        return PathFormula.false(self.universe)
 
     # -- pointwise updates
 
@@ -84,48 +91,24 @@ class RcValue:
 
     def project(self, variables: Iterable[str]) -> "RcValue":
         """Forget everything about the given variables."""
-        targets = {v for v in variables if v in self.ref_vars}
-        if not targets:
+        gone = set(variables) & self.ref_vars
+        if not gone:
             return self
-        out = self._fresh()
-        false = self._false()
-        for (a, b) in out.reach:
-            if a in targets or b in targets:
-                out.reach[(a, b)] = false
-        for v in targets:
-            out.cyc[v] = false
-        return out
+        kept = {x: x for x in self.ref_vars if x not in gone}
+        return self.remap(kept, self.variables, self.ref_vars)
 
     def rename(self, mapping: Mapping[str, str]) -> "RcValue":
         """Simultaneously move sources onto targets; sources are forgotten
         and stale target entries are discarded."""
-        mapping = {
+        moved = {
             s: d for s, d in mapping.items() if s in self.ref_vars and d in self.ref_vars
         }
-        if not mapping:
+        if not moved:
             return self
-        sources = set(mapping)
-        dropped = set(mapping.values()) - sources  # pure targets lose old data
-        out = RcValue.bottom(self.universe, self.variables, self.ref_vars)
-
-        def dest(x: str) -> Optional[str]:
-            if x in sources:
-                return mapping[x]
-            if x in dropped:
-                return None
-            return x
-
-        for (a, b), f in self.reach.items():
-            na, nb = dest(a), dest(b)
-            if na is None or nb is None:
-                continue
-            out.reach[(na, nb)] = out.reach[(na, nb)].join(f)
-        for v, f in self.cyc.items():
-            nv = dest(v)
-            if nv is None:
-                continue
-            out.cyc[nv] = out.cyc[nv].join(f)
-        return out
+        targets = set(moved.values())
+        full = {x: x for x in self.ref_vars if x not in targets}
+        full.update(moved)
+        return self.remap(full, self.variables, self.ref_vars)
 
     def copy_var(self, src: str, dst: str) -> "RcValue":
         """Make ``dst`` an exact alias snapshot of ``src``: they alias each
@@ -199,21 +182,23 @@ class RcValue:
         variables: Iterable[str],
         ref_vars: Iterable[str],
     ) -> "RcValue":
-        """Rebuild over a new scope; only mapped entries carry over, and
-        several sources landing on one target join."""
+        """Rebuild over a new scope; only mapped entries carry over, copied
+        as they are, and several sources landing on one target join."""
         out = RcValue.bottom(self.universe, tuple(variables), frozenset(ref_vars))
         live = {
             s: d
             for s, d in mapping.items()
             if s in self.ref_vars and d in out.ref_vars
         }
+        merge = len(set(live.values())) < len(live)
+        reach, cyc = out.reach, out.cyc
         for (a, b), f in self.reach.items():
             if a in live and b in live:
                 key = (live[a], live[b])
-                out.reach[key] = out.reach[key].join(f)
+                reach[key] = reach[key].join(f) if merge else f
         for v, f in self.cyc.items():
             if v in live:
-                out.cyc[live[v]] = out.cyc[live[v]].join(f)
+                cyc[live[v]] = cyc[live[v]].join(f) if merge else f
         return out
 
     # -- identity / serialization

@@ -19,7 +19,7 @@ _ROOT = None  # the reader key of the entry's runs
 
 class Fixpoint:
     def __init__(self, compute: Callable, merge: Callable, bottom: Callable):
-        self._compute = compute  # input -> one run of the context's body
+        self._compute = compute  # (key, input) -> one run of the context's body
         self._merge = merge  # (key, old summary, run result) -> grown summary
         self._bottom = bottom  # input -> the summary a new context starts at
         self.table: dict[Hashable, object] = {}
@@ -56,7 +56,7 @@ class Fixpoint:
                 root()
                 continue
             old = self.table[key]
-            new = self._merge(key, old, self._compute(self.inputs[key]))
+            new = self._merge(key, old, self._compute(key, self.inputs[key]))
             if new != old:
                 self.table[key] = new
                 self._pending.update(self._readers[key])

@@ -12,10 +12,12 @@ Method denotations map an abstract entry value over the inputs to an exit
 value over inputs plus the return value.  A ``Fixpoint`` worklist holds one
 per context (method, entry value, entry sharing state), joined under
 per-entry widening; a context re-runs only when a denotation it read has
-grown, and the entry body only once no context is pending.  A recording pass
-over the entry and every context then fills the per-point values.  Inside a
-body, shadow copies of the parameters pin the structures the inputs pointed
-to on entry, so reassigning a parameter does not lose its summary rows.
+grown, and the entry body only once no context is pending.  Every run
+records its per-point values afresh, so once the table is stable the last
+run of the entry and of each context, which read only final denotations,
+holds them.  Inside a body, shadow copies of the parameters pin the
+structures the inputs pointed to on entry, so reassigning a parameter does
+not lose its summary rows.
 Loops iterate to a local fixpoint with per-entry widening to the tautology
 after a configurable number of changes.
 """
@@ -123,10 +125,13 @@ class AnalysisResult:
 
 @dataclass
 class _Recorder:
+    """What one run of the entry or of a context saw."""
+
     trace: list[TraceRow] = field(default_factory=list)
     visits: dict[int, int] = field(default_factory=dict)
     point_post: dict[int, RcValue] = field(default_factory=dict)
     loop_passes: dict[int, int] = field(default_factory=dict)
+    widenings: int = 0
 
     def trace_line(self, line: int, value: RcValue) -> None:
         n = self.visits.get(line, 0) + 1
@@ -142,7 +147,7 @@ class _Recorder:
 class _Ctx:
     env: TypeEnv
     sp_ctx: object  # key into the sharing analysis point tables
-    recorder: Optional[_Recorder]
+    recorder: _Recorder
     trace_on: bool = False
 
     def with_trace(self, on: bool) -> "_Ctx":
@@ -168,12 +173,13 @@ class Analyzer:
         self.widening_k = widening_k
         # context (method, entry value, entry sharing) -> method denotation
         self.memo = Fixpoint(
-            lambda inp: self._run_method(*inp),
+            self._run_method,
             self._widen_memo,
             lambda inp: RcValue.bottom(universe, *summary_scope(inp[0], typeinfo)),
         )
         self._memo_counters: dict[tuple, dict] = {}
-        self._widenings = 0
+        # the last run's recording of each context; the entry's under None
+        self.recorders: dict[Optional[tuple], _Recorder] = {}
 
     # ------------------------------------------------------------------
     # helpers
@@ -246,7 +252,6 @@ class Analyzer:
         ref_actual = [a for a in actuals if a in I.ref_vars]
         callees = self.typeinfo.call_targets[e.nid]
 
-        projected = I.project([x for x in I.variables if x not in set(actuals)])
         summary_back = RcValue.bottom(self.universe, I.variables, I.ref_vars)
         for sig in callees:
             formals = list(sig.input_vars)
@@ -258,10 +263,8 @@ class Analyzer:
                 a1 = formal_to_actual[f1]
                 for f2 in formals:
                     if f2 in entry.ref_vars:
-                        entry.reach[(f1, f2)] = projected.reach_at(
-                            a1, formal_to_actual[f2]
-                        )
-                entry.cyc[f1] = projected.cyc_at(a1)
+                        entry.reach[(f1, f2)] = I.reach_at(a1, formal_to_actual[f2])
+                entry.cyc[f1] = I.cyc_at(a1)
             sp_entry = sp.restrict(actuals).remap_from(formal_to_actual)
             output = self._denotation(sig, entry, sp_entry)
             mapping = dict(formal_to_actual)
@@ -363,10 +366,9 @@ class Analyzer:
     def exec_cmd(self, cmd: Command, I: RcValue, ctx: _Ctx) -> RcValue:
         out = self._exec(cmd, I, ctx)
         self._assert_normal(out)
-        if ctx.recorder is not None:
-            ctx.recorder.post(cmd.nid, out)
-            if ctx.trace_on:
-                ctx.recorder.trace_line(cmd.line, out)
+        ctx.recorder.post(cmd.nid, out)
+        if ctx.trace_on:
+            ctx.recorder.trace_line(cmd.line, out)
         return out
 
     def _exec(self, cmd: Command, I: RcValue, ctx: _Ctx) -> RcValue:
@@ -377,7 +379,7 @@ class Analyzer:
             if cmd.var not in I.ref_vars:
                 # an int target still consumes the expression result
                 return evaluated.project([RESULT_VAR])
-            return evaluated.project([cmd.var]).rename({RESULT_VAR: cmd.var})
+            return evaluated.rename({RESULT_VAR: cmd.var})
         if isinstance(cmd, FieldWrite):
             return self._exec_field_write(cmd, I, ctx)
         if isinstance(cmd, If):
@@ -420,24 +422,22 @@ class Analyzer:
         head = I.canonical(self.via)
         counters: dict = {}
         passes = 0
-        inner = ctx
         while True:
-            if ctx.recorder is not None and ctx.trace_on:
+            if ctx.trace_on:
                 ctx.recorder.trace_line(cmd.line, head)
-            after = self.exec_body(cmd.body, head, inner)
+            after = self.exec_body(cmd.body, head, ctx)
             passes += 1
             joined = head.join(after).canonical(self.via)
-            widened = self._widen_value(head, joined, counters, record=ctx.recorder is not None)
+            widened = self._widen_value(head, joined, counters)
             if widened == head:
                 break
             head = widened
-        if ctx.recorder is not None:
-            ctx.recorder.loop_passes[cmd.nid] = passes
+        ctx.recorder.loop_passes[cmd.nid] = passes
+        # every change of an entry past the k-th widened it once
+        ctx.recorder.widenings += sum(max(0, n - self.widening_k) for n in counters.values())
         return head
 
-    def _widen_value(
-        self, old: RcValue, new: RcValue, counters: dict, record: bool
-    ) -> RcValue:
+    def _widen_value(self, old: RcValue, new: RcValue, counters: dict) -> RcValue:
         if self.widening_k is None:
             return new
         out = new._fresh()
@@ -446,15 +446,11 @@ class Analyzer:
                 counters[("r", key)] = counters.get(("r", key), 0) + 1
                 if counters[("r", key)] > self.widening_k:
                     out.reach[key] = self._true()
-                    if record:
-                        self._widenings += 1
         for v in out.cyc:
             if new.cyc[v] != old.cyc[v]:
                 counters[("c", v)] = counters.get(("c", v), 0) + 1
                 if counters[("c", v)] > self.widening_k:
                     out.cyc[v] = self._true()
-                    if record:
-                        self._widenings += 1
         return out.normalize()
 
     # ------------------------------------------------------------------
@@ -467,16 +463,12 @@ class Analyzer:
 
     def _widen_memo(self, key: tuple, old: RcValue, new: RcValue) -> RcValue:
         counters = self._memo_counters.setdefault(key, {})
-        return self._widen_value(old, old.join(new), counters, record=False)
+        return self._widen_value(old, old.join(new), counters)
 
-    def _run_method(
-        self,
-        sig: MethodSig,
-        entry: RcValue,
-        sp_entry: SharingState,
-        recorder: Optional[_Recorder] = None,
-        trace_on: bool = False,
-    ) -> RcValue:
+    def _run_method(self, key: Optional[tuple], inp: tuple, trace_on: bool = False) -> RcValue:
+        """One run of a method body from a context's input (method, entry
+        value, entry sharing), recorded under the context's key."""
+        sig, entry, sp_entry = inp
         env = self.typeinfo.env_for(sig.key)
         decl = self.ct.method_decl(sig)
         out_vars, out_refs = summary_scope(sig, self.typeinfo)
@@ -492,56 +484,52 @@ class Analyzer:
         )
         refs = set(out_refs) | set(shadows.values()) | {RESULT_VAR}
         refs |= {n for n in local_names if env.type_of(n) != INT_TYPE}
-        I0 = RcValue.bottom(self.universe, body_vars, frozenset(refs))
-        for (a, b), f in entry.reach.items():
-            if (a, b) in I0.reach:
-                I0.reach[(a, b)] = f
-        for v, f in entry.cyc.items():
-            if v in I0.cyc:
-                I0.cyc[v] = f
+        I0 = entry.remap({x: x for x in entry.variables}, body_vars, refs)
         for w, u in shadows.items():
             I0 = I0.copy_var(w, u)
+        recorder = self.recorders[key] = _Recorder()
         ctx = _Ctx(env, self.sharing.ctx_key(sig, sp_entry), recorder, trace_on)
-        if recorder is not None and trace_on:
+        if trace_on:
             recorder.trace_line(decl.line, I0)
         I1 = self.exec_body(decl.body, I0, ctx)
-        keep = set(shadows.values()) | {OUT_VAR}
-        if "this" in refs:
-            keep.add("this")
-        I2 = I1.project([x for x in body_vars if x not in keep])
-        I3 = I2.rename({u: w for w, u in shadows.items()})
-        result = I3.remap({x: x for x in out_vars}, out_vars, out_refs)
+        # the summary speaks of the inputs' entry structures, which the
+        # shadows pinned, of ``this`` and of the result
+        outputs = {u: w for w, u in shadows.items()}
+        outputs.update({"this": "this", OUT_VAR: OUT_VAR})
+        result = I1.remap(outputs, out_vars, out_refs)
         return result.normalize().canonical(self.via)
 
     # ------------------------------------------------------------------
     # drivers
 
-    def analyze(self, entry: Union[str, MethodSig], start: RcValue, sp_start: SharingState):
-        """Solve the fixpoint from the entry, then run the recording pass over
-        the entry and every context with the final denotations."""
+    def analyze(
+        self, entry: Union[str, MethodSig], start: RcValue, sp_start: SharingState
+    ) -> tuple[RcValue, int]:
+        """Solve the fixpoint from the entry; returns the entry's final value
+        and the number of entry runs.  ``recorders`` then holds the last
+        run of the entry and of every context."""
         if entry == "main":
             self.sharing.analyze_main(sp_start)
-            env = self.typeinfo.env_for("main")
-
-            def run(recorder: Optional[_Recorder] = None) -> RcValue:
-                if recorder is not None:
-                    recorder.trace_line(self.program.main.line, start)
-                ctx = _Ctx(env, "main", recorder, trace_on=True)
-                return self.exec_body(self.program.main.body, start, ctx)
-
         else:
             self.sharing.analyze_method_entry(entry, sp_start)
+        final = start
 
-            def run(recorder: Optional[_Recorder] = None) -> RcValue:
-                return self._run_method(entry, start, sp_start, recorder, trace_on=True)
+        def root() -> None:
+            nonlocal final
+            final = self._run_entry(entry, start, sp_start)
 
-        rounds = self.memo.solve(run)
-        recorder = _Recorder()
-        self._widenings = 0
-        final = run(recorder)
-        for sig, value, sp_value in list(self.memo.inputs.values()):
-            self._run_method(sig, value, sp_value, recorder)
-        return final, recorder, rounds
+        rounds = self.memo.solve(root)
+        return final, rounds
+
+    def _run_entry(
+        self, entry: Union[str, MethodSig], start: RcValue, sp_start: SharingState
+    ) -> RcValue:
+        if entry != "main":
+            return self._run_method(None, (entry, start, sp_start), trace_on=True)
+        recorder = self.recorders[None] = _Recorder()
+        recorder.trace_line(self.program.main.line, start)
+        ctx = _Ctx(self.typeinfo.env_for("main"), "main", recorder, trace_on=True)
+        return self.exec_body(self.program.main.body, start, ctx)
 
 
 # --------------------------------------------------------------------------
@@ -605,6 +593,60 @@ def entry_scope(
     return universe, sig, tuple(sig.input_vars), refs - {OUT_VAR}
 
 
+def parse_init_annotations(
+    program: Program,
+    universe: FieldUniverse,
+    variables: tuple[str, ...],
+    ref_vars: frozenset[str],
+) -> tuple[RcValue, SharingState]:
+    """Resolve the ``//@ init`` lines into the entry abstract value and the
+    entry sharing state; unannotated entries stay at the contradiction.  A
+    declared reference field the universe does not track folds into the
+    stand-in, as on concrete paths."""
+    value = RcValue.bottom(universe, variables, ref_vars)
+    sp = SharingState.empty()
+    declared = {
+        name for cls in program.classes for name, typ in cls.fields if typ != INT_TYPE
+    }
+    mentioned: set[str] = set()
+    for ann in program.annotations:
+        for v in ann.variables:
+            if v not in ref_vars:
+                raise AnalysisError(
+                    f"line {ann.line}: annotation names unknown reference variable {v!r}"
+                )
+        mentioned.update(ann.variables)
+        if ann.kind == "ds":
+            a, b = ann.variables
+            sp = sp.add_ds([(a, b)]).add_sh([(a, b), (a, a), (b, b)])
+            continue
+        masks = set()
+        for model in ann.models or []:
+            for f in model:
+                if f not in declared:
+                    raise AnalysisError(
+                        f"line {ann.line}: annotation names unknown field {f!r}"
+                    )
+            masks.add(universe.abstract_mask(model))
+        formula = PathFormula.from_models(universe, masks)
+        if ann.kind == "reach":
+            a, b = ann.variables
+            value.reach[(a, b)] = value.reach[(a, b)].join(formula)
+        else:
+            (a,) = ann.variables
+            value.cyc[a] = value.cyc[a].join(formula)
+    # a variable asserted reachable/cyclic may be non-null: give it a region
+    sp = sp.add_sh(
+        [(v, v) for v in mentioned]
+        + [
+            (a, b)
+            for (a, b), f in value.reach.items()
+            if not f.is_false and a != b
+        ]
+    )
+    return value.normalize(), sp
+
+
 def analyze_program(
     program: Program,
     ct: ClassTable,
@@ -616,37 +658,46 @@ def analyze_program(
     init_sp: Optional[SharingState] = None,
     widening_k: Optional[int] = 16,
 ) -> AnalysisResult:
+    """Analyse the entry from the program's ``//@ init`` facts, with
+    ``init_rc``/``init_sp`` joined on top when given."""
     started = time.perf_counter()
     universe, entry, variables, refs = entry_scope(
         program, ct, typeinfo, tracked=tracked, entry=entry
     )
-    sharing = SharingAnalysis(program, ct, typeinfo)
-    analyzer = Analyzer(program, ct, typeinfo, sharing, universe, widening_k)
-    entry_key = "main" if entry == "main" else entry.key
-    if entry != "main":
-        variables, refs = summary_scope(entry, typeinfo)
-    start = RcValue.bottom(universe, variables, refs)
+    start, sp_start = parse_init_annotations(program, universe, variables, refs)
     if init_rc is not None:
         start = start.join(init_rc.remap({x: x for x in init_rc.variables}, variables, refs))
-    final, recorder, rounds = analyzer.analyze(
-        entry, start.normalize(), init_sp or SharingState.empty()
-    )
+    if init_sp is not None:
+        sp_start = sp_start.union(init_sp)
+    sharing = SharingAnalysis(program, ct, typeinfo)
+    analyzer = Analyzer(program, ct, typeinfo, sharing, universe, widening_k)
+    final, rounds = analyzer.analyze(entry, start.normalize(), sp_start)
+    # the entry's last run, then each context's, in the order the fixpoint met them
+    recordings = [analyzer.recorders[None]] + [analyzer.recorders[k] for k in analyzer.memo.inputs]
+    merged = _Recorder()  # points join over the runs; a loop's last run counts
+    for rec in recordings:
+        for nid, value in rec.point_post.items():
+            merged.post(nid, value)
+        merged.loop_passes.update(rec.loop_passes)
+        merged.widenings += rec.widenings
     denotations: dict[tuple[str, str], dict[tuple, RcValue]] = {}
     for key, value in analyzer.memo.table.items():
         denotations.setdefault(key[0], {})[key[1:]] = value
+    entry_key = "main" if entry == "main" else entry.key
     return AnalysisResult(
         universe=universe,
         entry=entry_key,
         display_vars=tuple(typeinfo.env_for(entry_key).ref_vars),
         final=final.canonical(analyzer.via),
         trace=[
-            TraceRow(r.line, r.visit, r.value.canonical(analyzer.via)) for r in recorder.trace
+            TraceRow(r.line, r.visit, r.value.canonical(analyzer.via))
+            for r in recordings[0].trace
         ],
-        point_post={nid: v.canonical(analyzer.via) for nid, v in recorder.point_post.items()},
+        point_post={nid: v.canonical(analyzer.via) for nid, v in merged.point_post.items()},
         denotations=denotations,
         rounds=rounds,
-        loop_passes=dict(recorder.loop_passes),
-        widenings=analyzer._widenings,
+        loop_passes=merged.loop_passes,
+        widenings=merged.widenings,
         via=analyzer.via,
         sharing=sharing,
         elapsed=time.perf_counter() - started,

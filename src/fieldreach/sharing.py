@@ -181,7 +181,7 @@ class SharingAnalysis:
         self.typeinfo = typeinfo
         # context (method, entry state) -> sharing summary
         self.memo = Fixpoint(
-            lambda inp: self._compute_summary(*inp),
+            self._compute_summary,
             lambda key, old, new: old.union(new),
             lambda inp: SharingSummary.bottom(),
         )
@@ -222,7 +222,8 @@ class SharingAnalysis:
 
     # -- summary computation
 
-    def _compute_summary(self, sig: MethodSig, entry_state: SharingState) -> SharingSummary:
+    def _compute_summary(self, ctx: CtxKey, inp: tuple) -> SharingSummary:
+        sig, entry_state = inp
         env = self.typeinfo.env_for(sig.key)
         decl = self.ct.method_decl(sig)
         ref_params = [
@@ -237,7 +238,6 @@ class SharingAnalysis:
             shadows[i] = sh_name
             st = st.copy_alias(name, sh_name)
         impure: set[int] = set()
-        ctx = self.ctx_key(sig, entry_state)
         self.point_pre[ctx], self.point_post[ctx] = {}, {}
         exit_state = self._exec_body(decl.body, st, ctx, env, shadows, impure)
         keep = {shadows[i]: name for i, name in ref_params}

@@ -11,8 +11,7 @@ from fieldreach import (
     parse_program,
     type_check,
 )
-from fieldreach.cli import parse_init_annotations
-from fieldreach.semantics import analyze_program, entry_scope
+from fieldreach.semantics import analyze_program
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -65,13 +64,7 @@ def analyze_entry(source: str, entry: str = "main", tracked=None):
     """Analyse one entry of a source as the CLI does, ``//@ init`` lines
     included; returns the ``AnalysisResult``."""
     program, ct, info = build(source)
-    universe, entry, variables, refs = entry_scope(
-        program, ct, info, tracked=tracked, entry=entry
-    )
-    init_rc, init_sp = parse_init_annotations(program, universe, variables, refs)
-    return analyze_program(
-        program, ct, info, tracked=tracked, entry=entry, init_rc=init_rc, init_sp=init_sp
-    )
+    return analyze_program(program, ct, info, tracked=tracked, entry=entry)
 
 
 def pf(universe: FieldUniverse, *sets) -> PathFormula:

@@ -136,20 +136,8 @@ TREE_EXPECTED = {
 
 
 def tree_result():
-    from fieldreach.cli import parse_init_annotations
-    from fieldreach.semantics import find_entry_sig
-    from fieldreach.syntax import OUT_VAR
-
     program, ct, info = build(load("tests/data/tree.lang"))
-    sig = find_entry_sig(ct, "join")
-    env = info.env_for(sig.key)
-    universe = FieldUniverse.of(ct.reference_fields)
-    refs = frozenset(v for v in sig.input_vars if env.type_of(v) != "int")
-    init_rc, init_sp = parse_init_annotations(program, universe, sig.input_vars, refs)
-    result = analyze_program(
-        program, ct, info, entry=sig, init_rc=init_rc, init_sp=init_sp
-    )
-    return result
+    return analyze_program(program, ct, info, entry="join")
 
 
 def test_tree_join_golden_table():

@@ -358,3 +358,34 @@ def test_universe_above_the_field_cap_asks_for_tracked_fields(tmp_path, capsys):
     assert err.startswith("error: ") and "17 fields" in err and "--track-fields" in err
     code, out, err = _run_source(tmp_path, capsys, source, "--track-fields", "f0,f1")
     assert code == 0, err
+
+
+def test_undecodable_input_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.lang"
+    bad.write_bytes("main { } // caf\xe9\n".encode("latin-1"))
+    code, out, err = invoke(capsys, str(bad))
+    assert code == 2
+    assert "cannot read" in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_annotation_on_an_untracked_field_folds_into_the_stand_in(tmp_path, capsys):
+    src = tmp_path / "ann.lang"
+
+    def annotate(field):
+        src.write_text(
+            f"//@ init reach(a,a): [[{field}]]\n"
+            "main { A a; A b; b := a; }\n"
+            "class A { A f; A g; int k; }\n"
+        )
+        return str(src)
+
+    code, out, err = invoke(capsys, annotate("g"), "--track-fields", "f", "--oracle-check")
+    assert code == 0, err
+    assert "reach(a,a) = x{any}" in out and "cyc(b) = x{any}" in out
+    assert "oracle check: ok" in out
+    # int fields and undeclared fields are still not path fields
+    for field in ("k", "ghost"):
+        code, out, err = invoke(capsys, annotate(field), "--track-fields", "f")
+        assert code == 1
+        assert f"annotation names unknown field {field!r}" in err

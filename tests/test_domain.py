@@ -33,6 +33,17 @@ def test_int_vars_read_false(u, value):
     assert ("k", "v") not in value.reach
 
 
+def test_names_outside_the_scope_raise(u, value):
+    # "no path" is the unsound answer, so a misspelt name must not read it
+    with pytest.raises(KeyError):
+        value.reach_at("v", "nope")
+    with pytest.raises(KeyError):
+        value.reach_at("nope", "k")
+    with pytest.raises(KeyError):
+        value.cyc_at("nope")
+    assert value.reach_at("v", "w").is_false
+
+
 def test_project(u, value):
     v1 = value.with_reach("v", "z", pf(u, ["f"])).with_reach("w", "z", pf(u, ["g"]))
     v2 = v1.project(["v"])

@@ -1,9 +1,8 @@
 import pytest
 
 from fieldreach import analyze_program
-from fieldreach.cli import parse_init_annotations
 from fieldreach.fixpoint import Fixpoint
-from fieldreach.semantics import Analyzer, entry_scope
+from fieldreach.semantics import Analyzer
 from fieldreach.sharing import SharingAnalysis
 
 from conftest import DATA, build
@@ -15,7 +14,7 @@ def toy_engine(limits, reads, log):
     summaries, one more for itself, capped at limits[n]."""
     engine = None
 
-    def compute(n):
+    def compute(key, n):
         log.append(n)
         seen = [engine.lookup(m, m) + (m == n) for m in reads.get(n, ())]
         return min(limits[n], max(seen, default=0))
@@ -79,10 +78,9 @@ def test_corpus_reruns_stay_near_one_per_context(monkeypatch):
         runs["sharing"] += 1
         return compute_summary(self, *args)
 
-    def counted_run(self, sig, entry, sp_entry, recorder=None, trace_on=False):
-        if recorder is None:  # the recording pass is not part of the fixpoint
-            runs["semantics"] += 1
-        return run_method(self, sig, entry, sp_entry, recorder, trace_on)
+    def counted_run(self, *args, **kwargs):
+        runs["semantics"] += 1
+        return run_method(self, *args, **kwargs)
 
     monkeypatch.setattr(SharingAnalysis, "_compute_summary", counted_summary)
     monkeypatch.setattr(Analyzer, "_run_method", counted_run)
@@ -90,15 +88,94 @@ def test_corpus_reruns_stay_near_one_per_context(monkeypatch):
     contexts = {"sharing": 0, "semantics": 0}
     for name, src, entry_name in corpus_jobs():
         program, ct, info = build(src)
-        universe, entry, variables, refs = entry_scope(program, ct, info, entry=entry_name)
-        init_rc, init_sp = parse_init_annotations(program, universe, variables, refs)
-        result = analyze_program(
-            program, ct, info, entry=entry, init_rc=init_rc, init_sp=init_sp
-        )
+        result = analyze_program(program, ct, info, entry=entry_name)
         contexts["sharing"] += len(result.sharing.memo.table)
         # a method entry is a context of its own, run by the root
         contexts["semantics"] += sum(len(d) for d in result.denotations.values())
-        contexts["semantics"] += entry != "main"
+        contexts["semantics"] += entry_name != "main"
     assert contexts["sharing"] > 20 and contexts["semantics"] > 20
     for analysis in ("sharing", "semantics"):
         assert runs[analysis] <= 1.5 * contexts[analysis], (analysis, runs, contexts)
+
+
+# spin widens its loop at k=1 and reads link's summary, which starts at bottom
+WIDENS_IN_A_CALLEE = """
+class N {
+  N f;
+  N g;
+  N link(N y) {
+    this.f := y;
+    return this;
+  }
+  N spin(N x) {
+    N c;
+    N d;
+    int i;
+    c := x;
+    i := 0;
+    while (i < 6) {
+      d := new N;
+      d.g := c;
+      c := d.link(c);
+      i := i + 1;
+    }
+    return c;
+  }
+}
+main {
+  N a;
+  N b;
+  int j;
+  a := new N;
+  j := 0;
+  while (j < 3) {
+    b := a.spin(a);
+    a := b;
+    j := j + 1;
+  }
+}
+"""
+
+
+def test_each_context_keeps_what_a_replay_would_record(monkeypatch):
+    """The last run of the entry and of each context is kept; with the table
+    final, a fresh run records the same point values, loop passes and
+    widenings (and, for the entry, the same trace)."""
+    solved = []
+    runs = {}  # context key -> the recordings its runs left, in order
+    analyze, run_method = Analyzer.analyze, Analyzer._run_method
+
+    def keep_analyzer(self, entry, start, sp_start):
+        solved.append((self, entry, start, sp_start))
+        return analyze(self, entry, start, sp_start)
+
+    def log_run(self, key, inp, trace_on=False):
+        out = run_method(self, key, inp, trace_on)
+        runs.setdefault(key, []).append(self.recorders[key])
+        return out
+
+    monkeypatch.setattr(Analyzer, "analyze", keep_analyzer)
+    monkeypatch.setattr(Analyzer, "_run_method", log_run)
+
+    jobs = [(name, src, entry, 16) for name, src, entry in corpus_jobs()]
+    jobs.append(("widens in a callee", WIDENS_IN_A_CALLEE, "main", 1))
+    reran_differently = widened_in_a_context = 0
+    for name, src, entry_name, k in jobs:
+        runs.clear()
+        program, ct, info = build(src)
+        analyze_program(program, ct, info, entry=entry_name, widening_k=k)
+        analyzer, entry, start, sp_start = solved.pop()
+        reran_differently += any(
+            recs[0] != recs[-1] for key, recs in runs.items() if key is not None
+        )
+        kept = dict(analyzer.recorders)
+        for key, inp in analyzer.memo.inputs.items():
+            del analyzer.recorders[key]
+            analyzer._run_method(key, inp)
+            assert analyzer.recorders[key] == kept[key], (name, key)
+            widened_in_a_context += kept[key].widenings > 0
+        del analyzer.recorders[None]
+        analyzer._run_entry(entry, start, sp_start)
+        assert analyzer.recorders[None] == kept[None], name
+        assert kept[None].trace, name
+    assert reran_differently > 0 and widened_in_a_context > 0

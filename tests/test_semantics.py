@@ -12,10 +12,17 @@ from fieldreach import (
     analyze_program,
 )
 from fieldreach.formula import MAX_FIELDS
-from fieldreach.semantics import AnalysisError, Analyzer, _Ctx, entry_scope
+from fieldreach.semantics import (
+    AnalysisError,
+    Analyzer,
+    _Ctx,
+    _Recorder,
+    entry_scope,
+    parse_init_annotations,
+)
 from fieldreach.syntax import RESULT_VAR, walk_commands
 
-from conftest import build, pf
+from conftest import DATA, build, pf
 
 K3 = "class K { K f; K g; K h; }\n"
 
@@ -543,7 +550,7 @@ def test_field_update_transfer_monotone():
     update_cmd = program.main.body[-1]
     variables = tuple(env.variables) + (RESULT_VAR,)
     refs = frozenset(env.ref_vars) | {RESULT_VAR}
-    ctx = _Ctx(env, "main", None)
+    ctx = _Ctx(env, "main", _Recorder())
     rng = random.Random(7)
     masks = list(universe.all_masks())[:4]  # keep enumeration small
 
@@ -575,7 +582,7 @@ def test_field_read_transfer_monotone():
     read_cmd = program.main.body[-1]
     variables = tuple(env.variables) + (RESULT_VAR,)
     refs = frozenset(env.ref_vars) | {RESULT_VAR}
-    ctx = _Ctx(env, "main", None)
+    ctx = _Ctx(env, "main", _Recorder())
     rng = random.Random(13)
     masks = list(universe.all_masks())[:4]
 
@@ -610,3 +617,21 @@ def test_entry_scope_caps_the_universe_counting_the_stand_in():
         entry_scope(program, ct, typeinfo)
     with pytest.raises(AnalysisError, match="--track-fields"):
         entry_scope(program, ct, typeinfo, tracked=tracked + ["g"])
+
+
+def test_analyze_program_applies_the_init_lines_and_joins_extra_facts():
+    program, ct, info = build((DATA / "tree.lang").read_text())
+    result = analyze_program(program, ct, info, entry="join")
+    universe, sig, variables, refs = entry_scope(program, ct, info, entry="join")
+    rc, sp = parse_init_annotations(program, universe, variables, refs)
+    assert not rc.cyc["l"].is_false  # the lines say something
+    # the same facts again, as extra entry facts, change nothing
+    again = analyze_program(program, ct, info, entry=sig, init_rc=rc, init_sp=sp)
+    assert again.final == result.final and again.point_post == result.point_post
+    assert [(r.line, r.visit, r.value) for r in again.trace] == [
+        (r.line, r.visit, r.value) for r in result.trace
+    ]
+    program.annotations = []
+    bare = analyze_program(program, ct, info, entry="join")
+    assert bare.final != result.final
+    assert bare.final.cyc_at("l").is_false
