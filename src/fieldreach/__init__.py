@@ -12,7 +12,6 @@ from .classtable import ClassTable, ClassTableError, MethodSig, build_class_tabl
 from .domain import RcValue
 from .formula import (
     ANY_FIELD,
-    ClassReach,
     FieldUniverse,
     PathFormula,
     Viability,
@@ -42,7 +41,6 @@ __all__ = [
     "AnalysisResult",
     "Analyzer",
     "BudgetExceeded",
-    "ClassReach",
     "ClassTable",
     "ClassTableError",
     "ConcreteState",

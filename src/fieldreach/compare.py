@@ -14,8 +14,9 @@ map or the per-variable cyclicity map:
 * per-variable requirement sets: fields every cycle must traverse, with
   provably acyclic variables absent.
 
-The abstraction maps take the component maps of an ``RcValue`` (its
-``reach`` / ``cyc`` dicts work directly); the concretizations return maps of
+The abstraction maps take the component maps of an ``RcValue`` as
+``PathFormula`` maps (pass its ``reach_at`` / ``cyc_at`` views; its ``reach``
+/ ``cyc`` dicts hold bare truth tables); the concretizations return maps of
 the same shape.
 """
 
@@ -68,7 +69,7 @@ def admissible_pairs(ct: ClassTable, var_types: Mapping[str, str]) -> frozenset[
     for v, tv in var_types.items():
         for w, tw in var_types.items():
             if any(
-                reach.reaches(k1, k2)
+                (k1, k2) in reach
                 for k1 in ct.subclasses_of(tv)
                 for k2 in ct.subclasses_of(tw)
             ):
@@ -115,8 +116,7 @@ class ClassPairsValue:
 
 def class_pairs(ct: ClassTable) -> ClassPairsValue:
     """Every class pair the declarations allow to be connected."""
-    reach = class_reach_closure(ct, ct.reference_fields)
-    return ClassPairsValue.of(ct, reach.pairs)
+    return ClassPairsValue.of(ct, class_reach_closure(ct, ct.reference_fields))
 
 
 def alpha_class_pairs(

@@ -1,10 +1,14 @@
 """The combined abstract value: per-pair reachability formulas plus
 per-variable cyclicity formulas over a fixed variable scope.
 
-Values are kept in normal form — the cyclicity entry of a variable always
-covers its self-reachability, since a path from a variable back to itself is
-a cycle.  Entries of int-typed variables stay at the contradiction.
-Operations are functional; instances are treated as immutable.
+A value holds its field universe once; each entry is a truth table over it
+(an int, see ``formula``), so join is ``|`` and the order is ``t & ~o``.
+``reach_at`` and ``cyc_at`` give an entry as a ``PathFormula`` view, and
+``with_reach``/``with_cyc`` store one.  Values are kept in normal form — the
+cyclicity entry of a variable always covers its self-reachability, since a
+path from a variable back to itself is a cycle.  Entries of int-typed
+variables stay at the contradiction.  Operations are functional; instances
+are treated as immutable.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ class RcValue:
     universe: FieldUniverse
     variables: tuple[str, ...]
     ref_vars: frozenset[str]
-    reach: dict[tuple[str, str], PathFormula]
-    cyc: dict[str, PathFormula]
+    reach: dict[tuple[str, str], int]  # truth tables over ``universe``
+    cyc: dict[str, int]
 
     # -- constructors
 
@@ -31,22 +35,9 @@ class RcValue:
     ) -> "RcValue":
         vs = tuple(variables)
         refs = frozenset(ref_vars)
-        false = PathFormula.false(universe)
-        reach = {(v, w): false for v in vs if v in refs for w in vs if w in refs}
-        cyc = {v: false for v in vs if v in refs}
+        reach = {(v, w): 0 for v in vs if v in refs for w in vs if w in refs}
+        cyc = {v: 0 for v in vs if v in refs}
         return RcValue(universe, vs, refs, reach, cyc)
-
-    @staticmethod
-    def top(
-        universe: FieldUniverse, variables: Iterable[str], ref_vars: Iterable[str]
-    ) -> "RcValue":
-        out = RcValue.bottom(universe, variables, ref_vars)
-        true = PathFormula.true(universe)
-        for key in out.reach:
-            out.reach[key] = true
-        for v in out.cyc:
-            out.cyc[v] = true
-        return out
 
     def _fresh(self) -> "RcValue":
         return RcValue(
@@ -56,35 +47,40 @@ class RcValue:
     # -- lookups
 
     def reach_at(self, v: str, w: str) -> PathFormula:
-        f = self.reach.get((v, w))
-        return f if f is not None else self._int_entry(v, w)
+        t = self.reach.get((v, w))
+        return PathFormula(self.universe, self._int_entry(v, w) if t is None else t)
 
     def cyc_at(self, v: str) -> PathFormula:
-        f = self.cyc.get(v)
-        return f if f is not None else self._int_entry(v)
+        t = self.cyc.get(v)
+        return PathFormula(self.universe, self._int_entry(v) if t is None else t)
 
-    def _int_entry(self, *names: str) -> PathFormula:
+    def _int_entry(self, *names: str) -> int:
         """An int-typed variable reads as the contradiction; a name outside
         the scope raises, since reading it as "no path" would be unsound."""
         for n in names:
             if n not in self.variables:
                 raise KeyError(f"{n!r} is not a variable of this value")
-        return PathFormula.false(self.universe)
+        return 0
 
     # -- pointwise updates
+
+    def _table_of(self, f: PathFormula) -> int:
+        if f.universe != self.universe:
+            raise ValueError("formula over a different universe")
+        return f.table
 
     def with_reach(self, v: str, w: str, f: PathFormula) -> "RcValue":
         if (v, w) not in self.reach:
             raise KeyError(f"no reachability entry for ({v},{w})")
         out = self._fresh()
-        out.reach[(v, w)] = f
+        out.reach[(v, w)] = self._table_of(f)
         return out
 
     def with_cyc(self, v: str, f: PathFormula) -> "RcValue":
         if v not in self.cyc:
             raise KeyError(f"no cyclicity entry for {v}")
         out = self._fresh()
-        out.cyc[v] = f
+        out.cyc[v] = self._table_of(f)
         return out
 
     # -- scope-preserving operations
@@ -116,15 +112,14 @@ class RcValue:
         if src == dst or src not in self.ref_vars or dst not in self.ref_vars:
             return self
         out = self._fresh()
-        self_reach = self.reach_at(src, src)
-        out.cyc[dst] = self.cyc_at(src)
-        out.reach[(dst, dst)] = self_reach
-        out.reach[(src, dst)] = self_reach
-        out.reach[(dst, src)] = self_reach
-        for x in self.variables:
-            if x in self.ref_vars and x not in (src, dst):
-                out.reach[(dst, x)] = self.reach_at(src, x)
-                out.reach[(x, dst)] = self.reach_at(x, src)
+        reach = self.reach
+        self_reach = reach[(src, src)]
+        out.cyc[dst] = self.cyc[src]
+        out.reach[(dst, dst)] = out.reach[(src, dst)] = out.reach[(dst, src)] = self_reach
+        for x in self.ref_vars:
+            if x not in (src, dst):
+                out.reach[(dst, x)] = reach[(src, x)]
+                out.reach[(x, dst)] = reach[(x, src)]
         return out
 
     # -- lattice structure
@@ -136,20 +131,19 @@ class RcValue:
     def join(self, other: "RcValue") -> "RcValue":
         self._check(other)
         out = self._fresh()
-        for key, f in other.reach.items():
-            out.reach[key] = out.reach[key].join(f)
-        for v, f in other.cyc.items():
-            out.cyc[v] = out.cyc[v].join(f)
+        reach, cyc = out.reach, out.cyc
+        for key, t in other.reach.items():
+            reach[key] |= t
+        for v, t in other.cyc.items():
+            cyc[v] |= t
         return out
 
-    def leq(self, other: "RcValue", via: Optional[Viability] = None) -> bool:
+    def leq(self, other: "RcValue") -> bool:
         self._check(other)
-        return all(
-            f.leq(other.reach[key], via) for key, f in self.reach.items()
-        ) and all(f.leq(other.cyc[v], via) for v, f in self.cyc.items())
-
-    def equiv(self, other: "RcValue", via: Optional[Viability] = None) -> bool:
-        return self.leq(other, via) and other.leq(self, via)
+        reach, cyc = other.reach, other.cyc
+        return not any(t & ~reach[key] for key, t in self.reach.items()) and not any(
+            t & ~cyc[v] for v, t in self.cyc.items()
+        )
 
     # -- normal form
 
@@ -157,22 +151,24 @@ class RcValue:
         """Fold self-reachability into cyclicity."""
         out = self._fresh()
         for v in out.cyc:
-            out.cyc[v] = out.cyc[v].join(out.reach_at(v, v))
+            out.cyc[v] |= out.reach[(v, v)]
         return out
 
-    def is_normal(self, via: Optional[Viability] = None) -> bool:
-        return all(self.reach_at(v, v).leq(self.cyc[v], via) for v in self.cyc)
+    def is_normal(self) -> bool:
+        return not any(self.reach[(v, v)] & ~t for v, t in self.cyc.items())
 
     def canonical(self, via: Optional[Viability]) -> "RcValue":
         """Drop unrealizable models everywhere (display/fixpoint form)."""
         if via is None:
             return self
-        out = self._fresh()
-        for key, f in out.reach.items():
-            out.reach[key] = f.drop_nonviable(via)
-        for v, f in out.cyc.items():
-            out.cyc[v] = f.drop_nonviable(via)
-        return out
+        c = via.canonical
+        return RcValue(
+            self.universe,
+            self.variables,
+            self.ref_vars,
+            {key: c(t) for key, t in self.reach.items()},
+            {v: c(t) for v, t in self.cyc.items()},
+        )
 
     # -- scope changes
 
@@ -182,32 +178,27 @@ class RcValue:
         variables: Iterable[str],
         ref_vars: Iterable[str],
     ) -> "RcValue":
-        """Rebuild over a new scope; only mapped entries carry over, copied
-        as they are, and several sources landing on one target join."""
+        """Rebuild over a new scope; only mapped entries carry over, and
+        several sources landing on one target join."""
         out = RcValue.bottom(self.universe, tuple(variables), frozenset(ref_vars))
         live = {
             s: d
             for s, d in mapping.items()
             if s in self.ref_vars and d in out.ref_vars
         }
-        merge = len(set(live.values())) < len(live)
         reach, cyc = out.reach, out.cyc
-        for (a, b), f in self.reach.items():
+        for (a, b), t in self.reach.items():
             if a in live and b in live:
-                key = (live[a], live[b])
-                reach[key] = reach[key].join(f) if merge else f
-        for v, f in self.cyc.items():
+                reach[(live[a], live[b])] |= t
+        for v, t in self.cyc.items():
             if v in live:
-                cyc[live[v]] = cyc[live[v]].join(f) if merge else f
+                cyc[live[v]] |= t
         return out
 
     # -- identity / serialization
 
     def key(self):
-        return (
-            tuple(sorted((k, f.table) for k, f in self.reach.items())),
-            tuple(sorted((v, f.table) for v, f in self.cyc.items())),
-        )
+        return tuple(sorted(self.reach.items())), tuple(sorted(self.cyc.items()))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -221,15 +212,16 @@ class RcValue:
     def to_json(self) -> dict:
         return {
             "reach": {
-                f"({v},{w})": self.reach[(v, w)].json_models()
-                for (v, w) in sorted(self.reach)
+                f"({v},{w})": self.reach_at(v, w).json_models() for (v, w) in sorted(self.reach)
             },
-            "cyc": {v: self.cyc[v].json_models() for v in sorted(self.cyc)},
+            "cyc": {v: self.cyc_at(v).json_models() for v in sorted(self.cyc)},
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         rows = [
-            f"({v},{w})={f.render()}" for (v, w), f in sorted(self.reach.items()) if not f.is_false
+            f"({v},{w})={self.reach_at(v, w).render()}"
+            for (v, w), t in sorted(self.reach.items())
+            if t
         ]
-        rows += [f"cyc({v})={f.render()}" for v, f in sorted(self.cyc.items()) if not f.is_false]
+        rows += [f"cyc({v})={self.cyc_at(v).render()}" for v, t in sorted(self.cyc.items()) if t]
         return "<rc " + " ".join(rows) + ">"

@@ -146,6 +146,38 @@ def models_of(table: int) -> Iterator[int]:
         table ^= low
 
 
+def concat(universe: FieldUniverse, a: int, b: int) -> int:
+    """Models of the result are pairwise unions: a path split into two legs
+    traverses the union of what each leg traverses.  Each model of the
+    sparser side widens the other table by its fields, one masked shift per
+    field."""
+    few, many = (a, b) if a.bit_count() <= b.bit_count() else (b, a)
+    halves = universe.halves
+    out = 0
+    for x in models_of(few):
+        t = many
+        while x:
+            bit = x & -x
+            x ^= bit
+            without, with_ = halves[bit]
+            t = ((t & without) << bit) | (t & with_)
+        out |= t
+    return out
+
+
+def difference(universe: FieldUniverse, a: int, b: int) -> int:
+    """Models of the result drop any subset of some model of ``b`` from a
+    model of ``a``: what remains of a path after cutting off a prefix.  With
+    no model in ``b`` the defining set is empty."""
+    removable = universe.down(b)
+    out = 0
+    for m in models_of(a):
+        for x in submasks(m):
+            if removable >> x & 1:
+                out |= 1 << (m ^ x)
+    return out
+
+
 @dataclass(frozen=True)
 class PathFormula:
     universe: FieldUniverse
@@ -231,51 +263,21 @@ class PathFormula:
         return self.leq(other, via) and other.leq(self, via)
 
     def drop_nonviable(self, via: "Viability | None") -> "PathFormula":
-        """Display/fixpoint canonical form: forget unrealizable models.
-
-        The tautology stays the tautology; its unrealizable models carry no
-        information and comparisons quotient them out anyway.
-        """
-        if via is None or self.is_true:
+        """Display/fixpoint canonical form (``Viability.canonical``)."""
+        if via is None:
             return self
-        kept = via.viable_part(self.table)
+        kept = via.canonical(self.table)
         return self if kept == self.table else PathFormula(self.universe, kept)
 
     # -- path operators
 
     def concat(self, other: "PathFormula") -> "PathFormula":
-        """Models of the result are pairwise unions: a path split into two
-        legs traverses the union of what each leg traverses.  Each model of
-        the sparser side widens the other table by its fields, one masked
-        shift per field."""
         self._check(other)
-        few, many = self.table, other.table
-        if few.bit_count() > many.bit_count():
-            few, many = many, few
-        halves = self.universe.halves
-        out = 0
-        for x in models_of(few):
-            t = many
-            while x:
-                bit = x & -x
-                x ^= bit
-                without, with_ = halves[bit]
-                t = ((t & without) << bit) | (t & with_)
-            out |= t
-        return PathFormula(self.universe, out)
+        return PathFormula(self.universe, concat(self.universe, self.table, other.table))
 
     def difference(self, other: "PathFormula") -> "PathFormula":
-        """Models of the result drop any subset of some model of ``other``
-        from a model of self: what remains of a path after cutting off a
-        prefix.  With no model on the right the defining set is empty."""
         self._check(other)
-        removable = self.universe.down(other.table)
-        out = 0
-        for a in models_of(self.table):
-            for x in submasks(a):
-                if removable >> x & 1:
-                    out |= 1 << (a ^ x)
-        return PathFormula(self.universe, out)
+        return PathFormula(self.universe, difference(self.universe, self.table, other.table))
 
     # -- field abstraction
 
@@ -286,8 +288,6 @@ class PathFormula:
         fields = set(self.universe.concrete_fields)
         if self.universe.has_any:
             raise ValueError("formula is already field-abstracted")
-        if not tracked_set <= fields:
-            raise ValueError("tracked fields must belong to the universe")
         if tracked_set == fields:
             return self
         new_universe = FieldUniverse.tracked(fields, tracked_set)
@@ -344,27 +344,18 @@ def reach_from(classes: int, steps: Sequence[tuple[int, int]]) -> int:
         classes = grown
 
 
-@dataclass(frozen=True)
-class ClassReach:
-    """Which classes can reach which, traversing only a given field set."""
-
-    pairs: frozenset[tuple[str, str]]
-
-    def reaches(self, a: str, b: str) -> bool:
-        return (a, b) in self.pairs
-
-
-def class_reach_closure(ct: ClassTable, phi: Iterable[str]) -> ClassReach:
-    """Reflexive-transitive closure of one-step reachability between classes
-    restricted to the fields in ``phi``: a step leads from any class
-    carrying a field of ``phi`` to any subclass of that field's type."""
+def class_reach_closure(ct: ClassTable, phi: Iterable[str]) -> frozenset[tuple[str, str]]:
+    """The class pairs (a, b) such that a reaches b traversing only fields
+    of ``phi``: the reflexive-transitive closure of one-step reachability,
+    where a step leads from any class carrying a field of ``phi`` to any
+    subclass of that field's type."""
     steps = list(field_steps(ct, phi).values())
     names = ct.class_names
     pairs = set()
     for i, a in enumerate(names):
         reach = reach_from(1 << i, steps)
         pairs.update((a, b) for j, b in enumerate(names) if reach >> j & 1)
-    return ClassReach(frozenset(pairs))
+    return frozenset(pairs)
 
 
 class Viability:
@@ -406,6 +397,12 @@ class Viability:
     def viable_part(self, table: int) -> int:
         """The viable models of a truth table."""
         return table & self.table
+
+    def canonical(self, table: int) -> int:
+        """Display/fixpoint canonical form: forget unrealizable models.  The
+        tautology stays the tautology; its unrealizable models carry no
+        information and comparisons quotient them out anyway."""
+        return table if table == self.universe.full_table else table & self.table
 
     def is_viable(self, names: Iterable[str]) -> bool:
         return self.is_viable_mask(self.universe.mask_of(names))

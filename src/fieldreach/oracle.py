@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Union
 
 from .classtable import ClassTable
 from .domain import RcValue
-from .formula import FieldUniverse, PathFormula, models_of
+from .formula import FieldUniverse, models_of
 from .semantics import AnalysisResult
 from .syntax import (
     Assign,
@@ -530,11 +530,11 @@ def alpha_state(
         for w, aw in locs.items():
             table = reach[av].get(aw)
             if table:
-                value.reach[(v, w)] = PathFormula(universe, table)
+                value.reach[(v, w)] = table
         cyc_table = 1  # a non-null variable always has its empty cycle
         for fs in memo.cycle_sets(state.heap, av):
             cyc_table |= 1 << universe.abstract_mask(fs)
-        value.cyc[v] = PathFormula(universe, cyc_table)
+        value.cyc[v] = cyc_table
     return value
 
 
@@ -595,13 +595,13 @@ def check_soundness(result: AnalysisResult, oracle: OracleResult) -> SoundnessRe
             ]
             exact = alpha_state(state, result.universe, shared, memo)
             # the smallest realized mask outside the abstract entry is the witness
-            for (v, w), f in exact.reach.items():
-                outside = f.table & ~abstract.reach_at(v, w).table
+            for (v, w), t in exact.reach.items():
+                outside = t & ~abstract.reach[(v, w)]
                 if outside:
                     witness = result.universe.names_of(next(models_of(outside)))
                     violations.append(Violation(nid, "reach", (v, w), witness, idx))
-            for v, f in exact.cyc.items():
-                outside = f.table & ~abstract.cyc_at(v).table
+            for v, t in exact.cyc.items():
+                outside = t & ~abstract.cyc[v]
                 if outside:
                     witness = result.universe.names_of(next(models_of(outside)))
                     violations.append(Violation(nid, "cyc", (v,), witness, idx))

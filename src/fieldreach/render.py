@@ -10,7 +10,7 @@ from typing import Optional
 from .classtable import ClassTable
 from .compare import alpha_class_pairs, alpha_monotone, alpha_nofields, alpha_q, alpha_scapin
 from .domain import RcValue
-from .formula import PathFormula
+from .formula import FieldUniverse, PathFormula
 from .semantics import AnalysisResult
 from .syntax import walk_commands
 from .typecheck import TypeInfo
@@ -72,15 +72,14 @@ def render_final(result: AnalysisResult) -> str:
 
 def render_compare(result: AnalysisResult, ct: ClassTable, typeinfo: TypeInfo) -> str:
     env = typeinfo.env_for(result.entry if result.entry == "main" else tuple(result.entry))
+    final = result.final
     var_types = {
         v: env.type_of(v)
-        for v in result.final.cyc
+        for v in final.cyc
         if env.type_of(v) is not None and env.type_of(v) != "int"
     }
-    reach = {
-        k: f for k, f in result.final.reach.items() if k[0] in var_types and k[1] in var_types
-    }
-    cyc = {v: f for v, f in result.final.cyc.items() if v in var_types}
+    reach = {(v, w): final.reach_at(v, w) for v in var_types for w in var_types}
+    cyc = {v: final.cyc_at(v) for v in var_types}
     lines = ["coarser abstractions of the final value:"]
     nf = alpha_nofields(reach, ct, var_types)
     lines.append(
@@ -184,23 +183,24 @@ class _Entries:
         """The members of ``value.to_json()`` as an object ``depth`` levels
         deep."""
         entry = depth + 2
-        cyc = [(v, self.encode(f, entry)) for v, f in value.cyc.items()]
-        reach = [(f"({v},{w})", self.encode(f, entry)) for (v, w), f in value.reach.items()]
+        u = value.universe
+        cyc = [(v, self.encode(u, t, entry)) for v, t in value.cyc.items()]
+        reach = [(f"({v},{w})", self.encode(u, t, entry)) for (v, w), t in value.reach.items()]
         return [("cyc", cyc), ("reach", reach)]
 
-    def encode(self, formula: PathFormula, depth: int) -> str:
-        """The model list of ``formula``, ``depth`` levels deep: encoded once
+    def encode(self, universe: FieldUniverse, table: int, depth: int) -> str:
+        """The model list of ``table``, ``depth`` levels deep: encoded once
         per table at depth 0, then re-indented once per depth."""
-        text = self._text.get((formula.table, depth))
+        text = self._text.get((table, depth))
         if text is None:
-            base = self._text.get((formula.table, 0))
+            base = self._text.get((table, 0))
             if base is None:
                 models = [
                     _array([encode_basestring_ascii(name) for name in names], 1)
-                    for names in formula.json_models()
+                    for names in PathFormula(universe, table).json_models()
                 ]
-                base = self._text[formula.table, 0] = _array(models, 0)
-            text = self._text[formula.table, depth] = _indent(base, depth)
+                base = self._text[table, 0] = _array(models, 0)
+            text = self._text[table, depth] = _indent(base, depth)
         return text
 
 

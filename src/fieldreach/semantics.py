@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Union
 from .classtable import ClassTable, MethodSig
 from .domain import RcValue
 from .fixpoint import Fixpoint
-from .formula import MAX_FIELDS, FieldUniverse, PathFormula, Viability
+from .formula import MAX_FIELDS, FieldUniverse, Viability, concat, difference
 from .sharing import SharingAnalysis, SharingState
 from .syntax import (
     Assign,
@@ -184,14 +184,9 @@ class Analyzer:
     # ------------------------------------------------------------------
     # helpers
 
-    def _only(self, fields: Iterable[str]) -> PathFormula:
-        return PathFormula.from_models(self.universe, [self.universe.abstract_mask(fields)])
-
-    def _false(self) -> PathFormula:
-        return PathFormula.false(self.universe)
-
-    def _true(self) -> PathFormula:
-        return PathFormula.true(self.universe)
+    def _only(self, fields: Iterable[str]) -> int:
+        """The table whose one model is exactly this field set."""
+        return 1 << self.universe.abstract_mask(fields)
 
     def _assert_normal(self, value: RcValue) -> None:
         if not value.is_normal():
@@ -204,8 +199,9 @@ class Analyzer:
         if isinstance(e, (IntLit, NullLit)):
             return I
         if isinstance(e, NewObject):
-            empty = self._only(())
-            return I.with_reach(RESULT_VAR, RESULT_VAR, empty).with_cyc(RESULT_VAR, empty)
+            out = I._fresh()
+            out.reach[(RESULT_VAR, RESULT_VAR)] = out.cyc[RESULT_VAR] = self._only(())
+            return out
         if isinstance(e, VarRef):
             if ctx.env.type_of(e.name) == INT_TYPE:
                 return I
@@ -224,38 +220,41 @@ class Analyzer:
         if self.ct.field_type(e.fieldname) == INT_TYPE:
             return I
         sp = self.sharing.state_before(ctx.sp_ctx, e.nid)
+        u = self.universe
         v = e.var
         fld = self._only([e.fieldname])
-        fld_mask = self.universe.abstract_mask([e.fieldname])
-        extra = RcValue.bottom(self.universe, I.variables, I.ref_vars)
-        cyc_v = I.cyc_at(v)
-        extra.cyc[RESULT_VAR] = cyc_v
-        extra.reach[(RESULT_VAR, RESULT_VAR)] = cyc_v
+        fld_mask = u.abstract_mask([e.fieldname])
+        reach = I.reach
+        extra = RcValue.bottom(u, I.variables, I.ref_vars)
+        extra.cyc[RESULT_VAR] = extra.reach[(RESULT_VAR, RESULT_VAR)] = I.cyc[v]
         for w in I.variables:
             if w not in I.ref_vars or w == RESULT_VAR:
                 continue
-            extra.reach[(RESULT_VAR, w)] = I.reach_at(v, w).difference(fld)
+            extra.reach[(RESULT_VAR, w)] = difference(u, reach[(v, w)], fld)
             if sp.has_ds(w, v):
-                extra.reach[(w, RESULT_VAR)] = self._true()
+                extra.reach[(w, RESULT_VAR)] = u.full_table
             else:
-                into = I.reach_at(w, v).concat(fld)
+                into = concat(u, reach[(w, v)], fld)
                 # the read value may be w itself: exactly when the one-step
                 # path through this field is an admitted way from v to w
-                if I.reach_at(v, w).has_model(fld_mask):
-                    into = into.join(self._only(()))
+                if reach[(v, w)] >> fld_mask & 1:
+                    into |= self._only(())
                 extra.reach[(w, RESULT_VAR)] = into
         return I.join(extra).normalize()
 
     def _eval_call(self, e: MethodCall, I: RcValue, ctx: _Ctx) -> RcValue:
         sp = self.sharing.state_before(ctx.sp_ctx, e.nid)
+        u = self.universe
+        true = u.full_table
+        reach, cyc = I.reach, I.cyc
         actuals = [e.receiver] + list(e.args)
         ref_actual = [a for a in actuals if a in I.ref_vars]
         callees = self.typeinfo.call_targets[e.nid]
 
-        summary_back = RcValue.bottom(self.universe, I.variables, I.ref_vars)
+        summary_back = RcValue.bottom(u, I.variables, I.ref_vars)
         for sig in callees:
             formals = list(sig.input_vars)
-            entry = RcValue.bottom(self.universe, *summary_scope(sig, self.typeinfo))
+            entry = RcValue.bottom(u, *summary_scope(sig, self.typeinfo))
             formal_to_actual = dict(zip(formals, actuals))
             for f1 in formals:
                 if f1 not in entry.ref_vars:
@@ -263,8 +262,8 @@ class Analyzer:
                 a1 = formal_to_actual[f1]
                 for f2 in formals:
                     if f2 in entry.ref_vars:
-                        entry.reach[(f1, f2)] = I.reach_at(a1, formal_to_actual[f2])
-                entry.cyc[f1] = I.cyc_at(a1)
+                        entry.reach[(f1, f2)] = reach[(a1, formal_to_actual[f2])]
+                entry.cyc[f1] = cyc[a1]
             sp_entry = sp.restrict(actuals).remap_from(formal_to_actual)
             output = self._denotation(sig, entry, sp_entry)
             mapping = dict(formal_to_actual)
@@ -272,6 +271,7 @@ class Analyzer:
             summary_back = summary_back.join(
                 output.remap(mapping, I.variables, I.ref_vars)
             )
+        back = summary_back.reach
 
         sp_after, impure = self.sharing.call_effect(e, sp, ctx.env)
 
@@ -280,58 +280,56 @@ class Analyzer:
         # leg between arguments, and pre-call reachability out of the other
         # argument are stitched together; deep-sharing on either side forfeits
         # the field information for that side.
-        assembled = RcValue.bottom(self.universe, I.variables, I.ref_vars)
+        assembled = RcValue.bottom(u, I.variables, I.ref_vars)
         others = [w for w in I.variables if w in I.ref_vars and w != RESULT_VAR]
         for i, vi in enumerate(actuals):
             if vi not in I.ref_vars or i not in impure:
                 continue
             for vj in ref_actual:
                 ds_ij_after = sp_after.has_ds(vi, vj)
-                leg = summary_back.reach_at(vi, vj)
+                leg = back[(vi, vj)]
                 for w1 in others:
                     ds_w1_vi = sp.has_ds(w1, vi)
-                    into = I.reach_at(w1, vi)
+                    into = reach[(w1, vi)]
                     for w2 in others:
-                        if I.reach_at(vj, w2).is_false:
+                        out_of = reach[(vj, w2)]
+                        if not out_of:
                             continue
                         if not ds_w1_vi and not ds_ij_after:
-                            f = into.concat(leg).concat(I.reach_at(vj, w2))
+                            f = concat(u, concat(u, into, leg), out_of)
                         elif not ds_w1_vi and ds_ij_after:
-                            f = into.concat(self._true())
+                            f = concat(u, into, true)
                         elif ds_w1_vi and not ds_ij_after:
-                            f = self._true().concat(I.reach_at(vj, w2))
+                            f = concat(u, true, out_of)
                         else:
-                            f = self._true()
-                        key = (w1, w2)
-                        assembled.reach[key] = assembled.reach[key].join(f)
+                            f = true
+                        assembled.reach[(w1, w2)] |= f
 
         # result rows: what the result may reach among caller variables
         for w in others:
-            acc = self._false()
+            acc = 0
             for vk in ref_actual:
                 if sp_after.has_ds(vk, RESULT_VAR):
-                    fk = self._true()
+                    acc |= true
                 else:
-                    fk = summary_back.reach_at(RESULT_VAR, vk).concat(
-                        I.reach_at(vk, w)
-                    ).join(I.reach_at(vk, w).difference(summary_back.reach_at(vk, RESULT_VAR)))
-                acc = acc.join(fk)
+                    acc |= concat(u, back[(RESULT_VAR, vk)], reach[(vk, w)]) | difference(
+                        u, reach[(vk, w)], back[(vk, RESULT_VAR)]
+                    )
             assembled.reach[(RESULT_VAR, w)] = acc
 
         # and the reverse direction: the result may sit inside an argument's
         # structure, so anything leading into that argument may lead to it —
         # including plain aliasing when the argument reaches both
         for w in others:
-            acc = self._false()
+            acc = 0
             for vk in ref_actual:
                 if sp.has_ds(w, vk):
-                    gk = self._true()
+                    acc |= true
                 else:
-                    leg = summary_back.reach_at(vk, RESULT_VAR)
-                    gk = I.reach_at(w, vk).concat(leg)
-                    if not leg.is_false and not I.reach_at(vk, w).is_false:
-                        gk = gk.join(self._only(()))
-                acc = acc.join(gk)
+                    leg = back[(vk, RESULT_VAR)]
+                    acc |= concat(u, reach[(w, vk)], leg)
+                    if leg and reach[(vk, w)]:
+                        acc |= self._only(())
             assembled.reach[(w, RESULT_VAR)] = acc
 
         # cyclicity: cycles built inside an impure argument spread to
@@ -339,18 +337,14 @@ class Analyzer:
         for i, vi in enumerate(actuals):
             if vi not in I.ref_vars or i not in impure:
                 continue
-            ci = summary_back.cyc_at(vi)
+            ci = summary_back.cyc[vi]
             for w in others:
-                if (
-                    sp.has_ds(w, vi)
-                    or not I.reach_at(w, vi).is_false
-                    or not I.reach_at(vi, w).is_false
-                ):
-                    assembled.cyc[w] = assembled.cyc[w].join(ci)
-        crho = self._false()
+                if sp.has_ds(w, vi) or reach[(w, vi)] or reach[(vi, w)]:
+                    assembled.cyc[w] |= ci
+        crho = 0
         for vk in ref_actual:
-            if not summary_back.reach_at(vk, RESULT_VAR).is_false:
-                crho = crho.join(I.cyc_at(vk))
+            if back[(vk, RESULT_VAR)]:
+                crho |= cyc[vk]
         assembled.cyc[RESULT_VAR] = crho
 
         return I.join(summary_back).join(assembled).normalize()
@@ -401,20 +395,20 @@ class Analyzer:
         evaluated = self.eval_expr(cmd.expr, I, ctx)
         if self.ct.field_type(cmd.fieldname) == INT_TYPE:
             return evaluated.project([RESULT_VAR])
+        u = self.universe
         v = cmd.var
+        reach = evaluated.reach
         fld = self._only([cmd.fieldname])
         # the new edge alone, or the new edge plus the cycle it may close
-        mid = fld.join(fld.concat(evaluated.reach_at(RESULT_VAR, v)))
-        extra = RcValue.bottom(self.universe, I.variables, I.ref_vars)
+        mid = fld | concat(u, fld, reach[(RESULT_VAR, v)])
+        extra = RcValue.bottom(u, I.variables, I.ref_vars)
         for (w1, w2) in extra.reach:
-            extra.reach[(w1, w2)] = (
-                evaluated.reach_at(w1, v).concat(mid).concat(evaluated.reach_at(RESULT_VAR, w2))
+            extra.reach[(w1, w2)] = concat(
+                u, concat(u, reach[(w1, v)], mid), reach[(RESULT_VAR, w2)]
             )
-        cyc_new = evaluated.reach_at(RESULT_VAR, v).concat(fld).join(
-            evaluated.cyc_at(RESULT_VAR)
-        )
+        cyc_new = concat(u, reach[(RESULT_VAR, v)], fld) | evaluated.cyc[RESULT_VAR]
         for w in extra.cyc:
-            if not evaluated.reach_at(w, v).is_false:
+            if reach[(w, v)]:
                 extra.cyc[w] = cyc_new
         return evaluated.join(extra).project([RESULT_VAR]).normalize()
 
@@ -445,12 +439,12 @@ class Analyzer:
             if new.reach[key] != old.reach[key]:
                 counters[("r", key)] = counters.get(("r", key), 0) + 1
                 if counters[("r", key)] > self.widening_k:
-                    out.reach[key] = self._true()
+                    out.reach[key] = self.universe.full_table
         for v in out.cyc:
             if new.cyc[v] != old.cyc[v]:
                 counters[("c", v)] = counters.get(("c", v), 0) + 1
                 if counters[("c", v)] > self.widening_k:
-                    out.cyc[v] = self._true()
+                    out.cyc[v] = self.universe.full_table
         return out.normalize()
 
     # ------------------------------------------------------------------
@@ -572,11 +566,10 @@ def entry_scope(
     if tracked is None:
         universe = FieldUniverse.of(ct.reference_fields)
     else:
-        tracked = list(tracked)
-        unknown = set(tracked) - set(ct.reference_fields)
-        if unknown:
-            raise AnalysisError(f"unknown tracked fields: {sorted(unknown)}")
-        universe = FieldUniverse.tracked(ct.reference_fields, tracked)
+        try:
+            universe = FieldUniverse.tracked(ct.reference_fields, tracked)
+        except ValueError as exc:  # unknown tracked fields
+            raise AnalysisError(str(exc)) from exc
     if universe.size > MAX_FIELDS:
         raise AnalysisError(
             f"the field universe has {universe.size} fields, more than {MAX_FIELDS}; "
@@ -620,28 +613,27 @@ def parse_init_annotations(
             a, b = ann.variables
             sp = sp.add_ds([(a, b)]).add_sh([(a, b), (a, a), (b, b)])
             continue
-        masks = set()
+        table = 0
         for model in ann.models or []:
             for f in model:
                 if f not in declared:
                     raise AnalysisError(
                         f"line {ann.line}: annotation names unknown field {f!r}"
                     )
-            masks.add(universe.abstract_mask(model))
-        formula = PathFormula.from_models(universe, masks)
+            table |= 1 << universe.abstract_mask(model)
         if ann.kind == "reach":
             a, b = ann.variables
-            value.reach[(a, b)] = value.reach[(a, b)].join(formula)
+            value.reach[(a, b)] |= table
         else:
             (a,) = ann.variables
-            value.cyc[a] = value.cyc[a].join(formula)
+            value.cyc[a] |= table
     # a variable asserted reachable/cyclic may be non-null: give it a region
     sp = sp.add_sh(
         [(v, v) for v in mentioned]
         + [
             (a, b)
-            for (a, b), f in value.reach.items()
-            if not f.is_false and a != b
+            for (a, b), t in value.reach.items()
+            if t and a != b
         ]
     )
     return value.normalize(), sp

@@ -2,8 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from fieldreach import FieldUniverse, PathFormula, RcValue
+from fieldreach import FieldUniverse, PathFormula, RcValue, Viability
 from fieldreach.oracle import ConcreteState, Loc, Obj, cycle_field_sets, traversal_saturate
 
 from conftest import pf
@@ -20,9 +21,15 @@ def value(u):
 
 
 def test_bottom_and_top(u, value):
-    assert all(f.is_false for f in value.reach.values())
-    top = RcValue.top(u, value.variables, value.ref_vars)
-    assert all(f.is_true for f in top.reach.values())
+    assert all(value.reach_at(v, w).is_false for v, w in value.reach)
+    top = RcValue(
+        u,
+        value.variables,
+        value.ref_vars,
+        {key: u.full_table for key in value.reach},
+        {v: u.full_table for v in value.cyc},
+    )
+    assert all(top.reach_at(v, w).is_true for v, w in top.reach)
     assert value.leq(top)
     assert top.join(value) == top
 
@@ -98,7 +105,7 @@ def test_copy_var(u, value):
     assert v2.cyc_at("w") == pf(u, ["f", "g"])
     # copying an all-false variable leaves the target all-false
     v3 = value.copy_var("z", "w")
-    assert all(f.is_false for f in v3.reach.values())
+    assert all(v3.reach_at(v, w).is_false for v, w in v3.reach)
 
 
 def test_update_and_normalize(u, value):
@@ -142,12 +149,113 @@ def test_join_requires_same_scope(u, value):
     other = RcValue.bottom(u, ("a",), frozenset(["a"]))
     with pytest.raises(ValueError):
         value.join(other)
+    # a stored table means nothing over another universe
+    foreign = pf(FieldUniverse.of(["f"]), ["f"])
+    with pytest.raises(ValueError):
+        value.with_reach("v", "w", foreign)
+    with pytest.raises(ValueError):
+        value.with_cyc("v", foreign)
 
 
 def test_remap_collision_joins(u, value):
-    v1 = value.with_reach("v", "v", pf(u, ["f"])).with_reach("w", "w", pf(u, ["g"]))
+    v1 = (
+        value.with_reach("v", "v", pf(u, ["f"]))
+        .with_reach("w", "w", pf(u, ["g"]))
+        .with_cyc("v", pf(u, ["f"]))
+        .with_cyc("w", pf(u, ["g"]))
+    )
     out = v1.remap({"v": "a", "w": "a"}, ("a",), frozenset(["a"]))
     assert out.reach_at("a", "a") == pf(u, ["f"], ["g"])
+    assert out.cyc_at("a") == pf(u, ["f"], ["g"])
+
+
+def test_leq_decided_by_cyclicity_alone(u, value):
+    low = value.with_cyc("v", pf(u, ["f"]))
+    high = low.with_cyc("v", pf(u, ["f"], ["g"]))
+    assert low.reach == high.reach
+    assert low.leq(high) and not high.leq(low)
+
+
+def test_key_tells_one_cyclicity_entry_apart(u, value):
+    a = value.with_cyc("v", pf(u, ["f"]))
+    assert a.key() != value.key()
+    assert a.key() != a.with_cyc("v", pf(u, ["g"])).key()
+    assert a.key() == value.with_cyc("v", pf(u, ["f"])).key()
+
+
+VARS = ("a", "b", "c", "k")
+REFS = frozenset(["a", "b", "c"])
+
+
+def _draw_value(data, universe):
+    table = st.integers(0, universe.full_table)
+    return RcValue(
+        universe,
+        VARS,
+        REFS,
+        {(v, w): data.draw(table) for v in VARS if v in REFS for w in VARS if w in REFS},
+        {v: data.draw(table) for v in VARS if v in REFS},
+    )
+
+
+def _entrywise_leq(x, y):
+    return all(x.reach_at(v, w).leq(y.reach_at(v, w)) for v, w in x.reach) and all(
+        x.cyc_at(v).leq(y.cyc_at(v)) for v in x.cyc
+    )
+
+
+@given(data=st.data())
+def test_value_operators_agree_with_the_formula_operators(devices_ct, data):
+    # the value operators work on the bare tables; on the PathFormula views
+    # they must agree with the formula operators entry by entry
+    fields = sorted(devices_ct.reference_fields)
+    names = data.draw(st.lists(st.sampled_from(fields), min_size=1, max_size=3, unique=True))
+    if len(names) < 3 and data.draw(st.booleans()):
+        universe = FieldUniverse.tracked(fields, names)  # with the stand-in
+    else:
+        universe = FieldUniverse.of(names)
+    via = Viability(devices_ct, universe)
+    x, y = _draw_value(data, universe), _draw_value(data, universe)
+
+    joined = x.join(y)
+    for v, w in x.reach:
+        assert joined.reach_at(v, w) == x.reach_at(v, w).join(y.reach_at(v, w))
+    for v in x.cyc:
+        assert joined.cyc_at(v) == x.cyc_at(v).join(y.cyc_at(v))
+
+    var = data.draw(st.sampled_from(sorted(REFS)))
+    lifted = x.with_cyc(var, x.cyc_at(var).join(y.cyc_at(var)))
+    for low, high in [(x, y), (y, x), (x, joined), (joined, x), (lifted, x), (x, lifted)]:
+        assert low.leq(high) == _entrywise_leq(low, high)
+    assert (lifted.key() == x.key()) == (lifted == x)
+    assert (y.key() == x.key()) == (y == x)
+
+    normal = x.normalize()
+    assert normal.reach == x.reach
+    for v in x.cyc:
+        assert normal.cyc_at(v) == x.cyc_at(v).join(x.reach_at(v, v))
+    assert normal.is_normal()
+
+    canon = x.canonical(via)
+    for v, w in x.reach:
+        assert canon.reach_at(v, w) == x.reach_at(v, w).drop_nonviable(via)
+    for v in x.cyc:
+        assert canon.cyc_at(v) == x.cyc_at(v).drop_nonviable(via)
+
+    # a and b land on one target, c on another
+    mapping = {"a": "p", "b": "p", "c": "q"}
+    out = x.remap(mapping, ("p", "q", "k"), frozenset(["p", "q"]))
+    sources = {d: [s for s, t in mapping.items() if t == d] for d in ("p", "q")}
+    for d1, s1 in sources.items():
+        cyc = PathFormula.false(universe)
+        for s in s1:
+            cyc = cyc.join(x.cyc_at(s))
+        assert out.cyc_at(d1) == cyc
+        for d2, s2 in sources.items():
+            reach = PathFormula.false(universe)
+            for s, t in itertools.product(s1, s2):
+                reach = reach.join(x.reach_at(s, t))
+            assert out.reach_at(d1, d2) == reach
 
 
 def _enumerate_states(max_objects, rng=None, samples=0):

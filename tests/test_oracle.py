@@ -288,8 +288,8 @@ def test_alpha_all_null_is_bottom():
     u = FieldUniverse.of(["f"])
     state = ConcreteState({"v": None, "w": None}, {})
     value = alpha_state(state, u, ["v", "w"])
-    assert all(f.is_false for f in value.reach.values())
-    assert all(f.is_false for f in value.cyc.values())
+    assert all(value.reach_at(v, w).is_false for v, w in value.reach)
+    assert all(value.cyc_at(v).is_false for v in value.cyc)
 
 
 def test_alpha_is_in_normal_form():

@@ -120,7 +120,8 @@ def test_case_shapes():
     """The cases above reach what they claim to reach."""
     wide = analyze_entry(WIDE)
     assert wide.universe.size >= 6
-    assert any(len(f.json_models()) > 4 for f in wide.final.reach.values())
+    final = wide.final
+    assert any(len(final.reach_at(v, w).json_models()) > 4 for v, w in final.reach)
     tracked = analyze_entry((DATA / "tree_main.lang").read_text(), tracked=["left"])
     assert tracked.universe.has_any
     only = analyze_entry(ONLY_RESULT)

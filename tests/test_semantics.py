@@ -110,8 +110,9 @@ main {
 
 def test_field_access_on_all_false_var():
     result, program = analyze("main { K x; K y; y := x.f; }" + K3)
-    assert all(f.is_false for f in result.final.reach.values())
-    assert all(f.is_false for f in result.final.cyc.values())
+    final = result.final
+    assert all(final.reach_at(v, w).is_false for v, w in final.reach)
+    assert all(final.cyc_at(v).is_false for v in final.cyc)
 
 
 def test_field_access_deep_sharing_gives_true():
@@ -450,8 +451,7 @@ class K {
     entry = RcValue.bottom(universe, variables, refs)
     empty = PathFormula.only(universe, ())
     for v in ("this", "x1", "x2"):
-        entry.reach[(v, v)] = empty
-        entry.cyc[v] = empty
+        entry = entry.with_reach(v, v, empty).with_cyc(v, empty)
     sp = SharingState.empty().add_sh([(v, v) for v in ("this", "x1", "x2")])
     result = analyze_program(program, ct, info, entry=sig, init_rc=entry, init_sp=sp)
     assert result.final.reach_at("x1", "x2") == pf(universe, ["f"])
@@ -557,8 +557,8 @@ def test_field_update_transfer_monotone():
     def random_value():
         out = RcValue.bottom(universe, variables, refs)
         for key in list(out.reach):
-            out.reach[key] = PathFormula.from_models(
-                universe, rng.sample(masks, rng.randint(0, 3))
+            out = out.with_reach(
+                *key, PathFormula.from_models(universe, rng.sample(masks, rng.randint(0, 3)))
             )
         return out.normalize()
 
@@ -591,8 +591,8 @@ def test_field_read_transfer_monotone():
         for key in list(out.reach):
             if RESULT_VAR in key:
                 continue
-            out.reach[key] = PathFormula.from_models(
-                universe, rng.sample(masks, rng.randint(0, 3))
+            out = out.with_reach(
+                *key, PathFormula.from_models(universe, rng.sample(masks, rng.randint(0, 3)))
             )
         return out.normalize()
 
@@ -624,7 +624,7 @@ def test_analyze_program_applies_the_init_lines_and_joins_extra_facts():
     result = analyze_program(program, ct, info, entry="join")
     universe, sig, variables, refs = entry_scope(program, ct, info, entry="join")
     rc, sp = parse_init_annotations(program, universe, variables, refs)
-    assert not rc.cyc["l"].is_false  # the lines say something
+    assert not rc.cyc_at("l").is_false  # the lines say something
     # the same facts again, as extra entry facts, change nothing
     again = analyze_program(program, ct, info, entry=sig, init_rc=rc, init_sp=sp)
     assert again.final == result.final and again.point_post == result.point_post
