@@ -4,12 +4,21 @@ The interpreter executes main directly, records the concrete state after
 every command (including inside callees, keyed by the shared node ids), and
 aborts cleanly when the step budget or the call depth budget runs out.
 Consecutive records with no allocation or field write in between share one
-heap snapshot.  Saturation enumerates, per source location, every (target,
-traversed-field-set) pair — finite even on cyclic heaps because field sets
-are sets.  Cycle sets come from the strongly connected components of
-each heap, computed once per snapshot.  From that, a state abstracts to
-the exact reachability/cyclicity value: the models of an entry are precisely
-the field sets realized in the state.
+heap snapshot.
+
+The abstraction works on field bits, not on sets of field names.  When a
+check first meets a snapshot, it labels each reference once with the
+universe bit of its field (an untracked field takes the stand-in bit) and
+builds the successor lists.  Saturation walks (location, mask) pairs and
+keeps, per target, a truth table with one bit per traversed mask; finite
+on cyclic heaps because masks are.  That table is the reach entry.  Cycle
+masks come from peeling the strongly connected components of the labelled
+heap one bit at a time, and a peeled component is kept by its edges for the
+rest of the check, since most snapshots differ from an earlier one by one
+write.  A state thus abstracts to the exact reachability/cyclicity value:
+the models of an entry are precisely the field sets realized in the state.
+``traversal_saturate`` and ``cycle_field_sets`` decode the same results to
+field names, over a universe of the heap's own fields.
 """
 
 from __future__ import annotations
@@ -283,6 +292,175 @@ def heap_to_dot(state: ConcreteState) -> str:
 # --------------------------------------------------------------------------
 # saturation and abstraction
 
+Succ = dict[int, list[tuple[int, int]]]  # address -> (field bit, target address)
+Edge = tuple[int, int, int]  # (source address, field bit, target address)
+
+
+def _label(heap: dict[int, Obj], universe: FieldUniverse, bits: dict[str, int]) -> Succ:
+    """The successor lists of every location, each reference labelled with
+    the abstract bit of its field.  ``bits`` caches the bit of each field
+    name across the heaps of one universe."""
+    succ: Succ = {}
+    for a, o in heap.items():
+        out = succ[a] = []
+        for f, v in o.fields.items():
+            if isinstance(v, Loc):
+                bit = bits.get(f)
+                if bit is None:
+                    bit = bits[f] = universe.abstract_mask((f,))
+                out.append((bit, v.addr))
+    return succ
+
+
+def _saturate(succ: Succ, src: int, require_step: bool = False) -> dict[int, int]:
+    """Per target, the truth table of the masks of the walks from ``src``:
+    bit m is set when some walk traverses exactly the fields of mask m.
+
+    Without ``require_step`` the empty walk sets bit 0 at ``src``.  A
+    (location, mask) pair is expanded only when its bit is new, so this ends
+    on cyclic heaps too."""
+    reached: dict[int, int] = {} if require_step else {src: 1}
+    work = [(src, 0)]
+    while work:
+        loc, mask = work.pop()
+        for bit, dst in succ[loc]:
+            m = mask | bit
+            t = reached.get(dst, 0)
+            if not t >> m & 1:
+                reached[dst] = t | 1 << m
+                work.append((dst, m))
+    return reached
+
+
+def _components(edges: list[Edge]) -> tuple[list[list[int]], dict[int, int]]:
+    """Strongly connected components of the graph of ``edges`` (Tarjan 1972),
+    each listed after every component it reaches, and the component index of
+    each node on an edge."""
+    succ: dict[int, list[int]] = {}
+    for a, _, b in edges:
+        succ.setdefault(a, []).append(b)
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    comp_of: dict[int, int] = {}
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        work = [(root, iter(succ[root]), len(stack))]
+        stack.append(root)
+        while work:
+            node, targets, at = work[-1]
+            for nxt in targets:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    work.append((nxt, iter(succ.get(nxt, ())), len(stack)))
+                    stack.append(nxt)
+                    break
+                if nxt not in comp_of and index[nxt] < low[node]:  # nxt still on the stack
+                    low[node] = index[nxt]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    c = len(comps)
+                    comp = stack[at:]
+                    del stack[at:]
+                    for member in comp:
+                        comp_of[member] = c
+                    comps.append(comp)
+    return comps, comp_of
+
+
+def _inner_edges(
+    comps: list[list[int]], comp_of: dict[int, int], edges: list[Edge]
+) -> list[list[Edge]]:
+    """The edges of each component that stay inside it, grouped in one pass."""
+    inner: list[list[Edge]] = [[] for _ in comps]
+    for edge in edges:
+        c = comp_of[edge[0]]
+        if c == comp_of[edge[2]]:
+            inner[c].append(edge)
+    return inner
+
+
+def _peel(edges: list[Edge], peeled: dict[frozenset[Edge], int]) -> int:
+    """Truth table of the masks of the closed walks inside one strongly
+    connected component, given by its inner edges.
+
+    The component is strongly connected through ``edges``, so some closed
+    walk traverses every label on them.  A closed walk that leaves out a
+    label lies inside one component of the graph without that label's edges.
+    A component with a single label has nothing left to peel.  The others
+    are looked up in ``peeled`` by their edges, so a component met again, in
+    this heap or in another heap of the same check, is peeled once."""
+    labels = 0
+    for edge in edges:
+        labels |= edge[1]
+    if not labels & (labels - 1):
+        return 1 << labels
+    key = frozenset(edges)
+    table = peeled.get(key)
+    if table is None:
+        table = 1 << labels
+        rest = labels
+        while rest:
+            dropped = rest & -rest
+            rest ^= dropped
+            kept = [e for e in edges if e[1] != dropped]
+            comps, comp_of = _components(kept)
+            for inner in _inner_edges(comps, comp_of, kept):
+                if inner:
+                    table |= _peel(inner, peeled)
+        peeled[key] = table
+    return table
+
+
+def cycle_table(succ: Succ, peeled: dict[frozenset[Edge], int]) -> dict[int, int]:
+    """Per location on a reference, the truth table of the masks of the
+    non-empty closed walks reachable from it; a location missing has none.
+
+    A mask S is such a mask for ``src`` if and only if some strongly
+    connected component of the S-labelled subgraph is reachable from
+    ``src`` and its internal edges carry every label in S.  Those components
+    are found by peeling each component of the heap, and the tables flow
+    back along the component graph: O(2^F·F·(V+E)) for the whole heap with
+    F labels, V objects and E non-null references.
+
+    The labels may be abstract bits, where several fields share the stand-in
+    bit.  Labelling changes neither which walks exist nor which are closed,
+    and the mask of a walk is the union of its fields' bits, which is the
+    abstraction of the field set it traverses.  So the closed walks give
+    exactly the abstractions of the concrete cycle sets, and peeling on the
+    bits yields them with no set of names in between.  ``peeled`` is the
+    memo of ``_peel``, for the labelling of one universe."""
+    edges = [(a, bit, b) for a, out in succ.items() for bit, b in out]
+    comps, comp_of = _components(edges)
+    below: list[set[int]] = [set() for _ in comps]
+    for a, _, b in edges:
+        if comp_of[a] != comp_of[b]:
+            below[comp_of[a]].add(comp_of[b])
+    reached: list[int] = []
+    for c, inner in enumerate(_inner_edges(comps, comp_of, edges)):
+        table = _peel(inner, peeled) if inner else 0
+        for d in below[c]:  # listed earlier, so already complete
+            table |= reached[d]
+        reached.append(table)
+    return {a: reached[c] for a, c in comp_of.items()}
+
+
+def _own_labels(heap: dict[int, Obj]) -> tuple[FieldUniverse, Succ]:
+    """The heap labelled over a universe of the fields its references carry,
+    one bit per field, so masks decode back to field names."""
+    universe = FieldUniverse.of(
+        f for o in heap.values() for f, v in o.fields.items() if isinstance(v, Loc)
+    )
+    return universe, _label(heap, universe, {})
+
 
 def traversal_saturate(
     heap: dict[int, Obj], src: int, require_step: bool = False
@@ -291,29 +469,19 @@ def traversal_saturate(
 
     Without ``require_step`` the pair (src, {}) for the empty path is
     included.  Finite because targets and field subsets are."""
-    out: set[tuple[int, frozenset[str]]] = set()
-    work: list[tuple[int, frozenset[str]]] = []
-    if not require_step:
-        start = (src, frozenset())
-        out.add(start)
-        work.append(start)
-    else:
-        obj = heap[src]
-        for fname, value in obj.fields.items():
-            if isinstance(value, Loc):
-                pair = (value.addr, frozenset([fname]))
-                if pair not in out:
-                    out.add(pair)
-                    work.append(pair)
-    while work:
-        loc, traversed = work.pop()
-        for fname, value in heap[loc].fields.items():
-            if isinstance(value, Loc):
-                pair = (value.addr, traversed | {fname})
-                if pair not in out:
-                    out.add(pair)
-                    work.append(pair)
-    return frozenset(out)
+    universe, succ = _own_labels(heap)
+    return frozenset(
+        (target, frozenset(universe.names_of(m)))
+        for target, table in _saturate(succ, src, require_step).items()
+        for m in models_of(table)
+    )
+
+
+def cycle_field_sets(heap: dict[int, Obj], src: int) -> frozenset[frozenset[str]]:
+    """Traversal sets of the non-empty cycles reachable from ``src``."""
+    universe, succ = _own_labels(heap)
+    table = cycle_table(succ, {}).get(src, 0)
+    return frozenset(frozenset(universe.names_of(m)) for m in models_of(table))
 
 
 def reachable_addrs(heap: dict[int, Obj], src: int) -> frozenset[int]:
@@ -354,157 +522,39 @@ def concrete_deep_share_pairs(
     return frozenset(pairs)
 
 
-Edge = tuple[int, str, int]  # (source address, field, target address)
-
-
-def _components(
-    nodes: Iterable[int], edges: list[Edge]
-) -> tuple[list[list[int]], dict[int, int]]:
-    """Strongly connected components of the graph (Tarjan 1972), each listed
-    after every component it reaches, and the component index of each node."""
-    succ: dict[int, list[int]] = {}
-    for a, _, b in edges:
-        succ.setdefault(a, []).append(b)
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    comp_of: dict[int, int] = {}
-    for root in nodes:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        work = [(root, iter(succ.get(root, ())), len(stack))]
-        stack.append(root)
-        while work:
-            node, targets, at = work[-1]
-            for nxt in targets:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = len(index)
-                    work.append((nxt, iter(succ.get(nxt, ())), len(stack)))
-                    stack.append(nxt)
-                    break
-                if nxt not in comp_of and index[nxt] < low[node]:  # nxt still on the stack
-                    low[node] = index[nxt]
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[node] < low[parent]:
-                        low[parent] = low[node]
-                if low[node] == index[node]:
-                    c = len(comps)
-                    comp = stack[at:]
-                    del stack[at:]
-                    for member in comp:
-                        comp_of[member] = c
-                    comps.append(comp)
-    return comps, comp_of
-
-
-def _inner_edges(
-    comps: list[list[int]], comp_of: dict[int, int], edges: list[Edge]
-) -> list[list[Edge]]:
-    """The edges of each component that stay inside it, grouped in one pass."""
-    inner: list[list[Edge]] = [[] for _ in comps]
-    for edge in edges:
-        c = comp_of[edge[0]]
-        if c == comp_of[edge[2]]:
-            inner[c].append(edge)
-    return inner
-
-
-def _peel(
-    nodes: list[int],
-    edges: list[Edge],
-    found: set[frozenset[str]],
-    seen: set[tuple[frozenset[int], frozenset[str]]],
-) -> None:
-    """Add to ``found`` the field set of every strongly connected component
-    of (nodes, edges) and of each subgraph left by dropping fields.
-
-    ``nodes`` is strongly connected through ``edges``, so some cycle
-    traverses exactly the fields on ``edges``.  A cycle that leaves out a
-    field f lies inside one component of the graph without f-edges."""
-    fields = frozenset(f for _, f, _ in edges)
-    key = (frozenset(nodes), fields)
-    if key in seen:
-        return
-    seen.add(key)
-    found.add(fields)
-    for dropped in fields:
-        kept = [e for e in edges if e[1] != dropped]
-        comps, comp_of = _components(nodes, kept)
-        for comp, inner in zip(comps, _inner_edges(comps, comp_of, kept)):
-            if inner:
-                _peel(comp, inner, found, seen)
-
-
-def cycle_table(heap: dict[int, Obj]) -> dict[int, frozenset[frozenset[str]]]:
-    """Traversal sets of the non-empty cycles reachable from each location.
-
-    A field set S is such a set for ``src`` if and only if some strongly
-    connected component of the S-labelled subgraph is reachable from
-    ``src`` and its internal edges carry every field in S.  Those
-    components are found by peeling each component of the heap, and the
-    sets flow back along the component graph: O(2^F·F·(V+E)) for the whole
-    heap with F fields, V objects and E non-null references."""
-    edges = [
-        (a, f, v.addr)
-        for a, o in heap.items()
-        for f, v in o.fields.items()
-        if isinstance(v, Loc)
-    ]
-    comps, comp_of = _components(heap, edges)
-    below: list[set[int]] = [set() for _ in comps]
-    for a, _, b in edges:
-        if comp_of[a] != comp_of[b]:
-            below[comp_of[a]].add(comp_of[b])
-    reached: list[frozenset[frozenset[str]]] = []
-    for c, (comp, inner) in enumerate(zip(comps, _inner_edges(comps, comp_of, edges))):
-        found: set[frozenset[str]] = set()
-        if inner:
-            _peel(comp, inner, found, set())
-        for d in below[c]:  # listed earlier, so already complete
-            found |= reached[d]
-        reached.append(frozenset(found))
-    return {a: reached[comp_of[a]] for a in heap}
-
-
-def cycle_field_sets(heap: dict[int, Obj], src: int) -> frozenset[frozenset[str]]:
-    """Traversal sets of the non-empty cycles reachable from ``src``."""
-    return cycle_table(heap)[src]
-
-
 class _SnapshotMemo:
-    """Per-snapshot results for one universe: the cycle table of each heap,
-    and the truth table of the abstract traversal masks from each (heap,
-    location) pair, per target.  Keyed by heap identity, so the heaps it has
-    seen must not change while it is used; it holds them, so their
-    identities are not reused."""
+    """Per-snapshot results for one universe, kept for one check: the
+    labelled successor lists and the cycle table of each heap, the reach
+    tables from each (heap, location) pair, and the peeled components of all
+    heaps by content.  Keyed by heap identity, so the heaps it has seen must
+    not change while it is used; it holds them, so their identities are not
+    reused."""
 
     def __init__(self, universe: FieldUniverse) -> None:
         self.universe = universe
-        self.heaps: dict[int, dict[int, Obj]] = {}
-        self.cycles: dict[int, dict[int, frozenset[frozenset[str]]]] = {}
+        self.bits: dict[str, int] = {}
+        self.labelled: dict[int, tuple[dict[int, Obj], Succ]] = {}
+        self.cycles: dict[int, dict[int, int]] = {}
         self.reached: dict[tuple[int, int], dict[int, int]] = {}
+        self.peeled: dict[frozenset[Edge], int] = {}
 
-    def cycle_sets(self, heap: dict[int, Obj], src: int) -> frozenset[frozenset[str]]:
+    def _succ(self, heap: dict[int, Obj]) -> Succ:
+        entry = self.labelled.get(id(heap))
+        if entry is None:
+            entry = self.labelled[id(heap)] = (heap, _label(heap, self.universe, self.bits))
+        return entry[1]
+
+    def cycle_table(self, heap: dict[int, Obj]) -> dict[int, int]:
         table = self.cycles.get(id(heap))
         if table is None:
-            self.heaps[id(heap)] = heap
-            table = self.cycles[id(heap)] = cycle_table(heap)
-        return table[src]
+            table = self.cycles[id(heap)] = cycle_table(self._succ(heap), self.peeled)
+        return table
 
     def reach_tables(self, heap: dict[int, Obj], src: int) -> dict[int, int]:
         key = (id(heap), src)
         by_target = self.reached.get(key)
         if by_target is None:
-            self.heaps[id(heap)] = heap
-            by_target = self.reached[key] = {}
-            for target, fs in traversal_saturate(heap, src):
-                model = 1 << self.universe.abstract_mask(fs)
-                by_target[target] = by_target.get(target, 0) | model
+            by_target = self.reached[key] = _saturate(self._succ(heap), src)
         return by_target
 
 
@@ -526,15 +576,13 @@ def alpha_state(
         if isinstance(state.frame.get(v), Loc)
     }
     reach = {addr: memo.reach_tables(state.heap, addr) for addr in set(locs.values())}
+    cycles = memo.cycle_table(state.heap) if locs else {}
     for v, av in locs.items():
         for w, aw in locs.items():
             table = reach[av].get(aw)
             if table:
                 value.reach[(v, w)] = table
-        cyc_table = 1  # a non-null variable always has its empty cycle
-        for fs in memo.cycle_sets(state.heap, av):
-            cyc_table |= 1 << universe.abstract_mask(fs)
-        value.cyc[v] = cyc_table
+        value.cyc[v] = 1 | cycles.get(av, 0)  # a non-null variable has its empty cycle
     return value
 
 

@@ -16,6 +16,7 @@ from fieldreach.oracle import (
     ConcreteState,
     Loc,
     Obj,
+    _SnapshotMemo,
     concrete_deep_share_pairs,
     cycle_field_sets,
     reachable_addrs,
@@ -224,13 +225,37 @@ def test_saturate_monotone_under_edges():
     assert before <= after
 
 
+def walk_saturate(heap, src, require_step=False):
+    """The definition of saturation, on sets of field names: every (target,
+    traversed-field-set) pair of a walk from ``src``, of at least one step
+    under ``require_step``.  Kept apart from the package's mask-space core."""
+    start = [(src, frozenset())]
+    if require_step:
+        start = [
+            (value.addr, frozenset([fname]))
+            for fname, value in heap[src].fields.items()
+            if isinstance(value, Loc)
+        ]
+    out = set(start)
+    work = list(out)
+    while work:
+        loc, traversed = work.pop()
+        for fname, value in heap[loc].fields.items():
+            if isinstance(value, Loc):
+                pair = (value.addr, traversed | {fname})
+                if pair not in out:
+                    out.add(pair)
+                    work.append(pair)
+    return frozenset(out)
+
+
 def brute_cycle_sets(heap, src):
     """The definition: the traversal set of every closed walk of at least one
     step through a location reachable from ``src``."""
     return frozenset(
         fs
         for loc in reachable_addrs(heap, src)
-        for target, fs in traversal_saturate(heap, loc, require_step=True)
+        for target, fs in walk_saturate(heap, loc, require_step=True)
         if target == loc
     )
 
@@ -248,6 +273,74 @@ def random_heaps(draw):
 def test_cycle_sets_match_per_location_saturation(heap):
     for src in heap:
         assert cycle_field_sets(heap, src) == brute_cycle_sets(heap, src)
+        for require_step in (False, True):
+            assert traversal_saturate(heap, src, require_step) == walk_saturate(
+                heap, src, require_step
+            )
+
+
+@st.composite
+def heaps_with_any(draw):
+    """A random heap and a universe tracking a strict subset of its fields,
+    so the others fold into ``any``."""
+    heap = draw(random_heaps())
+    fields = sorted(heap[1].fields)
+    tracked = draw(st.lists(st.sampled_from(fields), unique=True, max_size=len(fields) - 1))
+    return heap, FieldUniverse.tracked(fields, tracked)
+
+
+def table_of(universe, field_sets):
+    table = 0
+    for fs in field_sets:
+        table |= 1 << universe.abstract_mask(fs)
+    return table
+
+
+def alpha_per_location(heap, universe, memo=None):
+    """``alpha_state`` of a frame with one variable on each location."""
+    frame = {f"v{a}": Loc(a) for a in heap}
+    return alpha_state(ConcreteState(frame, heap), universe, sorted(frame), memo)
+
+
+@settings(max_examples=300)
+@given(heaps_with_any())
+def test_mask_tables_abstract_the_reference_sets(case):
+    heap, universe = case
+    assert universe.has_any
+    value = alpha_per_location(heap, universe)
+    for a in heap:
+        expected_cyc = 1 | table_of(universe, brute_cycle_sets(heap, a))
+        assert value.cyc[f"v{a}"] == expected_cyc
+        pairs = walk_saturate(heap, a)
+        for b in heap:
+            expected = table_of(universe, (fs for target, fs in pairs if target == b))
+            assert value.reach[(f"v{a}", f"v{b}")] == expected
+
+
+@st.composite
+def write_sequences(draw):
+    """Heaps that each differ from the one before by one field write, each
+    its own snapshot, with a universe carrying ``any``."""
+    heap, universe = draw(heaps_with_any())
+    target = st.one_of(st.none(), st.sampled_from(sorted(heap)).map(Loc))
+    heaps = [heap]
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        heap = {a: Obj(o.classname, dict(o.fields)) for a, o in heap.items()}
+        src = draw(st.sampled_from(sorted(heap)))
+        heap[src].fields[draw(st.sampled_from(sorted(heap[src].fields)))] = draw(target)
+        heaps.append(heap)
+    return heaps, universe
+
+
+@settings(max_examples=100)
+@given(write_sequences())
+def test_shared_peel_memo_matches_a_fresh_one(case):
+    heaps, universe = case
+    memo = _SnapshotMemo(universe)
+    for heap in heaps:
+        shared = alpha_per_location(heap, universe, memo)
+        fresh = alpha_per_location(heap, universe)
+        assert (shared.reach, shared.cyc) == (fresh.reach, fresh.cyc)
 
 
 def test_cycle_sets_of_nested_components():
