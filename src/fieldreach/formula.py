@@ -5,9 +5,9 @@ is a bit mask over an indexed universe of n field names, and a formula is one
 int of 2^n bits, its truth table: bit m is set when mask m is a model.  The
 contradiction is 0 and the tautology is the full table, so join and meet are
 ``|`` and ``&``.  Adding a field to every model that lacks it is one masked
-shift of the table by the field's bit; concatenation, difference and the
-up- and down-closures (the Boolean zeta transform) are built from these
-shifts.
+shift of the table by the field's bit, and dropping it is the shift back;
+concatenation, difference and the up-closure (the Boolean zeta transform)
+are built from these shifts.
 
 Two formulas are equal as analysis facts when they have the same *viable*
 models: assignments no heap admitted by the class declarations can realize
@@ -82,12 +82,6 @@ class FieldUniverse:
         """Up-closure: every superset of a model becomes a model."""
         for bit, (without, _) in self.halves.items():
             table |= (table & without) << bit
-        return table
-
-    def down(self, table: int) -> int:
-        """Down-closure: every subset of a model becomes a model."""
-        for bit, (without, _) in self.halves.items():
-            table |= (table >> bit) & without
         return table
 
     @property
@@ -168,13 +162,18 @@ def concat(universe: FieldUniverse, a: int, b: int) -> int:
 def difference(universe: FieldUniverse, a: int, b: int) -> int:
     """Models of the result drop any subset of some model of ``b`` from a
     model of ``a``: what remains of a path after cutting off a prefix.  With
-    no model in ``b`` the defining set is empty."""
-    removable = universe.down(b)
+    no model in ``b`` the defining set is empty.  Per model of ``b``, each of
+    its fields is dropped, or not, from every model of ``a`` that has it:
+    one masked shift of the table per field."""
+    halves = universe.halves
     out = 0
-    for m in models_of(a):
-        for x in submasks(m):
-            if removable >> x & 1:
-                out |= 1 << (m ^ x)
+    for y in models_of(b):
+        t = a
+        while y:
+            bit = y & -y
+            y ^= bit
+            t |= (t & halves[bit][1]) >> bit
+        out |= t
     return out
 
 

@@ -3,22 +3,29 @@
 The interpreter executes main directly, records the concrete state after
 every command (including inside callees, keyed by the shared node ids), and
 aborts cleanly when the step budget or the call depth budget runs out.
-Consecutive records with no allocation or field write in between share one
-heap snapshot.
+Heap snapshots are copy-on-write: consecutive records with no allocation or
+field write in between share one snapshot, and a new snapshot is a shallow
+copy of the last one in which only the objects allocated or written since
+are fresh copies.  A recorded object is never changed, so snapshots share
+the objects that did not change (path copying, after Driscoll, Sarnak,
+Sleator and Tarjan, "Making Data Structures Persistent", 1989).
 
-The abstraction works on field bits, not on sets of field names.  When a
-check first meets a snapshot, it labels each reference once with the
-universe bit of its field (an untracked field takes the stand-in bit) and
-builds the successor lists.  Saturation walks (location, mask) pairs and
-keeps, per target, a truth table with one bit per traversed mask; finite
-on cyclic heaps because masks are.  That table is the reach entry.  Cycle
-masks come from peeling the strongly connected components of the labelled
-heap one bit at a time, and a peeled component is kept by its edges for the
-rest of the check, since most snapshots differ from an earlier one by one
-write.  A state thus abstracts to the exact reachability/cyclicity value:
-the models of an entry are precisely the field sets realized in the state.
-``traversal_saturate`` and ``cycle_field_sets`` decode the same results to
-field names, over a universe of the heap's own fields.
+The abstraction works on field bits, not on sets of field names.  A check
+labels each recorded object's references once with the universe bit of
+their field (an untracked field takes the stand-in bit), so a snapshot's
+successor lists are one lookup per object.  Saturation walks (location,
+mask) pairs and keeps, per target, a truth table with one bit per traversed
+mask; finite on cyclic heaps because masks are.  That table is the reach
+entry.  Cycle masks come from peeling the strongly connected components of
+the labelled heap one bit at a time.  Within a check, the cycle table and
+the reach tables of a snapshot are kept by its labelled edge set, so an
+allocation-only snapshot reuses those of the snapshot before it, and a
+peeled component is kept by its edges, since most snapshots differ from an
+earlier one by one write.  A state thus abstracts to the exact
+reachability/cyclicity value: the models of an entry are precisely the
+field sets realized in the state.  ``traversal_saturate`` and
+``cycle_field_sets`` decode the same results to field names, over a
+universe of the heap's own fields.
 """
 
 from __future__ import annotations
@@ -81,8 +88,9 @@ Val = Union[int, Loc, None]
 
 @dataclass
 class ConcreteState:
-    """A frame and a heap.  Recorded states may share their heap with other
-    recorded states, so it must not be changed."""
+    """A frame and a heap.  A recorded state's heap may be shared with other
+    recorded states, and its objects are shared between snapshots, so
+    neither must be changed."""
 
     frame: dict[str, Val]
     heap: dict[int, Obj]
@@ -117,8 +125,10 @@ class _Interp:
         self.allocations = 0
         self.next_addr = 1
         self.heap: dict[int, Obj] = {}
-        # copy of the heap at the last record; None once the heap has changed
-        self.snapshot: Optional[dict[int, Obj]] = None
+        # the heap as of the last record, and the addresses allocated or
+        # written since; its objects are copies that are never changed
+        self.snapshot: dict[int, Obj] = {}
+        self.dirty: set[int] = set()
         self.point_states: dict[int, list[ConcreteState]] = {}
 
     def run_main(self) -> OracleResult:
@@ -145,10 +155,14 @@ class _Interp:
 
     def _record(self, nid: int, frame: dict[str, Val]) -> None:
         if self.record:
-            if self.snapshot is None:
-                self.snapshot = {
-                    a: Obj(o.classname, dict(o.fields)) for a, o in self.heap.items()
-                }
+            if self.dirty:
+                # share the unchanged objects, copy only the changed ones
+                snapshot = dict(self.snapshot)
+                for a in self.dirty:
+                    o = self.heap[a]
+                    snapshot[a] = Obj(o.classname, dict(o.fields))
+                self.dirty.clear()
+                self.snapshot = snapshot
             state = ConcreteState(dict(frame), self.snapshot)
             self.point_states.setdefault(nid, []).append(state)
 
@@ -168,7 +182,7 @@ class _Interp:
             if not isinstance(base, Loc):
                 raise NullDereference(cmd.line)
             self.heap[base.addr].fields[cmd.fieldname] = value
-            self.snapshot = None
+            self.dirty.add(base.addr)
         elif isinstance(cmd, If):
             if self.eval_guard(cmd.guard, frame):
                 self.exec_body(cmd.then_body, frame)
@@ -235,7 +249,7 @@ class _Interp:
             for fname, ftype in self.ct.fields_of(classname)
         }
         self.heap[addr] = Obj(classname, fields)
-        self.snapshot = None
+        self.dirty.add(addr)
         return Loc(addr)
 
     def call(self, e: MethodCall, frame: dict[str, Val]) -> Val:
@@ -292,24 +306,23 @@ def heap_to_dot(state: ConcreteState) -> str:
 # --------------------------------------------------------------------------
 # saturation and abstraction
 
-Succ = dict[int, list[tuple[int, int]]]  # address -> (field bit, target address)
+Out = tuple[tuple[int, int], ...]  # (field bit, target address) per reference
+Succ = dict[int, Out]  # address -> its labelled references
 Edge = tuple[int, int, int]  # (source address, field bit, target address)
 
 
-def _label(heap: dict[int, Obj], universe: FieldUniverse, bits: dict[str, int]) -> Succ:
-    """The successor lists of every location, each reference labelled with
-    the abstract bit of its field.  ``bits`` caches the bit of each field
-    name across the heaps of one universe."""
-    succ: Succ = {}
-    for a, o in heap.items():
-        out = succ[a] = []
-        for f, v in o.fields.items():
-            if isinstance(v, Loc):
-                bit = bits.get(f)
-                if bit is None:
-                    bit = bits[f] = universe.abstract_mask((f,))
-                out.append((bit, v.addr))
-    return succ
+def _label(obj: Obj, universe: FieldUniverse, bits: dict[str, int]) -> Out:
+    """The references of one object, each labelled with the abstract bit of
+    its field.  ``bits`` caches the bit of each field name across the
+    objects of one universe."""
+    out = []
+    for f, v in obj.fields.items():
+        if isinstance(v, Loc):
+            bit = bits.get(f)
+            if bit is None:
+                bit = bits[f] = universe.abstract_mask((f,))
+            out.append((bit, v.addr))
+    return tuple(out)
 
 
 def _saturate(succ: Succ, src: int, require_step: bool = False) -> dict[int, int]:
@@ -388,6 +401,24 @@ def _inner_edges(
     return inner
 
 
+def _has_cycle(edges: list[Edge]) -> bool:
+    """Whether the graph of ``edges`` has a cycle, a self-loop included:
+    removing nodes of in-degree 0 (Kahn 1962) leaves some node exactly when
+    it has."""
+    succ: dict[int, list[int]] = {}
+    indegree: dict[int, int] = {}
+    for a, _, b in edges:
+        succ.setdefault(a, []).append(b)
+        indegree[b] = indegree.get(b, 0) + 1
+    ready = [a for a in succ if a not in indegree]
+    while ready:
+        for b in succ.get(ready.pop(), ()):
+            indegree[b] -= 1
+            if not indegree[b]:
+                ready.append(b)
+    return any(indegree.values())
+
+
 def _peel(edges: list[Edge], peeled: dict[frozenset[Edge], int]) -> int:
     """Truth table of the masks of the closed walks inside one strongly
     connected component, given by its inner edges.
@@ -395,9 +426,12 @@ def _peel(edges: list[Edge], peeled: dict[frozenset[Edge], int]) -> int:
     The component is strongly connected through ``edges``, so some closed
     walk traverses every label on them.  A closed walk that leaves out a
     label lies inside one component of the graph without that label's edges.
-    A component with a single label has nothing left to peel.  The others
-    are looked up in ``peeled`` by their edges, so a component met again, in
-    this heap or in another heap of the same check, is peeled once."""
+    A component with a single label has nothing left to peel.  When a drop
+    leaves one label, the components left have closed walks over exactly
+    that label if and only if the remaining edges have a cycle, so no
+    decomposition is needed.  The others are looked up in ``peeled`` by
+    their edges, so a component met again, in this heap or in another heap
+    of the same check, is peeled once."""
     labels = 0
     for edge in edges:
         labels |= edge[1]
@@ -412,6 +446,11 @@ def _peel(edges: list[Edge], peeled: dict[frozenset[Edge], int]) -> int:
             dropped = rest & -rest
             rest ^= dropped
             kept = [e for e in edges if e[1] != dropped]
+            left = labels ^ dropped
+            if not left & (left - 1):
+                if _has_cycle(kept):
+                    table |= 1 << left
+                continue
             comps, comp_of = _components(kept)
             for inner in _inner_edges(comps, comp_of, kept):
                 if inner:
@@ -459,7 +498,8 @@ def _own_labels(heap: dict[int, Obj]) -> tuple[FieldUniverse, Succ]:
     universe = FieldUniverse.of(
         f for o in heap.values() for f, v in o.fields.items() if isinstance(v, Loc)
     )
-    return universe, _label(heap, universe, {})
+    bits: dict[str, int] = {}
+    return universe, {a: _label(o, universe, bits) for a, o in heap.items()}
 
 
 def traversal_saturate(
@@ -522,39 +562,67 @@ def concrete_deep_share_pairs(
     return frozenset(pairs)
 
 
+class _EdgeResults:
+    """What a check learns of one labelled edge set: its cycle table, once
+    computed, and the reach tables from each source."""
+
+    __slots__ = ("cycles", "reached")
+
+    def __init__(self) -> None:
+        self.cycles: Optional[dict[int, int]] = None
+        self.reached: dict[int, dict[int, int]] = {}
+
+
 class _SnapshotMemo:
-    """Per-snapshot results for one universe, kept for one check: the
-    labelled successor lists and the cycle table of each heap, the reach
-    tables from each (heap, location) pair, and the peeled components of all
-    heaps by content.  Keyed by heap identity, so the heaps it has seen must
-    not change while it is used; it holds them, so their identities are not
-    reused."""
+    """Heap results for one universe, kept for one check.
+
+    Each object is labelled once, by identity: snapshots share the objects
+    that did not change, so a heap's successor lists are one lookup per
+    object.  Its cycle table and its reach tables depend only on its
+    labelled edges, so they are kept by edge set, and an allocation-only
+    snapshot, whose fresh object has no reference yet, reuses the tables of
+    the snapshot before it.  Saturation walks the current heap's own
+    successor lists, which also hold the fresh address; only the results
+    are shared.  Peeled components are kept by their edges across all heaps.
+    The objects and heaps it has seen must not change while it is used; it
+    holds them, so their identities are not reused."""
 
     def __init__(self, universe: FieldUniverse) -> None:
         self.universe = universe
         self.bits: dict[str, int] = {}
-        self.labelled: dict[int, tuple[dict[int, Obj], Succ]] = {}
-        self.cycles: dict[int, dict[int, int]] = {}
-        self.reached: dict[tuple[int, int], dict[int, int]] = {}
+        self.objects: dict[int, tuple[Obj, Out]] = {}
+        self.heaps: dict[int, tuple[dict[int, Obj], Succ, _EdgeResults]] = {}
+        self.by_edges: dict[frozenset[tuple[int, Out]], _EdgeResults] = {}
         self.peeled: dict[frozenset[Edge], int] = {}
 
-    def _succ(self, heap: dict[int, Obj]) -> Succ:
-        entry = self.labelled.get(id(heap))
+    def _labelled(self, heap: dict[int, Obj]) -> tuple[dict[int, Obj], Succ, _EdgeResults]:
+        entry = self.heaps.get(id(heap))
         if entry is None:
-            entry = self.labelled[id(heap)] = (heap, _label(heap, self.universe, self.bits))
-        return entry[1]
+            objects = self.objects
+            succ: Succ = {}
+            for a, o in heap.items():
+                labelled = objects.get(id(o))
+                if labelled is None:
+                    labelled = objects[id(o)] = (o, _label(o, self.universe, self.bits))
+                succ[a] = labelled[1]
+            edges = frozenset(item for item in succ.items() if item[1])
+            results = self.by_edges.get(edges)
+            if results is None:
+                results = self.by_edges[edges] = _EdgeResults()
+            entry = self.heaps[id(heap)] = (heap, succ, results)
+        return entry
 
     def cycle_table(self, heap: dict[int, Obj]) -> dict[int, int]:
-        table = self.cycles.get(id(heap))
-        if table is None:
-            table = self.cycles[id(heap)] = cycle_table(self._succ(heap), self.peeled)
-        return table
+        _, succ, results = self._labelled(heap)
+        if results.cycles is None:
+            results.cycles = cycle_table(succ, self.peeled)
+        return results.cycles
 
     def reach_tables(self, heap: dict[int, Obj], src: int) -> dict[int, int]:
-        key = (id(heap), src)
-        by_target = self.reached.get(key)
+        _, succ, results = self._labelled(heap)
+        by_target = results.reached.get(src)
         if by_target is None:
-            by_target = self.reached[key] = _saturate(self._succ(heap), src)
+            by_target = results.reached[src] = _saturate(succ, src)
         return by_target
 
 

@@ -402,10 +402,11 @@ class Analyzer:
         # the new edge alone, or the new edge plus the cycle it may close
         mid = fld | concat(u, fld, reach[(RESULT_VAR, v)])
         extra = RcValue.bottom(u, I.variables, I.ref_vars)
-        for (w1, w2) in extra.reach:
-            extra.reach[(w1, w2)] = concat(
-                u, concat(u, reach[(w1, v)], mid), reach[(RESULT_VAR, w2)]
-            )
+        refs = list(extra.cyc)
+        for w1 in refs:
+            head = concat(u, reach[(w1, v)], mid)
+            for w2 in refs:
+                extra.reach[(w1, w2)] = concat(u, head, reach[(RESULT_VAR, w2)])
         cyc_new = concat(u, reach[(RESULT_VAR, v)], fld) | evaluated.cyc[RESULT_VAR]
         for w in extra.cyc:
             if reach[(w, v)]:

@@ -12,7 +12,7 @@ from fieldreach import (
     class_reach_closure,
     parse_program,
 )
-from fieldreach.formula import submasks
+from fieldreach.formula import difference, models_of, submasks
 
 from conftest import pf
 
@@ -204,6 +204,32 @@ def test_operators_match_set_definitions(devices_ct, drawn, data):
 
 # --------------------------------------------------------------------------
 # path difference
+
+
+def submask_walk_difference(universe, a, b):
+    """The reference definition on tables: every model of ``a`` with each of
+    its submasks removed that lies under some model of ``b``."""
+    removable = {x for y in models_of(b) for x in submasks(y)}
+    out = 0
+    for m in models_of(a):
+        for x in submasks(m):
+            if x in removable:
+                out |= 1 << (m ^ x)
+    return out
+
+
+@st.composite
+def two_tables(draw):
+    """A universe of 1-7 fields and two truth tables over it."""
+    u = FieldUniverse(tuple(f"f{i}" for i in range(draw(st.integers(1, 7)))))
+    table = st.integers(min_value=0, max_value=u.full_table)
+    return u, draw(table), draw(table)
+
+
+@given(two_tables())
+def test_difference_by_shifts_matches_the_submask_walk(drawn):
+    u, a, b = drawn
+    assert difference(u, a, b) == submask_walk_difference(u, a, b)
 
 
 def test_difference_examples(u3):

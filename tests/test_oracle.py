@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,7 @@ from fieldreach.oracle import (
     ConcreteState,
     Loc,
     Obj,
+    _Interp,
     _SnapshotMemo,
     concrete_deep_share_pairs,
     cycle_field_sets,
@@ -24,6 +27,7 @@ from fieldreach.oracle import (
 from fieldreach.syntax import walk_commands
 
 from conftest import build, pf
+from corpus import CORPUS
 
 
 def run(source: str, **kw):
@@ -176,6 +180,34 @@ class Node { Node n; }
     assert set(write.heap) == {1}
     assert set(alloc2.heap) == {1, 2}
     assert oracle.final.heap is not alloc2.heap
+    # snapshots share the objects that did not change, and only those
+    assert alloc2.heap[1] is write.heap[1]
+    assert write.heap[1] is not alloc.heap[1]
+
+
+def test_copy_on_write_is_invisible(monkeypatch):
+    """Every recorded heap equals a deep copy of the heap taken when the
+    state was recorded, over every corpus program with a ``main``."""
+    recorded = []
+    record = _Interp._record
+
+    def record_with_copy(self, nid, frame):
+        record(self, nid, frame)
+        recorded.append((self.point_states[nid][-1], copy.deepcopy(self.heap)))
+
+    monkeypatch.setattr(_Interp, "_record", record_with_copy)
+    programs = 0
+    for name, source in sorted(CORPUS.items()):
+        program, ct, info = build(source)
+        if program.main is None:
+            continue
+        programs += 1
+        recorded.clear()
+        run_concrete(program, ct)
+        assert recorded, name
+        for state, heap in recorded:
+            assert state.heap == heap, name
+    assert programs > 20
 
 
 # --------------------------------------------------------------------------
@@ -319,28 +351,56 @@ def test_mask_tables_abstract_the_reference_sets(case):
 
 @st.composite
 def write_sequences(draw):
-    """Heaps that each differ from the one before by one field write, each
-    its own snapshot, with a universe carrying ``any``."""
+    """Heaps that each differ from the one before by one field write or one
+    allocation, each its own snapshot, with a universe carrying ``any``.
+    As in the interpreter's snapshots, a heap shares the objects that did
+    not change with the heap before it, and an allocated object has no
+    reference yet.  Also returns, per heap, whether it came from an
+    allocation."""
     heap, universe = draw(heaps_with_any())
-    target = st.one_of(st.none(), st.sampled_from(sorted(heap)).map(Loc))
-    heaps = [heap]
+    fields = sorted(heap[1].fields)
+    heaps, allocated = [heap], [False]
     for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        heap = {a: Obj(o.classname, dict(o.fields)) for a, o in heap.items()}
-        src = draw(st.sampled_from(sorted(heap)))
-        heap[src].fields[draw(st.sampled_from(sorted(heap[src].fields)))] = draw(target)
+        heap = dict(heap)
+        allocation = draw(st.booleans())
+        if allocation:
+            heap[max(heap) + 1] = Obj("K", {f: None for f in fields})
+        else:
+            src = draw(st.sampled_from(sorted(heap)))
+            target = draw(st.one_of(st.none(), st.sampled_from(sorted(heap)).map(Loc)))
+            heap[src] = Obj("K", dict(heap[src].fields))
+            heap[src].fields[draw(st.sampled_from(fields))] = target
+        allocated.append(allocation)
         heaps.append(heap)
-    return heaps, universe
+    return heaps, allocated, universe
 
 
 @settings(max_examples=100)
 @given(write_sequences())
 def test_shared_peel_memo_matches_a_fresh_one(case):
-    heaps, universe = case
+    heaps, allocated, universe = case
     memo = _SnapshotMemo(universe)
-    for heap in heaps:
+    for before, heap, fresh_object in zip([None] + heaps, heaps, allocated):
+        # every location has a variable, the fresh object's included, so
+        # the memo also saturates from an address the heap before lacks
         shared = alpha_per_location(heap, universe, memo)
         fresh = alpha_per_location(heap, universe)
         assert (shared.reach, shared.cyc) == (fresh.reach, fresh.cyc)
+        if fresh_object:  # same edges: the results of the heap before are reused
+            assert memo.heaps[id(heap)][2] is memo.heaps[id(before)][2]
+
+
+def test_memo_keeps_edge_sets_apart_by_label():
+    # the same references under another field are another edge set
+    u = FieldUniverse.of(["f", "g"])
+    memo = _SnapshotMemo(u)
+    for field in ("f", "g", "f"):
+        heap = {1: Obj("K", {"f": None, "g": None}), 2: Obj("K", {"f": Loc(1), "g": None})}
+        heap[1].fields[field] = Loc(2)
+        shared = alpha_per_location(heap, u, memo)
+        fresh = alpha_per_location(heap, u)
+        assert (shared.reach, shared.cyc) == (fresh.reach, fresh.cyc)
+    assert len(memo.by_edges) == 2
 
 
 def test_cycle_sets_of_nested_components():
