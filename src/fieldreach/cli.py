@@ -74,7 +74,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--oracle-check", action="store_true",
                     help="run the concrete interpreter and check soundness (main entry only)")
     ap.add_argument("--heap-budget", type=int, default=100_000,
-                    help="concrete interpreter step budget")
+                    help="concrete interpreter budget of steps and of recorded cells")
     ap.add_argument("--query", action="append", default=[], metavar="Q",
                     help='"cyc v {f1,f2}" or "reach v w"; repeatable')
     return ap
@@ -162,8 +162,15 @@ def run(argv: Optional[list[str]] = None) -> int:
     if args.oracle_check:
         try:
             oracle = run_concrete(program, ct, budget=args.heap_budget)
-        except (NullDereference, BudgetExceeded) as exc:
+        except NullDereference as exc:
             print(f"error: concrete execution failed: {exc}", file=sys.stderr)
+            return ANALYSIS_ERROR
+        except BudgetExceeded as exc:
+            print(
+                f"error: concrete execution failed: {exc} "
+                "(--heap-budget bounds the steps and the recorded cells)",
+                file=sys.stderr,
+            )
             return ANALYSIS_ERROR
         oracle_report = check_soundness(result, oracle)
         if not oracle_report.ok:

@@ -1,14 +1,16 @@
 """The combined abstract value: per-pair reachability formulas plus
-per-variable cyclicity formulas over a fixed variable scope.
+per-variable cyclicity formulas over a scope of reference variables.
 
 A value holds its field universe once; each entry is a truth table over it
 (an int, see ``formula``), so join is ``|`` and the order is ``t & ~o``.
-``reach_at`` and ``cyc_at`` give an entry as a ``PathFormula`` view, and
-``with_reach``/``with_cyc`` store one.  Values are kept in normal form — the
+The scope is the key set of ``cyc``, in its insertion order, and ``reach``
+has an entry for every ordered pair of it; int variables have no entries,
+and reading any name outside the scope raises ``KeyError``, since reading it
+as "no path" would be unsound.  ``reach_at`` and ``cyc_at`` give an entry as
+a read-only ``PathFormula`` view.  Values are kept in normal form — the
 cyclicity entry of a variable always covers its self-reachability, since a
-path from a variable back to itself is a cycle.  Entries of int-typed
-variables stay at the contradiction.  Operations are functional; instances
-are treated as immutable.
+path from a variable back to itself is a cycle.  Operations are functional;
+instances are treated as immutable.
 """
 
 from __future__ import annotations
@@ -22,101 +24,59 @@ from .formula import FieldUniverse, PathFormula, Viability
 @dataclass
 class RcValue:
     universe: FieldUniverse
-    variables: tuple[str, ...]
-    ref_vars: frozenset[str]
     reach: dict[tuple[str, str], int]  # truth tables over ``universe``
-    cyc: dict[str, int]
+    cyc: dict[str, int]  # its keys are the scope, in order
 
     # -- constructors
 
     @staticmethod
-    def bottom(
-        universe: FieldUniverse, variables: Iterable[str], ref_vars: Iterable[str]
-    ) -> "RcValue":
+    def bottom(universe: FieldUniverse, variables: Iterable[str]) -> "RcValue":
+        """All entries false over the given reference variables, in order."""
         vs = tuple(variables)
-        refs = frozenset(ref_vars)
-        reach = {(v, w): 0 for v in vs if v in refs for w in vs if w in refs}
-        cyc = {v: 0 for v in vs if v in refs}
-        return RcValue(universe, vs, refs, reach, cyc)
+        return RcValue(universe, {(v, w): 0 for v in vs for w in vs}, dict.fromkeys(vs, 0))
 
     def _fresh(self) -> "RcValue":
-        return RcValue(
-            self.universe, self.variables, self.ref_vars, dict(self.reach), dict(self.cyc)
-        )
+        return RcValue(self.universe, dict(self.reach), dict(self.cyc))
 
     # -- lookups
 
     def reach_at(self, v: str, w: str) -> PathFormula:
-        t = self.reach.get((v, w))
-        return PathFormula(self.universe, self._int_entry(v, w) if t is None else t)
+        return PathFormula(self.universe, self.reach[(v, w)])
 
     def cyc_at(self, v: str) -> PathFormula:
-        t = self.cyc.get(v)
-        return PathFormula(self.universe, self._int_entry(v) if t is None else t)
-
-    def _int_entry(self, *names: str) -> int:
-        """An int-typed variable reads as the contradiction; a name outside
-        the scope raises, since reading it as "no path" would be unsound."""
-        for n in names:
-            if n not in self.variables:
-                raise KeyError(f"{n!r} is not a variable of this value")
-        return 0
-
-    # -- pointwise updates
-
-    def _table_of(self, f: PathFormula) -> int:
-        if f.universe != self.universe:
-            raise ValueError("formula over a different universe")
-        return f.table
-
-    def with_reach(self, v: str, w: str, f: PathFormula) -> "RcValue":
-        if (v, w) not in self.reach:
-            raise KeyError(f"no reachability entry for ({v},{w})")
-        out = self._fresh()
-        out.reach[(v, w)] = self._table_of(f)
-        return out
-
-    def with_cyc(self, v: str, f: PathFormula) -> "RcValue":
-        if v not in self.cyc:
-            raise KeyError(f"no cyclicity entry for {v}")
-        out = self._fresh()
-        out.cyc[v] = self._table_of(f)
-        return out
+        return PathFormula(self.universe, self.cyc[v])
 
     # -- scope-preserving operations
 
     def project(self, variables: Iterable[str]) -> "RcValue":
         """Forget everything about the given variables."""
-        gone = set(variables) & self.ref_vars
+        gone = self.cyc.keys() & variables
         if not gone:
             return self
-        kept = {x: x for x in self.ref_vars if x not in gone}
-        return self.remap(kept, self.variables, self.ref_vars)
+        return self.remap({x: x for x in self.cyc if x not in gone}, self.cyc)
 
     def rename(self, mapping: Mapping[str, str]) -> "RcValue":
         """Simultaneously move sources onto targets; sources are forgotten
         and stale target entries are discarded."""
-        moved = {
-            s: d for s, d in mapping.items() if s in self.ref_vars and d in self.ref_vars
-        }
+        moved = {s: d for s, d in mapping.items() if s in self.cyc and d in self.cyc}
         if not moved:
             return self
         targets = set(moved.values())
-        full = {x: x for x in self.ref_vars if x not in targets}
+        full = {x: x for x in self.cyc if x not in targets}
         full.update(moved)
-        return self.remap(full, self.variables, self.ref_vars)
+        return self.remap(full, self.cyc)
 
     def copy_var(self, src: str, dst: str) -> "RcValue":
         """Make ``dst`` an exact alias snapshot of ``src``: they alias each
         other, and ``dst`` inherits rows, columns and cyclicity."""
-        if src == dst or src not in self.ref_vars or dst not in self.ref_vars:
+        if src == dst or src not in self.cyc or dst not in self.cyc:
             return self
         out = self._fresh()
         reach = self.reach
         self_reach = reach[(src, src)]
         out.cyc[dst] = self.cyc[src]
         out.reach[(dst, dst)] = out.reach[(src, dst)] = out.reach[(dst, src)] = self_reach
-        for x in self.ref_vars:
+        for x in self.cyc:
             if x not in (src, dst):
                 out.reach[(dst, x)] = reach[(src, x)]
                 out.reach[(x, dst)] = reach[(x, src)]
@@ -125,7 +85,7 @@ class RcValue:
     # -- lattice structure
 
     def _check(self, other: "RcValue") -> None:
-        if self.universe != other.universe or set(self.variables) != set(other.variables):
+        if self.universe != other.universe or self.cyc.keys() != other.cyc.keys():
             raise ValueError("values over different scopes")
 
     def join(self, other: "RcValue") -> "RcValue":
@@ -164,28 +124,17 @@ class RcValue:
         c = via.canonical
         return RcValue(
             self.universe,
-            self.variables,
-            self.ref_vars,
             {key: c(t) for key, t in self.reach.items()},
             {v: c(t) for v, t in self.cyc.items()},
         )
 
     # -- scope changes
 
-    def remap(
-        self,
-        mapping: Mapping[str, str],
-        variables: Iterable[str],
-        ref_vars: Iterable[str],
-    ) -> "RcValue":
-        """Rebuild over a new scope; only mapped entries carry over, and
-        several sources landing on one target join."""
-        out = RcValue.bottom(self.universe, tuple(variables), frozenset(ref_vars))
-        live = {
-            s: d
-            for s, d in mapping.items()
-            if s in self.ref_vars and d in out.ref_vars
-        }
+    def remap(self, mapping: Mapping[str, str], variables: Iterable[str]) -> "RcValue":
+        """Rebuild over a new scope of reference variables; only mapped
+        entries carry over, and several sources landing on one target join."""
+        out = RcValue.bottom(self.universe, variables)
+        live = {s: d for s, d in mapping.items() if s in self.cyc and d in out.cyc}
         reach, cyc = out.reach, out.cyc
         for (a, b), t in self.reach.items():
             if a in live and b in live:
@@ -199,15 +148,6 @@ class RcValue:
 
     def key(self):
         return tuple(sorted(self.reach.items())), tuple(sorted(self.cyc.items()))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RcValue)
-            and self.universe == other.universe
-            and set(self.variables) == set(other.variables)
-            and self.reach == other.reach
-            and self.cyc == other.cyc
-        )
 
     def to_json(self) -> dict:
         return {

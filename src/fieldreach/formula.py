@@ -13,6 +13,11 @@ Two formulas are equal as analysis facts when they have the same *viable*
 models: assignments no heap admitted by the class declarations can realize
 carry no information.  ``Viability`` is the truth table of the realizable
 masks, built once per universe, so viable models are one ``&`` away.
+
+The analysis works on the bare ints with the functions of this module.
+``PathFormula`` is a read-only view of one table, with its universe, for
+queries, rendering and ``compare``; its remaining operators are thin
+wrappers over the same operations on ints.
 """
 
 from __future__ import annotations
@@ -91,10 +96,6 @@ class FieldUniverse:
     @property
     def any_bit(self) -> int:
         return 1 << self._index[ANY_FIELD]
-
-    @property
-    def concrete_fields(self) -> tuple[str, ...]:
-        return tuple(f for f in self.fields if f != ANY_FIELD)
 
     def mask_of(self, names: Iterable[str]) -> int:
         m = 0
@@ -206,16 +207,12 @@ class PathFormula:
         """The formula whose single model is exactly this field set."""
         return PathFormula.from_models(universe, [universe.mask_of(fields)])
 
-    @staticmethod
-    def of_sets(universe: FieldUniverse, sets: Iterable[Iterable[str]]) -> "PathFormula":
-        return PathFormula.from_models(universe, [universe.mask_of(s) for s in sets])
-
     # -- inspection
 
     @property
     def models(self) -> Optional[frozenset[int]]:
         """The models as a set of masks, or None for the tautology."""
-        return None if self.is_true else self.model_masks()
+        return None if self.is_true else frozenset(models_of(self.table))
 
     @property
     def is_true(self) -> bool:
@@ -225,18 +222,12 @@ class PathFormula:
     def is_false(self) -> bool:
         return not self.table
 
-    def model_masks(self) -> frozenset[int]:
-        return frozenset(models_of(self.table))
-
     def model_sets(self) -> tuple[tuple[str, ...], ...]:
         masks = sorted(models_of(self.table), key=lambda m: (bin(m).count("1"), m))
         return tuple(self.universe.names_of(m) for m in masks)
 
     def has_model(self, mask: int) -> bool:
         return bool(self.table >> mask & 1)
-
-    def has_model_named(self, names: Iterable[str]) -> bool:
-        return self.has_model(self.universe.mask_of(names))
 
     # -- lattice structure (pointwise on truth tables)
 
@@ -248,15 +239,11 @@ class PathFormula:
         self._check(other)
         return PathFormula(self.universe, self.table | other.table)
 
-    def meet(self, other: "PathFormula") -> "PathFormula":
-        self._check(other)
-        return PathFormula(self.universe, self.table & other.table)
-
     def leq(self, other: "PathFormula", via: "Viability | None" = None) -> bool:
         """Implication on viable models."""
         self._check(other)
         extra = self.table & ~other.table
-        return not (extra if via is None else via.viable_part(extra))
+        return not (extra if via is None else extra & via.table)
 
     def equiv(self, other: "PathFormula", via: "Viability | None" = None) -> bool:
         return self.leq(other, via) and other.leq(self, via)
@@ -277,22 +264,6 @@ class PathFormula:
     def difference(self, other: "PathFormula") -> "PathFormula":
         self._check(other)
         return PathFormula(self.universe, difference(self.universe, self.table, other.table))
-
-    # -- field abstraction
-
-    def project(self, tracked: Iterable[str]) -> "PathFormula":
-        """Collapse untracked fields into the stand-in field.  With every
-        field tracked this is the identity."""
-        tracked_set = set(tracked)
-        fields = set(self.universe.concrete_fields)
-        if self.universe.has_any:
-            raise ValueError("formula is already field-abstracted")
-        if tracked_set == fields:
-            return self
-        new_universe = FieldUniverse.tracked(fields, tracked_set)
-        names_of = self.universe.names_of
-        masks = (new_universe.abstract_mask(names_of(m)) for m in models_of(self.table))
-        return PathFormula.from_models(new_universe, masks)
 
     # -- rendering
 
@@ -392,10 +363,6 @@ class Viability:
 
     def is_viable_mask(self, mask: int) -> bool:
         return bool(self.table >> mask & 1)
-
-    def viable_part(self, table: int) -> int:
-        """The viable models of a truth table."""
-        return table & self.table
 
     def canonical(self, table: int) -> int:
         """Display/fixpoint canonical form: forget unrealizable models.  The

@@ -2,7 +2,9 @@
 
 The interpreter executes main directly, records the concrete state after
 every command (including inside callees, keyed by the shared node ids), and
-aborts cleanly when the step budget or the call depth budget runs out.
+aborts cleanly when the step budget or the call depth budget runs out.  The
+step budget also bounds the cells the records copy, counted apart from the
+steps: the entries of each new snapshot and the frame slots of each record.
 Heap snapshots are copy-on-write: consecutive records with no allocation or
 field write in between share one snapshot, and a new snapshot is a shallow
 copy of the last one in which only the objects allocated or written since
@@ -121,6 +123,7 @@ class _Interp:
         self.budget = budget
         self.record = record
         self.steps = 0
+        self.cells = 0  # snapshot entries and frame slots recorded so far
         self.depth = 0  # calls in progress
         self.allocations = 0
         self.next_addr = 1
@@ -155,6 +158,11 @@ class _Interp:
 
     def _record(self, nid: int, frame: dict[str, Val]) -> None:
         if self.record:
+            # counted before copying: a run that never ends must not exhaust
+            # memory before it exhausts the budget
+            self.cells += len(frame) + (len(self.heap) if self.dirty else 0)
+            if self.cells > self.budget:
+                raise BudgetExceeded(f"recorded states exceed the budget of {self.budget} cells")
             if self.dirty:
                 # share the unchanged objects, copy only the changed ones
                 snapshot = dict(self.snapshot)
@@ -281,26 +289,6 @@ def run_concrete(
         return _Interp(program, ct, budget, record).run_main()
     except RecursionError:  # nested blocks inside calls can outgrow the stack
         raise BudgetExceeded("execution nests deeper than the interpreter's stack") from None
-
-
-def heap_to_dot(state: ConcreteState) -> str:
-    """Debug rendering of a concrete state as a DOT graph with
-    field-labelled edges; variables appear as plain nodes."""
-    lines = ["digraph heap {"]
-    for addr in sorted(state.heap):
-        obj = state.heap[addr]
-        lines.append(f'  o{addr} [shape=box,label="o{addr}:{obj.classname}"];')
-    for addr in sorted(state.heap):
-        for fname, value in sorted(state.heap[addr].fields.items()):
-            if isinstance(value, Loc):
-                lines.append(f'  o{addr} -> o{value.addr} [label="{fname}"];')
-    for var in sorted(state.frame):
-        value = state.frame[var]
-        if isinstance(value, Loc):
-            lines.append(f'  {var} [shape=plaintext];')
-            lines.append(f"  {var} -> o{value.addr} [style=dotted];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -636,13 +624,8 @@ def alpha_state(
     entry models are precisely the realized traversal sets.  ``memo``, made
     for the same universe, carries heap results over from earlier states."""
     memo = memo or _SnapshotMemo(universe)
-    vs = tuple(variables)
-    value = RcValue.bottom(universe, vs, frozenset(vs))
-    locs = {
-        v: state.frame[v].addr
-        for v in vs
-        if isinstance(state.frame.get(v), Loc)
-    }
+    value = RcValue.bottom(universe, variables)
+    locs = {v: state.frame[v].addr for v in value.cyc if isinstance(state.frame.get(v), Loc)}
     reach = {addr: memo.reach_tables(state.heap, addr) for addr in set(locs.values())}
     cycles = memo.cycle_table(state.heap) if locs else {}
     for v, av in locs.items():
@@ -704,11 +687,7 @@ def check_soundness(result: AnalysisResult, oracle: OracleResult) -> SoundnessRe
         points += 1
         for idx, state in enumerate(state_list):
             states += 1
-            shared = [
-                v
-                for v in abstract.variables
-                if v in abstract.ref_vars and v in state.frame
-            ]
+            shared = [v for v in abstract.cyc if v in state.frame]
             exact = alpha_state(state, result.universe, shared, memo)
             # the smallest realized mask outside the abstract entry is the witness
             for (v, w), t in exact.reach.items():

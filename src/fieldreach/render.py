@@ -16,9 +16,12 @@ from .syntax import walk_commands
 from .typecheck import TypeInfo
 
 
-def _display_pairs(value: RcValue, display_vars: tuple[str, ...]) -> list[tuple[str, str]]:
+def _display_pairs(
+    value: RcValue, display_vars: tuple[str, ...]
+) -> tuple[list[str], list[tuple[str, str]]]:
+    """The displayed variables of the value's scope, sorted, and their pairs."""
     shown = [v for v in sorted(display_vars) if v in value.cyc]
-    return [(v, w) for v in shown for w in shown]
+    return shown, [(v, w) for v in shown for w in shown]
 
 
 def render_table(result: AnalysisResult) -> str:
@@ -28,9 +31,7 @@ def render_table(result: AnalysisResult) -> str:
     are."""
     if not result.trace:
         return "(no trace)\n"
-    sample = result.trace[0].value
-    pairs = _display_pairs(sample, result.display_vars)
-    shown = [v for v in sorted(result.display_vars) if v in sample.cyc]
+    shown, pairs = _display_pairs(result.trace[0].value, result.display_vars)
     header = (
         ["line", "visit"]
         + [f"({v},{w})" for v, w in pairs]
@@ -60,8 +61,7 @@ def render_table(result: AnalysisResult) -> str:
 
 def render_final(result: AnalysisResult) -> str:
     value = result.final
-    pairs = _display_pairs(value, result.display_vars)
-    shown = [v for v in sorted(result.display_vars) if v in value.cyc]
+    shown, pairs = _display_pairs(value, result.display_vars)
     lines = ["final abstract value:"]
     for v, w in pairs:
         lines.append(f"  reach({v},{w}) = {value.reach_at(v, w).render()}")

@@ -175,7 +175,7 @@ class Analyzer:
         self.memo = Fixpoint(
             self._run_method,
             self._widen_memo,
-            lambda inp: RcValue.bottom(universe, *summary_scope(inp[0], typeinfo)),
+            lambda inp: RcValue.bottom(universe, summary_scope(inp[0], typeinfo)),
         )
         self._memo_counters: dict[tuple, dict] = {}
         # the last run's recording of each context; the entry's under None
@@ -225,10 +225,10 @@ class Analyzer:
         fld = self._only([e.fieldname])
         fld_mask = u.abstract_mask([e.fieldname])
         reach = I.reach
-        extra = RcValue.bottom(u, I.variables, I.ref_vars)
+        extra = RcValue.bottom(u, I.cyc)
         extra.cyc[RESULT_VAR] = extra.reach[(RESULT_VAR, RESULT_VAR)] = I.cyc[v]
-        for w in I.variables:
-            if w not in I.ref_vars or w == RESULT_VAR:
+        for w in I.cyc:
+            if w == RESULT_VAR:
                 continue
             extra.reach[(RESULT_VAR, w)] = difference(u, reach[(v, w)], fld)
             if sp.has_ds(w, v):
@@ -248,42 +248,35 @@ class Analyzer:
         true = u.full_table
         reach, cyc = I.reach, I.cyc
         actuals = [e.receiver] + list(e.args)
-        ref_actual = [a for a in actuals if a in I.ref_vars]
+        ref_actual = [a for a in actuals if a in cyc]
         callees = self.typeinfo.call_targets[e.nid]
 
-        summary_back = RcValue.bottom(u, I.variables, I.ref_vars)
+        summary_back = RcValue.bottom(u, cyc)
         for sig in callees:
-            formals = list(sig.input_vars)
-            entry = RcValue.bottom(u, *summary_scope(sig, self.typeinfo))
-            formal_to_actual = dict(zip(formals, actuals))
+            entry = RcValue.bottom(u, summary_scope(sig, self.typeinfo))
+            formal_to_actual, sp_entry = self.sharing.binding(e, sig, sp)
+            formals = [f for f in sig.input_vars if f in entry.cyc]
             for f1 in formals:
-                if f1 not in entry.ref_vars:
-                    continue
                 a1 = formal_to_actual[f1]
                 for f2 in formals:
-                    if f2 in entry.ref_vars:
-                        entry.reach[(f1, f2)] = reach[(a1, formal_to_actual[f2])]
+                    entry.reach[(f1, f2)] = reach[(a1, formal_to_actual[f2])]
                 entry.cyc[f1] = cyc[a1]
-            sp_entry = sp.restrict(actuals).remap_from(formal_to_actual)
             output = self._denotation(sig, entry, sp_entry)
-            mapping = dict(formal_to_actual)
-            mapping[OUT_VAR] = RESULT_VAR
-            summary_back = summary_back.join(
-                output.remap(mapping, I.variables, I.ref_vars)
-            )
+            mapping = {**formal_to_actual, OUT_VAR: RESULT_VAR}
+            summary_back = summary_back.join(output.remap(mapping, cyc))
         back = summary_back.reach
 
-        sp_after, impure = self.sharing.call_effect(e, sp, ctx.env)
+        sp_after, impure = self.sharing.call_effect(e, sp)
 
         # paths the callee may have created between caller variables: for an
         # impure argument, pre-call reachability into it, the callee-computed
         # leg between arguments, and pre-call reachability out of the other
         # argument are stitched together; deep-sharing on either side forfeits
         # the field information for that side.
-        assembled = RcValue.bottom(u, I.variables, I.ref_vars)
-        others = [w for w in I.variables if w in I.ref_vars and w != RESULT_VAR]
+        assembled = RcValue.bottom(u, cyc)
+        others = [w for w in cyc if w != RESULT_VAR]
         for i, vi in enumerate(actuals):
-            if vi not in I.ref_vars or i not in impure:
+            if vi not in cyc or i not in impure:
                 continue
             for vj in ref_actual:
                 ds_ij_after = sp_after.has_ds(vi, vj)
@@ -335,7 +328,7 @@ class Analyzer:
         # cyclicity: cycles built inside an impure argument spread to
         # everything sharing with it in any direction
         for i, vi in enumerate(actuals):
-            if vi not in I.ref_vars or i not in impure:
+            if vi not in cyc or i not in impure:
                 continue
             ci = summary_back.cyc[vi]
             for w in others:
@@ -370,7 +363,7 @@ class Analyzer:
             return I
         if isinstance(cmd, Assign):
             evaluated = self.eval_expr(cmd.expr, I, ctx)
-            if cmd.var not in I.ref_vars:
+            if cmd.var not in I.cyc:
                 # an int target still consumes the expression result
                 return evaluated.project([RESULT_VAR])
             return evaluated.rename({RESULT_VAR: cmd.var})
@@ -386,7 +379,7 @@ class Analyzer:
             return self._exec_while(cmd, I, ctx)
         if isinstance(cmd, Return):
             evaluated = self.eval_expr(cmd.expr, I, ctx)
-            if OUT_VAR not in I.ref_vars:
+            if OUT_VAR not in I.cyc:
                 return evaluated.project([RESULT_VAR])
             return evaluated.rename({RESULT_VAR: OUT_VAR})
         raise AnalysisError(f"unsupported command {cmd!r}")
@@ -401,7 +394,7 @@ class Analyzer:
         fld = self._only([cmd.fieldname])
         # the new edge alone, or the new edge plus the cycle it may close
         mid = fld | concat(u, fld, reach[(RESULT_VAR, v)])
-        extra = RcValue.bottom(u, I.variables, I.ref_vars)
+        extra = RcValue.bottom(u, I.cyc)
         refs = list(extra.cyc)
         for w1 in refs:
             head = concat(u, reach[(w1, v)], mid)
@@ -466,20 +459,11 @@ class Analyzer:
         sig, entry, sp_entry = inp
         env = self.typeinfo.env_for(sig.key)
         decl = self.ct.method_decl(sig)
-        out_vars, out_refs = summary_scope(sig, self.typeinfo)
-        local_names = [n for _, n in self.ct.method_locals(sig)]
-        shadow_params = [w for w in sig.param_names if env.type_of(w) != INT_TYPE]
-        shadows = {w: shallow_name(w) for w in shadow_params}
-        body_vars = (
-            tuple(sig.input_vars)
-            + tuple(local_names)
-            + (OUT_VAR,)
-            + tuple(shadows.values())
-            + (RESULT_VAR,)
-        )
-        refs = set(out_refs) | set(shadows.values()) | {RESULT_VAR}
-        refs |= {n for n in local_names if env.type_of(n) != INT_TYPE}
-        I0 = entry.remap({x: x for x in entry.variables}, body_vars, refs)
+        scope = summary_scope(sig, self.typeinfo)
+        shadows = {w: shallow_name(w) for w in sig.param_names if env.type_of(w) != INT_TYPE}
+        # inputs and locals, then ``out``, which the body does not declare
+        body = (*env.ref_vars, *(v for v in scope if v not in env), *shadows.values(), RESULT_VAR)
+        I0 = entry.remap({x: x for x in entry.cyc}, body)
         for w, u in shadows.items():
             I0 = I0.copy_var(w, u)
         recorder = self.recorders[key] = _Recorder()
@@ -491,7 +475,7 @@ class Analyzer:
         # shadows pinned, of ``this`` and of the result
         outputs = {u: w for w, u in shadows.items()}
         outputs.update({"this": "this", OUT_VAR: OUT_VAR})
-        result = I1.remap(outputs, out_vars, out_refs)
+        result = I1.remap(outputs, scope)
         return result.normalize().canonical(self.via)
 
     # ------------------------------------------------------------------
@@ -544,14 +528,12 @@ def find_entry_sig(ct: ClassTable, name: str) -> MethodSig:
     return matches[0]
 
 
-def summary_scope(sig: MethodSig, typeinfo: TypeInfo) -> tuple[tuple[str, ...], frozenset[str]]:
-    """Variables and reference variables of a method summary: the formals
-    plus ``out``."""
+def summary_scope(sig: MethodSig, typeinfo: TypeInfo) -> tuple[str, ...]:
+    """The reference variables of a method summary, in order: the
+    reference formals, then ``out`` unless the method returns an int."""
     env = typeinfo.env_for(sig.key)
-    refs = frozenset(f for f in sig.input_vars if env.type_of(f) != INT_TYPE)
-    if sig.return_type != INT_TYPE:
-        refs |= {OUT_VAR}
-    return tuple(sig.input_vars) + (OUT_VAR,), refs
+    refs = tuple(f for f in sig.input_vars if env.type_of(f) != INT_TYPE)
+    return refs if sig.return_type == INT_TYPE else refs + (OUT_VAR,)
 
 
 def entry_scope(
@@ -561,9 +543,9 @@ def entry_scope(
     *,
     tracked: Optional[Iterable[str]] = None,
     entry: EntryKey = "main",
-) -> tuple[FieldUniverse, Union[str, MethodSig], tuple[str, ...], frozenset[str]]:
+) -> tuple[FieldUniverse, Union[str, MethodSig], tuple[str, ...]]:
     """The field universe, the entry (``"main"`` or a method), and the
-    variables and reference variables the entry's ``//@ init`` lines may name."""
+    reference variables the entry's ``//@ init`` lines may name, in order."""
     if tracked is None:
         universe = FieldUniverse.of(ct.reference_fields)
     else:
@@ -579,12 +561,9 @@ def entry_scope(
     if entry == "main":
         if program.main is None:
             raise AnalysisError("program has no main block")
-        env = typeinfo.env_for("main")
-        variables = tuple(env.variables) + (RESULT_VAR,)
-        return universe, "main", variables, frozenset(env.ref_vars) | {RESULT_VAR}
+        return universe, "main", typeinfo.env_for("main").ref_vars + (RESULT_VAR,)
     sig = entry if isinstance(entry, MethodSig) else find_entry_sig(ct, str(entry))
-    _, refs = summary_scope(sig, typeinfo)
-    return universe, sig, tuple(sig.input_vars), refs - {OUT_VAR}
+    return universe, sig, tuple(v for v in summary_scope(sig, typeinfo) if v != OUT_VAR)
 
 
 def parse_init_annotations(
@@ -594,10 +573,11 @@ def parse_init_annotations(
     ref_vars: frozenset[str],
 ) -> tuple[RcValue, SharingState]:
     """Resolve the ``//@ init`` lines into the entry abstract value and the
-    entry sharing state; unannotated entries stay at the contradiction.  A
-    declared reference field the universe does not track folds into the
-    stand-in, as on concrete paths."""
-    value = RcValue.bottom(universe, variables, ref_vars)
+    entry sharing state; unannotated entries stay at the contradiction.  The
+    value's scope is ``variables`` restricted to ``ref_vars``, in the order of
+    ``variables``.  A declared reference field the universe does not track
+    folds into the stand-in, as on concrete paths."""
+    value = RcValue.bottom(universe, (v for v in variables if v in ref_vars))
     sp = SharingState.empty()
     declared = {
         name for cls in program.classes for name, typ in cls.fields if typ != INT_TYPE
@@ -654,12 +634,10 @@ def analyze_program(
     """Analyse the entry from the program's ``//@ init`` facts, with
     ``init_rc``/``init_sp`` joined on top when given."""
     started = time.perf_counter()
-    universe, entry, variables, refs = entry_scope(
-        program, ct, typeinfo, tracked=tracked, entry=entry
-    )
-    start, sp_start = parse_init_annotations(program, universe, variables, refs)
+    universe, entry, scope = entry_scope(program, ct, typeinfo, tracked=tracked, entry=entry)
+    start, sp_start = parse_init_annotations(program, universe, scope, frozenset(scope))
     if init_rc is not None:
-        start = start.join(init_rc.remap({x: x for x in init_rc.variables}, variables, refs))
+        start = start.join(init_rc.remap({x: x for x in init_rc.cyc}, scope))
     if init_sp is not None:
         sp_start = sp_start.union(init_sp)
     sharing = SharingAnalysis(program, ct, typeinfo)

@@ -99,13 +99,6 @@ class SharingState:
     def union(self, other: "SharingState") -> "SharingState":
         return SharingState(self.sh | other.sh, self.ds | other.ds)
 
-    def restrict(self, names: Iterable[str]) -> "SharingState":
-        keep = set(names)
-        return SharingState(
-            frozenset(p for p in self.sh if p[0] in keep and p[1] in keep),
-            frozenset(p for p in self.ds if p[0] in keep and p[1] in keep),
-        )
-
     def copy_alias(self, src: str, dst: str) -> "SharingState":
         """Bind ``dst`` to the same location as ``src``."""
         if src == dst:
@@ -351,22 +344,28 @@ class SharingAnalysis:
             return self._eval_call(e, st, ctx, env, shadows, impure)
         raise TypeError(f"unsupported expression {e!r}")
 
-    def call_effect(
-        self, e: MethodCall, st: SharingState, env: TypeEnv
-    ) -> tuple[SharingState, frozenset[int]]:
+    @staticmethod
+    def binding(
+        e: MethodCall, sig: MethodSig, st: SharingState
+    ) -> tuple[dict[str, str], SharingState]:
+        """The formals of one callee of a call site mapped to its actuals,
+        and the state the callee is entered in: the pairs among the actuals
+        in the call site's state ``st``, renamed to the formals.  The
+        reachability analysis reads the callee's point tables by this state,
+        so both analyses take it from here."""
+        formal_to_actual = dict(zip(sig.input_vars, [e.receiver, *e.args]))
+        return formal_to_actual, st.remap_from(formal_to_actual)
+
+    def call_effect(self, e: MethodCall, st: SharingState) -> tuple[SharingState, frozenset[int]]:
         """Summary pairs renamed to caller names (result under the internal
         result variable) plus the combined impure positions, for one call
         site entered in the given state."""
-        actuals = [e.receiver] + list(e.args)
         combined = SharingSummary.bottom()
         renamed = SharingState.empty()
         for sig in self.typeinfo.call_targets[e.nid]:
-            formals = list(sig.input_vars)
-            sources = {f: a for f, a in zip(formals, actuals)}
-            callee_in = st.restrict(actuals).remap_from(sources)
+            mapping, callee_in = self.binding(e, sig, st)
             summ = self.summary(sig, callee_in)
             combined = combined.union(summ)
-            mapping = {f: a for f, a in zip(formals, actuals)}
             mapping[OUT_VAR] = RESULT_VAR
             renamed = renamed.union(summ.exit_state.remap_to(mapping))
         return renamed, combined.impure
@@ -374,7 +373,7 @@ class SharingAnalysis:
     def _eval_call(self, e: MethodCall, st, ctx, env, shadows, impure) -> SharingState:
         actuals = [e.receiver] + list(e.args)
         ref_actuals = [a for a in actuals if env.type_of(a) != INT_TYPE]
-        renamed, impure_positions = self.call_effect(e, st, env)
+        renamed, impure_positions = self.call_effect(e, st)
         # an impure callee argument may update structures shared with the
         # enclosing method's own entry arguments
         if impure is not None and shadows:

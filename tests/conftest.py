@@ -69,7 +69,7 @@ def analyze_entry(source: str, entry: str = "main", tracked=None):
 
 def pf(universe: FieldUniverse, *sets) -> PathFormula:
     """Shorthand: a formula from model field-sets given as iterables."""
-    return PathFormula.of_sets(universe, sets)
+    return PathFormula.from_models(universe, [universe.mask_of(s) for s in sets])
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,4 @@
 import json
-import pathlib
 import re
 
 import pytest
@@ -185,20 +184,6 @@ def test_dump_sharing(capsys):
     assert "DS(tmp,x)" in out
 
 
-def test_heap_dot_dump():
-    from fieldreach import build_class_table, parse_program, run_concrete
-    from fieldreach.oracle import heap_to_dot
-
-    src = pathlib.Path(DLL).read_text()
-    program = parse_program(src)
-    ct = build_class_table(program)
-    oracle = run_concrete(program, ct)
-    dot = heap_to_dot(oracle.final)
-    assert dot.startswith("digraph heap {")
-    assert '[label="n"]' in dot and '[label="p"]' in dot
-    assert "x ->" in dot
-
-
 def test_no_annotations_means_bottom_entry(capsys):
     code, out, err = invoke(capsys, DLL, "--format", "json")
     doc = json.loads(out)
@@ -340,6 +325,47 @@ def test_unbounded_recursion_under_the_oracle_fails_cleanly(tmp_path, capsys):
     code, out, err = _run_source(tmp_path, capsys, source, "--oracle-check")
     assert code == 1
     assert "concrete execution failed" in err and "call depth" in err
+
+
+def test_a_run_that_never_ends_stops_at_the_cell_budget(tmp_path, capsys):
+    # the chain grows on every trip and ``i`` is reset inside the loop: the
+    # cells the records copy, not memory, must end the oracle's run
+    source = (
+        "main { int i; Tree root; Tree child; root := new Tree; "
+        "while (i < 3) { i := 0; child := new Tree; child.parent := root; "
+        "root.left := child; root := child; i := i + 1; } } "
+        "class Tree { Tree left; Tree right; Tree parent; }"
+    )
+    code, out, err = _run_source(
+        tmp_path, capsys, source, "--oracle-check", "--heap-budget", "20000"
+    )
+    assert code == 1
+    assert "20000 cells" in err and "--heap-budget" in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "class A { A m(A x, A x) { return x; } } main { skip; }",
+        "class A { A m(A this) { return this; } } main { skip; }",
+        "class A { A m(A x) { A x; return x; } } main { skip; }",
+        "class A { } main { A a; A a; skip; }",
+        "class A { } main { A a; int a; skip; }",
+    ],
+    ids=[
+        "repeated-parameter",
+        "parameter-this",
+        "local-shadows-parameter",
+        "repeated-local",
+        "local-of-two-types",
+    ],
+)
+def test_clashing_variable_names_are_analysis_errors(tmp_path, capsys, source):
+    code, out, err = _run_source(tmp_path, capsys, source)
+    assert code == 1
+    assert re.search(r"^error: .*duplicate .*'(x|this|a)'", err, re.M), err
+    assert "Traceback" not in out + err
 
 
 def test_field_named_like_the_stand_in_is_an_analysis_error(tmp_path, capsys):

@@ -26,6 +26,7 @@ from fieldreach.compare import (
     is_monotone,
     is_positive,
 )
+from fieldreach.formula import models_of
 
 from conftest import pf
 
@@ -165,7 +166,7 @@ def clause_hull(f: PathFormula) -> PathFormula:
     clause that every model of ``f`` meets; the contradiction stays itself."""
     if f.is_false:
         return f
-    models = f.model_masks()
+    models = list(models_of(f.table))
     clauses = [
         c for c in range(1, 1 << f.universe.size) if all(m & c for m in models)
     ]

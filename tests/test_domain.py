@@ -6,8 +6,11 @@ from hypothesis import given, strategies as st
 
 from fieldreach import FieldUniverse, PathFormula, RcValue, Viability
 from fieldreach.oracle import ConcreteState, Loc, Obj, cycle_field_sets, traversal_saturate
+from fieldreach.semantics import analyze_program
+from fieldreach.syntax import walk_commands
 
-from conftest import pf
+from conftest import build, pf
+from test_reports import CASES
 
 
 @pytest.fixture
@@ -17,15 +20,26 @@ def u():
 
 @pytest.fixture
 def value(u):
-    return RcValue.bottom(u, ("v", "w", "z", "k"), frozenset(["v", "w", "z"]))
+    return RcValue.bottom(u, ("v", "w", "z"))
+
+
+def put(value, reach=None, cyc=None):
+    """A copy of ``value`` with the given entries, which must be in its
+    scope, set to the tables of the given formulas."""
+    out = value._fresh()
+    for table, entries in ((out.reach, reach or {}), (out.cyc, cyc or {})):
+        for key, f in entries.items():
+            assert key in table
+            table[key] = f.table
+    return out
 
 
 def test_bottom_and_top(u, value):
     assert all(value.reach_at(v, w).is_false for v, w in value.reach)
+    assert list(value.cyc) == ["v", "w", "z"]
+    assert list(value.reach) == [(v, w) for v in "vwz" for w in "vwz"]
     top = RcValue(
         u,
-        value.variables,
-        value.ref_vars,
         {key: u.full_table for key in value.reach},
         {v: u.full_table for v in value.cyc},
     )
@@ -34,10 +48,38 @@ def test_bottom_and_top(u, value):
     assert top.join(value) == top
 
 
-def test_int_vars_read_false(u, value):
-    assert value.reach_at("k", "v").is_false
-    assert value.cyc_at("k").is_false
-    assert ("k", "v") not in value.reach
+def _int_vars(env):
+    return [v for v in env.variables if v not in env.ref_vars]
+
+
+def _assert_one_scope(value, ints):
+    scope = list(value.cyc)
+    assert list(value.reach) == [(v, w) for v in scope for w in scope]
+    for k in ints:
+        with pytest.raises(KeyError):
+            value.reach_at(k, scope[0] if scope else k)
+        with pytest.raises(KeyError):
+            value.cyc_at(k)
+
+
+def test_int_vars_have_no_entries():
+    # a value's scope is its reference variables: reach has one entry per
+    # ordered pair of the cyc keys, and an int variable has no entry at all
+    for _, src, entry, tracked in CASES:
+        program, ct, info = build(src)
+        result = analyze_program(program, ct, info, tracked=tracked, entry=entry)
+        ints = _int_vars(info.env_for(result.entry))
+        for value in [result.final] + [row.value for row in result.trace]:
+            _assert_one_scope(value, ints)
+        bodies = [("main", program.main.body)] if program.main is not None else []
+        bodies += [(sig.key, ct.method_body(sig)) for sig in ct.all_method_sigs()]
+        for key, body in bodies:
+            ints = _int_vars(info.env_for(key))
+            for cmd in walk_commands(body):
+                if cmd.nid in result.point_post:
+                    _assert_one_scope(result.point_post[cmd.nid], ints)
+            for value in result.denotations.get(key, {}).values():
+                _assert_one_scope(value, ints)
 
 
 def test_names_outside_the_scope_raise(u, value):
@@ -45,57 +87,57 @@ def test_names_outside_the_scope_raise(u, value):
     with pytest.raises(KeyError):
         value.reach_at("v", "nope")
     with pytest.raises(KeyError):
-        value.reach_at("nope", "k")
+        value.reach_at("nope", "w")
     with pytest.raises(KeyError):
         value.cyc_at("nope")
     assert value.reach_at("v", "w").is_false
 
 
 def test_project(u, value):
-    v1 = value.with_reach("v", "z", pf(u, ["f"])).with_reach("w", "z", pf(u, ["g"]))
+    v1 = put(value, reach={("v", "z"): pf(u, ["f"]), ("w", "z"): pf(u, ["g"])})
     v2 = v1.project(["v"])
     assert v2.reach_at("v", "z").is_false
     assert v2.reach_at("w", "z") == pf(u, ["g"])
     assert v1.project([]) == v1
-    assert v1.project(v1.variables) == RcValue.bottom(u, v1.variables, v1.ref_vars)
+    assert v1.project(v1.cyc) == RcValue.bottom(u, v1.cyc)
 
 
 def test_project_of_union_composes(u, value):
-    v1 = value.with_reach("v", "w", pf(u, ["f"])).with_cyc("z", pf(u, []))
+    v1 = put(value, reach={("v", "w"): pf(u, ["f"])}, cyc={"z": pf(u, [])})
     assert v1.project(["v"]).project(["z"]) == v1.project(["v", "z"])
 
 
 def test_rename(u, value):
-    v1 = value.with_reach("v", "z", pf(u, ["f"])).with_cyc("v", pf(u, []))
+    v1 = put(value, reach={("v", "z"): pf(u, ["f"])}, cyc={"v": pf(u, [])})
     v2 = v1.rename({"v": "w"})
     assert v2.reach_at("w", "z") == pf(u, ["f"])
     assert v2.cyc_at("w") == pf(u, [])
     assert v2.reach_at("v", "z").is_false
     assert v2.cyc_at("v").is_false
     assert v1.rename({"v": "v"}) == v1
-    bottom = RcValue.bottom(u, value.variables, value.ref_vars)
+    bottom = RcValue.bottom(u, value.cyc)
     assert bottom.rename({"v": "w"}) == bottom
 
 
 def test_rename_diagonal_moves(u, value):
-    v1 = value.with_reach("v", "v", pf(u, []))
+    v1 = put(value, reach={("v", "v"): pf(u, [])})
     v2 = v1.rename({"v": "w"})
     assert v2.reach_at("w", "w") == pf(u, [])
     assert v2.reach_at("v", "v").is_false
 
 
 def test_rename_swap(u, value):
-    v1 = value.with_reach("v", "z", pf(u, ["f"])).with_reach("w", "z", pf(u, ["g"]))
+    v1 = put(value, reach={("v", "z"): pf(u, ["f"]), ("w", "z"): pf(u, ["g"])})
     v2 = v1.rename({"v": "w", "w": "v"})
     assert v2.reach_at("w", "z") == pf(u, ["f"])
     assert v2.reach_at("v", "z") == pf(u, ["g"])
 
 
 def test_copy_var(u, value):
-    v1 = (
-        value.with_reach("v", "v", pf(u, []))
-        .with_reach("v", "z", pf(u, ["f"]))
-        .with_cyc("v", pf(u, ["f", "g"]))
+    v1 = put(
+        value,
+        reach={("v", "v"): pf(u, []), ("v", "z"): pf(u, ["f"])},
+        cyc={"v": pf(u, ["f", "g"])},
     )
     v2 = v1.copy_var("v", "w")
     assert v2.reach_at("w", "w") == pf(u, [])
@@ -109,92 +151,88 @@ def test_copy_var(u, value):
 
 
 def test_update_and_normalize(u, value):
-    v1 = value.with_reach("v", "v", pf(u, ["f", "g"]))
+    v1 = put(value, reach={("v", "v"): pf(u, ["f", "g"])})
     assert not v1.is_normal()
     v2 = v1.normalize()
     assert v2.cyc_at("v") == pf(u, ["f", "g"])
     assert v2.reach == v1.reach
     assert v2.normalize() == v2  # idempotent
-    bottom = RcValue.bottom(u, value.variables, value.ref_vars)
+    bottom = RcValue.bottom(u, value.cyc)
     assert bottom.normalize() == bottom
 
 
 def test_normalize_extensive(u, value):
-    v1 = value.with_reach("w", "w", pf(u, ["f"])).with_cyc("w", pf(u, ["g"]))
+    v1 = put(value, reach={("w", "w"): pf(u, ["f"])}, cyc={"w": pf(u, ["g"])})
     v2 = v1.normalize()
     assert v1.cyc_at("w").leq(v2.cyc_at("w"))
     assert v2.cyc_at("w") == pf(u, ["f"], ["g"])
 
 
 def test_update_only_touches_entry(u, value):
-    v1 = value.with_reach("v", "z", pf(u, ["g"], ["f", "g"]))
+    v1 = put(value, reach={("v", "z"): pf(u, ["g"], ["f", "g"])})
     changed = [k for k in v1.reach if v1.reach[k] != value.reach[k]]
     assert changed == [("v", "z")]
-    assert value.with_reach("v", "z", value.reach_at("v", "z")) == value
+    assert put(value, reach={("v", "z"): value.reach_at("v", "z")}) == value
 
 
 def test_join_and_leq(u, value):
-    a = value.with_reach("v", "w", pf(u, ["f"]))
-    b = value.with_reach("v", "w", pf(u, ["g"])).with_cyc("z", pf(u, []))
+    a = put(value, reach={("v", "w"): pf(u, ["f"])})
+    b = put(value, reach={("v", "w"): pf(u, ["g"])}, cyc={"z": pf(u, [])})
     j = a.join(b)
     assert j.reach_at("v", "w") == pf(u, ["f"], ["g"])
     assert j.cyc_at("z") == pf(u, [])
     assert a.leq(j) and b.leq(j)
-    bottom = RcValue.bottom(u, value.variables, value.ref_vars)
+    bottom = RcValue.bottom(u, value.cyc)
     assert j.join(bottom) == j
     assert bottom.leq(a) and bottom.leq(b)
 
 
 def test_join_requires_same_scope(u, value):
-    other = RcValue.bottom(u, ("a",), frozenset(["a"]))
+    other = RcValue.bottom(u, ("a",))
     with pytest.raises(ValueError):
         value.join(other)
     # a stored table means nothing over another universe
-    foreign = pf(FieldUniverse.of(["f"]), ["f"])
+    foreign = RcValue.bottom(FieldUniverse.of(["f"]), value.cyc)
     with pytest.raises(ValueError):
-        value.with_reach("v", "w", foreign)
+        value.join(foreign)
     with pytest.raises(ValueError):
-        value.with_cyc("v", foreign)
+        foreign.leq(value)
 
 
 def test_remap_collision_joins(u, value):
-    v1 = (
-        value.with_reach("v", "v", pf(u, ["f"]))
-        .with_reach("w", "w", pf(u, ["g"]))
-        .with_cyc("v", pf(u, ["f"]))
-        .with_cyc("w", pf(u, ["g"]))
+    v1 = put(
+        value,
+        reach={("v", "v"): pf(u, ["f"]), ("w", "w"): pf(u, ["g"])},
+        cyc={"v": pf(u, ["f"]), "w": pf(u, ["g"])},
     )
-    out = v1.remap({"v": "a", "w": "a"}, ("a",), frozenset(["a"]))
+    out = v1.remap({"v": "a", "w": "a"}, ("a",))
     assert out.reach_at("a", "a") == pf(u, ["f"], ["g"])
     assert out.cyc_at("a") == pf(u, ["f"], ["g"])
 
 
 def test_leq_decided_by_cyclicity_alone(u, value):
-    low = value.with_cyc("v", pf(u, ["f"]))
-    high = low.with_cyc("v", pf(u, ["f"], ["g"]))
+    low = put(value, cyc={"v": pf(u, ["f"])})
+    high = put(low, cyc={"v": pf(u, ["f"], ["g"])})
     assert low.reach == high.reach
     assert low.leq(high) and not high.leq(low)
 
 
 def test_key_tells_one_cyclicity_entry_apart(u, value):
-    a = value.with_cyc("v", pf(u, ["f"]))
+    a = put(value, cyc={"v": pf(u, ["f"])})
     assert a.key() != value.key()
-    assert a.key() != a.with_cyc("v", pf(u, ["g"])).key()
-    assert a.key() == value.with_cyc("v", pf(u, ["f"])).key()
+    assert a.key() != put(a, cyc={"v": pf(u, ["g"])}).key()
+    assert a.key() == put(value, cyc={"v": pf(u, ["f"])}).key()
 
 
-VARS = ("a", "b", "c", "k")
-REFS = frozenset(["a", "b", "c"])
+VARS = ("a", "b", "c")
 
 
 def _draw_value(data, universe):
     table = st.integers(0, universe.full_table)
     return RcValue(
         universe,
-        VARS,
-        REFS,
-        {(v, w): data.draw(table) for v in VARS if v in REFS for w in VARS if w in REFS},
-        {v: data.draw(table) for v in VARS if v in REFS},
+        {(v, w): data.draw(table) for v in VARS for w in VARS},
+        {v: data.draw(table) for v in VARS},
     )
 
 
@@ -223,8 +261,8 @@ def test_value_operators_agree_with_the_formula_operators(devices_ct, data):
     for v in x.cyc:
         assert joined.cyc_at(v) == x.cyc_at(v).join(y.cyc_at(v))
 
-    var = data.draw(st.sampled_from(sorted(REFS)))
-    lifted = x.with_cyc(var, x.cyc_at(var).join(y.cyc_at(var)))
+    var = data.draw(st.sampled_from(VARS))
+    lifted = put(x, cyc={var: x.cyc_at(var).join(y.cyc_at(var))})
     for low, high in [(x, y), (y, x), (x, joined), (joined, x), (lifted, x), (x, lifted)]:
         assert low.leq(high) == _entrywise_leq(low, high)
     assert (lifted.key() == x.key()) == (lifted == x)
@@ -244,7 +282,7 @@ def test_value_operators_agree_with_the_formula_operators(devices_ct, data):
 
     # a and b land on one target, c on another
     mapping = {"a": "p", "b": "p", "c": "q"}
-    out = x.remap(mapping, ("p", "q", "k"), frozenset(["p", "q"]))
+    out = x.remap(mapping, ("p", "q"))
     sources = {d: [s for s, t in mapping.items() if t == d] for d in ("p", "q")}
     for d1, s1 in sources.items():
         cyc = PathFormula.false(universe)
@@ -334,5 +372,5 @@ def test_universe_and_scope_preserved(u, value):
     ]
     for out in ops:
         assert out.universe == value.universe
-        assert out.variables == value.variables
-        assert out.ref_vars == value.ref_vars
+        assert list(out.cyc) == list(value.cyc)
+        assert list(out.reach) == list(value.reach)

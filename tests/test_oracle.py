@@ -26,7 +26,7 @@ from fieldreach.oracle import (
 )
 from fieldreach.syntax import walk_commands
 
-from conftest import build, pf
+from conftest import DATA, build, pf
 from corpus import CORPUS
 
 
@@ -82,6 +82,27 @@ main {
     with pytest.raises(BudgetExceeded):
         run(src, budget=200)
 
+
+def test_recorded_cells_count_against_the_budget():
+    # each record copies the frame, and the heap index when the heap
+    # changed: a loop that never ends and allocates on every trip copies
+    # cells quadratically in steps, so the cells must stop it first
+    program, ct, _ = build((DATA / "runaway_chain.lang").read_text())
+    interp = _Interp(program, ct, 20_000, record=True)
+    with pytest.raises(BudgetExceeded, match="20000 cells"):
+        interp.run_main()
+    assert interp.steps < 2_000 < 20_000 < interp.cells
+    # unrecorded, nothing is copied and the steps run out instead
+    with pytest.raises(BudgetExceeded, match="step budget 20000"):
+        run_concrete(program, ct, budget=20_000, record=False)
+    # a run that ends needs exactly its own count of cells, apart from steps
+    program, ct, _ = build((DATA / "dll.lang").read_text())
+    interp = _Interp(program, ct, 100_000, record=True)
+    done = interp.run_main()
+    assert done.steps == interp.steps < interp.cells
+    run_concrete(program, ct, budget=interp.cells)
+    with pytest.raises(BudgetExceeded, match="cells"):
+        run_concrete(program, ct, budget=interp.cells - 1)
 
 
 def test_call_depth_budget():
@@ -496,9 +517,8 @@ def test_corrupted_abstract_value_is_flagged():
         for nid, v in sorted(result.point_post.items())
         if not v.reach_at("x", "tmp").is_false
     )
-    result.point_post[nid] = value.with_reach(
-        "x", "tmp", PathFormula.false(value.universe)
-    )
+    corrupted = result.point_post[nid] = value._fresh()
+    corrupted.reach[("x", "tmp")] = 0
     report = check_soundness(result, oracle)
     assert not report.ok
     assert any(v.kind == "reach" and v.subject == ("x", "tmp") for v in report.violations)
@@ -521,7 +541,8 @@ def test_corrupted_cycle_value_is_flagged():
     )
     value = result.point_post[nid]
     assert value.cyc_at("x").has_model(cycle)
-    result.point_post[nid] = value.with_cyc("x", PathFormula.only(u, ()))
+    corrupted = result.point_post[nid] = value._fresh()
+    corrupted.cyc["x"] = PathFormula.only(u, ()).table
     report = check_soundness(result, oracle)
     assert not report.ok
     assert any(

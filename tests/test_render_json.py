@@ -135,8 +135,6 @@ def renamed(value: RcValue, names: dict[str, str]) -> RcValue:
 
     return RcValue(
         value.universe,
-        tuple(map(name, value.variables)),
-        frozenset(map(name, value.ref_vars)),
         {(name(v), name(w)): f for (v, w), f in value.reach.items()},
         {name(v): f for v, f in value.cyc.items()},
     )

@@ -293,7 +293,7 @@ def test_widening_disabled_still_terminates_and_is_tighter():
     # the un-widened fixpoint keeps the fresh node strictly below the
     # tautology: every path to the anchor uses at least one link field
     assert not exact.final.reach_at("t", "h").is_true
-    assert all(m != 0 for m in exact.final.reach_at("t", "h").model_masks())
+    assert not exact.final.reach_at("t", "h").has_model(0)
     assert widened.final.reach_at("t", "h").is_true
 
 
@@ -446,12 +446,9 @@ class K {
     )
     sig = ct.resolve_method("K", "mth")
     universe = FieldUniverse.of(ct.reference_fields)
-    variables = sig.input_vars + ("out",)
-    refs = frozenset(variables)
-    entry = RcValue.bottom(universe, variables, refs)
-    empty = PathFormula.only(universe, ())
+    entry = RcValue.bottom(universe, sig.input_vars + ("out",))
     for v in ("this", "x1", "x2"):
-        entry = entry.with_reach(v, v, empty).with_cyc(v, empty)
+        entry.reach[(v, v)] = entry.cyc[v] = PathFormula.only(universe, ()).table
     sp = SharingState.empty().add_sh([(v, v) for v in ("this", "x1", "x2")])
     result = analyze_program(program, ct, info, entry=sig, init_rc=entry, init_sp=sp)
     assert result.final.reach_at("x1", "x2") == pf(universe, ["f"])
@@ -548,18 +545,17 @@ def test_field_update_transfer_monotone():
     analyzer = Analyzer(program, ct, info, sharing, universe)
     env = info.env_for("main")
     update_cmd = program.main.body[-1]
-    variables = tuple(env.variables) + (RESULT_VAR,)
-    refs = frozenset(env.ref_vars) | {RESULT_VAR}
+    scope = env.ref_vars + (RESULT_VAR,)
     ctx = _Ctx(env, "main", _Recorder())
     rng = random.Random(7)
     masks = list(universe.all_masks())[:4]  # keep enumeration small
 
     def random_value():
-        out = RcValue.bottom(universe, variables, refs)
-        for key in list(out.reach):
-            out = out.with_reach(
-                *key, PathFormula.from_models(universe, rng.sample(masks, rng.randint(0, 3)))
-            )
+        out = RcValue.bottom(universe, scope)
+        for key in out.reach:
+            out.reach[key] = PathFormula.from_models(
+                universe, rng.sample(masks, rng.randint(0, 3))
+            ).table
         return out.normalize()
 
     for _ in range(25):
@@ -580,20 +576,19 @@ def test_field_read_transfer_monotone():
     analyzer = Analyzer(program, ct, info, sharing, universe)
     env = info.env_for("main")
     read_cmd = program.main.body[-1]
-    variables = tuple(env.variables) + (RESULT_VAR,)
-    refs = frozenset(env.ref_vars) | {RESULT_VAR}
+    scope = env.ref_vars + (RESULT_VAR,)
     ctx = _Ctx(env, "main", _Recorder())
     rng = random.Random(13)
     masks = list(universe.all_masks())[:4]
 
     def random_value():
-        out = RcValue.bottom(universe, variables, refs)
-        for key in list(out.reach):
+        out = RcValue.bottom(universe, scope)
+        for key in out.reach:
             if RESULT_VAR in key:
                 continue
-            out = out.with_reach(
-                *key, PathFormula.from_models(universe, rng.sample(masks, rng.randint(0, 3)))
-            )
+            out.reach[key] = PathFormula.from_models(
+                universe, rng.sample(masks, rng.randint(0, 3))
+            ).table
         return out.normalize()
 
     for _ in range(25):
@@ -622,8 +617,9 @@ def test_entry_scope_caps_the_universe_counting_the_stand_in():
 def test_analyze_program_applies_the_init_lines_and_joins_extra_facts():
     program, ct, info = build((DATA / "tree.lang").read_text())
     result = analyze_program(program, ct, info, entry="join")
-    universe, sig, variables, refs = entry_scope(program, ct, info, entry="join")
-    rc, sp = parse_init_annotations(program, universe, variables, refs)
+    universe, sig, scope = entry_scope(program, ct, info, entry="join")
+    assert scope == ("this", "l", "r")
+    rc, sp = parse_init_annotations(program, universe, scope, frozenset(scope))
     assert not rc.cyc_at("l").is_false  # the lines say something
     # the same facts again, as extra entry facts, change nothing
     again = analyze_program(program, ct, info, entry=sig, init_rc=rc, init_sp=sp)

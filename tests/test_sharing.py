@@ -272,7 +272,6 @@ def test_pure_arguments_never_updated_dynamically():
         program, ct, info = build(src)
         analysis = SharingAnalysis(program, ct, info)
         analysis.analyze_main()
-        env = info.env_for("main")
         call_nodes = {}
         for cmd in walk_commands(program.main.body):
             for node in (
@@ -290,7 +289,7 @@ def test_pure_arguments_never_updated_dynamically():
         for nid, updated in tracer.updated.items():
             node = call_nodes[nid]
             sp = analysis.state_before("main", nid)
-            _, flags = analysis.call_effect(node, sp, env)
+            _, flags = analysis.call_effect(node, sp)
             assert updated <= set(flags), (name, nid, updated, flags)
 
 
