@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .syntax import ClassDecl, Command, INT_TYPE, MethodDecl, Program, OUT_VAR
+from .syntax import ClassDecl, Command, INT_TYPE, MethodDecl, Program
 
 # the stand-in that field abstraction puts in place of the untracked fields
 ANY_FIELD = "any"
@@ -104,19 +104,6 @@ class ClassTable:
                     raise ClassTableError(
                         f"duplicate method {m.name!r} in class {c.name!r}", m.line
                     )
-                seen_names: set[str] = set()
-                for _, pname in m.params:
-                    if pname in seen_names or pname == "this":
-                        raise ClassTableError(
-                            f"duplicate or reserved parameter {pname!r}", m.line
-                        )
-                    seen_names.add(pname)
-                for _, lname in m.locals:
-                    if lname in seen_names or lname == "this" or lname == OUT_VAR:
-                        raise ClassTableError(
-                            f"duplicate or reserved local {lname!r}", m.line
-                        )
-                    seen_names.add(lname)
                 sig = MethodSig(
                     c.name,
                     m.name,

@@ -4,35 +4,39 @@ The interpreter executes main directly, records the concrete state after
 every command (including inside callees, keyed by the shared node ids), and
 aborts cleanly when the step budget or the call depth budget runs out.  The
 step budget also bounds the cells the records copy, counted apart from the
-steps: the entries of each new snapshot and the frame slots of each record.
-Heap snapshots are copy-on-write: consecutive records with no allocation or
-field write in between share one snapshot, and a new snapshot is a shallow
-copy of the last one in which only the objects allocated or written since
-are fresh copies.  A recorded object is never changed, so snapshots share
-the objects that did not change (path copying, after Driscoll, Sarnak,
-Sleator and Tarjan, "Making Data Structures Persistent", 1989).
+steps: the entries of each new snapshot and the slots of each frame copy.
+Recorded states are copy-on-write.  Consecutive records with no allocation
+or field write in between share one heap snapshot, and a new snapshot is a
+shallow copy of the last one in which only the objects allocated or written
+since are fresh copies.  A recorded object is never changed, so snapshots
+share the objects that did not change (path copying, after Driscoll,
+Sarnak, Sleator and Tarjan, "Making Data Structures Persistent", 1989).
+The run keeps, per snapshot, the snapshot it was copied from and the
+addresses that changed in between.  Frames are shared the same way: a
+record copies its frame only when the frame was assigned since its last
+copy.
 
 The abstraction works on field bits, not on sets of field names.  A check
-labels each recorded object's references once with the universe bit of
-their field (an untracked field takes the stand-in bit), so a snapshot's
-successor lists are one lookup per object.  Saturation walks (location,
+labels each object's references with the universe bit of their field (an
+untracked field takes the stand-in bit).  Saturation walks (location,
 mask) pairs and keeps, per target, a truth table with one bit per traversed
 mask; finite on cyclic heaps because masks are.  That table is the reach
-entry.  Cycle masks come from peeling the strongly connected components of
-the labelled heap one bit at a time.  Within a check, the cycle table and
-the reach tables of a snapshot are kept by its labelled edge set, so an
-allocation-only snapshot reuses those of the snapshot before it, and a
-peeled component is kept by its edges, since most snapshots differ from an
-earlier one by one write.  A state thus abstracts to the exact
-reachability/cyclicity value: the models of an entry are precisely the
-field sets realized in the state.  ``traversal_saturate`` and
-``cycle_field_sets`` decode the same results to field names, over a
+entry.  The check carries path copying over to its results: a snapshot's
+successor lists are its parent's plus its changed objects relabelled, and
+when the write only added edges, its reach tables continue the parent's
+saturation from the added edges and its cycle masks come from anchors on
+those edges.  A snapshot with no history, or one whose write removed an
+edge, is analysed afresh, its cycle masks peeled from the strongly
+connected components of the labelled heap one bit at a time.  A state thus
+abstracts to the exact reachability/cyclicity value: the models of an entry
+are precisely the field sets realized in the state.  ``traversal_saturate``
+and ``cycle_field_sets`` decode the same results to field names, over a
 universe of the heap's own fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .classtable import ClassTable
@@ -90,9 +94,9 @@ Val = Union[int, Loc, None]
 
 @dataclass
 class ConcreteState:
-    """A frame and a heap.  A recorded state's heap may be shared with other
-    recorded states, and its objects are shared between snapshots, so
-    neither must be changed."""
+    """A frame and a heap.  A recorded state's frame and heap may be shared
+    with other recorded states, and its objects are shared between
+    snapshots, so none of them must be changed."""
 
     frame: dict[str, Val]
     heap: dict[int, Obj]
@@ -108,12 +112,19 @@ class BudgetExceeded(Exception):
     pass
 
 
+# a snapshot, the snapshot it was copied from, and the addresses allocated
+# or written in between
+Edit = tuple[dict[int, Obj], dict[int, Obj], frozenset[int]]
+
+
 @dataclass
 class OracleResult:
     point_states: dict[int, list[ConcreteState]]
     final: ConcreteState
     steps: int
     allocations: int
+    # the edit that made each recorded snapshot, keyed by the snapshot's id
+    history: dict[int, Edit] = field(default_factory=dict)
 
 
 class _Interp:
@@ -124,7 +135,6 @@ class _Interp:
         self.record = record
         self.steps = 0
         self.cells = 0  # snapshot entries and frame slots recorded so far
-        self.depth = 0  # calls in progress
         self.allocations = 0
         self.next_addr = 1
         self.heap: dict[int, Obj] = {}
@@ -132,6 +142,10 @@ class _Interp:
         # written since; its objects are copies that are never changed
         self.snapshot: dict[int, Obj] = {}
         self.dirty: set[int] = set()
+        self.history: dict[int, Edit] = {}
+        # per call in progress, main's first: the last recorded copy of its
+        # frame, or None when the frame was assigned since
+        self.frames: list[Optional[dict[str, Val]]] = [None]
         self.point_states: dict[int, list[ConcreteState]] = {}
 
     def run_main(self) -> OracleResult:
@@ -147,6 +161,7 @@ class _Interp:
             ConcreteState(frame, self.heap),
             self.steps,
             self.allocations,
+            self.history,
         )
 
     # -- execution
@@ -158,20 +173,27 @@ class _Interp:
 
     def _record(self, nid: int, frame: dict[str, Val]) -> None:
         if self.record:
+            copy = self.frames[-1]
             # counted before copying: a run that never ends must not exhaust
             # memory before it exhausts the budget
-            self.cells += len(frame) + (len(self.heap) if self.dirty else 0)
+            if copy is None:
+                self.cells += len(frame)
+            if self.dirty:
+                self.cells += len(self.heap)
             if self.cells > self.budget:
                 raise BudgetExceeded(f"recorded states exceed the budget of {self.budget} cells")
+            if copy is None:
+                copy = self.frames[-1] = dict(frame)
             if self.dirty:
                 # share the unchanged objects, copy only the changed ones
                 snapshot = dict(self.snapshot)
                 for a in self.dirty:
                     o = self.heap[a]
                     snapshot[a] = Obj(o.classname, dict(o.fields))
+                self.history[id(snapshot)] = (snapshot, self.snapshot, frozenset(self.dirty))
                 self.dirty.clear()
                 self.snapshot = snapshot
-            state = ConcreteState(dict(frame), self.snapshot)
+            state = ConcreteState(copy, self.snapshot)
             self.point_states.setdefault(nid, []).append(state)
 
     def exec_body(self, body: list[Command], frame: dict[str, Val]) -> None:
@@ -184,6 +206,7 @@ class _Interp:
             pass
         elif isinstance(cmd, Assign):
             frame[cmd.var] = self.eval_expr(cmd.expr, frame)
+            self.frames[-1] = None
         elif isinstance(cmd, FieldWrite):
             value = self.eval_expr(cmd.expr, frame)
             base = frame.get(cmd.var)
@@ -202,6 +225,7 @@ class _Interp:
                 self._tick()
         elif isinstance(cmd, Return):
             frame[OUT_VAR] = self.eval_expr(cmd.expr, frame)
+            self.frames[-1] = None
         else:
             raise TypeError(f"unsupported command {cmd!r}")
         self._record(cmd.nid, frame)
@@ -274,11 +298,11 @@ class _Interp:
         for ltype, lname in self.ct.method_locals(sig):
             callee_frame[lname] = 0 if ltype == INT_TYPE else None
         callee_frame[OUT_VAR] = None
-        if self.depth == MAX_CALL_DEPTH:
+        if len(self.frames) > MAX_CALL_DEPTH:
             raise BudgetExceeded(f"call depth budget {MAX_CALL_DEPTH} exceeded at line {e.line}")
-        self.depth += 1
+        self.frames.append(None)
         self.exec_body(self.ct.method_body(sig), callee_frame)
-        self.depth -= 1
+        self.frames.pop()
         return callee_frame.get(OUT_VAR)
 
 
@@ -317,11 +341,30 @@ def _saturate(succ: Succ, src: int, require_step: bool = False) -> dict[int, int
     """Per target, the truth table of the masks of the walks from ``src``:
     bit m is set when some walk traverses exactly the fields of mask m.
 
-    Without ``require_step`` the empty walk sets bit 0 at ``src``.  A
-    (location, mask) pair is expanded only when its bit is new, so this ends
+    Without ``require_step`` the empty walk sets bit 0 at ``src``."""
+    return _close(succ, {} if require_step else {src: 1}, [(src, 0)])
+
+
+def _continued(before: dict[int, int], succ: Succ, added: Iterable[Edge]) -> dict[int, int]:
+    """The saturation ``before`` of a heap, continued over ``succ``, the same
+    heap plus the edges ``added``.  A walk that is new takes an added edge,
+    so only the pairs that enter one start new expansions."""
+    reached = dict(before)
+    work = []
+    for a, bit, b in added:
+        for mask in models_of(before.get(a, 0)):
+            m = mask | bit
+            t = reached.get(b, 0)
+            if not t >> m & 1:
+                reached[b] = t | 1 << m
+                work.append((b, m))
+    return _close(succ, reached, work)
+
+
+def _close(succ: Succ, reached: dict[int, int], work: list[tuple[int, int]]) -> dict[int, int]:
+    """Expands the (location, mask) pairs on ``work`` along ``succ`` into
+    ``reached``.  A pair is expanded only when its bit is new, so this ends
     on cyclic heaps too."""
-    reached: dict[int, int] = {} if require_step else {src: 1}
-    work = [(src, 0)]
     while work:
         loc, mask = work.pop()
         for bit, dst in succ[loc]:
@@ -447,37 +490,26 @@ def _peel(edges: list[Edge], peeled: dict[frozenset[Edge], int]) -> int:
     return table
 
 
-def cycle_table(succ: Succ, peeled: dict[frozenset[Edge], int]) -> dict[int, int]:
-    """Per location on a reference, the truth table of the masks of the
-    non-empty closed walks reachable from it; a location missing has none.
-
-    A mask S is such a mask for ``src`` if and only if some strongly
-    connected component of the S-labelled subgraph is reachable from
-    ``src`` and its internal edges carry every label in S.  Those components
-    are found by peeling each component of the heap, and the tables flow
-    back along the component graph: O(2^F·F·(V+E)) for the whole heap with
-    F labels, V objects and E non-null references.
-
-    The labels may be abstract bits, where several fields share the stand-in
-    bit.  Labelling changes neither which walks exist nor which are closed,
-    and the mask of a walk is the union of its fields' bits, which is the
-    abstraction of the field set it traverses.  So the closed walks give
-    exactly the abstractions of the concrete cycle sets, and peeling on the
-    bits yields them with no set of names in between.  ``peeled`` is the
-    memo of ``_peel``, for the labelling of one universe."""
+def _component_anchors(succ: Succ, peeled: dict[frozenset[Edge], int]) -> dict[int, int]:
+    """One anchor per strongly connected component with an inner edge: a
+    member of it, and the truth table of the masks of the closed walks
+    inside it.  Every non-empty closed walk lies inside one component, and a
+    location reaches it exactly when it reaches the member.  ``peeled`` is
+    the memo of ``_peel``, for the labelling of one universe."""
     edges = [(a, bit, b) for a, out in succ.items() for bit, b in out]
     comps, comp_of = _components(edges)
-    below: list[set[int]] = [set() for _ in comps]
-    for a, _, b in edges:
-        if comp_of[a] != comp_of[b]:
-            below[comp_of[a]].add(comp_of[b])
-    reached: list[int] = []
-    for c, inner in enumerate(_inner_edges(comps, comp_of, edges)):
-        table = _peel(inner, peeled) if inner else 0
-        for d in below[c]:  # listed earlier, so already complete
-            table |= reached[d]
-        reached.append(table)
-    return {a: reached[c] for a, c in comp_of.items()}
+    inner_edges = _inner_edges(comps, comp_of, edges)
+    return {comp[0]: _peel(inner, peeled) for comp, inner in zip(comps, inner_edges) if inner}
+
+
+def _cycles_from(anchors: dict[int, int], reached: Iterable[int]) -> int:
+    """Truth table of the masks of the non-empty closed walks reachable from
+    a location, given the anchors of the heap and the locations it reaches."""
+    table = 0
+    for a, t in anchors.items():
+        if a in reached:
+            table |= t
+    return table
 
 
 def _own_labels(heap: dict[int, Obj]) -> tuple[FieldUniverse, Succ]:
@@ -508,7 +540,7 @@ def traversal_saturate(
 def cycle_field_sets(heap: dict[int, Obj], src: int) -> frozenset[frozenset[str]]:
     """Traversal sets of the non-empty cycles reachable from ``src``."""
     universe, succ = _own_labels(heap)
-    table = cycle_table(succ, {}).get(src, 0)
+    table = _cycles_from(_component_anchors(succ, {}), reachable_addrs(heap, src))
     return frozenset(frozenset(universe.names_of(m)) for m in models_of(table))
 
 
@@ -551,67 +583,155 @@ def concrete_deep_share_pairs(
 
 
 class _EdgeResults:
-    """What a check learns of one labelled edge set: its cycle table, once
-    computed, and the reach tables from each source."""
+    """What a check learns of one labelled edge set: the reach tables from
+    each source, the cycle table of each location and, once needed, the
+    anchors.  ``succ`` holds the successor lists of the heap that first had
+    the edge set; ``base`` is the edge set it adds ``added`` to, or None
+    when it is analysed afresh."""
 
-    __slots__ = ("cycles", "reached")
+    __slots__ = ("succ", "base", "added", "reached", "cycles", "anchors")
 
-    def __init__(self) -> None:
-        self.cycles: Optional[dict[int, int]] = None
+    def __init__(
+        self, succ: Succ, base: Optional["_EdgeResults"] = None, added: tuple[Edge, ...] = ()
+    ) -> None:
+        self.succ = succ
+        self.base = base
+        self.added = added
         self.reached: dict[int, dict[int, int]] = {}
+        self.cycles: dict[int, int] = {}
+        self.anchors: Optional[dict[int, int]] = None
 
 
 class _SnapshotMemo:
     """Heap results for one universe, kept for one check.
 
-    Each object is labelled once, by identity: snapshots share the objects
-    that did not change, so a heap's successor lists are one lookup per
-    object.  Its cycle table and its reach tables depend only on its
-    labelled edges, so they are kept by edge set, and an allocation-only
-    snapshot, whose fresh object has no reference yet, reuses the tables of
-    the snapshot before it.  Saturation walks the current heap's own
-    successor lists, which also hold the fresh address; only the results
-    are shared.  Peeled components are kept by their edges across all heaps.
-    The objects and heaps it has seen must not change while it is used; it
-    holds them, so their identities are not reused."""
+    A heap with a history (``OracleResult.history``) is labelled from the
+    snapshot it was copied from: its successor lists are its parent's, with
+    the changed objects relabelled.  The edges of the changed objects sort
+    the heap into three cases.
 
-    def __init__(self, universe: FieldUniverse) -> None:
+    * No change: it shares the parent's results.  An object allocated since
+      has no reference yet, so only itself is reachable from it.
+    * Additions only: its reach tables continue the parent's saturation
+      from the added edges.  Its cycle masks come from anchors.  The anchor
+      of an added edge (a, bit, b) holds the masks bit | m for every model m
+      of the reach table from b to a, and a location's cycle table is the
+      union of the anchors at the locations it reaches.  This is exact.
+      Rotate any closed walk so that it starts at its latest-added edge: the
+      rest walks from that edge's target back to its source over edges that
+      were there when it was added, so the walk's mask is in that edge's
+      anchor, at a location on the walk.  Conversely, each anchor mask is
+      the mask of a closed walk through the anchor's location.
+    * An edge removed, or no history: it is analysed afresh.  Its reach
+      tables saturate from scratch, and each strongly connected component
+      contributes one anchor, the masks of its closed walks peeled one bit
+      at a time (``_peel``).  Edges added later extend these anchors.
+
+    The labels may be abstract bits, where several fields share the
+    stand-in bit.  Labelling changes neither which walks exist nor which are
+    closed, and the mask of a walk is the union of its fields' bits, which
+    is the abstraction of the field set it traverses.  So the results are
+    exactly the abstractions of the concrete reach and cycle sets.  An
+    edge set's tables are computed on demand, an ancestor's first, so a
+    chain of edits is walked once, without recursion.  Peeled components are
+    kept by their edges across all heaps.  The heaps it has seen must not
+    change while it is used; it holds them, so their identities are not
+    reused."""
+
+    def __init__(
+        self, universe: FieldUniverse, history: Optional[dict[int, Edit]] = None
+    ) -> None:
         self.universe = universe
+        self.history = history or {}
         self.bits: dict[str, int] = {}
-        self.objects: dict[int, tuple[Obj, Out]] = {}
         self.heaps: dict[int, tuple[dict[int, Obj], Succ, _EdgeResults]] = {}
-        self.by_edges: dict[frozenset[tuple[int, Out]], _EdgeResults] = {}
         self.peeled: dict[frozenset[Edge], int] = {}
 
     def _labelled(self, heap: dict[int, Obj]) -> tuple[dict[int, Obj], Succ, _EdgeResults]:
         entry = self.heaps.get(id(heap))
         if entry is None:
-            objects = self.objects
-            succ: Succ = {}
-            for a, o in heap.items():
-                labelled = objects.get(id(o))
-                if labelled is None:
-                    labelled = objects[id(o)] = (o, _label(o, self.universe, self.bits))
-                succ[a] = labelled[1]
-            edges = frozenset(item for item in succ.items() if item[1])
-            results = self.by_edges.get(edges)
-            if results is None:
-                results = self.by_edges[edges] = _EdgeResults()
-            entry = self.heaps[id(heap)] = (heap, succ, results)
+            chain = [heap]  # with the ancestors not labelled yet
+            edit = self.history.get(id(heap))
+            while edit is not None and id(edit[1]) not in self.heaps:
+                chain.append(edit[1])
+                edit = self.history.get(id(edit[1]))
+            for h in reversed(chain):
+                entry = self.heaps[id(h)] = (h, *self._successors(h))
         return entry
 
-    def cycle_table(self, heap: dict[int, Obj]) -> dict[int, int]:
-        _, succ, results = self._labelled(heap)
-        if results.cycles is None:
-            results.cycles = cycle_table(succ, self.peeled)
-        return results.cycles
+    def _successors(self, heap: dict[int, Obj]) -> tuple[Succ, _EdgeResults]:
+        edit = self.history.get(id(heap))
+        if edit is None:
+            succ = {a: _label(o, self.universe, self.bits) for a, o in heap.items()}
+            return succ, _EdgeResults(succ)
+        _, before, results = self.heaps[id(edit[1])]
+        succ = dict(before)
+        added: list[Edge] = []
+        removed = False
+        for a in edit[2]:
+            out = succ[a] = _label(heap[a], self.universe, self.bits)
+            old = before.get(a, ())
+            if out != old:
+                new_edges, old_edges = set(out), set(old)
+                removed = removed or not old_edges <= new_edges
+                added += [(a, bit, b) for bit, b in new_edges - old_edges]
+        if removed:
+            return succ, _EdgeResults(succ)
+        return succ, _EdgeResults(succ, results, tuple(added)) if added else results
 
     def reach_tables(self, heap: dict[int, Obj], src: int) -> dict[int, int]:
-        _, succ, results = self._labelled(heap)
-        by_target = results.reached.get(src)
-        if by_target is None:
-            by_target = results.reached[src] = _saturate(succ, src)
-        return by_target
+        results = self._labelled(heap)[2]
+        if src not in results.succ:  # allocated since the edge set was first seen
+            return {src: 1}
+        return self._reach(results, src)
+
+    def _reach(self, results: _EdgeResults, src: int) -> dict[int, int]:
+        chain = []  # the edge sets, newest first, that lack the table
+        base = results
+        while src not in base.reached:
+            chain.append(base)
+            if base.base is None or src not in base.base.succ:
+                break
+            base = base.base
+        for r in reversed(chain):
+            before = r.base.reached.get(src) if r.base is not None else None
+            if before is None:
+                r.reached[src] = _saturate(r.succ, src)
+            else:
+                r.reached[src] = _continued(before, r.succ, r.added)
+        return results.reached[src]
+
+    def _anchors(self, results: _EdgeResults) -> dict[int, int]:
+        chain = []  # the edge sets, newest first, that lack their anchors
+        base: Optional[_EdgeResults] = results
+        while base is not None and base.anchors is None:
+            chain.append(base)
+            base = base.base
+        for r in reversed(chain):
+            if r.base is None:
+                r.anchors = _component_anchors(r.succ, self.peeled)
+                continue
+            anchors = r.base.anchors
+            for a, bit, b in r.added:
+                table = 0
+                for m in models_of(self._reach(r, b).get(a, 0)):
+                    table |= 1 << (m | bit)
+                if table:
+                    if anchors is r.base.anchors:  # copied on the first new anchor
+                        anchors = dict(anchors)
+                    anchors[a] = anchors.get(a, 0) | table
+            r.anchors = anchors
+        return results.anchors
+
+    def cycles(self, heap: dict[int, Obj], src: int) -> int:
+        """Truth table of the masks of the non-empty closed walks reachable
+        from ``src``."""
+        results = self._labelled(heap)[2]
+        table = results.cycles.get(src)
+        if table is None:
+            reached = self.reach_tables(heap, src)
+            table = results.cycles[src] = _cycles_from(self._anchors(results), reached)
+        return table
 
 
 def alpha_state(
@@ -627,13 +747,13 @@ def alpha_state(
     value = RcValue.bottom(universe, variables)
     locs = {v: state.frame[v].addr for v in value.cyc if isinstance(state.frame.get(v), Loc)}
     reach = {addr: memo.reach_tables(state.heap, addr) for addr in set(locs.values())}
-    cycles = memo.cycle_table(state.heap) if locs else {}
     for v, av in locs.items():
         for w, aw in locs.items():
             table = reach[av].get(aw)
             if table:
                 value.reach[(v, w)] = table
-        value.cyc[v] = 1 | cycles.get(av, 0)  # a non-null variable has its empty cycle
+        # a non-null variable has its empty cycle
+        value.cyc[v] = 1 | memo.cycles(state.heap, av)
     return value
 
 
@@ -674,7 +794,7 @@ def check_soundness(result: AnalysisResult, oracle: OracleResult) -> SoundnessRe
     """Every realized traversal set at every recorded point must be a model
     of the corresponding abstract entry.  A concretely reached point the
     analysis never produced a value for counts against the check."""
-    memo = _SnapshotMemo(result.universe)
+    memo = _SnapshotMemo(result.universe, oracle.history)
     violations: list[Violation] = []
     missing: list[int] = []
     points = 0

@@ -352,28 +352,41 @@ class Parser:
     def parse_method_rest(self, return_type: str, name_tok: Token) -> MethodDecl:
         self.expect("sym", "(")
         params: list[tuple[str, str]] = []
+        decl_at: list[tuple[int, int]] = []
         if not self.accept("sym", ")"):
             while True:
                 ptype = self.parse_type()
-                pname = self.ident("parameter name").text
-                params.append((ptype, pname))
+                pname = self.ident("parameter name")
+                params.append((ptype, pname.text))
+                decl_at.append((pname.line, pname.col))
                 if self.accept("sym", ")"):
                     break
                 self.expect("sym", ",")
         self.expect("sym", "{")
-        locals_, body = self.parse_body()
+        locals_, body = self.parse_body(decl_at)
         return MethodDecl(
-            name_tok.text, return_type, params, locals_, body, name_tok.line, name_tok.col
+            name_tok.text,
+            return_type,
+            params,
+            locals_,
+            body,
+            name_tok.line,
+            name_tok.col,
+            decl_at,
         )
 
     def parse_main(self) -> MainBlock:
         kw = self.expect("kw", "main")
         self.expect("sym", "{")
-        locals_, body = self.parse_body()
-        return MainBlock(locals_, body, kw.line, kw.col)
+        decl_at: list[tuple[int, int]] = []
+        locals_, body = self.parse_body(decl_at)
+        return MainBlock(locals_, body, kw.line, kw.col, decl_at)
 
-    def parse_body(self) -> tuple[list[tuple[str, str]], list[Command]]:
-        """Parse declarations and commands up to the closing brace."""
+    def parse_body(
+        self, decl_at: list[tuple[int, int]]
+    ) -> tuple[list[tuple[str, str]], list[Command]]:
+        """Parse declarations and commands up to the closing brace, adding
+        the position of each declared name to ``decl_at``."""
         locals_: list[tuple[str, str]] = []
         body: list[Command] = []
         while not self.accept("sym", "}"):
@@ -381,6 +394,7 @@ class Parser:
                 dtype = self.parse_type()
                 dname_tok = self.ident("variable name")
                 locals_.append((dtype, dname_tok.text))
+                decl_at.append((dname_tok.line, dname_tok.col))
                 if self.accept("sym", ":="):
                     expr = self.parse_expr()
                     body.append(

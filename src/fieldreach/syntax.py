@@ -151,6 +151,8 @@ class MethodDecl:
     body: list[Command]
     line: int
     col: int
+    # (line, column) of each parameter's name, then of each local's
+    decl_at: list[tuple[int, int]]
 
 
 @dataclass
@@ -169,6 +171,7 @@ class MainBlock:
     body: list[Command]
     line: int
     col: int
+    decl_at: list[tuple[int, int]]  # (line, column) of each local's name
 
 
 @dataclass

@@ -98,16 +98,18 @@ class _Checker:
     # -- scopes
 
     def _build_env(
-        self, entries: list[tuple[str, str]], line: int
+        self, entries: list[tuple[str, str]], positions: list[tuple[int, int]]
     ) -> TypeEnv:
+        """The scope of one body; ``positions`` holds where each entry's
+        name is declared, so a clash is reported at the declaration."""
         seen: set[str] = set()
-        for name, t in entries:
+        for (name, t), (line, col) in zip(entries, positions, strict=True):
             if name in seen:
-                raise TypeCheckError(f"duplicate variable {name!r}", line)
+                raise TypeCheckError(f"duplicate variable {name!r}", line, col)
             if name == OUT_VAR:
-                raise TypeCheckError(f"{OUT_VAR!r} is reserved", line)
+                raise TypeCheckError(f"{OUT_VAR!r} is reserved", line, col)
             if t != INT_TYPE and not self.ct.is_class(t):
-                raise TypeCheckError(f"unknown type {t!r} for {name!r}", line)
+                raise TypeCheckError(f"unknown type {t!r} for {name!r}", line, col)
             seen.add(name)
         return TypeEnv(tuple(entries))
 
@@ -115,7 +117,7 @@ class _Checker:
         entries = [("this", owner)]
         entries += [(n, t) for t, n in m.params]
         entries += [(n, t) for t, n in m.locals]
-        env = self._build_env(entries, m.line)
+        env = self._build_env(entries, [(m.line, m.col)] + m.decl_at)
         if m.return_type != INT_TYPE and not self.ct.is_class(m.return_type):
             raise TypeCheckError(f"unknown return type {m.return_type!r}", m.line)
         self.info.envs[(owner, m.name)] = env
@@ -127,7 +129,7 @@ class _Checker:
 
     def check_main(self, main: MainBlock) -> None:
         entries = [(n, t) for t, n in main.locals]
-        env = self._build_env(entries, main.line)
+        env = self._build_env(entries, main.decl_at)
         self.info.envs["main"] = env
         self.check_body(main.body, env, method=None)
 

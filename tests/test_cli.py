@@ -345,13 +345,25 @@ def test_a_run_that_never_ends_stops_at_the_cell_budget(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "source",
+    "source, message",
     [
-        "class A { A m(A x, A x) { return x; } } main { skip; }",
-        "class A { A m(A this) { return this; } } main { skip; }",
-        "class A { A m(A x) { A x; return x; } } main { skip; }",
-        "class A { } main { A a; A a; skip; }",
-        "class A { } main { A a; int a; skip; }",
+        (
+            "class A {\n  A m(A x,\n      A x) { return x; }\n}\nmain { skip; }",
+            "3:9: duplicate variable 'x'",
+        ),
+        (
+            "class A {\n  A m(A this) { return this; }\n}\nmain { skip; }",
+            "2:9: duplicate variable 'this'",
+        ),
+        (
+            "class A {\n  A m(A x) {\n    A y;\n    A x;\n    return x;\n  }\n}\nmain { skip; }",
+            "4:7: duplicate variable 'x'",
+        ),
+        ("class A { }\nmain {\n  A a;\n  A a;\n  skip;\n}", "4:5: duplicate variable 'a'"),
+        (
+            "class A { }\nmain {\n  A a;\n  A c;\n  int a;\n  skip;\n}",
+            "5:7: duplicate variable 'a'",
+        ),
     ],
     ids=[
         "repeated-parameter",
@@ -361,10 +373,12 @@ def test_a_run_that_never_ends_stops_at_the_cell_budget(tmp_path, capsys):
         "local-of-two-types",
     ],
 )
-def test_clashing_variable_names_are_analysis_errors(tmp_path, capsys, source):
+def test_clashing_variable_names_are_analysis_errors(tmp_path, capsys, source, message):
+    # reported at the clashing declaration, not at the method or main block,
+    # in the line:column format of the other analysis errors
     code, out, err = _run_source(tmp_path, capsys, source)
     assert code == 1
-    assert re.search(r"^error: .*duplicate .*'(x|this|a)'", err, re.M), err
+    assert err == f"error: {message}\n"
     assert "Traceback" not in out + err
 
 

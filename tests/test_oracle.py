@@ -84,9 +84,10 @@ main {
 
 
 def test_recorded_cells_count_against_the_budget():
-    # each record copies the frame, and the heap index when the heap
-    # changed: a loop that never ends and allocates on every trip copies
-    # cells quadratically in steps, so the cells must stop it first
+    # a record copies the frame when it was assigned since its last copy,
+    # and the heap index when the heap changed: a loop that never ends and
+    # allocates on every trip copies cells quadratically in steps, so the
+    # cells must stop it first
     program, ct, _ = build((DATA / "runaway_chain.lang").read_text())
     interp = _Interp(program, ct, 20_000, record=True)
     with pytest.raises(BudgetExceeded, match="20000 cells"):
@@ -100,6 +101,12 @@ def test_recorded_cells_count_against_the_budget():
     interp = _Interp(program, ct, 100_000, record=True)
     done = interp.run_main()
     assert done.steps == interp.steps < interp.cells
+    # and exactly the cells of the distinct frames and snapshots it recorded
+    states = [s for point in done.point_states.values() for s in point]
+    frames = {id(s.frame): len(s.frame) for s in states}
+    heaps = {id(s.heap): len(s.heap) for s in states}
+    assert interp.cells == sum(frames.values()) + sum(heaps.values())
+    assert len(frames) < len(states)
     run_concrete(program, ct, budget=interp.cells)
     with pytest.raises(BudgetExceeded, match="cells"):
         run_concrete(program, ct, budget=interp.cells - 1)
@@ -194,6 +201,9 @@ class Node { Node n; }
     # no allocation or field write in between: one shared snapshot, own frames
     assert alias.heap is alloc.heap
     assert alloc.frame["y"] is None and alias.frame["y"] == Loc(1)
+    # no assignment in between: one shared frame
+    assert write.frame is alias.frame
+    assert alloc2.frame is not write.frame
     # a state recorded before a field write does not see it
     assert alloc.heap[1].fields["n"] is None
     assert write.heap[1].fields["n"] == Loc(1)
@@ -207,14 +217,15 @@ class Node { Node n; }
 
 
 def test_copy_on_write_is_invisible(monkeypatch):
-    """Every recorded heap equals a deep copy of the heap taken when the
-    state was recorded, over every corpus program with a ``main``."""
+    """Every recorded frame and heap equal copies of the frame and heap
+    taken when the state was recorded, over every corpus program with a
+    ``main``."""
     recorded = []
     record = _Interp._record
 
     def record_with_copy(self, nid, frame):
         record(self, nid, frame)
-        recorded.append((self.point_states[nid][-1], copy.deepcopy(self.heap)))
+        recorded.append((self.point_states[nid][-1], dict(frame), copy.deepcopy(self.heap)))
 
     monkeypatch.setattr(_Interp, "_record", record_with_copy)
     programs = 0
@@ -226,7 +237,8 @@ def test_copy_on_write_is_invisible(monkeypatch):
         recorded.clear()
         run_concrete(program, ct)
         assert recorded, name
-        for state, heap in recorded:
+        for state, frame, heap in recorded:
+            assert state.frame == frame, name
             assert state.heap == heap, name
     assert programs > 20
 
@@ -370,58 +382,130 @@ def test_mask_tables_abstract_the_reference_sets(case):
             assert value.reach[(f"v{a}", f"v{b}")] == expected
 
 
+def labelled_edges(heap, universe):
+    """The edge set of a heap, each reference labelled with its field's bit."""
+    return {
+        (a, universe.abstract_mask((f,)), v.addr)
+        for a, o in heap.items()
+        for f, v in o.fields.items()
+        if isinstance(v, Loc)
+    }
+
+
 @st.composite
-def write_sequences(draw):
-    """Heaps that each differ from the one before by one field write or one
-    allocation, each its own snapshot, with a universe carrying ``any``.
-    As in the interpreter's snapshots, a heap shares the objects that did
-    not change with the heap before it, and an allocated object has no
-    reference yet.  Also returns, per heap, whether it came from an
-    allocation."""
+def edit_sequences(draw):
+    """Heaps that each differ from the one before by allocations and field
+    writes, with a universe carrying ``any``.  As in the interpreter's
+    snapshots, a heap shares the objects that did not change with the heap
+    before it, a written object is a fresh copy, and an allocated object has
+    no reference yet.  A step may allocate, overwrite references, write
+    null, change several objects, or change nothing.  Also returns the
+    history that links them, as ``OracleResult.history`` does."""
     heap, universe = draw(heaps_with_any())
     fields = sorted(heap[1].fields)
-    heaps, allocated = [heap], [False]
+    heaps, history = [heap], {}
     for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        heap = dict(heap)
-        allocation = draw(st.booleans())
-        if allocation:
+        before, heap = heap, dict(heap)
+        changed = set()
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            changed.add(max(heap) + 1)
             heap[max(heap) + 1] = Obj("K", {f: None for f in fields})
-        else:
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
             src = draw(st.sampled_from(sorted(heap)))
             target = draw(st.one_of(st.none(), st.sampled_from(sorted(heap)).map(Loc)))
-            heap[src] = Obj("K", dict(heap[src].fields))
+            if src not in changed:
+                heap[src] = Obj("K", dict(heap[src].fields))
+                changed.add(src)
             heap[src].fields[draw(st.sampled_from(fields))] = target
-        allocated.append(allocation)
+        history[id(heap)] = (heap, before, frozenset(changed))
         heaps.append(heap)
-    return heaps, allocated, universe
+    return heaps, history, universe
 
 
-@settings(max_examples=100)
-@given(write_sequences())
-def test_shared_peel_memo_matches_a_fresh_one(case):
-    heaps, allocated, universe = case
-    memo = _SnapshotMemo(universe)
-    for before, heap, fresh_object in zip([None] + heaps, heaps, allocated):
-        # every location has a variable, the fresh object's included, so
-        # the memo also saturates from an address the heap before lacks
+@settings(max_examples=200)
+@given(edit_sequences(), st.randoms(use_true_random=False))
+def test_shared_peel_memo_matches_a_fresh_one(case, rng):
+    heaps, history, universe = case
+    memo = _SnapshotMemo(universe, history)
+    order = list(heaps)
+    rng.shuffle(order)
+    for heap in order:
+        # a cycle table asked first makes the memo build the anchors before
+        # the reach tables that alpha_state asks for next
+        if rng.random() < 0.5:
+            memo.cycles(heap, rng.choice(sorted(heap)))
+        # every location has a variable, the fresh objects' included, so the
+        # memo also saturates from addresses that the heap before lacks
         shared = alpha_per_location(heap, universe, memo)
         fresh = alpha_per_location(heap, universe)
         assert (shared.reach, shared.cyc) == (fresh.reach, fresh.cyc)
-        if fresh_object:  # same edges: the results of the heap before are reused
-            assert memo.heaps[id(heap)][2] is memo.heaps[id(before)][2]
+    # the sharing rule, by the edges of each heap and of the one before
+    for before, heap in zip(heaps, heaps[1:]):
+        results, parent = memo.heaps[id(heap)][2], memo.heaps[id(before)][2]
+        edges, old = labelled_edges(heap, universe), labelled_edges(before, universe)
+        if edges == old:
+            assert results is parent
+        elif old < edges:
+            assert results.base is parent
+            assert set(results.added) == edges - old
+        else:
+            assert results.base is None
 
 
 def test_memo_keeps_edge_sets_apart_by_label():
-    # the same references under another field are another edge set
+    # the same reference under another field is another edge set, and only
+    # the history decides what is shared, not equal edge sets
     u = FieldUniverse.of(["f", "g"])
-    memo = _SnapshotMemo(u)
-    for field in ("f", "g", "f"):
-        heap = {1: Obj("K", {"f": None, "g": None}), 2: Obj("K", {"f": Loc(1), "g": None})}
-        heap[1].fields[field] = Loc(2)
+    history = {}
+
+    def edit(heap, addr, **fields):
+        after = dict(heap)
+        after[addr] = Obj("K", dict(heap[addr].fields, **fields) if addr in heap else fields)
+        history[id(after)] = (after, heap, frozenset({addr}))
+        return after
+
+    on_f = {1: Obj("K", {"f": Loc(2), "g": None}), 2: Obj("K", {"f": None, "g": None})}
+    on_g = edit(on_f, 1, f=None, g=Loc(2))  # one removed, one added
+    on_f_again = edit(on_g, 1, f=Loc(2), g=None)  # the edges of on_f
+    rewritten = edit(on_f_again, 1, f=Loc(2))  # a fresh object, the same edges
+    allocated = edit(rewritten, 3, f=None, g=None)
+    closed = edit(allocated, 2, g=Loc(1))  # an edge added
+    heaps = [on_f, on_g, on_f_again, rewritten, allocated, closed]
+    memo = _SnapshotMemo(u, history)
+    for heap in heaps:
         shared = alpha_per_location(heap, u, memo)
         fresh = alpha_per_location(heap, u)
         assert (shared.reach, shared.cyc) == (fresh.reach, fresh.cyc)
-    assert len(memo.by_edges) == 2
+    results = [memo.heaps[id(h)][2] for h in heaps]
+    assert len({id(r) for r in results}) == 4
+    assert results[0] is not results[1] is not results[2] is not results[0]
+    assert results[1].base is results[2].base is None
+    assert results[3] is results[4] is results[2]
+    assert results[5].base is results[4] and results[5].added == ((2, u.mask_of(["g"]), 1),)
+    assert shared.cyc["v1"] == 1 | 1 << u.mask_of(["f", "g"])
+
+
+def test_snapshot_history_is_exact():
+    """Over every corpus program with a ``main``, each new snapshot names the
+    snapshot it was copied from and the addresses that changed in between:
+    an unchanged address shares its object with the parent, and a changed
+    one does not."""
+    programs = 0
+    for name, source in sorted(CORPUS.items()):
+        program, ct, info = build(source)
+        if program.main is None:
+            continue
+        programs += 1
+        oracle = run_concrete(program, ct)
+        heaps = {id(s.heap): s.heap for states in oracle.point_states.values() for s in states}
+        assert set(oracle.history) == {i for i, h in heaps.items() if h}, name
+        for snapshot, parent, changed in oracle.history.values():
+            assert set(parent) <= set(snapshot), name
+            assert changed and changed <= set(snapshot), name
+            for a, o in snapshot.items():
+                assert (o is parent.get(a)) == (a not in changed), name
+            assert id(parent) in oracle.history or parent == {}, name
+    assert programs > 20
 
 
 def test_cycle_sets_of_nested_components():
