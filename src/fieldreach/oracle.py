@@ -23,15 +23,15 @@ mask) pairs and keeps, per target, a truth table with one bit per traversed
 mask; finite on cyclic heaps because masks are.  That table is the reach
 entry.  The check carries path copying over to its results: a snapshot's
 successor lists are its parent's plus its changed objects relabelled, and
-when the write only added edges, its reach tables continue the parent's
-saturation from the added edges and its cycle masks come from anchors on
-those edges.  A snapshot with no history, or one whose write removed an
-edge, is analysed afresh, its cycle masks peeled from the strongly
-connected components of the labelled heap one bit at a time.  A state thus
-abstracts to the exact reachability/cyclicity value: the models of an entry
-are precisely the field sets realized in the state.  ``traversal_saturate``
-and ``cycle_field_sets`` decode the same results to field names, over a
-universe of the heap's own fields.
+its edge set is a base plus added edges.  The base is the parent's edge set
+when the write only added edges, and the empty edge set when the snapshot
+has no history or its write removed an edge.  Its reach tables continue the
+base's saturation from the added edges, and its cycle masks come from
+anchors on those edges, since every closed walk not in the base has an
+added edge.  A state thus abstracts to the exact reachability/cyclicity
+value: the models of an entry are precisely the field sets realized in the
+state.  ``traversal_saturate`` and ``cycle_field_sets`` decode the same
+results to field names, over a universe of the heap's own fields.
 """
 
 from __future__ import annotations
@@ -376,132 +376,6 @@ def _close(succ: Succ, reached: dict[int, int], work: list[tuple[int, int]]) -> 
     return reached
 
 
-def _components(edges: list[Edge]) -> tuple[list[list[int]], dict[int, int]]:
-    """Strongly connected components of the graph of ``edges`` (Tarjan 1972),
-    each listed after every component it reaches, and the component index of
-    each node on an edge."""
-    succ: dict[int, list[int]] = {}
-    for a, _, b in edges:
-        succ.setdefault(a, []).append(b)
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    comp_of: dict[int, int] = {}
-    for root in succ:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        work = [(root, iter(succ[root]), len(stack))]
-        stack.append(root)
-        while work:
-            node, targets, at = work[-1]
-            for nxt in targets:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = len(index)
-                    work.append((nxt, iter(succ.get(nxt, ())), len(stack)))
-                    stack.append(nxt)
-                    break
-                if nxt not in comp_of and index[nxt] < low[node]:  # nxt still on the stack
-                    low[node] = index[nxt]
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[node] < low[parent]:
-                        low[parent] = low[node]
-                if low[node] == index[node]:
-                    c = len(comps)
-                    comp = stack[at:]
-                    del stack[at:]
-                    for member in comp:
-                        comp_of[member] = c
-                    comps.append(comp)
-    return comps, comp_of
-
-
-def _inner_edges(
-    comps: list[list[int]], comp_of: dict[int, int], edges: list[Edge]
-) -> list[list[Edge]]:
-    """The edges of each component that stay inside it, grouped in one pass."""
-    inner: list[list[Edge]] = [[] for _ in comps]
-    for edge in edges:
-        c = comp_of[edge[0]]
-        if c == comp_of[edge[2]]:
-            inner[c].append(edge)
-    return inner
-
-
-def _has_cycle(edges: list[Edge]) -> bool:
-    """Whether the graph of ``edges`` has a cycle, a self-loop included:
-    removing nodes of in-degree 0 (Kahn 1962) leaves some node exactly when
-    it has."""
-    succ: dict[int, list[int]] = {}
-    indegree: dict[int, int] = {}
-    for a, _, b in edges:
-        succ.setdefault(a, []).append(b)
-        indegree[b] = indegree.get(b, 0) + 1
-    ready = [a for a in succ if a not in indegree]
-    while ready:
-        for b in succ.get(ready.pop(), ()):
-            indegree[b] -= 1
-            if not indegree[b]:
-                ready.append(b)
-    return any(indegree.values())
-
-
-def _peel(edges: list[Edge], peeled: dict[frozenset[Edge], int]) -> int:
-    """Truth table of the masks of the closed walks inside one strongly
-    connected component, given by its inner edges.
-
-    The component is strongly connected through ``edges``, so some closed
-    walk traverses every label on them.  A closed walk that leaves out a
-    label lies inside one component of the graph without that label's edges.
-    A component with a single label has nothing left to peel.  When a drop
-    leaves one label, the components left have closed walks over exactly
-    that label if and only if the remaining edges have a cycle, so no
-    decomposition is needed.  The others are looked up in ``peeled`` by
-    their edges, so a component met again, in this heap or in another heap
-    of the same check, is peeled once."""
-    labels = 0
-    for edge in edges:
-        labels |= edge[1]
-    if not labels & (labels - 1):
-        return 1 << labels
-    key = frozenset(edges)
-    table = peeled.get(key)
-    if table is None:
-        table = 1 << labels
-        rest = labels
-        while rest:
-            dropped = rest & -rest
-            rest ^= dropped
-            kept = [e for e in edges if e[1] != dropped]
-            left = labels ^ dropped
-            if not left & (left - 1):
-                if _has_cycle(kept):
-                    table |= 1 << left
-                continue
-            comps, comp_of = _components(kept)
-            for inner in _inner_edges(comps, comp_of, kept):
-                if inner:
-                    table |= _peel(inner, peeled)
-        peeled[key] = table
-    return table
-
-
-def _component_anchors(succ: Succ, peeled: dict[frozenset[Edge], int]) -> dict[int, int]:
-    """One anchor per strongly connected component with an inner edge: a
-    member of it, and the truth table of the masks of the closed walks
-    inside it.  Every non-empty closed walk lies inside one component, and a
-    location reaches it exactly when it reaches the member.  ``peeled`` is
-    the memo of ``_peel``, for the labelling of one universe."""
-    edges = [(a, bit, b) for a, out in succ.items() for bit, b in out]
-    comps, comp_of = _components(edges)
-    inner_edges = _inner_edges(comps, comp_of, edges)
-    return {comp[0]: _peel(inner, peeled) for comp, inner in zip(comps, inner_edges) if inner}
-
-
 def _cycles_from(anchors: dict[int, int], reached: Iterable[int]) -> int:
     """Truth table of the masks of the non-empty closed walks reachable from
     a location, given the anchors of the heap and the locations it reaches."""
@@ -512,14 +386,12 @@ def _cycles_from(anchors: dict[int, int], reached: Iterable[int]) -> int:
     return table
 
 
-def _own_labels(heap: dict[int, Obj]) -> tuple[FieldUniverse, Succ]:
-    """The heap labelled over a universe of the fields its references carry,
-    one bit per field, so masks decode back to field names."""
-    universe = FieldUniverse.of(
+def _own_universe(heap: dict[int, Obj]) -> FieldUniverse:
+    """A universe of the fields the heap's references carry, one bit per
+    field, so masks decode back to field names."""
+    return FieldUniverse.of(
         f for o in heap.values() for f, v in o.fields.items() if isinstance(v, Loc)
     )
-    bits: dict[str, int] = {}
-    return universe, {a: _label(o, universe, bits) for a, o in heap.items()}
 
 
 def traversal_saturate(
@@ -529,7 +401,9 @@ def traversal_saturate(
 
     Without ``require_step`` the pair (src, {}) for the empty path is
     included.  Finite because targets and field subsets are."""
-    universe, succ = _own_labels(heap)
+    universe = _own_universe(heap)
+    bits: dict[str, int] = {}
+    succ = {a: _label(o, universe, bits) for a, o in heap.items()}
     return frozenset(
         (target, frozenset(universe.names_of(m)))
         for target, table in _saturate(succ, src, require_step).items()
@@ -539,8 +413,8 @@ def traversal_saturate(
 
 def cycle_field_sets(heap: dict[int, Obj], src: int) -> frozenset[frozenset[str]]:
     """Traversal sets of the non-empty cycles reachable from ``src``."""
-    universe, succ = _own_labels(heap)
-    table = _cycles_from(_component_anchors(succ, {}), reachable_addrs(heap, src))
+    universe = _own_universe(heap)
+    table = _SnapshotMemo(universe).cycles(heap, src)
     return frozenset(frozenset(universe.names_of(m)) for m in models_of(table))
 
 
@@ -586,8 +460,8 @@ class _EdgeResults:
     """What a check learns of one labelled edge set: the reach tables from
     each source, the cycle table of each location and, once needed, the
     anchors.  ``succ`` holds the successor lists of the heap that first had
-    the edge set; ``base`` is the edge set it adds ``added`` to, or None
-    when it is analysed afresh."""
+    the edge set; ``base`` is the edge set it adds ``added`` to, or None for
+    the empty edge set."""
 
     __slots__ = ("succ", "base", "added", "reached", "cycles", "anchors")
 
@@ -605,27 +479,31 @@ class _EdgeResults:
 class _SnapshotMemo:
     """Heap results for one universe, kept for one check.
 
-    A heap with a history (``OracleResult.history``) is labelled from the
-    snapshot it was copied from: its successor lists are its parent's, with
-    the changed objects relabelled.  The edges of the changed objects sort
-    the heap into three cases.
+    A heap's edge set is a base edge set plus added edges.  A heap with a
+    history (``OracleResult.history``) is labelled from the snapshot it was
+    copied from: its successor lists are its parent's, with the changed
+    objects relabelled.  The edges of the changed objects sort the heap into
+    three cases.
 
     * No change: it shares the parent's results.  An object allocated since
       has no reference yet, so only itself is reachable from it.
-    * Additions only: its reach tables continue the parent's saturation
-      from the added edges.  Its cycle masks come from anchors.  The anchor
-      of an added edge (a, bit, b) holds the masks bit | m for every model m
-      of the reach table from b to a, and a location's cycle table is the
-      union of the anchors at the locations it reaches.  This is exact.
-      Rotate any closed walk so that it starts at its latest-added edge: the
-      rest walks from that edge's target back to its source over edges that
-      were there when it was added, so the walk's mask is in that edge's
-      anchor, at a location on the walk.  Conversely, each anchor mask is
-      the mask of a closed walk through the anchor's location.
-    * An edge removed, or no history: it is analysed afresh.  Its reach
-      tables saturate from scratch, and each strongly connected component
-      contributes one anchor, the masks of its closed walks peeled one bit
-      at a time (``_peel``).  Edges added later extend these anchors.
+    * Additions only: the base is the parent's edge set.
+    * An edge removed, or no history: the base is the empty edge set, and
+      every edge of the heap is added.
+
+    Reach tables continue the base's saturation from the added edges, or
+    saturate from scratch where the base has none.  Cycle masks come from
+    anchors.  The anchor of an added edge (a, bit, b) holds the masks
+    bit | m for every model m of the heap's own reach table from b to a,
+    and a location's cycle table is the union of the anchors at the
+    locations it reaches, the base's anchors included.  This is exact.
+    Rotate any closed walk so that it starts at its latest-added edge: the
+    rest walks from that edge's target back to its source over edges the
+    heap has, so the walk's mask is in that edge's anchor, at a location on
+    the walk.  A closed walk has an edge, and the empty edge set has none,
+    so over the empty base every closed walk of the heap has an added edge
+    and is counted; the empty base itself has no anchors.  Conversely, each
+    anchor mask is the mask of a closed walk through the anchor's location.
 
     The labels may be abstract bits, where several fields share the
     stand-in bit.  Labelling changes neither which walks exist nor which are
@@ -633,10 +511,9 @@ class _SnapshotMemo:
     is the abstraction of the field set it traverses.  So the results are
     exactly the abstractions of the concrete reach and cycle sets.  An
     edge set's tables are computed on demand, an ancestor's first, so a
-    chain of edits is walked once, without recursion.  Peeled components are
-    kept by their edges across all heaps.  The heaps it has seen must not
-    change while it is used; it holds them, so their identities are not
-    reused."""
+    chain of edits is walked once, without recursion.  The heaps it has seen
+    must not change while it is used; it holds them, so their identities
+    are not reused."""
 
     def __init__(
         self, universe: FieldUniverse, history: Optional[dict[int, Edit]] = None
@@ -645,9 +522,10 @@ class _SnapshotMemo:
         self.history = history or {}
         self.bits: dict[str, int] = {}
         self.heaps: dict[int, tuple[dict[int, Obj], Succ, _EdgeResults]] = {}
-        self.peeled: dict[frozenset[Edge], int] = {}
+        self.empty = _EdgeResults({})
+        self.empty.anchors = {}
 
-    def _labelled(self, heap: dict[int, Obj]) -> tuple[dict[int, Obj], Succ, _EdgeResults]:
+    def edge_results(self, heap: dict[int, Obj]) -> _EdgeResults:
         entry = self.heaps.get(id(heap))
         if entry is None:
             chain = [heap]  # with the ancestors not labelled yet
@@ -657,44 +535,42 @@ class _SnapshotMemo:
                 edit = self.history.get(id(edit[1]))
             for h in reversed(chain):
                 entry = self.heaps[id(h)] = (h, *self._successors(h))
-        return entry
+        return entry[2]
 
     def _successors(self, heap: dict[int, Obj]) -> tuple[Succ, _EdgeResults]:
         edit = self.history.get(id(heap))
         if edit is None:
             succ = {a: _label(o, self.universe, self.bits) for a, o in heap.items()}
-            return succ, _EdgeResults(succ)
-        _, before, results = self.heaps[id(edit[1])]
-        succ = dict(before)
-        added: list[Edge] = []
-        removed = False
-        for a in edit[2]:
-            out = succ[a] = _label(heap[a], self.universe, self.bits)
-            old = before.get(a, ())
-            if out != old:
-                new_edges, old_edges = set(out), set(old)
-                removed = removed or not old_edges <= new_edges
-                added += [(a, bit, b) for bit, b in new_edges - old_edges]
-        if removed:
-            return succ, _EdgeResults(succ)
-        return succ, _EdgeResults(succ, results, tuple(added)) if added else results
-
-    def reach_tables(self, heap: dict[int, Obj], src: int) -> dict[int, int]:
-        results = self._labelled(heap)[2]
-        if src not in results.succ:  # allocated since the edge set was first seen
-            return {src: 1}
-        return self._reach(results, src)
+        else:
+            _, before, results = self.heaps[id(edit[1])]
+            succ = dict(before)
+            added: list[Edge] = []
+            removed = False
+            for a in edit[2]:
+                out = succ[a] = _label(heap[a], self.universe, self.bits)
+                old = before.get(a, ())
+                if out != old:
+                    new_edges, old_edges = set(out), set(old)
+                    removed = removed or not old_edges <= new_edges
+                    added += [(a, bit, b) for bit, b in new_edges - old_edges]
+            if not removed:
+                return succ, _EdgeResults(succ, results, tuple(added)) if added else results
+        # no history, or an edge removed: the empty edge set plus every edge
+        every =tuple((a, bit, b) for a, out in succ.items() for bit, b in out)
+        return succ, _EdgeResults(succ, self.empty, every)
 
     def _reach(self, results: _EdgeResults, src: int) -> dict[int, int]:
+        if src not in results.succ:  # allocated since the edge set was first seen
+            return {src: 1}
         chain = []  # the edge sets, newest first, that lack the table
         base = results
         while src not in base.reached:
             chain.append(base)
-            if base.base is None or src not in base.base.succ:
+            if src not in base.base.succ:
                 break
             base = base.base
         for r in reversed(chain):
-            before = r.base.reached.get(src) if r.base is not None else None
+            before = r.base.reached.get(src)
             if before is None:
                 r.reached[src] = _saturate(r.succ, src)
             else:
@@ -703,14 +579,11 @@ class _SnapshotMemo:
 
     def _anchors(self, results: _EdgeResults) -> dict[int, int]:
         chain = []  # the edge sets, newest first, that lack their anchors
-        base: Optional[_EdgeResults] = results
-        while base is not None and base.anchors is None:
+        base = results
+        while base.anchors is None:
             chain.append(base)
             base = base.base
         for r in reversed(chain):
-            if r.base is None:
-                r.anchors = _component_anchors(r.succ, self.peeled)
-                continue
             anchors = r.base.anchors
             for a, bit, b in r.added:
                 table = 0
@@ -726,10 +599,12 @@ class _SnapshotMemo:
     def cycles(self, heap: dict[int, Obj], src: int) -> int:
         """Truth table of the masks of the non-empty closed walks reachable
         from ``src``."""
-        results = self._labelled(heap)[2]
+        return self._cycles(self.edge_results(heap), src)
+
+    def _cycles(self, results: _EdgeResults, src: int) -> int:
         table = results.cycles.get(src)
         if table is None:
-            reached = self.reach_tables(heap, src)
+            reached = self._reach(results, src)
             table = results.cycles[src] = _cycles_from(self._anchors(results), reached)
         return table
 
@@ -746,14 +621,17 @@ def alpha_state(
     memo = memo or _SnapshotMemo(universe)
     value = RcValue.bottom(universe, variables)
     locs = {v: state.frame[v].addr for v in value.cyc if isinstance(state.frame.get(v), Loc)}
-    reach = {addr: memo.reach_tables(state.heap, addr) for addr in set(locs.values())}
+    if not locs:
+        return value
+    results = memo.edge_results(state.heap)
+    reach = {addr: memo._reach(results, addr) for addr in set(locs.values())}
     for v, av in locs.items():
         for w, aw in locs.items():
             table = reach[av].get(aw)
             if table:
                 value.reach[(v, w)] = table
         # a non-null variable has its empty cycle
-        value.cyc[v] = 1 | memo.cycles(state.heap, av)
+        value.cyc[v] = 1 | memo._cycles(results, av)
     return value
 
 

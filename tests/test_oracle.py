@@ -449,7 +449,8 @@ def test_shared_peel_memo_matches_a_fresh_one(case, rng):
             assert results.base is parent
             assert set(results.added) == edges - old
         else:
-            assert results.base is None
+            assert results.base is memo.empty
+            assert set(results.added) == edges
 
 
 def test_memo_keeps_edge_sets_apart_by_label():
@@ -479,7 +480,9 @@ def test_memo_keeps_edge_sets_apart_by_label():
     results = [memo.heaps[id(h)][2] for h in heaps]
     assert len({id(r) for r in results}) == 4
     assert results[0] is not results[1] is not results[2] is not results[0]
-    assert results[1].base is results[2].base is None
+    assert results[1].base is results[2].base is memo.empty
+    for heap, r in zip(heaps[1:3], results[1:3]):
+        assert set(r.added) == labelled_edges(heap, u)
     assert results[3] is results[4] is results[2]
     assert results[5].base is results[4] and results[5].added == ((2, u.mask_of(["g"]), 1),)
     assert shared.cyc["v1"] == 1 | 1 << u.mask_of(["f", "g"])
