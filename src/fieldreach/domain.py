@@ -121,11 +121,11 @@ class RcValue:
         """Drop unrealizable models everywhere (display/fixpoint form)."""
         if via is None:
             return self
-        c = via.canonical
+        full, viable = self.universe.full_table, via.table  # ``via.canonical``, inline
         return RcValue(
             self.universe,
-            {key: c(t) for key, t in self.reach.items()},
-            {v: c(t) for v, t in self.cyc.items()},
+            {key: t if t == full else t & viable for key, t in self.reach.items()},
+            {v: t if t == full else t & viable for v, t in self.cyc.items()},
         )
 
     # -- scope changes

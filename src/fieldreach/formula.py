@@ -106,6 +106,13 @@ class FieldUniverse:
     def names_of(self, mask: int) -> tuple[str, ...]:
         return tuple(f for i, f in enumerate(self.fields) if mask & (1 << i))
 
+    def sorted_names(self, mask: int) -> list[str]:
+        """The mask's field names as a JSON model lists them, sorted as
+        strings; a formula's JSON models sort by these lists."""
+        names = [f for i, f in enumerate(self.fields) if mask >> i & 1]
+        names.sort()
+        return names
+
     def all_masks(self) -> range:
         return range(1 << len(self.fields))
 
@@ -223,7 +230,7 @@ class PathFormula:
         return not self.table
 
     def model_sets(self) -> tuple[tuple[str, ...], ...]:
-        masks = sorted(models_of(self.table), key=lambda m: (bin(m).count("1"), m))
+        masks = sorted(models_of(self.table), key=lambda m: (m.bit_count(), m))
         return tuple(self.universe.names_of(m) for m in masks)
 
     def has_model(self, mask: int) -> bool:
@@ -278,7 +285,7 @@ class PathFormula:
         return "∨".join(parts)
 
     def json_models(self) -> list[list[str]]:
-        return sorted(sorted(names) for names in self.model_sets())
+        return sorted(map(self.universe.sorted_names, models_of(self.table)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<pf {self.render()}>"

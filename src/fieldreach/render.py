@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from collections import defaultdict
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Optional
@@ -10,7 +12,7 @@ from typing import Optional
 from .classtable import ClassTable
 from .compare import alpha_class_pairs, alpha_monotone, alpha_nofields, alpha_q, alpha_scapin
 from .domain import RcValue
-from .formula import FieldUniverse, PathFormula
+from .formula import FieldUniverse, PathFormula, models_of
 from .semantics import AnalysisResult
 from .syntax import walk_commands
 from .typecheck import TypeInfo
@@ -127,12 +129,18 @@ def render_sharing(program, analysis) -> str:
 # -- JSON report
 #
 # The report is streamed in exactly the layout of ``json.dumps(doc,
-# sort_keys=True, indent=2)``, so that each distinct formula is encoded once
-# per report, not once per entry.  An object is a list of (key, value)
-# members whose value is either text already encoded as JSON or, for a nested
-# object, such a list.  Text nested ``depth`` levels deep is laid out as at
-# the top level with every line after the first indented by ``depth`` more
-# steps; ``sort_keys`` orders an object's members by their key strings.
+# sort_keys=True, indent=2)``: its pieces are appended to one list, joined
+# once at the end.  An object is a list of (key, value) members whose value
+# is text already encoded as JSON, a nested object as such a list, or a
+# writer that appends its own pieces.  Text nested ``depth`` levels deep is
+# laid out as at the top level with every line after the first indented by
+# ``depth`` more steps; ``sort_keys`` orders an object's members by their key
+# strings.  The formula entries, the bulk of a report, are laid out from
+# memos that live for one report (``_Entries``): per mask, its sorted names
+# and encoded model; per table, its encoded model list at each depth; per
+# scope and depth, the sorted member heads of ``cyc`` and ``reach``.  So a
+# row needs no sort and no key encoding, and each distinct table is encoded
+# once per report, not once per entry.
 
 _INDENT = "  "
 
@@ -167,40 +175,81 @@ def _write_object(out: list[str], members: list, depth: int) -> None:
         out.append(f"{sep}{encode_basestring_ascii(key)}: ")
         if isinstance(value, str):
             out.append(value)
-        else:
+        elif isinstance(value, list):
             _write_object(out, value, depth + 1)
+        else:
+            value(out)
         sep = ",\n" + _INDENT * (depth + 1)
     out.append("\n" + _INDENT * depth + "}")
 
 
 class _Entries:
-    """The encoded model lists of one report, one per (table, depth)."""
+    """The formula entries of one report, laid out from its memos."""
 
-    def __init__(self) -> None:
-        self._text: dict[tuple[int, int], str] = {}
+    def __init__(self, universe: FieldUniverse) -> None:
+        self.universe = universe
+        self._models: dict[int, tuple[list[str], str]] = {}  # mask: names, model
+        self._texts: defaultdict[int, dict[int, str]] = defaultdict(dict)  # depth: table: list
+        self._heads: dict[tuple[tuple[str, ...], int], tuple] = {}  # (scope, depth)
 
     def value_members(self, value: RcValue, depth: int) -> list:
         """The members of ``value.to_json()`` as an object ``depth`` levels
-        deep."""
+        deep, each a writer of its entries."""
         entry = depth + 2
-        u = value.universe
-        cyc = [(v, self.encode(u, t, entry)) for v, t in value.cyc.items()]
-        reach = [(f"({v},{w})", self.encode(u, t, entry)) for (v, w), t in value.reach.items()]
-        return [("cyc", cyc), ("reach", reach)]
+        cyc, reach, close = self._layout(tuple(value.cyc), entry)
+        return [
+            ("cyc", partial(self._write, cyc, close, entry, value.cyc)),
+            ("reach", partial(self._write, reach, close, entry, value.reach)),
+        ]
 
-    def encode(self, universe: FieldUniverse, table: int, depth: int) -> str:
-        """The model list of ``table``, ``depth`` levels deep: encoded once
-        per table at depth 0, then re-indented once per depth."""
-        text = self._text.get((table, depth))
-        if text is None:
-            base = self._text.get((table, 0))
-            if base is None:
-                models = [
-                    _array([encode_basestring_ascii(name) for name in names], 1)
-                    for names in PathFormula(universe, table).json_models()
+    def _write(self, heads: list, close: str, entry: int, tables: dict, out: list[str]) -> None:
+        """Append the object of ``tables`` laid out by ``heads``."""
+        texts = self._texts[entry]
+        for head, key in heads:
+            table = tables[key]
+            text = texts.get(table)
+            if text is None:
+                text = texts[table] = _indent(self._text(table), entry)
+            out.append(head)
+            out.append(text)
+        out.append(close)
+
+    def _layout(self, scope: tuple[str, ...], entry: int) -> tuple:
+        """The member heads of ``cyc`` and ``reach`` over ``scope``, sorted,
+        with entries ``entry`` levels deep, and the text that closes both."""
+        layout = self._heads.get((scope, entry))
+        if layout is None:
+            pad = "\n" + _INDENT * entry
+
+            def heads(members: list[tuple[str, object]]) -> list[tuple[str, object]]:
+                members.sort(key=itemgetter(0))
+                return [
+                    (("," if i else "{") + pad + encode_basestring_ascii(name) + ": ", key)
+                    for i, (name, key) in enumerate(members)
                 ]
-                base = self._text[table, 0] = _array(models, 0)
-            text = self._text[table, depth] = _indent(base, depth)
+
+            layout = self._heads[scope, entry] = (
+                heads([(v, v) for v in scope]),
+                heads([(f"({v},{w})", (v, w)) for v in scope for w in scope]),
+                "\n" + _INDENT * (entry - 1) + "}" if scope else "{}",
+            )
+        return layout
+
+    def _text(self, table: int) -> str:
+        """The model list of ``table`` at depth 0, its models in the order
+        of their sorted names (``PathFormula.json_models``)."""
+        text = self._texts[0].get(table)
+        if text is None:
+            models = []
+            for mask in models_of(table):
+                model = self._models.get(mask)
+                if model is None:
+                    names = self.universe.sorted_names(mask)
+                    encoded = _array([encode_basestring_ascii(name) for name in names], 1)
+                    model = self._models[mask] = (names, encoded)
+                models.append(model)
+            models.sort()
+            text = self._texts[0][table] = _array([encoded for _, encoded in models], 0)
         return text
 
 
@@ -211,7 +260,7 @@ def result_to_json(
     """The JSON report: byte for byte ``json.dumps(doc, sort_keys=True,
     indent=2) + "\\n"`` of the document whose ``final`` and point entries are
     ``RcValue.to_json()``."""
-    entries = _Entries()
+    entries = _Entries(result.universe)
     points = [
         (
             f"{row.line}#{row.visit}",

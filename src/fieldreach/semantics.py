@@ -75,7 +75,8 @@ class TraceRow:
 class AnalysisResult:
     """The outcome of one analysis.  ``final``, ``trace`` and ``point_post``
     hold canonical values (``RcValue.canonical``): every entry is already its
-    own ``drop_nonviable``, so readers show and query it as it is."""
+    own ``drop_nonviable``, so readers show and query it as it is.  They
+    share value objects, and each distinct object is canonicalised once."""
 
     universe: FieldUniverse
     entry: EntryKey
@@ -654,17 +655,19 @@ def analyze_program(
     denotations: dict[tuple[str, str], dict[tuple, RcValue]] = {}
     for key, value in analyzer.memo.table.items():
         denotations.setdefault(key[0], {})[key[1:]] = value
+    # ``final``, the trace and the points share value objects: each distinct
+    # one is canonicalised once, keyed by identity while ``distinct`` holds it
+    recorded = [final, *(r.value for r in recordings[0].trace), *merged.point_post.values()]
+    distinct = {id(v): v for v in recorded}
+    canon = {key: v.canonical(analyzer.via) for key, v in distinct.items()}
     entry_key = "main" if entry == "main" else entry.key
     return AnalysisResult(
         universe=universe,
         entry=entry_key,
         display_vars=tuple(typeinfo.env_for(entry_key).ref_vars),
-        final=final.canonical(analyzer.via),
-        trace=[
-            TraceRow(r.line, r.visit, r.value.canonical(analyzer.via))
-            for r in recordings[0].trace
-        ],
-        point_post={nid: v.canonical(analyzer.via) for nid, v in merged.point_post.items()},
+        final=canon[id(final)],
+        trace=[TraceRow(r.line, r.visit, canon[id(r.value)]) for r in recordings[0].trace],
+        point_post={nid: canon[id(v)] for nid, v in merged.point_post.items()},
         denotations=denotations,
         rounds=rounds,
         loop_passes=merged.loop_passes,

@@ -156,3 +156,51 @@ def test_keys_sort_as_strings_and_escape_as_json():
     assert sorted(keys) != [f"({v},{w})" for v, w in sorted(result.final.reach)]
     answers = [("reach a b", [["f0"]]), ("cyc é {}", False)]
     assert result_to_json(result, answers) == reference_report(result, answers)
+
+
+# Three fields, two of them tracked: the universe is (a, b, any), and the
+# stand-in sorts between the tracked names in a JSON model list.
+ANY_BETWEEN = """
+class N { N a; N b; N c; }
+main {
+  N x; N y; N z;
+  x := new N; y := new N;
+  x.a := y;
+  y.c := x;
+  x.b := x;
+  z := x.a;
+}
+"""
+
+
+def test_layout_is_kept_per_scope_and_depth():
+    """The report lays out each scope's member keys once per depth: rows of
+    several scopes (an empty one, a renamed one, one in another insertion
+    order) and a ``final`` over a scope of its own, at two depths, all read
+    as ``json.dumps`` writes them; the models of a table sort by their
+    sorted names, with the stand-in between tracked names."""
+    result = analyze_entry(ANY_BETWEEN, tracked=["a", "b"])
+    u = result.universe
+    assert u.fields == ("a", "b", "any")
+    last = result.trace[-1].value
+    moved = renamed(last, {"x": "w", "y": "x"})
+    a, b, stand_in = (u.mask_of([f]) for f in u.fields)
+    moved.reach[("w", "x")] = 1 << b | 1 << stand_in | 1 << (a | stand_in)
+    assert moved.reach_at("w", "x").json_models() == [["a", "any"], ["any"], ["b"]]
+    reordered = RcValue(u, dict(reversed(last.reach.items())), dict(reversed(last.cyc.items())))
+    kept = [v for v in result.final.cyc if v != "z"]
+    final = result.final.remap({v: v for v in kept}, kept)
+    rows = [
+        TraceRow(90, 1, RcValue(u, {}, {})),
+        TraceRow(91, 1, moved),
+        TraceRow(91, 2, reordered),
+        TraceRow(92, 1, final),
+    ]
+    result = dataclasses.replace(result, final=final, trace=result.trace + rows)
+    scopes = {frozenset(row.value.cyc) for row in result.trace}
+    assert {frozenset(), frozenset(moved.cyc), frozenset(final.cyc)} <= scopes
+    assert len({frozenset(last.cyc), frozenset(moved.cyc), frozenset(final.cyc)}) == 3
+    answers = [("reach w x", [["a", "any"], ["any"], ["b"]])]
+    report = result_to_json(result, answers)
+    assert report == reference_report(result, answers)
+    assert '"90#1": {\n      "cyc": {},' in report

@@ -18,6 +18,7 @@ from fieldreach.render import render_final, render_table, result_to_json
 
 from conftest import DATA, analyze_entry
 from corpus import CORPUS
+from test_render_json import WIDE
 
 DIGESTS = DATA / "report_digests.json"
 TEXT_DIGESTS = DATA / "text_digests.json"
@@ -64,6 +65,25 @@ def test_reports_match_golden_digests(digests):
 def test_text_reports_match_golden_digests(digests):
     changed = _changed(digests[1], TEXT_DIGESTS)
     assert not changed, f"text reports differ from the golden digests: {changed}"
+
+
+# the reports above record canonical values already; on this one the final
+# canonicalisation drops models from most recorded values
+CANONICAL_CASES = CASES + [("wide", WIDE, "main", None)]
+
+
+@pytest.mark.parametrize(
+    "name,src,entry,tracked", CANONICAL_CASES, ids=[c[0] for c in CANONICAL_CASES]
+)
+def test_recorded_values_are_canonical(name, src, entry, tracked):
+    """Every value a result holds is in normal form and its own canonical
+    form, however many places share it."""
+    result = analyze_entry(src, entry, tracked)
+    values = [result.final] + [row.value for row in result.trace]
+    values += result.point_post.values()
+    for value in values:
+        assert value.is_normal()
+        assert value.canonical(result.via) == value
 
 
 if __name__ == "__main__":
