@@ -165,9 +165,6 @@ class ClassTable:
     def class_has_field(self, name: str, fieldname: str) -> bool:
         return any(f == fieldname for f, _ in self.fields_of(name))
 
-    def has_field(self, fieldname: str) -> bool:
-        return fieldname in self._field_type
-
     def field_type(self, fieldname: str) -> str:
         return self._field_type[fieldname]
 

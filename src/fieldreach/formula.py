@@ -12,7 +12,10 @@ are built from these shifts.
 Two formulas are equal as analysis facts when they have the same *viable*
 models: assignments no heap admitted by the class declarations can realize
 carry no information.  ``Viability`` is the truth table of the realizable
-masks, built once per universe, so viable models are one ``&`` away.
+masks, built once per universe, so viable models are one ``&`` away.  It is
+built by ``saturate``, the walk-mask saturation that the oracle also runs on
+concrete heaps, here over the class graph: per node, the truth table of the
+masks of the walks that reach it.
 
 The analysis works on the bare ints with the functions of this module.
 ``PathFormula`` is a read-only view of one table, with its universe, for
@@ -24,12 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .classtable import ANY_FIELD, ClassTable
 
-# the widest universe analyzed: a formula is an int of 2^n bits, and the
-# viability table is built from all 2^n masks
+# the widest universe analyzed: a formula is an int of 2^n bits, and so is
+# the viability table, saturated over (class, mask) pairs
 MAX_FIELDS = 16
 
 
@@ -295,44 +298,47 @@ class PathFormula:
 # viability
 
 
-def field_steps(ct: ClassTable, fields: Iterable[str]) -> dict[str, tuple[int, int]]:
-    """Per declared field, two class sets as bits in ``ct.class_names``
-    order: the classes carrying it (inherited fields included) and the
-    subclasses of its declared type, where a step along it lands."""
-    bit = {c: 1 << i for i, c in enumerate(ct.class_names)}
-    steps = {}
-    for f in fields:
-        if ct.has_field(f):
-            carriers = sum(bit[c] for c in ct.class_names if ct.class_has_field(c, f))
-            steps[f] = (carriers, sum(bit[c] for c in ct.subclasses_of(ct.field_type(f))))
-    return steps
+def saturate(succ: Mapping, reached: dict, work: list) -> dict:
+    """Expands the (node, mask) pairs on ``work`` along ``succ``, which maps
+    each node to its (label bit, successor) steps, into ``reached``: per
+    node, the truth table of the masks of the walks that end there.  A pair
+    is expanded only when its bit is new, so this ends on cyclic graphs
+    too.  The oracle runs it on labelled heaps and viability on the class
+    graph."""
+    while work:
+        node, mask = work.pop()
+        for bit, dst in succ[node]:
+            m = mask | bit
+            t = reached.get(dst, 0)
+            if not t >> m & 1:
+                reached[dst] = t | 1 << m
+                work.append((dst, m))
+    return reached
 
 
-def reach_from(classes: int, steps: Sequence[tuple[int, int]]) -> int:
-    """The class set closed under the given steps: from a carrier of a
-    field to any subclass of the field's declared type."""
-    while True:
-        grown = classes
-        for carriers, targets in steps:
-            if grown & carriers:
-                grown |= targets
-        if grown == classes:
-            return classes
-        classes = grown
+def class_graph(ct: ClassTable, bits: Mapping[str, int]) -> dict[str, tuple[tuple[int, str], ...]]:
+    """Per class, its heap steps along the declared fields of ``bits``: to
+    every subclass of the declared type of each field the class carries,
+    inherited fields included, labelled with the field's bit."""
+    return {
+        c: tuple(
+            (bits[f], d)
+            for f, t in ct.fields_of(c)
+            if f in bits
+            for d in ct.subclasses_of(t)
+        )
+        for c in ct.class_names
+    }
 
 
 def class_reach_closure(ct: ClassTable, phi: Iterable[str]) -> frozenset[tuple[str, str]]:
     """The class pairs (a, b) such that a reaches b traversing only fields
     of ``phi``: the reflexive-transitive closure of one-step reachability,
     where a step leads from any class carrying a field of ``phi`` to any
-    subclass of that field's type."""
-    steps = list(field_steps(ct, phi).values())
-    names = ct.class_names
-    pairs = set()
-    for i, a in enumerate(names):
-        reach = reach_from(1 << i, steps)
-        pairs.update((a, b) for j, b in enumerate(names) if reach >> j & 1)
-    return frozenset(pairs)
+    subclass of that field's type.  With every label 0 the saturation is
+    plain reachability."""
+    graph = class_graph(ct, dict.fromkeys(phi, 0))
+    return frozenset((a, b) for a in graph for b in saturate(graph, {a: 1}, [(a, 0)]))
 
 
 class Viability:
@@ -341,32 +347,19 @@ class Viability:
     the class declarations.  Built once, in ``__init__``.
 
     A mask holding the stand-in is viable, since the stand-in covers unknown
-    fields, and so is the empty mask.  A mask naming an undeclared field is
-    not.  Otherwise mask M is viable when every two of its fields f and g
-    are *bridged* one way or the other: f bridges to g when some subclass of
-    f's declared type reaches a class carrying g, stepping only along fields
-    of M.  Along a path traversing exactly M, each field bridges to the
-    next one the path traverses for the first time.  Conversely, bridging
-    is transitive (a carrier of g steps along g, which is in M, to any
-    subclass of g's type), so when every pair is bridged the fields can be
-    ordered with each gap bridged: a semicomplete digraph has a Hamiltonian
-    path (Rédei 1934).
+    fields, and so is the empty mask.  Otherwise a heap path is a walk of the
+    class graph (``class_graph``), and fresh objects linked along any walk
+    form a heap whose path traverses exactly the walk's fields.  So the
+    other viable masks are the masks of the walks from every class; a mask
+    naming a field no class declares has none.
     """
 
     def __init__(self, ct: ClassTable, universe: FieldUniverse):
         self.universe = universe
-        steps = field_steps(ct, universe.fields)
-        by_bit = [(universe.mask_of([f]), step) for f, step in steps.items()]
-        self.table = universe.halves[universe.any_bit][1] if universe.has_any else 0
-        for mask in submasks(universe.mask_of(steps)):
-            fields = [step for bit, step in by_bit if mask & bit]
-            reach = [reach_from(targets, fields) for _, targets in fields]
-            if all(
-                reach[i] & fields[j][0] or reach[j] & fields[i][0]
-                for j in range(len(fields))
-                for i in range(j)
-            ):
-                self.table |= 1 << mask
+        graph = class_graph(ct, {f: 1 << i for i, f in enumerate(universe.fields)})
+        self.table = universe.halves[universe.any_bit][1] | 1 if universe.has_any else 1
+        for t in saturate(graph, {}, [(c, 0) for c in graph]).values():
+            self.table |= t
 
     def is_viable_mask(self, mask: int) -> bool:
         return bool(self.table >> mask & 1)

@@ -18,20 +18,22 @@ copy.
 
 The abstraction works on field bits, not on sets of field names.  A check
 labels each object's references with the universe bit of their field (an
-untracked field takes the stand-in bit).  Saturation walks (location,
-mask) pairs and keeps, per target, a truth table with one bit per traversed
-mask; finite on cyclic heaps because masks are.  That table is the reach
-entry.  The check carries path copying over to its results: a snapshot's
-successor lists are its parent's plus its changed objects relabelled, and
-its edge set is a base plus added edges.  The base is the parent's edge set
-when the write only added edges, and the empty edge set when the snapshot
-has no history or its write removed an edge.  Its reach tables continue the
-base's saturation from the added edges, and its cycle masks come from
-anchors on those edges, since every closed walk not in the base has an
-added edge.  A state thus abstracts to the exact reachability/cyclicity
-value: the models of an entry are precisely the field sets realized in the
-state.  ``traversal_saturate`` and ``cycle_field_sets`` decode the same
-results to field names, over a universe of the heap's own fields.
+untracked field takes the stand-in bit).  Saturation walks (location, mask)
+pairs and keeps, per target, a truth table with one bit per traversed mask;
+finite on cyclic heaps because masks are.  That table is the reach entry.
+The saturation is ``formula.saturate``, which also decides viability over
+the class graph.  The check carries path copying over to its results: a
+snapshot's successor lists are its parent's plus its changed objects
+relabelled, and its edge set is a base plus added edges.  The base is the
+parent's edge set when the write only added edges, and the empty edge set
+when the snapshot has no history or its write removed an edge.  Its reach
+tables continue the base's saturation from the added edges, and its cycle
+masks come from anchors on those edges, since every closed walk not in the
+base has an added edge.  A state thus abstracts to the exact
+reachability/cyclicity value: the models of an entry are precisely the field
+sets realized in the state.  ``traversal_saturate`` and ``cycle_field_sets``
+decode the same results to field names, over a universe of the heap's own
+fields.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Iterable, Optional, Union
 
 from .classtable import ClassTable
 from .domain import RcValue
-from .formula import FieldUniverse, models_of
+from .formula import FieldUniverse, models_of, saturate
 from .semantics import AnalysisResult
 from .syntax import (
     Assign,
@@ -342,7 +344,7 @@ def _saturate(succ: Succ, src: int, require_step: bool = False) -> dict[int, int
     bit m is set when some walk traverses exactly the fields of mask m.
 
     Without ``require_step`` the empty walk sets bit 0 at ``src``."""
-    return _close(succ, {} if require_step else {src: 1}, [(src, 0)])
+    return saturate(succ, {} if require_step else {src: 1}, [(src, 0)])
 
 
 def _continued(before: dict[int, int], succ: Succ, added: Iterable[Edge]) -> dict[int, int]:
@@ -358,22 +360,7 @@ def _continued(before: dict[int, int], succ: Succ, added: Iterable[Edge]) -> dic
             if not t >> m & 1:
                 reached[b] = t | 1 << m
                 work.append((b, m))
-    return _close(succ, reached, work)
-
-
-def _close(succ: Succ, reached: dict[int, int], work: list[tuple[int, int]]) -> dict[int, int]:
-    """Expands the (location, mask) pairs on ``work`` along ``succ`` into
-    ``reached``.  A pair is expanded only when its bit is new, so this ends
-    on cyclic heaps too."""
-    while work:
-        loc, mask = work.pop()
-        for bit, dst in succ[loc]:
-            m = mask | bit
-            t = reached.get(dst, 0)
-            if not t >> m & 1:
-                reached[dst] = t | 1 << m
-                work.append((dst, m))
-    return reached
+    return saturate(succ, reached, work)
 
 
 def _cycles_from(anchors: dict[int, int], reached: Iterable[int]) -> int:

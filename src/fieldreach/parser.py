@@ -92,28 +92,14 @@ KEYWORDS = {
     "main",
 }
 
-_SYMBOLS = [
-    ":=",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "{",
-    "}",
-    "(",
-    ")",
-    ";",
-    ",",
-    ".",
-    "<",
-    ">",
-    "+",
-    "-",
-    "*",
-]
-
+# one alternative per token kind, tried in order: symbols longest first, and
+# ``bad`` catches any character no other alternative starts with
+_TOKEN_RE = re.compile(
+    r"(?P<nl>\n)|[ \t\r]+|(?P<comment>//[^\n]*)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
+    r"|(?P<sym>:=|==|!=|<=|>=|[{}();,.<>+*-])|(?P<bad>.)"
+)
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
 
 
 @dataclass
@@ -127,52 +113,27 @@ class Token:
 def _lex(source: str) -> tuple[list[Token], list[tuple[int, str]]]:
     tokens: list[Token] = []
     raw_annotations: list[tuple[int, str]] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind is None:  # blanks
+            continue
+        if kind == "nl":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            j = source.find("\n", i)
-            if j == -1:
-                j = n
-            text = source[i + 2 : j]
-            if text.startswith("@"):
-                raw_annotations.append((line, text[1:].strip()))
-            col += j - i
-            i = j
-            continue
-        m = _IDENT_RE.match(source, i)
-        if m:
-            word = m.group(0)
-            kind = "kw" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
-            col += len(word)
-            i = m.end()
-            continue
-        m = _INT_RE.match(source, i)
-        if m:
-            tokens.append(Token("int", m.group(0), line, col))
-            col += len(m.group(0))
-            i = m.end()
-            continue
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token("sym", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
+        text = m.group()
+        col = m.start() - line_start + 1
+        if kind == "comment":
+            if text.startswith("//@"):
+                raw_annotations.append((line, text[3:].strip()))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line, col)
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+            if kind == "ident" and text in KEYWORDS:
+                kind = "kw"
+            tokens.append(Token(kind, text, line, col))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens, raw_annotations
 
 
@@ -182,33 +143,20 @@ _ANNOT_RE = re.compile(
 )
 
 
+_MODEL_RE = re.compile(r"\[([^\[\]]*)\]")  # one model: its field names
+_MODELS_RE = re.compile(
+    rf"\[\s*(?:{_MODEL_RE.pattern}(?:\s*,\s*{_MODEL_RE.pattern})*)?\s*\]"
+)
+
+
 def _parse_models(text: str, line: int) -> list[list[str]]:
+    """``[[f, g], [], ...]``: the whole list must match, each inner list
+    holding comma-separated field names."""
     text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
+    if not _MODELS_RE.fullmatch(text):
         raise ParseError("annotation models must be a [[...],...] list", line, 1)
-    inner = text[1:-1].strip()
     models: list[list[str]] = []
-    depth = 0
-    cur = ""
-    parts: list[str] = []
-    for ch in inner:
-        if ch == "[":
-            depth += 1
-            if depth == 1:
-                cur = ""
-                continue
-        elif ch == "]":
-            depth -= 1
-            if depth == 0:
-                parts.append(cur)
-                continue
-            if depth < 0:
-                raise ParseError("unbalanced brackets in annotation", line, 1)
-        if depth >= 1:
-            cur += ch
-    if depth != 0:
-        raise ParseError("unbalanced brackets in annotation", line, 1)
-    for part in parts:
+    for part in _MODEL_RE.findall(text[1:-1]):
         names = [p.strip() for p in part.split(",") if p.strip()]
         for name in names:
             if not _IDENT_RE.fullmatch(name):

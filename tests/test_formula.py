@@ -360,6 +360,23 @@ def test_class_reach_closure(devices_ct):
     assert ("LP", "TB") not in lnk_only
 
 
+@given(st.data())
+def test_class_reach_closure_matches_a_search(data):
+    ct, fields = data.draw(class_tables())
+    phi = data.draw(st.sets(st.sampled_from(fields + ["ghost"])))
+    expected = set()
+    for a in ct.class_names:  # breadth-first from each class
+        seen, queue = {a}, [a]
+        for c in queue:
+            steps = [t for f, t in ct.fields_of(c) if f in phi]
+            for b in ct.class_names:
+                if b not in seen and any(ct.is_subclass(b, t) for t in steps):
+                    seen.add(b)
+                    queue.append(b)
+        expected.update((a, b) for b in seen)
+    assert class_reach_closure(ct, phi) == expected
+
+
 # --------------------------------------------------------------------------
 # field abstraction
 
@@ -412,7 +429,13 @@ def test_any_assignments_always_viable(devices_ct):
 
 def test_viable_empty_for_every_class_table(devices_ct, devices_via):
     assert devices_via.is_viable([])
-    for src in ("class A { }", "class A { A f; }", "class A { } class B extends A { B g; }"):
+    for src in (
+        "",
+        "main { skip; }",
+        "class A { }",
+        "class A { A f; }",
+        "class A { } class B extends A { B g; }",
+    ):
         ct = build_class_table(parse_program(src))
         u = FieldUniverse.of(ct.reference_fields)
         assert Viability(ct, u).is_viable([])

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from fieldreach import ParseError, parse_program, render_program
+from fieldreach.parser import _lex
 from fieldreach.syntax import (
     Assign,
     FieldWrite,
@@ -102,8 +104,38 @@ main {
 
 
 def test_malformed_annotation():
-    with pytest.raises(ParseError):
-        parse_program("//@ init reach(a): [[f]]\nmain { skip; }")
+    # text outside the inner model lists, or a missing comma between them,
+    # is an error, not a silently different entry fact
+    for annotation in (
+        "reach(a): [[f]]",
+        "reach(a,b): [f]",
+        "reach(a,b): [f,g]",
+        "reach(a,b): [[f] junk [g]]",
+        "reach(a,b): [[f][g]]",
+    ):
+        with pytest.raises(ParseError):
+            parse_program(f"//@ init {annotation}\nmain {{ skip; }}")
+
+
+# the characters of every token kind, the blanks, and characters no token
+# starts with
+LEX_ALPHABET = st.sampled_from(
+    list("aZ_09 \t\r\n{}();,.<>+-*:=!/@é\0")
+    + ["\r\n", "//", "//@", ":=", "==", "!=", "<=", ">=", "class", "x1"]
+)
+
+
+@given(st.lists(LEX_ALPHABET, max_size=30).map("".join))
+def test_lexer_positions_point_into_the_source(source):
+    lines = source.split("\n")
+    try:
+        tokens, _ = _lex(source)
+    except ParseError as e:
+        assert e.message == f"unexpected character {lines[e.line - 1][e.col - 1]!r}"
+        return
+    for t in tokens:
+        assert lines[t.line - 1][t.col - 1 : t.col - 1 + len(t.text)] == t.text
+    assert (tokens[-1].line, tokens[-1].col) == (len(lines), len(lines[-1]) + 1)
 
 
 def test_while_and_if_bodies():
