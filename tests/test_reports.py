@@ -1,11 +1,13 @@
 """Golden reports: the JSON report of every corpus program and of every
 entry the acceptance suite analyses in ``tests/data`` must stay byte for
-byte what ``data/report_digests.json`` records (``elapsed_ms`` aside), and
-the text report (the per-line table plus the final value) what
-``data/text_digests.json`` records.
+byte what ``data/report_digests.json`` records (``elapsed_ms`` aside), the
+text report (the per-line table plus the final value) what
+``data/text_digests.json`` records, and the views (``--compare-domains``
+on every case, ``--dump-sharing`` on the ``main`` entries) what
+``data/view_digests.json`` records.
 
 A change that alters a report on purpose must prove it is a precision gain;
-only then regenerate both files with ``PYTHONPATH=src python tests/test_reports.py``.
+only then regenerate the three files with ``PYTHONPATH=src python tests/test_reports.py``.
 """
 
 import hashlib
@@ -14,14 +16,22 @@ import re
 
 import pytest
 
-from fieldreach.render import render_final, render_table, result_to_json
+from fieldreach.render import (
+    render_compare,
+    render_final,
+    render_sharing,
+    render_table,
+    result_to_json,
+)
+from fieldreach.semantics import analyze_program
 
-from conftest import DATA, analyze_entry
+from conftest import DATA, analyze_entry, build
 from corpus import CORPUS
 from test_render_json import WIDE
 
 DIGESTS = DATA / "report_digests.json"
 TEXT_DIGESTS = DATA / "text_digests.json"
+VIEW_DIGESTS = DATA / "view_digests.json"
 _ELAPSED = re.compile(r'\n *"elapsed_ms": [^\n]*')
 
 # (name, source, entry, tracked fields)
@@ -36,14 +46,18 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def current_digests() -> tuple[dict[str, str], dict[str, str]]:
-    """The JSON and the text report digest of every case."""
-    reports, texts = {}, {}
+def current_digests() -> tuple[dict[str, str], dict[str, str], dict[str, str]]:
+    """The JSON report, the text report and the view digests of every case."""
+    reports, texts, views = {}, {}, {}
     for name, src, entry, tracked in CASES:
-        result = analyze_entry(src, entry, tracked)
+        program, ct, info = build(src)
+        result = analyze_program(program, ct, info, tracked=tracked, entry=entry)
         reports[name] = _sha(_ELAPSED.sub("", result_to_json(result)))
         texts[name] = _sha(render_table(result) + render_final(result))
-    return reports, texts
+        views[f"{name} compare"] = _sha(render_compare(result, ct, info))
+        if entry == "main":
+            views[f"{name} sharing"] = _sha(render_sharing(program, result.sharing))
+    return reports, texts, views
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +81,11 @@ def test_text_reports_match_golden_digests(digests):
     assert not changed, f"text reports differ from the golden digests: {changed}"
 
 
+def test_views_match_golden_digests(digests):
+    changed = _changed(digests[2], VIEW_DIGESTS)
+    assert not changed, f"views differ from the golden digests: {changed}"
+
+
 # the reports above record canonical values already; on this one the final
 # canonicalisation drops models from most recorded values
 CANONICAL_CASES = CASES + [("wide", WIDE, "main", None)]
@@ -87,5 +106,5 @@ def test_recorded_values_are_canonical(name, src, entry, tracked):
 
 
 if __name__ == "__main__":
-    for path, got in zip((DIGESTS, TEXT_DIGESTS), current_digests()):
+    for path, got in zip((DIGESTS, TEXT_DIGESTS, VIEW_DIGESTS), current_digests()):
         path.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
