@@ -174,10 +174,6 @@ class ClassTable:
             f for f, t in self._field_type.items() if t != INT_TYPE
         )
 
-    @property
-    def int_fields(self) -> frozenset[str]:
-        return frozenset(f for f, t in self._field_type.items() if t == INT_TYPE)
-
     def resolve_method(self, classname: str, method: str) -> Optional[MethodSig]:
         """Walk up the subclass chain to the defining class."""
         cur: Optional[str] = classname

@@ -1,5 +1,5 @@
 """Coarser abstractions of the reachability/cyclicity information, used to
-demonstrate (and test) the precision the full formulas buy.
+show the precision the full formulas buy (``--compare-domains``).
 
 Each alternative domain abstracts one component — the per-pair reachability
 map or the per-variable cyclicity map:
@@ -16,8 +16,9 @@ map or the per-variable cyclicity map:
 
 The abstraction maps take the component maps of an ``RcValue`` as
 ``PathFormula`` maps (pass its ``reach_at`` / ``cyc_at`` views; its ``reach``
-/ ``cyc`` dicts hold bare truth tables); the concretizations return maps of
-the same shape.
+/ ``cyc`` dicts hold bare truth tables).  The package runs only the
+abstractions; the concretizations, which the Galois-connection tests need,
+live with those tests in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -26,31 +27,11 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .classtable import ClassTable
-from .formula import FieldUniverse, PathFormula, class_reach_closure, models_of
+from .formula import PathFormula, class_reach_closure
 
 Pair = tuple[str, str]
 ReachMap = Mapping[Pair, PathFormula]
 CycMap = Mapping[str, PathFormula]
-
-
-# --------------------------------------------------------------------------
-# formula classes
-
-
-def is_monotone(f: PathFormula) -> bool:
-    """Supersets of models are models."""
-    return f.universe.up(f.table) == f.table
-
-
-def is_positive(f: PathFormula) -> bool:
-    """The all-fields assignment is a model."""
-    return f.has_model(f.universe.full_mask)
-
-
-def is_definite(f: PathFormula) -> bool:
-    """Models are closed under intersection."""
-    models = list(models_of(f.table))
-    return all(f.has_model(a & b) for a in models for b in models)
 
 
 # --------------------------------------------------------------------------
@@ -90,12 +71,6 @@ def alpha_nofields(
     )
 
 
-def gamma_nofields(v: NoFieldsValue, universe: FieldUniverse, keys) -> dict[Pair, PathFormula]:
-    empty_only = PathFormula.only(universe, ())
-    true = PathFormula.true(universe)
-    return {key: (true if key in v.statements else empty_only) for key in keys}
-
-
 # --------------------------------------------------------------------------
 # 2. class pairs
 
@@ -114,31 +89,12 @@ class ClassPairsValue:
         return ClassPairsValue(frozenset(closed))
 
 
-def class_pairs(ct: ClassTable) -> ClassPairsValue:
-    """Every class pair the declarations allow to be connected."""
-    return ClassPairsValue.of(ct, class_reach_closure(ct, ct.reference_fields))
-
-
 def alpha_class_pairs(
     v: NoFieldsValue, ct: ClassTable, var_types: Mapping[str, str]
 ) -> ClassPairsValue:
     return ClassPairsValue.of(
         ct, {(var_types[a], var_types[b]) for a, b in v.statements}
     )
-
-
-def gamma_class_pairs(
-    v: ClassPairsValue, ct: ClassTable, var_types: Mapping[str, str]
-) -> NoFieldsValue:
-    out = set()
-    for a, ta in var_types.items():
-        for b, tb in var_types.items():
-            if any(
-                ct.is_subclass(ta, k1) and ct.is_subclass(tb, k2)
-                for k1, k2 in v.pairs
-            ):
-                out.add((a, b))
-    return NoFieldsValue(frozenset(out))
 
 
 # --------------------------------------------------------------------------
@@ -164,17 +120,6 @@ def alpha_monotone(reach: ReachMap) -> MonotoneValue:
     )
 
 
-def gamma_monotone(v: MonotoneValue) -> dict[Pair, PathFormula]:
-    return {key: f for key, f in v.entries}
-
-
-def enumerate_monotone(universe: FieldUniverse) -> list[PathFormula]:
-    """All domain elements over a small universe: monotone formulas plus the
-    contradiction."""
-    formulas = (PathFormula(universe, t) for t in range(universe.full_table + 1))
-    return [f for f in formulas if is_monotone(f)]
-
-
 # --------------------------------------------------------------------------
 # 4. exclusion sets
 
@@ -197,18 +142,6 @@ def alpha_scapin(reach: ReachMap) -> ScapinValue:
         banned = frozenset(name for name, (_, with_) in halves if not f.table & with_)
         entries.append((key, banned))
     return ScapinValue(tuple(entries))
-
-
-def gamma_scapin(
-    v: ScapinValue, universe: FieldUniverse, keys
-) -> dict[Pair, PathFormula]:
-    out = {}
-    for key in keys:
-        banned_mask = universe.mask_of(v.at(key))
-        out[key] = PathFormula.from_models(
-            universe, [m for m in universe.all_masks() if not (m & banned_mask)]
-        )
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -238,17 +171,3 @@ def alpha_q(cyc: CycMap) -> QValue:
         required = frozenset(name for name, (without, _) in halves if not f.table & without)
         entries.append((var, required))
     return QValue(tuple(entries))
-
-
-def gamma_q(v: QValue, universe: FieldUniverse, variables) -> dict[str, PathFormula]:
-    out = {}
-    domain = v.domain()
-    for var in variables:
-        if var not in domain:
-            out[var] = PathFormula.false(universe)
-        else:
-            need = universe.mask_of(v.at(var))
-            out[var] = PathFormula.from_models(
-                universe, [m for m in universe.all_masks() if (m & need) == need]
-            )
-    return out

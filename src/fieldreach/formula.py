@@ -133,16 +133,6 @@ class FieldUniverse:
         return m
 
 
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of ``mask``, including 0 and the mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def models_of(table: int) -> Iterator[int]:
     """The models of a truth table, in increasing order."""
     while table:

@@ -33,7 +33,9 @@ base has an added edge.  A state thus abstracts to the exact
 reachability/cyclicity value: the models of an entry are precisely the field
 sets realized in the state.  ``traversal_saturate`` and ``cycle_field_sets``
 decode the same results to field names, over a universe of the heap's own
-fields.
+fields; they are the oracle's only views in names, and the tests hold the
+set-based definitions (walks, address reachability, deep sharing) they are
+checked against.
 """
 
 from __future__ import annotations
@@ -403,44 +405,6 @@ def cycle_field_sets(heap: dict[int, Obj], src: int) -> frozenset[frozenset[str]
     universe = _own_universe(heap)
     table = _SnapshotMemo(universe).cycles(heap, src)
     return frozenset(frozenset(universe.names_of(m)) for m in models_of(table))
-
-
-def reachable_addrs(heap: dict[int, Obj], src: int) -> frozenset[int]:
-    seen = {src}
-    work = [src]
-    while work:
-        loc = work.pop()
-        for value in heap[loc].fields.values():
-            if isinstance(value, Loc) and value.addr not in seen:
-                seen.add(value.addr)
-                work.append(value.addr)
-    return frozenset(seen)
-
-
-def deep_reachable_addrs(heap: dict[int, Obj], src: int) -> frozenset[int]:
-    """Locations reachable through at least one field hop."""
-    out: set[int] = set()
-    for value in heap[src].fields.values():
-        if isinstance(value, Loc):
-            out |= reachable_addrs(heap, value.addr)
-    return frozenset(out)
-
-
-def concrete_deep_share_pairs(
-    state: ConcreteState, variables: Iterable[str]
-) -> frozenset[tuple[str, str]]:
-    regions = {}
-    for v in variables:
-        val = state.frame.get(v)
-        if isinstance(val, Loc):
-            regions[v] = deep_reachable_addrs(state.heap, val.addr)
-    pairs = set()
-    names = sorted(regions)
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            if regions[a] & regions[b]:
-                pairs.add((a, b))
-    return frozenset(pairs)
 
 
 class _EdgeResults:

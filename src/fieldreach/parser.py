@@ -185,7 +185,7 @@ def _parse_annotation(line: int, text: str) -> InitAnnotation:
     # ds
     if b is None:
         b = a
-    if models_text:
+    if models_text is not None:
         raise ParseError("ds annotation takes no model list", line, 1)
     return InitAnnotation("ds", (a, b), None, line)
 

@@ -92,12 +92,6 @@ class AnalysisResult:
     sharing: SharingAnalysis  # the deep-sharing tables the analysis read
     elapsed: float
 
-    def trace_cell(self, line: int, visit: int = 1) -> RcValue:
-        for row in self.trace:
-            if row.line == line and row.visit == visit:
-                return row.value
-        raise KeyError(f"no trace row for line {line} (visit {visit})")
-
     def query_cycle(self, var: str, fields: Iterable[str], point: Optional[int] = None) -> bool:
         """May a cycle traversing exactly these fields be reachable from the
         variable?  False means such a cycle is provably impossible."""
@@ -588,7 +582,7 @@ def parse_init_annotations(
         for v in ann.variables:
             if v not in ref_vars:
                 raise AnalysisError(
-                    f"line {ann.line}: annotation names unknown reference variable {v!r}"
+                    f"{ann.line}:1: annotation names unknown reference variable {v!r}"
                 )
         mentioned.update(ann.variables)
         if ann.kind == "ds":
@@ -600,7 +594,7 @@ def parse_init_annotations(
             for f in model:
                 if f not in declared:
                     raise AnalysisError(
-                        f"line {ann.line}: annotation names unknown field {f!r}"
+                        f"{ann.line}:1: annotation names unknown field {f!r}"
                     )
             table |= 1 << universe.abstract_mask(model)
         if ann.kind == "reach":

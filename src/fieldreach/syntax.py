@@ -4,7 +4,9 @@ optional top-level main block, and structured commands.
 Every expression and command node carries a unique ``nid`` (a program point
 identifier shared by the analyzer and the concrete interpreter) plus source
 position.  Sequencing is represented by command lists inside bodies and
-blocks; there is no separate sequence node.
+blocks; there is no separate sequence node.  ``render_program`` prints an
+AST back as source; parsing what it prints gives the same AST up to node ids
+and positions.
 """
 
 from __future__ import annotations
@@ -289,69 +291,3 @@ def render_program(p: Program) -> str:
         _render_commands(p.main.body, 1, out)
         out.append("}")
     return "\n".join(out) + "\n"
-
-
-def strip_positions(p: Program):
-    """Structural fingerprint of an AST, ignoring node ids and positions.
-
-    Used to state that pretty-printing then re-parsing is a fixpoint.
-    """
-
-    def expr(e):
-        if isinstance(e, IntLit):
-            return ("int", e.value)
-        if isinstance(e, NullLit):
-            return ("null",)
-        if isinstance(e, VarRef):
-            return ("var", e.name)
-        if isinstance(e, FieldRead):
-            return ("read", e.var, e.fieldname)
-        if isinstance(e, BinOp):
-            return ("binop", e.op, expr(e.left), expr(e.right))
-        if isinstance(e, NewObject):
-            return ("new", e.classname)
-        if isinstance(e, MethodCall):
-            return ("call", e.receiver, e.method, tuple(e.args))
-        raise TypeError(e)
-
-    def cmd(c):
-        if isinstance(c, Skip):
-            return ("skip",)
-        if isinstance(c, Assign):
-            return ("assign", c.var, expr(c.expr))
-        if isinstance(c, FieldWrite):
-            return ("write", c.var, c.fieldname, expr(c.expr))
-        if isinstance(c, Return):
-            return ("return", expr(c.expr))
-        if isinstance(c, If):
-            return (
-                "if",
-                (c.guard.op, expr(c.guard.left), expr(c.guard.right)),
-                tuple(cmd(x) for x in c.then_body),
-                tuple(cmd(x) for x in c.else_body),
-            )
-        if isinstance(c, While):
-            return (
-                "while",
-                (c.guard.op, expr(c.guard.left), expr(c.guard.right)),
-                tuple(cmd(x) for x in c.body),
-            )
-        raise TypeError(c)
-
-    def method(m: MethodDecl):
-        return (
-            m.name,
-            m.return_type,
-            tuple(m.params),
-            tuple(sorted(m.locals)),
-            tuple(cmd(x) for x in m.body),
-        )
-
-    classes = tuple(
-        (c.name, c.parent, tuple(c.fields), tuple(method(m) for m in c.methods))
-        for c in p.classes
-    )
-    main = None
-    if p.main is not None:
-        main = (tuple(sorted(p.main.locals)), tuple(cmd(x) for x in p.main.body))
-    return (classes, main)

@@ -36,12 +36,6 @@ from fieldreach.compare import (
     alpha_nofields,
     alpha_q,
     alpha_scapin,
-    enumerate_monotone,
-    gamma_class_pairs,
-    gamma_monotone,
-    gamma_nofields,
-    gamma_q,
-    gamma_scapin,
 )
 from fieldreach.oracle import Loc, Obj, cycle_field_sets, traversal_saturate
 from fieldreach.sharing import SharingAnalysis
@@ -49,6 +43,15 @@ from fieldreach.syntax import walk_commands, While
 
 from conftest import build, pf
 from corpus import CORPUS
+from reference import (
+    all_formulas,
+    enumerate_monotone,
+    gamma_class_pairs,
+    gamma_nofields,
+    gamma_q,
+    gamma_scapin,
+    trace_cell,
+)
 from test_formula import brute_force_viable
 
 
@@ -147,7 +150,7 @@ def test_tree_join_golden_table():
         u = result.universe
         via = result.via
         for line, (reach_cells, cyc_cells) in TREE_EXPECTED.items():
-            value = result.trace_cell(line, 1)
+            value = trace_cell(result, line, 1)
             for (a, b), models in reach_cells.items():
                 expected = (
                     PathFormula.false(u) if models is None else pf(u, *models)
@@ -162,14 +165,14 @@ def test_tree_join_golden_table():
                 assert got.equiv(expected, via), (line, v, got.render())
         # every cell not named above stays at the contradiction
         for line, (reach_cells, _) in TREE_EXPECTED.items():
-            value = result.trace_cell(line, 1)
+            value = trace_cell(result, line, 1)
             for a in ("l", "r", "t"):
                 for b in ("l", "r", "t"):
                     if (a, b) not in reach_cells:
                         assert value.reach_at(a, b).is_false, (line, a, b)
         # the headline cell: every cycle from the new root crosses the parent
         # link and at least one child link
-        final_cyc_t = result.trace_cell(11, 1).cyc_at("t")
+        final_cyc_t = trace_cell(result, 11, 1).cyc_at("t")
         headline = pf(u, [], [L, P], [P, R], [L, P, R])
         assert final_cyc_t.equiv(headline, via)
         assert time.perf_counter() - started < 1.0
@@ -239,7 +242,7 @@ def test_dll_golden_table():
         result = analyze_program(program, ct, info)
         u, via = result.universe, result.via
         for (line, visit), cells in dll_expected(u).items():
-            value = result.trace_cell(line, visit)
+            value = trace_cell(result, line, visit)
             got = (
                 value.reach_at("tmp", "tmp"),
                 value.reach_at("tmp", "x"),
@@ -324,14 +327,6 @@ def test_corpus_soundness_suite():
 
 # ---------------------------------------------------------------------------
 # criterion 6: operator and property suite
-
-
-def all_formulas(universe):
-    masks = list(universe.all_masks())
-    for bits in range(1 << len(masks)):
-        yield PathFormula.from_models(
-            universe, [m for i, m in enumerate(masks) if bits & (1 << i)]
-        )
 
 
 def test_operator_property_suite():

@@ -63,7 +63,7 @@ def test_unknown_superclass():
 def test_int_fields_excluded_from_reference_fields():
     ct = build_class_table(parse_program("class A { int k; A f; }"))
     assert ct.reference_fields == {"f"}
-    assert ct.int_fields == {"k"}
+    assert ct.field_type("k") == "int"
 
 
 def test_method_resolution_walks_up():

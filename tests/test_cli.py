@@ -162,7 +162,7 @@ def test_annotation_unknown_field(tmp_path, capsys):
     )
     code, out, err = invoke(capsys, str(bad))
     assert code == 1
-    assert "line 1" in err and "ghost" in err
+    assert err == "error: 1:1: annotation names unknown field 'ghost'\n"
 
 
 def test_annotation_unknown_variable(tmp_path, capsys):
@@ -174,7 +174,7 @@ def test_annotation_unknown_variable(tmp_path, capsys):
     )
     code, out, err = invoke(capsys, str(bad))
     assert code == 1
-    assert "ghost" in err
+    assert err == "error: 1:1: annotation names unknown reference variable 'ghost'\n"
 
 
 def test_dump_sharing(capsys):

@@ -15,6 +15,12 @@ from fieldreach.compare import (
     alpha_nofields,
     alpha_q,
     alpha_scapin,
+)
+from fieldreach.formula import models_of
+
+from conftest import pf
+from reference import (
+    all_formulas,
     class_pairs,
     enumerate_monotone,
     gamma_class_pairs,
@@ -26,28 +32,12 @@ from fieldreach.compare import (
     is_monotone,
     is_positive,
 )
-from fieldreach.formula import models_of
-
-from conftest import pf
-
-
-@pytest.fixture(scope="module")
-def u2():
-    return FieldUniverse.of(["f", "g"])
 
 
 @pytest.fixture(scope="module")
 def simple_ct():
     # one class carrying both fields: every pair of variables is admissible
     return build_class_table(parse_program("class K { K f; K g; }"))
-
-
-def all_formulas(universe):
-    masks = list(universe.all_masks())
-    for bits in range(1 << len(masks)):
-        yield PathFormula.from_models(
-            universe, [m for i, m in enumerate(masks) if bits & (1 << i)]
-        )
 
 
 KEY = ("v", "w")

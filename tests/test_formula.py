@@ -12,22 +12,15 @@ from fieldreach import (
     class_reach_closure,
     parse_program,
 )
-from fieldreach.formula import difference, models_of, submasks
+from fieldreach.formula import difference, models_of
 
 from conftest import pf
+from reference import all_formulas, submasks
 
 
 def masks(f):
     """The models of a formula as a set of masks, the tautology's too."""
     return frozenset(models_of(f.table))
-
-
-def all_formulas(universe):
-    masks = list(universe.all_masks())
-    for bits in range(1 << len(masks)):
-        yield PathFormula.from_models(
-            universe, [m for i, m in enumerate(masks) if bits & (1 << i)]
-        )
 
 
 # --------------------------------------------------------------------------

@@ -20,14 +20,13 @@ from fieldreach.oracle import (
     Obj,
     _Interp,
     _SnapshotMemo,
-    concrete_deep_share_pairs,
     cycle_field_sets,
-    reachable_addrs,
 )
 from fieldreach.syntax import walk_commands
 
 from conftest import DATA, build, pf
 from corpus import CORPUS
+from reference import deep_share_pairs, reachable, walk_saturate
 
 
 def run(source: str, **kw):
@@ -290,36 +289,12 @@ def test_saturate_monotone_under_edges():
     assert before <= after
 
 
-def walk_saturate(heap, src, require_step=False):
-    """The definition of saturation, on sets of field names: every (target,
-    traversed-field-set) pair of a walk from ``src``, of at least one step
-    under ``require_step``.  Kept apart from the package's mask-space core."""
-    start = [(src, frozenset())]
-    if require_step:
-        start = [
-            (value.addr, frozenset([fname]))
-            for fname, value in heap[src].fields.items()
-            if isinstance(value, Loc)
-        ]
-    out = set(start)
-    work = list(out)
-    while work:
-        loc, traversed = work.pop()
-        for fname, value in heap[loc].fields.items():
-            if isinstance(value, Loc):
-                pair = (value.addr, traversed | {fname})
-                if pair not in out:
-                    out.add(pair)
-                    work.append(pair)
-    return frozenset(out)
-
-
 def brute_cycle_sets(heap, src):
     """The definition: the traversal set of every closed walk of at least one
     step through a location reachable from ``src``."""
     return frozenset(
         fs
-        for loc in reachable_addrs(heap, src)
+        for loc in reachable(heap, src)
         for target, fs in walk_saturate(heap, loc, require_step=True)
         if target == loc
     )
@@ -582,7 +557,7 @@ def test_deep_share_pairs():
     state = ConcreteState(
         {"x": Loc(1), "y": Loc(2), "m1": Loc(4), "m2": Loc(4)}, heap
     )
-    pairs = concrete_deep_share_pairs(state, ["x", "y", "m1", "m2"])
+    pairs = deep_share_pairs(state, ["x", "y", "m1", "m2"])
     assert ("x", "y") in pairs
     assert ("m1", "m2") not in pairs  # aliases without depth do not deep-share
 

@@ -10,8 +10,9 @@ from fieldreach.syntax import (
     MethodCall,
     Return,
     While,
-    strip_positions,
 )
+
+from reference import fingerprint
 
 TREE_JOIN = """
 class Tree {
@@ -112,6 +113,7 @@ def test_malformed_annotation():
         "reach(a,b): [f,g]",
         "reach(a,b): [[f] junk [g]]",
         "reach(a,b): [[f][g]]",
+        "ds(a,b):",
     ):
         with pytest.raises(ParseError):
             parse_program(f"//@ init {annotation}\nmain {{ skip; }}")
@@ -186,7 +188,7 @@ class Node { Node n; Node p; }
         once = parse_program(src)
         printed = render_program(once)
         twice = parse_program(printed)
-        assert strip_positions(once) == strip_positions(twice)
+        assert fingerprint(once) == fingerprint(twice)
         assert render_program(twice) == printed
 
 

@@ -3,10 +3,11 @@ import pathlib
 import pytest
 
 from fieldreach import SharingAnalysis, SharingState, analyze_purity
-from fieldreach.oracle import Loc, _Interp, reachable_addrs
+from fieldreach.oracle import Loc, _Interp
 from fieldreach.syntax import FieldWrite, MethodCall, walk_commands, walk_exprs
 
 from conftest import build
+from reference import reachable
 
 
 def per_line_ds(source: str) -> dict[int, frozenset]:
@@ -243,7 +244,7 @@ class _PurityTracer(_Interp):
             actual_vals = [receiver] + [frame.get(a) for a in e.args]
             for i, val in enumerate(actual_vals):
                 if isinstance(val, Loc):
-                    regions[i] = reachable_addrs(self.heap, val.addr)
+                    regions[i] = reachable(self.heap, val.addr)
             self.stack.append((e.nid, regions))
             try:
                 return super().call(e, frame)

@@ -13,12 +13,13 @@ from fieldreach import (
     check_soundness,
     run_concrete,
 )
-from fieldreach.oracle import Loc, concrete_deep_share_pairs
+from fieldreach.oracle import Loc
 from fieldreach.sharing import SharingAnalysis
 from fieldreach.syntax import walk_commands
 
 from conftest import build
 from corpus import CORPUS
+from reference import deep_share_pairs
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +71,7 @@ def test_corpus_deep_sharing_covered(analyzed, name):
             continue
         env = info.env_for("main")
         for state in states:
-            for pair in concrete_deep_share_pairs(state, env.ref_vars):
+            for pair in deep_share_pairs(state, env.ref_vars):
                 assert pair in post.ds, f"{name}: line {cmd.line} misses {pair}"
 
 
