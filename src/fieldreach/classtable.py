@@ -8,7 +8,7 @@ int fields are recorded but excluded from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import ClassDecl, Command, INT_TYPE, MethodDecl, Program
@@ -18,10 +18,11 @@ ANY_FIELD = "any"
 
 
 class ClassTableError(Exception):
-    def __init__(self, message: str, line: int = 0):
-        super().__init__(message if line == 0 else f"line {line}: {message}")
+    def __init__(self, message: str, line: int = 0, col: int = 0):
+        super().__init__(f"{line}:{col}: {message}" if line else message)
         self.message = message
         self.line = line
+        self.col = col
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,6 @@ class MethodSig:
     param_names: tuple[str, ...]
     param_types: tuple[str, ...]
     return_type: str
-    line: int = field(compare=False, hash=False, default=0)
 
     @property
     def key(self) -> tuple[str, str]:
@@ -61,37 +61,38 @@ class ClassTable:
     def _build(self, program: Program) -> None:
         for c in program.classes:
             if c.name == INT_TYPE:
-                raise ClassTableError("'int' cannot be a class name", c.line)
+                raise ClassTableError("'int' cannot be a class name", c.line, c.col)
             if c.name in self._classes:
-                raise ClassTableError(f"duplicate class {c.name!r}", c.line)
+                raise ClassTableError(f"duplicate class {c.name!r}", c.line, c.col)
             self._classes[c.name] = c
             self._parent[c.name] = c.parent
         for c in program.classes:
             if c.parent is not None and c.parent not in self._classes:
-                raise ClassTableError(f"unknown superclass {c.parent!r}", c.line)
+                raise ClassTableError(f"unknown superclass {c.parent!r}", c.line, c.col)
         # the extends chain must be acyclic
-        for name in self._classes:
+        for name, c in self._classes.items():
             seen = {name}
             cur = self._parent[name]
             while cur is not None:
                 if cur in seen:
-                    raise ClassTableError(f"cyclic extends chain through {name!r}")
+                    raise ClassTableError(f"cyclic extends chain through {name!r}", c.line, c.col)
                 seen.add(cur)
                 cur = self._parent[cur]
         for c in program.classes:
             own: list[tuple[str, str]] = []
             for fname, ftype in c.fields:
                 if fname == ANY_FIELD:
-                    raise ClassTableError(f"{ANY_FIELD!r} cannot be a field name", c.line)
+                    raise ClassTableError(f"{ANY_FIELD!r} cannot be a field name", c.line, c.col)
                 if ftype != INT_TYPE and ftype not in self._classes:
                     raise ClassTableError(
-                        f"field {fname!r} has unknown type {ftype!r}", c.line
+                        f"field {fname!r} has unknown type {ftype!r}", c.line, c.col
                     )
                 if fname in self._field_type:
                     raise ClassTableError(
                         f"field {fname!r} declared in both "
                         f"{self._field_owner[fname]!r} and {c.name!r}",
                         c.line,
+                        c.col,
                     )
                 self._field_type[fname] = ftype
                 self._field_owner[fname] = c.name
@@ -102,7 +103,7 @@ class ClassTable:
                 key = (c.name, m.name)
                 if key in self._methods:
                     raise ClassTableError(
-                        f"duplicate method {m.name!r} in class {c.name!r}", m.line
+                        f"duplicate method {m.name!r} in class {c.name!r}", m.line, m.col
                     )
                 sig = MethodSig(
                     c.name,
@@ -110,12 +111,12 @@ class ClassTable:
                     tuple(n for _, n in m.params),
                     tuple(t for t, _ in m.params),
                     m.return_type,
-                    m.line,
                 )
                 self._methods[key] = sig
                 self._method_decls[key] = m
         # overriding methods must keep the inherited signature
         for (owner, name), sig in self._methods.items():
+            m = self._method_decls[(owner, name)]
             parent = self._parent[owner]
             while parent is not None:
                 psig = self._methods.get((parent, name))
@@ -125,7 +126,8 @@ class ClassTable:
                 ):
                     raise ClassTableError(
                         f"{owner}.{name} overrides {parent}.{name} with a different signature",
-                        sig.line,
+                        m.line,
+                        m.col,
                     )
                 parent = self._parent[parent]
 

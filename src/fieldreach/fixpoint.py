@@ -6,8 +6,10 @@ read it.  ``solve(root)`` runs the entry, then the contexts it met; a
 context runs again only when a summary it read has grown, and the entry
 runs again only once no context is pending.  This is the tabulation of
 Reps, Horwitz and Sagiv (POPL 1995); loops keep their local iteration.
-After ``solve`` every context's last run read only final summaries, so a
-lookup of a context the fixpoint never met is an error, not a silent bottom.
+``solve`` returns what the entry's last run returned, with the number of
+entry runs.  After ``solve`` every context's last run read only final
+summaries, so a lookup of a context the fixpoint never met is an error, not
+a silent bottom.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ class Fixpoint:
             self._readers.setdefault(key, {})[self._reader] = None
         return self.table[key]
 
-    def solve(self, root: Callable[[], object]) -> int:
-        """Run the entry and every context to the fixpoint; returns the
-        number of entry runs."""
-        runs = 0
+    def solve(self, root: Callable[[], object]) -> tuple[object, int]:
+        """Run the entry and every context to the fixpoint; returns what the
+        entry's last run returned and the number of entry runs."""
+        result, runs = None, 0
         self._solving = True
         self._pending[_ROOT] = None
         while self._pending:
@@ -53,7 +55,7 @@ class Fixpoint:
             self._reader = key
             if key is _ROOT:
                 runs += 1
-                root()
+                result = root()
                 continue
             old = self.table[key]
             new = self._merge(key, old, self._compute(key, self.inputs[key]))
@@ -61,4 +63,4 @@ class Fixpoint:
                 self.table[key] = new
                 self._pending.update(self._readers[key])
         self._solving = False
-        return runs
+        return result, runs

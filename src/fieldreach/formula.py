@@ -66,10 +66,6 @@ class FieldUniverse:
     def size(self) -> int:
         return len(self.fields)
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.fields)) - 1
-
     @cached_property
     def full_table(self) -> int:
         """The truth table with every mask a model."""
@@ -115,9 +111,6 @@ class FieldUniverse:
         names = [f for i, f in enumerate(self.fields) if mask >> i & 1]
         names.sort()
         return names
-
-    def all_masks(self) -> range:
-        return range(1 << len(self.fields))
 
     def abstract_mask(self, names: Iterable[str]) -> int:
         """Mask of a concrete field set, folding untracked fields into the
@@ -359,6 +352,3 @@ class Viability:
         tautology stays the tautology; its unrealizable models carry no
         information and comparisons quotient them out anyway."""
         return table if table == self.universe.full_table else table & self.table
-
-    def is_viable(self, names: Iterable[str]) -> bool:
-        return self.is_viable_mask(self.universe.mask_of(names))

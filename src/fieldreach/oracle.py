@@ -208,7 +208,7 @@ class _Interp:
         self._tick()
         if isinstance(cmd, Skip):
             pass
-        elif isinstance(cmd, Assign):
+        elif isinstance(cmd, (Assign, Return)):
             frame[cmd.var] = self.eval_expr(cmd.expr, frame)
             self.frames[-1] = None
         elif isinstance(cmd, FieldWrite):
@@ -227,9 +227,6 @@ class _Interp:
             while self.eval_guard(cmd.guard, frame):
                 self.exec_body(cmd.body, frame)
                 self._tick()
-        elif isinstance(cmd, Return):
-            frame[OUT_VAR] = self.eval_expr(cmd.expr, frame)
-            self.frames[-1] = None
         else:
             raise TypeError(f"unsupported command {cmd!r}")
         self._record(cmd.nid, frame)

@@ -13,11 +13,15 @@ Grammar (statement separators are semicolons, blocks are braced):
     command   := 'skip' ';' | ID ':=' expr ';' | ID '.' ID ':=' expr ';'
                | 'if' '(' guard ')' ['then'] stmt ['else' stmt]
                | 'while' '(' guard ')' ['do'] stmt
-               | 'return' expr ';' | '{' body '}'
+               | 'return' expr ';'
+    stmt      := command | '{' command* '}'
     guard     := expr cmp expr        cmp := == != < <= > >=
     expr      := arith; binary + - * on ints, atoms are literals, 'null',
                  variables, field reads, 'new' ID, and calls ID '.' ID '(args)'
                  with variable arguments.
+
+Declarations come only at the top level of a method or main body, never
+inside the block of an ``if`` or ``while``; a bare block is not a command.
 
 Guards must be side-effect free: method calls and allocations inside a guard
 are rejected at parse time.

@@ -73,7 +73,7 @@ def render_final(result: AnalysisResult) -> str:
 
 
 def render_compare(result: AnalysisResult, ct: ClassTable, typeinfo: TypeInfo) -> str:
-    env = typeinfo.env_for(result.entry if result.entry == "main" else tuple(result.entry))
+    env = typeinfo.env_for(result.entry)
     final = result.final
     var_types = {
         v: env.type_of(v)

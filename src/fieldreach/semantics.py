@@ -55,7 +55,7 @@ from .syntax import (
     RESULT_VAR,
     shallow_name,
 )
-from .typecheck import TypeEnv, TypeInfo
+from .typecheck import TypeInfo
 
 EntryKey = Union[str, tuple[str, str]]  # "main" or a method key
 
@@ -140,13 +140,12 @@ class _Recorder:
 
 @dataclass
 class _Ctx:
-    env: TypeEnv
     sp_ctx: object  # key into the sharing analysis point tables
     recorder: _Recorder
     trace_on: bool = False
 
     def with_trace(self, on: bool) -> "_Ctx":
-        return _Ctx(self.env, self.sp_ctx, self.recorder, on)
+        return _Ctx(self.sp_ctx, self.recorder, on)
 
 
 class Analyzer:
@@ -197,9 +196,7 @@ class Analyzer:
             out = I._fresh()
             out.reach[(RESULT_VAR, RESULT_VAR)] = out.cyc[RESULT_VAR] = self._only(())
             return out
-        if isinstance(e, VarRef):
-            if ctx.env.type_of(e.name) == INT_TYPE:
-                return I
+        if isinstance(e, VarRef):  # an int variable is outside the scope: I stays
             return I.copy_var(e.name, RESULT_VAR)
         if isinstance(e, BinOp):
             left = self.eval_expr(e.left, I, ctx).project([RESULT_VAR])
@@ -356,7 +353,7 @@ class Analyzer:
     def _exec(self, cmd: Command, I: RcValue, ctx: _Ctx) -> RcValue:
         if isinstance(cmd, Skip):
             return I
-        if isinstance(cmd, Assign):
+        if isinstance(cmd, (Assign, Return)):
             evaluated = self.eval_expr(cmd.expr, I, ctx)
             if cmd.var not in I.cyc:
                 # an int target still consumes the expression result
@@ -372,11 +369,6 @@ class Analyzer:
             return t.join(e).normalize()
         if isinstance(cmd, While):
             return self._exec_while(cmd, I, ctx)
-        if isinstance(cmd, Return):
-            evaluated = self.eval_expr(cmd.expr, I, ctx)
-            if OUT_VAR not in I.cyc:
-                return evaluated.project([RESULT_VAR])
-            return evaluated.rename({RESULT_VAR: OUT_VAR})
         raise AnalysisError(f"unsupported command {cmd!r}")
 
     def _exec_field_write(self, cmd: FieldWrite, I: RcValue, ctx: _Ctx) -> RcValue:
@@ -441,7 +433,7 @@ class Analyzer:
 
     def _denotation(self, sig: MethodSig, entry: RcValue, sp_entry: SharingState) -> RcValue:
         return self.memo.lookup(
-            (sig.key, entry.key(), sp_entry.key()), (sig, entry, sp_entry)
+            (sig.key, entry.key(), sp_entry), (sig, entry, sp_entry)
         )
 
     def _widen_memo(self, key: tuple, old: RcValue, new: RcValue) -> RcValue:
@@ -462,7 +454,7 @@ class Analyzer:
         for w, u in shadows.items():
             I0 = I0.copy_var(w, u)
         recorder = self.recorders[key] = _Recorder()
-        ctx = _Ctx(env, self.sharing.ctx_key(sig, sp_entry), recorder, trace_on)
+        ctx = _Ctx(self.sharing.ctx_key(sig, sp_entry), recorder, trace_on)
         if trace_on:
             recorder.trace_line(decl.line, I0)
         I1 = self.exec_body(decl.body, I0, ctx)
@@ -486,14 +478,7 @@ class Analyzer:
             self.sharing.analyze_main(sp_start)
         else:
             self.sharing.analyze_method_entry(entry, sp_start)
-        final = start
-
-        def root() -> None:
-            nonlocal final
-            final = self._run_entry(entry, start, sp_start)
-
-        rounds = self.memo.solve(root)
-        return final, rounds
+        return self.memo.solve(lambda: self._run_entry(entry, start, sp_start))
 
     def _run_entry(
         self, entry: Union[str, MethodSig], start: RcValue, sp_start: SharingState
@@ -502,7 +487,7 @@ class Analyzer:
             return self._run_method(None, (entry, start, sp_start), trace_on=True)
         recorder = self.recorders[None] = _Recorder()
         recorder.trace_line(self.program.main.line, start)
-        ctx = _Ctx(self.typeinfo.env_for("main"), "main", recorder, trace_on=True)
+        ctx = _Ctx("main", recorder, trace_on=True)
         return self.exec_body(self.program.main.body, start, ctx)
 
 

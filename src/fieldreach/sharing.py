@@ -16,13 +16,18 @@ them.  Method summaries map an entry state over the formals to an exit state
 over formals plus the return value, with the set of possibly-impure argument
 positions (0 is the receiver).  A ``Fixpoint`` worklist grows one summary per
 context (method, entry state) by union; a context re-runs only when a
-summary it read has grown.  Each run replaces the context's point tables, so
-they end with its last run, which read only final summaries.
+summary it read has grown.  A state is its own key, by value.
+
+Each run of a body, ``main`` or a context, walks it in one frame
+(``_Body``): the type environment, the shadows, the impure positions found
+so far and the point tables.  ``main`` is the frame with no shadows.  Each
+run's tables replace the context's, so they end with its last run, which
+read only final summaries.  ``return e`` runs as ``out := e``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
 from .classtable import ClassTable, MethodSig
@@ -52,11 +57,16 @@ from .syntax import (
 from .typecheck import TypeEnv, TypeInfo
 
 Pair = tuple[str, str]
-CtxKey = Union[str, tuple[tuple[str, str], tuple]]
+CtxKey = Union[str, tuple[tuple[str, str], "SharingState"]]  # "main" or (method, entry state)
 
 
 def _norm(a: str, b: str) -> Pair:
     return (a, b) if a <= b else (b, a)
+
+
+def _partners(rel: frozenset[Pair], v: str) -> list[str]:
+    """The names a relation pairs with ``v``; ``v`` itself if it has a self pair."""
+    return [b if a == v else a for a, b in rel if a == v or b == v]
 
 
 @dataclass(frozen=True)
@@ -98,6 +108,12 @@ class SharingState:
 
     def union(self, other: "SharingState") -> "SharingState":
         return SharingState(self.sh | other.sh, self.ds | other.ds)
+
+    def clique(self, names: Iterable[str]) -> "SharingState":
+        """Relate every two of the names, each to itself too, in both relations."""
+        names = list(names)
+        pairs = {_norm(a, b) for a in names for b in names}
+        return SharingState(self.sh | pairs, self.ds | pairs)
 
     def copy_alias(self, src: str, dst: str) -> "SharingState":
         """Bind ``dst`` to the same location as ``src``."""
@@ -146,9 +162,6 @@ class SharingState:
                     new.add(_norm(mapping[a], mapping[b]))
         return SharingState(frozenset(sh), frozenset(ds))
 
-    def key(self):
-        return (tuple(sorted(self.sh)), tuple(sorted(self.ds)))
-
 
 @dataclass(frozen=True)
 class SharingSummary:
@@ -165,6 +178,32 @@ class SharingSummary:
         return SharingSummary(
             self.exit_state.union(other.exit_state), self.impure | other.impure
         )
+
+
+@dataclass
+class _Body:
+    """The frame of one run of a body: its type environment, the shadows
+    that pin the reference arguments' entry structures (position -> shadow
+    name), the positions an update has reached so far, and the point tables
+    the run records.  ``main`` has no shadows, so nothing marks it impure."""
+
+    env: TypeEnv
+    shadows: dict[int, str] = field(default_factory=dict)
+    impure: set[int] = field(default_factory=set)
+    pre: dict[int, SharingState] = field(default_factory=dict)
+    post: dict[int, SharingState] = field(default_factory=dict)
+
+    def touch(self, st: SharingState, var: str) -> None:
+        """An update through ``var`` reaches every entry structure it may
+        share with."""
+        for i, sh_name in self.shadows.items():
+            if st.has_sh(var, sh_name):
+                self.impure.add(i)
+
+    @staticmethod
+    def record(table: dict[int, SharingState], nid: int, st: SharingState) -> None:
+        prev = table.get(nid)
+        table[nid] = st if prev is None else prev.union(st)
 
 
 class SharingAnalysis:
@@ -188,141 +227,95 @@ class SharingAnalysis:
         if self.program.main is None:
             raise ValueError("program has no main block")
         entry = entry_state or SharingState.empty()
-        env = self.typeinfo.env_for("main")
-        exit_state = entry
-
-        def run_main() -> None:
-            nonlocal exit_state
-            self.point_pre["main"], self.point_post["main"] = {}, {}
-            exit_state = self._exec_body(self.program.main.body, entry, "main", env, None, None)
-
-        self.memo.solve(run_main)
-        return exit_state
+        env, body = self.typeinfo.env_for("main"), self.program.main.body
+        return self.memo.solve(
+            lambda: self._exec_body(body, entry, self._start("main", _Body(env)))
+        )[0]
 
     def analyze_method_entry(self, sig: MethodSig, entry_state: SharingState) -> SharingSummary:
-        self.memo.solve(lambda: self.summary(sig, entry_state))
-        return self.summary(sig, entry_state)
+        return self.memo.solve(lambda: self.summary(sig, entry_state))[0]
 
     def summary(self, sig: MethodSig, entry_state: SharingState) -> SharingSummary:
         """Memoized method denotation; grows until the fixpoint is solved."""
         return self.memo.lookup(self.ctx_key(sig, entry_state), (sig, entry_state))
 
     def ctx_key(self, sig: MethodSig, entry_state: SharingState) -> CtxKey:
-        return (sig.key, entry_state.key())
+        return (sig.key, entry_state)
 
     def state_before(self, ctx: CtxKey, nid: int) -> SharingState:
         return self.point_pre[ctx][nid]  # a miss raises: empty would be unsound
 
     # -- summary computation
 
+    def _start(self, ctx: CtxKey, frame: _Body) -> _Body:
+        """Begin a run of a context: its frame's tables replace the last run's."""
+        self.point_pre[ctx], self.point_post[ctx] = frame.pre, frame.post
+        return frame
+
     def _compute_summary(self, ctx: CtxKey, inp: tuple) -> SharingSummary:
         sig, entry_state = inp
         env = self.typeinfo.env_for(sig.key)
-        decl = self.ct.method_decl(sig)
-        ref_params = [
-            (i, name)
-            for i, name in enumerate(sig.input_vars)
-            if env.type_of(name) != INT_TYPE
-        ]
-        st = entry_state
-        shadows: dict[int, str] = {}
-        for i, name in ref_params:
-            sh_name = shallow_name(name)
-            shadows[i] = sh_name
-            st = st.copy_alias(name, sh_name)
-        impure: set[int] = set()
-        self.point_pre[ctx], self.point_post[ctx] = {}, {}
-        exit_state = self._exec_body(decl.body, st, ctx, env, shadows, impure)
-        keep = {shadows[i]: name for i, name in ref_params}
+        st, shadows = entry_state, {}
+        for i, name in enumerate(sig.input_vars):
+            if env.type_of(name) != INT_TYPE:
+                shadows[i] = shallow_name(name)
+                st = st.copy_alias(name, shadows[i])
+        frame = self._start(ctx, _Body(env, shadows))
+        exit_state = self._exec_body(self.ct.method_decl(sig).body, st, frame)
+        keep = {sh_name: sig.input_vars[i] for i, sh_name in shadows.items()}
         keep[OUT_VAR] = OUT_VAR
-        exit_over_inputs = exit_state.remap_to(keep)
-        return SharingSummary(exit_over_inputs, frozenset(impure))
-
-    # -- recording
-
-    def _record(self, ctx: CtxKey, table: dict, nid: int, st: SharingState) -> None:
-        slot = table[ctx]
-        prev = slot.get(nid)
-        slot[nid] = st if prev is None else prev.union(st)
+        return SharingSummary(exit_state.remap_to(keep), frozenset(frame.impure))
 
     # -- command transfer
 
-    def _exec_body(
-        self,
-        body: list[Command],
-        st: SharingState,
-        ctx: CtxKey,
-        env: TypeEnv,
-        shadows: Optional[dict[int, str]],
-        impure: Optional[set[int]],
-    ) -> SharingState:
+    def _exec_body(self, body: list[Command], st: SharingState, frame: _Body) -> SharingState:
         for cmd in body:
-            st = self._exec(cmd, st, ctx, env, shadows, impure)
+            st = self._exec(cmd, st, frame)
         return st
 
-    def _exec(self, cmd, st, ctx, env, shadows, impure) -> SharingState:
-        self._record(ctx, self.point_pre, cmd.nid, st)
+    def _exec(self, cmd: Command, st: SharingState, frame: _Body) -> SharingState:
+        frame.record(frame.pre, cmd.nid, st)
         if isinstance(cmd, Skip):
             out = st
-        elif isinstance(cmd, Assign):
-            st1 = self._eval(cmd.expr, st, ctx, env, shadows, impure)
-            if env.type_of(cmd.var) == INT_TYPE:
-                out = st1.kill(RESULT_VAR)
-            else:
-                out = st1.copy_alias(RESULT_VAR, cmd.var).kill(RESULT_VAR)
+        elif isinstance(cmd, (Assign, Return)):
+            out = self._eval(cmd.expr, st, frame)
+            if frame.env.type_of(cmd.var) != INT_TYPE:
+                out = out.copy_alias(RESULT_VAR, cmd.var)
+            out = out.kill(RESULT_VAR)
         elif isinstance(cmd, FieldWrite):
-            st1 = self._eval(cmd.expr, st, ctx, env, shadows, impure)
-            if impure is not None and shadows:
-                for i, sh_name in shadows.items():
-                    if st1.has_sh(cmd.var, sh_name):
-                        impure.add(i)
-            if (
-                self.ct.field_type(cmd.fieldname) == INT_TYPE
-                or isinstance(cmd.expr, NullLit)
-            ):
-                out = st1.kill(RESULT_VAR)
-            else:
-                group = st1.shset(cmd.var) | st1.shset(RESULT_VAR)
-                pairs = [(a, b) for a in group for b in group]
-                out = st1.add_sh(pairs).add_ds(pairs).kill(RESULT_VAR)
+            out = self._eval(cmd.expr, st, frame)
+            frame.touch(out, cmd.var)
+            if self.ct.field_type(cmd.fieldname) != INT_TYPE and not isinstance(cmd.expr, NullLit):
+                out = out.clique(out.shset(cmd.var) | out.shset(RESULT_VAR))
+            out = out.kill(RESULT_VAR)
         elif isinstance(cmd, If):
-            t = self._exec_body(cmd.then_body, st, ctx, env, shadows, impure)
-            e = self._exec_body(cmd.else_body, st, ctx, env, shadows, impure)
-            out = t.union(e)
+            t = self._exec_body(cmd.then_body, st, frame)
+            out = t.union(self._exec_body(cmd.else_body, st, frame))
         elif isinstance(cmd, While):
-            h = st
-            while True:
-                e = self._exec_body(cmd.body, h, ctx, env, shadows, impure)
-                h2 = h.union(e)
-                if h2 == h:
-                    break
-                h = h2
-            out = h
-        elif isinstance(cmd, Return):
-            st1 = self._eval(cmd.expr, st, ctx, env, shadows, impure)
-            out = st1.copy_alias(RESULT_VAR, OUT_VAR).kill(RESULT_VAR)
+            out = st
+            while (head := out.union(self._exec_body(cmd.body, out, frame))) != out:
+                out = head
         else:
             raise TypeError(f"unsupported command {cmd!r}")
-        self._record(ctx, self.point_post, cmd.nid, out)
+        frame.record(frame.post, cmd.nid, out)
         return out
 
     # -- expression transfer (binds RESULT_VAR)
 
-    def _eval(self, e: Expr, st, ctx, env, shadows, impure) -> SharingState:
+    def _eval(self, e: Expr, st: SharingState, frame: _Body) -> SharingState:
         if isinstance(e, (IntLit, NullLit)):
             return st.kill(RESULT_VAR)
         if isinstance(e, BinOp):
-            st1 = self._eval(e.left, st, ctx, env, shadows, impure).kill(RESULT_VAR)
-            st2 = self._eval(e.right, st1, ctx, env, shadows, impure)
-            return st2.kill(RESULT_VAR)
+            st1 = self._eval(e.left, st, frame).kill(RESULT_VAR)
+            return self._eval(e.right, st1, frame).kill(RESULT_VAR)
         if isinstance(e, NewObject):
             return st.kill(RESULT_VAR).add_sh([(RESULT_VAR, RESULT_VAR)])
         if isinstance(e, VarRef):
-            if env.type_of(e.name) == INT_TYPE:
+            if frame.env.type_of(e.name) == INT_TYPE:
                 return st.kill(RESULT_VAR)
             return st.copy_alias(e.name, RESULT_VAR)
         if isinstance(e, FieldRead):
-            self._record(ctx, self.point_pre, e.nid, st)
+            frame.record(frame.pre, e.nid, st)
             st1 = st.kill(RESULT_VAR)
             if self.ct.field_type(e.fieldname) == INT_TYPE:
                 return st1
@@ -330,18 +323,14 @@ class SharingAnalysis:
             sh_pairs = [(RESULT_VAR, x) for x in st1.shset(v)]
             if st1.has_sh(v, v):
                 sh_pairs.append((RESULT_VAR, RESULT_VAR))
-            ds_pairs = [
-                (RESULT_VAR, x)
-                for a, b in st1.ds
-                if v in (a, b)
-                for x in ((b,) if a == v else (a,))
-            ]
+            # v's own ds self pair makes v one of its partners
+            ds_pairs = [(RESULT_VAR, x) for x in _partners(st1.ds, v)]
             if st1.has_ds(v, v):
-                ds_pairs += [(RESULT_VAR, RESULT_VAR), (RESULT_VAR, v)]
+                ds_pairs.append((RESULT_VAR, RESULT_VAR))
             return st1.add_sh(sh_pairs).add_ds(ds_pairs)
         if isinstance(e, MethodCall):
-            self._record(ctx, self.point_pre, e.nid, st)
-            return self._eval_call(e, st, ctx, env, shadows, impure)
+            frame.record(frame.pre, e.nid, st)
+            return self._eval_call(e, st, frame)
         raise TypeError(f"unsupported expression {e!r}")
 
     @staticmethod
@@ -360,49 +349,35 @@ class SharingAnalysis:
         """Summary pairs renamed to caller names (result under the internal
         result variable) plus the combined impure positions, for one call
         site entered in the given state."""
-        combined = SharingSummary.bottom()
-        renamed = SharingState.empty()
+        renamed, impure = SharingState.empty(), frozenset()
         for sig in self.typeinfo.call_targets[e.nid]:
             mapping, callee_in = self.binding(e, sig, st)
             summ = self.summary(sig, callee_in)
-            combined = combined.union(summ)
+            impure |= summ.impure
             mapping[OUT_VAR] = RESULT_VAR
             renamed = renamed.union(summ.exit_state.remap_to(mapping))
-        return renamed, combined.impure
+        return renamed, impure
 
-    def _eval_call(self, e: MethodCall, st, ctx, env, shadows, impure) -> SharingState:
-        actuals = [e.receiver] + list(e.args)
-        ref_actuals = [a for a in actuals if env.type_of(a) != INT_TYPE]
-        renamed, impure_positions = self.call_effect(e, st)
+    def _eval_call(self, e: MethodCall, st: SharingState, frame: _Body) -> SharingState:
+        actuals = [e.receiver, *e.args]
+        renamed, impure = self.call_effect(e, st)
         # an impure callee argument may update structures shared with the
         # enclosing method's own entry arguments
-        if impure is not None and shadows:
-            for idx in impure_positions:
-                actual = actuals[idx]
-                for i, sh_name in shadows.items():
-                    if st.has_sh(actual, sh_name):
-                        impure.add(i)
+        for i in impure:
+            frame.touch(st, actuals[i])
         st1 = st.kill(RESULT_VAR)
-        if impure_positions:
-            group: set[str] = {RESULT_VAR}
-            for a in ref_actuals:
-                group |= st1.shset(a)
-            pairs = [(a, b) for a in group for b in group]
-            return st1.add_sh(pairs).add_ds(pairs)
-        # pure call: the existing heap is untouched; only wire the result
-        out_sh: list[Pair] = []
-        out_ds: list[Pair] = []
-        for rel, acc in ((renamed.sh, out_sh), (renamed.ds, out_ds)):
-            for a, b in rel:
-                if RESULT_VAR not in (a, b):
-                    continue
-                other = b if a == RESULT_VAR else a
-                if other == RESULT_VAR:
-                    acc.append((RESULT_VAR, RESULT_VAR))
-                else:
-                    acc.extend((RESULT_VAR, y) for y in st1.shset(other))
-        st1 = st1.add_sh([(RESULT_VAR, RESULT_VAR)])  # result may be a fresh object
-        return st1.add_sh(out_sh).add_ds(out_ds)
+        if impure:
+            refs = [a for a in actuals if frame.env.type_of(a) != INT_TYPE]
+            return st1.clique({RESULT_VAR}.union(*map(st1.shset, refs)))
+        # pure call: the existing heap is untouched; only wire the result to
+        # the regions of what the callee relates it to (itself included, as
+        # st1 relates the result to nothing else)
+        sh, ds = (
+            [(RESULT_VAR, y) for x in _partners(rel, RESULT_VAR) for y in st1.shset(x)]
+            for rel in (renamed.sh, renamed.ds)
+        )
+        # the result may be a fresh object
+        return st1.add_sh([(RESULT_VAR, RESULT_VAR), *sh]).add_ds(ds)
 
 
 # --------------------------------------------------------------------------

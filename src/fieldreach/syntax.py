@@ -12,7 +12,7 @@ and positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 INT_TYPE = "int"
 
@@ -137,7 +137,10 @@ class While(Command):
 
 @dataclass
 class Return(Command):
+    """``return e``: the walkers run it as ``out := e``."""
+
     expr: Expr
+    var: ClassVar[str] = OUT_VAR
 
 
 # --------------------------------------------------------------------------

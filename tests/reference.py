@@ -112,7 +112,7 @@ def is_monotone(f):
 
 def is_positive(f):
     """The all-fields assignment is a model."""
-    return f.has_model(f.universe.full_mask)
+    return f.has_model((1 << f.universe.size) - 1)
 
 
 def is_definite(f):
@@ -163,7 +163,7 @@ def gamma_scapin(v: ScapinValue, universe, keys):
     for key in keys:
         banned_mask = universe.mask_of(v.at(key))
         out[key] = PathFormula.from_models(
-            universe, [m for m in universe.all_masks() if not (m & banned_mask)]
+            universe, [m for m in range(1 << universe.size) if not (m & banned_mask)]
         )
     return out
 
@@ -177,6 +177,6 @@ def gamma_q(v: QValue, universe, variables):
         else:
             need = universe.mask_of(v.at(var))
             out[var] = PathFormula.from_models(
-                universe, [m for m in universe.all_masks() if (m & need) == need]
+                universe, [m for m in range(1 << universe.size) if (m & need) == need]
             )
     return out

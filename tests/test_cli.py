@@ -387,7 +387,7 @@ def test_field_named_like_the_stand_in_is_an_analysis_error(tmp_path, capsys):
     for flags in ((), ("--track-fields", "any"), ("--track-fields", "any,nx")):
         code, out, err = _run_source(tmp_path, capsys, source, *flags)
         assert code == 1
-        assert err == "error: line 1: 'any' cannot be a field name\n"
+        assert err == "error: 1:1: 'any' cannot be a field name\n"
 
 
 def test_universe_above_the_field_cap_asks_for_tracked_fields(tmp_path, capsys):

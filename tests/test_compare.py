@@ -4,7 +4,6 @@ import pytest
 
 from fieldreach import FieldUniverse, PathFormula, build_class_table, parse_program
 from fieldreach.compare import (
-    ClassPairsValue,
     NoFieldsValue,
     QValue,
     ScapinValue,
@@ -161,7 +160,7 @@ def clause_hull(f: PathFormula) -> PathFormula:
         c for c in range(1, 1 << f.universe.size) if all(m & c for m in models)
     ]
     return PathFormula.from_models(
-        f.universe, [m for m in f.universe.all_masks() if all(m & c for c in clauses)]
+        f.universe, [m for m in range(1 << f.universe.size) if all(m & c for c in clauses)]
     )
 
 

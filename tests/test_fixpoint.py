@@ -36,7 +36,7 @@ def test_contexts_rerun_only_when_a_read_summary_grows():
 def test_root_runs_again_only_once_no_context_is_pending():
     log = []
     engine = toy_engine({0: 5}, {0: [0]}, log)
-    roots = engine.solve(lambda: engine.lookup(0, 0))
+    _, roots = engine.solve(lambda: engine.lookup(0, 0))
     assert log == [0] * 6
     assert roots == 2
 

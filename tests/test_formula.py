@@ -155,8 +155,8 @@ def two_model_sets(draw):
     fields = draw(st.lists(st.sampled_from(FIELD_POOL), min_size=1, max_size=5, unique=True))
     u = FieldUniverse.of(fields)
     model_set = st.one_of(
-        st.just(frozenset(u.all_masks())),
-        st.frozensets(st.integers(min_value=0, max_value=u.full_mask), max_size=12),
+        st.just(frozenset(range(1 << u.size))),
+        st.frozensets(st.integers(min_value=0, max_value=(1 << u.size) - 1), max_size=12),
     )
     return u, draw(model_set), draw(model_set)
 
@@ -277,9 +277,9 @@ def brute_force_viable(ct, names) -> bool:
 
 
 def test_devices_viability(devices_ct, devices_universe, devices_via):
-    assert devices_via.is_viable(["aD", "lnk", "owner"])
-    assert not devices_via.is_viable(["mD", "lnk"])
-    assert devices_via.is_viable([])
+    assert devices_via.is_viable_mask(devices_universe.mask_of(["aD", "lnk", "owner"]))
+    assert not devices_via.is_viable_mask(devices_universe.mask_of(["mD", "lnk"]))
+    assert devices_via.is_viable_mask(devices_universe.mask_of([]))
 
 
 def test_viability_matches_brute_force(devices_ct, devices_universe, devices_via):
@@ -287,7 +287,7 @@ def test_viability_matches_brute_force(devices_ct, devices_universe, devices_via
     for k in range(len(fields) + 1):
         for combo in itertools.combinations(fields, k):
             expected = brute_force_viable(devices_ct, combo)
-            assert devices_via.is_viable(combo) == expected, combo
+            assert devices_via.is_viable_mask(devices_universe.mask_of(combo)) == expected, combo
 
 
 @st.composite
@@ -318,7 +318,7 @@ def test_viability_table_matches_walk_search(data):
     else:
         universe = FieldUniverse.of(fields)
     expected = 0
-    for mask in universe.all_masks():
+    for mask in range(1 << universe.size):
         names = universe.names_of(mask)
         if ANY_FIELD in names or brute_force_viable(ct, names):
             expected |= 1 << mask
@@ -388,7 +388,7 @@ def test_project_fields():
 def test_project_all_tracked_is_identity(u3):
     assert FieldUniverse.tracked(["h", "g", "f"], ["f", "g", "h"]) == u3
     assert not u3.has_any
-    assert all(u3.abstract_mask(u3.names_of(m)) == m for m in u3.all_masks())
+    assert all(u3.abstract_mask(u3.names_of(m)) == m for m in range(1 << u3.size))
 
 
 def test_project_unknown_field_rejected(u3):
@@ -416,12 +416,12 @@ def test_abstract_difference_keeps_and_drops_any():
 def test_any_assignments_always_viable(devices_ct):
     u = FieldUniverse.tracked(devices_ct.reference_fields, ["mD", "lnk"])
     via = Viability(devices_ct, u)
-    assert via.is_viable(["mD", "lnk", ANY_FIELD])
-    assert not via.is_viable(["mD", "lnk"])
+    assert via.is_viable_mask(u.mask_of(["mD", "lnk", ANY_FIELD]))
+    assert not via.is_viable_mask(u.mask_of(["mD", "lnk"]))
 
 
 def test_viable_empty_for_every_class_table(devices_ct, devices_via):
-    assert devices_via.is_viable([])
+    assert devices_via.is_viable_mask(devices_via.universe.mask_of([]))
     for src in (
         "",
         "main { skip; }",
@@ -431,4 +431,4 @@ def test_viable_empty_for_every_class_table(devices_ct, devices_via):
     ):
         ct = build_class_table(parse_program(src))
         u = FieldUniverse.of(ct.reference_fields)
-        assert Viability(ct, u).is_viable([])
+        assert Viability(ct, u).is_viable_mask(u.mask_of([]))

@@ -22,7 +22,6 @@ from fieldreach.oracle import (
     _SnapshotMemo,
     cycle_field_sets,
 )
-from fieldreach.syntax import walk_commands
 
 from conftest import DATA, build, pf
 from corpus import CORPUS
@@ -633,4 +632,4 @@ def test_realized_sets_are_viable():
                 if not isinstance(val, Loc):
                     continue
                 for _, fs in traversal_saturate(state.heap, val.addr):
-                    assert result.via.is_viable(fs)
+                    assert result.via.is_viable_mask(result.universe.mask_of(fs))

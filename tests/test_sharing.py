@@ -1,7 +1,3 @@
-import pathlib
-
-import pytest
-
 from fieldreach import SharingAnalysis, SharingState, analyze_purity
 from fieldreach.oracle import Loc, _Interp
 from fieldreach.syntax import FieldWrite, MethodCall, walk_commands, walk_exprs
@@ -120,14 +116,21 @@ class Node { Node n; Node p; }
 
 
 def test_ds_grows_along_loop():
+    """The loop head, the state before the body's first command, holds the
+    loop's entry state and the body's exit state, and is the loop's
+    post-state."""
     program, ct, info = build(DLL)
     analysis = SharingAnalysis(program, ct, info)
     analysis.analyze_main()
     loop = program.main.body[2]
     pre = analysis.point_pre["main"]
     post = analysis.point_post["main"]
-    for cmd in walk_commands(loop.body):
-        assert pre[cmd.nid].ds <= post[cmd.nid].ds | pre[cmd.nid].ds
+    head = pre[loop.body[0].nid]
+    for inner in (pre[loop.nid], post[loop.body[-1].nid]):
+        assert inner.sh <= head.sh and inner.ds <= head.ds
+    assert head == post[loop.nid]
+    assert pre[loop.nid].ds == frozenset()
+    assert head.ds == frozenset({("tmp", "tmp"), ("tmp", "x"), ("x", "x")})
 
 
 # --------------------------------------------------------------------------
