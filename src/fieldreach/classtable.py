@@ -88,9 +88,11 @@ class ClassTable:
                         f"field {fname!r} has unknown type {ftype!r}", c.line, c.col
                     )
                 if fname in self._field_type:
+                    owner = self._field_owner[fname]
                     raise ClassTableError(
-                        f"field {fname!r} declared in both "
-                        f"{self._field_owner[fname]!r} and {c.name!r}",
+                        f"duplicate field {fname!r} in class {c.name!r}"
+                        if owner == c.name
+                        else f"field {fname!r} declared in both {owner!r} and {c.name!r}",
                         c.line,
                         c.col,
                     )

@@ -31,11 +31,15 @@ tables continue the base's saturation from the added edges, and its cycle
 masks come from anchors on those edges, since every closed walk not in the
 base has an added edge.  A state thus abstracts to the exact
 reachability/cyclicity value: the models of an entry are precisely the field
-sets realized in the state.  ``traversal_saturate`` and ``cycle_field_sets``
-decode the same results to field names, over a universe of the heap's own
-fields; they are the oracle's only views in names, and the tests hold the
-set-based definitions (walks, address reachability, deep sharing) they are
-checked against.
+sets realized in the state.  ``alpha_state`` builds that value; it is kept
+for callers and as the tests' reference for the check.  ``check_soundness``
+builds no value per state: it compares the realized tables of the pairs of
+non-null variables directly with the abstract entries, since a null variable
+or a pair with no path realizes nothing.  ``traversal_saturate`` and
+``cycle_field_sets`` decode the same results to field names, over a universe
+of the heap's own fields; they are the oracle's only views in names, and the
+tests hold the set-based definitions (walks, address reachability, deep
+sharing) they are checked against.
 """
 
 from __future__ import annotations
@@ -619,8 +623,18 @@ class SoundnessReport:
 def check_soundness(result: AnalysisResult, oracle: OracleResult) -> SoundnessReport:
     """Every realized traversal set at every recorded point must be a model
     of the corresponding abstract entry.  A concretely reached point the
-    analysis never produced a value for counts against the check."""
+    analysis never produced a value for counts against the check.
+
+    Per state, the realized tables of the variables of the point's scope
+    that hold a location are compared directly with the abstract entries,
+    each distinct address's reach table taken once: reach pairs first, in
+    scope order, then cycles, a non-null variable having its empty cycle.
+    A null variable and a pair with no path realize nothing, so this finds
+    exactly what comparing ``alpha_state`` over the scope would find, without
+    building its value.  The witness of a violation is the smallest realized
+    mask outside the abstract entry."""
     memo = _SnapshotMemo(result.universe, oracle.history)
+    names_of = result.universe.names_of
     violations: list[Violation] = []
     missing: list[int] = []
     points = 0
@@ -631,19 +645,30 @@ def check_soundness(result: AnalysisResult, oracle: OracleResult) -> SoundnessRe
             missing.append(nid)
             continue
         points += 1
+        states += len(state_list)
+        reach_entries, cyc_entries = abstract.reach, abstract.cyc  # the scope is cyc's keys
         for idx, state in enumerate(state_list):
-            states += 1
-            shared = [v for v in abstract.cyc if v in state.frame]
-            exact = alpha_state(state, result.universe, shared, memo)
-            # the smallest realized mask outside the abstract entry is the witness
-            for (v, w), t in exact.reach.items():
-                outside = t & ~abstract.reach[(v, w)]
+            frame = state.frame
+            locs = [(v, val.addr) for v in cyc_entries if isinstance(val := frame.get(v), Loc)]
+            if not locs:
+                continue
+            results = memo.edge_results(state.heap)
+            reach: dict[int, dict[int, int]] = {}
+            for _, a in locs:
+                if a not in reach:
+                    reach[a] = memo._reach(results, a)
+            for v, av in locs:
+                row = reach[av]
+                for w, aw in locs:
+                    table = row.get(aw)
+                    if table:
+                        outside = table & ~reach_entries[(v, w)]
+                        if outside:
+                            witness = names_of(next(models_of(outside)))
+                            violations.append(Violation(nid, "reach", (v, w), witness, idx))
+            for v, av in locs:
+                outside = (1 | memo._cycles(results, av)) & ~cyc_entries[v]
                 if outside:
-                    witness = result.universe.names_of(next(models_of(outside)))
-                    violations.append(Violation(nid, "reach", (v, w), witness, idx))
-            for v, t in exact.cyc.items():
-                outside = t & ~abstract.cyc[v]
-                if outside:
-                    witness = result.universe.names_of(next(models_of(outside)))
+                    witness = names_of(next(models_of(outside)))
                     violations.append(Violation(nid, "cyc", (v,), witness, idx))
     return SoundnessReport(violations, points, states, missing)

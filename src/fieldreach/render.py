@@ -140,7 +140,9 @@ def render_sharing(program, analysis) -> str:
 # and encoded model; per table, its encoded model list at each depth; per
 # scope and depth, the sorted member heads of ``cyc`` and ``reach``.  So a
 # row needs no sort and no key encoding, and each distinct table is encoded
-# once per report, not once per entry.
+# once per report, not once per entry.  The query answers are laid out with
+# ``_array`` too; only the short ``entry``, ``metadata`` and ``universe``
+# members go through ``json.dumps`` with its layout.
 
 _INDENT = "  "
 
@@ -161,7 +163,25 @@ def _array(items: list[str], depth: int) -> str:
     if not items:
         return "[]"
     pad = "\n" + _INDENT * (depth + 1)
-    return "[" + ",".join(pad + text for text in items) + "\n" + _INDENT * depth + "]"
+    return "[" + pad + ("," + pad).join(items) + "\n" + _INDENT * depth + "]"
+
+
+def _queries(queries: list[tuple[str, object]], depth: int) -> str:
+    """The ``queries`` list, ``depth`` levels deep: an object per answer,
+    its ``result`` a model list of sorted field names or a truth value (a
+    scalar reads the same in every layout)."""
+    pad = "\n" + _INDENT * (depth + 2)
+    close = "\n" + _INDENT * (depth + 1) + "}"
+    items = []
+    for query, answer in queries:
+        if isinstance(answer, list):
+            models = [_array(list(map(encode_basestring_ascii, m)), depth + 3) for m in answer]
+            text = _array(models, depth + 2)
+        else:
+            text = json.dumps(answer)
+        head = "{" + pad + '"query": ' + encode_basestring_ascii(query) + ","
+        items.append(head + pad + '"result": ' + text + close)
+    return _array(items, depth)
 
 
 def _write_object(out: list[str], members: list, depth: int) -> None:
@@ -281,7 +301,7 @@ def result_to_json(
         ("final", entries.value_members(result.final, 1)),
         ("metadata", _dumps(metadata, 1)),
         ("points", points),
-        ("queries", _dumps([{"query": q, "result": r} for q, r in (queries or [])], 1)),
+        ("queries", _queries(queries or [], 1)),
         ("universe", _dumps(list(result.universe.fields), 1)),
     ]
     out: list[str] = []

@@ -41,6 +41,23 @@ def test_duplicate_field_across_classes():
     assert "declared in both" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "source,message",
+    [
+        ("class A { A f; int f; }", "duplicate field 'f' in class 'A'"),
+        ("class A { A f; A f; }", "duplicate field 'f' in class 'A'"),
+        ("class A { A f; }\nclass B extends A { A f; }", "field 'f' declared in both 'A' and 'B'"),
+        ("class A { A f; }\nclass B { B f; }", "field 'f' declared in both 'A' and 'B'"),
+    ],
+)
+def test_duplicate_field_names_its_classes(source, message):
+    """A field declared twice in one class is a duplicate there; declared in
+    two classes, both are named."""
+    with pytest.raises(ClassTableError) as err:
+        build_class_table(parse_program(source))
+    assert err.value.message == message
+
+
 def test_field_named_like_the_stand_in():
     with pytest.raises(ClassTableError) as err:
         build_class_table(parse_program("class A { A f; }\nclass N { N any; }"))

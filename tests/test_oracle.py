@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,16 +10,20 @@ from fieldreach import (
     FieldUniverse,
     NullDereference,
     PathFormula,
+    RcValue,
     alpha_state,
     analyze_program,
     check_soundness,
     run_concrete,
     traversal_saturate,
 )
+from fieldreach.formula import models_of
 from fieldreach.oracle import (
     ConcreteState,
     Loc,
     Obj,
+    SoundnessReport,
+    Violation,
     _Interp,
     _SnapshotMemo,
     cycle_field_sets,
@@ -633,3 +639,191 @@ def test_realized_sets_are_viable():
                     continue
                 for _, fs in traversal_saturate(state.heap, val.addr):
                     assert result.via.is_viable_mask(result.universe.mask_of(fs))
+
+
+# --------------------------------------------------------------------------
+# the check against its reference
+
+
+def reference_check(result, oracle) -> SoundnessReport:
+    """The check as a comparison of ``alpha_state`` with the abstract value
+    at each recorded state, entry by entry: reach pairs in scope order, then
+    cycles, the smallest realized mask outside an entry as the witness."""
+    memo = _SnapshotMemo(result.universe, oracle.history)
+    violations, missing, points, states = [], [], 0, 0
+    for nid, state_list in sorted(oracle.point_states.items()):
+        abstract = result.point_post.get(nid)
+        if abstract is None:
+            missing.append(nid)
+            continue
+        points += 1
+        for idx, state in enumerate(state_list):
+            states += 1
+            shared = [v for v in abstract.cyc if v in state.frame]
+            exact = alpha_state(state, result.universe, shared, memo)
+            for (v, w), t in exact.reach.items():
+                outside = t & ~abstract.reach[(v, w)]
+                if outside:
+                    witness = result.universe.names_of(next(models_of(outside)))
+                    violations.append(Violation(nid, "reach", (v, w), witness, idx))
+            for v, t in exact.cyc.items():
+                outside = t & ~abstract.cyc[v]
+                if outside:
+                    witness = result.universe.names_of(next(models_of(outside)))
+                    violations.append(Violation(nid, "cyc", (v,), witness, idx))
+    return SoundnessReport(violations, points, states, missing)
+
+
+DLL_LOOP = """
+class Node { Node nx; Node pv; }
+main {
+  int i;
+  Node tmp;
+  Node x;
+  i := 0;
+  tmp := new Node;
+  x := tmp;
+  while (i < TRIPS) {
+    x := new Node;
+    x.nx := tmp;
+    tmp.pv := x;
+    tmp := x;
+    i := i + 1;
+  }
+}
+"""
+
+TREE_LOOP = """
+class Tree {
+  Tree left;
+  Tree right;
+  Tree parent;
+
+  Tree join(Tree l, Tree r) {
+    Tree t;  t := new Tree;
+    t.left := l;
+    t.right := r;
+    if (l != null) then l.parent := t;
+    if (r != null) then r.parent := t;
+    return t;
+  }
+}
+main {
+  int i;
+  Tree h;
+  Tree x;
+  Tree t;
+  h := new Tree;
+  x := new Tree;
+  i := 0;
+  while (i < TRIPS) {
+    t := new Tree;
+    x := h.join(x, t);
+    i := i + 1;
+  }
+}
+"""
+
+# Seven fields, a ring closed through two of them, and a write that removes
+# an edge on every trip, so some snapshots start afresh from the empty base.
+WIDE7 = """
+class N { N f0; N f1; N f2; N f3; N f4; L g; }
+class L { L h; }
+main {
+  int i;
+  N a; N b; N c; N d;
+  L p; L q;
+  a := new N; b := new N; c := new N;
+  p := new L; q := new L;
+  p.h := q;
+  i := 0;
+  while (i < 3) {
+    d := new N;
+    d.f1 := a;
+    a.f2 := d;
+    d.g := p;
+    c := a.f0;
+    b.f0 := d;
+    if (c != null) then c.f3 := b;
+    b.f4 := a;
+    a := d;
+    i := i + 1;
+  }
+}
+"""
+
+CHECK_CASES = {
+    **{f"corpus/{name}": src for name, src in CORPUS.items()},
+    "data/dll.lang": (DATA / "dll.lang").read_text(),
+    "data/tree_main.lang": (DATA / "tree_main.lang").read_text(),
+    **{f"dll@{n}": DLL_LOOP.replace("TRIPS", str(n)) for n in (1, 4, 9)},
+    **{f"tree-loop@{n}": TREE_LOOP.replace("TRIPS", str(n)) for n in (1, 3, 5)},
+    "wide7": WIDE7,
+}
+
+
+def thinned(result, rng):
+    """``result`` with each entry of about half the point values thinned by
+    a random mask, and sometimes one point value dropped."""
+    size = 1 << result.universe.size
+    post = {}
+    for nid, value in result.point_post.items():
+        if rng.random() < 0.5:
+            value = RcValue(
+                value.universe,
+                {k: t & rng.getrandbits(size) for k, t in value.reach.items()},
+                {v: t & rng.getrandbits(size) for v, t in value.cyc.items()},
+            )
+        post[nid] = value
+    if post and rng.random() < 0.3:
+        del post[rng.choice(sorted(post))]
+    return dataclasses.replace(result, point_post=post)
+
+
+def check_case(name, tracked: bool, seed: int = 0):
+    """The analysis and the run of one case, its universe all fields or,
+    with ``tracked``, a seeded subset that leaves a stand-in bit, and the
+    same analysis with thinned point values."""
+    program, ct, info = build(CHECK_CASES[name].lstrip("\n"))
+    rng = random.Random(f"{name}:{tracked}:{seed}")
+    fields = sorted(ct.reference_fields)
+    subset = rng.sample(fields, len(fields) // 2) if tracked else None
+    result = analyze_program(program, ct, info, tracked=subset)
+    assert result.universe.has_any == (tracked and bool(fields))
+    return result, thinned(result, rng), run_concrete(program, ct)
+
+
+@pytest.mark.parametrize("tracked", [False, True], ids=["all", "tracked"])
+@pytest.mark.parametrize("name", sorted(CHECK_CASES))
+def test_check_equals_its_reference(name, tracked):
+    """The check compares realized tables directly; it must report exactly
+    what the comparison of ``alpha_state`` with each abstract value reports,
+    on the analysis's own values and on thinned ones that it violates."""
+    result, thin, oracle = check_case(name, tracked)
+    report = check_soundness(result, oracle)
+    assert report == reference_check(result, oracle)
+    assert report.ok
+    assert check_soundness(thin, oracle) == reference_check(thin, oracle)
+
+
+def test_thinned_values_reach_every_part_of_the_report():
+    """The thinned cases above violate in later states, with reach and cycle
+    violations in one state, an empty cycle as a witness, and a stand-in
+    field in a witness; so a check that read only a point's first state,
+    put cycles first or forgot the empty cycle would differ from the
+    reference."""
+    reports = [
+        reference_check(thin, oracle)
+        for name in ("dll@4", "tree-loop@3", "wide7")
+        for tracked in (False, True)
+        for _, thin, oracle in [check_case(name, tracked)]
+    ]
+    violations = [v for r in reports for v in r.violations]
+    assert any(v.state_index > 0 for v in violations)
+    kinds = {}
+    for v in violations:
+        kinds.setdefault((v.nid, v.state_index), set()).add(v.kind)
+    assert {"reach", "cyc"} in kinds.values()
+    assert any(v.kind == "cyc" and v.witness == () for v in violations)
+    assert any("any" in v.witness for v in violations)
+    assert any(r.missing_points for r in reports)

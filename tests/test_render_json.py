@@ -154,7 +154,7 @@ def test_keys_sort_as_strings_and_escape_as_json():
     )
     keys = [f"({v},{w})" for v, w in result.final.reach]
     assert sorted(keys) != [f"({v},{w})" for v, w in sorted(result.final.reach)]
-    answers = [("reach a b", [["f0"]]), ("cyc é {}", False)]
+    answers = [("reach a b", [["f0"]]), ("cyc é {}", False), ("reach a a", [[], ["f0", "f1"]])]
     assert result_to_json(result, answers) == reference_report(result, answers)
 
 
