@@ -47,7 +47,6 @@ def test_duplicate_field_across_classes():
         ("class A { A f; int f; }", "duplicate field 'f' in class 'A'"),
         ("class A { A f; A f; }", "duplicate field 'f' in class 'A'"),
         ("class A { A f; }\nclass B extends A { A f; }", "field 'f' declared in both 'A' and 'B'"),
-        ("class A { A f; }\nclass B { B f; }", "field 'f' declared in both 'A' and 'B'"),
     ],
 )
 def test_duplicate_field_names_its_classes(source, message):
