@@ -60,6 +60,7 @@ class ClassTable:
 
     def _build(self, program: Program) -> None:
         for c in program.classes:
+            # Reached only by a hand-built Program: the parser rejects ``class int``.
             if c.name == INT_TYPE:
                 raise ClassTableError("'int' cannot be a class name", c.line, c.col)
             if c.name in self._classes:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from functools import partial
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Optional
@@ -128,21 +127,24 @@ def render_sharing(program, analysis) -> str:
 
 # -- JSON report
 #
-# The report is streamed in exactly the layout of ``json.dumps(doc,
-# sort_keys=True, indent=2)``: its pieces are appended to one list, joined
-# once at the end.  An object is a list of (key, value) members whose value
-# is text already encoded as JSON, a nested object as such a list, or a
-# writer that appends its own pieces.  Text nested ``depth`` levels deep is
-# laid out as at the top level with every line after the first indented by
-# ``depth`` more steps; ``sort_keys`` orders an object's members by their key
-# strings.  The formula entries, the bulk of a report, are laid out from
-# memos that live for one report (``_Entries``): per mask, its sorted names
-# and encoded model; per table, its encoded model list at each depth; per
-# scope and depth, the sorted member heads of ``cyc`` and ``reach``.  So a
-# row needs no sort and no key encoding, and each distinct table is encoded
-# once per report, not once per entry.  The query answers are laid out with
-# ``_array`` too; only the short ``entry``, ``metadata`` and ``universe``
-# members go through ``json.dumps`` with its layout.
+# The report is written top to bottom in its one fixed shape, in exactly the
+# layout of ``json.dumps(doc, sort_keys=True, indent=2)``: every object's
+# members come in sorted key order (``entry``, ``final``, ``metadata``,
+# ``points``, ``queries``, ``universe`` at the top; ``cyc``, ``line``,
+# ``reach``, ``visit`` in a point; ``cyc``, ``reach`` in ``final``), and only
+# the ``"line#visit"`` point keys are sorted at run time, as strings (they
+# hold digits and ``#`` alone, so they need no escaping).  The pieces are
+# appended to one list, joined once at the end.  Text nested ``depth`` levels
+# deep is laid out as at the top level with every line after the first
+# indented by ``depth`` more steps.  The formula entries, the bulk of a
+# report, are laid out from memos that live for one report (``_Entries``):
+# per mask, its sorted names and encoded model; per table, its encoded model
+# list at each depth; per scope and depth, the sorted member heads of ``cyc``
+# and ``reach``.  So a row needs no sort and no key encoding, and each
+# distinct table is encoded once per report, not once per entry.  The query
+# answers and ``universe`` are laid out with ``_array`` too; only
+# ``metadata`` goes through ``json.dumps``.  ``tests/test_render_json.py``
+# checks the bytes against ``json.dumps``.
 
 _INDENT = "  "
 
@@ -150,12 +152,6 @@ _INDENT = "  "
 def _indent(text: str, depth: int) -> str:
     """Encoded top-level ``text`` as it reads ``depth`` levels deep."""
     return text.replace("\n", "\n" + _INDENT * depth) if depth else text
-
-
-def _dumps(obj, depth: int) -> str:
-    """``obj`` as ``json.dumps(..., sort_keys=True, indent=2)`` writes it
-    ``depth`` levels deep."""
-    return _indent(json.dumps(obj, sort_keys=True, indent=2), depth)
 
 
 def _array(items: list[str], depth: int) -> str:
@@ -184,25 +180,6 @@ def _queries(queries: list[tuple[str, object]], depth: int) -> str:
     return _array(items, depth)
 
 
-def _write_object(out: list[str], members: list, depth: int) -> None:
-    """Append the pieces of the object ``members``, ``depth`` levels deep."""
-    if not members:
-        out.append("{}")
-        return
-    members.sort(key=itemgetter(0))
-    sep = "{\n" + _INDENT * (depth + 1)
-    for key, value in members:
-        out.append(f"{sep}{encode_basestring_ascii(key)}: ")
-        if isinstance(value, str):
-            out.append(value)
-        elif isinstance(value, list):
-            _write_object(out, value, depth + 1)
-        else:
-            value(out)
-        sep = ",\n" + _INDENT * (depth + 1)
-    out.append("\n" + _INDENT * depth + "}")
-
-
 class _Entries:
     """The formula entries of one report, laid out from its memos."""
 
@@ -212,17 +189,22 @@ class _Entries:
         self._texts: defaultdict[int, dict[int, str]] = defaultdict(dict)  # depth: table: list
         self._heads: dict[tuple[tuple[str, ...], int], tuple] = {}  # (scope, depth)
 
-    def value_members(self, value: RcValue, depth: int) -> list:
-        """The members of ``value.to_json()`` as an object ``depth`` levels
-        deep, each a writer of its entries."""
+    def write(
+        self, out: list[str], value: RcValue, depth: int, line: str = "", visit: str = ""
+    ) -> None:
+        """Append ``value.to_json()`` as an object ``depth`` levels deep;
+        ``line`` and ``visit`` are encoded members, each with its leading
+        separator, that follow ``cyc`` and ``reach``."""
         entry = depth + 2
         cyc, reach, close = self._layout(tuple(value.cyc), entry)
-        return [
-            ("cyc", partial(self._write, cyc, close, entry, value.cyc)),
-            ("reach", partial(self._write, reach, close, entry, value.reach)),
-        ]
+        pad = "\n" + _INDENT * (depth + 1)
+        out.append("{" + pad + '"cyc": ')
+        self._tables(out, cyc, close, entry, value.cyc)
+        out.append(line + "," + pad + '"reach": ')
+        self._tables(out, reach, close, entry, value.reach)
+        out.append(visit + "\n" + _INDENT * depth + "}")
 
-    def _write(self, heads: list, close: str, entry: int, tables: dict, out: list[str]) -> None:
+    def _tables(self, out: list[str], heads: list, close: str, entry: int, tables: dict) -> None:
         """Append the object of ``tables`` laid out by ``heads``."""
         texts = self._texts[entry]
         for head, key in heads:
@@ -281,14 +263,6 @@ def result_to_json(
     indent=2) + "\\n"`` of the document whose ``final`` and point entries are
     ``RcValue.to_json()``."""
     entries = _Entries(result.universe)
-    points = [
-        (
-            f"{row.line}#{row.visit}",
-            entries.value_members(row.value, 2)
-            + [("line", str(row.line)), ("visit", str(row.visit))],
-        )
-        for row in result.trace
-    ]
     metadata = {
         "iterations": result.rounds,
         "loop_iterations": {str(k): v for k, v in sorted(result.loop_passes.items())},
@@ -296,15 +270,19 @@ def result_to_json(
         "elapsed_ms": round(result.elapsed * 1000.0, 3),
     }
     entry = result.entry if isinstance(result.entry, str) else ".".join(result.entry)
-    doc = [
-        ("entry", _dumps(entry, 1)),
-        ("final", entries.value_members(result.final, 1)),
-        ("metadata", _dumps(metadata, 1)),
-        ("points", points),
-        ("queries", _queries(queries or [], 1)),
-        ("universe", _dumps(list(result.universe.fields), 1)),
-    ]
-    out: list[str] = []
-    _write_object(out, doc, 0)
-    out.append("\n")
+    out = ['{\n  "entry": ' + encode_basestring_ascii(entry) + ',\n  "final": ']
+    entries.write(out, result.final, 1)
+    out.append(',\n  "metadata": ' + _indent(json.dumps(metadata, sort_keys=True, indent=2), 1))
+    out.append(',\n  "points": ')
+    points = sorted(((f"{row.line}#{row.visit}", row) for row in result.trace), key=itemgetter(0))
+    sep = "{"
+    pad = ",\n" + _INDENT * 3
+    for key, row in points:
+        out.append(sep + "\n" + _INDENT * 2 + '"' + key + '": ')
+        entries.write(out, row.value, 2, f'{pad}"line": {row.line}', f'{pad}"visit": {row.visit}')
+        sep = ","
+    out.append("\n  }" if points else "{}")
+    universe = _array(list(map(encode_basestring_ascii, result.universe.fields)), 1)
+    out.append(',\n  "queries": ' + _queries(queries or [], 1) + ',\n  "universe": ' + universe)
+    out.append("\n}\n")
     return "".join(out)

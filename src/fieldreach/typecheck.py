@@ -106,6 +106,7 @@ class _Checker:
         for (name, t), (line, col) in zip(entries, positions, strict=True):
             if name in seen:
                 raise TypeCheckError(f"duplicate variable {name!r}", line, col)
+            # Reached only by a hand-built Program: the parser rejects ``out``.
             if name == OUT_VAR:
                 raise TypeCheckError(f"{OUT_VAR!r} is reserved", line, col)
             if t != INT_TYPE and not self.ct.is_class(t):
@@ -153,28 +154,14 @@ class _Checker:
         if isinstance(cmd, Assign):
             if cmd.var == "this":
                 raise TypeCheckError("cannot assign to 'this'", cmd.line, cmd.col)
-            declared = env.type_of(cmd.var)
-            if declared is None:
-                raise TypeCheckError(f"unknown variable {cmd.var!r}", cmd.line, cmd.col)
+            declared = self._var_type(cmd.var, env, cmd)
             t = self.type_expr(cmd.expr, env)
             self._require_assignable(t, declared, cmd.line, cmd.col)
             return
         if isinstance(cmd, FieldWrite):
-            base = env.type_of(cmd.var)
-            if base is None:
-                raise TypeCheckError(f"unknown variable {cmd.var!r}", cmd.line, cmd.col)
-            if base == INT_TYPE:
-                raise TypeCheckError(
-                    f"cannot dereference int variable {cmd.var!r}", cmd.line, cmd.col
-                )
-            if not self.ct.class_has_field(base, cmd.fieldname):
-                raise TypeCheckError(
-                    f"class {base!r} has no field {cmd.fieldname!r}", cmd.line, cmd.col
-                )
+            want = self._field_type(cmd, env)
             t = self.type_expr(cmd.expr, env)
-            self._require_assignable(
-                t, self.ct.field_type(cmd.fieldname), cmd.line, cmd.col
-            )
+            self._require_assignable(t, want, cmd.line, cmd.col)
             return
         if isinstance(cmd, If):
             self.check_guard(cmd.guard, env)
@@ -227,23 +214,9 @@ class _Checker:
         if isinstance(e, NullLit):
             return NULL_TYPE
         if isinstance(e, VarRef):
-            t = env.type_of(e.name)
-            if t is None:
-                raise TypeCheckError(f"unknown variable {e.name!r}", e.line, e.col)
-            return t
+            return self._var_type(e.name, env, e)
         if isinstance(e, FieldRead):
-            base = env.type_of(e.var)
-            if base is None:
-                raise TypeCheckError(f"unknown variable {e.var!r}", e.line, e.col)
-            if base == INT_TYPE:
-                raise TypeCheckError(
-                    f"cannot dereference int variable {e.var!r}", e.line, e.col
-                )
-            if not self.ct.class_has_field(base, e.fieldname):
-                raise TypeCheckError(
-                    f"class {base!r} has no field {e.fieldname!r}", e.line, e.col
-                )
-            return self.ct.field_type(e.fieldname)
+            return self._field_type(e, env)
         if isinstance(e, BinOp):
             lt = self.type_expr(e.left, env)
             rt = self.type_expr(e.right, env)
@@ -257,9 +230,7 @@ class _Checker:
                 raise TypeCheckError(f"unknown class {e.classname!r}", e.line, e.col)
             return e.classname
         if isinstance(e, MethodCall):
-            recv = env.type_of(e.receiver)
-            if recv is None:
-                raise TypeCheckError(f"unknown variable {e.receiver!r}", e.line, e.col)
+            recv = self._var_type(e.receiver, env, e)
             if recv == INT_TYPE:
                 raise TypeCheckError(
                     f"cannot call a method on int variable {e.receiver!r}", e.line, e.col
@@ -276,15 +247,32 @@ class _Checker:
                     e.col,
                 )
             for arg, want in zip(e.args, sig.param_types):
-                got = env.type_of(arg)
-                if got is None:
-                    raise TypeCheckError(f"unknown variable {arg!r}", e.line, e.col)
-                self._require_assignable(got, want, e.line, e.col)
+                self._require_assignable(self._var_type(arg, env, e), want, e.line, e.col)
             self.info.call_targets[e.nid] = self.ct.callable_methods(recv, e.method)
             if not self.info.call_targets[e.nid]:
                 raise TypeCheckError(f"no callable method for {e.method!r}", e.line, e.col)
             return sig.return_type
         raise TypeCheckError(f"unsupported expression {e!r}", e.line, e.col)
+
+    def _var_type(self, name: str, env: TypeEnv, node: Union[Command, Expr]) -> str:
+        """The declared type of ``name``; an error is reported at ``node``."""
+        t = env.type_of(name)
+        if t is None:
+            raise TypeCheckError(f"unknown variable {name!r}", node.line, node.col)
+        return t
+
+    def _field_type(self, node: Union[FieldRead, FieldWrite], env: TypeEnv) -> str:
+        """The type of ``node.fieldname`` on ``node.var``; errors at ``node``."""
+        base = self._var_type(node.var, env, node)
+        if base == INT_TYPE:
+            raise TypeCheckError(
+                f"cannot dereference int variable {node.var!r}", node.line, node.col
+            )
+        if not self.ct.class_has_field(base, node.fieldname):
+            raise TypeCheckError(
+                f"class {base!r} has no field {node.fieldname!r}", node.line, node.col
+            )
+        return self.ct.field_type(node.fieldname)
 
     def _require_assignable(self, got: str, want: str, line: int, col: int) -> None:
         if want == INT_TYPE:

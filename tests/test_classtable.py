@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from fieldreach import ClassTableError, build_class_table, parse_program
@@ -113,3 +115,13 @@ def test_override_signature_mismatch():
                 "class B extends A { int m() { return 1; } }"
             )
         )
+
+
+def test_int_class_name_in_a_hand_built_program():
+    """The parser rejects ``class int``, so only a program built by hand
+    reaches the class table's own guard."""
+    program = parse_program("class A { }\nmain { skip; }")
+    program.classes[0] = dataclasses.replace(program.classes[0], name="int")
+    with pytest.raises(ClassTableError) as err:
+        build_class_table(program)
+    assert str(err.value) == "1:1: 'int' cannot be a class name"

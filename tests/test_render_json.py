@@ -204,3 +204,21 @@ def test_layout_is_kept_per_scope_and_depth():
     report = result_to_json(result, answers)
     assert report == reference_report(result, answers)
     assert '"90#1": {\n      "cyc": {},' in report
+
+
+def test_point_keys_sort_as_strings():
+    """A line visited 11 times: its ``"line#visit"`` keys sort as strings,
+    so ``"5#10"`` and ``"5#11"`` come before ``"5#2"``."""
+    result = analyze_entry(WIDE)
+    rows = [TraceRow(5, visit, result.final) for visit in range(1, 12)]
+    result = dataclasses.replace(result, trace=rows)
+    report = result_to_json(result, [])
+    assert report == reference_report(result, [])
+    assert report.index('"5#10"') < report.index('"5#11"') < report.index('"5#2"')
+
+
+def test_report_without_trace_rows():
+    result = dataclasses.replace(analyze_entry(WIDE), trace=[])
+    report = result_to_json(result, [])
+    assert report == reference_report(result, [])
+    assert '\n  "points": {},\n' in report

@@ -1,6 +1,6 @@
 import pytest
 
-from fieldreach import TypeCheckError
+from fieldreach import TypeCheckError, build_class_table, parse_program, type_check
 
 from conftest import build
 
@@ -112,3 +112,26 @@ def test_env_covers_all_points():
     env = info.env_for("main")
     assert set(env.variables) == {"i", "x"}
     assert env.ref_vars == ("x",)
+
+
+SCOPES = "class A {\n  A m(A p) { A q; return p; }\n}\nmain { A x; skip; }"
+
+
+@pytest.mark.parametrize(
+    "scope,message",
+    [
+        ("param", "2:9: 'out' is reserved"),
+        ("local", "2:16: 'out' is reserved"),
+        ("main", "4:10: 'out' is reserved"),
+    ],
+)
+def test_out_declared_in_a_hand_built_program(scope, message):
+    """The parser rejects a variable named ``out``, so only a program built
+    by hand reaches the type checker's own guard, at the declaration."""
+    program = parse_program(SCOPES)
+    method = program.classes[0].methods[0]
+    declared = {"param": method.params, "local": method.locals, "main": program.main.locals}
+    declared[scope][0] = ("A", "out")
+    with pytest.raises(TypeCheckError) as err:
+        type_check(program, build_class_table(program))
+    assert str(err.value) == message
