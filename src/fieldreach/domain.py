@@ -10,7 +10,10 @@ as "no path" would be unsound.  ``reach_at`` and ``cyc_at`` give an entry as
 a read-only ``PathFormula`` view.  Values are kept in normal form — the
 cyclicity entry of a variable always covers its self-reachability, since a
 path from a variable back to itself is a cycle.  Operations are functional;
-instances are treated as immutable.
+instances are treated as immutable, with one exception: ``_normalize_in_place``
+folds in place, and runs only on a value its caller has just built.
+Most entries are the zero table, so ``join``, ``project`` and ``remap``
+touch only the entries they change.
 """
 
 from __future__ import annotations
@@ -49,11 +52,18 @@ class RcValue:
     # -- scope-preserving operations
 
     def project(self, variables: Iterable[str]) -> "RcValue":
-        """Forget everything about the given variables."""
+        """Forget everything about the given variables: their rows, columns
+        and cyclicity become false."""
         gone = self.cyc.keys() & variables
         if not gone:
             return self
-        return self.remap({x: x for x in self.cyc if x not in gone}, self.cyc)
+        out = self._fresh()
+        reach, cyc = out.reach, out.cyc
+        for g in gone:
+            cyc[g] = 0
+            for x in cyc:
+                reach[(g, x)] = reach[(x, g)] = 0
+        return out
 
     def rename(self, mapping: Mapping[str, str]) -> "RcValue":
         """Simultaneously move sources onto targets; sources are forgotten
@@ -93,9 +103,11 @@ class RcValue:
         out = self._fresh()
         reach, cyc = out.reach, out.cyc
         for key, t in other.reach.items():
-            reach[key] |= t
+            if t:
+                reach[key] |= t
         for v, t in other.cyc.items():
-            cyc[v] |= t
+            if t:
+                cyc[v] |= t
         return out
 
     def leq(self, other: "RcValue") -> bool:
@@ -109,10 +121,14 @@ class RcValue:
 
     def normalize(self) -> "RcValue":
         """Fold self-reachability into cyclicity."""
-        out = self._fresh()
-        for v in out.cyc:
-            out.cyc[v] |= out.reach[(v, v)]
-        return out
+        return self._fresh()._normalize_in_place()
+
+    def _normalize_in_place(self) -> "RcValue":
+        """``normalize`` without the copy, for a value no one else holds yet."""
+        reach, cyc = self.reach, self.cyc
+        for v in cyc:
+            cyc[v] |= reach[(v, v)]
+        return self
 
     def is_normal(self) -> bool:
         return not any(self.reach[(v, v)] & ~t for v, t in self.cyc.items())
@@ -137,10 +153,10 @@ class RcValue:
         live = {s: d for s, d in mapping.items() if s in self.cyc and d in out.cyc}
         reach, cyc = out.reach, out.cyc
         for (a, b), t in self.reach.items():
-            if a in live and b in live:
+            if t and a in live and b in live:
                 reach[(live[a], live[b])] |= t
         for v, t in self.cyc.items():
-            if v in live:
+            if t and v in live:
                 cyc[live[v]] |= t
         return out
 

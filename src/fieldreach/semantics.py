@@ -6,7 +6,11 @@ consume it.  A field access turns the base variable's rows into result rows
 through the path operators; a field update joins in the paths the new edge
 can create, including the cycle it may close; a call combines the callee
 summaries with purity- and deep-sharing-guarded repair of everything the
-callee might have rewired.
+callee might have rewired.  Each transfer writes into one fresh copy of its
+input and computes only the terms whose operands are non-zero: ``concat``
+and ``difference`` give the zero table when either operand is zero and
+``t |= 0`` changes nothing, so a skipped term is one that adds nothing.
+Most entries are zero, since most paths and cycles are impossible.
 
 Method denotations map an abstract entry value over the inputs to an exit
 value over inputs plus the return value.  A ``Fixpoint`` worklist holds one
@@ -217,22 +221,26 @@ class Analyzer:
         fld = self._only([e.fieldname])
         fld_mask = u.abstract_mask([e.fieldname])
         reach = I.reach
-        extra = RcValue.bottom(u, I.cyc)
-        extra.cyc[RESULT_VAR] = extra.reach[(RESULT_VAR, RESULT_VAR)] = I.cyc[v]
+        out = I._fresh()
+        new = out.reach
+        out.cyc[RESULT_VAR] |= I.cyc[v]
+        new[(RESULT_VAR, RESULT_VAR)] |= I.cyc[v]
         for w in I.cyc:
             if w == RESULT_VAR:
                 continue
-            extra.reach[(RESULT_VAR, w)] = difference(u, reach[(v, w)], fld)
+            from_v = reach[(v, w)]
+            if from_v:
+                new[(RESULT_VAR, w)] |= difference(u, from_v, fld)
             if sp.has_ds(w, v):
-                extra.reach[(w, RESULT_VAR)] = u.full_table
-            else:
-                into = concat(u, reach[(w, v)], fld)
-                # the read value may be w itself: exactly when the one-step
-                # path through this field is an admitted way from v to w
-                if reach[(v, w)] >> fld_mask & 1:
-                    into |= self._only(())
-                extra.reach[(w, RESULT_VAR)] = into
-        return I.join(extra).normalize()
+                new[(w, RESULT_VAR)] = u.full_table
+                continue
+            if reach[(w, v)]:
+                new[(w, RESULT_VAR)] |= concat(u, reach[(w, v)], fld)
+            # the read value may be w itself: exactly when the one-step
+            # path through this field is an admitted way from v to w
+            if from_v >> fld_mask & 1:
+                new[(w, RESULT_VAR)] |= self._only(())
+        return out._normalize_in_place()
 
     def _eval_call(self, e: MethodCall, I: RcValue, ctx: _Ctx) -> RcValue:
         sp = self.sharing.state_before(ctx.sp_ctx, e.nid)
@@ -257,6 +265,8 @@ class Analyzer:
             mapping = {**formal_to_actual, OUT_VAR: RESULT_VAR}
             summary_back = summary_back.join(output.remap(mapping, cyc))
         back = summary_back.reach
+        out = I.join(summary_back)
+        new = out.reach
 
         sp_after, impure = self.sharing.call_effect(e, sp)
 
@@ -264,8 +274,8 @@ class Analyzer:
         # impure argument, pre-call reachability into it, the callee-computed
         # leg between arguments, and pre-call reachability out of the other
         # argument are stitched together; deep-sharing on either side forfeits
-        # the field information for that side.
-        assembled = RcValue.bottom(u, cyc)
+        # the field information for that side.  A stitched path needs a way
+        # into the argument and a way out of the other one.
         others = [w for w in cyc if w != RESULT_VAR]
         for i, vi in enumerate(actuals):
             if vi not in cyc or i not in impure:
@@ -273,13 +283,13 @@ class Analyzer:
             for vj in ref_actual:
                 ds_ij_after = sp_after.has_ds(vi, vj)
                 leg = back[(vi, vj)]
+                outs = [(w2, reach[(vj, w2)]) for w2 in others if reach[(vj, w2)]]
                 for w1 in others:
                     ds_w1_vi = sp.has_ds(w1, vi)
                     into = reach[(w1, vi)]
-                    for w2 in others:
-                        out_of = reach[(vj, w2)]
-                        if not out_of:
-                            continue
+                    if not into and not ds_w1_vi:
+                        continue
+                    for w2, out_of in outs:
                         if not ds_w1_vi and not ds_ij_after:
                             f = concat(u, concat(u, into, leg), out_of)
                         elif not ds_w1_vi and ds_ij_after:
@@ -288,34 +298,31 @@ class Analyzer:
                             f = concat(u, true, out_of)
                         else:
                             f = true
-                        assembled.reach[(w1, w2)] |= f
+                        new[(w1, w2)] |= f
 
         # result rows: what the result may reach among caller variables
         for w in others:
-            acc = 0
             for vk in ref_actual:
                 if sp_after.has_ds(vk, RESULT_VAR):
-                    acc |= true
-                else:
-                    acc |= concat(u, back[(RESULT_VAR, vk)], reach[(vk, w)]) | difference(
-                        u, reach[(vk, w)], back[(vk, RESULT_VAR)]
-                    )
-            assembled.reach[(RESULT_VAR, w)] = acc
+                    new[(RESULT_VAR, w)] = true
+                elif reach[(vk, w)]:
+                    new[(RESULT_VAR, w)] |= concat(
+                        u, back[(RESULT_VAR, vk)], reach[(vk, w)]
+                    ) | difference(u, reach[(vk, w)], back[(vk, RESULT_VAR)])
 
         # and the reverse direction: the result may sit inside an argument's
         # structure, so anything leading into that argument may lead to it —
         # including plain aliasing when the argument reaches both
         for w in others:
-            acc = 0
             for vk in ref_actual:
                 if sp.has_ds(w, vk):
-                    acc |= true
-                else:
-                    leg = back[(vk, RESULT_VAR)]
-                    acc |= concat(u, reach[(w, vk)], leg)
-                    if leg and reach[(vk, w)]:
-                        acc |= self._only(())
-            assembled.reach[(w, RESULT_VAR)] = acc
+                    new[(w, RESULT_VAR)] = true
+                    continue
+                leg = back[(vk, RESULT_VAR)]
+                if reach[(w, vk)]:
+                    new[(w, RESULT_VAR)] |= concat(u, reach[(w, vk)], leg)
+                if leg and reach[(vk, w)]:
+                    new[(w, RESULT_VAR)] |= self._only(())
 
         # cyclicity: cycles built inside an impure argument spread to
         # everything sharing with it in any direction
@@ -325,14 +332,12 @@ class Analyzer:
             ci = summary_back.cyc[vi]
             for w in others:
                 if sp.has_ds(w, vi) or reach[(w, vi)] or reach[(vi, w)]:
-                    assembled.cyc[w] |= ci
-        crho = 0
+                    out.cyc[w] |= ci
         for vk in ref_actual:
             if back[(vk, RESULT_VAR)]:
-                crho |= cyc[vk]
-        assembled.cyc[RESULT_VAR] = crho
+                out.cyc[RESULT_VAR] |= cyc[vk]
 
-        return I.join(summary_back).join(assembled).normalize()
+        return out._normalize_in_place()
 
     # ------------------------------------------------------------------
     # commands
@@ -366,7 +371,7 @@ class Analyzer:
             inner = ctx.with_trace(False)
             t = self.exec_body(cmd.then_body, I, inner)
             e = self.exec_body(cmd.else_body, I, inner)
-            return t.join(e).normalize()
+            return t.join(e)._normalize_in_place()
         if isinstance(cmd, While):
             return self._exec_while(cmd, I, ctx)
         raise AnalysisError(f"unsupported command {cmd!r}")
@@ -381,17 +386,21 @@ class Analyzer:
         fld = self._only([cmd.fieldname])
         # the new edge alone, or the new edge plus the cycle it may close
         mid = fld | concat(u, fld, reach[(RESULT_VAR, v)])
-        extra = RcValue.bottom(u, I.cyc)
-        refs = list(extra.cyc)
-        for w1 in refs:
-            head = concat(u, reach[(w1, v)], mid)
-            for w2 in refs:
-                extra.reach[(w1, w2)] = concat(u, head, reach[(RESULT_VAR, w2)])
         cyc_new = concat(u, reach[(RESULT_VAR, v)], fld) | evaluated.cyc[RESULT_VAR]
-        for w in extra.cyc:
-            if reach[(w, v)]:
-                extra.cyc[w] = cyc_new
-        return evaluated.join(extra).project([RESULT_VAR]).normalize()
+        # a new path runs from a variable that reaches v to one the written
+        # value reaches; the result variable is in every body's scope, so
+        # the projection is a fresh copy
+        out = evaluated.project([RESULT_VAR])
+        others = [w for w in out.cyc if w != RESULT_VAR]
+        tails = [(w2, reach[(RESULT_VAR, w2)]) for w2 in others if reach[(RESULT_VAR, w2)]]
+        for w1 in others:
+            if not reach[(w1, v)]:
+                continue
+            head = concat(u, reach[(w1, v)], mid)
+            for w2, tail in tails:
+                out.reach[(w1, w2)] |= concat(u, head, tail)
+            out.cyc[w1] |= cyc_new
+        return out._normalize_in_place()
 
     def _exec_while(self, cmd: While, I: RcValue, ctx: _Ctx) -> RcValue:
         head = I.canonical(self.via)
@@ -426,7 +435,7 @@ class Analyzer:
                 counters[("c", v)] = counters.get(("c", v), 0) + 1
                 if counters[("c", v)] > self.widening_k:
                     out.cyc[v] = self.universe.full_table
-        return out.normalize()
+        return out._normalize_in_place()
 
     # ------------------------------------------------------------------
     # method denotations
@@ -462,8 +471,7 @@ class Analyzer:
         # shadows pinned, of ``this`` and of the result
         outputs = {u: w for w, u in shadows.items()}
         outputs.update({"this": "this", OUT_VAR: OUT_VAR})
-        result = I1.remap(outputs, scope)
-        return result.normalize().canonical(self.via)
+        return I1.remap(outputs, scope)._normalize_in_place().canonical(self.via)
 
     # ------------------------------------------------------------------
     # drivers

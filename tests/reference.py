@@ -1,14 +1,18 @@
 """Reference definitions the tests check the package against: saturation on
 sets of field names, address reachability and deep sharing derived from it,
-an AST fingerprint, truth-table submasks, trace lookup, and the
+an AST fingerprint, truth-table submasks, trace lookup, the
 concretizations of the coarser domains of ``fieldreach.compare`` with the
-formula classes they are stated in.  None of it runs in the package."""
+formula classes they are stated in, and the dense transfer functions.  None
+of it runs in the package."""
 
 import dataclasses
 
 from fieldreach.compare import ClassPairsValue, MonotoneValue, NoFieldsValue, QValue, ScapinValue
-from fieldreach.formula import PathFormula, class_reach_closure, models_of
+from fieldreach.domain import RcValue
+from fieldreach.formula import PathFormula, class_reach_closure, concat, difference, models_of
 from fieldreach.oracle import Loc
+from fieldreach.semantics import Analyzer, _Ctx, summary_scope
+from fieldreach.syntax import INT_TYPE, OUT_VAR, RESULT_VAR, FieldRead, FieldWrite, MethodCall
 
 # --------------------------------------------------------------------------
 # concrete heaps
@@ -180,3 +184,161 @@ def gamma_q(v: QValue, universe, variables):
                 universe, [m for m in range(1 << universe.size) if (m & need) == need]
             )
     return out
+
+
+# --------------------------------------------------------------------------
+# dense transfer functions
+
+
+class DenseAnalyzer(Analyzer):
+    """The analysis with the field read, field write and call transfers that
+    compute every entry, zero operands included, into a bottom value joined
+    onto the input.  The package skips the terms with a zero operand."""
+
+    def _eval_field_read(self, e: FieldRead, I: RcValue, ctx: _Ctx) -> RcValue:
+        if self.ct.field_type(e.fieldname) == INT_TYPE:
+            return I
+        sp = self.sharing.state_before(ctx.sp_ctx, e.nid)
+        u = self.universe
+        v = e.var
+        fld = self._only([e.fieldname])
+        fld_mask = u.abstract_mask([e.fieldname])
+        reach = I.reach
+        extra = RcValue.bottom(u, I.cyc)
+        extra.cyc[RESULT_VAR] = extra.reach[(RESULT_VAR, RESULT_VAR)] = I.cyc[v]
+        for w in I.cyc:
+            if w == RESULT_VAR:
+                continue
+            extra.reach[(RESULT_VAR, w)] = difference(u, reach[(v, w)], fld)
+            if sp.has_ds(w, v):
+                extra.reach[(w, RESULT_VAR)] = u.full_table
+            else:
+                into = concat(u, reach[(w, v)], fld)
+                # the read value may be w itself: exactly when the one-step
+                # path through this field is an admitted way from v to w
+                if reach[(v, w)] >> fld_mask & 1:
+                    into |= self._only(())
+                extra.reach[(w, RESULT_VAR)] = into
+        return I.join(extra).normalize()
+
+    def _eval_call(self, e: MethodCall, I: RcValue, ctx: _Ctx) -> RcValue:
+        sp = self.sharing.state_before(ctx.sp_ctx, e.nid)
+        u = self.universe
+        true = u.full_table
+        reach, cyc = I.reach, I.cyc
+        actuals = [e.receiver] + list(e.args)
+        ref_actual = [a for a in actuals if a in cyc]
+        callees = self.typeinfo.call_targets[e.nid]
+
+        summary_back = RcValue.bottom(u, cyc)
+        for sig in callees:
+            entry = RcValue.bottom(u, summary_scope(sig, self.typeinfo))
+            formal_to_actual, sp_entry = self.sharing.binding(e, sig, sp)
+            formals = [f for f in sig.input_vars if f in entry.cyc]
+            for f1 in formals:
+                a1 = formal_to_actual[f1]
+                for f2 in formals:
+                    entry.reach[(f1, f2)] = reach[(a1, formal_to_actual[f2])]
+                entry.cyc[f1] = cyc[a1]
+            output = self._denotation(sig, entry, sp_entry)
+            mapping = {**formal_to_actual, OUT_VAR: RESULT_VAR}
+            summary_back = summary_back.join(output.remap(mapping, cyc))
+        back = summary_back.reach
+
+        sp_after, impure = self.sharing.call_effect(e, sp)
+
+        # paths the callee may have created between caller variables: for an
+        # impure argument, pre-call reachability into it, the callee-computed
+        # leg between arguments, and pre-call reachability out of the other
+        # argument are stitched together; deep-sharing on either side forfeits
+        # the field information for that side.
+        assembled = RcValue.bottom(u, cyc)
+        others = [w for w in cyc if w != RESULT_VAR]
+        for i, vi in enumerate(actuals):
+            if vi not in cyc or i not in impure:
+                continue
+            for vj in ref_actual:
+                ds_ij_after = sp_after.has_ds(vi, vj)
+                leg = back[(vi, vj)]
+                for w1 in others:
+                    ds_w1_vi = sp.has_ds(w1, vi)
+                    into = reach[(w1, vi)]
+                    for w2 in others:
+                        out_of = reach[(vj, w2)]
+                        if not out_of:
+                            continue
+                        if not ds_w1_vi and not ds_ij_after:
+                            f = concat(u, concat(u, into, leg), out_of)
+                        elif not ds_w1_vi and ds_ij_after:
+                            f = concat(u, into, true)
+                        elif ds_w1_vi and not ds_ij_after:
+                            f = concat(u, true, out_of)
+                        else:
+                            f = true
+                        assembled.reach[(w1, w2)] |= f
+
+        # result rows: what the result may reach among caller variables
+        for w in others:
+            acc = 0
+            for vk in ref_actual:
+                if sp_after.has_ds(vk, RESULT_VAR):
+                    acc |= true
+                else:
+                    acc |= concat(u, back[(RESULT_VAR, vk)], reach[(vk, w)]) | difference(
+                        u, reach[(vk, w)], back[(vk, RESULT_VAR)]
+                    )
+            assembled.reach[(RESULT_VAR, w)] = acc
+
+        # and the reverse direction: the result may sit inside an argument's
+        # structure, so anything leading into that argument may lead to it —
+        # including plain aliasing when the argument reaches both
+        for w in others:
+            acc = 0
+            for vk in ref_actual:
+                if sp.has_ds(w, vk):
+                    acc |= true
+                else:
+                    leg = back[(vk, RESULT_VAR)]
+                    acc |= concat(u, reach[(w, vk)], leg)
+                    if leg and reach[(vk, w)]:
+                        acc |= self._only(())
+            assembled.reach[(w, RESULT_VAR)] = acc
+
+        # cyclicity: cycles built inside an impure argument spread to
+        # everything sharing with it in any direction
+        for i, vi in enumerate(actuals):
+            if vi not in cyc or i not in impure:
+                continue
+            ci = summary_back.cyc[vi]
+            for w in others:
+                if sp.has_ds(w, vi) or reach[(w, vi)] or reach[(vi, w)]:
+                    assembled.cyc[w] |= ci
+        crho = 0
+        for vk in ref_actual:
+            if back[(vk, RESULT_VAR)]:
+                crho |= cyc[vk]
+        assembled.cyc[RESULT_VAR] = crho
+
+        return I.join(summary_back).join(assembled).normalize()
+
+    def _exec_field_write(self, cmd: FieldWrite, I: RcValue, ctx: _Ctx) -> RcValue:
+        evaluated = self.eval_expr(cmd.expr, I, ctx)
+        if self.ct.field_type(cmd.fieldname) == INT_TYPE:
+            return evaluated.project([RESULT_VAR])
+        u = self.universe
+        v = cmd.var
+        reach = evaluated.reach
+        fld = self._only([cmd.fieldname])
+        # the new edge alone, or the new edge plus the cycle it may close
+        mid = fld | concat(u, fld, reach[(RESULT_VAR, v)])
+        extra = RcValue.bottom(u, I.cyc)
+        refs = list(extra.cyc)
+        for w1 in refs:
+            head = concat(u, reach[(w1, v)], mid)
+            for w2 in refs:
+                extra.reach[(w1, w2)] = concat(u, head, reach[(RESULT_VAR, w2)])
+        cyc_new = concat(u, reach[(RESULT_VAR, v)], fld) | evaluated.cyc[RESULT_VAR]
+        for w in extra.cyc:
+            if reach[(w, v)]:
+                extra.cyc[w] = cyc_new
+        return evaluated.join(extra).project([RESULT_VAR]).normalize()

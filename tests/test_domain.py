@@ -296,6 +296,34 @@ def test_value_operators_agree_with_the_formula_operators(devices_ct, data):
             assert out.reach_at(d1, d2) == reach
 
 
+def test_project_and_join_on_mostly_zero_values():
+    """On values with at least 60% zero entries, as the analysis mostly
+    builds: the one-pass ``project`` equals the identity ``remap`` onto the
+    rest of the scope and leaves its input alone, and ``join`` is the
+    entrywise ``|``."""
+    rng = random.Random(20)
+
+    def mostly_zero(universe, scope):
+        out = RcValue.bottom(universe, scope)
+        slots = [(out.reach, key) for key in out.reach] + [(out.cyc, v) for v in out.cyc]
+        for table, key in rng.sample(slots, rng.randint(0, len(slots) * 2 // 5)):
+            table[key] = rng.randint(1, universe.full_table)
+        return out
+
+    for _ in range(200):
+        universe = FieldUniverse(tuple(f"f{i}" for i in range(rng.randint(1, 4))))
+        scope = [f"v{i}" for i in range(rng.randint(1, 6))]
+        x, y = mostly_zero(universe, scope), mostly_zero(universe, scope)
+        before = x._fresh()
+        gone = rng.sample(scope, rng.randint(0, len(scope))) + ["elsewhere"]
+        kept = {v: v for v in scope if v not in gone}
+        assert x.project(gone) == x.remap(kept, scope)
+        assert x == before
+        joined = x.join(y)
+        assert joined.reach == {key: t | y.reach[key] for key, t in x.reach.items()}
+        assert joined.cyc == {v: t | y.cyc[v] for v, t in x.cyc.items()}
+
+
 def _enumerate_states(max_objects, rng=None, samples=0):
     """Single-variable states over a two-field class; exhaustive up to the
     bound, plus optional random bigger heaps."""

@@ -12,7 +12,7 @@ from fieldreach import (
     class_reach_closure,
     parse_program,
 )
-from fieldreach.formula import difference, models_of
+from fieldreach.formula import concat, difference, models_of
 
 from conftest import pf
 from reference import all_formulas, submasks
@@ -220,6 +220,16 @@ def two_tables(draw):
 def test_difference_by_shifts_matches_the_submask_walk(drawn):
     u, a, b = drawn
     assert difference(u, a, b) == submask_walk_difference(u, a, b)
+
+
+@given(st.data())
+def test_a_zero_operand_gives_zero(data):
+    """What lets the transfer functions skip every term with a zero operand:
+    ``concat`` and ``difference`` give 0 when either side is 0."""
+    u = FieldUniverse(tuple(f"f{i}" for i in range(data.draw(st.integers(1, 5)))))
+    t = data.draw(st.integers(0, u.full_table))
+    assert concat(u, t, 0) == concat(u, 0, t) == 0
+    assert difference(u, t, 0) == difference(u, 0, t) == 0
 
 
 def test_difference_examples(u3):

@@ -10,6 +10,7 @@ from fieldreach import (
     SharingState,
     analyze_program,
 )
+import fieldreach.semantics
 from fieldreach.formula import MAX_FIELDS
 from fieldreach.semantics import (
     AnalysisError,
@@ -22,6 +23,9 @@ from fieldreach.semantics import (
 from fieldreach.syntax import RESULT_VAR, walk_commands
 
 from conftest import DATA, build, pf
+from corpus import CORPUS
+from reference import DenseAnalyzer
+from test_render_json import WIDE
 
 K3 = "class K { K f; K g; K h; }\n"
 
@@ -630,3 +634,63 @@ def test_analyze_program_applies_the_init_lines_and_joins_extra_facts():
     bare = analyze_program(program, ct, info, entry="join")
     assert bare.final != result.final
     assert bare.final.cyc_at("l").is_false
+
+
+def _random_init_lines(rng, fields, scope):
+    """Seeded ``//@ init`` reach, cyc and ds facts over an entry's scope."""
+
+    def models():
+        picks = [rng.sample(fields, rng.randint(0, len(fields))) for _ in range(rng.randint(1, 3))]
+        return "[" + ", ".join("[" + ", ".join(m) + "]" for m in picks) + "]"
+
+    lines = []
+    for _ in range(rng.randint(1, 2 * len(scope))):
+        a, b = rng.choice(scope), rng.choice(scope)
+        kind = rng.choice(("reach", "reach", "cyc", "ds"))
+        if kind == "reach":
+            lines.append(f"//@ init reach({a},{b}): {models()}")
+        elif kind == "cyc":
+            lines.append(f"//@ init cyc({a}): {models()}")
+        else:
+            lines.append(f"//@ init ds({a},{b})")
+    return lines
+
+
+def test_sparse_transfers_equal_the_dense_reference(monkeypatch):
+    """The transfers skip every term with a zero operand, which is exact
+    since ``concat`` and ``difference`` give 0 on one; the analysis equals
+    the one with the dense transfers on every entry of the corpus and the
+    data programs, under all fields and a seeded tracked subset, from the
+    program's own facts and from seeded random extra facts."""
+
+    def outcome(analyzer, program, ct, info, tracked, entry):
+        with monkeypatch.context() as m:
+            m.setattr(fieldreach.semantics, "Analyzer", analyzer)
+            try:
+                r = analyze_program(program, ct, info, tracked=tracked, entry=entry)
+            except AnalysisError as exc:  # the program's own facts name another entry
+                return str(exc)
+        return r.final, r.trace, r.point_post, r.denotations
+
+    rng = random.Random(20)
+    sources = [src for _, src in sorted(CORPUS.items())] + [
+        (DATA / name).read_text() for name in ("dll.lang", "tree.lang", "tree_main.lang")
+    ]
+    sources.append(WIDE)
+    analysed = 0
+    for source in sources:
+        program, ct, info = build(source)
+        fields = sorted(ct.reference_fields)
+        entries = ["main"] if program.main is not None else []
+        entries += ct.all_method_sigs()
+        for entry in entries:
+            for tracked in (None, rng.sample(fields, rng.randint(0, max(0, len(fields) - 1)))):
+                _, _, scope = entry_scope(program, ct, info, tracked=tracked, entry=entry)
+                named = [v for v in scope if v != RESULT_VAR]
+                extra = _random_init_lines(rng, fields, named) if named and fields else []
+                for src in (source, "\n".join(extra + [source])):
+                    built = build(src)
+                    sparse = outcome(Analyzer, *built, tracked, entry)
+                    assert sparse == outcome(DenseAnalyzer, *built, tracked, entry)
+                    analysed += not isinstance(sparse, str)
+    assert analysed >= 200
