@@ -62,9 +62,9 @@ class ClassTable:
         for c in program.classes:
             # Reached only by a hand-built Program: the parser rejects ``class int``.
             if c.name == INT_TYPE:
-                raise ClassTableError("'int' cannot be a class name", c.line, c.col)
+                raise ClassTableError("'int' cannot be a class name", *c.name_at)
             if c.name in self._classes:
-                raise ClassTableError(f"duplicate class {c.name!r}", c.line, c.col)
+                raise ClassTableError(f"duplicate class {c.name!r}", *c.name_at)
             self._classes[c.name] = c
             self._parent[c.name] = c.parent
         for c in program.classes:

@@ -12,8 +12,8 @@ cyclicity entry of a variable always covers its self-reachability, since a
 path from a variable back to itself is a cycle.  Operations are functional;
 instances are treated as immutable, with one exception: ``_normalize_in_place``
 folds in place, and runs only on a value its caller has just built.
-Most entries are the zero table, so ``join``, ``project`` and ``remap``
-touch only the entries they change.
+Most entries are the zero table, so ``join``, ``project``, ``rename`` and
+``remap`` touch only the entries they change.
 """
 
 from __future__ import annotations
@@ -66,15 +66,25 @@ class RcValue:
         return out
 
     def rename(self, mapping: Mapping[str, str]) -> "RcValue":
-        """Simultaneously move sources onto targets; sources are forgotten
-        and stale target entries are discarded."""
+        """Simultaneously move sources onto targets; sources are forgotten,
+        stale target entries are discarded, and several sources landing on
+        one target join.  One pass over the non-zero entries, each carried
+        to its new place in one fresh copy."""
         moved = {s: d for s, d in mapping.items() if s in self.cyc and d in self.cyc}
         if not moved:
             return self
         targets = set(moved.values())
-        full = {x: x for x in self.cyc if x not in targets}
-        full.update(moved)
-        return self.remap(full, self.cyc)
+        to = {x: x for x in self.cyc if x not in targets}
+        to.update(moved)
+        out = RcValue(self.universe, dict.fromkeys(self.reach, 0), dict.fromkeys(self.cyc, 0))
+        reach, cyc = out.reach, out.cyc
+        for (a, b), t in self.reach.items():
+            if t and a in to and b in to:
+                reach[(to[a], to[b])] |= t
+        for v, t in self.cyc.items():
+            if t and v in to:
+                cyc[to[v]] |= t
+        return out
 
     def copy_var(self, src: str, dst: str) -> "RcValue":
         """Make ``dst`` an exact alias snapshot of ``src``: they alias each

@@ -38,6 +38,16 @@ MAX_FIELDS = 16
 
 @dataclass(frozen=True)
 class FieldUniverse:
+    """The indexed field names of a universe: field i is bit i of a mask.
+
+    Index order need not be name order: a tracked universe ends with the
+    stand-in, wherever ``any`` sorts.  A JSON model lists its names sorted
+    as strings, and a formula's JSON models come in the order of those
+    lists.  ``json_walk`` visits every mask once in that order, walking the
+    subset tree over the fields in name order, so the reports lay out a
+    model list with no per-model sort, and ``json_rank`` orders any table's
+    models by one integer key each."""
+
     fields: tuple[str, ...]
 
     def __post_init__(self):
@@ -105,12 +115,41 @@ class FieldUniverse:
     def names_of(self, mask: int) -> tuple[str, ...]:
         return tuple(f for i, f in enumerate(self.fields) if mask & (1 << i))
 
-    def sorted_names(self, mask: int) -> list[str]:
-        """The mask's field names as a JSON model lists them, sorted as
-        strings; a formula's JSON models sort by these lists."""
-        names = [f for i, f in enumerate(self.fields) if mask >> i & 1]
-        names.sort()
-        return names
+    @cached_property
+    def by_name(self) -> tuple[tuple[str, int], ...]:
+        """Each field with its bit, the fields sorted by name as strings."""
+        return tuple(sorted((f, 1 << i) for i, f in enumerate(self.fields)))
+
+    @cached_property
+    def json_walk(self) -> tuple[tuple[int, int, str], ...]:
+        """Every non-empty mask once, as ``(mask, parent, name)``: ``name``
+        is the mask's last field by name and ``parent`` the mask without it.
+        The masks come in the order of their sorted name lists, after the
+        empty one: the preorder of the subset tree over the fields in name
+        order, ``[a]``, ``[a,b]``, ``[a,b,c]``, ``[a,c]``, ``[b]``, ... (the
+        lexicographic generation of subsets, Knuth TAOCP 7.2.1.3), so a
+        parent comes before its children.  The walk over fields in name
+        order is the first field alone, then the first field added to each
+        step of the walk over the rest, then the walk over the rest."""
+        walk: list[tuple[int, int, str]] = []
+        for name, bit in reversed(self.by_name):
+            walk = [(bit, 0, name)] + [(bit | m, bit | p, last) for m, p, last in walk] + walk
+        return tuple(walk)
+
+    @cached_property
+    def json_rank(self) -> list[int]:
+        """Per mask, its place in JSON model order; the empty mask is 0."""
+        rank = [0] * (1 << len(self.fields))
+        for i, (mask, _, _) in enumerate(self.json_walk, 1):
+            rank[mask] = i
+        return rank
+
+    def json_order(self, table: int) -> list[int]:
+        """The models of ``table`` in JSON model order: by their field names
+        sorted as strings, the lists compared as lists."""
+        if table == self.full_table:
+            return [0] + [mask for mask, _, _ in self.json_walk]
+        return sorted(models_of(table), key=self.json_rank.__getitem__)
 
     def abstract_mask(self, names: Iterable[str]) -> int:
         """Mask of a concrete field set, folding untracked fields into the
@@ -271,7 +310,11 @@ class PathFormula:
         return "∨".join(parts)
 
     def json_models(self) -> list[list[str]]:
-        return sorted(map(self.universe.sorted_names, models_of(self.table)))
+        by_name = self.universe.by_name
+        return [
+            [f for f, bit in by_name if mask & bit]
+            for mask in self.universe.json_order(self.table)
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<pf {self.render()}>"

@@ -277,7 +277,8 @@ class Parser:
 
     def parse_class(self) -> ClassDecl:
         kw = self.expect("kw", "class")
-        name = self.ident("class name").text
+        name_tok = self.ident("class name")
+        name = name_tok.text
         parent = None
         if self.accept("kw", "extends"):
             parent = self.ident("superclass name").text
@@ -292,7 +293,9 @@ class Parser:
             else:
                 self.expect("sym", ";")
                 fields.append((fname_tok.text, ftype))
-        return ClassDecl(name, parent, fields, methods, kw.line, kw.col)
+        return ClassDecl(
+            name, parent, fields, methods, kw.line, kw.col, (name_tok.line, name_tok.col)
+        )
 
     def parse_type(self) -> str:
         tok = self.peek()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Optional
@@ -11,7 +12,7 @@ from typing import Optional
 from .classtable import ClassTable
 from .compare import alpha_class_pairs, alpha_monotone, alpha_nofields, alpha_q, alpha_scapin
 from .domain import RcValue
-from .formula import FieldUniverse, PathFormula, models_of
+from .formula import FieldUniverse, PathFormula
 from .semantics import AnalysisResult
 from .syntax import walk_commands
 from .typecheck import TypeInfo
@@ -138,9 +139,12 @@ def render_sharing(program, analysis) -> str:
 # deep is laid out as at the top level with every line after the first
 # indented by ``depth`` more steps.  The formula entries, the bulk of a
 # report, are laid out from memos that live for one report (``_Entries``):
-# per mask, its sorted names and encoded model; per table, its encoded model
-# list at each depth; per scope and depth, the sorted member heads of ``cyc``
-# and ``reach``.  So a row needs no sort and no key encoding, and each
+# per mask, its encoded model, built once along the universe's walk of its
+# masks in JSON model order (``FieldUniverse.json_walk``), each model from
+# its parent's prefix; per table, its encoded model list at each depth, its
+# models put in order by their rank in that walk; per scope and depth, the
+# sorted member heads of ``cyc`` and ``reach``.  So no model is sorted or
+# encoded name by name, a row needs no sort and no key encoding, and each
 # distinct table is encoded once per report, not once per entry.  The query
 # answers and ``universe`` are laid out with ``_array`` too; only
 # ``metadata`` goes through ``json.dumps``.  ``tests/test_render_json.py``
@@ -185,8 +189,8 @@ class _Entries:
 
     def __init__(self, universe: FieldUniverse) -> None:
         self.universe = universe
-        self._models: dict[int, tuple[list[str], str]] = {}  # mask: names, model
         self._texts: defaultdict[int, dict[int, str]] = defaultdict(dict)  # depth: table: list
+        self._texts[0][0] = "[]"  # so a report of empty tables builds no models
         self._heads: dict[tuple[tuple[str, ...], int], tuple] = {}  # (scope, depth)
 
     def write(
@@ -237,21 +241,29 @@ class _Entries:
             )
         return layout
 
+    @cached_property
+    def _models(self) -> list[str]:
+        """Per mask, its model one level deep, built along the universe's
+        ``json_walk``: a model's text extends its parent's open prefix by
+        one encoded name."""
+        pad = "\n" + _INDENT * 2
+        names = {f: pad + encode_basestring_ascii(f) for f in self.universe.fields}
+        close = "\n" + _INDENT + "]"
+        models = ["[]"] * (1 << self.universe.size)
+        prefixes = [""] * len(models)
+        for mask, parent, name in self.universe.json_walk:
+            prefix = prefixes[mask] = (prefixes[parent] + "," if parent else "[") + names[name]
+            models[mask] = prefix + close
+        return models
+
     def _text(self, table: int) -> str:
-        """The model list of ``table`` at depth 0, its models in the order
-        of their sorted names (``PathFormula.json_models``)."""
+        """The model list of ``table`` at depth 0, its models in JSON model
+        order (``FieldUniverse.json_order``)."""
         text = self._texts[0].get(table)
         if text is None:
-            models = []
-            for mask in models_of(table):
-                model = self._models.get(mask)
-                if model is None:
-                    names = self.universe.sorted_names(mask)
-                    encoded = _array([encode_basestring_ascii(name) for name in names], 1)
-                    model = self._models[mask] = (names, encoded)
-                models.append(model)
-            models.sort()
-            text = self._texts[0][table] = _array([encoded for _, encoded in models], 0)
+            models = self._models
+            order = self.universe.json_order(table)
+            text = self._texts[0][table] = _array([models[m] for m in order], 0)
         return text
 
 

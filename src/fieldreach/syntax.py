@@ -168,6 +168,7 @@ class ClassDecl:
     methods: list[MethodDecl]
     line: int
     col: int
+    name_at: tuple[int, int]  # (line, column) of the class name
 
 
 @dataclass

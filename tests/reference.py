@@ -1,9 +1,9 @@
 """Reference definitions the tests check the package against: saturation on
 sets of field names, address reachability and deep sharing derived from it,
-an AST fingerprint, truth-table submasks, trace lookup, the
-concretizations of the coarser domains of ``fieldreach.compare`` with the
-formula classes they are stated in, and the dense transfer functions.  None
-of it runs in the package."""
+an AST fingerprint, truth-table submasks, trace lookup, a formula's JSON
+models by sorting, renaming by ``remap``, the concretizations of the coarser
+domains of ``fieldreach.compare`` with the formula classes they are stated
+in, and the dense transfer functions.  None of it runs in the package."""
 
 import dataclasses
 
@@ -65,7 +65,7 @@ def deep_share_pairs(state, variables):
 # --------------------------------------------------------------------------
 # programs and results
 
-_POSITIONS = {"nid", "line", "col", "decl_at"}
+_POSITIONS = {"nid", "line", "col", "decl_at", "name_at"}
 
 
 def fingerprint(node):
@@ -98,6 +98,25 @@ def trace_cell(result, line, visit=1):
         if row.line == line and row.visit == visit:
             return row.value
     raise KeyError(f"no trace row for line {line} (visit {visit})")
+
+
+def sorted_json_models(f):
+    """The JSON models of a formula by their definition: each model's field
+    names sorted as strings, and the lists sorted."""
+    return sorted(sorted(f.universe.names_of(m)) for m in models_of(f.table))
+
+
+def rename_by_remap(value, mapping):
+    """``RcValue.rename`` as the ``remap`` of the whole scope onto itself:
+    each source onto its target, every variable no source lands on onto
+    itself, and the targets' own entries left behind."""
+    moved = {s: d for s, d in mapping.items() if s in value.cyc and d in value.cyc}
+    if not moved:
+        return value
+    targets = set(moved.values())
+    full = {x: x for x in value.cyc if x not in targets}
+    full.update(moved)
+    return value.remap(full, value.cyc)
 
 
 # --------------------------------------------------------------------------

@@ -124,4 +124,4 @@ def test_int_class_name_in_a_hand_built_program():
     program.classes[0] = dataclasses.replace(program.classes[0], name="int")
     with pytest.raises(ClassTableError) as err:
         build_class_table(program)
-    assert str(err.value) == "1:1: 'int' cannot be a class name"
+    assert str(err.value) == "1:7: 'int' cannot be a class name"

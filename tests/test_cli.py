@@ -390,6 +390,20 @@ def test_field_named_like_the_stand_in_is_an_analysis_error(tmp_path, capsys):
         assert err == "error: 1:1: 'any' cannot be a field name\n"
 
 
+@pytest.mark.parametrize(
+    "source,message",
+    [
+        ("class A { }\nclass A { }\nmain { skip; }", "2:7: duplicate class 'A'"),
+        ("class  int { }\nmain { skip; }", "1:8: expected class name, found 'int'"),
+    ],
+    ids=["duplicate", "int"],
+)
+def test_class_name_errors_point_at_the_name(tmp_path, capsys, source, message):
+    code, out, err = _run_source(tmp_path, capsys, source)
+    assert code == 1
+    assert err == f"error: {message}\n"
+
+
 def test_universe_above_the_field_cap_asks_for_tracked_fields(tmp_path, capsys):
     decls = " ".join(f"N f{i};" for i in range(17))
     source = f"class N {{ {decls} }} main {{ N a; a := new N; a.f0 := a; }}"

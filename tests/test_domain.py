@@ -10,6 +10,7 @@ from fieldreach.semantics import analyze_program
 from fieldreach.syntax import walk_commands
 
 from conftest import build, pf
+from reference import rename_by_remap
 from test_reports import CASES
 
 
@@ -322,6 +323,37 @@ def test_project_and_join_on_mostly_zero_values():
         joined = x.join(y)
         assert joined.reach == {key: t | y.reach[key] for key, t in x.reach.items()}
         assert joined.cyc == {v: t | y.cyc[v] for v, t in x.cyc.items()}
+
+
+def test_rename_equals_the_remap_of_the_scope():
+    """On values with at least 60% zero entries: the one-pass ``rename``
+    equals the ``remap`` of the whole scope onto itself, for mappings with
+    two sources on one target, a swap, a variable onto itself and names
+    outside the scope, and leaves its input alone."""
+    rng = random.Random(21)
+    for _ in range(300):
+        universe = FieldUniverse(tuple(f"f{i}" for i in range(rng.randint(1, 4))))
+        scope = [f"v{i}" for i in range(rng.randint(2, 7))]
+        x = RcValue.bottom(universe, scope)
+        slots = [(x.reach, key) for key in x.reach] + [(x.cyc, v) for v in x.cyc]
+        for table, key in rng.sample(slots, rng.randint(0, len(slots) * 2 // 5)):
+            table[key] = rng.randint(1, universe.full_table)
+        before = x._fresh()
+        a, b, *rest = rng.sample(scope, len(scope))
+        mappings = [
+            {a: b, b: a},
+            {a: b, "elsewhere": a, b: "nowhere"},
+            {a: a},
+            {},
+        ]
+        if rest:
+            mappings.append({a: rest[0], b: rest[0]})
+            mappings.append({a: b, b: a, rest[0]: a})
+        names = scope + ["elsewhere"]
+        mappings.append({rng.choice(names): rng.choice(names) for _ in range(rng.randint(1, 4))})
+        for mapping in mappings:
+            assert x.rename(mapping) == rename_by_remap(x, mapping), mapping
+        assert x == before
 
 
 def _enumerate_states(max_objects, rng=None, samples=0):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fieldreach import (
     ANY_FIELD,
@@ -15,7 +15,7 @@ from fieldreach import (
 from fieldreach.formula import concat, difference, models_of
 
 from conftest import pf
-from reference import all_formulas, submasks
+from reference import all_formulas, sorted_json_models, submasks
 
 
 def masks(f):
@@ -442,3 +442,55 @@ def test_viable_empty_for_every_class_table(devices_ct, devices_via):
         ct = build_class_table(parse_program(src))
         u = FieldUniverse.of(ct.reference_fields)
         assert Viability(ct, u).is_viable_mask(u.mask_of([]))
+
+
+# --------------------------------------------------------------------------
+# JSON model order
+
+# Names that sort before, between and after "any", some a prefix of another,
+# and characters that sort below the letters.
+NAME = st.text(alphabet="abnyz_AZ9", max_size=4).filter(lambda n: n != ANY_FIELD)
+
+
+@st.composite
+def universes_and_tables(draw):
+    """A universe of 0-10 fields with random names, sometimes a tracked
+    universe whose stand-in ends the index order wherever ``any`` sorts, and
+    a truth table over it: 0, the full table, a few masks or any table."""
+    fields = draw(st.lists(NAME, max_size=10, unique=True))
+    if fields and draw(st.booleans()):
+        tracked = draw(st.lists(st.sampled_from(fields), max_size=len(fields) - 1, unique=True))
+        u = FieldUniverse.tracked(fields + ["untracked"], tracked)
+    else:
+        u = FieldUniverse(tuple(draw(st.permutations(fields))))
+    mask = st.integers(0, (1 << u.size) - 1)
+    table = draw(
+        st.one_of(
+            st.just(0),
+            st.just(u.full_table),
+            st.lists(mask, max_size=12).map(lambda ms: sum({1 << m for m in ms})),
+            st.integers(0, u.full_table),
+        )
+    )
+    return u, table
+
+
+@example((FieldUniverse.tracked(["left", "right"], ["left"]), 0b1111))
+@example((FieldUniverse.tracked(["c", "b", "a"], ["c", "b"]), 0b11111111))
+@given(universes_and_tables())
+def test_json_models_are_the_sorted_name_lists(drawn):
+    """The walk of the subset tree in name order puts a formula's models in
+    the order of their sorted name lists, with the stand-in anywhere in name
+    order."""
+    u, table = drawn
+    f = PathFormula(u, table)
+    assert f.json_models() == sorted_json_models(f)
+
+
+def test_json_walk_visits_each_mask_after_its_parent():
+    u = FieldUniverse(("b", "any", "a"))
+    walk = u.json_walk
+    assert [mask for mask, _, _ in walk] == [4, 6, 7, 5, 2, 3, 1]
+    assert [name for _, _, name in walk] == ["a", "any", "b", "b", "any", "b", "b"]
+    assert all(u.json_rank[parent] < u.json_rank[mask] for mask, parent, _ in walk)
+    assert sorted(u.json_rank) == list(range(1 << u.size))

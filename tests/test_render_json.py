@@ -6,10 +6,12 @@ these cases do."""
 
 import dataclasses
 import json
+import random
 
 import pytest
 
 from fieldreach.domain import RcValue
+from fieldreach.formula import FieldUniverse
 from fieldreach.render import result_to_json
 from fieldreach.semantics import TraceRow
 
@@ -222,3 +224,25 @@ def test_report_without_trace_rows():
     report = result_to_json(result, [])
     assert report == reference_report(result, [])
     assert '\n  "points": {},\n' in report
+
+
+def test_nine_field_report_with_the_full_table():
+    """Nine fields whose index order is not their name order, the stand-in
+    among them: the full table lists all 512 models in the order of their
+    sorted names, next to sparse tables, at two depths, as ``json.dumps``
+    writes them."""
+    result = analyze_entry(ONLY_RESULT)
+    u = FieldUniverse(("zeta", "any", "b", "a b", "Z", "é", "left", "aa", "a"))
+    scope = ("x", "y")
+    rng = random.Random(9)
+    value = RcValue.bottom(u, scope)
+    value.reach[("x", "y")] = u.full_table
+    value.reach[("y", "x")] = sum(1 << rng.randrange(1 << u.size) for _ in range(20))
+    value.cyc["x"] = u.full_table ^ 1 << u.mask_of(["a", "any"])
+    value.cyc["y"] = rng.getrandbits(1 << u.size)
+    rows = [TraceRow(3, 1, value), TraceRow(4, 1, RcValue.bottom(u, scope))]
+    result = dataclasses.replace(result, universe=u, final=value, trace=rows)
+    models = value.reach_at("x", "y").json_models()
+    assert len(models) == 512 and models[:3] == [[], ["Z"], ["Z", "a"]]
+    answers = [("reach x y", models), ("cyc x {a}", True)]
+    assert result_to_json(result, answers) == reference_report(result, answers)
