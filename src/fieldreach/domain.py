@@ -76,15 +76,17 @@ class RcValue:
         targets = set(moved.values())
         to = {x: x for x in self.cyc if x not in targets}
         to.update(moved)
-        out = RcValue(self.universe, dict.fromkeys(self.reach, 0), dict.fromkeys(self.cyc, 0))
-        reach, cyc = out.reach, out.cyc
+        # From the key views, so the tables grow by insertion as ``bottom``'s
+        # do: the presized tables of ``dict.fromkeys(dict)`` hold no more
+        # memory, yet raised the wide-fields benchmark's peak RSS by 1.7 MB.
+        reach, cyc = dict.fromkeys(self.reach.keys(), 0), dict.fromkeys(self.cyc.keys(), 0)
         for (a, b), t in self.reach.items():
             if t and a in to and b in to:
                 reach[(to[a], to[b])] |= t
         for v, t in self.cyc.items():
             if t and v in to:
                 cyc[to[v]] |= t
-        return out
+        return RcValue(self.universe, reach, cyc)
 
     def copy_var(self, src: str, dst: str) -> "RcValue":
         """Make ``dst`` an exact alias snapshot of ``src``: they alias each

@@ -278,7 +278,6 @@ class Parser:
     def parse_class(self) -> ClassDecl:
         kw = self.expect("kw", "class")
         name_tok = self.ident("class name")
-        name = name_tok.text
         parent = None
         if self.accept("kw", "extends"):
             parent = self.ident("superclass name").text
@@ -294,7 +293,7 @@ class Parser:
                 self.expect("sym", ";")
                 fields.append((fname_tok.text, ftype))
         return ClassDecl(
-            name, parent, fields, methods, kw.line, kw.col, (name_tok.line, name_tok.col)
+            name_tok.text, parent, fields, methods, kw.line, kw.col, (name_tok.line, name_tok.col)
         )
 
     def parse_type(self) -> str:
