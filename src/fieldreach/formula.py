@@ -13,9 +13,10 @@ Two formulas are equal as analysis facts when they have the same *viable*
 models: assignments no heap admitted by the class declarations can realize
 carry no information.  ``Viability`` is the truth table of the realizable
 masks, built once per universe, so viable models are one ``&`` away.  It is
-built by ``saturate``, the walk-mask saturation that the oracle also runs on
-concrete heaps, here over the class graph: per node, the truth table of the
-masks of the walks that reach it.
+built by ``saturate``, which the oracle also runs on concrete heaps, here
+over the class graph: per node, the truth table of the masks of the walks
+that reach it, grown by pushing whole tables along the labelled steps with
+the masked shift that adds a field.
 
 The analysis works on the bare ints with the functions of this module.
 ``PathFormula`` is a read-only view of one table, with its universe, for
@@ -31,8 +32,8 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from .classtable import ANY_FIELD, ClassTable
 
-# the widest universe analyzed: a formula is an int of 2^n bits, and so is
-# the viability table, saturated over (class, mask) pairs
+# the widest universe analyzed: a formula is an int of 2^n bits, and so are
+# the viability table and each per-class table saturated to build it
 MAX_FIELDS = 16
 
 
@@ -324,21 +325,24 @@ class PathFormula:
 # viability
 
 
-def saturate(succ: Mapping, reached: dict, work: list) -> dict:
-    """Expands the (node, mask) pairs on ``work`` along ``succ``, which maps
-    each node to its (label bit, successor) steps, into ``reached``: per
-    node, the truth table of the masks of the walks that end there.  A pair
-    is expanded only when its bit is new, so this ends on cyclic graphs
-    too.  The oracle runs it on labelled heaps and viability on the class
-    graph."""
-    while work:
-        node, mask = work.pop()
+def saturate(succ: Mapping, halves: Mapping, reached: dict, pending: dict) -> dict:
+    """Pushes the truth tables ``pending`` holds per node along ``succ``,
+    which maps each node to its (label bit, successor) steps, into
+    ``reached``: per node, the truth table of the masks of the walks that
+    end there.  A step adds its label to every mask of a table, one masked
+    shift by the bit's ``halves`` as in ``concat``, and only the masks that
+    are new at the successor are pushed on from there (delta propagation),
+    so this ends on cyclic graphs too.  The oracle runs it on labelled heaps
+    and viability on the class graph."""
+    while pending:
+        node, t = pending.popitem()
         for bit, dst in succ[node]:
-            m = mask | bit
-            t = reached.get(dst, 0)
-            if not t >> m & 1:
-                reached[dst] = t | 1 << m
-                work.append((dst, m))
+            without, with_ = halves[bit]
+            old = reached.get(dst, 0)
+            new = (((t & without) << bit) | (t & with_)) & ~old
+            if new:
+                reached[dst] = old | new
+                pending[dst] = pending.get(dst, 0) | new
     return reached
 
 
@@ -361,10 +365,11 @@ def class_reach_closure(ct: ClassTable, phi: Iterable[str]) -> frozenset[tuple[s
     """The class pairs (a, b) such that a reaches b traversing only fields
     of ``phi``: the reflexive-transitive closure of one-step reachability,
     where a step leads from any class carrying a field of ``phi`` to any
-    subclass of that field's type.  With every label 0 the saturation is
-    plain reachability."""
+    subclass of that field's type.  Every label is 0, whose halves make
+    the shift the identity on the empty mask, so the saturation is plain
+    reachability."""
     graph = class_graph(ct, dict.fromkeys(phi, 0))
-    return frozenset((a, b) for a in graph for b in saturate(graph, {a: 1}, [(a, 0)]))
+    return frozenset((a, b) for a in graph for b in saturate(graph, {0: (1, 0)}, {a: 1}, {a: 1}))
 
 
 class Viability:
@@ -376,15 +381,17 @@ class Viability:
     fields, and so is the empty mask.  Otherwise a heap path is a walk of the
     class graph (``class_graph``), and fresh objects linked along any walk
     form a heap whose path traverses exactly the walk's fields.  So the
-    other viable masks are the masks of the walks from every class; a mask
-    naming a field no class declares has none.
+    other viable masks are the masks of the walks from every class: one
+    ``saturate`` that starts every class at the empty mask and pushes the
+    per-class tables until none grows.  A mask naming a field no class
+    declares has no walk.
     """
 
     def __init__(self, ct: ClassTable, universe: FieldUniverse):
         self.universe = universe
         graph = class_graph(ct, {f: 1 << i for i, f in enumerate(universe.fields)})
         self.table = universe.halves[universe.any_bit][1] | 1 if universe.has_any else 1
-        for t in saturate(graph, {}, [(c, 0) for c in graph]).values():
+        for t in saturate(graph, universe.halves, {}, dict.fromkeys(graph, 1)).values():
             self.table |= t
 
     def is_viable_mask(self, mask: int) -> bool:

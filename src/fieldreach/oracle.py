@@ -18,18 +18,19 @@ copy.
 
 The abstraction works on field bits, not on sets of field names.  A check
 labels each object's references with the universe bit of their field (an
-untracked field takes the stand-in bit).  Saturation walks (location, mask)
-pairs and keeps, per target, a truth table with one bit per traversed mask;
-finite on cyclic heaps because masks are.  That table is the reach entry.
-The saturation is ``formula.saturate``, which also decides viability over
-the class graph.  The check carries path copying over to its results: a
-snapshot's successor lists are its parent's plus its changed objects
-relabelled, and its edge set is a base plus added edges.  The base is the
-parent's edge set when the write only added edges, and the empty edge set
-when the snapshot has no history or its write removed an edge.  Its reach
-tables continue the base's saturation from the added edges, and its cycle
-masks come from anchors on those edges, since every closed walk not in the
-base has an added edge.  A state thus abstracts to the exact
+untracked field takes the stand-in bit).  Saturation keeps, per target, a
+truth table with one bit per traversed mask, and pushes the masks new at a
+location along its references as one table; finite on cyclic heaps because
+masks are.  That table is the reach entry.  The saturation is
+``formula.saturate``, which also decides viability over the class graph.
+The check carries path copying over to its results: a snapshot's successor
+lists are its parent's plus its changed objects relabelled, and its edge set
+is a base plus added edges.  The base is the parent's edge set when the
+write only added edges, and the empty edge set when the snapshot has no
+history or its write removed an edge.  Its reach tables continue the base's
+saturation from the tables at the added edges' sources, and its cycle masks
+come from anchors on those edges, since every closed walk not in the base
+has an added edge.  A state thus abstracts to the exact
 reachability/cyclicity value: the models of an entry are precisely the field
 sets realized in the state.  ``alpha_state`` builds that value; it is kept
 for callers and as the tests' reference for the check.  ``check_soundness``
@@ -342,38 +343,22 @@ def _label(obj: Obj, universe: FieldUniverse, bits: dict[str, int]) -> Out:
     return tuple(out)
 
 
-def _saturate(succ: Succ, src: int, require_step: bool = False) -> dict[int, int]:
+def _saturate(succ: Succ, halves: dict, src: int, require_step: bool = False) -> dict[int, int]:
     """Per target, the truth table of the masks of the walks from ``src``:
     bit m is set when some walk traverses exactly the fields of mask m.
 
     Without ``require_step`` the empty walk sets bit 0 at ``src``."""
-    return saturate(succ, {} if require_step else {src: 1}, [(src, 0)])
+    return saturate(succ, halves, {} if require_step else {src: 1}, {src: 1})
 
 
-def _continued(before: dict[int, int], succ: Succ, added: Iterable[Edge]) -> dict[int, int]:
+def _continued(
+    before: dict[int, int], succ: Succ, halves: dict, added: Iterable[Edge]
+) -> dict[int, int]:
     """The saturation ``before`` of a heap, continued over ``succ``, the same
     heap plus the edges ``added``.  A walk that is new takes an added edge,
-    so only the pairs that enter one start new expansions."""
-    reached = dict(before)
-    work = []
-    for a, bit, b in added:
-        for mask in models_of(before.get(a, 0)):
-            m = mask | bit
-            t = reached.get(b, 0)
-            if not t >> m & 1:
-                reached[b] = t | 1 << m
-                work.append((b, m))
-    return saturate(succ, reached, work)
-
-
-def _cycles_from(anchors: dict[int, int], reached: Iterable[int]) -> int:
-    """Truth table of the masks of the non-empty closed walks reachable from
-    a location, given the anchors of the heap and the locations it reaches."""
-    table = 0
-    for a, t in anchors.items():
-        if a in reached:
-            table |= t
-    return table
+    so only the tables at the added edges' sources are pushed again."""
+    pending = {a: before[a] for a, _, _ in added if a in before}
+    return saturate(succ, halves, dict(before), pending)
 
 
 def _own_universe(heap: dict[int, Obj]) -> FieldUniverse:
@@ -396,7 +381,7 @@ def traversal_saturate(
     succ = {a: _label(o, universe, bits) for a, o in heap.items()}
     return frozenset(
         (target, frozenset(universe.names_of(m)))
-        for target, table in _saturate(succ, src, require_step).items()
+        for target, table in _saturate(succ, universe.halves, src, require_step).items()
         for m in models_of(table)
     )
 
@@ -443,19 +428,20 @@ class _SnapshotMemo:
     * An edge removed, or no history: the base is the empty edge set, and
       every edge of the heap is added.
 
-    Reach tables continue the base's saturation from the added edges, or
-    saturate from scratch where the base has none.  Cycle masks come from
-    anchors.  The anchor of an added edge (a, bit, b) holds the masks
-    bit | m for every model m of the heap's own reach table from b to a,
-    and a location's cycle table is the union of the anchors at the
-    locations it reaches, the base's anchors included.  This is exact.
-    Rotate any closed walk so that it starts at its latest-added edge: the
-    rest walks from that edge's target back to its source over edges the
-    heap has, so the walk's mask is in that edge's anchor, at a location on
-    the walk.  A closed walk has an edge, and the empty edge set has none,
-    so over the empty base every closed walk of the heap has an added edge
-    and is counted; the empty base itself has no anchors.  Conversely, each
-    anchor mask is the mask of a closed walk through the anchor's location.
+    Reach tables continue the base's saturation by pushing its tables at the
+    added edges' sources again, or saturate from scratch where the base has
+    none.  Cycle masks come from anchors.  The anchor of an added edge
+    (a, bit, b) is the heap's own reach table from b to a with ``bit`` added
+    to every mask, one masked shift, and a location's cycle table is the
+    union of the anchors at the locations it reaches, the base's anchors
+    included.  This is exact.  Rotate any closed walk so that it starts at
+    its latest-added edge: the rest walks from that edge's target back to
+    its source over edges the heap has, so the walk's mask is in that edge's
+    anchor, at a location on the walk.  A closed walk has an edge, and the
+    empty edge set has none, so over the empty base every closed walk of the
+    heap has an added edge and is counted; the empty base itself has no
+    anchors.  Conversely, each anchor mask is the mask of a closed walk
+    through the anchor's location.
 
     The labels may be abstract bits, where several fields share the
     stand-in bit.  Labelling changes neither which walks exist nor which are
@@ -508,7 +494,7 @@ class _SnapshotMemo:
             if not removed:
                 return succ, _EdgeResults(succ, results, tuple(added)) if added else results
         # no history, or an edge removed: the empty edge set plus every edge
-        every =tuple((a, bit, b) for a, out in succ.items() for bit, b in out)
+        every = tuple((a, bit, b) for a, out in succ.items() for bit, b in out)
         return succ, _EdgeResults(succ, self.empty, every)
 
     def _reach(self, results: _EdgeResults, src: int) -> dict[int, int]:
@@ -524,9 +510,9 @@ class _SnapshotMemo:
         for r in reversed(chain):
             before = r.base.reached.get(src)
             if before is None:
-                r.reached[src] = _saturate(r.succ, src)
+                r.reached[src] = _saturate(r.succ, self.universe.halves, src)
             else:
-                r.reached[src] = _continued(before, r.succ, r.added)
+                r.reached[src] = _continued(before, r.succ, self.universe.halves, r.added)
         return results.reached[src]
 
     def _anchors(self, results: _EdgeResults) -> dict[int, int]:
@@ -538,9 +524,9 @@ class _SnapshotMemo:
         for r in reversed(chain):
             anchors = r.base.anchors
             for a, bit, b in r.added:
-                table = 0
-                for m in models_of(self._reach(r, b).get(a, 0)):
-                    table |= 1 << (m | bit)
+                t = self._reach(r, b).get(a, 0)
+                without, with_ = self.universe.halves[bit]
+                table = ((t & without) << bit) | (t & with_)
                 if table:
                     if anchors is r.base.anchors:  # copied on the first new anchor
                         anchors = dict(anchors)
@@ -557,7 +543,11 @@ class _SnapshotMemo:
         table = results.cycles.get(src)
         if table is None:
             reached = self._reach(results, src)
-            table = results.cycles[src] = _cycles_from(self._anchors(results), reached)
+            table = 0
+            for a, t in self._anchors(results).items():
+                if a in reached:
+                    table |= t
+            results.cycles[src] = table
         return table
 
 

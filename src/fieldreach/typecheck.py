@@ -120,12 +120,12 @@ class _Checker:
         entries += [(n, t) for t, n in m.locals]
         env = self._build_env(entries, [(m.line, m.col)] + m.decl_at)
         if m.return_type != INT_TYPE and not self.ct.is_class(m.return_type):
-            raise TypeCheckError(f"unknown return type {m.return_type!r}", m.line)
+            raise TypeCheckError(f"unknown return type {m.return_type!r}", m.line, m.col)
         self.info.envs[(owner, m.name)] = env
         self.check_body(m.body, env, method=m)
         if not m.body or not isinstance(m.body[-1], Return):
             raise TypeCheckError(
-                f"method {owner}.{m.name} must end with a return", m.line
+                f"method {owner}.{m.name} must end with a return", m.line, m.col
             )
 
     def check_main(self, main: MainBlock) -> None:

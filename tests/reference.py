@@ -1,5 +1,6 @@
 """Reference definitions the tests check the package against: saturation on
-sets of field names, address reachability and deep sharing derived from it,
+sets of field names and on (node, mask) pairs, the viability table built by
+the latter, address reachability and deep sharing derived from it,
 an AST fingerprint, truth-table submasks, trace lookup, a formula's JSON
 models by sorting, renaming by ``remap``, the concretizations of the coarser
 domains of ``fieldreach.compare`` with the formula classes they are stated
@@ -9,7 +10,14 @@ import dataclasses
 
 from fieldreach.compare import ClassPairsValue, MonotoneValue, NoFieldsValue, QValue, ScapinValue
 from fieldreach.domain import RcValue
-from fieldreach.formula import PathFormula, class_reach_closure, concat, difference, models_of
+from fieldreach.formula import (
+    PathFormula,
+    class_graph,
+    class_reach_closure,
+    concat,
+    difference,
+    models_of,
+)
 from fieldreach.oracle import Loc
 from fieldreach.semantics import Analyzer, _Ctx, summary_scope
 from fieldreach.syntax import INT_TYPE, OUT_VAR, RESULT_VAR, FieldRead, FieldWrite, MethodCall
@@ -40,6 +48,34 @@ def walk_saturate(heap, src, require_step=False):
                     out.add(pair)
                     work.append(pair)
     return frozenset(out)
+
+
+def pairwise_saturate(succ, reached, work):
+    """Expands the (node, mask) pairs on ``work`` along ``succ``, which maps
+    each node to its (label bit, successor) steps, into ``reached``: per
+    node, the truth table of the masks of the walks that end there.  A pair
+    is expanded only when its bit is new, so this ends on cyclic graphs
+    too.  The package's ``saturate`` pushes whole tables instead."""
+    while work:
+        node, mask = work.pop()
+        for bit, dst in succ[node]:
+            m = mask | bit
+            t = reached.get(dst, 0)
+            if not t >> m & 1:
+                reached[dst] = t | 1 << m
+                work.append((dst, m))
+    return reached
+
+
+def pairwise_viability(ct, universe):
+    """``Viability(ct, universe).table`` by ``pairwise_saturate``: the empty
+    mask, every mask with the stand-in, and the masks of the class graph's
+    walks from every class."""
+    graph = class_graph(ct, {f: 1 << i for i, f in enumerate(universe.fields)})
+    table = universe.halves[universe.any_bit][1] | 1 if universe.has_any else 1
+    for t in pairwise_saturate(graph, {}, [(c, 0) for c in graph]).values():
+        table |= t
+    return table
 
 
 def reachable(heap, src, require_step=False):

@@ -15,7 +15,7 @@ from fieldreach import (
 from fieldreach.formula import concat, difference, models_of
 
 from conftest import pf
-from reference import all_formulas, sorted_json_models, submasks
+from reference import all_formulas, pairwise_viability, sorted_json_models, submasks
 
 
 def masks(f):
@@ -301,13 +301,13 @@ def test_viability_matches_brute_force(devices_ct, devices_universe, devices_via
 
 
 @st.composite
-def class_tables(draw):
-    """1-5 classes, some with a superclass, and 1-6 reference fields of
-    random class types; returns the table and its field names."""
+def class_tables(draw, max_fields=6):
+    """1-5 classes, some with a superclass, and 1 to ``max_fields`` reference
+    fields of random class types; returns the table and its field names."""
     n = draw(st.integers(1, 5))
     parents = [draw(st.none() | st.integers(0, i - 1)) if i else None for i in range(n)]
     decls = [[] for _ in range(n)]
-    fields = [f"r{j}" for j in range(draw(st.integers(1, 6)))]
+    fields = [f"r{j}" for j in range(draw(st.integers(1, max_fields)))]
     for f in fields:
         decls[draw(st.integers(0, n - 1))].append(f"C{draw(st.integers(0, n - 1))} {f};")
     source = " ".join(
@@ -317,22 +317,45 @@ def class_tables(draw):
     return build_class_table(parse_program(source)), fields
 
 
-@given(st.data())
-def test_viability_table_matches_walk_search(data):
-    ct, fields = data.draw(class_tables())
-    if data.draw(st.booleans()):
-        fields = fields + ["ghost"]  # no class declares it
-    if data.draw(st.booleans()):
-        tracked = data.draw(st.sets(st.sampled_from(fields), max_size=len(fields) - 1))
-        universe = FieldUniverse.tracked(fields, tracked)
-    else:
-        universe = FieldUniverse.of(fields)
+@st.composite
+def viability_cases(draw, max_fields=6):
+    """A class table and a universe of its fields, maybe with one more that
+    no class declares, maybe tracking a strict subset with the stand-in."""
+    ct, fields = draw(class_tables(max_fields))
+    if draw(st.booleans()):
+        fields = fields + ["ghost"]
+    if draw(st.booleans()):
+        tracked = draw(st.sets(st.sampled_from(fields), max_size=len(fields) - 1))
+        return ct, FieldUniverse.tracked(fields, tracked)
+    return ct, FieldUniverse.of(fields)
+
+
+@given(viability_cases())
+def test_viability_table_matches_walk_search(drawn):
+    ct, universe = drawn
     expected = 0
     for mask in range(1 << universe.size):
         names = universe.names_of(mask)
         if ANY_FIELD in names or brute_force_viable(ct, names):
             expected |= 1 << mask
     assert Viability(ct, universe).table == expected
+
+
+# Brute force cannot go past the six fields above; the pairwise saturation,
+# one (class, mask) pair at a time, can.
+@given(viability_cases(max_fields=12))
+def test_viability_table_matches_the_pairwise_saturation(drawn):
+    ct, universe = drawn
+    assert Viability(ct, universe).table == pairwise_viability(ct, universe)
+
+
+def test_wide_list_viability_matches_the_pairwise_saturation():
+    # the class table of the benchmark's wide shapes at 16 fields
+    decls = " ".join(f"N f{i};" for i in range(14))
+    ct = build_class_table(parse_program(f"class N {{ {decls} L g; }} class L {{ L h; }}"))
+    u = FieldUniverse.of(ct.reference_fields)
+    assert u.size == 16
+    assert Viability(ct, u).table == pairwise_viability(ct, u)
 
 
 def test_chain_viability_is_the_contiguous_runs():

@@ -75,6 +75,20 @@ def test_return_required_and_last():
         check("class A { A m() { return this; skip; } }")
 
 
+@pytest.mark.parametrize(
+    "source,message",
+    [
+        ("class A { Z m() { return null; } } main { skip; }", "1:13: unknown return type 'Z'"),
+        ("class A { A m() { skip; } } main { skip; }", "1:13: method A.m must end with a return"),
+    ],
+)
+def test_method_errors_point_at_the_name(source, message):
+    program = parse_program(source)
+    with pytest.raises(TypeCheckError) as err:
+        type_check(program, build_class_table(program))
+    assert str(err.value) == message
+
+
 def test_return_in_main_rejected():
     with pytest.raises(TypeCheckError):
         check("main { return 1; }")
