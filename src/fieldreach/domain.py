@@ -12,8 +12,9 @@ cyclicity entry of a variable always covers its self-reachability, since a
 path from a variable back to itself is a cycle.  Operations are functional;
 instances are treated as immutable, with one exception: ``_normalize_in_place``
 folds in place, and runs only on a value its caller has just built.
-Most entries are the zero table, so ``join``, ``project``, ``rename`` and
-``remap`` touch only the entries they change.
+Most entries are the zero table, so ``join``, ``project`` and ``remap``
+touch only the entries they change.  ``rename``, the move of a call's or an
+expression's result onto its variable, is ``copy_var`` then ``project``.
 """
 
 from __future__ import annotations
@@ -65,28 +66,14 @@ class RcValue:
                 reach[(g, x)] = reach[(x, g)] = 0
         return out
 
-    def rename(self, mapping: Mapping[str, str]) -> "RcValue":
-        """Simultaneously move sources onto targets; sources are forgotten,
-        stale target entries are discarded, and several sources landing on
-        one target join.  One pass over the non-zero entries, each carried
-        to its new place in one fresh copy."""
-        moved = {s: d for s, d in mapping.items() if s in self.cyc and d in self.cyc}
-        if not moved:
+    def rename(self, src: str, dst: str) -> "RcValue":
+        """Move ``src`` onto ``dst``: ``dst`` takes ``src``'s rows, columns
+        and cyclicity, its own entries are discarded, and ``src`` is
+        forgotten.  Unchanged when ``src == dst`` or either is outside the
+        scope."""
+        if src == dst or src not in self.cyc or dst not in self.cyc:
             return self
-        targets = set(moved.values())
-        to = {x: x for x in self.cyc if x not in targets}
-        to.update(moved)
-        # From the key views, so the tables grow by insertion as ``bottom``'s
-        # do: the presized tables of ``dict.fromkeys(dict)`` hold no more
-        # memory, yet raised the wide-fields benchmark's peak RSS by 1.7 MB.
-        reach, cyc = dict.fromkeys(self.reach.keys(), 0), dict.fromkeys(self.cyc.keys(), 0)
-        for (a, b), t in self.reach.items():
-            if t and a in to and b in to:
-                reach[(to[a], to[b])] |= t
-        for v, t in self.cyc.items():
-            if t and v in to:
-                cyc[to[v]] |= t
-        return RcValue(self.universe, reach, cyc)
+        return self.copy_var(src, dst).project([src])
 
     def copy_var(self, src: str, dst: str) -> "RcValue":
         """Make ``dst`` an exact alias snapshot of ``src``: they alias each

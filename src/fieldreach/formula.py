@@ -85,11 +85,17 @@ class FieldUniverse:
     @cached_property
     def halves(self) -> dict[int, tuple[int, int]]:
         """Per field bit, in field order, the truth tables of the masks
-        without and with that field: runs of ``bit`` ones and zeros."""
+        without and with that field: runs of ``bit`` ones and zeros.  The
+        run pattern is built by doubling its length, a few shifts instead of
+        a division of table-sized ints."""
         out = {}
+        length = 1 << len(self.fields)  # the table's width in bits
         for i in range(len(self.fields)):
             bit = 1 << i
-            without = self.full_table // ((1 << 2 * bit) - 1) * ((1 << bit) - 1)
+            without, width = (1 << bit) - 1, 2 * bit
+            while width < length:
+                without |= without << width
+                width *= 2
             out[bit] = (without, self.full_table ^ without)
         return out
 

@@ -343,24 +343,6 @@ def _label(obj: Obj, universe: FieldUniverse, bits: dict[str, int]) -> Out:
     return tuple(out)
 
 
-def _saturate(succ: Succ, halves: dict, src: int, require_step: bool = False) -> dict[int, int]:
-    """Per target, the truth table of the masks of the walks from ``src``:
-    bit m is set when some walk traverses exactly the fields of mask m.
-
-    Without ``require_step`` the empty walk sets bit 0 at ``src``."""
-    return saturate(succ, halves, {} if require_step else {src: 1}, {src: 1})
-
-
-def _continued(
-    before: dict[int, int], succ: Succ, halves: dict, added: Iterable[Edge]
-) -> dict[int, int]:
-    """The saturation ``before`` of a heap, continued over ``succ``, the same
-    heap plus the edges ``added``.  A walk that is new takes an added edge,
-    so only the tables at the added edges' sources are pushed again."""
-    pending = {a: before[a] for a, _, _ in added if a in before}
-    return saturate(succ, halves, dict(before), pending)
-
-
 def _own_universe(heap: dict[int, Obj]) -> FieldUniverse:
     """A universe of the fields the heap's references carry, one bit per
     field, so masks decode back to field names."""
@@ -379,9 +361,10 @@ def traversal_saturate(
     universe = _own_universe(heap)
     bits: dict[str, int] = {}
     succ = {a: _label(o, universe, bits) for a, o in heap.items()}
+    reached = saturate(succ, universe.halves, {} if require_step else {src: 1}, {src: 1})
     return frozenset(
         (target, frozenset(universe.names_of(m)))
-        for target, table in _saturate(succ, universe.halves, src, require_step).items()
+        for target, table in reached.items()
         for m in models_of(table)
     )
 
@@ -507,12 +490,16 @@ class _SnapshotMemo:
             if src not in base.base.succ:
                 break
             base = base.base
+        halves = self.universe.halves
         for r in reversed(chain):
             before = r.base.reached.get(src)
             if before is None:
-                r.reached[src] = _saturate(r.succ, self.universe.halves, src)
+                r.reached[src] = saturate(r.succ, halves, {src: 1}, {src: 1})
             else:
-                r.reached[src] = _continued(before, r.succ, self.universe.halves, r.added)
+                # a walk new to this edge set takes an added edge, so only
+                # the tables at the added edges' sources are pushed again
+                pending = {a: before[a] for a, _, _ in r.added if a in before}
+                r.reached[src] = saturate(r.succ, halves, dict(before), pending)
         return results.reached[src]
 
     def _anchors(self, results: _EdgeResults) -> dict[int, int]:

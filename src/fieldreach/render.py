@@ -85,29 +85,18 @@ def render_compare(result: AnalysisResult, ct: ClassTable, typeinfo: TypeInfo) -
     lines = ["coarser abstractions of the final value:"]
     nf = alpha_nofields(reach, ct, var_types)
     lines.append(
-        "  plain reachability: "
-        + (", ".join(f"{a}~>{b}" for a, b in sorted(nf.statements)) or "(none)")
+        "  plain reachability: " + (", ".join(f"{a}~>{b}" for a, b in sorted(nf)) or "(none)")
     )
     cp = alpha_class_pairs(nf, ct, var_types)
-    lines.append(
-        "  class pairs: " + (", ".join(f"({a},{b})" for a, b in sorted(cp.pairs)) or "(none)")
-    )
-    mono = alpha_monotone(reach)
-    for k, f in mono.entries:
-        lines.append(f"  monotone reach({k[0]},{k[1]}) = {f.render()}")
-    sc = alpha_scapin(reach)
-    for k, banned in sc.excluded:
-        lines.append(
-            f"  excluded fields ({k[0]},{k[1]}) = "
-            + ("{" + ",".join(sorted(banned)) + "}")
-        )
-    q = alpha_q(cyc)
-    dom = q.domain()
+    lines.append("  class pairs: " + (", ".join(f"({a},{b})" for a, b in sorted(cp)) or "(none)"))
+    for (a, b), f in sorted(alpha_monotone(reach).items()):
+        lines.append(f"  monotone reach({a},{b}) = {f.render()}")
+    for (a, b), banned in sorted(alpha_scapin(reach).items()):
+        lines.append(f"  excluded fields ({a},{b}) = {{" + ",".join(sorted(banned)) + "}")
+    required = alpha_q(cyc)
     for v in sorted(cyc):
-        if v in dom:
-            lines.append(
-                f"  cycle requirements for {v} = {{" + ",".join(sorted(q.at(v))) + "}"
-            )
+        if v in required:
+            lines.append(f"  cycle requirements for {v} = {{" + ",".join(sorted(required[v])) + "}")
         else:
             lines.append(f"  {v} is provably acyclic")
     return "\n".join(lines) + "\n"

@@ -300,7 +300,11 @@ class Analyzer:
                             f = true
                         new[(w1, w2)] |= f
 
-        # result rows: what the result may reach among caller variables
+        # result rows: what the result may reach among caller variables.  The
+        # ``difference`` term is the rest of a path from vk to w after the
+        # leg from vk to the result.  It is needed: ``back[(vk, %res)]`` does
+        # not imply DS(vk, %res) when entry facts state reachability without
+        # a ``ds`` line (test_call_result_keeps_the_alias_through_the_receiver)
         for w in others:
             for vk in ref_actual:
                 if sp_after.has_ds(vk, RESULT_VAR):
@@ -363,7 +367,7 @@ class Analyzer:
             if cmd.var not in I.cyc:
                 # an int target still consumes the expression result
                 return evaluated.project([RESULT_VAR])
-            return evaluated.rename({RESULT_VAR: cmd.var})
+            return evaluated.rename(RESULT_VAR, cmd.var)
         if isinstance(cmd, FieldWrite):
             return self._exec_field_write(cmd, I, ctx)
         if isinstance(cmd, If):

@@ -2,13 +2,15 @@
 sets of field names and on (node, mask) pairs, the viability table built by
 the latter, address reachability and deep sharing derived from it,
 an AST fingerprint, truth-table submasks, trace lookup, a formula's JSON
-models by sorting, renaming by ``remap``, the concretizations of the coarser
-domains of ``fieldreach.compare`` with the formula classes they are stated
-in, and the dense transfer functions.  None of it runs in the package."""
+models by sorting, a single move by ``remap``, the field halves by
+division, the concretizations of the coarser domains of
+``fieldreach.compare`` (on the same plain sets and dicts as the
+abstractions) with the formula classes they are stated in, and the dense
+transfer functions.  None of it runs in the package."""
 
 import dataclasses
 
-from fieldreach.compare import ClassPairsValue, MonotoneValue, NoFieldsValue, QValue, ScapinValue
+from fieldreach.compare import class_pairs_closure
 from fieldreach.domain import RcValue
 from fieldreach.formula import (
     PathFormula,
@@ -142,17 +144,28 @@ def sorted_json_models(f):
     return sorted(sorted(f.universe.names_of(m)) for m in models_of(f.table))
 
 
-def rename_by_remap(value, mapping):
-    """``RcValue.rename`` as the ``remap`` of the whole scope onto itself:
-    each source onto its target, every variable no source lands on onto
-    itself, and the targets' own entries left behind."""
-    moved = {s: d for s, d in mapping.items() if s in value.cyc and d in value.cyc}
-    if not moved:
+def rename_by_remap(value, src, dst):
+    """``RcValue.rename(src, dst)`` as the ``remap`` of the whole scope onto
+    itself: ``src`` onto ``dst``, every other variable but ``dst`` onto
+    itself, and ``dst``'s own entries left behind."""
+    if src not in value.cyc or dst not in value.cyc:
         return value
-    targets = set(moved.values())
-    full = {x: x for x in value.cyc if x not in targets}
-    full.update(moved)
+    full = {x: x for x in value.cyc if x != dst}
+    full[src] = dst
     return value.remap(full, value.cyc)
+
+
+def halves_by_division(universe):
+    """``FieldUniverse.halves`` by its closed form: the run pattern of each
+    bit is the full table divided by one period of ones and multiplied by
+    one run of ones."""
+    full = universe.full_table
+    out = {}
+    for i in range(universe.size):
+        bit = 1 << i
+        without = full // ((1 << 2 * bit) - 1) * ((1 << bit) - 1)
+        out[bit] = (without, full ^ without)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -184,31 +197,28 @@ def is_definite(f):
 # concretizations of the coarser domains
 
 
-def gamma_nofields(v: NoFieldsValue, universe, keys):
+def gamma_nofields(statements, universe, keys):
     empty_only = PathFormula.only(universe, ())
     true = PathFormula.true(universe)
-    return {key: (true if key in v.statements else empty_only) for key in keys}
+    return {key: (true if key in statements else empty_only) for key in keys}
 
 
-def class_pairs(ct) -> ClassPairsValue:
+def class_pairs(ct):
     """Every class pair the declarations allow to be connected."""
-    return ClassPairsValue.of(ct, class_reach_closure(ct, ct.reference_fields))
+    return class_pairs_closure(ct, class_reach_closure(ct, ct.reference_fields))
 
 
-def gamma_class_pairs(v: ClassPairsValue, ct, var_types) -> NoFieldsValue:
-    out = set()
-    for a, ta in var_types.items():
-        for b, tb in var_types.items():
-            if any(
-                ct.is_subclass(ta, k1) and ct.is_subclass(tb, k2)
-                for k1, k2 in v.pairs
-            ):
-                out.add((a, b))
-    return NoFieldsValue(frozenset(out))
+def gamma_class_pairs(pairs, ct, var_types):
+    return frozenset(
+        (a, b)
+        for a, ta in var_types.items()
+        for b, tb in var_types.items()
+        if any(ct.is_subclass(ta, k1) and ct.is_subclass(tb, k2) for k1, k2 in pairs)
+    )
 
 
-def gamma_monotone(v: MonotoneValue):
-    return {key: f for key, f in v.entries}
+def gamma_monotone(formulas):
+    return dict(formulas)
 
 
 def enumerate_monotone(universe):
@@ -217,24 +227,23 @@ def enumerate_monotone(universe):
     return [f for f in all_formulas(universe) if is_monotone(f)]
 
 
-def gamma_scapin(v: ScapinValue, universe, keys):
+def gamma_scapin(excluded, universe, keys):
     out = {}
     for key in keys:
-        banned_mask = universe.mask_of(v.at(key))
+        banned_mask = universe.mask_of(excluded[key])
         out[key] = PathFormula.from_models(
             universe, [m for m in range(1 << universe.size) if not (m & banned_mask)]
         )
     return out
 
 
-def gamma_q(v: QValue, universe, variables):
+def gamma_q(required, universe, variables):
     out = {}
-    domain = v.domain()
     for var in variables:
-        if var not in domain:
+        if var not in required:
             out[var] = PathFormula.false(universe)
         else:
-            need = universe.mask_of(v.at(var))
+            need = universe.mask_of(required[var])
             out[var] = PathFormula.from_models(
                 universe, [m for m in range(1 << universe.size) if (m & need) == need]
             )

@@ -24,9 +24,6 @@ from fieldreach import (
     run_concrete,
 )
 from fieldreach.compare import (
-    NoFieldsValue,
-    QValue,
-    ScapinValue,
     alpha_class_pairs,
     alpha_monotone,
     alpha_monotone_formula,
@@ -435,7 +432,7 @@ def test_galois_suite(devices_ct):
             a = alpha_nofields({KEY: f}, simple_ct, types)
             assert f.leq(gamma_nofields(a, u2, [KEY])[KEY])
         for stmts in ([], [KEY]):
-            v = NoFieldsValue(frozenset(stmts))
+            v = frozenset(stmts)
             assert alpha_nofields(
                 gamma_nofields(v, u2, [KEY]), simple_ct, types
             ) == v
@@ -451,16 +448,16 @@ def test_galois_suite(devices_ct):
         admissible = sorted(admissible_pairs(devices_ct, dev_types))
         for k in range(2):
             for stmts in itertools.combinations(admissible, k + 1):
-                nf = NoFieldsValue(frozenset(stmts))
+                nf = frozenset(stmts)
                 cp = alpha_class_pairs(nf, devices_ct, dev_types)
                 back = gamma_class_pairs(cp, devices_ct, dev_types)
-                assert nf.statements <= back.statements
+                assert nf <= back
                 assert alpha_class_pairs(back, devices_ct, dev_types) == cp
 
         # 3. monotone restriction, with the exclusive-disjunction witness
         for f in formulas:
             a = alpha_monotone({KEY: f})
-            assert f.leq(a.at(KEY))
+            assert f.leq(a[KEY])
         for m in enumerate_monotone(u2):
             assert alpha_monotone_formula(m) == m
         xor = pf(u2, ["f"], ["g"])
@@ -473,21 +470,19 @@ def test_galois_suite(devices_ct):
             a = alpha_scapin({KEY: f})
             assert f.leq(gamma_scapin(a, u2, [KEY])[KEY])
         for banned in ([], ["f"], ["g"], ["f", "g"]):
-            v = ScapinValue(((KEY, frozenset(banned)),))
+            v = {KEY: frozenset(banned)}
             assert alpha_scapin(gamma_scapin(v, u2, [KEY])) == v
-        assert alpha_scapin({KEY: pf(u2, ["f"])}).at(KEY) == {"g"}
+        assert alpha_scapin({KEY: pf(u2, ["f"])})[KEY] == {"g"}
 
         # 5. cycle requirements, with the doubly-linked-list collapse
         for f in formulas:
             q = alpha_q({"x": f})
             assert f.leq(gamma_q(q, u2, ["x"])["x"])
-        for v in [QValue(())] + [
-            QValue((("x", frozenset(req)),)) for req in ([], ["f"], ["g"], ["f", "g"])
-        ]:
+        for v in [{}] + [{"x": frozenset(req)} for req in ([], ["f"], ["g"], ["f", "g"])]:
             assert alpha_q(gamma_q(v, u2, ["x"])) == v
         dll = pf(u2, [], ["f", "g"])
         q = alpha_q({"x": dll})
-        assert q.at("x") == frozenset()  # requirement view collapses
+        assert q["x"] == frozenset()  # requirement view collapses
         assert gamma_q(q, u2, ["x"])["x"].is_true
 
 

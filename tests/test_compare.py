@@ -4,9 +4,6 @@ import pytest
 
 from fieldreach import FieldUniverse, PathFormula, build_class_table, parse_program
 from fieldreach.compare import (
-    NoFieldsValue,
-    QValue,
-    ScapinValue,
     admissible_pairs,
     alpha_class_pairs,
     alpha_monotone,
@@ -49,11 +46,11 @@ KEY = ("v", "w")
 def test_alpha_nofields_basics(u2, simple_ct):
     types = {"v": "K", "w": "K"}
     alias_only = {KEY: pf(u2, [])}
-    assert alpha_nofields(alias_only, simple_ct, types).statements == frozenset()
+    assert alpha_nofields(alias_only, simple_ct, types) == frozenset()
     with_field = {KEY: pf(u2, ["f"])}
-    assert alpha_nofields(with_field, simple_ct, types).statements == {KEY}
+    assert alpha_nofields(with_field, simple_ct, types) == {KEY}
     bottom = {KEY: PathFormula.false(u2)}
-    assert alpha_nofields(bottom, simple_ct, types).statements == frozenset()
+    assert alpha_nofields(bottom, simple_ct, types) == frozenset()
 
 
 def test_nofields_galois_exhaustive(u2, simple_ct):
@@ -64,7 +61,7 @@ def test_nofields_galois_exhaustive(u2, simple_ct):
         g = gamma_nofields(a, u2, [KEY])
         assert f.leq(g[KEY])  # extensive
     for stmts in ([], [KEY]):
-        v = NoFieldsValue(frozenset(stmts))
+        v = frozenset(stmts)
         g = gamma_nofields(v, u2, [KEY])
         assert alpha_nofields(g, simple_ct, types) == v  # insertion
 
@@ -89,13 +86,13 @@ def devices_types():
 
 def test_class_pairs_of_hierarchy(devices_ct):
     cp = class_pairs(devices_ct)
-    assert ("L2", "LP") in cp.pairs
-    assert ("LP", "TB") in cp.pairs  # owner up to an L2, then its tablet
+    assert ("L2", "LP") in cp
+    assert ("LP", "TB") in cp  # owner up to an L2, then its tablet
 
 
 def test_class_pairs_no_fields_identity_only():
     ct = build_class_table(parse_program("class A { } class B { }"))
-    assert class_pairs(ct).pairs == {("A", "A"), ("B", "B")}
+    assert class_pairs(ct) == {("A", "A"), ("B", "B")}
 
 
 def test_class_pairs_galois(devices_ct, devices_types):
@@ -103,10 +100,10 @@ def test_class_pairs_galois(devices_ct, devices_types):
     admissible = sorted(admissible_pairs(devices_ct, devices_types))
     for k in range(3):
         for stmts in itertools.combinations(admissible, k):
-            nf = NoFieldsValue(frozenset(stmts))
+            nf = frozenset(stmts)
             cp = alpha_class_pairs(nf, devices_ct, devices_types)
             back = gamma_class_pairs(cp, devices_ct, devices_types)
-            assert nf.statements <= back.statements  # extensive
+            assert nf <= back  # extensive
             # identity holds on canonical (downward-closed) forms
             assert alpha_class_pairs(back, devices_ct, devices_types) == cp
 
@@ -114,11 +111,11 @@ def test_class_pairs_galois(devices_ct, devices_types):
 def test_class_pairs_strictness_witness(devices_ct, devices_types):
     # two variables of the same class cannot be told apart by the class view
     types = dict(devices_types, other="L2")
-    nf = NoFieldsValue(frozenset({("e2", "t")}))
+    nf = frozenset({("e2", "t")})
     cp = alpha_class_pairs(nf, devices_ct, types)
     back = gamma_class_pairs(cp, devices_ct, types)
-    assert nf.statements < back.statements
-    assert ("other", "t") in back.statements
+    assert nf < back
+    assert ("other", "t") in back
 
 
 # --------------------------------------------------------------------------
@@ -137,11 +134,11 @@ def test_alpha_monotone_examples(u2):
 def test_monotone_galois_exhaustive(u2):
     for f in all_formulas(u2):
         a = alpha_monotone({KEY: f})
-        assert f.leq(a.at(KEY))  # extensive
-        assert is_monotone(a.at(KEY))
+        assert f.leq(a[KEY])  # extensive
+        assert is_monotone(a[KEY])
     for m in enumerate_monotone(u2):
         value = alpha_monotone(gamma_monotone(alpha_monotone({KEY: m})))
-        assert value.at(KEY) == alpha_monotone_formula(m) == m  # insertion
+        assert value[KEY] == alpha_monotone_formula(m) == m  # insertion
 
 
 def test_monotone_strictness_witness(u2):
@@ -178,9 +175,9 @@ def test_alpha_monotone_matches_clause_hull(u3):
 def test_alpha_scapin_examples(u2):
     u3 = FieldUniverse.of(["f", "g", "h"])
     weakened = pf(u3, ["h"], ["f", "h"])
-    assert alpha_scapin({KEY: weakened}).at(KEY) == {"g"}
-    assert alpha_scapin({KEY: PathFormula.true(u3)}).at(KEY) == frozenset()
-    assert alpha_scapin({KEY: PathFormula.false(u3)}).at(KEY) == {"f", "g", "h"}
+    assert alpha_scapin({KEY: weakened})[KEY] == {"g"}
+    assert alpha_scapin({KEY: PathFormula.true(u3)})[KEY] == frozenset()
+    assert alpha_scapin({KEY: PathFormula.false(u3)})[KEY] == {"f", "g", "h"}
 
 
 def test_scapin_galois_exhaustive(u2):
@@ -189,7 +186,7 @@ def test_scapin_galois_exhaustive(u2):
         g = gamma_scapin(a, u2, [KEY])
         assert f.leq(g[KEY])
     for banned in ([], ["f"], ["g"], ["f", "g"]):
-        v = ScapinValue(((KEY, frozenset(banned)),))
+        v = {KEY: frozenset(banned)}
         g = gamma_scapin(v, u2, [KEY])
         assert alpha_scapin(g) == v
 
@@ -207,11 +204,11 @@ def test_scapin_strictness_witness(u2):
 def test_alpha_q_examples(u2):
     dll = pf(u2, [], ["f", "g"])
     q = alpha_q({"x": dll})
-    assert q.domain() == {"x"}
-    assert q.at("x") == frozenset()  # the empty model defeats every requirement
+    assert q.keys() == {"x"}
+    assert q["x"] == frozenset()  # the empty model defeats every requirement
     strict = pf(u2, ["f", "g"])
-    assert alpha_q({"x": strict}).at("x") == {"f", "g"}
-    assert alpha_q({"x": PathFormula.false(u2)}).domain() == frozenset()
+    assert alpha_q({"x": strict})["x"] == {"f", "g"}
+    assert alpha_q({"x": PathFormula.false(u2)}) == {}
 
 
 def test_q_galois_exhaustive(u2):
@@ -219,10 +216,7 @@ def test_q_galois_exhaustive(u2):
         q = alpha_q({"x": f})
         g = gamma_q(q, u2, ["x"])
         assert f.leq(g["x"])
-    values = [QValue(())] + [
-        QValue((("x", frozenset(req)),))
-        for req in ([], ["f"], ["g"], ["f", "g"])
-    ]
+    values = [{}] + [{"x": frozenset(req)} for req in ([], ["f"], ["g"], ["f", "g"])]
     for v in values:
         g = gamma_q(v, u2, ["x"])
         assert alpha_q(g) == v

@@ -15,7 +15,13 @@ from fieldreach import (
 from fieldreach.formula import concat, difference, models_of
 
 from conftest import pf
-from reference import all_formulas, pairwise_viability, sorted_json_models, submasks
+from reference import (
+    all_formulas,
+    halves_by_division,
+    pairwise_viability,
+    sorted_json_models,
+    submasks,
+)
 
 
 def masks(f):
@@ -34,6 +40,12 @@ def test_only_fields(u3):
     assert fh.model_sets() == (("f", "h"),)
     n = PathFormula.only(u3, ["g"])
     assert n.model_sets() == (("g",),)
+
+
+def test_halves_match_the_division_formula():
+    for k in range(17):
+        universe = FieldUniverse(tuple(f"f{i:02}" for i in range(k)))
+        assert universe.halves == halves_by_division(universe), k
 
 
 def test_true_is_lazy_and_canonical(u2):

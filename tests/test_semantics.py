@@ -432,6 +432,27 @@ main {
     assert result.final.reach_at("z", "y").is_true
 
 
+def test_call_result_keeps_the_alias_through_the_receiver():
+    # ``get`` returns ``this.next``, and the entry says ``this.next`` is
+    # ``x``: the result aliases ``x``.  No ``ds`` fact is given, so
+    # DS(this, %res) does not hold although ``this`` reaches the result; the
+    # ``difference`` term of the result rows is what keeps the empty path
+    program, ct, info = build(
+        """
+//@ init reach(this,x): [[next]]
+//@ init reach(this,this): [[]]
+//@ init reach(x,x): [[]]
+class N {
+  N next;
+  N get() { N r; r := this.next; return r; }
+  N m(N x) { N r; r := this.get(); return r; }
+}
+"""
+    )
+    result = analyze_program(program, ct, info, entry="m")
+    assert result.final.reach_at("out", "x").model_sets() == ((), ("next",))
+
+
 def test_shallow_variables_preserve_entry_rows():
     # the summary keeps what the first argument's entry structure reaches,
     # even though the parameter itself is nulled before returning
