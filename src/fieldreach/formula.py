@@ -184,8 +184,16 @@ def concat(universe: FieldUniverse, a: int, b: int) -> int:
     """Models of the result are pairwise unions: a path split into two legs
     traverses the union of what each leg traverses.  Each model of the
     sparser side widens the other table by its fields, one masked shift per
-    field."""
+    field.
+
+    When the denser side U is up-closed, the result is ``U & up(few)``: a
+    union with a model of U is a superset of it, so in U, and a model z of
+    U above a model x of the sparser side is the union of x and z.  The two
+    closures cost a masked shift per field each, so that path is taken only
+    when the sparser side has more models than the universe has fields."""
     few, many = (a, b) if a.bit_count() <= b.bit_count() else (b, a)
+    if few.bit_count() > universe.size and universe.up(many) == many:
+        return many & universe.up(few)
     halves = universe.halves
     out = 0
     for x in models_of(few):

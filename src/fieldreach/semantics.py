@@ -570,7 +570,8 @@ def parse_init_annotations(
     ``variables``.  A declared reference field the universe does not track
     folds into the stand-in, as on concrete paths."""
     value = RcValue.bottom(universe, (v for v in variables if v in ref_vars))
-    sp = SharingState.empty()
+    sh: list[tuple[str, str]] = []
+    ds: list[tuple[str, str]] = []
     declared = {
         name for cls in program.classes for name, typ in cls.fields if typ != INT_TYPE
     }
@@ -584,7 +585,8 @@ def parse_init_annotations(
         mentioned.update(ann.variables)
         if ann.kind == "ds":
             a, b = ann.variables
-            sp = sp.add_ds([(a, b)]).add_sh([(a, b), (a, a), (b, b)])
+            ds.append((a, b))
+            sh += [(a, b), (a, a), (b, b)]
             continue
         table = 0
         for model in ann.models or []:
@@ -601,15 +603,9 @@ def parse_init_annotations(
             (a,) = ann.variables
             value.cyc[a] |= table
     # a variable asserted reachable/cyclic may be non-null: give it a region
-    sp = sp.add_sh(
-        [(v, v) for v in mentioned]
-        + [
-            (a, b)
-            for (a, b), t in value.reach.items()
-            if t and a != b
-        ]
-    )
-    return value.normalize(), sp
+    sh += [(v, v) for v in mentioned]
+    sh += [(a, b) for (a, b), t in value.reach.items() if t and a != b]
+    return value.normalize(), SharingState.empty().add_sh(sh).add_ds(ds)
 
 
 def analyze_program(

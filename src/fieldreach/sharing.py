@@ -18,6 +18,19 @@ positions (0 is the receiver).  A ``Fixpoint`` worklist grows one summary per
 context (method, entry state) by union; a context re-runs only when a
 summary it read has grown.  A state is its own key, by value.
 
+A state holds each relation as one int: a symmetric n×n bit matrix over a
+name index, bit ``i * n + j`` relating names i and j.  ``SharingAnalysis``
+builds one index per analysis, over every variable of every body, the
+shadow of every method input, the result variable and ``out``, so each
+transfer is a few big-int operations: ``kill`` is an ``&`` with a mask kept
+per name, ``union`` is ``|``, a lookup is one shift, and ``clique``,
+``copy_alias`` and ``relate`` OR in the rows and columns they touch.  A
+state built outside an analysis (the ``//@ init`` facts, a caller's entry
+state) carries a small index of its own; the analysis moves it onto its
+index where it enters, in ``analyze_main`` and in ``ctx_key``, so every
+context key, this analysis's and the reachability analysis's, holds the
+moved state.  ``sh`` and ``ds`` decode a state into pairs of names.
+
 Each run of a body, ``main`` or a context, walks it in one frame
 (``_Body``): the type environment, the shadows, the impure positions found
 so far and the point tables.  ``main`` is the frame with no shadows.  Each
@@ -64,74 +77,197 @@ def _norm(a: str, b: str) -> Pair:
     return (a, b) if a <= b else (b, a)
 
 
-def _partners(rel: frozenset[Pair], v: str) -> list[str]:
-    """The names a relation pairs with ``v``; ``v`` itself if it has a self pair."""
-    return [b if a == v else a for a, b in rel if a == v or b == v]
+class _Index:
+    """A name index: name i owns row i of an n×n bit matrix, whose bit
+    ``i * n + j`` relates names i and j, and this holds the masks the
+    transfers apply to such a matrix."""
 
+    __slots__ = ("names", "pos", "n", "row0", "col0", "keep")
 
-@dataclass(frozen=True)
-class SharingState:
-    sh: frozenset[Pair]
-    ds: frozenset[Pair]
+    def __init__(self, names: Iterable[str]):
+        self.names = tuple(dict.fromkeys(names))
+        self.pos = {v: i for i, v in enumerate(self.names)}
+        n = self.n = len(self.names)
+        self.row0 = (1 << n) - 1  # row 0, and the width of every row
+        self.col0 = sum(1 << i * n for i in range(n))  # column 0
+        full = (1 << n * n) - 1
+        # per position, everything but its row and column
+        self.keep = [full ^ (self.row0 << i * n | self.col0 << i) for i in range(n)]
 
-    @staticmethod
-    def empty() -> "SharingState":
-        return SharingState(frozenset(), frozenset())
+    def mask(self, names: Iterable[str]) -> int:
+        """The positions of the names, as a row."""
+        m = 0
+        for v in names:
+            m |= 1 << self.pos[v]
+        return m
 
-    def has_sh(self, a: str, b: str) -> bool:
-        return _norm(a, b) in self.sh
+    def column(self, row: int) -> int:
+        """Bit ``i * n`` for each position i of the row: the row turned into
+        column 0."""
+        out, n = 0, self.n
+        while row:
+            low = row & -row
+            out |= 1 << (low.bit_length() - 1) * n
+            row ^= low
+        return out
 
-    def has_ds(self, a: str, b: str) -> bool:
-        return _norm(a, b) in self.ds
+    def matrix(self, pairs: Iterable[Pair]) -> int:
+        """The symmetric matrix of the pairs."""
+        out, pos, n = 0, self.pos, self.n
+        for a, b in pairs:
+            i, j = pos[a], pos[b]
+            out |= 1 << i * n + j | 1 << j * n + i
+        return out
 
-    def shset(self, v: str) -> frozenset[str]:
-        """The variables whose region may overlap v's, v included."""
-        out = {v}
-        for a, b in self.sh:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
+    def pairs(self, matrix: int) -> frozenset[Pair]:
+        out, names, n = set(), self.names, self.n
+        while matrix:
+            low = matrix & -matrix
+            i, j = divmod(low.bit_length() - 1, n)
+            if i <= j:
+                out.add(_norm(names[i], names[j]))
+            matrix ^= low
         return frozenset(out)
 
-    def kill(self, v: str) -> "SharingState":
-        return SharingState(
-            frozenset(p for p in self.sh if v not in p),
-            frozenset(p for p in self.ds if v not in p),
+    def including(self, names: Iterable[str]) -> "_Index":
+        """This index, or a longer one when some of the names are new."""
+        new = [v for v in names if v not in self.pos]
+        return _Index((*self.names, *new)) if new else self
+
+
+def _alias(ix: _Index, m: int, s: int, d: int) -> int:
+    """Matrix ``m`` with name d bound to the location of name s: d's row
+    and column become s's, and a self pair of s relates d to s and to
+    itself too."""
+    n = ix.n
+    m &= ix.keep[d]
+    row = m >> s * n & ix.row0
+    if row >> s & 1:
+        row |= 1 << d
+    return m | row << d * n | (m & ix.col0 << s) >> s << d
+
+
+class SharingState:
+    """The two relations as symmetric bit matrices over one name index.
+
+    Every operation takes names, or rows of positions, on the state's own
+    index; a name it does not hold raises ``KeyError``.  Two states are
+    equal when their indexes list the same names and their matrices are
+    equal.  ``sh`` and ``ds`` decode the relations into pairs."""
+
+    __slots__ = ("index", "_sh", "_ds")
+
+    def __init__(self, index: _Index, sh: int = 0, ds: int = 0):
+        self.index, self._sh, self._ds = index, sh, ds
+
+    @staticmethod
+    def empty(names: Iterable[str] = ()) -> "SharingState":
+        """No pairs, over an index of the names."""
+        return SharingState(_Index(names))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SharingState):
+            return NotImplemented
+        return (
+            self._sh == other._sh
+            and self._ds == other._ds
+            and (self.index is other.index or self.index.names == other.index.names)
         )
 
+    def __hash__(self) -> int:
+        return hash((self._sh, self._ds))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"SharingState(sh={sorted(self.sh)}, ds={sorted(self.ds)})"
+
+    @property
+    def sh(self) -> frozenset[Pair]:
+        return self.index.pairs(self._sh)
+
+    @property
+    def ds(self) -> frozenset[Pair]:
+        return self.index.pairs(self._ds)
+
+    def over(self, index: _Index) -> "SharingState":
+        """The same pairs over another index, which holds all their names."""
+        if index is self.index:
+            return self
+        return SharingState(index, index.matrix(self.sh), index.matrix(self.ds))
+
+    def has_sh(self, a: str, b: str) -> bool:
+        ix = self.index
+        return bool(self._sh >> ix.pos[a] * ix.n + ix.pos[b] & 1)
+
+    def has_ds(self, a: str, b: str) -> bool:
+        ix = self.index
+        return bool(self._ds >> ix.pos[a] * ix.n + ix.pos[b] & 1)
+
+    def rows(self, v: str) -> tuple[int, int]:
+        """v's rows of ``sh`` and ``ds``: the names each relation pairs it with."""
+        ix = self.index
+        at = ix.pos[v] * ix.n
+        return self._sh >> at & ix.row0, self._ds >> at & ix.row0
+
+    def shset(self, row: int) -> int:
+        """The names whose region may overlap that of a name of the row, the
+        row's names included."""
+        ix = self.index
+        out, n, sh, row0 = row, ix.n, self._sh, ix.row0
+        while row:
+            low = row & -row
+            out |= sh >> (low.bit_length() - 1) * n & row0
+            row ^= low
+        return out
+
+    def kill(self, v: str) -> "SharingState":
+        keep = self.index.keep[self.index.pos[v]]
+        return SharingState(self.index, self._sh & keep, self._ds & keep)
+
+    def _adding(self, pairs: Iterable[Pair]) -> tuple["SharingState", int]:
+        """This state over an index that holds the pairs' names, and their matrix."""
+        pairs = list(pairs)
+        st = self.over(self.index.including(v for p in pairs for v in p))
+        return st, st.index.matrix(pairs)
+
     def add_sh(self, pairs: Iterable[Pair]) -> "SharingState":
-        return SharingState(self.sh | {_norm(a, b) for a, b in pairs}, self.ds)
+        st, m = self._adding(pairs)
+        return SharingState(st.index, st._sh | m, st._ds)
 
     def add_ds(self, pairs: Iterable[Pair]) -> "SharingState":
-        return SharingState(self.sh, self.ds | {_norm(a, b) for a, b in pairs})
+        st, m = self._adding(pairs)
+        return SharingState(st.index, st._sh, st._ds | m)
+
+    def relate(self, v: str, sh_row: int, ds_row: int) -> "SharingState":
+        """Pair v with the names of ``sh_row`` in ``sh`` and with those of
+        ``ds_row`` in ``ds``."""
+        ix = self.index
+        i = ix.pos[v]
+        at = i * ix.n
+        return SharingState(
+            ix,
+            self._sh | sh_row << at | ix.column(sh_row) << i,
+            self._ds | ds_row << at | ix.column(ds_row) << i,
+        )
 
     def union(self, other: "SharingState") -> "SharingState":
-        return SharingState(self.sh | other.sh, self.ds | other.ds)
+        if other.index is not self.index:
+            ix = self.index.including(other.index.names)
+            return self.over(ix).union(other.over(ix))
+        return SharingState(self.index, self._sh | other._sh, self._ds | other._ds)
 
-    def clique(self, names: Iterable[str]) -> "SharingState":
-        """Relate every two of the names, each to itself too, in both relations."""
-        names = list(names)
-        pairs = {_norm(a, b) for a in names for b in names}
-        return SharingState(self.sh | pairs, self.ds | pairs)
+    def clique(self, row: int) -> "SharingState":
+        """Relate every two names of the row, each to itself too, in both
+        relations."""
+        block = self.index.column(row) * row  # no carries: rows are n bits apart
+        return SharingState(self.index, self._sh | block, self._ds | block)
 
     def copy_alias(self, src: str, dst: str) -> "SharingState":
         """Bind ``dst`` to the same location as ``src``."""
         if src == dst:
             return self
-        st = self.kill(dst)
-        new_sh: set[Pair] = set()
-        new_ds: set[Pair] = set()
-        for rel, new in ((st.sh, new_sh), (st.ds, new_ds)):
-            for a, b in rel:
-                if a == src or b == src:
-                    other = b if a == src else a
-                    if other == src:  # a self pair transfers fully
-                        new.add(_norm(dst, dst))
-                        new.add(_norm(dst, src))
-                    else:
-                        new.add(_norm(dst, other))
-        return SharingState(st.sh | new_sh, st.ds | new_ds)
+        ix = self.index
+        s, d = ix.pos[src], ix.pos[dst]
+        return SharingState(ix, _alias(ix, self._sh, s, d), _alias(ix, self._ds, s, d))
 
     def remap_from(self, sources: Mapping[str, str]) -> "SharingState":
         """Rebuild over new names; ``sources[d]`` is the old name feeding d.
@@ -139,28 +275,28 @@ class SharingState:
         Two new names fed by the same old name become related whenever the
         old name related to itself.
         """
-        names = list(sources)
-        sh: set[Pair] = set()
-        ds: set[Pair] = set()
-        for i, a in enumerate(names):
-            for b in names[i:]:
-                old = _norm(sources[a], sources[b])
-                if old in self.sh:
-                    sh.add(_norm(a, b))
-                if old in self.ds:
-                    ds.add(_norm(a, b))
-        return SharingState(frozenset(sh), frozenset(ds))
+        return self._remap(sources.items())
 
     def remap_to(self, mapping: Mapping[str, str]) -> "SharingState":
         """Carry pairs through an old-name to new-name mapping; unmapped
         names drop out."""
-        sh: set[Pair] = set()
-        ds: set[Pair] = set()
-        for rel, new in ((self.sh, sh), (self.ds, ds)):
-            for a, b in rel:
-                if a in mapping and b in mapping:
-                    new.add(_norm(mapping[a], mapping[b]))
-        return SharingState(frozenset(sh), frozenset(ds))
+        return self._remap((new, old) for old, new in mapping.items())
+
+    def _remap(self, feeds: Iterable[Pair]) -> "SharingState":
+        """The state over the new names of the (new, old) feeds: two new
+        names are related when their old names were."""
+        ix = self.index
+        n, row0, pos = ix.n, ix.row0, ix.pos
+        feeds = [(pos[new], pos[old]) for new, old in feeds]
+        sh = ds = 0
+        for d, s in feeds:
+            row_sh, row_ds = self._sh >> s * n & row0, self._ds >> s * n & row0
+            if not (row_sh or row_ds):
+                continue
+            for d2, s2 in feeds:
+                sh |= (row_sh >> s2 & 1) << d * n + d2
+                ds |= (row_ds >> s2 & 1) << d * n + d2
+        return SharingState(ix, sh, ds)
 
 
 @dataclass(frozen=True)
@@ -169,10 +305,6 @@ class SharingSummary:
 
     exit_state: SharingState  # pairs over formal names ('this', params) and 'out'
     impure: frozenset[int]  # argument positions possibly updated; 0 = receiver
-
-    @staticmethod
-    def bottom() -> "SharingSummary":
-        return SharingSummary(SharingState.empty(), frozenset())
 
     def union(self, other: "SharingSummary") -> "SharingSummary":
         return SharingSummary(
@@ -211,11 +343,17 @@ class SharingAnalysis:
         self.program = program
         self.ct = ct
         self.typeinfo = typeinfo
+        names = [v for env in typeinfo.envs.values() for v in env.variables]
+        names += [shallow_name(v) for sig in ct.all_method_sigs() for v in sig.input_vars]
+        # every state of the analysis lies over this index
+        self.none = SharingState.empty([*names, RESULT_VAR, OUT_VAR])
+        self.index = self.none.index
+        self.res_bit = self.index.mask([RESULT_VAR])
         # context (method, entry state) -> sharing summary
         self.memo = Fixpoint(
             self._compute_summary,
             lambda key, old, new: old.union(new),
-            lambda inp: SharingSummary.bottom(),
+            lambda inp: SharingSummary(self.none, frozenset()),
         )
         # per context: the sharing state before/after each point in its last run
         self.point_pre: dict[CtxKey, dict[int, SharingState]] = {}
@@ -226,7 +364,7 @@ class SharingAnalysis:
     def analyze_main(self, entry_state: Optional[SharingState] = None) -> SharingState:
         if self.program.main is None:
             raise ValueError("program has no main block")
-        entry = entry_state or SharingState.empty()
+        entry = self.none if entry_state is None else entry_state.over(self.index)
         env, body = self.typeinfo.env_for("main"), self.program.main.body
         return self.memo.solve(
             lambda: self._exec_body(body, entry, self._start("main", _Body(env)))
@@ -237,10 +375,14 @@ class SharingAnalysis:
 
     def summary(self, sig: MethodSig, entry_state: SharingState) -> SharingSummary:
         """Memoized method denotation; grows until the fixpoint is solved."""
-        return self.memo.lookup(self.ctx_key(sig, entry_state), (sig, entry_state))
+        key = self.ctx_key(sig, entry_state)
+        return self.memo.lookup(key, (sig, key[1]))
 
     def ctx_key(self, sig: MethodSig, entry_state: SharingState) -> CtxKey:
-        return (sig.key, entry_state)
+        """The context of a method entered in a state; a state from outside
+        the analysis is moved onto its index here, so both analyses key the
+        entry's tables by the moved state."""
+        return (sig.key, entry_state.over(self.index))
 
     def state_before(self, ctx: CtxKey, nid: int) -> SharingState:
         return self.point_pre[ctx][nid]  # a miss raises: empty would be unsound
@@ -286,7 +428,7 @@ class SharingAnalysis:
             out = self._eval(cmd.expr, st, frame)
             frame.touch(out, cmd.var)
             if self.ct.field_type(cmd.fieldname) != INT_TYPE and not isinstance(cmd.expr, NullLit):
-                out = out.clique(out.shset(cmd.var) | out.shset(RESULT_VAR))
+                out = out.clique(out.shset(self.index.mask([cmd.var]) | self.res_bit))
             out = out.kill(RESULT_VAR)
         elif isinstance(cmd, If):
             t = self._exec_body(cmd.then_body, st, frame)
@@ -309,7 +451,7 @@ class SharingAnalysis:
             st1 = self._eval(e.left, st, frame).kill(RESULT_VAR)
             return self._eval(e.right, st1, frame).kill(RESULT_VAR)
         if isinstance(e, NewObject):
-            return st.kill(RESULT_VAR).add_sh([(RESULT_VAR, RESULT_VAR)])
+            return st.kill(RESULT_VAR).relate(RESULT_VAR, self.res_bit, 0)
         if isinstance(e, VarRef):
             if frame.env.type_of(e.name) == INT_TYPE:
                 return st.kill(RESULT_VAR)
@@ -319,15 +461,15 @@ class SharingAnalysis:
             st1 = st.kill(RESULT_VAR)
             if self.ct.field_type(e.fieldname) == INT_TYPE:
                 return st1
-            v = e.var
-            sh_pairs = [(RESULT_VAR, x) for x in st1.shset(v)]
-            if st1.has_sh(v, v):
-                sh_pairs.append((RESULT_VAR, RESULT_VAR))
-            # v's own ds self pair makes v one of its partners
-            ds_pairs = [(RESULT_VAR, x) for x in _partners(st1.ds, v)]
-            if st1.has_ds(v, v):
-                ds_pairs.append((RESULT_VAR, RESULT_VAR))
-            return st1.add_sh(sh_pairs).add_ds(ds_pairs)
+            # the result shares with all v shares with, and with v; v's self
+            # pair in a relation relates the result to itself there too
+            v_bit = self.index.mask([e.var])
+            sh_row, ds_row = st1.rows(e.var)
+            if sh_row & v_bit:
+                sh_row |= self.res_bit
+            if ds_row & v_bit:
+                ds_row |= self.res_bit
+            return st1.relate(RESULT_VAR, sh_row | v_bit, ds_row)
         if isinstance(e, MethodCall):
             frame.record(frame.pre, e.nid, st)
             return self._eval_call(e, st, frame)
@@ -349,7 +491,7 @@ class SharingAnalysis:
         """Summary pairs renamed to caller names (result under the internal
         result variable) plus the combined impure positions, for one call
         site entered in the given state."""
-        renamed, impure = SharingState.empty(), frozenset()
+        renamed, impure = self.none, frozenset()
         for sig in self.typeinfo.call_targets[e.nid]:
             mapping, callee_in = self.binding(e, sig, st)
             summ = self.summary(sig, callee_in)
@@ -367,17 +509,14 @@ class SharingAnalysis:
             frame.touch(st, actuals[i])
         st1 = st.kill(RESULT_VAR)
         if impure:
-            refs = [a for a in actuals if frame.env.type_of(a) != INT_TYPE]
-            return st1.clique({RESULT_VAR}.union(*map(st1.shset, refs)))
+            refs = self.index.mask(a for a in actuals if frame.env.type_of(a) != INT_TYPE)
+            return st1.clique(self.res_bit | st1.shset(refs))
         # pure call: the existing heap is untouched; only wire the result to
         # the regions of what the callee relates it to (itself included, as
         # st1 relates the result to nothing else)
-        sh, ds = (
-            [(RESULT_VAR, y) for x in _partners(rel, RESULT_VAR) for y in st1.shset(x)]
-            for rel in (renamed.sh, renamed.ds)
-        )
+        sh_row, ds_row = renamed.rows(RESULT_VAR)
         # the result may be a fresh object
-        return st1.add_sh([(RESULT_VAR, RESULT_VAR), *sh]).add_ds(ds)
+        return st1.relate(RESULT_VAR, self.res_bit | st1.shset(sh_row), st1.shset(ds_row))
 
 
 # --------------------------------------------------------------------------
@@ -393,7 +532,7 @@ def analyze_purity(
     out: dict[tuple[str, str], frozenset[int]] = {}
     for sig in ct.all_method_sigs():
         env = typeinfo.env_for(sig.key)
-        entry = SharingState.empty().add_sh(
+        entry = analysis.none.add_sh(
             [(n, n) for n in sig.input_vars if env.type_of(n) != INT_TYPE]
         )
         out[sig.key] = analysis.analyze_method_entry(sig, entry).impure

@@ -3,12 +3,17 @@ sets of field names and on (node, mask) pairs, the viability table built by
 the latter, address reachability and deep sharing derived from it,
 an AST fingerprint, truth-table submasks, trace lookup, a formula's JSON
 models by sorting, a single move by ``remap``, the field halves by
-division, the concretizations of the coarser domains of
-``fieldreach.compare`` (on the same plain sets and dicts as the
-abstractions) with the formula classes they are stated in, and the dense
-transfer functions.  None of it runs in the package."""
+division, ``concat`` by a loop over models, the concretizations of the
+coarser domains of ``fieldreach.compare`` (on the same plain sets and dicts
+as the abstractions) with the formula classes they are stated in, the dense
+transfer functions, and the deep-sharing analysis on sets of name pairs.
+None of it runs in the package."""
+
+from __future__ import annotations
 
 import dataclasses
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from fieldreach.compare import class_pairs_closure
 from fieldreach.domain import RcValue
@@ -22,7 +27,27 @@ from fieldreach.formula import (
 )
 from fieldreach.oracle import Loc
 from fieldreach.semantics import Analyzer, _Ctx, summary_scope
-from fieldreach.syntax import INT_TYPE, OUT_VAR, RESULT_VAR, FieldRead, FieldWrite, MethodCall
+from fieldreach.sharing import SharingAnalysis, _Body
+from fieldreach.syntax import (
+    INT_TYPE,
+    OUT_VAR,
+    RESULT_VAR,
+    Assign,
+    BinOp,
+    Command,
+    Expr,
+    FieldRead,
+    FieldWrite,
+    If,
+    IntLit,
+    MethodCall,
+    NewObject,
+    NullLit,
+    Return,
+    Skip,
+    VarRef,
+    While,
+)
 
 # --------------------------------------------------------------------------
 # concrete heaps
@@ -165,6 +190,23 @@ def halves_by_division(universe):
         bit = 1 << i
         without = full // ((1 << 2 * bit) - 1) * ((1 << bit) - 1)
         out[bit] = (without, full ^ without)
+    return out
+
+
+def concat_by_models(universe, a, b):
+    """``concat`` without the up-closed meet: each model of the sparser
+    side widens the other table by its fields, one masked shift per field."""
+    few, many = (a, b) if a.bit_count() <= b.bit_count() else (b, a)
+    halves = universe.halves
+    out = 0
+    for x in models_of(few):
+        t = many
+        while x:
+            bit = x & -x
+            x ^= bit
+            without, with_ = halves[bit]
+            t = ((t & without) << bit) | (t & with_)
+        out |= t
     return out
 
 
@@ -406,3 +448,221 @@ class DenseAnalyzer(Analyzer):
             if reach[(w, v)]:
                 extra.cyc[w] = cyc_new
         return evaluated.join(extra).project([RESULT_VAR]).normalize()
+
+
+# --------------------------------------------------------------------------
+# deep sharing on pair sets
+
+Pair = tuple[str, str]
+
+
+def _norm(a: str, b: str) -> Pair:
+    return (a, b) if a <= b else (b, a)
+
+
+def _partners(rel: frozenset[Pair], v: str) -> list[str]:
+    """The names a relation pairs with ``v``; ``v`` itself if it has a self pair."""
+    return [b if a == v else a for a, b in rel if a == v or b == v]
+
+
+@dataclass(frozen=True)
+class PairSharingState:
+    """The sharing state as two frozensets of name pairs, each pair with
+    its names in order: the package's state before it held bit matrices."""
+
+    sh: frozenset[Pair]
+    ds: frozenset[Pair]
+
+    @staticmethod
+    def empty() -> "PairSharingState":
+        return PairSharingState(frozenset(), frozenset())
+
+    def has_sh(self, a: str, b: str) -> bool:
+        return _norm(a, b) in self.sh
+
+    def has_ds(self, a: str, b: str) -> bool:
+        return _norm(a, b) in self.ds
+
+    def shset(self, v: str) -> frozenset[str]:
+        """The variables whose region may overlap v's, v included."""
+        out = {v}
+        for a, b in self.sh:
+            if a == v:
+                out.add(b)
+            elif b == v:
+                out.add(a)
+        return frozenset(out)
+
+    def kill(self, v: str) -> "PairSharingState":
+        return PairSharingState(
+            frozenset(p for p in self.sh if v not in p),
+            frozenset(p for p in self.ds if v not in p),
+        )
+
+    def add_sh(self, pairs: Iterable[Pair]) -> "PairSharingState":
+        return PairSharingState(self.sh | {_norm(a, b) for a, b in pairs}, self.ds)
+
+    def add_ds(self, pairs: Iterable[Pair]) -> "PairSharingState":
+        return PairSharingState(self.sh, self.ds | {_norm(a, b) for a, b in pairs})
+
+    def union(self, other: "PairSharingState") -> "PairSharingState":
+        return PairSharingState(self.sh | other.sh, self.ds | other.ds)
+
+    def clique(self, names: Iterable[str]) -> "PairSharingState":
+        """Relate every two of the names, each to itself too, in both relations."""
+        names = list(names)
+        pairs = {_norm(a, b) for a in names for b in names}
+        return PairSharingState(self.sh | pairs, self.ds | pairs)
+
+    def copy_alias(self, src: str, dst: str) -> "PairSharingState":
+        """Bind ``dst`` to the same location as ``src``."""
+        if src == dst:
+            return self
+        st = self.kill(dst)
+        new_sh: set[Pair] = set()
+        new_ds: set[Pair] = set()
+        for rel, new in ((st.sh, new_sh), (st.ds, new_ds)):
+            for a, b in rel:
+                if a == src or b == src:
+                    other = b if a == src else a
+                    if other == src:  # a self pair transfers fully
+                        new.add(_norm(dst, dst))
+                        new.add(_norm(dst, src))
+                    else:
+                        new.add(_norm(dst, other))
+        return PairSharingState(st.sh | new_sh, st.ds | new_ds)
+
+    def remap_from(self, sources: Mapping[str, str]) -> "PairSharingState":
+        """Rebuild over new names; ``sources[d]`` is the old name feeding d.
+
+        Two new names fed by the same old name become related whenever the
+        old name related to itself.
+        """
+        names = list(sources)
+        sh: set[Pair] = set()
+        ds: set[Pair] = set()
+        for i, a in enumerate(names):
+            for b in names[i:]:
+                old = _norm(sources[a], sources[b])
+                if old in self.sh:
+                    sh.add(_norm(a, b))
+                if old in self.ds:
+                    ds.add(_norm(a, b))
+        return PairSharingState(frozenset(sh), frozenset(ds))
+
+    def remap_to(self, mapping: Mapping[str, str]) -> "PairSharingState":
+        """Carry pairs through an old-name to new-name mapping; unmapped
+        names drop out."""
+        sh: set[Pair] = set()
+        ds: set[Pair] = set()
+        for rel, new in ((self.sh, sh), (self.ds, ds)):
+            for a, b in rel:
+                if a in mapping and b in mapping:
+                    new.add(_norm(mapping[a], mapping[b]))
+        return PairSharingState(frozenset(sh), frozenset(ds))
+
+
+def as_pairs(state):
+    """A state as a ``PairSharingState``: the decoded pairs of a package one."""
+    if isinstance(state, PairSharingState):
+        return state
+    return PairSharingState(frozenset(state.sh), frozenset(state.ds))
+
+
+class PairSharingAnalysis(SharingAnalysis):
+    """The deep-sharing analysis over ``PairSharingState``, with the
+    transfers that walk pairs.  A state from outside is decoded into pairs
+    where the package moves it onto its index."""
+
+    def __init__(self, program, ct, typeinfo):
+        super().__init__(program, ct, typeinfo)
+        self.none = PairSharingState.empty()
+
+    def analyze_main(self, entry_state=None):
+        entry = self.none if entry_state is None else as_pairs(entry_state)
+        env, body = self.typeinfo.env_for("main"), self.program.main.body
+        return self.memo.solve(
+            lambda: self._exec_body(body, entry, self._start("main", _Body(env)))
+        )[0]
+
+    def ctx_key(self, sig, entry_state):
+        return (sig.key, as_pairs(entry_state))
+
+    def _exec(self, cmd: Command, st: PairSharingState, frame: _Body) -> PairSharingState:
+        frame.record(frame.pre, cmd.nid, st)
+        if isinstance(cmd, Skip):
+            out = st
+        elif isinstance(cmd, (Assign, Return)):
+            out = self._eval(cmd.expr, st, frame)
+            if frame.env.type_of(cmd.var) != INT_TYPE:
+                out = out.copy_alias(RESULT_VAR, cmd.var)
+            out = out.kill(RESULT_VAR)
+        elif isinstance(cmd, FieldWrite):
+            out = self._eval(cmd.expr, st, frame)
+            frame.touch(out, cmd.var)
+            if self.ct.field_type(cmd.fieldname) != INT_TYPE and not isinstance(cmd.expr, NullLit):
+                out = out.clique(out.shset(cmd.var) | out.shset(RESULT_VAR))
+            out = out.kill(RESULT_VAR)
+        elif isinstance(cmd, If):
+            t = self._exec_body(cmd.then_body, st, frame)
+            out = t.union(self._exec_body(cmd.else_body, st, frame))
+        elif isinstance(cmd, While):
+            out = st
+            while (head := out.union(self._exec_body(cmd.body, out, frame))) != out:
+                out = head
+        else:
+            raise TypeError(f"unsupported command {cmd!r}")
+        frame.record(frame.post, cmd.nid, out)
+        return out
+
+    def _eval(self, e: Expr, st: PairSharingState, frame: _Body) -> PairSharingState:
+        if isinstance(e, (IntLit, NullLit)):
+            return st.kill(RESULT_VAR)
+        if isinstance(e, BinOp):
+            st1 = self._eval(e.left, st, frame).kill(RESULT_VAR)
+            return self._eval(e.right, st1, frame).kill(RESULT_VAR)
+        if isinstance(e, NewObject):
+            return st.kill(RESULT_VAR).add_sh([(RESULT_VAR, RESULT_VAR)])
+        if isinstance(e, VarRef):
+            if frame.env.type_of(e.name) == INT_TYPE:
+                return st.kill(RESULT_VAR)
+            return st.copy_alias(e.name, RESULT_VAR)
+        if isinstance(e, FieldRead):
+            frame.record(frame.pre, e.nid, st)
+            st1 = st.kill(RESULT_VAR)
+            if self.ct.field_type(e.fieldname) == INT_TYPE:
+                return st1
+            v = e.var
+            sh_pairs = [(RESULT_VAR, x) for x in st1.shset(v)]
+            if st1.has_sh(v, v):
+                sh_pairs.append((RESULT_VAR, RESULT_VAR))
+            # v's own ds self pair makes v one of its partners
+            ds_pairs = [(RESULT_VAR, x) for x in _partners(st1.ds, v)]
+            if st1.has_ds(v, v):
+                ds_pairs.append((RESULT_VAR, RESULT_VAR))
+            return st1.add_sh(sh_pairs).add_ds(ds_pairs)
+        if isinstance(e, MethodCall):
+            frame.record(frame.pre, e.nid, st)
+            return self._eval_call(e, st, frame)
+        raise TypeError(f"unsupported expression {e!r}")
+
+    def _eval_call(self, e: MethodCall, st: PairSharingState, frame: _Body) -> PairSharingState:
+        actuals = [e.receiver, *e.args]
+        renamed, impure = self.call_effect(e, st)
+        # an impure callee argument may update structures shared with the
+        # enclosing method's own entry arguments
+        for i in impure:
+            frame.touch(st, actuals[i])
+        st1 = st.kill(RESULT_VAR)
+        if impure:
+            refs = [a for a in actuals if frame.env.type_of(a) != INT_TYPE]
+            return st1.clique({RESULT_VAR}.union(*map(st1.shset, refs)))
+        # pure call: the existing heap is untouched; only wire the result to
+        # the regions of what the callee relates it to (itself included, as
+        # st1 relates the result to nothing else)
+        sh, ds = (
+            [(RESULT_VAR, y) for x in _partners(rel, RESULT_VAR) for y in st1.shset(x)]
+            for rel in (renamed.sh, renamed.ds)
+        )
+        # the result may be a fresh object
+        return st1.add_sh([(RESULT_VAR, RESULT_VAR), *sh]).add_ds(ds)

@@ -17,6 +17,7 @@ from fieldreach.formula import concat, difference, models_of
 from conftest import pf
 from reference import (
     all_formulas,
+    concat_by_models,
     halves_by_division,
     pairwise_viability,
     sorted_json_models,
@@ -179,6 +180,26 @@ def test_concat_models_are_pairwise_unions(drawn):
     a = PathFormula.from_models(u, ma)
     b = PathFormula.from_models(u, mb)
     assert masks(a.concat(b)) == frozenset(x | y for x in ma for y in mb)
+
+
+@st.composite
+def concat_operands(draw):
+    """A universe of 0-8 fields and two tables over it, each random,
+    up-closed or the tautology."""
+    u = FieldUniverse(tuple(f"f{i}" for i in range(draw(st.integers(0, 8)))))
+    random_table = st.integers(min_value=0, max_value=u.full_table)
+    table = st.one_of(random_table, random_table.map(u.up), st.just(u.full_table))
+    return u, draw(table), draw(table)
+
+
+@given(concat_operands())
+@example((FieldUniverse(("f", "g")), 0b0111, 0b1111))
+def test_concat_equals_the_per_model_loop(drawn):
+    """With an up-closed operand ``concat`` may take one meet of closures."""
+    u, a, b = drawn
+    expected = concat_by_models(u, a, b)
+    assert concat(u, a, b) == expected == concat_by_models(u, b, a)
+    assert concat(u, b, a) == expected
 
 
 @given(two_model_sets())

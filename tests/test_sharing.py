@@ -1,9 +1,18 @@
-from fieldreach import SharingAnalysis, SharingState, analyze_purity
-from fieldreach.oracle import Loc, _Interp
-from fieldreach.syntax import FieldWrite, MethodCall, walk_commands, walk_exprs
+import random
 
-from conftest import build
-from reference import reachable
+from hypothesis import given, strategies as st
+
+import fieldreach.semantics
+from fieldreach import SharingAnalysis, SharingState, analyze_program, analyze_purity
+from fieldreach.oracle import Loc, _Interp
+from fieldreach.semantics import entry_scope
+from fieldreach.syntax import RESULT_VAR, FieldWrite, MethodCall, walk_commands, walk_exprs
+
+from conftest import DATA, build
+from corpus import CORPUS
+from reference import PairSharingAnalysis, PairSharingState, as_pairs, reachable
+from test_render_json import WIDE
+from test_semantics import _random_init_lines
 
 
 def per_line_ds(source: str) -> dict[int, frozenset]:
@@ -317,3 +326,135 @@ class K {
     assert analysis.analyze_method_entry(sig, independent).impure == frozenset({1})
     entangled = independent.add_sh([("x1", "x2")])
     assert analysis.analyze_method_entry(sig, entangled).impure == frozenset({1, 2})
+
+
+# --------------------------------------------------------------------------
+# the bit-matrix state against the pair-set reference
+
+NAME_POOL = ("a", "b", "c", "this", RESULT_VAR, "%in_this")
+
+
+@st.composite
+def states(draw):
+    """Names, two states over an index of them with their pair-set
+    references, and names outside the index."""
+    names = draw(st.lists(st.sampled_from(NAME_POOL), min_size=1, max_size=6, unique=True))
+    pairs = st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=8)
+
+    def state():
+        sh, ds = draw(pairs), draw(pairs)
+        return (
+            SharingState.empty(names).add_sh(sh).add_ds(ds),
+            PairSharingState.empty().add_sh(sh).add_ds(ds),
+        )
+
+    return names, state(), state(), [v for v in NAME_POOL if v not in names]
+
+
+def same(state, ref):
+    return state.sh == ref.sh and state.ds == ref.ds
+
+
+def names_of(state, row):
+    return {v for i, v in enumerate(state.index.names) if row >> i & 1}
+
+
+@given(states(), st.data())
+def test_bit_matrix_state_equals_the_pair_sets(drawn, data):
+    names, (s, r), (s2, r2), outside = drawn
+    pick = st.sampled_from(names)
+    assert same(s, r) and same(s2, r2)
+    assert (s == s2) == (r == r2)
+    assert s != s2 or hash(s) == hash(s2)
+    for a in names:
+        assert names_of(s, s.shset(s.index.mask([a]))) == r.shset(a)
+        sh_row, ds_row = s.rows(a)
+        assert names_of(s, sh_row) == {b for b in names if r.has_sh(a, b)}
+        assert names_of(s, ds_row) == {b for b in names if r.has_ds(a, b)}
+        for b in names:
+            assert s.has_sh(a, b) == r.has_sh(a, b) and s.has_ds(a, b) == r.has_ds(a, b)
+    v, src, dst = data.draw(pick), data.draw(pick), data.draw(pick)
+    assert same(s.kill(v), r.kill(v))
+    assert same(s.copy_alias(src, dst), r.copy_alias(src, dst))
+    group = data.draw(st.lists(pick, unique=True))
+    assert same(s.clique(s.index.mask(group)), r.clique(group))
+    assert names_of(s, s.shset(s.index.mask(group))) == set().union(*map(r.shset, group))
+    assert same(s.union(s2), r.union(r2))
+    # a state from outside, on an index of its own, some of its names new
+    new = st.sampled_from(names + outside)
+    extra = data.draw(st.lists(st.tuples(new, new), max_size=4))
+    assert same(s.add_sh(extra), r.add_sh(extra))
+    assert same(s.add_ds(extra), r.add_ds(extra))
+    other = SharingState.empty().add_sh(extra)
+    assert same(s.union(other), r.union(as_pairs(other)))
+    assert same(other.union(s), as_pairs(other).union(r))
+    # two new names may be fed by one old name; old names may go unmapped
+    sources = data.draw(st.dictionaries(pick, pick, max_size=4))
+    assert same(s.remap_from(sources), r.remap_from(sources))
+    mapping = data.draw(st.dictionaries(pick, pick, max_size=4))
+    assert same(s.remap_to(mapping), r.remap_to(mapping))
+
+
+def test_states_from_outside_move_onto_the_analysis_index():
+    program, ct, info = build(DATA.joinpath("tree.lang").read_text())
+    analysis = SharingAnalysis(program, ct, info)
+    sig = ct.all_method_sigs()[0]
+    outside = SharingState.empty().add_sh([("this", "this")])
+    assert outside.index is not analysis.index
+    key = analysis.ctx_key(sig, outside)
+    assert key[1].index is analysis.index and same(key[1], as_pairs(outside))
+    analysis.analyze_method_entry(sig, outside)
+    assert list(analysis.memo.table)[0] == key
+
+
+def test_sharing_tables_equal_the_pair_set_reference(monkeypatch):
+    """The analysis on bit matrices gives the tables, summaries and impure
+    sets of the one on pair sets, on every entry of the corpus and the data
+    programs, from the program's own facts and from seeded random extra
+    facts."""
+
+    def outcome(analysis, built, entry):
+        with monkeypatch.context() as m:
+            m.setattr(fieldreach.semantics, "SharingAnalysis", analysis)
+            r = analyze_program(*built, entry=entry)
+
+        def key(ctx):
+            return ctx if ctx == "main" else (ctx[0], ctx[1].sh, ctx[1].ds)
+
+        def tables(points):
+            return {
+                key(ctx): {nid: (s.sh, s.ds) for nid, s in table.items()}
+                for ctx, table in points.items()
+            }
+
+        sharing = r.sharing
+        summaries = {
+            key(ctx): (summ.exit_state.sh, summ.exit_state.ds, summ.impure)
+            for ctx, summ in sharing.memo.table.items()
+        }
+        return (
+            tables(sharing.point_pre),
+            tables(sharing.point_post),
+            summaries,
+            r.final,
+            r.point_post,
+        )
+
+    rng = random.Random(24)
+    data = [(DATA / name).read_text() for name in ("dll.lang", "tree.lang", "tree_main.lang")]
+    runs = 0
+    for source in [src for _, src in sorted(CORPUS.items())] + data + [WIDE]:
+        program, ct, info = build(source)
+        fields = sorted(ct.reference_fields)
+        entries = ["main"] if program.main is not None else []
+        entries += ct.all_method_sigs()
+        for entry in entries:
+            _, _, scope = entry_scope(program, ct, info, entry=entry)
+            named = [v for v in scope if v != RESULT_VAR]
+            extra = _random_init_lines(rng, fields, named) if named and fields else []
+            for src in (source, "\n".join(extra + [source])):
+                built = build(src)
+                bits = outcome(SharingAnalysis, built, entry)
+                assert bits == outcome(PairSharingAnalysis, built, entry)
+                runs += 1
+    assert runs >= 100
