@@ -548,20 +548,21 @@ def alpha_state(
     entry models are precisely the realized traversal sets.  ``memo``, made
     for the same universe, carries heap results over from earlier states."""
     memo = memo or _SnapshotMemo(universe)
-    value = RcValue.bottom(universe, variables)
-    locs = {v: state.frame[v].addr for v in value.cyc if isinstance(state.frame.get(v), Loc)}
+    variables = tuple(variables)
+    locs = {v: state.frame[v].addr for v in variables if isinstance(state.frame.get(v), Loc)}
     if not locs:
-        return value
+        return RcValue.bottom(universe, variables)
     results = memo.edge_results(state.heap)
     reach = {addr: memo._reach(results, addr) for addr in set(locs.values())}
+    entries: dict[tuple[str, str], int] = {}
     for v, av in locs.items():
         for w, aw in locs.items():
             table = reach[av].get(aw)
             if table:
-                value.reach[(v, w)] = table
-        # a non-null variable has its empty cycle
-        value.cyc[v] = 1 | memo._cycles(results, av)
-    return value
+                entries[v, w] = table
+    # a non-null variable has its empty cycle
+    cycles = {v: 1 | memo._cycles(results, av) for v, av in locs.items()}
+    return RcValue.of(universe, variables, entries, cycles)
 
 
 # --------------------------------------------------------------------------
@@ -623,28 +624,30 @@ def check_soundness(result: AnalysisResult, oracle: OracleResult) -> SoundnessRe
             continue
         points += 1
         states += len(state_list)
-        reach_entries, cyc_entries = abstract.reach, abstract.cyc  # the scope is cyc's keys
+        entries, n, nn = abstract.tables, abstract.scope.n, abstract.scope.nn
+        scope = list(enumerate(abstract.scope.names))
         for idx, state in enumerate(state_list):
             frame = state.frame
-            locs = [(v, val.addr) for v in cyc_entries if isinstance(val := frame.get(v), Loc)]
+            # (name, position, address) of each variable holding a location
+            locs = [(v, i, val.addr) for i, v in scope if isinstance(val := frame.get(v), Loc)]
             if not locs:
                 continue
             results = memo.edge_results(state.heap)
             reach: dict[int, dict[int, int]] = {}
-            for _, a in locs:
+            for _, _, a in locs:
                 if a not in reach:
                     reach[a] = memo._reach(results, a)
-            for v, av in locs:
+            for v, i, av in locs:
                 row = reach[av]
-                for w, aw in locs:
+                for w, j, aw in locs:
                     table = row.get(aw)
                     if table:
-                        outside = table & ~reach_entries[(v, w)]
+                        outside = table & ~entries[i * n + j]
                         if outside:
                             witness = names_of(next(models_of(outside)))
                             violations.append(Violation(nid, "reach", (v, w), witness, idx))
-            for v, av in locs:
-                outside = (1 | memo._cycles(results, av)) & ~cyc_entries[v]
+            for v, i, av in locs:
+                outside = (1 | memo._cycles(results, av)) & ~entries[nn + i]
                 if outside:
                     witness = names_of(next(models_of(outside)))
                     violations.append(Violation(nid, "cyc", (v,), witness, idx))

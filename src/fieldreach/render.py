@@ -11,7 +11,7 @@ from typing import Optional
 
 from .classtable import ClassTable
 from .compare import alpha_class_pairs, alpha_monotone, alpha_nofields, alpha_q, alpha_scapin
-from .domain import RcValue
+from .domain import RcValue, Scope
 from .formula import FieldUniverse, PathFormula
 from .semantics import AnalysisResult
 from .syntax import walk_commands
@@ -22,7 +22,7 @@ def _display_pairs(
     value: RcValue, display_vars: tuple[str, ...]
 ) -> tuple[list[str], list[tuple[str, str]]]:
     """The displayed variables of the value's scope, sorted, and their pairs."""
-    shown = [v for v in sorted(display_vars) if v in value.cyc]
+    shown = [v for v in sorted(display_vars) if v in value.scope.pos]
     return shown, [(v, w) for v in shown for w in shown]
 
 
@@ -77,7 +77,7 @@ def render_compare(result: AnalysisResult, ct: ClassTable, typeinfo: TypeInfo) -
     final = result.final
     var_types = {
         v: env.type_of(v)
-        for v in final.cyc
+        for v in final.scope.names
         if env.type_of(v) is not None and env.type_of(v) != "int"
     }
     reach = {(v, w): final.reach_at(v, w) for v in var_types for w in var_types}
@@ -132,7 +132,8 @@ def render_sharing(program, analysis) -> str:
 # masks in JSON model order (``FieldUniverse.json_walk``), each model from
 # its parent's prefix; per table, its encoded model list at each depth, its
 # models put in order by their rank in that walk; per scope and depth, the
-# sorted member heads of ``cyc`` and ``reach``.  So no model is sorted or
+# sorted member heads of ``cyc`` and ``reach``, each with the position of its
+# entry in a value's flat list of tables.  So no model is sorted or
 # encoded name by name, a row needs no sort and no key encoding, and each
 # distinct table is encoded once per report, not once per entry.  The query
 # answers and ``universe`` are laid out with ``_array`` too; only
@@ -180,7 +181,7 @@ class _Entries:
         self.universe = universe
         self._texts: defaultdict[int, dict[int, str]] = defaultdict(dict)  # depth: table: list
         self._texts[0][0] = "[]"  # so a report of empty tables builds no models
-        self._heads: dict[tuple[tuple[str, ...], int], tuple] = {}  # (scope, depth)
+        self._heads: dict[tuple[Scope, int], tuple] = {}  # (scope, depth)
 
     def write(
         self, out: list[str], value: RcValue, depth: int, line: str = "", visit: str = ""
@@ -189,19 +190,22 @@ class _Entries:
         ``line`` and ``visit`` are encoded members, each with its leading
         separator, that follow ``cyc`` and ``reach``."""
         entry = depth + 2
-        cyc, reach, close = self._layout(tuple(value.cyc), entry)
+        cyc, reach, close = self._layout(value.scope, entry)
         pad = "\n" + _INDENT * (depth + 1)
         out.append("{" + pad + '"cyc": ')
-        self._tables(out, cyc, close, entry, value.cyc)
+        self._tables(out, cyc, close, entry, value.tables)
         out.append(line + "," + pad + '"reach": ')
-        self._tables(out, reach, close, entry, value.reach)
+        self._tables(out, reach, close, entry, value.tables)
         out.append(visit + "\n" + _INDENT * depth + "}")
 
-    def _tables(self, out: list[str], heads: list, close: str, entry: int, tables: dict) -> None:
-        """Append the object of ``tables`` laid out by ``heads``."""
+    def _tables(
+        self, out: list[str], members: list, close: str, entry: int, tables: list[int]
+    ) -> None:
+        """Append the object of the entries of ``tables`` laid out by
+        ``members``, each a member head and the position of its entry."""
         texts = self._texts[entry]
-        for head, key in heads:
-            table = tables[key]
+        for head, at in members:
+            table = tables[at]
             text = texts.get(table)
             if text is None:
                 text = texts[table] = _indent(self._text(table), entry)
@@ -209,24 +213,33 @@ class _Entries:
             out.append(text)
         out.append(close)
 
-    def _layout(self, scope: tuple[str, ...], entry: int) -> tuple:
-        """The member heads of ``cyc`` and ``reach`` over ``scope``, sorted,
-        with entries ``entry`` levels deep, and the text that closes both."""
+    def _layout(self, scope: Scope, entry: int) -> tuple:
+        """The members of ``cyc`` and ``reach`` over ``scope``, entries
+        ``entry`` levels deep, and the text that closes both.  A member is
+        its head and the position of its entry in a value's tables, and the
+        members come in name order, a permutation of the positions."""
         layout = self._heads.get((scope, entry))
         if layout is None:
             pad = "\n" + _INDENT * entry
+            names, n = scope.names, scope.n
 
-            def heads(members: list[tuple[str, object]]) -> list[tuple[str, object]]:
-                members.sort(key=itemgetter(0))
+            def members(named: list[tuple[str, int]]) -> list[tuple[str, int]]:
+                named.sort(key=itemgetter(0))
                 return [
-                    (("," if i else "{") + pad + encode_basestring_ascii(name) + ": ", key)
-                    for i, (name, key) in enumerate(members)
+                    (("," if i else "{") + pad + encode_basestring_ascii(name) + ": ", at)
+                    for i, (name, at) in enumerate(named)
                 ]
 
             layout = self._heads[scope, entry] = (
-                heads([(v, v) for v in scope]),
-                heads([(f"({v},{w})", (v, w)) for v in scope for w in scope]),
-                "\n" + _INDENT * (entry - 1) + "}" if scope else "{}",
+                members([(v, scope.nn + i) for i, v in enumerate(names)]),
+                members(
+                    [
+                        (f"({v},{w})", i * n + j)
+                        for i, v in enumerate(names)
+                        for j, w in enumerate(names)
+                    ]
+                ),
+                "\n" + _INDENT * (entry - 1) + "}" if n else "{}",
             )
         return layout
 

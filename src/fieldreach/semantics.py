@@ -6,10 +6,13 @@ consume it.  A field access turns the base variable's rows into result rows
 through the path operators; a field update joins in the paths the new edge
 can create, including the cycle it may close; a call combines the callee
 summaries with purity- and deep-sharing-guarded repair of everything the
-callee might have rewired.  Each transfer writes into one fresh copy of its
-input and computes only the terms whose operands are non-zero: ``concat``
-and ``difference`` give the zero table when either operand is zero and
-``t |= 0`` changes nothing, so a skipped term is one that adds nothing.
+callee might have rewired, reading the call effect and the callees'
+bindings the sharing analysis recorded at the call site.  Each transfer
+writes, by position in the value's flat list of tables, into one fresh
+copy of its input and computes only the terms whose operands are non-zero:
+``concat`` and ``difference`` give the zero table when either operand is
+zero and ``t |= 0`` changes nothing, so a skipped term is one that adds
+nothing.
 Most entries are zero, since most paths and cycles are impossible.
 
 Method denotations map an abstract entry value over the inputs to an exit
@@ -30,6 +33,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import ne
 from typing import Iterable, Optional, Union
 
 from .classtable import ClassTable, MethodSig
@@ -100,7 +105,7 @@ class AnalysisResult:
         """May a cycle traversing exactly these fields be reachable from the
         variable?  False means such a cycle is provably impossible."""
         value = self._value_at(point)
-        if var not in value.cyc:
+        if var not in value.scope.pos:
             raise AnalysisError(f"unknown reference variable {var!r}")
         try:
             mask = self.universe.mask_of(fields)
@@ -110,7 +115,7 @@ class AnalysisResult:
 
     def query_reach(self, v: str, w: str, point: Optional[int] = None) -> list[list[str]]:
         value = self._value_at(point)
-        if (v, w) not in value.reach:
+        if v not in value.scope.pos or w not in value.scope.pos:
             raise AnalysisError(f"unknown reference variables ({v},{w})")
         return value.reach_at(v, w).json_models()
 
@@ -175,7 +180,7 @@ class Analyzer:
             self._widen_memo,
             lambda inp: RcValue.bottom(universe, summary_scope(inp[0], typeinfo)),
         )
-        self._memo_counters: dict[tuple, dict] = {}
+        self._memo_counters: dict[tuple, list[int]] = {}
         # the last run's recording of each context; the entry's under None
         self.recorders: dict[Optional[tuple], _Recorder] = {}
 
@@ -198,7 +203,9 @@ class Analyzer:
             return I
         if isinstance(e, NewObject):
             out = I._fresh()
-            out.reach[(RESULT_VAR, RESULT_VAR)] = out.cyc[RESULT_VAR] = self._only(())
+            s = I.scope
+            r = s.pos[RESULT_VAR]
+            out.tables[r * s.n + r] = out.tables[s.nn + r] = self._only(())
             return out
         if isinstance(e, VarRef):  # an int variable is outside the scope: I stays
             return I.copy_var(e.name, RESULT_VAR)
@@ -217,58 +224,62 @@ class Analyzer:
             return I
         sp = self.sharing.state_before(ctx.sp_ctx, e.nid)
         u = self.universe
-        v = e.var
+        s = I.scope
+        n, names = s.n, s.names
+        v, r = s.pos[e.var], s.pos[RESULT_VAR]
         fld = self._only([e.fieldname])
         fld_mask = u.abstract_mask([e.fieldname])
-        reach = I.reach
+        t = I.tables
         out = I._fresh()
-        new = out.reach
-        out.cyc[RESULT_VAR] |= I.cyc[v]
-        new[(RESULT_VAR, RESULT_VAR)] |= I.cyc[v]
-        for w in I.cyc:
-            if w == RESULT_VAR:
+        new = out.tables
+        new[s.nn + r] |= t[s.nn + v]
+        new[r * n + r] |= t[s.nn + v]
+        for w in range(n):
+            if w == r:
                 continue
-            from_v = reach[(v, w)]
+            from_v = t[v * n + w]
             if from_v:
-                new[(RESULT_VAR, w)] |= difference(u, from_v, fld)
-            if sp.has_ds(w, v):
-                new[(w, RESULT_VAR)] = u.full_table
+                new[r * n + w] |= difference(u, from_v, fld)
+            if sp.has_ds(names[w], e.var):
+                new[w * n + r] = u.full_table
                 continue
-            if reach[(w, v)]:
-                new[(w, RESULT_VAR)] |= concat(u, reach[(w, v)], fld)
+            into = t[w * n + v]
+            if into:
+                new[w * n + r] |= concat(u, into, fld)
             # the read value may be w itself: exactly when the one-step
             # path through this field is an admitted way from v to w
             if from_v >> fld_mask & 1:
-                new[(w, RESULT_VAR)] |= self._only(())
+                new[w * n + r] |= self._only(())
         return out._normalize_in_place()
 
     def _eval_call(self, e: MethodCall, I: RcValue, ctx: _Ctx) -> RcValue:
         sp = self.sharing.state_before(ctx.sp_ctx, e.nid)
+        sp_after, impure, bindings = self.sharing.call_at(ctx.sp_ctx, e.nid)
         u = self.universe
         true = u.full_table
-        reach, cyc = I.reach, I.cyc
+        s = I.scope
+        n, nn, pos, names = s.n, s.nn, s.pos, s.names
+        t = I.tables
         actuals = [e.receiver] + list(e.args)
-        ref_actual = [a for a in actuals if a in cyc]
+        ref_actual = [a for a in actuals if a in pos]
         callees = self.typeinfo.call_targets[e.nid]
 
-        summary_back = RcValue.bottom(u, cyc)
-        for sig in callees:
+        summary_back = RcValue.bottom(u, names)
+        for sig, (formal_to_actual, sp_entry) in zip(callees, bindings):
             entry = RcValue.bottom(u, summary_scope(sig, self.typeinfo))
-            formal_to_actual, sp_entry = self.sharing.binding(e, sig, sp)
-            formals = [f for f in sig.input_vars if f in entry.cyc]
-            for f1 in formals:
-                a1 = formal_to_actual[f1]
-                for f2 in formals:
-                    entry.reach[(f1, f2)] = reach[(a1, formal_to_actual[f2])]
-                entry.cyc[f1] = cyc[a1]
+            es, et = entry.scope, entry.tables
+            # (formal position, actual position) for each reference formal
+            fa = [(es.pos[f], pos[formal_to_actual[f]]) for f in sig.input_vars if f in es.pos]
+            for f1, a1 in fa:
+                for f2, a2 in fa:
+                    et[f1 * es.n + f2] = t[a1 * n + a2]
+                et[es.nn + f1] = t[nn + a1]
             output = self._denotation(sig, entry, sp_entry)
             mapping = {**formal_to_actual, OUT_VAR: RESULT_VAR}
-            summary_back = summary_back.join(output.remap(mapping, cyc))
-        back = summary_back.reach
+            summary_back = summary_back.join(output.remap(mapping, names))
+        back = summary_back.tables
         out = I.join(summary_back)
-        new = out.reach
-
-        sp_after, impure = self.sharing.call_effect(e, sp)
+        new = out.tables
 
         # paths the callee may have created between caller variables: for an
         # impure argument, pre-call reachability into it, the callee-computed
@@ -276,17 +287,20 @@ class Analyzer:
         # argument are stitched together; deep-sharing on either side forfeits
         # the field information for that side.  A stitched path needs a way
         # into the argument and a way out of the other one.
-        others = [w for w in cyc if w != RESULT_VAR]
+        r = pos[RESULT_VAR]
+        others = [w for w in range(n) if w != r]
         for i, vi in enumerate(actuals):
-            if vi not in cyc or i not in impure:
+            if vi not in pos or i not in impure:
                 continue
+            a = pos[vi]
             for vj in ref_actual:
+                b = pos[vj]
                 ds_ij_after = sp_after.has_ds(vi, vj)
-                leg = back[(vi, vj)]
-                outs = [(w2, reach[(vj, w2)]) for w2 in others if reach[(vj, w2)]]
+                leg = back[a * n + b]
+                outs = [(w2, t[b * n + w2]) for w2 in others if t[b * n + w2]]
                 for w1 in others:
-                    ds_w1_vi = sp.has_ds(w1, vi)
-                    into = reach[(w1, vi)]
+                    ds_w1_vi = sp.has_ds(names[w1], vi)
+                    into = t[w1 * n + a]
                     if not into and not ds_w1_vi:
                         continue
                     for w2, out_of in outs:
@@ -298,7 +312,7 @@ class Analyzer:
                             f = concat(u, true, out_of)
                         else:
                             f = true
-                        new[(w1, w2)] |= f
+                        new[w1 * n + w2] |= f
 
         # result rows: what the result may reach among caller variables.  The
         # ``difference`` term is the rest of a path from vk to w after the
@@ -307,39 +321,43 @@ class Analyzer:
         # a ``ds`` line (test_call_result_keeps_the_alias_through_the_receiver)
         for w in others:
             for vk in ref_actual:
+                k = pos[vk]
                 if sp_after.has_ds(vk, RESULT_VAR):
-                    new[(RESULT_VAR, w)] = true
-                elif reach[(vk, w)]:
-                    new[(RESULT_VAR, w)] |= concat(
-                        u, back[(RESULT_VAR, vk)], reach[(vk, w)]
-                    ) | difference(u, reach[(vk, w)], back[(vk, RESULT_VAR)])
+                    new[r * n + w] = true
+                elif t[k * n + w]:
+                    new[r * n + w] |= concat(u, back[r * n + k], t[k * n + w]) | difference(
+                        u, t[k * n + w], back[k * n + r]
+                    )
 
         # and the reverse direction: the result may sit inside an argument's
         # structure, so anything leading into that argument may lead to it —
         # including plain aliasing when the argument reaches both
         for w in others:
             for vk in ref_actual:
-                if sp.has_ds(w, vk):
-                    new[(w, RESULT_VAR)] = true
+                if sp.has_ds(names[w], vk):
+                    new[w * n + r] = true
                     continue
-                leg = back[(vk, RESULT_VAR)]
-                if reach[(w, vk)]:
-                    new[(w, RESULT_VAR)] |= concat(u, reach[(w, vk)], leg)
-                if leg and reach[(vk, w)]:
-                    new[(w, RESULT_VAR)] |= self._only(())
+                k = pos[vk]
+                leg = back[k * n + r]
+                if t[w * n + k]:
+                    new[w * n + r] |= concat(u, t[w * n + k], leg)
+                if leg and t[k * n + w]:
+                    new[w * n + r] |= self._only(())
 
         # cyclicity: cycles built inside an impure argument spread to
         # everything sharing with it in any direction
         for i, vi in enumerate(actuals):
-            if vi not in cyc or i not in impure:
+            if vi not in pos or i not in impure:
                 continue
-            ci = summary_back.cyc[vi]
+            a = pos[vi]
+            ci = back[nn + a]
             for w in others:
-                if sp.has_ds(w, vi) or reach[(w, vi)] or reach[(vi, w)]:
-                    out.cyc[w] |= ci
+                if sp.has_ds(names[w], vi) or t[w * n + a] or t[a * n + w]:
+                    new[nn + w] |= ci
         for vk in ref_actual:
-            if back[(vk, RESULT_VAR)]:
-                out.cyc[RESULT_VAR] |= cyc[vk]
+            k = pos[vk]
+            if back[k * n + r]:
+                new[nn + r] |= t[nn + k]
 
         return out._normalize_in_place()
 
@@ -364,7 +382,7 @@ class Analyzer:
             return I
         if isinstance(cmd, (Assign, Return)):
             evaluated = self.eval_expr(cmd.expr, I, ctx)
-            if cmd.var not in I.cyc:
+            if cmd.var not in I.scope.pos:
                 # an int target still consumes the expression result
                 return evaluated.project([RESULT_VAR])
             return evaluated.rename(RESULT_VAR, cmd.var)
@@ -385,30 +403,34 @@ class Analyzer:
         if self.ct.field_type(cmd.fieldname) == INT_TYPE:
             return evaluated.project([RESULT_VAR])
         u = self.universe
-        v = cmd.var
-        reach = evaluated.reach
+        s = evaluated.scope
+        n, nn = s.n, s.nn
+        v, r = s.pos[cmd.var], s.pos[RESULT_VAR]
+        t = evaluated.tables
         fld = self._only([cmd.fieldname])
         # the new edge alone, or the new edge plus the cycle it may close
-        mid = fld | concat(u, fld, reach[(RESULT_VAR, v)])
-        cyc_new = concat(u, reach[(RESULT_VAR, v)], fld) | evaluated.cyc[RESULT_VAR]
+        mid = fld | concat(u, fld, t[r * n + v])
+        cyc_new = concat(u, t[r * n + v], fld) | t[nn + r]
         # a new path runs from a variable that reaches v to one the written
         # value reaches; the result variable is in every body's scope, so
         # the projection is a fresh copy
         out = evaluated.project([RESULT_VAR])
-        others = [w for w in out.cyc if w != RESULT_VAR]
-        tails = [(w2, reach[(RESULT_VAR, w2)]) for w2 in others if reach[(RESULT_VAR, w2)]]
+        new = out.tables
+        others = [w for w in range(n) if w != r]
+        tails = [(w2, t[r * n + w2]) for w2 in others if t[r * n + w2]]
         for w1 in others:
-            if not reach[(w1, v)]:
+            into = t[w1 * n + v]
+            if not into:
                 continue
-            head = concat(u, reach[(w1, v)], mid)
+            head = concat(u, into, mid)
             for w2, tail in tails:
-                out.reach[(w1, w2)] |= concat(u, head, tail)
-            out.cyc[w1] |= cyc_new
+                new[w1 * n + w2] |= concat(u, head, tail)
+            new[nn + w1] |= cyc_new
         return out._normalize_in_place()
 
     def _exec_while(self, cmd: While, I: RcValue, ctx: _Ctx) -> RcValue:
         head = I.canonical(self.via)
-        counters: dict = {}
+        counters = [0] * len(I.tables)
         passes = 0
         while True:
             if ctx.trace_on:
@@ -422,23 +444,21 @@ class Analyzer:
             head = widened
         ctx.recorder.loop_passes[cmd.nid] = passes
         # every change of an entry past the k-th widened it once
-        ctx.recorder.widenings += sum(max(0, n - self.widening_k) for n in counters.values())
+        k = self.widening_k
+        ctx.recorder.widenings += 0 if k is None else sum(c - k for c in counters if c > k)
         return head
 
-    def _widen_value(self, old: RcValue, new: RcValue, counters: dict) -> RcValue:
+    def _widen_value(self, old: RcValue, new: RcValue, counters: list[int]) -> RcValue:
+        """``new`` with every entry that has changed more than k times, by
+        the position counts in ``counters``, widened to the tautology."""
         if self.widening_k is None:
             return new
         out = new._fresh()
-        for key in out.reach:
-            if new.reach[key] != old.reach[key]:
-                counters[("r", key)] = counters.get(("r", key), 0) + 1
-                if counters[("r", key)] > self.widening_k:
-                    out.reach[key] = self.universe.full_table
-        for v in out.cyc:
-            if new.cyc[v] != old.cyc[v]:
-                counters[("c", v)] = counters.get(("c", v), 0) + 1
-                if counters[("c", v)] > self.widening_k:
-                    out.cyc[v] = self.universe.full_table
+        t, full, k = out.tables, self.universe.full_table, self.widening_k
+        for i in compress(count(), map(ne, new.tables, old.tables)):
+            counters[i] += 1
+            if counters[i] > k:
+                t[i] = full
         return out._normalize_in_place()
 
     # ------------------------------------------------------------------
@@ -450,7 +470,9 @@ class Analyzer:
         )
 
     def _widen_memo(self, key: tuple, old: RcValue, new: RcValue) -> RcValue:
-        counters = self._memo_counters.setdefault(key, {})
+        counters = self._memo_counters.get(key)
+        if counters is None:
+            counters = self._memo_counters[key] = [0] * len(old.tables)
         return self._widen_value(old, old.join(new), counters)
 
     def _run_method(self, key: Optional[tuple], inp: tuple, trace_on: bool = False) -> RcValue:
@@ -463,7 +485,7 @@ class Analyzer:
         shadows = {w: shallow_name(w) for w in sig.param_names if env.type_of(w) != INT_TYPE}
         # inputs and locals, then ``out``, which the body does not declare
         body = (*env.ref_vars, *(v for v in scope if v not in env), *shadows.values(), RESULT_VAR)
-        I0 = entry.remap({x: x for x in entry.cyc}, body)
+        I0 = entry.remap({x: x for x in entry.scope.names}, body)
         for w, u in shadows.items():
             I0 = I0.copy_var(w, u)
         recorder = self.recorders[key] = _Recorder()
@@ -569,7 +591,8 @@ def parse_init_annotations(
     value's scope is ``variables`` restricted to ``ref_vars``, in the order of
     ``variables``.  A declared reference field the universe does not track
     folds into the stand-in, as on concrete paths."""
-    value = RcValue.bottom(universe, (v for v in variables if v in ref_vars))
+    reach: dict[tuple[str, str], int] = {}
+    cyc: dict[str, int] = {}
     sh: list[tuple[str, str]] = []
     ds: list[tuple[str, str]] = []
     declared = {
@@ -598,14 +621,15 @@ def parse_init_annotations(
             table |= 1 << universe.abstract_mask(model)
         if ann.kind == "reach":
             a, b = ann.variables
-            value.reach[(a, b)] |= table
+            reach[a, b] = reach.get((a, b), 0) | table
         else:
             (a,) = ann.variables
-            value.cyc[a] |= table
+            cyc[a] = cyc.get(a, 0) | table
+    value = RcValue.of(universe, (v for v in variables if v in ref_vars), reach, cyc)
     # a variable asserted reachable/cyclic may be non-null: give it a region
     sh += [(v, v) for v in mentioned]
     sh += [(a, b) for (a, b), t in value.reach.items() if t and a != b]
-    return value.normalize(), SharingState.empty().add_sh(sh).add_ds(ds)
+    return value._normalize_in_place(), SharingState.empty().add_sh(sh).add_ds(ds)
 
 
 def analyze_program(
@@ -625,7 +649,7 @@ def analyze_program(
     universe, entry, scope = entry_scope(program, ct, typeinfo, tracked=tracked, entry=entry)
     start, sp_start = parse_init_annotations(program, universe, scope, frozenset(scope))
     if init_rc is not None:
-        start = start.join(init_rc.remap({x: x for x in init_rc.cyc}, scope))
+        start = start.join(init_rc.remap({x: x for x in init_rc.scope.names}, scope))
     if init_sp is not None:
         sp_start = sp_start.union(init_sp)
     sharing = SharingAnalysis(program, ct, typeinfo)

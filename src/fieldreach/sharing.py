@@ -33,15 +33,18 @@ moved state.  ``sh`` and ``ds`` decode a state into pairs of names.
 
 Each run of a body, ``main`` or a context, walks it in one frame
 (``_Body``): the type environment, the shadows, the impure positions found
-so far and the point tables.  ``main`` is the frame with no shadows.  Each
-run's tables replace the context's, so they end with its last run, which
-read only final summaries.  ``return e`` runs as ``out := e``.
+so far and the point tables, which hold the states before and after each
+point and, per call site, the call effect and each callee's binding
+(``CallRecord``; the reachability analysis reads it with ``call_at``
+instead of computing it again).  ``main`` is the frame with no shadows.
+Each run's tables replace the context's, so they end with its last run,
+which read only final summaries.  ``return e`` runs as ``out := e``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .classtable import ClassTable, MethodSig
 from .fixpoint import Fixpoint
@@ -312,18 +315,31 @@ class SharingSummary:
         )
 
 
+class CallRecord(NamedTuple):
+    """What a call site did in a run: the callees' summary pairs over the
+    caller's names and the impure positions (``call_effect``), and per
+    callee, in ``call_targets`` order, its ``binding``."""
+
+    after: SharingState
+    impure: frozenset[int]
+    bindings: list[tuple[dict[str, str], SharingState]]
+
+
 @dataclass
 class _Body:
     """The frame of one run of a body: its type environment, the shadows
     that pin the reference arguments' entry structures (position -> shadow
     name), the positions an update has reached so far, and the point tables
-    the run records.  ``main`` has no shadows, so nothing marks it impure."""
+    the run records: the states before and after each point, and per call
+    site its effect and each callee's binding (``CallRecord``).  ``main``
+    has no shadows, so nothing marks it impure."""
 
     env: TypeEnv
     shadows: dict[int, str] = field(default_factory=dict)
     impure: set[int] = field(default_factory=set)
     pre: dict[int, SharingState] = field(default_factory=dict)
     post: dict[int, SharingState] = field(default_factory=dict)
+    calls: dict[int, CallRecord] = field(default_factory=dict)
 
     def touch(self, st: SharingState, var: str) -> None:
         """An update through ``var`` reaches every entry structure it may
@@ -355,9 +371,11 @@ class SharingAnalysis:
             lambda key, old, new: old.union(new),
             lambda inp: SharingSummary(self.none, frozenset()),
         )
-        # per context: the sharing state before/after each point in its last run
+        # per context: the sharing state before/after each point in its last
+        # run, and what each call site did
         self.point_pre: dict[CtxKey, dict[int, SharingState]] = {}
         self.point_post: dict[CtxKey, dict[int, SharingState]] = {}
+        self.point_calls: dict[CtxKey, dict[int, CallRecord]] = {}
 
     # -- public drivers
 
@@ -387,11 +405,18 @@ class SharingAnalysis:
     def state_before(self, ctx: CtxKey, nid: int) -> SharingState:
         return self.point_pre[ctx][nid]  # a miss raises: empty would be unsound
 
+    def call_at(self, ctx: CtxKey, nid: int) -> CallRecord:
+        """The effect of a call site and the binding of each of its callees
+        in the context's last run, as ``call_effect`` and ``binding`` give
+        them for ``state_before(ctx, nid)``."""
+        return self.point_calls[ctx][nid]
+
     # -- summary computation
 
     def _start(self, ctx: CtxKey, frame: _Body) -> _Body:
         """Begin a run of a context: its frame's tables replace the last run's."""
         self.point_pre[ctx], self.point_post[ctx] = frame.pre, frame.post
+        self.point_calls[ctx] = frame.calls
         return frame
 
     def _compute_summary(self, ctx: CtxKey, inp: tuple) -> SharingSummary:
@@ -487,22 +512,36 @@ class SharingAnalysis:
         formal_to_actual = dict(zip(sig.input_vars, [e.receiver, *e.args]))
         return formal_to_actual, st.remap_from(formal_to_actual)
 
-    def call_effect(self, e: MethodCall, st: SharingState) -> tuple[SharingState, frozenset[int]]:
+    def call_effect(
+        self, e: MethodCall, st: SharingState, bindings: Optional[list] = None
+    ) -> tuple[SharingState, frozenset[int]]:
         """Summary pairs renamed to caller names (result under the internal
         result variable) plus the combined impure positions, for one call
-        site entered in the given state."""
+        site entered in the given state.  ``bindings``, when given, is the
+        ``binding`` of each callee in ``call_targets`` order."""
+        callees = self.typeinfo.call_targets[e.nid]
+        if bindings is None:
+            bindings = [self.binding(e, sig, st) for sig in callees]
         renamed, impure = self.none, frozenset()
-        for sig in self.typeinfo.call_targets[e.nid]:
-            mapping, callee_in = self.binding(e, sig, st)
+        for sig, (formal_to_actual, callee_in) in zip(callees, bindings):
             summ = self.summary(sig, callee_in)
             impure |= summ.impure
-            mapping[OUT_VAR] = RESULT_VAR
+            mapping = {**formal_to_actual, OUT_VAR: RESULT_VAR}
             renamed = renamed.union(summ.exit_state.remap_to(mapping))
         return renamed, impure
 
+    def _call(self, e: MethodCall, st: SharingState, frame: _Body) -> tuple:
+        """``call_effect`` at a call site, recorded in the frame with the
+        bindings it read.  The last visit's record stands: the states a run
+        meets at a point only grow, so its last one is the point's join."""
+        bindings = [self.binding(e, sig, st) for sig in self.typeinfo.call_targets[e.nid]]
+        effect = self.call_effect(e, st, bindings)
+        frame.calls[e.nid] = CallRecord(*effect, bindings)
+        return effect
+
     def _eval_call(self, e: MethodCall, st: SharingState, frame: _Body) -> SharingState:
         actuals = [e.receiver, *e.args]
-        renamed, impure = self.call_effect(e, st)
+        renamed, impure = self._call(e, st, frame)
         # an impure callee argument may update structures shared with the
         # enclosing method's own entry arguments
         for i in impure:

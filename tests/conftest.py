@@ -6,6 +6,7 @@ from hypothesis import settings
 from fieldreach import (
     FieldUniverse,
     PathFormula,
+    RcValue,
     Viability,
     build_class_table,
     parse_program,
@@ -70,6 +71,17 @@ def analyze_entry(source: str, entry: str = "main", tracked=None):
 def pf(universe: FieldUniverse, *sets) -> PathFormula:
     """Shorthand: a formula from model field-sets given as iterables."""
     return PathFormula.from_models(universe, [universe.mask_of(s) for s in sets])
+
+
+def with_entries(value: RcValue, reach=None, cyc=None) -> RcValue:
+    """A copy of ``value`` with the given entries, by name, set to the
+    given tables."""
+    return RcValue.of(
+        value.universe,
+        value.scope.names,
+        {**value.reach, **(reach or {})},
+        {**value.cyc, **(cyc or {})},
+    )
 
 
 @pytest.fixture(scope="session")

@@ -6,19 +6,23 @@ models by sorting, a single move by ``remap``, the field halves by
 division, ``concat`` by a loop over models, the concretizations of the
 coarser domains of ``fieldreach.compare`` (on the same plain sets and dicts
 as the abstractions) with the formula classes they are stated in, the dense
-transfer functions, and the deep-sharing analysis on sets of name pairs.
+transfer functions, the abstract value as two name-keyed dicts, and the
+deep-sharing analysis on sets of name pairs.
 None of it runs in the package."""
 
 from __future__ import annotations
 
 import dataclasses
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from fieldreach.compare import class_pairs_closure
 from fieldreach.domain import RcValue
 from fieldreach.formula import (
+    FieldUniverse,
     PathFormula,
+    Viability,
     class_graph,
     class_reach_closure,
     concat,
@@ -298,8 +302,11 @@ def gamma_q(required, universe, variables):
 
 class DenseAnalyzer(Analyzer):
     """The analysis with the field read, field write and call transfers that
-    compute every entry, zero operands included, into a bottom value joined
-    onto the input.  The package skips the terms with a zero operand."""
+    compute every entry, zero operands included, by name into a value that
+    is joined onto the input, and with the call effect and the callees'
+    bindings computed afresh at each call.  The package skips the terms
+    with a zero operand, works by position and reads the call records of
+    the sharing analysis."""
 
     def _eval_field_read(self, e: FieldRead, I: RcValue, ctx: _Ctx) -> RcValue:
         if self.ct.field_type(e.fieldname) == INT_TYPE:
@@ -309,22 +316,22 @@ class DenseAnalyzer(Analyzer):
         v = e.var
         fld = self._only([e.fieldname])
         fld_mask = u.abstract_mask([e.fieldname])
-        reach = I.reach
-        extra = RcValue.bottom(u, I.cyc)
-        extra.cyc[RESULT_VAR] = extra.reach[(RESULT_VAR, RESULT_VAR)] = I.cyc[v]
-        for w in I.cyc:
+        reach, cyc = I.reach, I.cyc
+        extra_reach = {(RESULT_VAR, RESULT_VAR): cyc[v]}
+        for w in cyc:
             if w == RESULT_VAR:
                 continue
-            extra.reach[(RESULT_VAR, w)] = difference(u, reach[(v, w)], fld)
+            extra_reach[(RESULT_VAR, w)] = difference(u, reach[(v, w)], fld)
             if sp.has_ds(w, v):
-                extra.reach[(w, RESULT_VAR)] = u.full_table
+                extra_reach[(w, RESULT_VAR)] = u.full_table
             else:
                 into = concat(u, reach[(w, v)], fld)
                 # the read value may be w itself: exactly when the one-step
                 # path through this field is an admitted way from v to w
                 if reach[(v, w)] >> fld_mask & 1:
                     into |= self._only(())
-                extra.reach[(w, RESULT_VAR)] = into
+                extra_reach[(w, RESULT_VAR)] = into
+        extra = RcValue.of(u, cyc, extra_reach, {RESULT_VAR: cyc[v]})
         return I.join(extra).normalize()
 
     def _eval_call(self, e: MethodCall, I: RcValue, ctx: _Ctx) -> RcValue:
@@ -338,14 +345,19 @@ class DenseAnalyzer(Analyzer):
 
         summary_back = RcValue.bottom(u, cyc)
         for sig in callees:
-            entry = RcValue.bottom(u, summary_scope(sig, self.typeinfo))
+            scope = summary_scope(sig, self.typeinfo)
             formal_to_actual, sp_entry = self.sharing.binding(e, sig, sp)
-            formals = [f for f in sig.input_vars if f in entry.cyc]
-            for f1 in formals:
-                a1 = formal_to_actual[f1]
-                for f2 in formals:
-                    entry.reach[(f1, f2)] = reach[(a1, formal_to_actual[f2])]
-                entry.cyc[f1] = cyc[a1]
+            formals = [f for f in sig.input_vars if f in scope]
+            entry = RcValue.of(
+                u,
+                scope,
+                {
+                    (f1, f2): reach[(formal_to_actual[f1], formal_to_actual[f2])]
+                    for f1 in formals
+                    for f2 in formals
+                },
+                {f: cyc[formal_to_actual[f]] for f in formals},
+            )
             output = self._denotation(sig, entry, sp_entry)
             mapping = {**formal_to_actual, OUT_VAR: RESULT_VAR}
             summary_back = summary_back.join(output.remap(mapping, cyc))
@@ -358,7 +370,8 @@ class DenseAnalyzer(Analyzer):
         # leg between arguments, and pre-call reachability out of the other
         # argument are stitched together; deep-sharing on either side forfeits
         # the field information for that side.
-        assembled = RcValue.bottom(u, cyc)
+        assembled_reach: defaultdict = defaultdict(int)
+        assembled_cyc: defaultdict = defaultdict(int)
         others = [w for w in cyc if w != RESULT_VAR]
         for i, vi in enumerate(actuals):
             if vi not in cyc or i not in impure:
@@ -381,7 +394,7 @@ class DenseAnalyzer(Analyzer):
                             f = concat(u, true, out_of)
                         else:
                             f = true
-                        assembled.reach[(w1, w2)] |= f
+                        assembled_reach[(w1, w2)] |= f
 
         # result rows: what the result may reach among caller variables
         for w in others:
@@ -393,7 +406,7 @@ class DenseAnalyzer(Analyzer):
                     acc |= concat(u, back[(RESULT_VAR, vk)], reach[(vk, w)]) | difference(
                         u, reach[(vk, w)], back[(vk, RESULT_VAR)]
                     )
-            assembled.reach[(RESULT_VAR, w)] = acc
+            assembled_reach[(RESULT_VAR, w)] = acc
 
         # and the reverse direction: the result may sit inside an argument's
         # structure, so anything leading into that argument may lead to it —
@@ -408,7 +421,7 @@ class DenseAnalyzer(Analyzer):
                     acc |= concat(u, reach[(w, vk)], leg)
                     if leg and reach[(vk, w)]:
                         acc |= self._only(())
-            assembled.reach[(w, RESULT_VAR)] = acc
+            assembled_reach[(w, RESULT_VAR)] = acc
 
         # cyclicity: cycles built inside an impure argument spread to
         # everything sharing with it in any direction
@@ -418,13 +431,14 @@ class DenseAnalyzer(Analyzer):
             ci = summary_back.cyc[vi]
             for w in others:
                 if sp.has_ds(w, vi) or reach[(w, vi)] or reach[(vi, w)]:
-                    assembled.cyc[w] |= ci
+                    assembled_cyc[w] |= ci
         crho = 0
         for vk in ref_actual:
             if back[(vk, RESULT_VAR)]:
                 crho |= cyc[vk]
-        assembled.cyc[RESULT_VAR] = crho
+        assembled_cyc[RESULT_VAR] = crho
 
+        assembled = RcValue.of(u, cyc, assembled_reach, assembled_cyc)
         return I.join(summary_back).join(assembled).normalize()
 
     def _exec_field_write(self, cmd: FieldWrite, I: RcValue, ctx: _Ctx) -> RcValue:
@@ -437,17 +451,180 @@ class DenseAnalyzer(Analyzer):
         fld = self._only([cmd.fieldname])
         # the new edge alone, or the new edge plus the cycle it may close
         mid = fld | concat(u, fld, reach[(RESULT_VAR, v)])
-        extra = RcValue.bottom(u, I.cyc)
-        refs = list(extra.cyc)
+        refs = list(I.cyc)
+        extra_reach = {}
         for w1 in refs:
             head = concat(u, reach[(w1, v)], mid)
             for w2 in refs:
-                extra.reach[(w1, w2)] = concat(u, head, reach[(RESULT_VAR, w2)])
+                extra_reach[(w1, w2)] = concat(u, head, reach[(RESULT_VAR, w2)])
         cyc_new = concat(u, reach[(RESULT_VAR, v)], fld) | evaluated.cyc[RESULT_VAR]
-        for w in extra.cyc:
-            if reach[(w, v)]:
-                extra.cyc[w] = cyc_new
+        extra_cyc = {w: cyc_new for w in refs if reach[(w, v)]}
+        extra = RcValue.of(u, refs, extra_reach, extra_cyc)
         return evaluated.join(extra).project([RESULT_VAR]).normalize()
+
+
+# --------------------------------------------------------------------------
+# the abstract value as two name-keyed dicts
+
+
+@dataclass
+class DictRcValue:
+    """The package's ``RcValue`` before it held one flat list of tables:
+    its entries in two dicts keyed by name, verbatim but renamed."""
+
+    universe: FieldUniverse
+    reach: dict[tuple[str, str], int]  # truth tables over ``universe``
+    cyc: dict[str, int]  # its keys are the scope, in order
+
+    # -- constructors
+
+    @staticmethod
+    def bottom(universe: FieldUniverse, variables: Iterable[str]) -> "DictRcValue":
+        """All entries false over the given reference variables, in order."""
+        vs = tuple(variables)
+        return DictRcValue(universe, {(v, w): 0 for v in vs for w in vs}, dict.fromkeys(vs, 0))
+
+    def _fresh(self) -> "DictRcValue":
+        return DictRcValue(self.universe, dict(self.reach), dict(self.cyc))
+
+    # -- lookups
+
+    def reach_at(self, v: str, w: str) -> PathFormula:
+        return PathFormula(self.universe, self.reach[(v, w)])
+
+    def cyc_at(self, v: str) -> PathFormula:
+        return PathFormula(self.universe, self.cyc[v])
+
+    # -- scope-preserving operations
+
+    def project(self, variables: Iterable[str]) -> "DictRcValue":
+        """Forget everything about the given variables: their rows, columns
+        and cyclicity become false."""
+        gone = self.cyc.keys() & variables
+        if not gone:
+            return self
+        out = self._fresh()
+        reach, cyc = out.reach, out.cyc
+        for g in gone:
+            cyc[g] = 0
+            for x in cyc:
+                reach[(g, x)] = reach[(x, g)] = 0
+        return out
+
+    def rename(self, src: str, dst: str) -> "DictRcValue":
+        """Move ``src`` onto ``dst``: ``dst`` takes ``src``'s rows, columns
+        and cyclicity, its own entries are discarded, and ``src`` is
+        forgotten.  Unchanged when ``src == dst`` or either is outside the
+        scope."""
+        if src == dst or src not in self.cyc or dst not in self.cyc:
+            return self
+        return self.copy_var(src, dst).project([src])
+
+    def copy_var(self, src: str, dst: str) -> "DictRcValue":
+        """Make ``dst`` an exact alias snapshot of ``src``: they alias each
+        other, and ``dst`` inherits rows, columns and cyclicity."""
+        if src == dst or src not in self.cyc or dst not in self.cyc:
+            return self
+        out = self._fresh()
+        reach = self.reach
+        self_reach = reach[(src, src)]
+        out.cyc[dst] = self.cyc[src]
+        out.reach[(dst, dst)] = out.reach[(src, dst)] = out.reach[(dst, src)] = self_reach
+        for x in self.cyc:
+            if x not in (src, dst):
+                out.reach[(dst, x)] = reach[(src, x)]
+                out.reach[(x, dst)] = reach[(x, src)]
+        return out
+
+    # -- lattice structure
+
+    def _check(self, other: "DictRcValue") -> None:
+        if self.universe != other.universe or self.cyc.keys() != other.cyc.keys():
+            raise ValueError("values over different scopes")
+
+    def join(self, other: "DictRcValue") -> "DictRcValue":
+        self._check(other)
+        out = self._fresh()
+        reach, cyc = out.reach, out.cyc
+        for key, t in other.reach.items():
+            if t:
+                reach[key] |= t
+        for v, t in other.cyc.items():
+            if t:
+                cyc[v] |= t
+        return out
+
+    def leq(self, other: "DictRcValue") -> bool:
+        self._check(other)
+        reach, cyc = other.reach, other.cyc
+        return not any(t & ~reach[key] for key, t in self.reach.items()) and not any(
+            t & ~cyc[v] for v, t in self.cyc.items()
+        )
+
+    # -- normal form
+
+    def normalize(self) -> "DictRcValue":
+        """Fold self-reachability into cyclicity."""
+        return self._fresh()._normalize_in_place()
+
+    def _normalize_in_place(self) -> "DictRcValue":
+        """``normalize`` without the copy, for a value no one else holds yet."""
+        reach, cyc = self.reach, self.cyc
+        for v in cyc:
+            cyc[v] |= reach[(v, v)]
+        return self
+
+    def is_normal(self) -> bool:
+        return not any(self.reach[(v, v)] & ~t for v, t in self.cyc.items())
+
+    def canonical(self, via: Optional[Viability]) -> "DictRcValue":
+        """Drop unrealizable models everywhere (display/fixpoint form)."""
+        if via is None:
+            return self
+        full, viable = self.universe.full_table, via.table  # ``via.canonical``, inline
+        return DictRcValue(
+            self.universe,
+            {key: t if t == full else t & viable for key, t in self.reach.items()},
+            {v: t if t == full else t & viable for v, t in self.cyc.items()},
+        )
+
+    # -- scope changes
+
+    def remap(self, mapping: Mapping[str, str], variables: Iterable[str]) -> "DictRcValue":
+        """Rebuild over a new scope of reference variables; only mapped
+        entries carry over, and several sources landing on one target join."""
+        out = DictRcValue.bottom(self.universe, variables)
+        live = {s: d for s, d in mapping.items() if s in self.cyc and d in out.cyc}
+        reach, cyc = out.reach, out.cyc
+        for (a, b), t in self.reach.items():
+            if t and a in live and b in live:
+                reach[(live[a], live[b])] |= t
+        for v, t in self.cyc.items():
+            if t and v in live:
+                cyc[live[v]] |= t
+        return out
+
+    # -- identity / serialization
+
+    def key(self):
+        return tuple(sorted(self.reach.items())), tuple(sorted(self.cyc.items()))
+
+    def to_json(self) -> dict:
+        return {
+            "reach": {
+                f"({v},{w})": self.reach_at(v, w).json_models() for (v, w) in sorted(self.reach)
+            },
+            "cyc": {v: self.cyc_at(v).json_models() for v in sorted(self.cyc)},
+        }
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        rows = [
+            f"({v},{w})={self.reach_at(v, w).render()}"
+            for (v, w), t in sorted(self.reach.items())
+            if t
+        ]
+        rows += [f"cyc({v})={self.cyc_at(v).render()}" for v, t in sorted(self.cyc.items()) if t]
+        return "<rc " + " ".join(rows) + ">"
 
 
 # --------------------------------------------------------------------------
@@ -648,7 +825,7 @@ class PairSharingAnalysis(SharingAnalysis):
 
     def _eval_call(self, e: MethodCall, st: PairSharingState, frame: _Body) -> PairSharingState:
         actuals = [e.receiver, *e.args]
-        renamed, impure = self.call_effect(e, st)
+        renamed, impure = self._call(e, st, frame)
         # an impure callee argument may update structures shared with the
         # enclosing method's own entry arguments
         for i in impure:

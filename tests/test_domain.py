@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,8 +10,8 @@ from fieldreach.oracle import ConcreteState, Loc, Obj, cycle_field_sets, travers
 from fieldreach.semantics import analyze_program
 from fieldreach.syntax import walk_commands
 
-from conftest import build, pf
-from reference import rename_by_remap
+from conftest import build, pf, with_entries
+from reference import DictRcValue, rename_by_remap
 from test_reports import CASES
 
 
@@ -27,20 +28,22 @@ def value(u):
 def put(value, reach=None, cyc=None):
     """A copy of ``value`` with the given entries, which must be in its
     scope, set to the tables of the given formulas."""
-    out = value._fresh()
-    for table, entries in ((out.reach, reach or {}), (out.cyc, cyc or {})):
-        for key, f in entries.items():
-            assert key in table
-            table[key] = f.table
-    return out
+    reach, cyc = reach or {}, cyc or {}
+    assert all(key in value.reach for key in reach) and all(v in value.cyc for v in cyc)
+    return with_entries(
+        value,
+        {key: f.table for key, f in reach.items()},
+        {v: f.table for v, f in cyc.items()},
+    )
 
 
 def test_bottom_and_top(u, value):
     assert all(value.reach_at(v, w).is_false for v, w in value.reach)
     assert list(value.cyc) == ["v", "w", "z"]
     assert list(value.reach) == [(v, w) for v in "vwz" for w in "vwz"]
-    top = RcValue(
+    top = RcValue.of(
         u,
+        value.scope.names,
         {key: u.full_table for key in value.reach},
         {v: u.full_table for v in value.cyc},
     )
@@ -223,8 +226,9 @@ VARS = ("a", "b", "c")
 
 def _draw_value(data, universe):
     table = st.integers(0, universe.full_table)
-    return RcValue(
+    return RcValue.of(
         universe,
+        VARS,
         {(v, w): data.draw(table) for v in VARS for w in VARS},
         {v: data.draw(table) for v in VARS},
     )
@@ -236,16 +240,20 @@ def _entrywise_leq(x, y):
     )
 
 
+def _devices_universe(data, devices_ct):
+    """One to three fields of the devices classes, with the stand-in or not."""
+    fields = sorted(devices_ct.reference_fields)
+    names = data.draw(st.lists(st.sampled_from(fields), min_size=1, max_size=3, unique=True))
+    if len(names) < 3 and data.draw(st.booleans()):
+        return FieldUniverse.tracked(fields, names)  # with the stand-in
+    return FieldUniverse.of(names)
+
+
 @given(data=st.data())
 def test_value_operators_agree_with_the_formula_operators(devices_ct, data):
     # the value operators work on the bare tables; on the PathFormula views
     # they must agree with the formula operators entry by entry
-    fields = sorted(devices_ct.reference_fields)
-    names = data.draw(st.lists(st.sampled_from(fields), min_size=1, max_size=3, unique=True))
-    if len(names) < 3 and data.draw(st.booleans()):
-        universe = FieldUniverse.tracked(fields, names)  # with the stand-in
-    else:
-        universe = FieldUniverse.of(names)
+    universe = _devices_universe(data, devices_ct)
     via = Viability(devices_ct, universe)
     x, y = _draw_value(data, universe), _draw_value(data, universe)
 
@@ -290,24 +298,50 @@ def test_value_operators_agree_with_the_formula_operators(devices_ct, data):
             assert out.reach_at(d1, d2) == reach
 
 
+def _mostly_zero(rng, universe, scope):
+    """A value over the scope with up to 40% of its entries, drawn at
+    random, set to random non-zero tables."""
+    slots = [(0, (v, w)) for v in scope for w in scope] + [(1, v) for v in scope]
+    entries = ({}, {})
+    for part, key in rng.sample(slots, rng.randint(0, len(slots) * 2 // 5)):
+        entries[part][key] = rng.randint(1, universe.full_table)
+    return RcValue.of(universe, scope, *entries)
+
+
+@given(data=st.data())
+def test_canonical_returns_a_canonical_value_itself(devices_ct, data):
+    """``canonical`` gives back its input, the same object, when every entry
+    is already its own ``drop_nonviable``; otherwise a new value with that
+    in every entry.  Without a viability table it changes nothing."""
+    universe = _devices_universe(data, devices_ct)
+    via = Viability(devices_ct, universe)
+    x = _draw_value(data, universe)
+    if data.draw(st.booleans()):  # canonical already, entry by entry
+        reach = {key: via.canonical(t) for key, t in x.reach.items()}
+        x = RcValue.of(universe, VARS, reach, {v: via.canonical(t) for v, t in x.cyc.items()})
+    definition = RcValue.of(
+        universe,
+        VARS,
+        {(v, w): x.reach_at(v, w).drop_nonviable(via).table for v, w in x.reach},
+        {v: x.cyc_at(v).drop_nonviable(via).table for v in x.cyc},
+    )
+    canon = x.canonical(via)
+    assert canon == definition
+    assert (canon is x) == (x == definition)
+    assert canon.canonical(via) is canon
+    assert x.canonical(None) is x
+
+
 def test_project_and_join_on_mostly_zero_values():
     """On values with at least 60% zero entries, as the analysis mostly
     builds: the one-pass ``project`` equals the identity ``remap`` onto the
     rest of the scope and leaves its input alone, and ``join`` is the
     entrywise ``|``."""
     rng = random.Random(20)
-
-    def mostly_zero(universe, scope):
-        out = RcValue.bottom(universe, scope)
-        slots = [(out.reach, key) for key in out.reach] + [(out.cyc, v) for v in out.cyc]
-        for table, key in rng.sample(slots, rng.randint(0, len(slots) * 2 // 5)):
-            table[key] = rng.randint(1, universe.full_table)
-        return out
-
     for _ in range(200):
         universe = FieldUniverse(tuple(f"f{i}" for i in range(rng.randint(1, 4))))
         scope = [f"v{i}" for i in range(rng.randint(1, 6))]
-        x, y = mostly_zero(universe, scope), mostly_zero(universe, scope)
+        x, y = _mostly_zero(rng, universe, scope), _mostly_zero(rng, universe, scope)
         before = x._fresh()
         gone = rng.sample(scope, rng.randint(0, len(scope))) + ["elsewhere"]
         kept = {v: v for v in scope if v not in gone}
@@ -327,10 +361,7 @@ def test_rename_equals_the_remap_of_the_scope():
     for _ in range(300):
         universe = FieldUniverse(tuple(f"f{i}" for i in range(rng.randint(1, 4))))
         scope = [f"v{i}" for i in range(rng.randint(2, 7))]
-        x = RcValue.bottom(universe, scope)
-        slots = [(x.reach, key) for key in x.reach] + [(x.cyc, v) for v in x.cyc]
-        for table, key in rng.sample(slots, rng.randint(0, len(slots) * 2 // 5)):
-            table[key] = rng.randint(1, universe.full_table)
+        x = _mostly_zero(rng, universe, scope)
         before = x._fresh()
         names = scope + ["elsewhere"]
         for src, dst in itertools.product(names, names):
@@ -416,3 +447,90 @@ def test_universe_and_scope_preserved(u, value):
         assert out.universe == value.universe
         assert list(out.cyc) == list(value.cyc)
         assert list(out.reach) == list(value.reach)
+
+
+# --------------------------------------------------------------------------
+# the flat layout against the dict layout
+
+NAMES = ("a", "b", "c", "x1", "this", "out", "%res", "Z", "a_1")
+
+
+def _as_dict(value: RcValue) -> DictRcValue:
+    return DictRcValue(value.universe, dict(value.reach), dict(value.cyc))
+
+
+def _same(new: RcValue, old: DictRcValue) -> None:
+    """The flat value holds the dict value's entries, in its scope order."""
+    assert isinstance(new, RcValue)
+    assert _as_dict(new) == old
+    assert list(new.cyc) == list(old.cyc) and list(new.reach) == list(old.reach)
+
+
+@st.composite
+def _universes(draw):
+    fields = [f"f{i}" for i in range(draw(st.integers(0, 9)))]
+    if fields and len(fields) < 9 and draw(st.booleans()):
+        return FieldUniverse.tracked(fields + ["untracked"], fields)  # with the stand-in
+    return FieldUniverse(tuple(draw(st.permutations(fields))))
+
+
+def _tables(universe):
+    full = universe.full_table
+    return st.one_of(st.just(0), st.just(full), st.integers(0, full))
+
+
+def _draw_pair(data, universe, names):
+    """A flat value and the dict value of the same entries, each entry zero,
+    full or random, some values all zero or all full."""
+    kind = data.draw(st.sampled_from(["zero", "full", "random", "random"]))
+    tables = _tables(universe)
+    if kind == "zero":
+        tables = st.just(0)
+    elif kind == "full":
+        tables = st.just(universe.full_table)
+    reach = {(v, w): data.draw(tables) for v in names for w in names}
+    cyc = {v: data.draw(tables) for v in names}
+    return RcValue.of(universe, names, reach, cyc), DictRcValue(universe, reach, cyc)
+
+
+@given(data=st.data())
+def test_flat_layout_equals_the_dict_layout(data):
+    """Every operation of the flat value gives the entries the dict-layout
+    value gives, over scopes of 0-8 names (the result variable among them
+    or not), universes of 0-9 fields with and without the stand-in, and
+    entries that are zero, full or random."""
+    universe = data.draw(_universes())
+    names = tuple(data.draw(st.lists(st.sampled_from(NAMES), max_size=8, unique=True)))
+    x, dx = _draw_pair(data, universe, names)
+    y, dy = _draw_pair(data, universe, names)
+    _same(RcValue.bottom(universe, names), DictRcValue.bottom(universe, names))
+    _same(x, dx)
+
+    outside = names + ("elsewhere",)
+    gone = data.draw(st.lists(st.sampled_from(outside), max_size=4))
+    _same(x.project(gone), dx.project(gone))
+    src, dst = data.draw(st.sampled_from(outside)), data.draw(st.sampled_from(outside))
+    _same(x.rename(src, dst), dx.rename(src, dst))
+    _same(x.copy_var(src, dst), dx.copy_var(src, dst))
+
+    _same(x.join(y), dx.join(dy))
+    for a, b, da, db in [(x, y, dx, dy), (y, x, dy, dx), (x, x.join(y), dx, dx.join(dy))]:
+        assert a.leq(b) == da.leq(db)
+    _same(x.normalize(), dx.normalize())
+    assert x.is_normal() == dx.is_normal()
+    assert x.normalize().is_normal()
+
+    # ``canonical`` reads only the viable table: any table will do here
+    via = SimpleNamespace(table=data.draw(_tables(universe)) | 1)
+    _same(x.canonical(via), dx.canonical(via))
+    _same(x.canonical(None), dx.canonical(None))
+
+    # sources may collide on a target, and targets may lie outside the scope
+    targets = tuple(data.draw(st.lists(st.sampled_from(NAMES), max_size=6, unique=True)))
+    sources = data.draw(st.lists(st.sampled_from(outside), max_size=6))
+    mapping = {s: data.draw(st.sampled_from(NAMES)) for s in sources}
+    _same(x.remap(mapping, targets), dx.remap(mapping, targets))
+
+    assert (x == y) == (dx == dy) and (x.key() == y.key()) == (dx.key() == dy.key())
+    assert x == x.join(x) and x.key() == x.join(x).key()
+    assert x.to_json() == dx.to_json()

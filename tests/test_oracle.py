@@ -29,7 +29,7 @@ from fieldreach.oracle import (
     cycle_field_sets,
 )
 
-from conftest import DATA, build, pf
+from conftest import DATA, build, pf, with_entries
 from corpus import CORPUS
 from reference import deep_share_pairs, reachable, walk_saturate
 
@@ -584,8 +584,7 @@ def test_corrupted_abstract_value_is_flagged():
         for nid, v in sorted(result.point_post.items())
         if not v.reach_at("x", "tmp").is_false
     )
-    corrupted = result.point_post[nid] = value._fresh()
-    corrupted.reach[("x", "tmp")] = 0
+    result.point_post[nid] = with_entries(value, reach={("x", "tmp"): 0})
     report = check_soundness(result, oracle)
     assert not report.ok
     assert any(v.kind == "reach" and v.subject == ("x", "tmp") for v in report.violations)
@@ -608,8 +607,7 @@ def test_corrupted_cycle_value_is_flagged():
     )
     value = result.point_post[nid]
     assert value.cyc_at("x").has_model(cycle)
-    corrupted = result.point_post[nid] = value._fresh()
-    corrupted.cyc["x"] = PathFormula.only(u, ()).table
+    result.point_post[nid] = with_entries(value, cyc={"x": PathFormula.only(u, ()).table})
     report = check_soundness(result, oracle)
     assert not report.ok
     assert any(
@@ -769,8 +767,9 @@ def thinned(result, rng):
     post = {}
     for nid, value in result.point_post.items():
         if rng.random() < 0.5:
-            value = RcValue(
+            value = RcValue.of(
                 value.universe,
+                value.scope.names,
                 {k: t & rng.getrandbits(size) for k, t in value.reach.items()},
                 {v: t & rng.getrandbits(size) for v, t in value.cyc.items()},
             )

@@ -15,7 +15,7 @@ from fieldreach.formula import FieldUniverse
 from fieldreach.render import result_to_json
 from fieldreach.semantics import TraceRow
 
-from conftest import DATA, analyze_entry
+from conftest import DATA, analyze_entry, with_entries
 
 # The shape of a wide universe: seven fields, five of them on one class,
 # linked into a ring inside a loop.
@@ -135,8 +135,9 @@ def renamed(value: RcValue, names: dict[str, str]) -> RcValue:
     def name(v: str) -> str:
         return names.get(v, v)
 
-    return RcValue(
+    return RcValue.of(
         value.universe,
+        [name(v) for v in value.scope.names],
         {(name(v), name(w)): f for (v, w), f in value.reach.items()},
         {name(v): f for v, f in value.cyc.items()},
     )
@@ -185,15 +186,22 @@ def test_layout_is_kept_per_scope_and_depth():
     u = result.universe
     assert u.fields == ("a", "b", "any")
     last = result.trace[-1].value
-    moved = renamed(last, {"x": "w", "y": "x"})
     a, b, stand_in = (u.mask_of([f]) for f in u.fields)
-    moved.reach[("w", "x")] = 1 << b | 1 << stand_in | 1 << (a | stand_in)
+    moved = with_entries(
+        renamed(last, {"x": "w", "y": "x"}),
+        reach={("w", "x"): 1 << b | 1 << stand_in | 1 << (a | stand_in)},
+    )
     assert moved.reach_at("w", "x").json_models() == [["a", "any"], ["any"], ["b"]]
-    reordered = RcValue(u, dict(reversed(last.reach.items())), dict(reversed(last.cyc.items())))
+    reordered = RcValue.of(
+        u,
+        reversed(last.scope.names),
+        dict(reversed([*last.reach.items()])),
+        dict(reversed([*last.cyc.items()])),
+    )
     kept = [v for v in result.final.cyc if v != "z"]
     final = result.final.remap({v: v for v in kept}, kept)
     rows = [
-        TraceRow(90, 1, RcValue(u, {}, {})),
+        TraceRow(90, 1, RcValue.bottom(u, ())),
         TraceRow(91, 1, moved),
         TraceRow(91, 2, reordered),
         TraceRow(92, 1, final),
@@ -235,11 +243,18 @@ def test_nine_field_report_with_the_full_table():
     u = FieldUniverse(("zeta", "any", "b", "a b", "Z", "é", "left", "aa", "a"))
     scope = ("x", "y")
     rng = random.Random(9)
-    value = RcValue.bottom(u, scope)
-    value.reach[("x", "y")] = u.full_table
-    value.reach[("y", "x")] = sum(1 << rng.randrange(1 << u.size) for _ in range(20))
-    value.cyc["x"] = u.full_table ^ 1 << u.mask_of(["a", "any"])
-    value.cyc["y"] = rng.getrandbits(1 << u.size)
+    value = RcValue.of(
+        u,
+        scope,
+        {
+            ("x", "y"): u.full_table,
+            ("y", "x"): sum(1 << rng.randrange(1 << u.size) for _ in range(20)),
+        },
+        {
+            "x": u.full_table ^ 1 << u.mask_of(["a", "any"]),
+            "y": rng.getrandbits(1 << u.size),
+        },
+    )
     rows = [TraceRow(3, 1, value), TraceRow(4, 1, RcValue.bottom(u, scope))]
     result = dataclasses.replace(result, universe=u, final=value, trace=rows)
     models = value.reach_at("x", "y").json_models()

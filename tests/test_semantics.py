@@ -470,9 +470,13 @@ class K {
     )
     sig = ct.resolve_method("K", "mth")
     universe = FieldUniverse.of(ct.reference_fields)
-    entry = RcValue.bottom(universe, sig.input_vars + ("out",))
-    for v in ("this", "x1", "x2"):
-        entry.reach[(v, v)] = entry.cyc[v] = PathFormula.only(universe, ()).table
+    empty = PathFormula.only(universe, ()).table
+    entry = RcValue.of(
+        universe,
+        sig.input_vars + ("out",),
+        {(v, v): empty for v in ("this", "x1", "x2")},
+        dict.fromkeys(("this", "x1", "x2"), empty),
+    )
     sp = SharingState.empty().add_sh([(v, v) for v in ("this", "x1", "x2")])
     result = analyze_program(program, ct, info, entry=sig, init_rc=entry, init_sp=sp)
     assert result.final.reach_at("x1", "x2") == pf(universe, ["f"])
@@ -575,12 +579,12 @@ def test_field_update_transfer_monotone():
     masks = list(range(1 << universe.size))[:4]  # keep enumeration small
 
     def random_value():
-        out = RcValue.bottom(universe, scope)
-        for key in out.reach:
-            out.reach[key] = PathFormula.from_models(
-                universe, rng.sample(masks, rng.randint(0, 3))
-            ).table
-        return out.normalize()
+        keys = RcValue.bottom(universe, scope).reach
+        reach = {
+            key: PathFormula.from_models(universe, rng.sample(masks, rng.randint(0, 3))).table
+            for key in keys
+        }
+        return RcValue.of(universe, scope, reach).normalize()
 
     for _ in range(25):
         small = random_value()
@@ -606,14 +610,12 @@ def test_field_read_transfer_monotone():
     masks = list(range(1 << universe.size))[:4]
 
     def random_value():
-        out = RcValue.bottom(universe, scope)
-        for key in out.reach:
-            if RESULT_VAR in key:
-                continue
-            out.reach[key] = PathFormula.from_models(
-                universe, rng.sample(masks, rng.randint(0, 3))
-            ).table
-        return out.normalize()
+        keys = [key for key in RcValue.bottom(universe, scope).reach if RESULT_VAR not in key]
+        reach = {
+            key: PathFormula.from_models(universe, rng.sample(masks, rng.randint(0, 3))).table
+            for key in keys
+        }
+        return RcValue.of(universe, scope, reach).normalize()
 
     for _ in range(25):
         small = random_value()

@@ -458,3 +458,47 @@ def test_sharing_tables_equal_the_pair_set_reference(monkeypatch):
                 assert bits == outcome(PairSharingAnalysis, built, entry)
                 runs += 1
     assert runs >= 100
+
+
+def _call_nodes(program, ct) -> dict:
+    """Every call expression of the program's bodies, by node id."""
+    bodies = [program.main.body] if program.main is not None else []
+    bodies += [ct.method_body(sig) for sig in ct.all_method_sigs()]
+    return {
+        node.nid: node
+        for body in bodies
+        for cmd in walk_commands(body)
+        for e in (getattr(cmd, "expr", None), getattr(cmd, "guard", None))
+        if e is not None
+        for node in walk_exprs(e)
+        if isinstance(node, MethodCall)
+    }
+
+
+def test_recorded_call_effects_equal_fresh_ones():
+    """The walk records, per context and call site, the call effect and
+    each callee's binding, which the reachability analysis reads: at every
+    call site of the corpus, the data files and the tree join, they equal
+    ``call_effect`` and ``binding`` computed afresh from the state before
+    the site."""
+    cases = [(src, "main") for _, src in sorted(CORPUS.items())]
+    cases += [((DATA / name).read_text(), "main") for name in ("dll.lang", "tree_main.lang")]
+    cases.append(((DATA / "tree.lang").read_text(), "join"))
+    sites = 0
+    for source, entry in cases:
+        program, ct, info = build(source)
+        if entry == "main" and program.main is None:
+            continue
+        nodes = _call_nodes(program, ct)
+        sharing = analyze_program(program, ct, info, entry=entry).sharing
+        assert sharing.point_calls.keys() == sharing.point_pre.keys()
+        for ctx, calls in sharing.point_calls.items():
+            visited = {nid for nid in sharing.point_pre[ctx] if nid in nodes}
+            assert calls.keys() == visited
+            for nid, record in calls.items():
+                e, st = nodes[nid], sharing.state_before(ctx, nid)
+                assert (record.after, record.impure) == sharing.call_effect(e, st)
+                callees = info.call_targets[nid]
+                assert record.bindings == [sharing.binding(e, sig, st) for sig in callees]
+                sites += 1
+    assert sites >= 20
