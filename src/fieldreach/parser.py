@@ -32,13 +32,23 @@ recursive walk within Python's stack.
 
 Line comments start with '//'.  A comment whose text starts with '@' is an
 annotation line, e.g. ``//@ init reach(a,b): [[f],[f,g]]``; annotations are
-collected on the Program for the driver to resolve.
+collected on the Program, with the position of their ``//@``, for
+``semantics.parse_init_annotations`` to resolve.
+
+The lexer makes one regular-expression match per token, newline or comment,
+the blanks before it included, and dispatches on the number of the group
+that matched.  A token is a plain tuple (kind, text, line, col), and the
+list ends in two ``eof`` tokens.  The parser keeps the current token in
+``tok``, which ``advance`` moves with no bound check: the second ``eof``
+is there for the one step past the first, which an expression expected at
+the end takes before it raises.  The parser matches a symbol or keyword by
+its text alone, which is exact: each such text occurs with one kind only.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from itertools import count
 from typing import Optional
 
 from .syntax import (
@@ -96,48 +106,56 @@ KEYWORDS = {
     "main",
 }
 
-# one alternative per token kind, tried in order: symbols longest first, and
-# ``bad`` catches any character no other alternative starts with
+# one match per token: the blanks before it, then one group per token kind
+# (symbols longest first, the common kinds first); ``bad`` catches any
+# character no other group starts with, and the empty alternative matches
+# only at the end, after any trailing blanks
 _TOKEN_RE = re.compile(
-    r"(?P<nl>\n)|[ \t\r]+|(?P<comment>//[^\n]*)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
-    r"|(?P<sym>:=|==|!=|<=|>=|[{}();,.<>+*-])|(?P<bad>.)"
+    r"[ \t\r]*(?:([A-Za-z_][A-Za-z0-9_]*)|(:=|==|!=|<=|>=|[{}();,.<>+*-])|(\n)"
+    r"|([0-9]+)|(//[^\n]*)|([^ \t\r\n])|\Z)"
 )
+_IDENT, _SYM, _NL, _INT, _COMMENT = range(1, 6)  # group 6 is ``bad``
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-@dataclass
-class Token:
-    kind: str  # 'ident' | 'int' | 'kw' | 'sym' | 'eof'
-    text: str
-    line: int
-    col: int
+# (kind, text, line, col), a plain tuple: kind is 'ident' | 'int' | 'kw' |
+# 'sym' | 'eof', and line and col are where the text starts, from 1
+Token = tuple[str, str, int, int]
 
 
-def _lex(source: str) -> tuple[list[Token], list[tuple[int, str]]]:
+def _error(message: str, tok: Token) -> ParseError:
+    return ParseError(message, tok[2], tok[3])
+
+
+def _lex(source: str) -> tuple[list[Token], list[tuple[int, int, str]]]:
+    """The tokens, ending in two ``eof`` tokens (see ``Parser``), and the
+    ``//@`` annotation lines as (line, column of ``//@``, text after it)."""
     tokens: list[Token] = []
-    raw_annotations: list[tuple[int, str]] = []
+    raw_annotations: list[tuple[int, int, str]] = []
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        if kind is None:  # blanks
-            continue
-        if kind == "nl":
+        group = m.lastindex
+        if group == _NL:
             line += 1
             line_start = m.end()
             continue
-        text = m.group()
-        col = m.start() - line_start + 1
-        if kind == "comment":
+        if group is None:  # the end
+            break
+        text = m[group]
+        col = m.start(group) - line_start + 1
+        if group == _IDENT:
+            tokens.append(("kw" if text in KEYWORDS else "ident", text, line, col))
+        elif group == _SYM:
+            tokens.append(("sym", text, line, col))
+        elif group == _INT:
+            tokens.append(("int", text, line, col))
+        elif group == _COMMENT:
             if text.startswith("//@"):
-                raw_annotations.append((line, text[3:].strip()))
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {text!r}", line, col)
+                raw_annotations.append((line, col, text[3:].strip()))
         else:
-            if kind == "ident" and text in KEYWORDS:
-                kind = "kw"
-            tokens.append(Token(kind, text, line, col))
-    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
+            raise ParseError(f"unexpected character {text!r}", line, col)
+    eof = ("eof", "", line, len(source) - line_start + 1)
+    tokens += (eof, eof)
     return tokens, raw_annotations
 
 
@@ -153,91 +171,92 @@ _MODELS_RE = re.compile(
 )
 
 
-def _parse_models(text: str, line: int) -> list[list[str]]:
+def _parse_models(text: str, line: int, col: int) -> list[list[str]]:
     """``[[f, g], [], ...]``: the whole list must match, each inner list
     holding comma-separated field names."""
     text = text.strip()
     if not _MODELS_RE.fullmatch(text):
-        raise ParseError("annotation models must be a [[...],...] list", line, 1)
+        raise ParseError("annotation models must be a [[...],...] list", line, col)
     models: list[list[str]] = []
     for part in _MODEL_RE.findall(text[1:-1]):
         names = [p.strip() for p in part.split(",") if p.strip()]
         for name in names:
             if not _IDENT_RE.fullmatch(name):
-                raise ParseError(f"bad field name {name!r} in annotation", line, 1)
+                raise ParseError(f"bad field name {name!r} in annotation", line, col)
         models.append(names)
     return models
 
 
-def _parse_annotation(line: int, text: str) -> InitAnnotation:
+def _parse_annotation(line: int, col: int, text: str) -> InitAnnotation:
+    """An annotation line; ``col`` is the column of its ``//@``."""
     m = _ANNOT_RE.match(text)
     if not m:
-        raise ParseError(f"malformed annotation: //@ {text}", line, 1)
+        raise ParseError(f"malformed annotation: //@ {text}", line, col)
     kind, a, b, models_text = m.group(1), m.group(2), m.group(3), m.group(4)
     if kind == "reach":
         if b is None:
-            raise ParseError("reach annotation needs two variables", line, 1)
+            raise ParseError("reach annotation needs two variables", line, col)
         if models_text is None:
-            raise ParseError("reach annotation needs a model list", line, 1)
-        return InitAnnotation("reach", (a, b), _parse_models(models_text, line), line)
+            raise ParseError("reach annotation needs a model list", line, col)
+        return InitAnnotation("reach", (a, b), _parse_models(models_text, line, col), line, col)
     if kind == "cyc":
         if b is not None:
-            raise ParseError("cyc annotation takes one variable", line, 1)
+            raise ParseError("cyc annotation takes one variable", line, col)
         if models_text is None:
-            raise ParseError("cyc annotation needs a model list", line, 1)
-        return InitAnnotation("cyc", (a,), _parse_models(models_text, line), line)
+            raise ParseError("cyc annotation needs a model list", line, col)
+        return InitAnnotation("cyc", (a,), _parse_models(models_text, line, col), line, col)
     # ds
     if b is None:
         b = a
     if models_text is not None:
-        raise ParseError("ds annotation takes no model list", line, 1)
-    return InitAnnotation("ds", (a, b), None, line)
+        raise ParseError("ds annotation takes no model list", line, col)
+    return InitAnnotation("ds", (a, b), None, line, col)
 
 
 class Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        self.tokens = tokens  # as ``_lex`` gives them, ending in two ``eof``
         self.pos = 0
-        self._next_nid = 0
+        self.tok = tokens[0]  # the current token, ``tokens[pos]``
+        self.nid = count(1).__next__  # node ids, in the order nodes are built
         self._depth = 0  # enclosing blocks, parentheses and unary minus signs
         self._height: dict[int, int] = {}  # operator node id -> expression tree height
 
     # -- token helpers
-
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    #
+    # A symbol or keyword is matched by its text alone: each such text
+    # occurs with one kind only, since the lexer turns every keyword
+    # spelling into ``kw`` and no identifier, number or ``eof`` (text "")
+    # spells a symbol.  So no match accepts ``eof``.  Every ``advance``
+    # follows a match, except that ``parse_atom`` takes its token before
+    # it looks at it; at the first ``eof`` it steps onto the second and
+    # raises.
 
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        tok = self.tok
+        self.pos += 1
+        self.tok = self.tokens[self.pos]
         return tok
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {tok.text!r}", tok.line, tok.col)
+    def expect(self, text: str) -> Token:
+        if self.tok[1] != text:
+            raise _error(f"expected {text!r}, found {self.tok[1]!r}", self.tok)
         return self.advance()
 
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        tok = self.peek()
-        if tok.kind == kind and (text is None or tok.text == text):
+    def accept(self, text: str) -> Optional[Token]:
+        if self.tok[1] == text:
             return self.advance()
         return None
 
-    def nid(self) -> int:
-        self._next_nid += 1
-        return self._next_nid
-
     def _nest(self, tok: Token, extra: int = 1) -> None:
         if self._depth + extra > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
+            raise _error(f"nesting deeper than {MAX_NESTING} levels", tok)
 
-    def _binop(self, tok: Token, op: str, left: Expr, right: Expr) -> BinOp:
+    def _binop(self, tok: Token, left: Expr, right: Expr) -> BinOp:
         height = 1 + max(self._height.get(left.nid, 1), self._height.get(right.nid, 1))
         self._nest(tok, height)
-        node = BinOp(self.nid(), tok.line, tok.col, op, left, right)
+        _, op, line, col = tok
+        node = BinOp(self.nid(), line, col, op, left, right)
         self._height[node.nid] = height
         return node
 
@@ -249,11 +268,11 @@ class Parser:
         return result
 
     def ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise ParseError(f"expected {what}, found {tok.text!r}", tok.line, tok.col)
-        if tok.text == OUT_VAR:
-            raise ParseError(f"'{OUT_VAR}' is reserved", tok.line, tok.col)
+        kind, text, _, _ = tok = self.tok
+        if kind != "ident":
+            raise _error(f"expected {what}, found {text!r}", tok)
+        if text == OUT_VAR:
+            raise _error(f"'{OUT_VAR}' is reserved", tok)
         return self.advance()
 
     # -- grammar
@@ -261,80 +280,66 @@ class Parser:
     def parse_program(self) -> Program:
         classes: list[ClassDecl] = []
         main: Optional[MainBlock] = None
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.kind == "kw" and tok.text == "class":
+        while self.tok[0] != "eof":
+            tok = self.tok
+            if tok[1] == "class":
                 classes.append(self.parse_class())
-            elif tok.kind == "kw" and tok.text == "main":
+            elif tok[1] == "main":
                 if main is not None:
-                    raise ParseError("duplicate main block", tok.line, tok.col)
+                    raise _error("duplicate main block", tok)
                 main = self.parse_main()
             else:
-                raise ParseError(
-                    f"expected 'class' or 'main', found {tok.text!r}", tok.line, tok.col
-                )
+                raise _error(f"expected 'class' or 'main', found {tok[1]!r}", tok)
         return Program(classes, main, [])
 
     def parse_class(self) -> ClassDecl:
-        kw = self.expect("kw", "class")
-        name_tok = self.ident("class name")
+        _, _, line, col = self.expect("class")
+        _, name, name_line, name_col = self.ident("class name")
         parent = None
-        if self.accept("kw", "extends"):
-            parent = self.ident("superclass name").text
-        self.expect("sym", "{")
+        if self.accept("extends"):
+            parent = self.ident("superclass name")[1]
+        self.expect("{")
         fields: list[tuple[str, str]] = []
         methods: list[MethodDecl] = []
-        while not self.accept("sym", "}"):
+        while not self.accept("}"):
             ftype = self.parse_type()
             fname_tok = self.ident("member name")
-            if self.peek().kind == "sym" and self.peek().text == "(":
+            if self.tok[1] == "(":
                 methods.append(self.parse_method_rest(ftype, fname_tok))
             else:
-                self.expect("sym", ";")
-                fields.append((fname_tok.text, ftype))
-        return ClassDecl(
-            name_tok.text, parent, fields, methods, kw.line, kw.col, (name_tok.line, name_tok.col)
-        )
+                self.expect(";")
+                fields.append((fname_tok[1], ftype))
+        return ClassDecl(name, parent, fields, methods, line, col, (name_line, name_col))
 
     def parse_type(self) -> str:
-        tok = self.peek()
-        if tok.kind == "kw" and tok.text == "int":
-            self.advance()
+        if self.accept("int"):
             return INT_TYPE
-        return self.ident("type name").text
+        return self.ident("type name")[1]
 
     def parse_method_rest(self, return_type: str, name_tok: Token) -> MethodDecl:
-        self.expect("sym", "(")
+        self.expect("(")
         params: list[tuple[str, str]] = []
         decl_at: list[tuple[int, int]] = []
-        if not self.accept("sym", ")"):
+        if not self.accept(")"):
             while True:
                 ptype = self.parse_type()
-                pname = self.ident("parameter name")
-                params.append((ptype, pname.text))
-                decl_at.append((pname.line, pname.col))
-                if self.accept("sym", ")"):
+                _, pname, line, col = self.ident("parameter name")
+                params.append((ptype, pname))
+                decl_at.append((line, col))
+                if self.accept(")"):
                     break
-                self.expect("sym", ",")
-        self.expect("sym", "{")
+                self.expect(",")
+        self.expect("{")
         locals_, body = self.parse_body(decl_at)
-        return MethodDecl(
-            name_tok.text,
-            return_type,
-            params,
-            locals_,
-            body,
-            name_tok.line,
-            name_tok.col,
-            decl_at,
-        )
+        _, name, line, col = name_tok
+        return MethodDecl(name, return_type, params, locals_, body, line, col, decl_at)
 
     def parse_main(self) -> MainBlock:
-        kw = self.expect("kw", "main")
-        self.expect("sym", "{")
+        _, _, line, col = self.expect("main")
+        self.expect("{")
         decl_at: list[tuple[int, int]] = []
         locals_, body = self.parse_body(decl_at)
-        return MainBlock(locals_, body, kw.line, kw.col, decl_at)
+        return MainBlock(locals_, body, line, col, decl_at)
 
     def parse_body(
         self, decl_at: list[tuple[int, int]]
@@ -343,93 +348,90 @@ class Parser:
         the position of each declared name to ``decl_at``."""
         locals_: list[tuple[str, str]] = []
         body: list[Command] = []
-        while not self.accept("sym", "}"):
+        while not self.accept("}"):
             if self._at_declaration():
                 dtype = self.parse_type()
-                dname_tok = self.ident("variable name")
-                locals_.append((dtype, dname_tok.text))
-                decl_at.append((dname_tok.line, dname_tok.col))
-                if self.accept("sym", ":="):
+                _, dname, line, col = self.ident("variable name")
+                locals_.append((dtype, dname))
+                decl_at.append((line, col))
+                if self.accept(":="):
                     expr = self.parse_expr()
-                    body.append(
-                        Assign(self.nid(), dname_tok.line, dname_tok.col, dname_tok.text, expr)
-                    )
-                self.expect("sym", ";")
+                    body.append(Assign(self.nid(), line, col, dname, expr))
+                self.expect(";")
             else:
                 body.append(self.parse_command())
         return locals_, body
 
     def _at_declaration(self) -> bool:
-        tok, nxt = self.peek(), self.peek(1)
-        if tok.kind == "kw" and tok.text == "int":
+        kind, text, _, _ = self.tok
+        if text == "int":
             return True
-        return tok.kind == "ident" and nxt.kind == "ident"
+        return kind == "ident" and self.tokens[self.pos + 1][0] == "ident"
 
     def parse_command(self) -> Command:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "{":
+        kind, text, line, col = tok = self.tok
+        if text == "{":
             # an explicit block folds into the surrounding sequence
-            raise ParseError("nested bare blocks are not allowed here", tok.line, tok.col)
-        if tok.kind == "kw":
-            if tok.text == "skip":
-                self.advance()
-                self.expect("sym", ";")
-                return Skip(self.nid(), tok.line, tok.col)
-            if tok.text == "if":
-                return self.parse_if()
-            if tok.text == "while":
-                return self.parse_while()
-            if tok.text == "return":
-                self.advance()
+            raise _error("nested bare blocks are not allowed here", tok)
+        if text == "skip":
+            self.advance()
+            self.expect(";")
+            return Skip(self.nid(), line, col)
+        if text == "if":
+            return self.parse_if()
+        if text == "while":
+            return self.parse_while()
+        if text == "return":
+            self.advance()
+            expr = self.parse_expr()
+            self.expect(";")
+            return Return(self.nid(), line, col, expr)
+        if kind == "ident":
+            self.advance()
+            if self.accept(":="):
                 expr = self.parse_expr()
-                self.expect("sym", ";")
-                return Return(self.nid(), tok.line, tok.col, expr)
-        if tok.kind == "ident":
-            name = self.advance()
-            if self.accept("sym", ":="):
+                self.expect(";")
+                return Assign(self.nid(), line, col, text, expr)
+            if self.accept("."):
+                fld = self.ident("field name")[1]
+                self.expect(":=")
                 expr = self.parse_expr()
-                self.expect("sym", ";")
-                return Assign(self.nid(), name.line, name.col, name.text, expr)
-            if self.accept("sym", "."):
-                fld = self.ident("field name").text
-                self.expect("sym", ":=")
-                expr = self.parse_expr()
-                self.expect("sym", ";")
-                return FieldWrite(self.nid(), name.line, name.col, name.text, fld, expr)
-            raise ParseError(f"expected ':=' or '.' after {name.text!r}", name.line, name.col)
-        raise ParseError(f"expected a command, found {tok.text!r}", tok.line, tok.col)
+                self.expect(";")
+                return FieldWrite(self.nid(), line, col, text, fld, expr)
+            raise _error(f"expected ':=' or '.' after {text!r}", tok)
+        raise _error(f"expected a command, found {text!r}", tok)
 
     def parse_stmt_or_block(self) -> list[Command]:
-        if self.accept("sym", "{"):
+        if self.accept("{"):
             cmds: list[Command] = []
-            while not self.accept("sym", "}"):
+            while not self.accept("}"):
                 cmds.append(self.parse_command())
             return cmds
         return [self.parse_command()]
 
     def parse_if(self) -> If:
-        kw = self.expect("kw", "if")
-        self.expect("sym", "(")
+        kw = self.expect("if")
+        self.expect("(")
         guard = self.parse_guard()
-        self.expect("sym", ")")
-        self.accept("kw", "then")
+        self.expect(")")
+        self.accept("then")
         then_body = self._nested(kw, self.parse_stmt_or_block)
         else_body: list[Command] = []
-        if self.accept("kw", "else"):
+        if self.accept("else"):
             else_body = self._nested(kw, self.parse_stmt_or_block)
-        return If(self.nid(), kw.line, kw.col, guard, then_body, else_body)
+        return If(self.nid(), kw[2], kw[3], guard, then_body, else_body)
 
     def parse_while(self) -> While:
-        kw = self.expect("kw", "while")
-        self.expect("sym", "(")
+        kw = self.expect("while")
+        self.expect("(")
         guard = self.parse_guard()
-        self.expect("sym", ")")
-        self.accept("kw", "do")
+        self.expect(")")
+        self.accept("do")
         body = self._nested(kw, self.parse_stmt_or_block)
-        return While(self.nid(), kw.line, kw.col, guard, body)
+        return While(self.nid(), kw[2], kw[3], guard, body)
 
     def parse_guard(self) -> Comparison:
-        start = self.peek()
+        _, _, line, col = self.tok
         left = self.parse_expr()
 
         def reject_side_effects(e: Expr) -> None:
@@ -441,87 +443,71 @@ class Parser:
                         sub.col,
                     )
 
-        op_tok = self.peek()
-        if op_tok.kind != "sym" or op_tok.text not in ("==", "!=", "<", "<=", ">", ">="):
+        op_tok = self.tok
+        if op_tok[1] not in ("==", "!=", "<", "<=", ">", ">="):
             reject_side_effects(left)
-            raise ParseError(
-                "guard must be a comparison (==, !=, <, <=, >, >=)", op_tok.line, op_tok.col
-            )
+            raise _error("guard must be a comparison (==, !=, <, <=, >, >=)", op_tok)
         self.advance()
         right = self.parse_expr()
         reject_side_effects(left)
         reject_side_effects(right)
-        return Comparison(self.nid(), start.line, start.col, op_tok.text, left, right)
+        return Comparison(self.nid(), line, col, op_tok[1], left, right)
 
     # expressions: '+'/'-' over '*' over atoms
 
     def parse_expr(self) -> Expr:
         left = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text in ("+", "-"):
-                self.advance()
-                left = self._binop(tok, tok.text, left, self.parse_term())
-            else:
-                return left
+        while self.tok[1] in ("+", "-"):
+            tok = self.advance()
+            left = self._binop(tok, left, self.parse_term())
+        return left
 
     def parse_term(self) -> Expr:
         left = self.parse_atom()
-        while True:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text == "*":
-                self.advance()
-                left = self._binop(tok, "*", left, self.parse_atom())
-            else:
-                return left
+        while self.tok[1] == "*":
+            tok = self.advance()
+            left = self._binop(tok, left, self.parse_atom())
+        return left
 
     def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return IntLit(self.nid(), tok.line, tok.col, int(tok.text))
-        if tok.kind == "sym" and tok.text == "-":
-            self.advance()
+        kind, text, line, col = tok = self.advance()
+        if kind == "int":
+            return IntLit(self.nid(), line, col, int(text))
+        if text == "-":
             inner = self._nested(tok, self.parse_atom)
             if isinstance(inner, IntLit):
                 inner.value = -inner.value
                 return inner
-            zero = IntLit(self.nid(), tok.line, tok.col, 0)
-            return self._binop(tok, "-", zero, inner)
-        if tok.kind == "sym" and tok.text == "(":
-            self.advance()
+            zero = IntLit(self.nid(), line, col, 0)
+            return self._binop(tok, zero, inner)
+        if text == "(":
             expr = self._nested(tok, self.parse_expr)
-            self.expect("sym", ")")
+            self.expect(")")
             return expr
-        if tok.kind == "kw" and tok.text == "null":
-            self.advance()
-            return NullLit(self.nid(), tok.line, tok.col)
-        if tok.kind == "kw" and tok.text == "new":
-            self.advance()
-            cname = self.ident("class name").text
-            return NewObject(self.nid(), tok.line, tok.col, cname)
-        if tok.kind == "ident":
-            name = self.advance()
-            if self.peek().kind == "sym" and self.peek().text == ".":
-                self.advance()
-                member = self.ident("member name").text
-                if self.accept("sym", "("):
-                    args: list[str] = []
-                    if not self.accept("sym", ")"):
-                        while True:
-                            args.append(self.ident("argument variable").text)
-                            if self.accept("sym", ")"):
-                                break
-                            self.expect("sym", ",")
-                    return MethodCall(self.nid(), name.line, name.col, name.text, member, args)
-                return FieldRead(self.nid(), name.line, name.col, name.text, member)
-            return VarRef(self.nid(), name.line, name.col, name.text)
-        raise ParseError(f"expected an expression, found {tok.text!r}", tok.line, tok.col)
+        if text == "null":
+            return NullLit(self.nid(), line, col)
+        if text == "new":
+            return NewObject(self.nid(), line, col, self.ident("class name")[1])
+        if kind == "ident":
+            if not self.accept("."):
+                return VarRef(self.nid(), line, col, text)
+            member = self.ident("member name")[1]
+            if not self.accept("("):
+                return FieldRead(self.nid(), line, col, text, member)
+            args: list[str] = []
+            if not self.accept(")"):
+                while True:
+                    args.append(self.ident("argument variable")[1])
+                    if self.accept(")"):
+                        break
+                    self.expect(",")
+            return MethodCall(self.nid(), line, col, text, member, args)
+        raise _error(f"expected an expression, found {text!r}", tok)
 
 
 def parse_program(source: str) -> Program:
     tokens, raw_annotations = _lex(source)
     parser = Parser(tokens)
     program = parser.parse_program()
-    program.annotations = [_parse_annotation(line, text) for line, text in raw_annotations]
+    program.annotations = [_parse_annotation(*raw) for raw in raw_annotations]
     return program

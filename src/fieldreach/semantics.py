@@ -591,8 +591,8 @@ def parse_init_annotations(
     value's scope is ``variables`` restricted to ``ref_vars``, in the order of
     ``variables``.  A declared reference field the universe does not track
     folds into the stand-in, as on concrete paths."""
-    reach: dict[tuple[str, str], int] = {}
-    cyc: dict[str, int] = {}
+    value = RcValue.bottom(universe, (v for v in variables if v in ref_vars))
+    t, pos, n, nn = value.tables, value.scope.pos, value.scope.n, value.scope.nn
     sh: list[tuple[str, str]] = []
     ds: list[tuple[str, str]] = []
     declared = {
@@ -603,7 +603,7 @@ def parse_init_annotations(
         for v in ann.variables:
             if v not in ref_vars:
                 raise AnalysisError(
-                    f"{ann.line}:1: annotation names unknown reference variable {v!r}"
+                    f"{ann.line}:{ann.col}: annotation names unknown reference variable {v!r}"
                 )
         mentioned.update(ann.variables)
         if ann.kind == "ds":
@@ -616,20 +616,22 @@ def parse_init_annotations(
             for f in model:
                 if f not in declared:
                     raise AnalysisError(
-                        f"{ann.line}:1: annotation names unknown field {f!r}"
+                        f"{ann.line}:{ann.col}: annotation names unknown field {f!r}"
                     )
             table |= 1 << universe.abstract_mask(model)
         if ann.kind == "reach":
             a, b = ann.variables
-            reach[a, b] = reach.get((a, b), 0) | table
+            t[pos[a] * n + pos[b]] |= table
         else:
             (a,) = ann.variables
-            cyc[a] = cyc.get(a, 0) | table
-    value = RcValue.of(universe, (v for v in variables if v in ref_vars), reach, cyc)
-    # a variable asserted reachable/cyclic may be non-null: give it a region
+            t[nn + pos[a]] |= table
+    # a variable asserted reachable/cyclic may be non-null: give it a region;
+    # two variables one reaches the other share it (the nonzero entries off
+    # the diagonal, position k = i * n + j)
     sh += [(v, v) for v in mentioned]
-    sh += [(a, b) for (a, b), t in value.reach.items() if t and a != b]
-    return value._normalize_in_place(), SharingState.empty().add_sh(sh).add_ds(ds)
+    names = value.scope.names
+    sh += [(names[k // n], names[k % n]) for k in compress(range(nn), t) if k % (n + 1)]
+    return value._normalize_in_place(), SharingState.of(sh, ds)
 
 
 def analyze_program(

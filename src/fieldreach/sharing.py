@@ -168,6 +168,12 @@ class SharingState:
         """No pairs, over an index of the names."""
         return SharingState(_Index(names))
 
+    @staticmethod
+    def of(sh: list[Pair], ds: list[Pair]) -> "SharingState":
+        """The pairs, over an index of their names in order of appearance."""
+        ix = _Index(v for p in sh + ds for v in p)
+        return SharingState(ix, ix.matrix(sh), ix.matrix(ds))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SharingState):
             return NotImplemented
@@ -226,19 +232,11 @@ class SharingState:
         keep = self.index.keep[self.index.pos[v]]
         return SharingState(self.index, self._sh & keep, self._ds & keep)
 
-    def _adding(self, pairs: Iterable[Pair]) -> tuple["SharingState", int]:
-        """This state over an index that holds the pairs' names, and their matrix."""
+    def add_sh(self, pairs: Iterable[Pair]) -> "SharingState":
+        """These pairs added to ``sh``, over an index that holds their names."""
         pairs = list(pairs)
         st = self.over(self.index.including(v for p in pairs for v in p))
-        return st, st.index.matrix(pairs)
-
-    def add_sh(self, pairs: Iterable[Pair]) -> "SharingState":
-        st, m = self._adding(pairs)
-        return SharingState(st.index, st._sh | m, st._ds)
-
-    def add_ds(self, pairs: Iterable[Pair]) -> "SharingState":
-        st, m = self._adding(pairs)
-        return SharingState(st.index, st._sh, st._ds | m)
+        return SharingState(st.index, st._sh | st.index.matrix(pairs), st._ds)
 
     def relate(self, v: str, sh_row: int, ds_row: int) -> "SharingState":
         """Pair v with the names of ``sh_row`` in ``sh`` and with those of

@@ -188,6 +188,7 @@ class InitAnnotation:
     variables: tuple[str, ...]
     models: Optional[list[list[str]]]  # None for ds
     line: int
+    col: int  # of the ``//@``
 
 
 @dataclass

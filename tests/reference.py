@@ -6,13 +6,15 @@ models by sorting, a single move by ``remap``, the field halves by
 division, ``concat`` by a loop over models, the concretizations of the
 coarser domains of ``fieldreach.compare`` (on the same plain sets and dicts
 as the abstractions) with the formula classes they are stated in, the dense
-transfer functions, the abstract value as two name-keyed dicts, and the
-deep-sharing analysis on sets of name pairs.
+transfer functions, the abstract value as two name-keyed dicts, the
+deep-sharing analysis on sets of name pairs, and the lexer and parser with
+a match per blank run and a bound-checked lookahead.
 None of it runs in the package."""
 
 from __future__ import annotations
 
 import dataclasses
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
@@ -30,6 +32,7 @@ from fieldreach.formula import (
     models_of,
 )
 from fieldreach.oracle import Loc
+from fieldreach.parser import KEYWORDS, MAX_NESTING, ParseError
 from fieldreach.semantics import Analyzer, _Ctx, summary_scope
 from fieldreach.sharing import SharingAnalysis, _Body
 from fieldreach.syntax import (
@@ -38,19 +41,25 @@ from fieldreach.syntax import (
     RESULT_VAR,
     Assign,
     BinOp,
+    ClassDecl,
     Command,
+    Comparison,
     Expr,
     FieldRead,
     FieldWrite,
     If,
     IntLit,
+    MainBlock,
     MethodCall,
+    MethodDecl,
     NewObject,
     NullLit,
+    Program,
     Return,
     Skip,
     VarRef,
     While,
+    walk_exprs,
 )
 
 # --------------------------------------------------------------------------
@@ -135,17 +144,17 @@ def deep_share_pairs(state, variables):
 _POSITIONS = {"nid", "line", "col", "decl_at", "name_at"}
 
 
-def fingerprint(node):
+def fingerprint(node, positions=False):
     """The structure of an AST: every field of every node in order, node ids
-    and source positions aside."""
+    and source positions only when ``positions`` is set."""
     if dataclasses.is_dataclass(node):
         return (type(node).__name__,) + tuple(
-            fingerprint(getattr(node, f.name))
+            fingerprint(getattr(node, f.name), positions)
             for f in dataclasses.fields(node)
-            if f.name not in _POSITIONS
+            if positions or f.name not in _POSITIONS
         )
     if isinstance(node, (list, tuple)):
-        return tuple(fingerprint(x) for x in node)
+        return tuple(fingerprint(x, positions) for x in node)
     return node
 
 
@@ -843,3 +852,378 @@ class PairSharingAnalysis(SharingAnalysis):
         )
         # the result may be a fresh object
         return st1.add_sh([(RESULT_VAR, RESULT_VAR), *sh]).add_ds(ds)
+
+
+# --------------------------------------------------------------------------
+# a lexer and parser with a match per blank run and per newline, a
+# dataclass per token, ``peek`` with a bound check, and matches by kind and
+# text: the reference the package's front end is compared against
+
+
+# one alternative per token kind, tried in order: symbols longest first, and
+# ``bad`` catches any character no other alternative starts with
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<nl>\n)|[ \t\r]+|(?P<comment>//[^\n]*)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
+    r"|(?P<sym>:=|==|!=|<=|>=|[{}();,.<>+*-])|(?P<bad>.)"
+)
+
+
+@dataclass
+class ReferenceToken:
+    kind: str  # 'ident' | 'int' | 'kw' | 'sym' | 'eof'
+    text: str
+    line: int
+    col: int
+
+
+def reference_lex(source: str) -> tuple[list[ReferenceToken], list[tuple[int, str]]]:
+    tokens: list[ReferenceToken] = []
+    raw_annotations: list[tuple[int, str]] = []
+    line, line_start = 1, 0
+    for m in _REFERENCE_TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind is None:  # blanks
+            continue
+        if kind == "nl":
+            line += 1
+            line_start = m.end()
+            continue
+        text = m.group()
+        col = m.start() - line_start + 1
+        if kind == "comment":
+            if text.startswith("//@"):
+                raw_annotations.append((line, text[3:].strip()))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        else:
+            if kind == "ident" and text in KEYWORDS:
+                kind = "kw"
+            tokens.append(ReferenceToken(kind, text, line, col))
+    tokens.append(ReferenceToken("eof", "", line, len(source) - line_start + 1))
+    return tokens, raw_annotations
+
+
+class ReferenceParser:
+    def __init__(self, tokens: list[ReferenceToken]):
+        self.tokens = tokens
+        self.pos = 0
+        self._next_nid = 0
+        self._depth = 0  # enclosing blocks, parentheses and unary minus signs
+        self._height: dict[int, int] = {}  # operator node id -> expression tree height
+
+    # -- token helpers
+
+    def peek(self, offset: int = 0) -> ReferenceToken:
+        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+
+    def advance(self) -> ReferenceToken:
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def expect(self, kind: str, text: Optional[str] = None) -> ReferenceToken:
+        tok = self.peek()
+        if tok.kind != kind or (text is not None and tok.text != text):
+            want = text if text is not None else kind
+            raise ParseError(f"expected {want!r}, found {tok.text!r}", tok.line, tok.col)
+        return self.advance()
+
+    def accept(self, kind: str, text: Optional[str] = None) -> Optional[ReferenceToken]:
+        tok = self.peek()
+        if tok.kind == kind and (text is None or tok.text == text):
+            return self.advance()
+        return None
+
+    def nid(self) -> int:
+        self._next_nid += 1
+        return self._next_nid
+
+    def _nest(self, tok: ReferenceToken, extra: int = 1) -> None:
+        if self._depth + extra > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
+
+    def _binop(self, tok: ReferenceToken, op: str, left: Expr, right: Expr) -> BinOp:
+        height = 1 + max(self._height.get(left.nid, 1), self._height.get(right.nid, 1))
+        self._nest(tok, height)
+        node = BinOp(self.nid(), tok.line, tok.col, op, left, right)
+        self._height[node.nid] = height
+        return node
+
+    def _nested(self, tok: ReferenceToken, parse):
+        self._nest(tok)
+        self._depth += 1
+        result = parse()
+        self._depth -= 1
+        return result
+
+    def ident(self, what: str = "identifier") -> ReferenceToken:
+        tok = self.peek()
+        if tok.kind != "ident":
+            raise ParseError(f"expected {what}, found {tok.text!r}", tok.line, tok.col)
+        if tok.text == OUT_VAR:
+            raise ParseError(f"'{OUT_VAR}' is reserved", tok.line, tok.col)
+        return self.advance()
+
+    # -- grammar
+
+    def parse_program(self) -> Program:
+        classes: list[ClassDecl] = []
+        main: Optional[MainBlock] = None
+        while self.peek().kind != "eof":
+            tok = self.peek()
+            if tok.kind == "kw" and tok.text == "class":
+                classes.append(self.parse_class())
+            elif tok.kind == "kw" and tok.text == "main":
+                if main is not None:
+                    raise ParseError("duplicate main block", tok.line, tok.col)
+                main = self.parse_main()
+            else:
+                raise ParseError(
+                    f"expected 'class' or 'main', found {tok.text!r}", tok.line, tok.col
+                )
+        return Program(classes, main, [])
+
+    def parse_class(self) -> ClassDecl:
+        kw = self.expect("kw", "class")
+        name_tok = self.ident("class name")
+        parent = None
+        if self.accept("kw", "extends"):
+            parent = self.ident("superclass name").text
+        self.expect("sym", "{")
+        fields: list[tuple[str, str]] = []
+        methods: list[MethodDecl] = []
+        while not self.accept("sym", "}"):
+            ftype = self.parse_type()
+            fname_tok = self.ident("member name")
+            if self.peek().kind == "sym" and self.peek().text == "(":
+                methods.append(self.parse_method_rest(ftype, fname_tok))
+            else:
+                self.expect("sym", ";")
+                fields.append((fname_tok.text, ftype))
+        return ClassDecl(
+            name_tok.text, parent, fields, methods, kw.line, kw.col, (name_tok.line, name_tok.col)
+        )
+
+    def parse_type(self) -> str:
+        tok = self.peek()
+        if tok.kind == "kw" and tok.text == "int":
+            self.advance()
+            return INT_TYPE
+        return self.ident("type name").text
+
+    def parse_method_rest(self, return_type: str, name_tok: ReferenceToken) -> MethodDecl:
+        self.expect("sym", "(")
+        params: list[tuple[str, str]] = []
+        decl_at: list[tuple[int, int]] = []
+        if not self.accept("sym", ")"):
+            while True:
+                ptype = self.parse_type()
+                pname = self.ident("parameter name")
+                params.append((ptype, pname.text))
+                decl_at.append((pname.line, pname.col))
+                if self.accept("sym", ")"):
+                    break
+                self.expect("sym", ",")
+        self.expect("sym", "{")
+        locals_, body = self.parse_body(decl_at)
+        return MethodDecl(
+            name_tok.text,
+            return_type,
+            params,
+            locals_,
+            body,
+            name_tok.line,
+            name_tok.col,
+            decl_at,
+        )
+
+    def parse_main(self) -> MainBlock:
+        kw = self.expect("kw", "main")
+        self.expect("sym", "{")
+        decl_at: list[tuple[int, int]] = []
+        locals_, body = self.parse_body(decl_at)
+        return MainBlock(locals_, body, kw.line, kw.col, decl_at)
+
+    def parse_body(
+        self, decl_at: list[tuple[int, int]]
+    ) -> tuple[list[tuple[str, str]], list[Command]]:
+        """Parse declarations and commands up to the closing brace, adding
+        the position of each declared name to ``decl_at``."""
+        locals_: list[tuple[str, str]] = []
+        body: list[Command] = []
+        while not self.accept("sym", "}"):
+            if self._at_declaration():
+                dtype = self.parse_type()
+                dname_tok = self.ident("variable name")
+                locals_.append((dtype, dname_tok.text))
+                decl_at.append((dname_tok.line, dname_tok.col))
+                if self.accept("sym", ":="):
+                    expr = self.parse_expr()
+                    body.append(
+                        Assign(self.nid(), dname_tok.line, dname_tok.col, dname_tok.text, expr)
+                    )
+                self.expect("sym", ";")
+            else:
+                body.append(self.parse_command())
+        return locals_, body
+
+    def _at_declaration(self) -> bool:
+        tok, nxt = self.peek(), self.peek(1)
+        if tok.kind == "kw" and tok.text == "int":
+            return True
+        return tok.kind == "ident" and nxt.kind == "ident"
+
+    def parse_command(self) -> Command:
+        tok = self.peek()
+        if tok.kind == "sym" and tok.text == "{":
+            # an explicit block folds into the surrounding sequence
+            raise ParseError("nested bare blocks are not allowed here", tok.line, tok.col)
+        if tok.kind == "kw":
+            if tok.text == "skip":
+                self.advance()
+                self.expect("sym", ";")
+                return Skip(self.nid(), tok.line, tok.col)
+            if tok.text == "if":
+                return self.parse_if()
+            if tok.text == "while":
+                return self.parse_while()
+            if tok.text == "return":
+                self.advance()
+                expr = self.parse_expr()
+                self.expect("sym", ";")
+                return Return(self.nid(), tok.line, tok.col, expr)
+        if tok.kind == "ident":
+            name = self.advance()
+            if self.accept("sym", ":="):
+                expr = self.parse_expr()
+                self.expect("sym", ";")
+                return Assign(self.nid(), name.line, name.col, name.text, expr)
+            if self.accept("sym", "."):
+                fld = self.ident("field name").text
+                self.expect("sym", ":=")
+                expr = self.parse_expr()
+                self.expect("sym", ";")
+                return FieldWrite(self.nid(), name.line, name.col, name.text, fld, expr)
+            raise ParseError(f"expected ':=' or '.' after {name.text!r}", name.line, name.col)
+        raise ParseError(f"expected a command, found {tok.text!r}", tok.line, tok.col)
+
+    def parse_stmt_or_block(self) -> list[Command]:
+        if self.accept("sym", "{"):
+            cmds: list[Command] = []
+            while not self.accept("sym", "}"):
+                cmds.append(self.parse_command())
+            return cmds
+        return [self.parse_command()]
+
+    def parse_if(self) -> If:
+        kw = self.expect("kw", "if")
+        self.expect("sym", "(")
+        guard = self.parse_guard()
+        self.expect("sym", ")")
+        self.accept("kw", "then")
+        then_body = self._nested(kw, self.parse_stmt_or_block)
+        else_body: list[Command] = []
+        if self.accept("kw", "else"):
+            else_body = self._nested(kw, self.parse_stmt_or_block)
+        return If(self.nid(), kw.line, kw.col, guard, then_body, else_body)
+
+    def parse_while(self) -> While:
+        kw = self.expect("kw", "while")
+        self.expect("sym", "(")
+        guard = self.parse_guard()
+        self.expect("sym", ")")
+        self.accept("kw", "do")
+        body = self._nested(kw, self.parse_stmt_or_block)
+        return While(self.nid(), kw.line, kw.col, guard, body)
+
+    def parse_guard(self) -> Comparison:
+        start = self.peek()
+        left = self.parse_expr()
+
+        def reject_side_effects(e: Expr) -> None:
+            for sub in walk_exprs(e):
+                if isinstance(sub, (MethodCall, NewObject)):
+                    raise ParseError(
+                        "guard must be side-effect free (no calls or allocations)",
+                        sub.line,
+                        sub.col,
+                    )
+
+        op_tok = self.peek()
+        if op_tok.kind != "sym" or op_tok.text not in ("==", "!=", "<", "<=", ">", ">="):
+            reject_side_effects(left)
+            raise ParseError(
+                "guard must be a comparison (==, !=, <, <=, >, >=)", op_tok.line, op_tok.col
+            )
+        self.advance()
+        right = self.parse_expr()
+        reject_side_effects(left)
+        reject_side_effects(right)
+        return Comparison(self.nid(), start.line, start.col, op_tok.text, left, right)
+
+    # expressions: '+'/'-' over '*' over atoms
+
+    def parse_expr(self) -> Expr:
+        left = self.parse_term()
+        while True:
+            tok = self.peek()
+            if tok.kind == "sym" and tok.text in ("+", "-"):
+                self.advance()
+                left = self._binop(tok, tok.text, left, self.parse_term())
+            else:
+                return left
+
+    def parse_term(self) -> Expr:
+        left = self.parse_atom()
+        while True:
+            tok = self.peek()
+            if tok.kind == "sym" and tok.text == "*":
+                self.advance()
+                left = self._binop(tok, "*", left, self.parse_atom())
+            else:
+                return left
+
+    def parse_atom(self) -> Expr:
+        tok = self.peek()
+        if tok.kind == "int":
+            self.advance()
+            return IntLit(self.nid(), tok.line, tok.col, int(tok.text))
+        if tok.kind == "sym" and tok.text == "-":
+            self.advance()
+            inner = self._nested(tok, self.parse_atom)
+            if isinstance(inner, IntLit):
+                inner.value = -inner.value
+                return inner
+            zero = IntLit(self.nid(), tok.line, tok.col, 0)
+            return self._binop(tok, "-", zero, inner)
+        if tok.kind == "sym" and tok.text == "(":
+            self.advance()
+            expr = self._nested(tok, self.parse_expr)
+            self.expect("sym", ")")
+            return expr
+        if tok.kind == "kw" and tok.text == "null":
+            self.advance()
+            return NullLit(self.nid(), tok.line, tok.col)
+        if tok.kind == "kw" and tok.text == "new":
+            self.advance()
+            cname = self.ident("class name").text
+            return NewObject(self.nid(), tok.line, tok.col, cname)
+        if tok.kind == "ident":
+            name = self.advance()
+            if self.peek().kind == "sym" and self.peek().text == ".":
+                self.advance()
+                member = self.ident("member name").text
+                if self.accept("sym", "("):
+                    args: list[str] = []
+                    if not self.accept("sym", ")"):
+                        while True:
+                            args.append(self.ident("argument variable").text)
+                            if self.accept("sym", ")"):
+                                break
+                            self.expect("sym", ",")
+                    return MethodCall(self.nid(), name.line, name.col, name.text, member, args)
+                return FieldRead(self.nid(), name.line, name.col, name.text, member)
+            return VarRef(self.nid(), name.line, name.col, name.text)
+        raise ParseError(f"expected an expression, found {tok.text!r}", tok.line, tok.col)

@@ -177,6 +177,23 @@ def test_annotation_unknown_variable(tmp_path, capsys):
     assert err == "error: 1:1: annotation names unknown reference variable 'ghost'\n"
 
 
+@pytest.mark.parametrize(
+    "before, annotation, message",
+    [
+        ("  ", "reach(a,b): [[g]]", "annotation names unknown field 'g'"),
+        ("  ", "cyc(ghost): [[]]", "annotation names unknown reference variable 'ghost'"),
+        ("\t", "reach(a): [[f]]", "reach annotation needs two variables"),
+        ("  ", "reach(a,b): [[f] junk]", "annotation models must be a [[...],...] list"),
+        ("class B { B g; } ", "ds(a,b):", "ds annotation takes no model list"),
+    ],
+)
+def test_annotation_errors_point_at_the_annotation(tmp_path, capsys, before, annotation, message):
+    source = f"class A {{ A f; }}\n{before}//@ init {annotation}\nmain {{ A a; A b; skip; }}\n"
+    code, out, err = _run_source(tmp_path, capsys, source)
+    assert code == 1
+    assert err == f"error: 2:{len(before) + 1}: {message}\n"
+
+
 def test_dump_sharing(capsys):
     code, out, err = invoke(capsys, DLL, "--dump-sharing")
     assert code == 0

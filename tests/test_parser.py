@@ -1,8 +1,10 @@
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fieldreach import ParseError, parse_program, render_program
-from fieldreach.parser import _lex
+from fieldreach.parser import _lex, _parse_annotation
 from fieldreach.syntax import (
     Assign,
     FieldWrite,
@@ -12,7 +14,9 @@ from fieldreach.syntax import (
     While,
 )
 
-from reference import fingerprint
+from conftest import DATA
+from corpus import CORPUS
+from reference import ReferenceParser, fingerprint, reference_lex
 
 TREE_JOIN = """
 class Tree {
@@ -119,6 +123,37 @@ def test_malformed_annotation():
             parse_program(f"//@ init {annotation}\nmain {{ skip; }}")
 
 
+# -- the front end against the reference lexer and parser
+
+
+def _front_end(source):
+    """The package's tokens, annotations and AST, node ids and positions
+    included, or its error."""
+    try:
+        tokens, _ = _lex(source)
+        program = parse_program(source)
+    except ParseError as e:
+        return e.message, e.line, e.col
+    return tokens, fingerprint(program, positions=True)
+
+
+def _reference_front_end(source):
+    """The same from the reference lexer and parser.  An annotation's
+    column is where its comment starts: the first ``//`` of its line, as no
+    token holds a ``/``."""
+    lines = source.split("\n")
+    try:
+        tokens, raw = reference_lex(source)
+        program = ReferenceParser(tokens).parse_program()
+        program.annotations = [
+            _parse_annotation(line, lines[line - 1].index("//") + 1, text) for line, text in raw
+        ]
+    except ParseError as e:
+        return e.message, e.line, e.col
+    plain = [(t.kind, t.text, t.line, t.col) for t in tokens]
+    return plain + plain[-1:], fingerprint(program, positions=True)
+
+
 # the characters of every token kind, the blanks, and characters no token
 # starts with
 LEX_ALPHABET = st.sampled_from(
@@ -129,15 +164,74 @@ LEX_ALPHABET = st.sampled_from(
 
 @given(st.lists(LEX_ALPHABET, max_size=30).map("".join))
 def test_lexer_positions_point_into_the_source(source):
+    assert _front_end(source) == _reference_front_end(source)
     lines = source.split("\n")
     try:
         tokens, _ = _lex(source)
     except ParseError as e:
         assert e.message == f"unexpected character {lines[e.line - 1][e.col - 1]!r}"
         return
-    for t in tokens:
-        assert lines[t.line - 1][t.col - 1 : t.col - 1 + len(t.text)] == t.text
-    assert (tokens[-1].line, tokens[-1].col) == (len(lines), len(lines[-1]) + 1)
+    for _, text, line, col in tokens:
+        assert lines[line - 1][col - 1 : col - 1 + len(text)] == text
+    assert tokens[-1][2:] == (len(lines), len(lines[-1]) + 1)
+
+
+SOURCES = [*CORPUS.values()] + [path.read_text() for path in sorted(DATA.glob("*.lang"))]
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_front_end_equals_the_reference_on_the_sources(source):
+    got = _front_end(source)
+    assert got == _reference_front_end(source)
+    assert not isinstance(got[0], str)  # the sources parse
+
+
+# characters for a stray insertion: blanks, newlines, characters no token
+# starts with, and parts of symbols and comments
+STRAY = list(" \t\r\n$#é\0/:!=<>-@x7{};")
+
+
+@st.composite
+def mutated_sources(draw):
+    """A source with one to three token-level edits: drop, duplicate or
+    swap tokens, cut the source after a token, or insert a stray
+    character; then maybe CRLF line endings or tab indentation."""
+    source = draw(st.sampled_from(SOURCES))
+    for _ in range(draw(st.integers(1, 3))):
+        starts = [0] + [i + 1 for i, c in enumerate(source) if c == "\n"]
+        try:
+            tokens = reference_lex(source)[0][:-1]
+        except ParseError:  # after a stray character: only strays follow
+            tokens = []
+        spans = [(starts[t.line - 1] + t.col - 1, t.text) for t in tokens]
+        edit = draw(st.sampled_from(["drop", "duplicate", "swap", "cut", "stray"]))
+        if edit == "stray" or len(spans) < 2:
+            at = draw(st.integers(0, len(source)))
+            source = source[:at] + draw(st.sampled_from(STRAY)) + source[at:]
+            continue
+        k = draw(st.integers(0, len(spans) - 2))
+        (at, text), (at2, text2) = spans[k], spans[draw(st.integers(k + 1, len(spans) - 1))]
+        end = at + len(text)
+        if edit == "drop":
+            source = source[:at] + source[end:]
+        elif edit == "cut":
+            source = source[:end]
+        elif edit == "duplicate":
+            source = source[:end] + draw(st.sampled_from(["", " ", "\n"])) + text + source[end:]
+        else:
+            between = source[end:at2]
+            source = source[:at] + text2 + between + text + source[at2 + len(text2) :]
+    if draw(st.booleans()):
+        source = source.replace("\n", "\r\n")
+    if draw(st.booleans()):
+        source = re.sub(r"(?m)^ +", "\t", source)
+    return source
+
+
+@settings(max_examples=400)
+@given(mutated_sources())
+def test_front_end_equals_the_reference_on_mutated_sources(source):
+    assert _front_end(source) == _reference_front_end(source)
 
 
 def test_while_and_if_bodies():

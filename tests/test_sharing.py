@@ -344,7 +344,7 @@ def states(draw):
     def state():
         sh, ds = draw(pairs), draw(pairs)
         return (
-            SharingState.empty(names).add_sh(sh).add_ds(ds),
+            SharingState.empty(names).union(SharingState.of(sh, ds)),
             PairSharingState.empty().add_sh(sh).add_ds(ds),
         )
 
@@ -384,7 +384,7 @@ def test_bit_matrix_state_equals_the_pair_sets(drawn, data):
     new = st.sampled_from(names + outside)
     extra = data.draw(st.lists(st.tuples(new, new), max_size=4))
     assert same(s.add_sh(extra), r.add_sh(extra))
-    assert same(s.add_ds(extra), r.add_ds(extra))
+    assert same(s.union(SharingState.of([], extra)), r.add_ds(extra))
     other = SharingState.empty().add_sh(extra)
     assert same(s.union(other), r.union(as_pairs(other)))
     assert same(other.union(s), as_pairs(other).union(r))
