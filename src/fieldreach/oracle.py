@@ -2,10 +2,12 @@
 
 The interpreter executes main directly, records the concrete state after
 every command (including inside callees, keyed by the shared node ids), and
-aborts cleanly when the step budget or the call depth budget runs out.  The
-step budget also bounds the cells the records copy, counted apart from the
-steps: the entries of each new snapshot and the slots of each frame copy.
-Recorded states are copy-on-write.  Consecutive records with no allocation
+aborts cleanly when the step budget or the call depth budget runs out.  It
+dispatches on the exact type of each node, so a node class it does not
+know, a subclass included, is a ``TypeError``.  The step budget also
+bounds the cells the records copy, counted apart from the steps: the
+entries of each new snapshot and the slots of each frame copy.  Recorded
+states are copy-on-write.  Consecutive records with no allocation
 or field write in between share one heap snapshot, and a new snapshot is a
 shallow copy of the last one in which only the objects allocated or written
 since are fresh copies.  A recorded object is never changed, so snapshots
@@ -30,7 +32,12 @@ write only added edges, and the empty edge set when the snapshot has no
 history or its write removed an edge.  Its reach tables continue the base's
 saturation from the tables at the added edges' sources, and its cycle masks
 come from anchors on those edges, since every closed walk not in the base
-has an added edge.  A state thus abstracts to the exact
+has an added edge.  A location the base lacks has only added out-edges and
+no base edge into it, so its reach table starts from its successors' base
+tables, one step longer, and continues from the added edges' sources too.
+A location's cycle table is the union of its successors' in the same edge
+set, since a closed walk reachable from it is reachable from a successor.
+A state thus abstracts to the exact
 reachability/cyclicity value: the models of an entry are precisely the field
 sets realized in the state.  ``alpha_state`` builds that value; it is kept
 for callers and as the tests' reference for the check.  ``check_soundness``
@@ -45,6 +52,7 @@ sharing) they are checked against.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
@@ -80,6 +88,10 @@ MAX_CALL_DEPTH = 100
 # integer arithmetic wraps at 64 bits, two's complement
 WRAP = 1 << 64
 SIGN = 1 << 63
+
+
+# the order comparisons of guards, by operator
+_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def _wrap(n: int) -> int:
@@ -180,101 +192,97 @@ class _Interp:
         if self.steps > self.budget:
             raise BudgetExceeded(f"step budget {self.budget} exceeded")
 
-    def _record(self, nid: int, frame: dict[str, Val]) -> None:
-        if self.record:
-            copy = self.frames[-1]
-            # counted before copying: a run that never ends must not exhaust
-            # memory before it exhausts the budget
-            if copy is None:
-                self.cells += len(frame)
-            if self.dirty:
-                self.cells += len(self.heap)
-            if self.cells > self.budget:
-                raise BudgetExceeded(f"recorded states exceed the budget of {self.budget} cells")
-            if copy is None:
-                copy = self.frames[-1] = dict(frame)
-            if self.dirty:
-                # share the unchanged objects, copy only the changed ones
-                snapshot = dict(self.snapshot)
-                for a in self.dirty:
-                    o = self.heap[a]
-                    snapshot[a] = Obj(o.classname, dict(o.fields))
-                self.history[id(snapshot)] = (snapshot, self.snapshot, frozenset(self.dirty))
-                self.dirty.clear()
-                self.snapshot = snapshot
-            state = ConcreteState(copy, self.snapshot)
-            self.point_states.setdefault(nid, []).append(state)
-
     def exec_body(self, body: list[Command], frame: dict[str, Val]) -> None:
         for cmd in body:
             self.exec_cmd(cmd, frame)
 
     def exec_cmd(self, cmd: Command, frame: dict[str, Val]) -> None:
+        """Executes one command, then records the state after it."""
         self._tick()
-        if isinstance(cmd, Skip):
-            pass
-        elif isinstance(cmd, (Assign, Return)):
+        kind = type(cmd)
+        if kind is Assign or kind is Return:
             frame[cmd.var] = self.eval_expr(cmd.expr, frame)
             self.frames[-1] = None
-        elif isinstance(cmd, FieldWrite):
+        elif kind is FieldWrite:
             value = self.eval_expr(cmd.expr, frame)
             base = frame.get(cmd.var)
-            if not isinstance(base, Loc):
+            if type(base) is not Loc:
                 raise NullDereference(cmd.line)
             self.heap[base.addr].fields[cmd.fieldname] = value
             self.dirty.add(base.addr)
-        elif isinstance(cmd, If):
+        elif kind is If:
             if self.eval_guard(cmd.guard, frame):
                 self.exec_body(cmd.then_body, frame)
             else:
                 self.exec_body(cmd.else_body, frame)
-        elif isinstance(cmd, While):
+        elif kind is While:
             while self.eval_guard(cmd.guard, frame):
                 self.exec_body(cmd.body, frame)
                 self._tick()
-        else:
+        elif kind is not Skip:
             raise TypeError(f"unsupported command {cmd!r}")
-        self._record(cmd.nid, frame)
+        if not self.record:
+            return
+        copy = self.frames[-1]
+        dirty = self.dirty
+        # counted before copying: a run that never ends must not exhaust
+        # memory before it exhausts the budget
+        if copy is None:
+            self.cells += len(frame)
+        if dirty:
+            self.cells += len(self.heap)
+        if self.cells > self.budget:
+            raise BudgetExceeded(f"recorded states exceed the budget of {self.budget} cells")
+        if copy is None:
+            copy = self.frames[-1] = dict(frame)
+        if dirty:
+            # share the unchanged objects, copy only the changed ones
+            snapshot = dict(self.snapshot)
+            heap = self.heap
+            for a in dirty:
+                o = heap[a]
+                snapshot[a] = Obj(o.classname, dict(o.fields))
+            self.history[id(snapshot)] = (snapshot, self.snapshot, frozenset(dirty))
+            dirty.clear()
+            self.snapshot = snapshot
+        self.point_states.setdefault(cmd.nid, []).append(ConcreteState(copy, self.snapshot))
 
     def eval_guard(self, guard: Comparison, frame: dict[str, Val]) -> bool:
         left = self.eval_expr(guard.left, frame)
         right = self.eval_expr(guard.right, frame)
-        if guard.op == "==":
+        op = guard.op
+        if op == "==":
             return left == right
-        if guard.op == "!=":
+        if op == "!=":
             return left != right
-        assert isinstance(left, int) and isinstance(right, int)
-        return {
-            "<": left < right,
-            "<=": left <= right,
-            ">": left > right,
-            ">=": left >= right,
-        }[guard.op]
+        assert type(left) is int and type(right) is int
+        return _ORDER[op](left, right)
 
     def eval_expr(self, e: Expr, frame: dict[str, Val]) -> Val:
-        if isinstance(e, IntLit):
-            return _wrap(e.value)
-        if isinstance(e, NullLit):
-            return None
-        if isinstance(e, VarRef):
+        kind = type(e)
+        if kind is VarRef:
             return frame[e.name]
-        if isinstance(e, FieldRead):
+        if kind is IntLit:
+            return _wrap(e.value)
+        if kind is FieldRead:
             base = frame.get(e.var)
-            if not isinstance(base, Loc):
+            if type(base) is not Loc:
                 raise NullDereference(e.line)
             return self.heap[base.addr].fields[e.fieldname]
-        if isinstance(e, BinOp):
+        if kind is BinOp:
             left = self.eval_expr(e.left, frame)
             right = self.eval_expr(e.right, frame)
-            assert isinstance(left, int) and isinstance(right, int)
+            assert type(left) is int and type(right) is int
             if e.op == "+":
                 return _wrap(left + right)
             if e.op == "-":
                 return _wrap(left - right)
             return _wrap(left * right)
-        if isinstance(e, NewObject):
+        if kind is NewObject:
             return self.allocate(e.classname)
-        if isinstance(e, MethodCall):
+        if kind is NullLit:
+            return None
+        if kind is MethodCall:
             return self.call(e, frame)
         raise TypeError(f"unsupported expression {e!r}")
 
@@ -292,7 +300,7 @@ class _Interp:
 
     def call(self, e: MethodCall, frame: dict[str, Val]) -> Val:
         receiver = frame.get(e.receiver)
-        if not isinstance(receiver, Loc):
+        if type(receiver) is not Loc:
             raise NullDereference(e.line)
         runtime_class = self.heap[receiver.addr].classname
         sig = self.ct.resolve_method(runtime_class, e.method)
@@ -412,8 +420,23 @@ class _SnapshotMemo:
       every edge of the heap is added.
 
     Reach tables continue the base's saturation by pushing its tables at the
-    added edges' sources again, or saturate from scratch where the base has
-    none.  Cycle masks come from anchors.  The anchor of an added edge
+    added edges' sources again.  A source the base lacks is seeded instead
+    (``_seed``): every out-edge of it is added and no base edge enters it,
+    so the walks from it that take no added edge after their first are its
+    empty walk and one step to each successor followed by that successor's
+    base table.  The seed holds only masks of walks, and it is closed under
+    the base edges, since each base table is; a walk that takes a later
+    added edge is found by pushing the seed's tables at the added edges'
+    sources, the source itself included.  Where a successor's base table is
+    not cached, the table is saturated from scratch.
+
+    Cycle masks come from successors or from anchors.  A location's cycle
+    table is the union of its successors' in the same edge set, when all of
+    those are known: a closed walk through a location reached from it is
+    reached from its first step's target, and a closed walk through the
+    location itself is reached from the target of the walk's step out of
+    it.  Conversely, whatever a successor reaches, the location reaches.
+    Otherwise the anchors are scanned.  The anchor of an added edge
     (a, bit, b) is the heap's own reach table from b to a with ``bit`` added
     to every mask, one masked shift, and a location's cycle table is the
     union of the anchors at the locations it reaches, the base's anchors
@@ -493,14 +516,32 @@ class _SnapshotMemo:
         halves = self.universe.halves
         for r in reversed(chain):
             before = r.base.reached.get(src)
-            if before is None:
+            table = dict(before) if before is not None else self._seed(r, src)
+            if table is None:  # a successor's base table is not cached
                 r.reached[src] = saturate(r.succ, halves, {src: 1}, {src: 1})
             else:
                 # a walk new to this edge set takes an added edge, so only
                 # the tables at the added edges' sources are pushed again
-                pending = {a: before[a] for a, _, _ in r.added if a in before}
-                r.reached[src] = saturate(r.succ, halves, dict(before), pending)
+                pending = {a: table[a] for a, _, _ in r.added if a in table}
+                r.reached[src] = saturate(r.succ, halves, table, pending)
         return results.reached[src]
+
+    def _seed(self, r: _EdgeResults, src: int) -> Optional[dict[int, int]]:
+        """The walks from a location the base edge set lacks that take no
+        added edge after their first: its empty walk, and each step to a
+        successor followed by that successor's base table.  None when a
+        successor's base table is not cached."""
+        base = r.base.reached
+        halves = self.universe.halves
+        seed = {src: 1}
+        for bit, b in r.succ[src]:
+            after = base.get(b)
+            if after is None:
+                return None
+            without, with_ = halves[bit]
+            for a, t in after.items():
+                seed[a] = seed.get(a, 0) | ((t & without) << bit) | (t & with_)
+        return seed
 
     def _anchors(self, results: _EdgeResults) -> dict[int, int]:
         chain = []  # the edge sets, newest first, that lack their anchors
@@ -527,14 +568,21 @@ class _SnapshotMemo:
         return self._cycles(self.edge_results(heap), src)
 
     def _cycles(self, results: _EdgeResults, src: int) -> int:
-        table = results.cycles.get(src)
+        cycles = results.cycles
+        table = cycles.get(src)
         if table is None:
-            reached = self._reach(results, src)
             table = 0
-            for a, t in self._anchors(results).items():
-                if a in reached:
-                    table |= t
-            results.cycles[src] = table
+            for _, b in results.succ.get(src, ()):
+                t = cycles.get(b)
+                if t is None:  # a successor's table is not known: scan the anchors
+                    reached = self._reach(results, src)
+                    table = 0
+                    for a, t in self._anchors(results).items():
+                        if a in reached:
+                            table |= t
+                    break
+                table |= t
+            cycles[src] = table
         return table
 
 
@@ -578,10 +626,11 @@ class Violation:
     state_index: int
 
     def __str__(self) -> str:
+        # the witness's fields in universe order, in query syntax
         what = f"({','.join(self.subject)})" if self.kind == "reach" else self.subject[0]
         return (
             f"point {self.nid}: concrete {self.kind} {what} realizes "
-            f"{set(self.witness) or '{}'} outside the abstract value "
+            f"{{{','.join(self.witness)}}} outside the abstract value "
             f"(state #{self.state_index})"
         )
 
@@ -612,6 +661,7 @@ def check_soundness(result: AnalysisResult, oracle: OracleResult) -> SoundnessRe
     building its value.  The witness of a violation is the smallest realized
     mask outside the abstract entry."""
     memo = _SnapshotMemo(result.universe, oracle.history)
+    heaps = memo.heaps
     names_of = result.universe.names_of
     violations: list[Violation] = []
     missing: list[int] = []
@@ -632,11 +682,14 @@ def check_soundness(result: AnalysisResult, oracle: OracleResult) -> SoundnessRe
             locs = [(v, i, val.addr) for i, v in scope if isinstance(val := frame.get(v), Loc)]
             if not locs:
                 continue
-            results = memo.edge_results(state.heap)
+            # the memo's caches read directly; the memo is called on a miss
+            entry = heaps.get(id(state.heap))
+            results = memo.edge_results(state.heap) if entry is None else entry[2]
+            reached, cycles = results.reached, results.cycles
             reach: dict[int, dict[int, int]] = {}
             for _, _, a in locs:
                 if a not in reach:
-                    reach[a] = memo._reach(results, a)
+                    reach[a] = reached.get(a) or memo._reach(results, a)
             for v, i, av in locs:
                 row = reach[av]
                 for w, j, aw in locs:
@@ -647,7 +700,10 @@ def check_soundness(result: AnalysisResult, oracle: OracleResult) -> SoundnessRe
                             witness = names_of(next(models_of(outside)))
                             violations.append(Violation(nid, "reach", (v, w), witness, idx))
             for v, i, av in locs:
-                outside = (1 | memo._cycles(results, av)) & ~entries[nn + i]
+                table = cycles.get(av)
+                if table is None:
+                    table = memo._cycles(results, av)
+                outside = (1 | table) & ~entries[nn + i]
                 if outside:
                     witness = names_of(next(models_of(outside)))
                     violations.append(Violation(nid, "cyc", (v,), witness, idx))

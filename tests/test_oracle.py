@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import operator
 import random
 
 import pytest
@@ -17,7 +18,9 @@ from fieldreach import (
     run_concrete,
     traversal_saturate,
 )
-from fieldreach.formula import models_of
+import fieldreach.oracle as oracle_module
+from fieldreach.formula import models_of, saturate
+from fieldreach.syntax import Assign, Command, Expr, Skip
 from fieldreach.oracle import (
     ConcreteState,
     Loc,
@@ -141,8 +144,9 @@ main {
 }
 """
     run(src.replace("DEPTH", str(MAX_CALL_DEPTH - 1)))
-    with pytest.raises(BudgetExceeded, match="call depth"):
+    with pytest.raises(BudgetExceeded) as err:
         run(src.replace("DEPTH", str(MAX_CALL_DEPTH)))
+    assert str(err.value) == f"call depth budget {MAX_CALL_DEPTH} exceeded at line 7"
 
 
 def test_recursion_deeper_than_the_stack_is_a_budget_error():
@@ -156,8 +160,10 @@ def test_recursion_deeper_than_the_stack_is_a_budget_error():
         + " return r; } }\n"
         + "main { K x; K y; int n; x := new K; n := 90; y := x.down(n); }"
     )
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as err:
         run(src)
+    assert str(err.value) == "execution nests deeper than the interpreter's stack"
+
 
 def test_arithmetic_wraps():
     src = """
@@ -171,6 +177,86 @@ main {
 """
     oracle, *_ = run(src)
     assert oracle.final.frame["big"] == -(1 << 63)
+
+
+COMPARE = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+@pytest.mark.parametrize("op", sorted(COMPARE))
+def test_every_comparison_operator(op):
+    """Each guard operator on integers below, equal and above, negative
+    ones included, and ``==``/``!=`` also on a reference against null."""
+    pairs = [(-2, 3), (3, 3), (4, 3), (-5, -6)]
+    lines = [
+        f"a := {x}; b := {y}; if (a {op} b) then r{k} := 1; else r{k} := 2;"
+        for k, (x, y) in enumerate(pairs)
+    ]
+    on_refs = op in ("==", "!=")
+    if on_refs:
+        lines += [f"if ({v} {op} null) then s{k} := 1; else s{k} := 2;" for k, v in enumerate("pn")]
+    src = (
+        "class K { K f; }\nmain {\n  int a; int b; int r0; int r1; int r2; int r3; int s0; int s1;\n"
+        "  K p; K n;\n  p := new K;\n" + "".join(f"  {line}\n" for line in lines) + "}\n"
+    )
+    frame = run(src)[0].final.frame
+    compare = COMPARE[op]
+    assert [frame[f"r{k}"] for k in range(4)] == [1 if compare(x, y) else 2 for x, y in pairs]
+    if on_refs:  # p holds a location and n is null
+        assert [frame["s0"], frame["s1"]] == [1 if compare(v, None) else 2 for v in (Loc(1), None)]
+
+
+def test_unsupported_nodes_are_type_errors():
+    program, ct, _ = build("main { skip; }")
+    interp = _Interp(program, ct, 100, record=True)
+    with pytest.raises(TypeError, match=r"^unsupported command Command\(nid=1, line=2, col=3\)$"):
+        interp.exec_cmd(Command(1, 2, 3), {})
+    with pytest.raises(TypeError, match=r"^unsupported expression Expr\(nid=4, line=5, col=6\)$"):
+        interp.eval_expr(Expr(4, 5, 6), {})
+    with pytest.raises(TypeError, match="unsupported expression"):
+        interp.exec_cmd(Assign(7, 8, 9, "x", Expr(4, 5, 6)), {"x": None})
+
+    # dispatch is on the exact type: a subclass of a known node is unknown
+    class Nop(Skip):
+        pass
+
+    with pytest.raises(TypeError, match=r"^unsupported command "):
+        interp.exec_cmd(Nop(10, 11, 12), {})
+
+
+@pytest.mark.parametrize(
+    "stmt",
+    ["y := x.n;", "x.n := y;", "y := x.m();"],
+    ids=["field read", "field write", "call"],
+)
+def test_null_dereference_line(stmt):
+    src = f"class K {{ K n; K m() {{ return this; }} }}\nmain {{\n  K x;\n  K y;\n  y := new K;\n  {stmt}\n}}\n"
+    with pytest.raises(NullDereference) as err:
+        run(src)
+    assert err.value.line == 6
+    assert str(err.value) == "null dereference at line 6"
+
+
+def test_budget_messages():
+    program, ct, _ = build((DATA / "runaway_chain.lang").read_text())
+    with pytest.raises(BudgetExceeded) as err:
+        run_concrete(program, ct, budget=20_000)
+    assert str(err.value) == "recorded states exceed the budget of 20000 cells"
+    with pytest.raises(BudgetExceeded) as err:
+        run_concrete(program, ct, budget=20_000, record=False)
+    assert str(err.value) == "step budget 20000 exceeded"
+    # the steps run out on the last tick of a loop trip too
+    program, ct, _ = build("main { int i; while (i == 0) { skip; } }")
+    for budget in (1, 2, 3, 4):
+        with pytest.raises(BudgetExceeded) as err:
+            run_concrete(program, ct, budget=budget)
+        assert str(err.value) == f"step budget {budget} exceeded"
 
 
 def test_method_dispatch_by_runtime_class():
@@ -225,13 +311,14 @@ def test_copy_on_write_is_invisible(monkeypatch):
     taken when the state was recorded, over every corpus program with a
     ``main``."""
     recorded = []
-    record = _Interp._record
+    exec_cmd = _Interp.exec_cmd
 
-    def record_with_copy(self, nid, frame):
-        record(self, nid, frame)
-        recorded.append((self.point_states[nid][-1], dict(frame), copy.deepcopy(self.heap)))
+    # a command's last act is to record the state after it
+    def exec_with_copy(self, cmd, frame):
+        exec_cmd(self, cmd, frame)
+        recorded.append((self.point_states[cmd.nid][-1], dict(frame), copy.deepcopy(self.heap)))
 
-    monkeypatch.setattr(_Interp, "_record", record_with_copy)
+    monkeypatch.setattr(_Interp, "exec_cmd", exec_with_copy)
     programs = 0
     for name, source in sorted(CORPUS.items()):
         program, ct, info = build(source)
@@ -373,14 +460,17 @@ def labelled_edges(heap, universe):
 
 
 @st.composite
-def edit_sequences(draw):
+def edit_sequences(draw, link_fresh=False):
     """Heaps that each differ from the one before by allocations and field
     writes, with a universe carrying ``any``.  As in the interpreter's
     snapshots, a heap shares the objects that did not change with the heap
     before it, a written object is a fresh copy, and an allocated object has
     no reference yet.  A step may allocate, overwrite references, write
-    null, change several objects, or change nothing.  Also returns the
-    history that links them, as ``OracleResult.history`` does."""
+    null, change several objects, or change nothing.  With ``link_fresh``,
+    a step first writes one reference from each object it allocates, so
+    more steps add edges both from new objects and from old ones.  Also
+    returns the history that links them, as ``OracleResult.history``
+    does."""
     heap, universe = draw(heaps_with_any())
     fields = sorted(heap[1].fields)
     heaps, history = [heap], {}
@@ -390,6 +480,10 @@ def edit_sequences(draw):
         for _ in range(draw(st.integers(min_value=0, max_value=2))):
             changed.add(max(heap) + 1)
             heap[max(heap) + 1] = Obj("K", {f: None for f in fields})
+        if link_fresh:
+            for a in sorted(changed):
+                target = Loc(draw(st.sampled_from(sorted(heap))))
+                heap[a].fields[draw(st.sampled_from(fields))] = target
         for _ in range(draw(st.integers(min_value=0, max_value=3))):
             src = draw(st.sampled_from(sorted(heap)))
             target = draw(st.one_of(st.none(), st.sampled_from(sorted(heap)).map(Loc)))
@@ -431,6 +525,66 @@ def test_shared_peel_memo_matches_a_fresh_one(case, rng):
         else:
             assert results.base is memo.empty
             assert set(results.added) == edges
+
+
+def memo_tables(memo, heap, order):
+    """The reach and cycle tables of every location of ``heap``, reach tables
+    asked first, each in ``order``."""
+    results = memo.edge_results(heap)
+    reach = {a: memo._reach(results, a) for a in order}
+    cycles = {a: memo.cycles(heap, a) for a in order}
+    return reach, cycles
+
+
+@settings(max_examples=200)
+@given(edit_sequences(link_fresh=True), st.randoms(use_true_random=False))
+def test_tables_grown_from_the_parents_match_cold_and_fresh_memos(case, rng):
+    """With the parent's tables asked first, a location allocated since is
+    seeded from its successors' tables in the parent edge set, and a
+    location whose successors' cycle tables are known takes its own from
+    theirs.  Both must give the tables of a memo that walks the history
+    cold and of a fresh memo without history."""
+    heaps, history, universe = case
+    warm = _SnapshotMemo(universe, history)
+    for before, heap in zip(heaps, heaps[1:]):
+        order = sorted(before)
+        rng.shuffle(order)
+        memo_tables(warm, before, order)
+        order = sorted(heap)
+        rng.shuffle(order)
+        got = memo_tables(warm, heap, order)
+        assert got == memo_tables(_SnapshotMemo(universe, history), heap, order)
+        assert got == memo_tables(_SnapshotMemo(universe), heap, order)
+
+
+def test_a_fresh_location_starts_from_its_successors_tables(monkeypatch):
+    # a ring 1 <-f-> 2, then 3 allocated with 3 -g-> 1
+    u = FieldUniverse.of(["f", "g"])
+    ring = {1: Obj("K", {"f": Loc(2), "g": None}), 2: Obj("K", {"f": Loc(1), "g": None})}
+    grown = {**ring, 3: Obj("K", {"f": None, "g": Loc(1)})}
+    memo = _SnapshotMemo(u, {id(grown): (grown, ring, frozenset({3}))})
+    fresh = _SnapshotMemo(u)
+    results = memo.edge_results(grown)
+    for a in ring:
+        memo.cycles(ring, a)
+    # the cycle table of 2 scans the anchors; then 1 and 3 take theirs from
+    # their successors', so the reach table of 3 is never needed
+    for a in (2, 1, 3):
+        assert memo.cycles(grown, a) == fresh.cycles(grown, a) == table_of(u, [("f",)])
+    assert 3 not in results.reached
+    # the reach table of 3 starts from the ring's table of 1, every mask
+    # with g added, and not from 3 alone
+    expected = fresh._reach(fresh.edge_results(grown), 3)
+    starts = []
+
+    def spy(succ, halves, reached, pending):
+        starts.append(dict(reached))
+        return saturate(succ, halves, reached, pending)
+
+    monkeypatch.setattr(oracle_module, "saturate", spy)
+    assert memo._reach(results, 3) == expected
+    g, fg = table_of(u, [("g",)]), table_of(u, [("f", "g")])
+    assert starts == [{3: 1, 1: g | fg, 2: fg}]
 
 
 def test_memo_keeps_edge_sets_apart_by_label():
@@ -610,9 +764,27 @@ def test_corrupted_cycle_value_is_flagged():
     result.point_post[nid] = with_entries(value, cyc={"x": PathFormula.only(u, ()).table})
     report = check_soundness(result, oracle)
     assert not report.ok
-    assert any(
-        v.kind == "cyc" and v.nid == nid and v.subject == ("x",) and v.witness == ("n", "p")
+    line = next(
+        str(v)
         for v in report.violations
+        if v.kind == "cyc" and v.nid == nid and v.subject == ("x",) and v.witness == ("n", "p")
+    )
+    assert line.startswith(f"point {nid}: concrete cyc x realizes {{n,p}} outside the abstract value")
+
+
+def test_violation_lines_name_the_witness_in_universe_order():
+    """A witness prints in query syntax, its fields in universe order (the
+    stand-in last), so a line is the same under every hash seed."""
+    assert str(Violation(7, "reach", ("x", "tmp"), ("next", "prev"), 2)) == (
+        "point 7: concrete reach (x,tmp) realizes {next,prev} outside the abstract value (state #2)"
+    )
+    u = FieldUniverse.tracked(["left", "right"], ["right"])
+    witness = u.names_of(u.mask_of(["right", "any"]))
+    assert str(Violation(3, "cyc", ("h",), witness, 0)) == (
+        "point 3: concrete cyc h realizes {right,any} outside the abstract value (state #0)"
+    )
+    assert str(Violation(5, "cyc", ("x",), (), 1)) == (
+        "point 5: concrete cyc x realizes {} outside the abstract value (state #1)"
     )
 
 
