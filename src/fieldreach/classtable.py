@@ -8,9 +8,9 @@ int fields are recorded but excluded from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .record import FrozenRecord
 from .syntax import ClassDecl, Command, INT_TYPE, MethodDecl, Program
 
 # the stand-in that field abstraction puts in place of the untracked fields
@@ -25,21 +25,28 @@ class ClassTableError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class MethodSig:
-    owner: str
-    name: str
-    param_names: tuple[str, ...]
-    param_types: tuple[str, ...]
-    return_type: str
+class MethodSig(FrozenRecord):
+    """A method's signature; ``key`` is (owner, name) and ``input_vars``
+    its formals, ``this`` first."""
 
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.owner, self.name)
+    __slots__ = ("owner", "name", "param_names", "param_types", "return_type", "key", "input_vars")
+    _fields = ("owner", "name", "param_names", "param_types", "return_type")
 
-    @property
-    def input_vars(self) -> tuple[str, ...]:
-        return ("this",) + self.param_names
+    def __init__(
+        self,
+        owner: str,
+        name: str,
+        param_names: tuple[str, ...],
+        param_types: tuple[str, ...],
+        return_type: str,
+    ):
+        self.owner = owner
+        self.name = name
+        self.param_names = param_names
+        self.param_types = param_types
+        self.return_type = return_type
+        self.key = (owner, name)
+        self.input_vars = ("this",) + param_names
 
     def __str__(self) -> str:
         return f"{self.owner}.{self.name}({', '.join(self.param_types)})"
@@ -55,6 +62,13 @@ class ClassTable:
         self._methods: dict[tuple[str, str], MethodSig] = {}
         self._method_decls: dict[tuple[str, str], MethodDecl] = {}
         self._build(program)
+        self.class_names: tuple[str, ...] = tuple(sorted(self._classes))
+        self.reference_fields: frozenset[str] = frozenset(
+            f for f, t in self._field_type.items() if t != INT_TYPE
+        )
+        # memos of ``subclasses_of`` and ``fields_of``; the table never changes
+        self._subclasses: dict[str, tuple[str, ...]] = {}
+        self._fields: dict[str, tuple[tuple[str, str], ...]] = {}
 
     # -- construction
 
@@ -136,10 +150,6 @@ class ClassTable:
 
     # -- queries
 
-    @property
-    def class_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._classes))
-
     def is_class(self, name: str) -> bool:
         return name in self._classes
 
@@ -153,31 +163,32 @@ class ClassTable:
         return False
 
     def subclasses_of(self, name: str) -> tuple[str, ...]:
-        return tuple(c for c in self.class_names if self.is_subclass(c, name))
+        subs = self._subclasses.get(name)
+        if subs is None:
+            subs = self._subclasses[name] = tuple(
+                c for c in self.class_names if self.is_subclass(c, name)
+            )
+        return subs
 
     def fields_of(self, name: str) -> tuple[tuple[str, str], ...]:
         """All fields of a class, inherited ones first, in declaration order."""
-        chain: list[str] = []
-        cur: Optional[str] = name
-        while cur is not None:
-            chain.append(cur)
-            cur = self._parent[cur]
-        out: list[tuple[str, str]] = []
-        for cls in reversed(chain):
-            out.extend(self._own_fields[cls])
-        return tuple(out)
+        fields = self._fields.get(name)
+        if fields is None:
+            chain: list[str] = []
+            cur: Optional[str] = name
+            while cur is not None:
+                chain.append(cur)
+                cur = self._parent[cur]
+            fields = self._fields[name] = tuple(
+                f for cls in reversed(chain) for f in self._own_fields[cls]
+            )
+        return fields
 
     def class_has_field(self, name: str, fieldname: str) -> bool:
         return any(f == fieldname for f, _ in self.fields_of(name))
 
     def field_type(self, fieldname: str) -> str:
         return self._field_type[fieldname]
-
-    @property
-    def reference_fields(self) -> frozenset[str]:
-        return frozenset(
-            f for f, t in self._field_type.items() if t != INT_TYPE
-        )
 
     def resolve_method(self, classname: str, method: str) -> Optional[MethodSig]:
         """Walk up the subclass chain to the defining class."""

@@ -204,8 +204,8 @@ class RcValue:
         full = self.universe.full_table
         if via is None or via.table == full:
             return self
-        viable = via.table  # ``via.canonical``, inline
-        tables = [t if t == full else t & viable for t in self.tables]
+        viable = via.table  # ``via.canonical``, inline; most entries are 0
+        tables = [t and (t if t == full else t & viable) for t in self.tables]
         return self if tables == self.tables else RcValue(self.universe, self.scope, tables)
 
     # -- scope changes

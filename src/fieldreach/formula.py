@@ -26,19 +26,37 @@ wrappers over the same operations on ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .classtable import ANY_FIELD, ClassTable
+from .record import FrozenRecord
 
 # the widest universe analyzed: a formula is an int of 2^n bits, and so are
 # the viability table and each per-class table saturated to build it
 MAX_FIELDS = 16
 
 
-@dataclass(frozen=True)
-class FieldUniverse:
+@lru_cache(maxsize=MAX_FIELDS + 1)
+def _halves(size: int) -> dict[int, tuple[int, int]]:
+    """``FieldUniverse.halves`` of every universe of ``size`` fields: they
+    depend on the size alone, so such universes share one dict, which its
+    readers never change.  The run pattern is built by doubling its length,
+    a few shifts instead of a division of table-sized ints."""
+    length = 1 << size  # the table's width in bits
+    full = (1 << length) - 1
+    out = {}
+    for i in range(size):
+        bit = 1 << i
+        without, width = (1 << bit) - 1, 2 * bit
+        while width < length:
+            without |= without << width
+            width *= 2
+        out[bit] = (without, full ^ without)
+    return out
+
+
+class FieldUniverse(FrozenRecord):
     """The indexed field names of a universe: field i is bit i of a mask.
 
     Index order need not be name order: a tracked universe ends with the
@@ -49,11 +67,12 @@ class FieldUniverse:
     model list with no per-model sort, and ``json_rank`` orders any table's
     models by one integer key each."""
 
-    fields: tuple[str, ...]
+    _fields = ("fields",)  # an instance dict holds the cached properties
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {f: i for i, f in enumerate(self.fields)})
-        if len(self._index) != len(self.fields):
+    def __init__(self, fields: tuple[str, ...]):
+        self.fields = fields
+        self._index = {f: i for i, f in enumerate(fields)}
+        if len(self._index) != len(fields):
             raise ValueError("duplicate field in universe")
 
     @staticmethod
@@ -85,19 +104,8 @@ class FieldUniverse:
     @cached_property
     def halves(self) -> dict[int, tuple[int, int]]:
         """Per field bit, in field order, the truth tables of the masks
-        without and with that field: runs of ``bit`` ones and zeros.  The
-        run pattern is built by doubling its length, a few shifts instead of
-        a division of table-sized ints."""
-        out = {}
-        length = 1 << len(self.fields)  # the table's width in bits
-        for i in range(len(self.fields)):
-            bit = 1 << i
-            without, width = (1 << bit) - 1, 2 * bit
-            while width < length:
-                without |= without << width
-                width *= 2
-            out[bit] = (without, self.full_table ^ without)
-        return out
+        without and with that field: runs of ``bit`` ones and zeros."""
+        return _halves(len(self.fields))
 
     def up(self, table: int) -> int:
         """Up-closure: every superset of a model becomes a model."""
@@ -225,10 +233,13 @@ def difference(universe: FieldUniverse, a: int, b: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class PathFormula:
-    universe: FieldUniverse
-    table: int  # bit m is set when mask m is a model
+class PathFormula(FrozenRecord):
+    __slots__ = ("universe", "table")
+    _fields = __slots__
+
+    def __init__(self, universe: FieldUniverse, table: int):
+        self.universe = universe
+        self.table = table  # bit m is set when mask m is a model
 
     # -- constructors
 

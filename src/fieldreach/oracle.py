@@ -53,12 +53,12 @@ sharing) they are checked against.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .classtable import ClassTable
 from .domain import RcValue
 from .formula import FieldUniverse, models_of, saturate
+from .record import FrozenRecord, Record
 from .semantics import AnalysisResult
 from .syntax import (
     Assign,
@@ -99,28 +99,37 @@ def _wrap(n: int) -> int:
     return n - WRAP if n & SIGN else n
 
 
-@dataclass
-class Obj:
-    classname: str
-    fields: dict[str, "Val"]
+class Obj(Record):
+    __slots__ = ("classname", "fields")
+    _fields = __slots__
+
+    def __init__(self, classname: str, fields: dict[str, "Val"]):
+        self.classname = classname
+        self.fields = fields
 
 
-@dataclass(frozen=True)
-class Loc:
-    addr: int
+class Loc(FrozenRecord):
+    __slots__ = ("addr",)
+    _fields = __slots__
+
+    def __init__(self, addr: int):
+        self.addr = addr
 
 
 Val = Union[int, Loc, None]
 
 
-@dataclass
-class ConcreteState:
+class ConcreteState(Record):
     """A frame and a heap.  A recorded state's frame and heap may be shared
     with other recorded states, and its objects are shared between
     snapshots, so none of them must be changed."""
 
-    frame: dict[str, Val]
-    heap: dict[int, Obj]
+    __slots__ = ("frame", "heap")
+    _fields = __slots__
+
+    def __init__(self, frame: dict[str, Val], heap: dict[int, Obj]):
+        self.frame = frame
+        self.heap = heap
 
 
 class NullDereference(Exception):
@@ -138,14 +147,24 @@ class BudgetExceeded(Exception):
 Edit = tuple[dict[int, Obj], dict[int, Obj], frozenset[int]]
 
 
-@dataclass
-class OracleResult:
-    point_states: dict[int, list[ConcreteState]]
-    final: ConcreteState
-    steps: int
-    allocations: int
-    # the edit that made each recorded snapshot, keyed by the snapshot's id
-    history: dict[int, Edit] = field(default_factory=dict)
+class OracleResult(Record):
+    __slots__ = ("point_states", "final", "steps", "allocations", "history")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        point_states: dict[int, list[ConcreteState]],
+        final: ConcreteState,
+        steps: int,
+        allocations: int,
+        history: Optional[dict[int, Edit]] = None,
+    ):
+        self.point_states = point_states
+        self.final = final
+        self.steps = steps
+        self.allocations = allocations
+        # the edit that made each recorded snapshot, keyed by the snapshot's id
+        self.history = {} if history is None else history
 
 
 class _Interp:
@@ -617,13 +636,18 @@ def alpha_state(
 # soundness comparison
 
 
-@dataclass
-class Violation:
-    nid: int
-    kind: str  # 'reach' | 'cyc'
-    subject: tuple
-    witness: tuple[str, ...]
-    state_index: int
+class Violation(Record):
+    __slots__ = ("nid", "kind", "subject", "witness", "state_index")
+    _fields = __slots__
+
+    def __init__(
+        self, nid: int, kind: str, subject: tuple, witness: tuple[str, ...], state_index: int
+    ):
+        self.nid = nid
+        self.kind = kind  # 'reach' | 'cyc'
+        self.subject = subject
+        self.witness = witness
+        self.state_index = state_index
 
     def __str__(self) -> str:
         # the witness's fields in universe order, in query syntax
@@ -635,12 +659,21 @@ class Violation:
         )
 
 
-@dataclass
-class SoundnessReport:
-    violations: list[Violation]
-    points_checked: int
-    states_checked: int
-    missing_points: list[int]
+class SoundnessReport(Record):
+    __slots__ = ("violations", "points_checked", "states_checked", "missing_points")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        violations: list[Violation],
+        points_checked: int,
+        states_checked: int,
+        missing_points: list[int],
+    ):
+        self.violations = violations
+        self.points_checked = points_checked
+        self.states_checked = states_checked
+        self.missing_points = missing_points
 
     @property
     def ok(self) -> bool:

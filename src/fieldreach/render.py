@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -133,12 +132,14 @@ def render_sharing(program, analysis) -> str:
 # its parent's prefix; per table, its encoded model list at each depth, its
 # models put in order by their rank in that walk; per scope and depth, the
 # sorted member heads of ``cyc`` and ``reach``, each with the position of its
-# entry in a value's flat list of tables.  So no model is sorted or
-# encoded name by name, a row needs no sort and no key encoding, and each
-# distinct table is encoded once per report, not once per entry.  The query
-# answers and ``universe`` are laid out with ``_array`` too; only
-# ``metadata`` goes through ``json.dumps``.  ``tests/test_render_json.py``
-# checks the bytes against ``json.dumps``.
+# entry in a value's flat list of tables, the keys sorted and encoded once
+# per scope for both depths.  So no model is sorted or encoded name by name,
+# a row needs no sort and no key encoding, and each distinct table is
+# encoded once per report, not once per entry.  The query answers and
+# ``universe`` are laid out with ``_array`` too, and ``metadata`` by hand:
+# its numbers are ints and one float, which ``json.dumps`` writes as their
+# ``repr``.  ``tests/test_render_json.py`` checks the bytes against
+# ``json.dumps``.
 
 _INDENT = "  "
 
@@ -168,10 +169,24 @@ def _queries(queries: list[tuple[str, object]], depth: int) -> str:
             models = [_array(list(map(encode_basestring_ascii, m)), depth + 3) for m in answer]
             text = _array(models, depth + 2)
         else:
-            text = json.dumps(answer)
+            text = "true" if answer else "false"
         head = "{" + pad + '"query": ' + encode_basestring_ascii(query) + ","
         items.append(head + pad + '"result": ' + text + close)
     return _array(items, depth)
+
+
+def _member_keys(scope: Scope) -> tuple[list, list]:
+    """The member keys of ``cyc`` and ``reach`` over ``scope``, in name
+    order, each encoded with its ``": "`` and paired with the position of
+    its entry in a value's tables."""
+    names, n = scope.names, scope.n
+    cyc = sorted((v, scope.nn + i) for i, v in enumerate(names))
+    reach = sorted(
+        (f"({v},{w})", i * n + j) for i, v in enumerate(names) for j, w in enumerate(names)
+    )
+    return tuple(
+        [(encode_basestring_ascii(key) + ": ", at) for key, at in named] for named in (cyc, reach)
+    )
 
 
 class _Entries:
@@ -182,6 +197,7 @@ class _Entries:
         self._texts: defaultdict[int, dict[int, str]] = defaultdict(dict)  # depth: table: list
         self._texts[0][0] = "[]"  # so a report of empty tables builds no models
         self._heads: dict[tuple[Scope, int], tuple] = {}  # (scope, depth)
+        self._keys: dict[Scope, tuple[list, list]] = {}  # scope: ``_member_keys``
 
     def write(
         self, out: list[str], value: RcValue, depth: int, line: str = "", visit: str = ""
@@ -220,27 +236,16 @@ class _Entries:
         members come in name order, a permutation of the positions."""
         layout = self._heads.get((scope, entry))
         if layout is None:
+            keys = self._keys.get(scope)
+            if keys is None:
+                keys = self._keys[scope] = _member_keys(scope)
             pad = "\n" + _INDENT * entry
-            names, n = scope.names, scope.n
-
-            def members(named: list[tuple[str, int]]) -> list[tuple[str, int]]:
-                named.sort(key=itemgetter(0))
-                return [
-                    (("," if i else "{") + pad + encode_basestring_ascii(name) + ": ", at)
-                    for i, (name, at) in enumerate(named)
-                ]
-
-            layout = self._heads[scope, entry] = (
-                members([(v, scope.nn + i) for i, v in enumerate(names)]),
-                members(
-                    [
-                        (f"({v},{w})", i * n + j)
-                        for i, v in enumerate(names)
-                        for j, w in enumerate(names)
-                    ]
-                ),
-                "\n" + _INDENT * (entry - 1) + "}" if n else "{}",
+            cyc, reach = (
+                [(("," if i else "{") + pad + key, at) for i, (key, at) in enumerate(members)]
+                for members in keys
             )
+            close = "\n" + _INDENT * (entry - 1) + "}" if scope.n else "{}"
+            layout = self._heads[scope, entry] = (cyc, reach, close)
         return layout
 
     @cached_property
@@ -269,6 +274,22 @@ class _Entries:
         return text
 
 
+def _metadata(result: AnalysisResult) -> str:
+    """The ``metadata`` object one level deep: its keys and the loop keys
+    sorted as strings, each number its ``repr``."""
+    loops = sorted((str(nid), passes) for nid, passes in result.loop_passes.items())
+    members = [f'"{nid}": {passes!r}' for nid, passes in loops]
+    pad = "\n" + _INDENT * 3
+    text = "{" + pad + ("," + pad).join(members) + "\n" + _INDENT * 2 + "}" if members else "{}"
+    return (
+        '{\n    "elapsed_ms": ' + repr(round(result.elapsed * 1000.0, 3))
+        + ',\n    "iterations": ' + repr(result.rounds)
+        + ',\n    "loop_iterations": ' + text
+        + ',\n    "widenings": ' + repr(result.widenings)
+        + "\n  }"
+    )
+
+
 def result_to_json(
     result: AnalysisResult,
     queries: Optional[list[tuple[str, object]]] = None,
@@ -277,16 +298,10 @@ def result_to_json(
     indent=2) + "\\n"`` of the document whose ``final`` and point entries are
     ``RcValue.to_json()``."""
     entries = _Entries(result.universe)
-    metadata = {
-        "iterations": result.rounds,
-        "loop_iterations": {str(k): v for k, v in sorted(result.loop_passes.items())},
-        "widenings": result.widenings,
-        "elapsed_ms": round(result.elapsed * 1000.0, 3),
-    }
     entry = result.entry if isinstance(result.entry, str) else ".".join(result.entry)
     out = ['{\n  "entry": ' + encode_basestring_ascii(entry) + ',\n  "final": ']
     entries.write(out, result.final, 1)
-    out.append(',\n  "metadata": ' + _indent(json.dumps(metadata, sort_keys=True, indent=2), 1))
+    out.append(',\n  "metadata": ' + _metadata(result))
     out.append(',\n  "points": ')
     points = sorted(((f"{row.line}#{row.visit}", row) for row in result.trace), key=itemgetter(0))
     sep = "{"

@@ -32,7 +32,6 @@ after a configurable number of changes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import ne
 from typing import Iterable, Optional, Union
@@ -41,6 +40,7 @@ from .classtable import ClassTable, MethodSig
 from .domain import RcValue
 from .fixpoint import Fixpoint
 from .formula import MAX_FIELDS, FieldUniverse, Viability, concat, difference
+from .record import Record
 from .sharing import SharingAnalysis, SharingState
 from .syntax import (
     Assign,
@@ -73,33 +73,57 @@ class AnalysisError(Exception):
     pass
 
 
-@dataclass
-class TraceRow:
-    line: int
-    visit: int
-    value: RcValue
+class TraceRow(Record):
+    __slots__ = ("line", "visit", "value")
+    _fields = __slots__
+
+    def __init__(self, line: int, visit: int, value: RcValue):
+        self.line = line
+        self.visit = visit
+        self.value = value
 
 
-@dataclass
-class AnalysisResult:
+class AnalysisResult(Record):
     """The outcome of one analysis.  ``final``, ``trace`` and ``point_post``
     hold canonical values (``RcValue.canonical``): every entry is already its
     own ``drop_nonviable``, so readers show and query it as it is.  They
     share value objects, and each distinct object is canonicalised once."""
 
-    universe: FieldUniverse
-    entry: EntryKey
-    display_vars: tuple[str, ...]
-    final: RcValue
-    trace: list[TraceRow]
-    point_post: dict[int, RcValue]
-    denotations: dict[tuple[str, str], dict[tuple, RcValue]]
-    rounds: int
-    loop_passes: dict[int, int]
-    widenings: int
-    via: Viability
-    sharing: SharingAnalysis  # the deep-sharing tables the analysis read
-    elapsed: float
+    __slots__ = (
+        "universe", "entry", "display_vars", "final", "trace", "point_post", "denotations",
+        "rounds", "loop_passes", "widenings", "via", "sharing", "elapsed",
+    )
+    _fields = __slots__
+
+    def __init__(
+        self,
+        universe: FieldUniverse,
+        entry: EntryKey,
+        display_vars: tuple[str, ...],
+        final: RcValue,
+        trace: list[TraceRow],
+        point_post: dict[int, RcValue],
+        denotations: dict[tuple[str, str], dict[tuple, RcValue]],
+        rounds: int,
+        loop_passes: dict[int, int],
+        widenings: int,
+        via: Viability,
+        sharing: SharingAnalysis,
+        elapsed: float,
+    ):
+        self.universe = universe
+        self.entry = entry
+        self.display_vars = display_vars
+        self.final = final
+        self.trace = trace
+        self.point_post = point_post
+        self.denotations = denotations
+        self.rounds = rounds
+        self.loop_passes = loop_passes
+        self.widenings = widenings
+        self.via = via
+        self.sharing = sharing  # the deep-sharing tables the analysis read
+        self.elapsed = elapsed
 
     def query_cycle(self, var: str, fields: Iterable[str], point: Optional[int] = None) -> bool:
         """May a cycle traversing exactly these fields be reachable from the
@@ -111,7 +135,8 @@ class AnalysisResult:
             mask = self.universe.mask_of(fields)
         except KeyError as exc:
             raise AnalysisError(f"field {exc.args[0]!r} is not tracked") from exc
-        return value.cyc_at(var).has_model(mask) and self.via.is_viable_mask(mask)
+        cyc = value.tables[value.scope.nn + value.scope.pos[var]]
+        return bool(cyc >> mask & 1) and self.via.is_viable_mask(mask)
 
     def query_reach(self, v: str, w: str, point: Optional[int] = None) -> list[list[str]]:
         value = self._value_at(point)
@@ -127,15 +152,25 @@ class AnalysisResult:
         return self.point_post[point]
 
 
-@dataclass
-class _Recorder:
+class _Recorder(Record):
     """What one run of the entry or of a context saw."""
 
-    trace: list[TraceRow] = field(default_factory=list)
-    visits: dict[int, int] = field(default_factory=dict)
-    point_post: dict[int, RcValue] = field(default_factory=dict)
-    loop_passes: dict[int, int] = field(default_factory=dict)
-    widenings: int = 0
+    __slots__ = ("trace", "visits", "point_post", "loop_passes", "widenings")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        trace: Optional[list[TraceRow]] = None,
+        visits: Optional[dict[int, int]] = None,
+        point_post: Optional[dict[int, RcValue]] = None,
+        loop_passes: Optional[dict[int, int]] = None,
+        widenings: int = 0,
+    ):
+        self.trace = [] if trace is None else trace
+        self.visits = {} if visits is None else visits
+        self.point_post = {} if point_post is None else point_post
+        self.loop_passes = {} if loop_passes is None else loop_passes
+        self.widenings = widenings
 
     def trace_line(self, line: int, value: RcValue) -> None:
         n = self.visits.get(line, 0) + 1
@@ -147,11 +182,14 @@ class _Recorder:
         self.point_post[nid] = value if prev is None else prev.join(value)
 
 
-@dataclass
-class _Ctx:
-    sp_ctx: object  # key into the sharing analysis point tables
-    recorder: _Recorder
-    trace_on: bool = False
+class _Ctx(Record):
+    __slots__ = ("sp_ctx", "recorder", "trace_on")
+    _fields = __slots__
+
+    def __init__(self, sp_ctx: object, recorder: _Recorder, trace_on: bool = False):
+        self.sp_ctx = sp_ctx  # key into the sharing analysis point tables
+        self.recorder = recorder
+        self.trace_on = trace_on
 
     def with_trace(self, on: bool) -> "_Ctx":
         return _Ctx(self.sp_ctx, self.recorder, on)
@@ -580,6 +618,9 @@ def entry_scope(
     return universe, sig, tuple(v for v in summary_scope(sig, typeinfo) if v != OUT_VAR)
 
 
+_NO_SHARING = SharingState.of([], [])  # the entry facts of a program without annotations
+
+
 def parse_init_annotations(
     program: Program,
     universe: FieldUniverse,
@@ -592,6 +633,8 @@ def parse_init_annotations(
     ``variables``.  A declared reference field the universe does not track
     folds into the stand-in, as on concrete paths."""
     value = RcValue.bottom(universe, (v for v in variables if v in ref_vars))
+    if not program.annotations:
+        return value, _NO_SHARING
     t, pos, n, nn = value.tables, value.scope.pos, value.scope.n, value.scope.nn
     sh: list[tuple[str, str]] = []
     ds: list[tuple[str, str]] = []
@@ -650,9 +693,10 @@ def analyze_program(
     started = time.perf_counter()
     universe, entry, scope = entry_scope(program, ct, typeinfo, tracked=tracked, entry=entry)
     start, sp_start = parse_init_annotations(program, universe, scope, frozenset(scope))
-    if init_rc is not None:
+    # empty facts join in nothing
+    if init_rc is not None and any(init_rc.tables):
         start = start.join(init_rc.remap({x: x for x in init_rc.scope.names}, scope))
-    if init_sp is not None:
+    if init_sp is not None and not init_sp.is_empty:
         sp_start = sp_start.union(init_sp)
     sharing = SharingAnalysis(program, ct, typeinfo)
     analyzer = Analyzer(program, ct, typeinfo, sharing, universe, widening_k)

@@ -43,11 +43,11 @@ which read only final summaries.  ``return e`` runs as ``out := e``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .classtable import ClassTable, MethodSig
 from .fixpoint import Fixpoint
+from .record import FrozenRecord, Record
 from .syntax import (
     Assign,
     BinOp,
@@ -92,8 +92,9 @@ class _Index:
         self.pos = {v: i for i, v in enumerate(self.names)}
         n = self.n = len(self.names)
         self.row0 = (1 << n) - 1  # row 0, and the width of every row
-        self.col0 = sum(1 << i * n for i in range(n))  # column 0
         full = (1 << n * n) - 1
+        # column 0: bit i * n for each i, the sum of a geometric series
+        self.col0 = full // self.row0 if n else 0
         # per position, everything but its row and column
         self.keep = [full ^ (self.row0 << i * n | self.col0 << i) for i in range(n)]
 
@@ -188,6 +189,11 @@ class SharingState:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SharingState(sh={sorted(self.sh)}, ds={sorted(self.ds)})"
+
+    @property
+    def is_empty(self) -> bool:
+        """Neither relation holds a pair."""
+        return not (self._sh or self._ds)
 
     @property
     def sh(self) -> frozenset[Pair]:
@@ -300,12 +306,15 @@ class SharingState:
         return SharingState(ix, sh, ds)
 
 
-@dataclass(frozen=True)
-class SharingSummary:
+class SharingSummary(FrozenRecord):
     """Effect of a method on its inputs' entry structures plus the result."""
 
-    exit_state: SharingState  # pairs over formal names ('this', params) and 'out'
-    impure: frozenset[int]  # argument positions possibly updated; 0 = receiver
+    __slots__ = ("exit_state", "impure")
+    _fields = __slots__
+
+    def __init__(self, exit_state: SharingState, impure: frozenset[int]):
+        self.exit_state = exit_state  # pairs over formal names ('this', params) and 'out'
+        self.impure = impure  # argument positions possibly updated; 0 = receiver
 
     def union(self, other: "SharingSummary") -> "SharingSummary":
         return SharingSummary(
@@ -323,8 +332,7 @@ class CallRecord(NamedTuple):
     bindings: list[tuple[dict[str, str], SharingState]]
 
 
-@dataclass
-class _Body:
+class _Body(Record):
     """The frame of one run of a body: its type environment, the shadows
     that pin the reference arguments' entry structures (position -> shadow
     name), the positions an update has reached so far, and the point tables
@@ -332,12 +340,24 @@ class _Body:
     site its effect and each callee's binding (``CallRecord``).  ``main``
     has no shadows, so nothing marks it impure."""
 
-    env: TypeEnv
-    shadows: dict[int, str] = field(default_factory=dict)
-    impure: set[int] = field(default_factory=set)
-    pre: dict[int, SharingState] = field(default_factory=dict)
-    post: dict[int, SharingState] = field(default_factory=dict)
-    calls: dict[int, CallRecord] = field(default_factory=dict)
+    __slots__ = ("env", "shadows", "impure", "pre", "post", "calls")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        env: TypeEnv,
+        shadows: Optional[dict[int, str]] = None,
+        impure: Optional[set[int]] = None,
+        pre: Optional[dict[int, SharingState]] = None,
+        post: Optional[dict[int, SharingState]] = None,
+        calls: Optional[dict[int, CallRecord]] = None,
+    ):
+        self.env = env
+        self.shadows = {} if shadows is None else shadows
+        self.impure = set() if impure is None else impure
+        self.pre = {} if pre is None else pre
+        self.post = {} if post is None else post
+        self.calls = {} if calls is None else calls
 
     def touch(self, st: SharingState, var: str) -> None:
         """An update through ``var`` reaches every entry structure it may

@@ -11,8 +11,9 @@ and positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Optional, Union
+from typing import Optional, Union
+
+from .record import Record
 
 INT_TYPE = "int"
 
@@ -30,172 +31,306 @@ def shallow_name(param: str) -> str:
     return f"%in_{param}"
 
 
-@dataclass
-class Node:
-    nid: int
-    line: int
-    col: int
+class Node(Record):
+    __slots__ = ("nid", "line", "col")
+    _fields = ("nid", "line", "col")
+
+    def __init__(self, nid: int, line: int, col: int):
+        self.nid = nid
+        self.line = line
+        self.col = col
 
 
 # --------------------------------------------------------------------------
 # expressions
 
 
-@dataclass
 class Expr(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class IntLit(Expr):
-    value: int
+    __slots__ = ("value",)
+    _fields = ("nid", "line", "col", "value")
+
+    def __init__(self, nid: int, line: int, col: int, value: int):
+        self.nid = nid
+        self.line = line
+        self.col = col
+        self.value = value
 
 
-@dataclass
 class NullLit(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class VarRef(Expr):
-    name: str
+    __slots__ = ("name",)
+    _fields = ("nid", "line", "col", "name")
+
+    def __init__(self, nid: int, line: int, col: int, name: str):
+        self.nid = nid
+        self.line = line
+        self.col = col
+        self.name = name
 
 
-@dataclass
 class FieldRead(Expr):
-    var: str
-    fieldname: str
+    __slots__ = ("var", "fieldname")
+    _fields = ("nid", "line", "col", "var", "fieldname")
+
+    def __init__(self, nid: int, line: int, col: int, var: str, fieldname: str):
+        self.nid = nid
+        self.line = line
+        self.col = col
+        self.var = var
+        self.fieldname = fieldname
 
 
-@dataclass
 class BinOp(Expr):
-    op: str  # one of + - *
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+    _fields = ("nid", "line", "col", "op", "left", "right")
+
+    def __init__(self, nid: int, line: int, col: int, op: str, left: Expr, right: Expr):
+        self.nid = nid
+        self.line = line
+        self.col = col
+        self.op = op  # one of + - *
+        self.left = left
+        self.right = right
 
 
-@dataclass
 class NewObject(Expr):
-    classname: str
+    __slots__ = ("classname",)
+    _fields = ("nid", "line", "col", "classname")
+
+    def __init__(self, nid: int, line: int, col: int, classname: str):
+        self.nid = nid
+        self.line = line
+        self.col = col
+        self.classname = classname
 
 
-@dataclass
 class MethodCall(Expr):
-    receiver: str
-    method: str
-    args: list[str]
+    __slots__ = ("receiver", "method", "args")
+    _fields = ("nid", "line", "col", "receiver", "method", "args")
+
+    def __init__(
+        self, nid: int, line: int, col: int, receiver: str, method: str, args: list[str]
+    ):
+        self.nid = nid
+        self.line = line
+        self.col = col
+        self.receiver = receiver
+        self.method = method
+        self.args = args
 
 
-@dataclass
 class Comparison(Node):
     """Guard of an if/while: a side-effect-free comparison."""
 
-    op: str  # == != < <= > >=
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+    _fields = ("nid", "line", "col", "op", "left", "right")
+
+    def __init__(self, nid: int, line: int, col: int, op: str, left: Expr, right: Expr):
+        self.nid = nid
+        self.line = line
+        self.col = col
+        self.op = op  # == != < <= > >=
+        self.left = left
+        self.right = right
 
 
 # --------------------------------------------------------------------------
 # commands
 
 
-@dataclass
 class Command(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class Skip(Command):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class Assign(Command):
-    var: str
-    expr: Expr
+    __slots__ = ("var", "expr")
+    _fields = ("nid", "line", "col", "var", "expr")
+
+    def __init__(self, nid: int, line: int, col: int, var: str, expr: Expr):
+        self.nid = nid
+        self.line = line
+        self.col = col
+        self.var = var
+        self.expr = expr
 
 
-@dataclass
 class FieldWrite(Command):
-    var: str
-    fieldname: str
-    expr: Expr
+    __slots__ = ("var", "fieldname", "expr")
+    _fields = ("nid", "line", "col", "var", "fieldname", "expr")
+
+    def __init__(self, nid: int, line: int, col: int, var: str, fieldname: str, expr: Expr):
+        self.nid = nid
+        self.line = line
+        self.col = col
+        self.var = var
+        self.fieldname = fieldname
+        self.expr = expr
 
 
-@dataclass
 class If(Command):
-    guard: Comparison
-    then_body: list[Command]
-    else_body: list[Command]  # empty list when no else branch
+    __slots__ = ("guard", "then_body", "else_body")
+    _fields = ("nid", "line", "col", "guard", "then_body", "else_body")
+
+    def __init__(
+        self,
+        nid: int,
+        line: int,
+        col: int,
+        guard: Comparison,
+        then_body: list[Command],
+        else_body: list[Command],
+    ):
+        self.nid = nid
+        self.line = line
+        self.col = col
+        self.guard = guard
+        self.then_body = then_body
+        self.else_body = else_body  # empty list when no else branch
 
 
-@dataclass
 class While(Command):
-    guard: Comparison
-    body: list[Command]
+    __slots__ = ("guard", "body")
+    _fields = ("nid", "line", "col", "guard", "body")
+
+    def __init__(self, nid: int, line: int, col: int, guard: Comparison, body: list[Command]):
+        self.nid = nid
+        self.line = line
+        self.col = col
+        self.guard = guard
+        self.body = body
 
 
-@dataclass
 class Return(Command):
     """``return e``: the walkers run it as ``out := e``."""
 
-    expr: Expr
-    var: ClassVar[str] = OUT_VAR
+    __slots__ = ("expr",)
+    _fields = ("nid", "line", "col", "expr")
+    var = OUT_VAR
+
+    def __init__(self, nid: int, line: int, col: int, expr: Expr):
+        self.nid = nid
+        self.line = line
+        self.col = col
+        self.expr = expr
 
 
 # --------------------------------------------------------------------------
 # declarations
 
 
-@dataclass
-class MethodDecl:
-    name: str
-    return_type: str
-    params: list[tuple[str, str]]  # (type, name)
-    locals: list[tuple[str, str]]  # (type, name), declaration order
-    body: list[Command]
-    line: int
-    col: int
-    # (line, column) of each parameter's name, then of each local's
-    decl_at: list[tuple[int, int]]
+class MethodDecl(Record):
+    __slots__ = ("name", "return_type", "params", "locals", "body", "line", "col", "decl_at")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        name: str,
+        return_type: str,
+        params: list[tuple[str, str]],
+        locals: list[tuple[str, str]],
+        body: list[Command],
+        line: int,
+        col: int,
+        decl_at: list[tuple[int, int]],
+    ):
+        self.name = name
+        self.return_type = return_type
+        self.params = params  # (type, name)
+        self.locals = locals  # (type, name), declaration order
+        self.body = body
+        self.line = line
+        self.col = col
+        # (line, column) of each parameter's name, then of each local's
+        self.decl_at = decl_at
 
 
-@dataclass
-class ClassDecl:
-    name: str
-    parent: Optional[str]
-    fields: list[tuple[str, str]]  # (name, declared type)
-    methods: list[MethodDecl]
-    line: int
-    col: int
-    name_at: tuple[int, int]  # (line, column) of the class name
+class ClassDecl(Record):
+    __slots__ = ("name", "parent", "fields", "methods", "line", "col", "name_at")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        name: str,
+        parent: Optional[str],
+        fields: list[tuple[str, str]],
+        methods: list[MethodDecl],
+        line: int,
+        col: int,
+        name_at: tuple[int, int],
+    ):
+        self.name = name
+        self.parent = parent
+        self.fields = fields  # (name, declared type)
+        self.methods = methods
+        self.line = line
+        self.col = col
+        self.name_at = name_at  # (line, column) of the class name
 
 
-@dataclass
-class MainBlock:
-    locals: list[tuple[str, str]]
-    body: list[Command]
-    line: int
-    col: int
-    decl_at: list[tuple[int, int]]  # (line, column) of each local's name
+class MainBlock(Record):
+    __slots__ = ("locals", "body", "line", "col", "decl_at")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        locals: list[tuple[str, str]],
+        body: list[Command],
+        line: int,
+        col: int,
+        decl_at: list[tuple[int, int]],
+    ):
+        self.locals = locals
+        self.body = body
+        self.line = line
+        self.col = col
+        self.decl_at = decl_at  # (line, column) of each local's name
 
 
-@dataclass
-class InitAnnotation:
+class InitAnnotation(Record):
     """A ``//@ init`` line; resolved against the entry scope later."""
 
-    kind: str  # reach | cyc | ds
-    variables: tuple[str, ...]
-    models: Optional[list[list[str]]]  # None for ds
-    line: int
-    col: int  # of the ``//@``
+    __slots__ = ("kind", "variables", "models", "line", "col")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        kind: str,
+        variables: tuple[str, ...],
+        models: Optional[list[list[str]]],
+        line: int,
+        col: int,
+    ):
+        self.kind = kind  # reach | cyc | ds
+        self.variables = variables
+        self.models = models  # None for ds
+        self.line = line
+        self.col = col  # of the ``//@``
 
 
-@dataclass
-class Program:
-    classes: list[ClassDecl]
-    main: Optional[MainBlock]
-    annotations: list[InitAnnotation]
+class Program(Record):
+    __slots__ = ("classes", "main", "annotations")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        classes: list[ClassDecl],
+        main: Optional[MainBlock],
+        annotations: list[InitAnnotation],
+    ):
+        self.classes = classes
+        self.main = main
+        self.annotations = annotations
 
 
 # --------------------------------------------------------------------------

@@ -8,10 +8,10 @@ resolution from a subclass of the receiver's static type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .classtable import ClassTable, MethodSig
+from .record import FrozenRecord, Record
 from .syntax import (
     Assign,
     BinOp,
@@ -49,14 +49,19 @@ class TypeCheckError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class TypeEnv:
-    """Variable types in scope at every point of one body."""
+class TypeEnv(FrozenRecord):
+    """Variable types in scope at every point of one body: ``types`` pairs
+    each name with its type, in order; ``variables`` lists the names and
+    ``ref_vars`` those of reference type."""
 
-    types: tuple[tuple[str, str], ...]  # (name, type), ordered
+    __slots__ = ("types", "_map", "variables", "ref_vars")
+    _fields = ("types",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_map", dict(self.types))
+    def __init__(self, types: tuple[tuple[str, str], ...]):
+        self.types = types  # (name, type), ordered
+        self._map = dict(types)
+        self.variables = tuple([n for n, _ in types])
+        self.ref_vars = tuple([n for n, t in types if t != INT_TYPE])
 
     def type_of(self, name: str) -> Optional[str]:
         return self._map.get(name)
@@ -64,19 +69,18 @@ class TypeEnv:
     def __contains__(self, name: str) -> bool:
         return name in self._map
 
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.types)
 
-    @property
-    def ref_vars(self) -> tuple[str, ...]:
-        return tuple(n for n, t in self.types if t != INT_TYPE)
+class TypeInfo(Record):
+    __slots__ = ("envs", "call_targets")
+    _fields = __slots__
 
-
-@dataclass
-class TypeInfo:
-    envs: dict[BodyKey, TypeEnv] = field(default_factory=dict)
-    call_targets: dict[int, tuple[MethodSig, ...]] = field(default_factory=dict)
+    def __init__(
+        self,
+        envs: Optional[dict[BodyKey, TypeEnv]] = None,
+        call_targets: Optional[dict[int, tuple[MethodSig, ...]]] = None,
+    ):
+        self.envs = {} if envs is None else envs
+        self.call_targets = {} if call_targets is None else call_targets
 
     def env_for(self, key: BodyKey) -> TypeEnv:
         return self.envs[key]

@@ -13,7 +13,6 @@ None of it runs in the package."""
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -33,6 +32,7 @@ from fieldreach.formula import (
 )
 from fieldreach.oracle import Loc
 from fieldreach.parser import KEYWORDS, MAX_NESTING, ParseError
+from fieldreach.record import Record
 from fieldreach.semantics import Analyzer, _Ctx, summary_scope
 from fieldreach.sharing import SharingAnalysis, _Body
 from fieldreach.syntax import (
@@ -147,15 +147,20 @@ _POSITIONS = {"nid", "line", "col", "decl_at", "name_at"}
 def fingerprint(node, positions=False):
     """The structure of an AST: every field of every node in order, node ids
     and source positions only when ``positions`` is set."""
-    if dataclasses.is_dataclass(node):
+    if isinstance(node, Record):
         return (type(node).__name__,) + tuple(
-            fingerprint(getattr(node, f.name), positions)
-            for f in dataclasses.fields(node)
-            if positions or f.name not in _POSITIONS
+            fingerprint(getattr(node, f), positions)
+            for f in node._fields
+            if positions or f not in _POSITIONS
         )
     if isinstance(node, (list, tuple)):
         return tuple(fingerprint(x, positions) for x in node)
     return node
+
+
+def replaced(record: Record, **changes) -> Record:
+    """A copy of a package record with the given fields changed."""
+    return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **changes})
 
 
 def submasks(mask):

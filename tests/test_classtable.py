@@ -1,8 +1,7 @@
-import dataclasses
-
 import pytest
 
 from fieldreach import ClassTableError, build_class_table, parse_program
+from fieldreach.syntax import ClassDecl
 
 from conftest import DEVICES_SOURCE
 
@@ -121,7 +120,8 @@ def test_int_class_name_in_a_hand_built_program():
     """The parser rejects ``class int``, so only a program built by hand
     reaches the class table's own guard."""
     program = parse_program("class A { }\nmain { skip; }")
-    program.classes[0] = dataclasses.replace(program.classes[0], name="int")
+    a = program.classes[0]
+    program.classes[0] = ClassDecl("int", a.parent, a.fields, a.methods, a.line, a.col, a.name_at)
     with pytest.raises(ClassTableError) as err:
         build_class_table(program)
     assert str(err.value) == "1:7: 'int' cannot be a class name"

@@ -1,8 +1,12 @@
 import json
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
+import fieldreach
 from fieldreach.cli import parse_query, run
 
 
@@ -15,6 +19,21 @@ def invoke(capsys, *argv):
 DLL = "tests/data/dll.lang"
 TREE = "tests/data/tree.lang"
 TREE_MAIN = "tests/data/tree_main.lang"
+
+
+def test_the_command_line_loads_no_dataclasses():
+    """The package's records are plain classes: a fresh interpreter that
+    imports the command line never loads ``dataclasses``."""
+    src = str(pathlib.Path(fieldreach.__file__).parent.parent)
+    probe = (
+        "import sys; loaded = 'dataclasses' in sys.modules; sys.path.insert(0, sys.argv[1]); "
+        "import fieldreach.cli; print(loaded, 'dataclasses' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, src], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False False\n"
 
 
 def test_missing_file_is_usage_error(capsys):

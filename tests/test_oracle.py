@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import operator
 import random
 
@@ -34,7 +33,7 @@ from fieldreach.oracle import (
 
 from conftest import DATA, build, pf, with_entries
 from corpus import CORPUS
-from reference import deep_share_pairs, reachable, walk_saturate
+from reference import deep_share_pairs, reachable, replaced, walk_saturate
 
 
 def run(source: str, **kw):
@@ -948,7 +947,7 @@ def thinned(result, rng):
         post[nid] = value
     if post and rng.random() < 0.3:
         del post[rng.choice(sorted(post))]
-    return dataclasses.replace(result, point_post=post)
+    return replaced(result, point_post=post)
 
 
 def check_case(name, tracked: bool, seed: int = 0):

@@ -4,7 +4,6 @@ writes for the document built from ``RcValue.to_json()``.  The golden digests
 cover neither a ``queries`` block nor a universe wider than three fields;
 these cases do."""
 
-import dataclasses
 import json
 import random
 
@@ -16,6 +15,7 @@ from fieldreach.render import result_to_json
 from fieldreach.semantics import TraceRow
 
 from conftest import DATA, analyze_entry, with_entries
+from reference import replaced
 
 # The shape of a wide universe: seven fields, five of them on one class,
 # linked into a ring inside a loop.
@@ -150,7 +150,7 @@ def test_keys_sort_as_strings_and_escape_as_json():
     are encoded as ``json`` encodes them."""
     result = analyze_entry(WIDE)
     names = {"b": "a b", "c": 'c"\\', "d": "dé", "p": "p\n"}
-    result = dataclasses.replace(
+    result = replaced(
         result,
         final=renamed(result.final, names),
         trace=[TraceRow(r.line, r.visit, renamed(r.value, names)) for r in result.trace],
@@ -206,7 +206,7 @@ def test_layout_is_kept_per_scope_and_depth():
         TraceRow(91, 2, reordered),
         TraceRow(92, 1, final),
     ]
-    result = dataclasses.replace(result, final=final, trace=result.trace + rows)
+    result = replaced(result, final=final, trace=result.trace + rows)
     scopes = {frozenset(row.value.cyc) for row in result.trace}
     assert {frozenset(), frozenset(moved.cyc), frozenset(final.cyc)} <= scopes
     assert len({frozenset(last.cyc), frozenset(moved.cyc), frozenset(final.cyc)}) == 3
@@ -221,14 +221,14 @@ def test_point_keys_sort_as_strings():
     so ``"5#10"`` and ``"5#11"`` come before ``"5#2"``."""
     result = analyze_entry(WIDE)
     rows = [TraceRow(5, visit, result.final) for visit in range(1, 12)]
-    result = dataclasses.replace(result, trace=rows)
+    result = replaced(result, trace=rows)
     report = result_to_json(result, [])
     assert report == reference_report(result, [])
     assert report.index('"5#10"') < report.index('"5#11"') < report.index('"5#2"')
 
 
 def test_report_without_trace_rows():
-    result = dataclasses.replace(analyze_entry(WIDE), trace=[])
+    result = replaced(analyze_entry(WIDE), trace=[])
     report = result_to_json(result, [])
     assert report == reference_report(result, [])
     assert '\n  "points": {},\n' in report
@@ -256,8 +256,58 @@ def test_nine_field_report_with_the_full_table():
         },
     )
     rows = [TraceRow(3, 1, value), TraceRow(4, 1, RcValue.bottom(u, scope))]
-    result = dataclasses.replace(result, universe=u, final=value, trace=rows)
+    result = replaced(result, universe=u, final=value, trace=rows)
     models = value.reach_at("x", "y").json_models()
     assert len(models) == 512 and models[:3] == [[], ["Z"], ["Z", "a"]]
     answers = [("reach x y", models), ("cyc x {a}", True)]
     assert result_to_json(result, answers) == reference_report(result, answers)
+
+
+# (loop passes by loop id, elapsed seconds, widenings): no loop; loop ids
+# whose keys sort as strings ("10" before "9"); an elapsed time that rounds
+# to 0.0 ms, one of 0.01 ms, one of 12345.678 ms and one that ``repr``
+# writes with an exponent; widenings above zero
+METADATA = [
+    ({}, 0.0, 0),
+    ({9: 1, 10: 2, 100: 3}, 1e-08, 2),
+    ({3: 1}, 1e-05, 0),
+    ({7: 17, 8: 1}, 12.345678, 5),
+    ({}, 1e17, 1),
+]
+
+
+@pytest.mark.parametrize("loops,elapsed,widenings", METADATA)
+def test_metadata_and_scalar_answers_as_json_dumps(loops, elapsed, widenings):
+    """``metadata`` and the truth-value answers are laid out by hand: they
+    read as ``json.dumps`` writes them, one level deep."""
+    result = replaced(
+        analyze_entry(WIDE), loop_passes=loops, elapsed=elapsed, widenings=widenings, rounds=3
+    )
+    answers = [("cyc a {f3,f4}", True), ("cyc d {g}", False), ("reach a d", [["f0"], []])]
+    report = result_to_json(result, answers)
+    assert report == reference_report(result, answers)
+    metadata = {
+        "iterations": 3,
+        "loop_iterations": {str(k): v for k, v in loops.items()},
+        "widenings": widenings,
+        "elapsed_ms": round(elapsed * 1000.0, 3),
+    }
+    text = json.dumps(metadata, sort_keys=True, indent=2).replace("\n", "\n  ")
+    assert '\n  "metadata": ' + text + ",\n" in report
+    if 100 in loops:
+        assert report.index('"10"') < report.index('"100"') < report.index('"9"')
+
+
+def test_a_scope_laid_out_at_both_depths():
+    """A method entry: ``final`` is over the summary's scope and the trace
+    over the body's, and one more row over ``final``'s scope puts that
+    scope's member keys at both depths; every row reads as ``json.dumps``
+    writes it."""
+    result = analyze_entry((DATA / "tree.lang").read_text(), "join")
+    body = {row.value.scope for row in result.trace}
+    assert len(body) == 1 and result.final.scope not in body
+    result = replaced(result, trace=result.trace + [TraceRow(99, 1, result.final)])
+    answers = [answer(result, "reach", "l", "out"), answer(result, "cyc", "l", ("parent",))]
+    report = result_to_json(result, answers)
+    assert report == reference_report(result, answers)
+    assert '\n    "99#1": {\n      "cyc": {\n        "l": ' in report

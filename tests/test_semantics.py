@@ -12,19 +12,21 @@ from fieldreach import (
 )
 import fieldreach.semantics
 from fieldreach.formula import MAX_FIELDS
+from fieldreach.render import result_to_json
 from fieldreach.semantics import (
     AnalysisError,
     Analyzer,
     _Ctx,
     _Recorder,
     entry_scope,
+    find_entry_sig,
     parse_init_annotations,
 )
 from fieldreach.syntax import RESULT_VAR, walk_commands
 
 from conftest import DATA, build, pf
 from corpus import CORPUS
-from reference import DenseAnalyzer
+from reference import DenseAnalyzer, replaced
 from test_render_json import WIDE
 
 K3 = "class K { K f; K g; K h; }\n"
@@ -657,6 +659,51 @@ def test_analyze_program_applies_the_init_lines_and_joins_extra_facts():
     bare = analyze_program(program, ct, info, entry="join")
     assert bare.final != result.final
     assert bare.final.cyc_at("l").is_false
+
+
+# every corpus and data-file program without ``//@ init`` lines
+WITHOUT_INIT = {
+    name: source
+    for name, source in [
+        *CORPUS.items(),
+        *((f"data/{p.name}", p.read_text()) for p in sorted(DATA.glob("*.lang"))),
+    ]
+    if "//@" not in source
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITHOUT_INIT))
+def test_programs_without_init_lines_take_the_fast_paths_to_the_same_results(name):
+    """Without ``//@ init`` lines the entry facts are the contradiction and
+    no sharing pair, and handing ``analyze_program`` such facts, resolved
+    as a caller resolves them for ``main`` and for each method, changes no
+    table and no byte of the report."""
+    program, ct, info = build(WITHOUT_INIT[name])
+    assert program.annotations == []
+    universe = FieldUniverse.of(ct.reference_fields)
+    entries = ["main"] if program.main is not None else []
+    entries += [f"{sig.owner}.{sig.name}" for sig in ct.all_method_sigs()]
+    assert entries
+    for entry in entries:
+        if entry == "main":
+            env = info.env_for("main")
+            variables = env.variables + (RESULT_VAR,)
+            refs = frozenset(env.ref_vars) | {RESULT_VAR}
+        else:
+            sig = find_entry_sig(ct, entry)
+            env = info.env_for(sig.key)
+            variables = sig.input_vars
+            refs = frozenset(v for v in variables if env.type_of(v) != "int")
+        rc, sp = parse_init_annotations(program, universe, variables, refs)
+        assert rc == RcValue.bottom(universe, [v for v in variables if v in refs])
+        assert sp.is_empty and sp.sh == frozenset() and sp.ds == frozenset()
+        bare = analyze_program(program, ct, info, entry=entry)
+        given = analyze_program(program, ct, info, entry=entry, init_rc=rc, init_sp=sp)
+        assert given.final == bare.final and given.trace == bare.trace
+        assert given.point_post == bare.point_post and given.denotations == bare.denotations
+        assert result_to_json(replaced(given, elapsed=0.0)) == result_to_json(
+            replaced(bare, elapsed=0.0)
+        )
 
 
 def _random_init_lines(rng, fields, scope):

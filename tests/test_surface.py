@@ -34,6 +34,7 @@ KEPT_MEMBERS = {
     "PathFormula.drop_nonviable": "the benchmark's tracer wraps it as a formula layer",
     "PathFormula.equiv": "the acceptance traces compare formulas up to equivalence",
     "PathFormula.false": "the tests construct formulas with it",
+    "PathFormula.has_model": "the tests read single models of formulas through it",
     "PathFormula.only": "the tests construct formulas with it",
 }
 
