@@ -1,8 +1,9 @@
 """Reference definitions the tests check the package against: saturation on
 sets of field names and on (node, mask) pairs, the viability table built by
 the latter, address reachability and deep sharing derived from it,
-an AST fingerprint, truth-table submasks, trace lookup, a formula's JSON
-models by sorting, a single move by ``remap``, the field halves by
+an AST fingerprint, a record copied with some fields changed,
+truth-table submasks, trace lookup, a formula's JSON models by sorting,
+a single move by ``remap``, the field halves by
 division, ``concat`` by a loop over models, the concretizations of the
 coarser domains of ``fieldreach.compare`` (on the same plain sets and dicts
 as the abstractions) with the formula classes they are stated in, the dense
