@@ -19,7 +19,10 @@ Method denotations map an abstract entry value over the inputs to an exit
 value over inputs plus the return value.  A ``Fixpoint`` worklist holds one
 per context (method, entry value, entry sharing state), joined under
 per-entry widening; a context re-runs only when a denotation it read has
-grown, and the entry body only once no context is pending.  Every run
+grown, and the entry body only once no context is pending.  A new context
+is queued, not solved on the spot as in the sharing analysis: under
+widening the order of runs can change the result, and the entry runs are
+what the report counts.  Every run
 records its per-point values afresh, so once the table is stable the last
 run of the entry and of each context, which read only final denotations,
 holds them.  Inside a body, shadow copies of the parameters pin the
@@ -37,7 +40,7 @@ from operator import ne
 from typing import Iterable, Optional, Union
 
 from .classtable import ClassTable, MethodSig
-from .domain import RcValue
+from .domain import RcValue, Scope
 from .fixpoint import Fixpoint
 from .formula import MAX_FIELDS, FieldUniverse, Viability, concat, difference
 from .record import Record
@@ -299,7 +302,6 @@ class Analyzer:
         n, nn, pos, names = s.n, s.nn, s.pos, s.names
         t = I.tables
         actuals = [e.receiver] + list(e.args)
-        ref_actual = [a for a in actuals if a in pos]
         callees = self.typeinfo.call_targets[e.nid]
 
         summary_back = RcValue.bottom(u, names)
@@ -318,69 +320,51 @@ class Analyzer:
         back = summary_back.tables
         out = I.join(summary_back)
         new = out.tables
-
-        # paths the callee may have created between caller variables: for an
-        # impure argument, pre-call reachability into it, the callee-computed
-        # leg between arguments, and pre-call reachability out of the other
-        # argument are stitched together; deep-sharing on either side forfeits
-        # the field information for that side.  A stitched path needs a way
-        # into the argument and a way out of the other one.
-        r = pos[RESULT_VAR]
-        others = [w for w in range(n) if w != r]
-        for i, vi in enumerate(actuals):
-            if vi not in pos or i not in impure:
-                continue
-            a = pos[vi]
-            for vj in ref_actual:
-                b = pos[vj]
-                ds_ij_after = sp_after.has_ds(vi, vj)
-                leg = back[a * n + b]
-                outs = [(w2, t[b * n + w2]) for w2 in others if t[b * n + w2]]
-                for w1 in others:
-                    ds_w1_vi = sp.has_ds(names[w1], vi)
-                    into = t[w1 * n + a]
-                    if not into and not ds_w1_vi:
-                        continue
-                    for w2, out_of in outs:
-                        if not ds_w1_vi and not ds_ij_after:
-                            f = concat(u, concat(u, into, leg), out_of)
-                        elif not ds_w1_vi and ds_ij_after:
-                            f = concat(u, into, true)
-                        elif ds_w1_vi and not ds_ij_after:
-                            f = concat(u, true, out_of)
-                        else:
-                            f = true
-                        new[w1 * n + w2] |= f
+        stitch_paths(u, s, t, back, new, actuals, impure, sp, sp_after)
 
         # result rows: what the result may reach among caller variables.  The
         # ``difference`` term is the rest of a path from vk to w after the
         # leg from vk to the result.  It is needed: ``back[(vk, %res)]`` does
         # not imply DS(vk, %res) when entry facts state reachability without
         # a ``ds`` line (test_call_result_keeps_the_alias_through_the_receiver)
-        for w in others:
-            for vk in ref_actual:
+        r = pos[RESULT_VAR]
+        others = [w for w in range(n) if w != r]
+        refs = [v for v in dict.fromkeys(actuals) if v in pos]
+        if any(sp_after.has_ds(vk, RESULT_VAR) for vk in refs):
+            for w in others:
+                new[r * n + w] = true
+        else:
+            for vk in refs:
                 k = pos[vk]
-                if sp_after.has_ds(vk, RESULT_VAR):
-                    new[r * n + w] = true
-                elif t[k * n + w]:
-                    new[r * n + w] |= concat(u, back[r * n + k], t[k * n + w]) | difference(
-                        u, t[k * n + w], back[k * n + r]
-                    )
+                to_k, from_k = back[r * n + k], back[k * n + r]
+                if not (to_k or from_k):
+                    continue
+                for w in others:
+                    path = t[k * n + w]
+                    if not path:
+                        continue
+                    if to_k:
+                        new[r * n + w] |= concat(u, to_k, path)
+                    if from_k:
+                        new[r * n + w] |= difference(u, path, from_k)
 
         # and the reverse direction: the result may sit inside an argument's
         # structure, so anything leading into that argument may lead to it —
-        # including plain aliasing when the argument reaches both
-        for w in others:
-            for vk in ref_actual:
+        # including plain aliasing when the argument reaches both — and the
+        # result may reach the argument's cycles
+        for vk in refs:
+            k = pos[vk]
+            leg = back[k * n + r]
+            for w in others:
                 if sp.has_ds(names[w], vk):
                     new[w * n + r] = true
-                    continue
-                k = pos[vk]
-                leg = back[k * n + r]
-                if t[w * n + k]:
-                    new[w * n + r] |= concat(u, t[w * n + k], leg)
-                if leg and t[k * n + w]:
-                    new[w * n + r] |= self._only(())
+                elif leg:
+                    if t[w * n + k]:
+                        new[w * n + r] |= concat(u, t[w * n + k], leg)
+                    if t[k * n + w]:
+                        new[w * n + r] |= self._only(())
+            if leg:
+                new[nn + r] |= t[nn + k]
 
         # cyclicity: cycles built inside an impure argument spread to
         # everything sharing with it in any direction
@@ -389,13 +373,11 @@ class Analyzer:
                 continue
             a = pos[vi]
             ci = back[nn + a]
+            if not ci:
+                continue
             for w in others:
-                if sp.has_ds(names[w], vi) or t[w * n + a] or t[a * n + w]:
+                if t[w * n + a] or t[a * n + w] or sp.has_ds(names[w], vi):
                     new[nn + w] |= ci
-        for vk in ref_actual:
-            k = pos[vk]
-            if back[k * n + r]:
-                new[nn + r] |= t[nn + k]
 
         return out._normalize_in_place()
 
@@ -447,8 +429,11 @@ class Analyzer:
         t = evaluated.tables
         fld = self._only([cmd.fieldname])
         # the new edge alone, or the new edge plus the cycle it may close
-        mid = fld | concat(u, fld, t[r * n + v])
-        cyc_new = concat(u, t[r * n + v], fld) | t[nn + r]
+        mid, cyc_new = fld, t[nn + r]
+        back_to_v = t[r * n + v]
+        if back_to_v:
+            mid |= concat(u, fld, back_to_v)
+            cyc_new |= concat(u, back_to_v, fld)
         # a new path runs from a variable that reaches v to one the written
         # value reaches; the result variable is in every body's scope, so
         # the projection is a fresh copy
@@ -578,6 +563,80 @@ def find_entry_sig(ct: ClassTable, name: str) -> MethodSig:
             + ")"
         )
     return matches[0]
+
+
+def stitch_paths(
+    u: FieldUniverse,
+    scope: Scope,
+    t: list[int],
+    back: list[int],
+    new: list[int],
+    actuals: list[str],
+    impure: frozenset[int],
+    sp: SharingState,
+    sp_after: SharingState,
+) -> None:
+    """Join into ``new`` the paths a call may have created between caller
+    variables w1 and w2: for an impure actual vi, a path from w1 into vi
+    before the call (``t``), the callee's leg from vi to an actual vj
+    (``back``) and a path from vj to w2 before the call.  Deep-sharing
+    forfeits the field information of a side: of the way in when DS(w1, vi)
+    held before the call, of the leg and the way out when DS(vi, vj) holds
+    after it.  A stitched path needs a way into vi and a way out of vj.
+
+    ``concat`` is associative, distributes over ``|``, and ``concat(x,
+    true)`` is ``up(x)``, so the paths are one product in the path semiring
+    (Tarjan, JACM 1981): per impure actual, each column w2 gathers the join
+    of ``concat(leg, out)`` and the join of the outs over the vj without
+    DS(vi, vj), and whether some vj with DS(vi, vj) leads there; then each
+    (w1, w2) takes one ``concat``.  That is O(m·n·(m + n)) ``concat``s for
+    m actuals and n variables, against O(m²n²) pair by pair, and no
+    ``concat`` gets a zero operand."""
+    true = u.full_table
+    n, pos, names = scope.n, scope.pos, scope.names
+    r = pos[RESULT_VAR]
+    others = [w for w in range(n) if w != r]
+    refs = [v for v in dict.fromkeys(actuals) if v in pos]
+    for vi in dict.fromkeys(v for i, v in enumerate(actuals) if i in impure and v in pos):
+        a = pos[vi]
+        via = [0] * n  # per column, the legs and outs of the vj without DS(vi, vj)
+        outs = [0] * n  # per column, the outs alone of those vj
+        blurred = 0  # the columns some vj with DS(vi, vj) leads to, as bits
+        for vj in refs:
+            b = pos[vj]
+            if sp_after.has_ds(vi, vj):
+                for w2 in others:
+                    if t[b * n + w2]:
+                        blurred |= 1 << w2
+                continue
+            leg = back[a * n + b]
+            for w2 in others:
+                out_of = t[b * n + w2]
+                if out_of:
+                    outs[w2] |= out_of
+                    if leg:
+                        via[w2] |= concat(u, leg, out_of)
+        shared_row = None  # a row sharing with vi: any way in, then ``true`` or an out
+        for w1 in others:
+            row = w1 * n
+            if sp.has_ds(names[w1], vi):
+                if shared_row is None:
+                    shared_row = [
+                        true if blurred >> w2 & 1 else u.up(o) if o else 0
+                        for w2, o in enumerate(outs)
+                    ]
+                for w2 in others:
+                    new[row + w2] |= shared_row[w2]
+                continue
+            into = t[row + a]
+            if not into:
+                continue
+            up_into = u.up(into) if blurred else 0
+            for w2 in others:
+                if blurred >> w2 & 1:
+                    new[row + w2] |= up_into
+                elif via[w2]:
+                    new[row + w2] |= concat(u, into, via[w2])
 
 
 def summary_scope(sig: MethodSig, typeinfo: TypeInfo) -> tuple[str, ...]:

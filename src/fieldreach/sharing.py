@@ -14,9 +14,15 @@ the structure the argument pointed to on entry; entry structures are pinned
 with internal shadow variables so reassignment of a parameter does not lose
 them.  Method summaries map an entry state over the formals to an exit state
 over formals plus the return value, with the set of possibly-impure argument
-positions (0 is the receiver).  A ``Fixpoint`` worklist grows one summary per
+positions (0 is the receiver).  A ``Fixpoint`` grows one summary per
 context (method, entry state) by union; a context re-runs only when a
-summary it read has grown.  A state is its own key, by value.
+summary it read has grown.  A state is its own key, by value.  With no
+widening, any fair order of runs reaches the same least fixpoint, so the
+analysis solves a context where a call first meets it, at most
+``SOLVE_DEPTH`` runs deep (past that, contexts queue): a call then reads a
+final summary, and a program without recursion runs ``main`` and each
+context once, instead of running ``main`` again once its callees have
+grown from bottom.
 
 A state holds each relation as one int: a symmetric n×n bit matrix over a
 name index, bit ``i * n + j`` relating names i and j.  ``SharingAnalysis``
@@ -74,6 +80,11 @@ from .typecheck import TypeEnv, TypeInfo
 
 Pair = tuple[str, str]
 CtxKey = Union[str, tuple[tuple[str, str], "SharingState"]]  # "main" or (method, entry state)
+
+
+# how deep the fixpoint solves a new context on the spot; past it, contexts
+# queue, so a chain of calls of any length stays within Python's stack
+SOLVE_DEPTH = 24
 
 
 def _norm(a: str, b: str) -> Pair:
@@ -388,6 +399,7 @@ class SharingAnalysis:
             self._compute_summary,
             lambda key, old, new: old.union(new),
             lambda inp: SharingSummary(self.none, frozenset()),
+            SOLVE_DEPTH,
         )
         # per context: the sharing state before/after each point in its last
         # run, and what each call site did

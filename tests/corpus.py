@@ -632,3 +632,51 @@ main {
 }
 """
 )
+
+
+# --------------------------------------------------------------------------
+# generated shapes that scale a program, kept out of CORPUS
+
+
+def many_arguments(m: int, depth: int = 2) -> str:
+    """One method with m reference arguments and six call sites: each reads
+    ``a_c.f_c`` into ``t`` under a null guard, writes ``t`` into a field of
+    the next argument, and calls the method again with ``t`` and the other
+    arguments rotated.  ``main`` links ``a_i.f_i := a_(i+1)`` and calls the
+    method at recursion depth ``depth``."""
+    fields = "".join(f"N f{c}; " for c in range(6))
+    params = ", ".join(f"N a{i}" for i in range(m))
+    sites = []
+    for c in range(6):
+        i, nxt = c % m, (c + 1) % m
+        rotated = ", ".join(f"a{(i + j) % m}" for j in range(1, m))
+        sites.append(
+            f"      t := null;\n"
+            f"      if (a{i} != null) then t := a{i}.f{c};\n"
+            f"      if (a{nxt} != null) then a{nxt}.f{c} := t;\n"
+            f"      r := this.go(t, {rotated}, e);\n"
+        )
+    decls = "".join(f"  N a{i};\n" for i in range(m))
+    news = "".join(f"  a{i} := new N;\n" for i in range(m))
+    links = "".join(f"  a{i}.f{i % 6} := a{i + 1};\n" for i in range(m - 1))
+    args = ", ".join(f"a{i}" for i in range(m))
+    return (
+        f"class N {{\n  {fields}\n  N go({params}, int d) {{\n"
+        "    N t;\n    N r;\n    int e;\n    r := a0;\n    e := d - 1;\n"
+        "    if (d > 0) then {\n" + "".join(sites) + "    }\n    return r;\n  }\n}\n"
+        f"main {{\n  N x;\n{decls}  int k;\n  x := new N;\n{news}{links}"
+        f"  k := {depth};\n  a0 := x.go({args}, k);\n}}\n"
+    )
+
+
+def call_chain(k: int) -> str:
+    """k methods, each ``m_i(a)`` returning ``this.m_(i+1)(a)``; the last
+    returns its argument, and ``main`` calls the first."""
+    methods = "".join(
+        f"  C m{i}(C a) {{\n    C r;\n    r := this.m{i + 1}(a);\n    return r;\n  }}\n"
+        for i in range(k - 1)
+    )
+    return (
+        f"class C {{\n  C f;\n{methods}  C m{k - 1}(C a) {{\n    return a;\n  }}\n}}\n"
+        "main {\n  C c;\n  C x;\n  c := new C;\n  x := c.m0(c);\n}\n"
+    )

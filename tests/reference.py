@@ -7,7 +7,8 @@ a single move by ``remap``, the field halves by
 division, ``concat`` by a loop over models, the concretizations of the
 coarser domains of ``fieldreach.compare`` (on the same plain sets and dicts
 as the abstractions) with the formula classes they are stated in, the dense
-transfer functions, the abstract value as two name-keyed dicts, the
+transfer functions, the stitched paths of a call pair by pair, the
+abstract value as two name-keyed dicts, the
 deep-sharing analysis on sets of name pairs, and the lexer and parser with
 a match per blank run and a bound-checked lookahead.
 None of it runs in the package."""
@@ -476,6 +477,42 @@ class DenseAnalyzer(Analyzer):
         extra_cyc = {w: cyc_new for w in refs if reach[(w, v)]}
         extra = RcValue.of(u, refs, extra_reach, extra_cyc)
         return evaluated.join(extra).project([RESULT_VAR]).normalize()
+
+
+def stitch_pair_by_pair(u, scope, t, back, new, actuals, impure, sp, sp_after):
+    """``semantics.stitch_paths`` as ``Analyzer._eval_call`` computed it
+    before it took one product per pair: per impure actual vi, reference
+    actual vj, row w1 and column w2, two ``concat``s, zero operands
+    included."""
+    true = u.full_table
+    n, pos, names = scope.n, scope.pos, scope.names
+    ref_actual = [a for a in actuals if a in pos]
+    r = pos[RESULT_VAR]
+    others = [w for w in range(n) if w != r]
+    for i, vi in enumerate(actuals):
+        if vi not in pos or i not in impure:
+            continue
+        a = pos[vi]
+        for vj in ref_actual:
+            b = pos[vj]
+            ds_ij_after = sp_after.has_ds(vi, vj)
+            leg = back[a * n + b]
+            outs = [(w2, t[b * n + w2]) for w2 in others if t[b * n + w2]]
+            for w1 in others:
+                ds_w1_vi = sp.has_ds(names[w1], vi)
+                into = t[w1 * n + a]
+                if not into and not ds_w1_vi:
+                    continue
+                for w2, out_of in outs:
+                    if not ds_w1_vi and not ds_ij_after:
+                        f = concat(u, concat(u, into, leg), out_of)
+                    elif not ds_w1_vi and ds_ij_after:
+                        f = concat(u, into, true)
+                    elif ds_w1_vi and not ds_ij_after:
+                        f = concat(u, true, out_of)
+                    else:
+                        f = true
+                    new[w1 * n + w2] |= f
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import re
@@ -8,6 +9,8 @@ import pytest
 
 import fieldreach
 from fieldreach.cli import parse_query, run
+
+from corpus import call_chain
 
 
 def invoke(capsys, *argv):
@@ -361,6 +364,49 @@ def test_unbounded_recursion_under_the_oracle_fails_cleanly(tmp_path, capsys):
     code, out, err = _run_source(tmp_path, capsys, source, "--oracle-check")
     assert code == 1
     assert "concrete execution failed" in err and "call depth" in err
+
+
+_ELAPSED = re.compile(r'\n *"elapsed_ms": [^\n]*')
+
+
+def _report_sha(text):
+    return hashlib.sha256(_ELAPSED.sub("", text).encode()).hexdigest()
+
+
+def test_a_600_method_call_chain_stays_within_the_stack(tmp_path, capsys):
+    """Solved where the deep-sharing analysis meets them, 600 nested calls
+    would take 600 runs' worth of Python stack; past the nesting bound the
+    contexts queue, and the report is the one the queue alone gives."""
+    code, out, err = _run_source(tmp_path, capsys, call_chain(600), "--format", "json")
+    assert code == 0 and "Traceback" not in err, err
+    assert _report_sha(out) == "1ba8f92359d0ea65c476984faa02ad4f59bbd9423e0f005374ab9e0c55bd473c"
+
+
+def _deep_chain(k, loops):
+    """k methods, each calling the next from inside ``loops`` nested loops."""
+    methods = []
+    for i in range(k):
+        call = f"r := this.m{i + 1}(a);" if i < k - 1 else "r := a;"
+        methods.append(
+            f"  C m{i}(C a) {{\n    C r;\n    int j;\n    j := 0;\n"
+            + "    while (j < 1) do {\n" * loops
+            + f"    {call}\n    j := j + 1;\n"
+            + "    }\n" * loops
+            + "    return r;\n  }\n"
+        )
+    return (
+        "class C {\n  C f;\n" + "".join(methods) + "}\n"
+        "main {\n  C c;\n  C x;\n  c := new C;\n  x := c.m0(c);\n}\n"
+    )
+
+
+def test_calls_from_deep_bodies_nest_only_while_the_stack_has_room(tmp_path, capsys):
+    """Six methods whose calls sit 97 loops deep: a run takes about 200
+    frames, so only a few can nest within the recursion limit; the rest
+    queue, and the report is the one the queue alone gives."""
+    code, out, err = _run_source(tmp_path, capsys, _deep_chain(6, 97), "--format", "json")
+    assert code == 0 and "Traceback" not in err, err
+    assert _report_sha(out) == "9d5051539f9c0c5b6aa7fd34a09feff20eb49f11fbfb624fad5fa6ff264a55c4"
 
 
 def test_a_run_that_never_ends_stops_at_the_cell_budget(tmp_path, capsys):

@@ -4,12 +4,13 @@ from fieldreach import analyze_program
 from fieldreach.fixpoint import Fixpoint
 from fieldreach.semantics import Analyzer
 from fieldreach.sharing import SharingAnalysis
+from fieldreach.syntax import MethodCall, walk_commands, walk_exprs
 
 from conftest import DATA, build
 from corpus import CORPUS
 
 
-def toy_engine(limits, reads, log):
+def toy_engine(limits, reads, log, depth=0):
     """Context n reads the contexts reads[n] and takes the largest of their
     summaries, one more for itself, capped at limits[n]."""
     engine = None
@@ -19,7 +20,7 @@ def toy_engine(limits, reads, log):
         seen = [engine.lookup(m, m) + (m == n) for m in reads.get(n, ())]
         return min(limits[n], max(seen, default=0))
 
-    engine = Fixpoint(compute, lambda key, old, new: max(old, new), lambda n: 0)
+    engine = Fixpoint(compute, lambda key, old, new: max(old, new), lambda n: 0, depth)
     return engine
 
 
@@ -61,6 +62,56 @@ def test_sharing_state_before_an_unknown_point_raises():
         analysis.state_before(("K", "absent"), nid)
 
 
+def toy_solve(limits, reads):
+    """The table the queue alone reaches."""
+    engine = toy_engine(limits, reads, [])
+    engine.solve(lambda: engine.lookup(0, 0))
+    return engine.table
+
+
+def test_a_context_solved_on_the_spot_is_final_when_its_reader_gets_it():
+    """Solved where they are met, the contexts of a call tree without
+    cycles run once each, and so does the entry; with a cycle, the table is
+    the one the queue reaches."""
+    tree = {0: [1, 2], 1: [3], 2: [3, 4], 3: [], 4: []}
+    limits = dict.fromkeys(tree, 9)
+    for depth in (1, 2, 24):
+        log = []
+        engine = toy_engine(limits, tree, log, depth)
+        _, roots = engine.solve(lambda: engine.lookup(0, 0))
+        assert sorted(log) == [0, 1, 2, 3, 4] and roots == 1
+        assert engine.table == toy_solve(limits, tree)
+    cycle = {0: [1], 1: [2], 2: [0, 2]}
+    limits = {0: 5, 1: 7, 2: 3}
+    for depth in (1, 2, 24):
+        engine = toy_engine(limits, cycle, [], depth)
+        engine.solve(lambda: engine.lookup(0, 0))
+        assert engine.table == toy_solve(limits, cycle)
+
+
+def test_runs_nest_no_deeper_than_the_bound():
+    """A chain of 50 contexts nests its runs at most ``depth`` deep; past
+    the bound the contexts queue, and the table is the same."""
+    chain = {n: [n + 1] for n in range(49)}
+    limits = {n: 50 - n for n in range(50)}
+    for depth in (0, 1, 5, 24):
+        nesting, deepest = [0], [0]
+        engine = toy_engine(limits, chain, [], depth)
+        compute = engine._compute
+
+        def nested(key, n):
+            nesting[0] += 1
+            deepest[0] = max(deepest[0], nesting[0])
+            out = compute(key, n)
+            nesting[0] -= 1
+            return out
+
+        engine._compute = nested
+        engine.solve(lambda: engine.lookup(0, 0))
+        assert deepest[0] == max(depth, 1)
+        assert engine.table == toy_solve(limits, chain)
+
+
 def corpus_jobs():
     jobs = [(name, src, "main") for name, src in sorted(CORPUS.items())]
     jobs.append(("dll.lang", (DATA / "dll.lang").read_text(), "main"))
@@ -69,10 +120,41 @@ def corpus_jobs():
     return jobs
 
 
+def calls_itself(ct, info) -> bool:
+    """Whether some method of the program reaches itself through calls."""
+    callees = {
+        sig.key: {
+            target.key
+            for cmd in walk_commands(ct.method_body(sig))
+            if getattr(cmd, "expr", None) is not None
+            for node in walk_exprs(cmd.expr)
+            if isinstance(node, MethodCall)
+            for target in info.call_targets[node.nid]
+        }
+        for sig in ct.all_method_sigs()
+    }
+    for key in callees:
+        seen, todo = set(), list(callees[key])
+        while todo:
+            callee = todo.pop()
+            if callee == key:
+                return True
+            if callee not in seen:
+                seen.add(callee)
+                todo += callees[callee]
+    return False
+
+
 def test_corpus_reruns_stay_near_one_per_context(monkeypatch):
+    """The deep-sharing analysis solves a context where it meets it, so on
+    a program without recursion its entry and each context run once; the
+    reachability analysis queues, and reruns at most half as often again
+    as it has contexts."""
     runs = {"sharing": 0, "semantics": 0}
     compute_summary = SharingAnalysis._compute_summary
     run_method = Analyzer._run_method
+    solve = Fixpoint.solve
+    entry_runs = {}  # fixpoint -> entry runs
 
     def counted_summary(self, *args):
         runs["sharing"] += 1
@@ -82,18 +164,31 @@ def test_corpus_reruns_stay_near_one_per_context(monkeypatch):
         runs["semantics"] += 1
         return run_method(self, *args, **kwargs)
 
+    def counted_solve(self, root):
+        result, n = solve(self, root)
+        entry_runs[self] = n
+        return result, n
+
     monkeypatch.setattr(SharingAnalysis, "_compute_summary", counted_summary)
     monkeypatch.setattr(Analyzer, "_run_method", counted_run)
+    monkeypatch.setattr(Fixpoint, "solve", counted_solve)
 
     contexts = {"sharing": 0, "semantics": 0}
+    plain = 0
     for name, src, entry_name in corpus_jobs():
         program, ct, info = build(src)
+        before = runs["sharing"]
         result = analyze_program(program, ct, info, entry=entry_name)
-        contexts["sharing"] += len(result.sharing.memo.table)
+        sharing = result.sharing.memo
+        if not calls_itself(ct, info):
+            plain += bool(sharing.table)
+            assert entry_runs[sharing] == 1, name
+            assert runs["sharing"] - before == len(sharing.table), name
+        contexts["sharing"] += len(sharing.table)
         # a method entry is a context of its own, run by the root
         contexts["semantics"] += sum(len(d) for d in result.denotations.values())
         contexts["semantics"] += entry_name != "main"
-    assert contexts["sharing"] > 20 and contexts["semantics"] > 20
+    assert contexts["sharing"] > 20 and contexts["semantics"] > 20 and plain > 10
     for analysis in ("sharing", "semantics"):
         assert runs[analysis] <= 1.5 * contexts[analysis], (analysis, runs, contexts)
 

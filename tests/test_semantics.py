@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fieldreach import (
     FieldUniverse,
@@ -11,7 +12,8 @@ from fieldreach import (
     analyze_program,
 )
 import fieldreach.semantics
-from fieldreach.formula import MAX_FIELDS
+from fieldreach.domain import Scope
+from fieldreach.formula import MAX_FIELDS, concat, difference
 from fieldreach.render import result_to_json
 from fieldreach.semantics import (
     AnalysisError,
@@ -21,12 +23,13 @@ from fieldreach.semantics import (
     entry_scope,
     find_entry_sig,
     parse_init_annotations,
+    stitch_paths,
 )
 from fieldreach.syntax import RESULT_VAR, walk_commands
 
 from conftest import DATA, build, pf
-from corpus import CORPUS
-from reference import DenseAnalyzer, replaced
+from corpus import CORPUS, many_arguments
+from reference import DenseAnalyzer, replaced, stitch_pair_by_pair
 from test_render_json import WIDE
 
 K3 = "class K { K f; K g; K h; }\n"
@@ -741,13 +744,16 @@ def test_sparse_transfers_equal_the_dense_reference(monkeypatch):
 
     rng = random.Random(20)
     data = [(DATA / name).read_text() for name in ("dll.lang", "tree.lang", "tree_main.lang")]
-    sources = [src for _, src in sorted(CORPUS.items())] + data + [WIDE]
+    probe = many_arguments(4)
+    sources = [src for _, src in sorted(CORPUS.items())] + data + [WIDE, probe]
     runs = 0
     for source in sources:
         program, ct, info = build(source)
         fields = sorted(ct.reference_fields)
         entries = ["main"] if program.main is not None else []
-        entries += ct.all_method_sigs()
+        # the probe's method entry, from no facts, meets over a hundred
+        # contexts; its main reaches every call shape
+        entries += ct.all_method_sigs() if source is not probe else []
         for entry in entries:
             for tracked in (None, rng.sample(fields, rng.randint(0, max(0, len(fields) - 1)))):
                 _, _, scope = entry_scope(program, ct, info, tracked=tracked, entry=entry)
@@ -759,3 +765,57 @@ def test_sparse_transfers_equal_the_dense_reference(monkeypatch):
                     assert sparse == outcome(DenseAnalyzer, *built, tracked, entry)
                     runs += 1
     assert runs >= 200
+
+
+@given(data=st.data())
+def test_stitched_paths_equal_the_pair_by_pair_reference(data):
+    """One product per (row, column) joins in what the loop over every
+    impure actual, actual, row and column joined in, on random tables,
+    actuals, impure positions and deep-sharing states before and after."""
+    fields = data.draw(st.integers(1, 3))
+    u = FieldUniverse.of(["f", "g", "h"][:fields])
+    names = data.draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True))
+    scope = Scope([*names, RESULT_VAR])
+    table = st.one_of(st.just(0), st.just(u.full_table), st.integers(1, u.full_table))
+    tables = st.lists(table, min_size=scope.nn, max_size=scope.nn)
+    t, back, start = data.draw(tables), data.draw(tables), data.draw(tables)
+    # an int actual is outside the scope
+    actuals = data.draw(st.lists(st.sampled_from([*names, "k"]), min_size=1, max_size=5))
+    impure = frozenset(data.draw(st.sets(st.integers(0, len(actuals) - 1))))
+
+    def state():
+        pairs = data.draw(st.lists(st.tuples(*[st.sampled_from(scope.names)] * 2), max_size=8))
+        return SharingState.of([(v, v) for v in scope.names], pairs)
+
+    sp, sp_after = state(), state()
+    got, want = list(start), list(start)
+    stitch_paths(u, scope, t, back, got, actuals, impure, sp, sp_after)
+    stitch_pair_by_pair(u, scope, t, back, want, actuals, impure, sp, sp_after)
+    assert got == want
+
+
+def test_transfers_compute_no_term_with_a_zero_operand(monkeypatch):
+    """As the module says, a transfer computes only the terms whose operands
+    are non-zero: over every entry of the corpus, the data programs and the
+    wide program, and the many-arguments probe's ``main``, no ``concat`` and
+    no ``difference`` the analysis calls gets a zero table."""
+    calls = {"concat": 0, "difference": 0}
+
+    def nonzero(op):
+        def checked(u, a, b):
+            assert a and b, (op.__name__, a, b)
+            calls[op.__name__] += 1
+            return op(u, a, b)
+
+        return checked
+
+    monkeypatch.setattr(fieldreach.semantics, "concat", nonzero(concat))
+    monkeypatch.setattr(fieldreach.semantics, "difference", nonzero(difference))
+    data = [(DATA / name).read_text() for name in ("dll.lang", "tree.lang", "tree_main.lang")]
+    for source in [src for _, src in sorted(CORPUS.items())] + data + [WIDE]:
+        program, ct, info = build(source)
+        entries = ["main"] if program.main is not None else []
+        for entry in entries + list(ct.all_method_sigs()):
+            analyze_program(program, ct, info, entry=entry)
+    analyze_program(*build(many_arguments(4)))
+    assert calls["concat"] > 1000 and calls["difference"] > 100, calls
