@@ -16,44 +16,55 @@ Sarnak, Sleator and Tarjan, "Making Data Structures Persistent", 1989).
 The run keeps, per snapshot, the snapshot it was copied from and the
 addresses that changed in between.  Frames are shared the same way: a
 record copies its frame only when the frame was assigned since its last
-copy.
+copy.  The run also lists every recorded state with its point, in run
+order.
 
 The abstraction works on field bits, not on sets of field names.  A check
 labels each object's references with the universe bit of their field (an
-untracked field takes the stand-in bit).  Saturation keeps, per target, a
-truth table with one bit per traversed mask, and pushes the masks new at a
-location along its references as one table; finite on cyclic heaps because
-masks are.  That table is the reach entry.  The saturation is
-``formula.saturate``, which also decides viability over the class graph.
-The check carries path copying over to its results: a snapshot's successor
-lists are its parent's plus its changed objects relabelled, and its edge set
-is a base plus added edges.  The base is the parent's edge set when the
-write only added edges, and the empty edge set when the snapshot has no
-history or its write removed an edge.  Its reach tables continue the base's
-saturation from the tables at the added edges' sources, and its cycle masks
-come from anchors on those edges, since every closed walk not in the base
-has an added edge.  A location the base lacks has only added out-edges and
-no base edge into it, so its reach table starts from its successors' base
-tables, one step longer, and continues from the added edges' sources too.
-A location's cycle table is the union of its successors' in the same edge
-set, since a closed walk reachable from it is reachable from a successor.
-A state thus abstracts to the exact
-reachability/cyclicity value: the models of an entry are precisely the field
-sets realized in the state.  ``alpha_state`` builds that value; it is kept
-for callers and as the tests' reference for the check.  ``check_soundness``
-builds no value per state: it compares the realized tables of the pairs of
-non-null variables directly with the abstract entries, since a null variable
-or a pair with no path realizes nothing.  ``traversal_saturate`` and
-``cycle_field_sets`` decode the same results to field names, over a universe
-of the heap's own fields; they are the oracle's only views in names, and the
-tests hold the set-based definitions (walks, address reachability, deep
-sharing) they are checked against.
+untracked field takes the stand-in bit); labelling changes neither which
+walks exist nor which are closed, and a walk's mask is the abstraction of
+the field set it traverses.  Saturation (``formula.saturate``, which also
+decides viability over the class graph) keeps, per target, a truth table
+with one bit per traversed mask, and pushes the masks new at a location
+along its references as one table; finite on cyclic heaps because masks
+are.  That table is the reach entry.  Cycle masks come from anchors: an
+edge (a, bit, b) anchors at a the masks of the walks from b back to a with
+``bit`` added, taken when the edge is inserted, and a location's cycle
+masks are the anchors at the locations it reaches.  Rotating a closed walk
+to its latest-inserted edge shows this is exact: the rest of the walk goes
+from that edge's target back to its source over edges inserted before.
+
+``check_soundness`` replays the run: it visits the recorded states in run
+order and carries one labelled heap (``_HeapTables``) through the
+snapshots' edits, relabelling only the changed objects.  Each rule that
+keeps this cheap is exact.  Added edges push, in place, each kept reach
+table that holds their source, since a new walk takes an added edge.  A
+removed edge drops the kept tables that reach its source, since only their
+walks can take it, and anchors afresh when the heap had a closed walk (a
+removal makes none).  Tables are kept only for the addresses the last
+checked state held; the others are dropped at the next edit and saturated
+afresh when asked for.  A location with no closed walk through it that
+gains an edge to a location whose kept table does not reach it takes that
+table, one step longer, and its cycle table: every new walk takes the edge
+once and never returns.  Anchoring afresh, for the first heap or after a
+removal, anchors only the edges inside one strongly connected component
+(one pass of Tarjan's algorithm), since a closed walk never leaves it.
+
+So a state abstracts to the exact reachability/cyclicity value.
+``alpha_state`` builds it over one heap, for callers and as the tests'
+reference for the check, which compares the realized tables of the pairs
+of non-null variables directly with the abstract entries instead.
+``traversal_saturate`` and ``cycle_field_sets`` decode the same results to
+field names, over a universe of the heap's own fields; they are the
+oracle's only views in names, and the tests hold the set-based definitions
+(walks, address reachability, deep sharing) they are checked against.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Optional, Union
+from itertools import islice
+from typing import Container, Iterable, Optional, Union
 
 from .classtable import ClassTable
 from .domain import RcValue
@@ -148,18 +159,21 @@ Edit = tuple[dict[int, Obj], dict[int, Obj], frozenset[int]]
 
 
 class OracleResult(Record):
-    __slots__ = ("point_states", "final", "steps", "allocations", "history")
+    __slots__ = ("point_states", "records", "final", "steps", "allocations", "history")
     _fields = __slots__
 
     def __init__(
         self,
         point_states: dict[int, list[ConcreteState]],
+        records: list[tuple[int, ConcreteState]],
         final: ConcreteState,
         steps: int,
         allocations: int,
         history: Optional[dict[int, Edit]] = None,
     ):
         self.point_states = point_states
+        # every recorded state with its point, in the order the run made them
+        self.records = records
         self.final = final
         self.steps = steps
         self.allocations = allocations
@@ -187,6 +201,7 @@ class _Interp:
         # frame, or None when the frame was assigned since
         self.frames: list[Optional[dict[str, Val]]] = [None]
         self.point_states: dict[int, list[ConcreteState]] = {}
+        self.records: list[tuple[int, ConcreteState]] = []
 
     def run_main(self) -> OracleResult:
         if self.program.main is None:
@@ -198,6 +213,7 @@ class _Interp:
         self.exec_body(self.program.main.body, frame)
         return OracleResult(
             self.point_states,
+            self.records,
             ConcreteState(frame, self.heap),
             self.steps,
             self.allocations,
@@ -264,7 +280,9 @@ class _Interp:
             self.history[id(snapshot)] = (snapshot, self.snapshot, frozenset(dirty))
             dirty.clear()
             self.snapshot = snapshot
-        self.point_states.setdefault(cmd.nid, []).append(ConcreteState(copy, self.snapshot))
+        state = ConcreteState(copy, self.snapshot)
+        self.point_states.setdefault(cmd.nid, []).append(state)
+        self.records.append((cmd.nid, state))
 
     def eval_guard(self, guard: Comparison, frame: dict[str, Val]) -> bool:
         left = self.eval_expr(guard.left, frame)
@@ -353,7 +371,6 @@ def run_concrete(
 
 Out = tuple[tuple[int, int], ...]  # (field bit, target address) per reference
 Succ = dict[int, Out]  # address -> its labelled references
-Edge = tuple[int, int, int]  # (source address, field bit, target address)
 
 
 def _label(obj: Obj, universe: FieldUniverse, bits: dict[str, int]) -> Out:
@@ -386,9 +403,9 @@ def traversal_saturate(
     Without ``require_step`` the pair (src, {}) for the empty path is
     included.  Finite because targets and field subsets are."""
     universe = _own_universe(heap)
-    bits: dict[str, int] = {}
-    succ = {a: _label(o, universe, bits) for a, o in heap.items()}
-    reached = saturate(succ, universe.halves, {} if require_step else {src: 1}, {src: 1})
+    tables = _HeapTables(universe)
+    tables.load(heap)
+    reached = saturate(tables.succ, universe.halves, {} if require_step else {src: 1}, {src: 1})
     return frozenset(
         (target, frozenset(universe.names_of(m)))
         for target, table in reached.items()
@@ -399,228 +416,205 @@ def traversal_saturate(
 def cycle_field_sets(heap: dict[int, Obj], src: int) -> frozenset[frozenset[str]]:
     """Traversal sets of the non-empty cycles reachable from ``src``."""
     universe = _own_universe(heap)
-    table = _SnapshotMemo(universe).cycles(heap, src)
-    return frozenset(frozenset(universe.names_of(m)) for m in models_of(table))
+    tables = _HeapTables(universe)
+    tables.load(heap)
+    tables.reach(src)
+    return frozenset(frozenset(universe.names_of(m)) for m in models_of(tables.cycles[src]))
 
 
-class _EdgeResults:
-    """What a check learns of one labelled edge set: the reach tables from
-    each source, the cycle table of each location and, once needed, the
-    anchors.  ``succ`` holds the successor lists of the heap that first had
-    the edge set; ``base`` is the edge set it adds ``added`` to, or None for
-    the empty edge set."""
+def _components(succ: Succ) -> dict[int, int]:
+    """Per address, a representative of its strongly connected component:
+    one pass of Tarjan's algorithm, iterative, so a long chain does not
+    outgrow the stack."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    comp: dict[int, int] = {}
+    stack: list[int] = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, steps = work[-1]
+            for _, w in steps:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w not in comp and index[w] < low[v]:  # w is on the stack
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                # v roots a component: pop it off the stack, v last
+                while low[v] == index[v] and v not in comp:
+                    comp[stack.pop()] = v
+    return comp
 
-    __slots__ = ("succ", "base", "added", "reached", "cycles", "anchors")
 
-    def __init__(
-        self, succ: Succ, base: Optional["_EdgeResults"] = None, added: tuple[Edge, ...] = ()
-    ) -> None:
-        self.succ = succ
-        self.base = base
-        self.added = added
-        self.reached: dict[int, dict[int, int]] = {}
-        self.cycles: dict[int, int] = {}
-        self.anchors: Optional[dict[int, int]] = None
+class _HeapTables:
+    """The reach and cycle tables of one labelled heap, kept in step with
+    its edits by the rules of the module docstring.  ``succ`` holds each
+    address's labelled references; ``reached`` and ``cycles`` the reach
+    table (per target, the masks of the walks to it, the empty walk
+    included) and the cycle table of each kept address; ``anchors`` the
+    union of the anchors at each address.  ``move_to`` follows a heap's
+    history (``OracleResult.history``) from the current heap, or else loads
+    it; the caller sets ``live``.  The heaps must not change while they are
+    used; the history holds them, so their identities are not reused."""
 
-
-class _SnapshotMemo:
-    """Heap results for one universe, kept for one check.
-
-    A heap's edge set is a base edge set plus added edges.  A heap with a
-    history (``OracleResult.history``) is labelled from the snapshot it was
-    copied from: its successor lists are its parent's, with the changed
-    objects relabelled.  The edges of the changed objects sort the heap into
-    three cases.
-
-    * No change: it shares the parent's results.  An object allocated since
-      has no reference yet, so only itself is reachable from it.
-    * Additions only: the base is the parent's edge set.
-    * An edge removed, or no history: the base is the empty edge set, and
-      every edge of the heap is added.
-
-    Reach tables continue the base's saturation by pushing its tables at the
-    added edges' sources again.  A source the base lacks is seeded instead
-    (``_seed``): every out-edge of it is added and no base edge enters it,
-    so the walks from it that take no added edge after their first are its
-    empty walk and one step to each successor followed by that successor's
-    base table.  The seed holds only masks of walks, and it is closed under
-    the base edges, since each base table is; a walk that takes a later
-    added edge is found by pushing the seed's tables at the added edges'
-    sources, the source itself included.  Where a successor's base table is
-    not cached, the table is saturated from scratch.
-
-    Cycle masks come from successors or from anchors.  A location's cycle
-    table is the union of its successors' in the same edge set, when all of
-    those are known: a closed walk through a location reached from it is
-    reached from its first step's target, and a closed walk through the
-    location itself is reached from the target of the walk's step out of
-    it.  Conversely, whatever a successor reaches, the location reaches.
-    Otherwise the anchors are scanned.  The anchor of an added edge
-    (a, bit, b) is the heap's own reach table from b to a with ``bit`` added
-    to every mask, one masked shift, and a location's cycle table is the
-    union of the anchors at the locations it reaches, the base's anchors
-    included.  This is exact.  Rotate any closed walk so that it starts at
-    its latest-added edge: the rest walks from that edge's target back to
-    its source over edges the heap has, so the walk's mask is in that edge's
-    anchor, at a location on the walk.  A closed walk has an edge, and the
-    empty edge set has none, so over the empty base every closed walk of the
-    heap has an added edge and is counted; the empty base itself has no
-    anchors.  Conversely, each anchor mask is the mask of a closed walk
-    through the anchor's location.
-
-    The labels may be abstract bits, where several fields share the
-    stand-in bit.  Labelling changes neither which walks exist nor which are
-    closed, and the mask of a walk is the union of its fields' bits, which
-    is the abstraction of the field set it traverses.  So the results are
-    exactly the abstractions of the concrete reach and cycle sets.  An
-    edge set's tables are computed on demand, an ancestor's first, so a
-    chain of edits is walked once, without recursion.  The heaps it has seen
-    must not change while it is used; it holds them, so their identities
-    are not reused."""
-
-    def __init__(
-        self, universe: FieldUniverse, history: Optional[dict[int, Edit]] = None
-    ) -> None:
+    def __init__(self, universe: FieldUniverse, history: Optional[dict[int, Edit]] = None):
         self.universe = universe
+        self.halves = universe.halves
         self.history = history or {}
         self.bits: dict[str, int] = {}
-        self.heaps: dict[int, tuple[dict[int, Obj], Succ, _EdgeResults]] = {}
-        self.empty = _EdgeResults({})
-        self.empty.anchors = {}
+        self.heap: Optional[dict[int, Obj]] = None
+        self.succ: Succ = {}
+        self.reached: dict[int, dict[int, int]] = {}
+        self.cycles: dict[int, int] = {}
+        self.anchors: dict[int, int] = {}
+        self.live: Container[int] = ()
 
-    def edge_results(self, heap: dict[int, Obj]) -> _EdgeResults:
-        entry = self.heaps.get(id(heap))
-        if entry is None:
-            chain = [heap]  # with the ancestors not labelled yet
-            edit = self.history.get(id(heap))
-            while edit is not None and id(edit[1]) not in self.heaps:
-                chain.append(edit[1])
-                edit = self.history.get(id(edit[1]))
-            for h in reversed(chain):
-                entry = self.heaps[id(h)] = (h, *self._successors(h))
-        return entry[2]
+    def load(self, heap: dict[int, Obj]) -> None:
+        self.heap = heap
+        self.succ = {a: _label(o, self.universe, self.bits) for a, o in heap.items()}
+        self.reached, self.cycles = {}, {}
+        self._anchor()
 
-    def _successors(self, heap: dict[int, Obj]) -> tuple[Succ, _EdgeResults]:
-        edit = self.history.get(id(heap))
-        if edit is None:
-            succ = {a: _label(o, self.universe, self.bits) for a, o in heap.items()}
-        else:
-            _, before, results = self.heaps[id(edit[1])]
-            succ = dict(before)
-            added: list[Edge] = []
-            removed = False
-            for a in edit[2]:
-                out = succ[a] = _label(heap[a], self.universe, self.bits)
-                old = before.get(a, ())
-                if out != old:
-                    new_edges, old_edges = set(out), set(old)
-                    removed = removed or not old_edges <= new_edges
-                    added += [(a, bit, b) for bit, b in new_edges - old_edges]
-            if not removed:
-                return succ, _EdgeResults(succ, results, tuple(added)) if added else results
-        # no history, or an edge removed: the empty edge set plus every edge
-        every = tuple((a, bit, b) for a, out in succ.items() for bit, b in out)
-        return succ, _EdgeResults(succ, self.empty, every)
+    def move_to(self, heap: dict[int, Obj]) -> None:
+        if heap is self.heap:
+            return
+        chain, h = [], heap
+        while h is not self.heap:
+            edit = self.history.get(id(h))
+            if edit is None:
+                self.load(heap)
+                return
+            chain.append(edit)
+            h = edit[1]
+        live, reached = self.live, self.reached
+        for a in [a for a in reached if a not in live]:
+            del reached[a], self.cycles[a]
+        for edit in reversed(chain):
+            self._apply(edit)
 
-    def _reach(self, results: _EdgeResults, src: int) -> dict[int, int]:
-        if src not in results.succ:  # allocated since the edge set was first seen
-            return {src: 1}
-        chain = []  # the edge sets, newest first, that lack the table
-        base = results
-        while src not in base.reached:
-            chain.append(base)
-            if src not in base.base.succ:
-                break
-            base = base.base
-        halves = self.universe.halves
-        for r in reversed(chain):
-            before = r.base.reached.get(src)
-            table = dict(before) if before is not None else self._seed(r, src)
-            if table is None:  # a successor's base table is not cached
-                r.reached[src] = saturate(r.succ, halves, {src: 1}, {src: 1})
-            else:
-                # a walk new to this edge set takes an added edge, so only
-                # the tables at the added edges' sources are pushed again
-                pending = {a: table[a] for a, _, _ in r.added if a in table}
-                r.reached[src] = saturate(r.succ, halves, table, pending)
-        return results.reached[src]
+    def _apply(self, edit: Edit) -> None:
+        heap, _, changed = edit
+        self.heap = heap
+        succ = self.succ
+        added = []
+        cut = []  # the addresses that lost an edge
+        for a in changed:
+            out = _label(heap[a], self.universe, self.bits)
+            old = succ.get(a)
+            if old is None:  # allocated since: no reference, and none into it
+                succ[a] = old = ()
+                self.reached[a], self.cycles[a] = {a: 1}, 0
+            if out != old:
+                now = set(out)
+                kept = tuple(edge for edge in old if edge in now)
+                if len(kept) < len(old):
+                    succ[a] = kept
+                    cut.append(a)
+                added += [(a, edge) for edge in now.difference(old)]
+        if cut:
+            self._cut(cut)
+        for a, edge in added:
+            succ[a] += (edge,)
+            self._insert(a, *edge)
 
-    def _seed(self, r: _EdgeResults, src: int) -> Optional[dict[int, int]]:
-        """The walks from a location the base edge set lacks that take no
-        added edge after their first: its empty walk, and each step to a
-        successor followed by that successor's base table.  None when a
-        successor's base table is not cached."""
-        base = r.base.reached
-        halves = self.universe.halves
-        seed = {src: 1}
-        for bit, b in r.succ[src]:
-            after = base.get(b)
-            if after is None:
-                return None
-            without, with_ = halves[bit]
-            for a, t in after.items():
-                seed[a] = seed.get(a, 0) | ((t & without) << bit) | (t & with_)
-        return seed
+    def _insert(self, a: int, bit: int, b: int) -> None:
+        """Brings the kept tables and the anchors to the heap with the edge
+        (a, bit, b) just added to ``succ``."""
+        without, with_ = self.halves[bit]
+        reached, cycles, anchors = self.reached, self.cycles, self.anchors
+        to = reached.get(b)
+        for s, table in reached.items():
+            t = table.get(a)
+            if t is None:
+                continue
+            if s == a and t == 1 and to is not None and a not in to:
+                for c, u in to.items():
+                    table[c] = table.get(c, 0) | ((u & without) << bit) | (u & with_)
+                cycles[s] |= cycles[b]
+                continue
+            old = table.get(b, 0)
+            new = (((t & without) << bit) | (t & with_)) & ~old
+            if new:
+                size = len(table)
+                table[b] = old | new
+                saturate(self.succ, self.halves, table, {b: new})
+                # saturation appends the addresses it reaches first
+                for c in islice(table, size, None):
+                    cycles[s] |= anchors.get(c, 0)
+        if to is None:
+            to = saturate(self.succ, self.halves, {b: 1}, {b: 1})
+        back = to.get(a, 0)
+        anchor = ((back & without) << bit) | (back & with_)
+        if anchor:
+            anchors[a] = anchors.get(a, 0) | anchor
+            for s, table in reached.items():
+                if a in table:
+                    cycles[s] |= anchor
 
-    def _anchors(self, results: _EdgeResults) -> dict[int, int]:
-        chain = []  # the edge sets, newest first, that lack their anchors
-        base = results
-        while base.anchors is None:
-            chain.append(base)
-            base = base.base
-        for r in reversed(chain):
-            anchors = r.base.anchors
-            for a, bit, b in r.added:
-                t = self._reach(r, b).get(a, 0)
-                without, with_ = self.universe.halves[bit]
-                table = ((t & without) << bit) | (t & with_)
-                if table:
-                    if anchors is r.base.anchors:  # copied on the first new anchor
-                        anchors = dict(anchors)
-                    anchors[a] = anchors.get(a, 0) | table
-            r.anchors = anchors
-        return results.anchors
+    def _cut(self, cut: list[int]) -> None:
+        """Brings the kept tables and the anchors to the heap with edges out
+        of ``cut`` just removed from ``succ``."""
+        reached = self.reached
+        for s in [s for s, table in reached.items() if any(a in table for a in cut)]:
+            del reached[s], self.cycles[s]
+        if self.anchors:
+            self._anchor()
 
-    def cycles(self, heap: dict[int, Obj], src: int) -> int:
-        """Truth table of the masks of the non-empty closed walks reachable
-        from ``src``."""
-        return self._cycles(self.edge_results(heap), src)
+    def _anchor(self) -> None:
+        """Anchors the edges of the current heap afresh, as if all were
+        inserted at once: one saturation per target of an edge inside a
+        component, over the component's own edges, which every walk back to
+        the edge's source takes."""
+        succ, halves = self.succ, self.halves
+        comp = _components(succ)
+        inner: dict[int, list[tuple[int, int]]] = {}
+        into: dict[int, list[tuple[int, int]]] = {}
+        for a, out in succ.items():
+            for bit, b in out:
+                if comp[b] == comp[a]:
+                    inner.setdefault(a, []).append((bit, b))
+                    into.setdefault(b, []).append((a, bit))
+        self.anchors = anchors = {}
+        for b, edges in into.items():
+            back = saturate(inner, halves, {b: 1}, {b: 1})
+            for a, bit in edges:
+                without, with_ = halves[bit]
+                t = back.get(a, 0)
+                anchors[a] = anchors.get(a, 0) | ((t & without) << bit) | (t & with_)
 
-    def _cycles(self, results: _EdgeResults, src: int) -> int:
-        cycles = results.cycles
-        table = cycles.get(src)
+    def reach(self, src: int) -> dict[int, int]:
+        """The reach table of ``src``, kept, with its cycle table in ``cycles``."""
+        table = self.reached.get(src)
         if table is None:
-            table = 0
-            for _, b in results.succ.get(src, ()):
-                t = cycles.get(b)
-                if t is None:  # a successor's table is not known: scan the anchors
-                    reached = self._reach(results, src)
-                    table = 0
-                    for a, t in self._anchors(results).items():
-                        if a in reached:
-                            table |= t
-                    break
-                table |= t
-            cycles[src] = table
+            table = self.reached[src] = saturate(self.succ, self.halves, {src: 1}, {src: 1})
+            anchors = self.anchors
+            t = 0
+            for a in table:
+                t |= anchors.get(a, 0)
+            self.cycles[src] = t
         return table
 
 
-def alpha_state(
-    state: ConcreteState,
-    universe: FieldUniverse,
-    variables: Iterable[str],
-    memo: Optional[_SnapshotMemo] = None,
-) -> RcValue:
+def alpha_state(state: ConcreteState, universe: FieldUniverse, variables: Iterable[str]) -> RcValue:
     """The exact abstraction of one state over the given reference variables:
-    entry models are precisely the realized traversal sets.  ``memo``, made
-    for the same universe, carries heap results over from earlier states."""
-    memo = memo or _SnapshotMemo(universe)
+    entry models are precisely the realized traversal sets."""
     variables = tuple(variables)
     locs = {v: state.frame[v].addr for v in variables if isinstance(state.frame.get(v), Loc)}
     if not locs:
         return RcValue.bottom(universe, variables)
-    results = memo.edge_results(state.heap)
-    reach = {addr: memo._reach(results, addr) for addr in set(locs.values())}
+    tables = _HeapTables(universe)
+    tables.load(state.heap)
+    reach = {addr: tables.reach(addr) for addr in set(locs.values())}
     entries: dict[tuple[str, str], int] = {}
     for v, av in locs.items():
         for w, aw in locs.items():
@@ -628,7 +622,7 @@ def alpha_state(
             if table:
                 entries[v, w] = table
     # a non-null variable has its empty cycle
-    cycles = {v: 1 | memo._cycles(results, av) for v, av in locs.items()}
+    cycles = {v: 1 | tables.cycles[av] for v, av in locs.items()}
     return RcValue.of(universe, variables, entries, cycles)
 
 
@@ -685,59 +679,61 @@ def check_soundness(result: AnalysisResult, oracle: OracleResult) -> SoundnessRe
     of the corresponding abstract entry.  A concretely reached point the
     analysis never produced a value for counts against the check.
 
-    Per state, the realized tables of the variables of the point's scope
-    that hold a location are compared directly with the abstract entries,
-    each distinct address's reach table taken once: reach pairs first, in
-    scope order, then cycles, a non-null variable having its empty cycle.
-    A null variable and a pair with no path realize nothing, so this finds
-    exactly what comparing ``alpha_state`` over the scope would find, without
-    building its value.  The witness of a violation is the smallest realized
-    mask outside the abstract entry."""
-    memo = _SnapshotMemo(result.universe, oracle.history)
-    heaps = memo.heaps
+    The states are visited in run order (``OracleResult.records``), with
+    ``live`` set to the addresses each one held.  Per state, the realized
+    tables of the variables of the point's scope that hold a location are
+    compared directly with the abstract entries, each distinct address's
+    reach table taken once: reach pairs first, in scope order, then cycles, a non-null
+    variable having its empty cycle.  A null variable and a pair with no
+    path realize nothing, so this finds exactly what comparing
+    ``alpha_state`` over the scope would find, without building its value.
+    The witness of a violation is the smallest realized mask outside the
+    abstract entry.  The violations are listed by point, then state, then
+    comparison."""
+    tables = _HeapTables(result.universe, oracle.history)
     names_of = result.universe.names_of
     violations: list[Violation] = []
-    missing: list[int] = []
-    points = 0
-    states = 0
-    for nid, state_list in sorted(oracle.point_states.items()):
-        abstract = result.point_post.get(nid)
-        if abstract is None:
-            missing.append(nid)
+    missing: set[int] = set()
+    seen: dict[int, int] = {}  # per point, the states checked so far
+    points = {
+        nid: (value.tables, value.scope.n, value.scope.nn, list(enumerate(value.scope.names)))
+        for nid, value in result.point_post.items()
+    }
+    for nid, state in oracle.records:
+        point = points.get(nid)
+        if point is None:
+            missing.add(nid)
             continue
-        points += 1
-        states += len(state_list)
-        entries, n, nn = abstract.tables, abstract.scope.n, abstract.scope.nn
-        scope = list(enumerate(abstract.scope.names))
-        for idx, state in enumerate(state_list):
-            frame = state.frame
-            # (name, position, address) of each variable holding a location
-            locs = [(v, i, val.addr) for i, v in scope if isinstance(val := frame.get(v), Loc)]
-            if not locs:
-                continue
-            # the memo's caches read directly; the memo is called on a miss
-            entry = heaps.get(id(state.heap))
-            results = memo.edge_results(state.heap) if entry is None else entry[2]
-            reached, cycles = results.reached, results.cycles
-            reach: dict[int, dict[int, int]] = {}
-            for _, _, a in locs:
-                if a not in reach:
-                    reach[a] = reached.get(a) or memo._reach(results, a)
-            for v, i, av in locs:
-                row = reach[av]
-                for w, j, aw in locs:
-                    table = row.get(aw)
-                    if table:
-                        outside = table & ~entries[i * n + j]
-                        if outside:
-                            witness = names_of(next(models_of(outside)))
-                            violations.append(Violation(nid, "reach", (v, w), witness, idx))
-            for v, i, av in locs:
-                table = cycles.get(av)
-                if table is None:
-                    table = memo._cycles(results, av)
-                outside = (1 | table) & ~entries[nn + i]
-                if outside:
-                    witness = names_of(next(models_of(outside)))
-                    violations.append(Violation(nid, "cyc", (v,), witness, idx))
-    return SoundnessReport(violations, points, states, missing)
+        entries, n, nn, scope = point
+        idx = seen.get(nid, 0)
+        seen[nid] = idx + 1
+        frame = state.frame
+        # (name, position, address) of each variable holding a location
+        locs = [(v, i, val.addr) for i, v in scope if isinstance(val := frame.get(v), Loc)]
+        if not locs:
+            continue
+        tables.move_to(state.heap)
+        reached, cycles = tables.reached, tables.cycles
+        reach: dict[int, dict[int, int]] = {}
+        for _, _, a in locs:
+            if a not in reach:
+                reach[a] = reached.get(a) or tables.reach(a)
+        for v, i, av in locs:
+            row = reach[av]
+            for w, j, aw in locs:
+                table = row.get(aw)
+                if table:
+                    outside = table & ~entries[i * n + j]
+                    if outside:
+                        witness = names_of(next(models_of(outside)))
+                        violations.append(Violation(nid, "reach", (v, w), witness, idx))
+        for v, i, av in locs:
+            outside = (1 | cycles[av]) & ~entries[nn + i]
+            if outside:
+                witness = names_of(next(models_of(outside)))
+                violations.append(Violation(nid, "cyc", (v,), witness, idx))
+        tables.live = reach
+    # the states of a point are visited in order, so sorting by point alone
+    # (a stable sort) puts the violations in point, state, comparison order
+    violations.sort(key=operator.attrgetter("nid"))
+    return SoundnessReport(violations, len(seen), sum(seen.values()), sorted(missing))

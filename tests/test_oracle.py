@@ -26,8 +26,8 @@ from fieldreach.oracle import (
     Obj,
     SoundnessReport,
     Violation,
+    _HeapTables,
     _Interp,
-    _SnapshotMemo,
     cycle_field_sets,
 )
 
@@ -427,10 +427,10 @@ def table_of(universe, field_sets):
     return table
 
 
-def alpha_per_location(heap, universe, memo=None):
+def alpha_per_location(heap, universe):
     """``alpha_state`` of a frame with one variable on each location."""
     frame = {f"v{a}": Loc(a) for a in heap}
-    return alpha_state(ConcreteState(frame, heap), universe, sorted(frame), memo)
+    return alpha_state(ConcreteState(frame, heap), universe, sorted(frame))
 
 
 @settings(max_examples=300)
@@ -446,16 +446,6 @@ def test_mask_tables_abstract_the_reference_sets(case):
         for b in heap:
             expected = table_of(universe, (fs for target, fs in pairs if target == b))
             assert value.reach[(f"v{a}", f"v{b}")] == expected
-
-
-def labelled_edges(heap, universe):
-    """The edge set of a heap, each reference labelled with its field's bit."""
-    return {
-        (a, universe.abstract_mask((f,)), v.addr)
-        for a, o in heap.items()
-        for f, v in o.fields.items()
-        if isinstance(v, Loc)
-    }
 
 
 @st.composite
@@ -495,100 +485,74 @@ def edit_sequences(draw, link_fresh=False):
     return heaps, history, universe
 
 
+def fresh_tables(heap, universe):
+    """The reach and cycle table of every location of ``heap``, built over
+    that heap alone."""
+    tables = _HeapTables(universe)
+    tables.load(heap)
+    return {a: (tables.reach(a), tables.cycles[a]) for a in heap}
+
+
+def kept_tables(tables):
+    return {a: (table, tables.cycles[a]) for a, table in tables.reached.items()}
+
+
+@pytest.mark.parametrize("link_fresh", [False, True], ids=["writes", "fresh-links"])
 @settings(max_examples=200)
-@given(edit_sequences(), st.randoms(use_true_random=False))
-def test_shared_peel_memo_matches_a_fresh_one(case, rng):
-    heaps, history, universe = case
-    memo = _SnapshotMemo(universe, history)
-    order = list(heaps)
-    rng.shuffle(order)
-    for heap in order:
-        # a cycle table asked first makes the memo build the anchors before
-        # the reach tables that alpha_state asks for next
-        if rng.random() < 0.5:
-            memo.cycles(heap, rng.choice(sorted(heap)))
-        # every location has a variable, the fresh objects' included, so the
-        # memo also saturates from addresses that the heap before lacks
-        shared = alpha_per_location(heap, universe, memo)
-        fresh = alpha_per_location(heap, universe)
-        assert (shared.reach, shared.cyc) == (fresh.reach, fresh.cyc)
-    # the sharing rule, by the edges of each heap and of the one before
-    for before, heap in zip(heaps, heaps[1:]):
-        results, parent = memo.heaps[id(heap)][2], memo.heaps[id(before)][2]
-        edges, old = labelled_edges(heap, universe), labelled_edges(before, universe)
-        if edges == old:
-            assert results is parent
-        elif old < edges:
-            assert results.base is parent
-            assert set(results.added) == edges - old
-        else:
-            assert results.base is memo.empty
-            assert set(results.added) == edges
+@given(data=st.data())
+def test_replayed_tables_match_a_fresh_build(link_fresh, data):
+    """Replaying a sequence of edits, with a random subset of the addresses
+    live after each heap and some heaps passed over, so one move applies
+    several edits, gives the tables of a fresh build on every heap: those
+    asked for and those kept.  A last pass in random order moves to heaps
+    the history does not lead to, which loads them."""
+    heaps, history, universe = data.draw(edit_sequences(link_fresh=link_fresh))
+    tables = _HeapTables(universe, history)
+    passes = [h for h in heaps[:-1] if data.draw(st.booleans())] + heaps[-1:]
+    passes += data.draw(st.permutations(heaps))
+    for heap in passes:
+        tables.move_to(heap)
+        assert tables.heap is heap
+        expected = fresh_tables(heap, universe)
+        order = data.draw(st.permutations(sorted(heap)))
+        for a in order[: data.draw(st.integers(min_value=0, max_value=len(order)))]:
+            assert (tables.reach(a), tables.cycles[a]) == expected[a]
+        assert kept_tables(tables) == {a: expected[a] for a in tables.reached}
+        tables.live = set(data.draw(st.lists(st.sampled_from(sorted(heap)), unique=True)))
 
 
-def memo_tables(memo, heap, order):
-    """The reach and cycle tables of every location of ``heap``, reach tables
-    asked first, each in ``order``."""
-    results = memo.edge_results(heap)
-    reach = {a: memo._reach(results, a) for a in order}
-    cycles = {a: memo.cycles(heap, a) for a in order}
-    return reach, cycles
-
-
-@settings(max_examples=200)
-@given(edit_sequences(link_fresh=True), st.randoms(use_true_random=False))
-def test_tables_grown_from_the_parents_match_cold_and_fresh_memos(case, rng):
-    """With the parent's tables asked first, a location allocated since is
-    seeded from its successors' tables in the parent edge set, and a
-    location whose successors' cycle tables are known takes its own from
-    theirs.  Both must give the tables of a memo that walks the history
-    cold and of a fresh memo without history."""
-    heaps, history, universe = case
-    warm = _SnapshotMemo(universe, history)
-    for before, heap in zip(heaps, heaps[1:]):
-        order = sorted(before)
-        rng.shuffle(order)
-        memo_tables(warm, before, order)
-        order = sorted(heap)
-        rng.shuffle(order)
-        got = memo_tables(warm, heap, order)
-        assert got == memo_tables(_SnapshotMemo(universe, history), heap, order)
-        assert got == memo_tables(_SnapshotMemo(universe), heap, order)
-
-
-def test_a_fresh_location_starts_from_its_successors_tables(monkeypatch):
-    # a ring 1 <-f-> 2, then 3 allocated with 3 -g-> 1
+def test_a_fresh_location_takes_its_successors_tables(monkeypatch):
+    # a ring 1 <-f-> 2, then 3 allocated with 3 -g-> 1: 3 has no closed walk
+    # through it and 1 does not reach 3, so 3 takes the tables of 1 with g
+    # added to every mask, and 1's cycle table, and nothing is saturated
     u = FieldUniverse.of(["f", "g"])
     ring = {1: Obj("K", {"f": Loc(2), "g": None}), 2: Obj("K", {"f": Loc(1), "g": None})}
     grown = {**ring, 3: Obj("K", {"f": None, "g": Loc(1)})}
-    memo = _SnapshotMemo(u, {id(grown): (grown, ring, frozenset({3}))})
-    fresh = _SnapshotMemo(u)
-    results = memo.edge_results(grown)
+    tables = _HeapTables(u, {id(grown): (grown, ring, frozenset({3}))})
+    tables.move_to(ring)
     for a in ring:
-        memo.cycles(ring, a)
-    # the cycle table of 2 scans the anchors; then 1 and 3 take theirs from
-    # their successors', so the reach table of 3 is never needed
-    for a in (2, 1, 3):
-        assert memo.cycles(grown, a) == fresh.cycles(grown, a) == table_of(u, [("f",)])
-    assert 3 not in results.reached
-    # the reach table of 3 starts from the ring's table of 1, every mask
-    # with g added, and not from 3 alone
-    expected = fresh._reach(fresh.edge_results(grown), 3)
-    starts = []
+        tables.reach(a)
+    tables.live = set(ring)
+    calls = []
 
-    def spy(succ, halves, reached, pending):
-        starts.append(dict(reached))
-        return saturate(succ, halves, reached, pending)
+    def spy(*args):
+        calls.append(args)
+        return saturate(*args)
 
     monkeypatch.setattr(oracle_module, "saturate", spy)
-    assert memo._reach(results, 3) == expected
+    tables.move_to(grown)
+    assert calls == []
+    monkeypatch.undo()
+    assert kept_tables(tables) == fresh_tables(grown, u)
     g, fg = table_of(u, [("g",)]), table_of(u, [("f", "g")])
-    assert starts == [{3: 1, 1: g | fg, 2: fg}]
+    assert tables.reached[3] == {3: 1, 1: g | fg, 2: fg}
+    assert tables.cycles[3] == tables.cycles[1] == table_of(u, [("f",)])
 
 
-def test_memo_keeps_edge_sets_apart_by_label():
-    # the same reference under another field is another edge set, and only
-    # the history decides what is shared, not equal edge sets
+def test_a_removed_edge_drops_the_tables_that_reach_it(monkeypatch):
+    # the same reference under another field is another edge; an edit that
+    # removes an edge drops the kept tables that reach its source, and
+    # anchors afresh only when the heap had a closed walk
     u = FieldUniverse.of(["f", "g"])
     history = {}
 
@@ -603,22 +567,99 @@ def test_memo_keeps_edge_sets_apart_by_label():
     on_f_again = edit(on_g, 1, f=Loc(2), g=None)  # the edges of on_f
     rewritten = edit(on_f_again, 1, f=Loc(2))  # a fresh object, the same edges
     allocated = edit(rewritten, 3, f=None, g=None)
-    closed = edit(allocated, 2, g=Loc(1))  # an edge added
-    heaps = [on_f, on_g, on_f_again, rewritten, allocated, closed]
-    memo = _SnapshotMemo(u, history)
-    for heap in heaps:
-        shared = alpha_per_location(heap, u, memo)
-        fresh = alpha_per_location(heap, u)
-        assert (shared.reach, shared.cyc) == (fresh.reach, fresh.cyc)
-    results = [memo.heaps[id(h)][2] for h in heaps]
-    assert len({id(r) for r in results}) == 4
-    assert results[0] is not results[1] is not results[2] is not results[0]
-    assert results[1].base is results[2].base is memo.empty
-    for heap, r in zip(heaps[1:3], results[1:3]):
-        assert set(r.added) == labelled_edges(heap, u)
-    assert results[3] is results[4] is results[2]
-    assert results[5].base is results[4] and results[5].added == ((2, u.mask_of(["g"]), 1),)
-    assert shared.cyc["v1"] == 1 | 1 << u.mask_of(["f", "g"])
+    closed = edit(allocated, 2, g=Loc(1))  # an edge added, closing a cycle
+    reopened = edit(closed, 1, f=None)  # the cycle's edge removed
+    anchored = []
+    anchor = _HeapTables._anchor
+    monkeypatch.setattr(_HeapTables, "_anchor", lambda self: anchored.append(self) or anchor(self))
+    tables = _HeapTables(u, history)
+    moves = []
+    for heap in (on_f, on_g, on_f_again, rewritten, allocated, closed, reopened):
+        anchored.clear()
+        tables.move_to(heap)
+        moves.append((tables in anchored, sorted(tables.reached)))
+        for a in heap:
+            tables.reach(a)
+        assert kept_tables(tables) == fresh_tables(heap, u)
+        if heap is closed:
+            assert tables.cycles[1] == table_of(u, [("f", "g")])
+        tables.live = set(heap)
+    assert moves == [
+        (True, []),  # loaded
+        (False, [2]),
+        (False, [2]),
+        (False, [1, 2]),
+        (False, [1, 2, 3]),
+        (False, [1, 2, 3]),
+        (True, [3]),
+    ]
+    assert tables.anchors == {}
+
+
+def test_a_load_anchors_only_the_edges_inside_a_component(monkeypatch):
+    # a chain 1 -f-> 2 -f-> 3 feeding the cycle 3 -g-> 4 -h-> 5 -f-> 3, with
+    # a self-loop on 4 and an edge from the cycle out to 6
+    heap = {
+        1: Obj("K", {"f": Loc(2), "g": None, "h": None}),
+        2: Obj("K", {"f": Loc(3), "g": None, "h": None}),
+        3: Obj("K", {"f": None, "g": Loc(4), "h": None}),
+        4: Obj("K", {"f": Loc(4), "g": Loc(6), "h": Loc(5)}),
+        5: Obj("K", {"f": Loc(3), "g": None, "h": None}),
+        6: Obj("K", {"f": None, "g": None, "h": None}),
+    }
+    u = FieldUniverse.of(["f", "g", "h"])
+    starts = []
+
+    def spy(succ, halves, reached, pending):
+        starts.append(next(iter(pending)))
+        return saturate(succ, halves, reached, pending)
+
+    monkeypatch.setattr(oracle_module, "saturate", spy)
+    tables = _HeapTables(u)
+    tables.load(heap)
+    # one saturation per target of an edge inside the component
+    assert sorted(starts) == [3, 4, 5]
+    assert set(tables.anchors) == {3, 4, 5}
+    fgh = table_of(u, [("f", "g", "h")])
+    assert tables.anchors == {3: fgh, 4: fgh | table_of(u, [("f",)]), 5: fgh}
+    monkeypatch.undo()
+    for a in heap:
+        assert cycle_field_sets(heap, a) == brute_cycle_sets(heap, a)
+    assert cycle_field_sets(heap, 1) == {frozenset({"f", "g", "h"}), frozenset({"f"})}
+    assert cycle_field_sets(heap, 6) == frozenset()
+
+
+def test_records_list_every_state_once_in_run_order(monkeypatch):
+    """Over every corpus program with a ``main``, ``records`` holds each
+    recorded state once, in the order the run recorded them, and grouping
+    it by point gives ``point_states``."""
+    recorded = []
+    exec_cmd = _Interp.exec_cmd
+
+    # a command's last act is to record the state after it
+    def exec_and_log(self, cmd, frame):
+        exec_cmd(self, cmd, frame)
+        recorded.append((cmd.nid, self.point_states[cmd.nid][-1]))
+
+    monkeypatch.setattr(_Interp, "exec_cmd", exec_and_log)
+    programs = 0
+    for name, source in sorted(CORPUS.items()):
+        program, ct, info = build(source)
+        if program.main is None:
+            continue
+        programs += 1
+        recorded.clear()
+        oracle = run_concrete(program, ct)
+        records = oracle.records
+        assert [(nid, id(s)) for nid, s in records] == [(nid, id(s)) for nid, s in recorded], name
+        assert len({id(s) for _, s in records}) == len(records), name
+        grouped = {}
+        for nid, state in records:
+            grouped.setdefault(nid, []).append(state)
+        assert grouped.keys() == oracle.point_states.keys(), name
+        for nid, states in grouped.items():
+            assert [id(s) for s in states] == [id(s) for s in oracle.point_states[nid]], name
+    assert programs > 20
 
 
 def test_snapshot_history_is_exact():
@@ -818,7 +859,6 @@ def reference_check(result, oracle) -> SoundnessReport:
     """The check as a comparison of ``alpha_state`` with the abstract value
     at each recorded state, entry by entry: reach pairs in scope order, then
     cycles, the smallest realized mask outside an entry as the witness."""
-    memo = _SnapshotMemo(result.universe, oracle.history)
     violations, missing, points, states = [], [], 0, 0
     for nid, state_list in sorted(oracle.point_states.items()):
         abstract = result.point_post.get(nid)
@@ -829,7 +869,7 @@ def reference_check(result, oracle) -> SoundnessReport:
         for idx, state in enumerate(state_list):
             states += 1
             shared = [v for v in abstract.cyc if v in state.frame]
-            exact = alpha_state(state, result.universe, shared, memo)
+            exact = alpha_state(state, result.universe, shared)
             for (v, w), t in exact.reach.items():
                 outside = t & ~abstract.reach[(v, w)]
                 if outside:
