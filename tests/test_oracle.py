@@ -502,9 +502,9 @@ def kept_tables(tables):
 @given(data=st.data())
 def test_replayed_tables_match_a_fresh_build(link_fresh, data):
     """Replaying a sequence of edits, with a random subset of the addresses
-    live after each heap and some heaps passed over, so one move applies
-    several edits, gives the tables of a fresh build on every heap: those
-    asked for and those kept.  A last pass in random order moves to heaps
+    live after each heap, the kept tables in random order, and some heaps
+    passed over, so one move applies several edits, gives the tables of a
+    fresh build on every heap: those asked for and those kept.  A last pass in random order moves to heaps
     the history does not lead to, which loads them."""
     heaps, history, universe = data.draw(edit_sequences(link_fresh=link_fresh))
     tables = _HeapTables(universe, history)
@@ -519,6 +519,8 @@ def test_replayed_tables_match_a_fresh_build(link_fresh, data):
             assert (tables.reach(a), tables.cycles[a]) == expected[a]
         assert kept_tables(tables) == {a: expected[a] for a in tables.reached}
         tables.live = set(data.draw(st.lists(st.sampled_from(sorted(heap)), unique=True)))
+        # the order the kept tables are visited in must not matter
+        tables.reached = dict(data.draw(st.permutations(list(tables.reached.items()))))
 
 
 def test_a_fresh_location_takes_its_successors_tables(monkeypatch):
