@@ -28,6 +28,7 @@ from .oracle import (
     traversal_saturate,
 )
 from .parser import ParseError, parse_program
+from .render import result_to_json
 from .semantics import AnalysisError, AnalysisResult, Analyzer, analyze_program
 from .sharing import SharingAnalysis, SharingState, SharingSummary, analyze_purity
 from .syntax import Program, render_program
@@ -67,6 +68,7 @@ __all__ = [
     "class_reach_closure",
     "parse_program",
     "render_program",
+    "result_to_json",
     "run_concrete",
     "traversal_saturate",
     "type_check",

@@ -21,7 +21,7 @@ from .oracle import (
     run_concrete,
 )
 from .parser import ParseError, parse_program
-from .render import render_compare, render_final, render_sharing, render_table, result_to_json
+from .render import json_parts, render_compare, render_final, render_sharing, render_table
 from .semantics import AnalysisError, analyze_program
 from .semantics import parse_init_annotations  # noqa: F401  (importable from here too)
 from .typecheck import TypeCheckError, type_check
@@ -177,7 +177,11 @@ def run(argv: Optional[list[str]] = None) -> int:
             exit_code = ANALYSIS_ERROR
 
     if args.format == "json":
-        sys.stdout.write(result_to_json(result, query_results))
+        try:
+            sys.stdout.writelines(json_parts(result, query_results))
+        except MemoryError:
+            print("error: the JSON report does not fit in memory", file=sys.stderr)
+            return ANALYSIS_ERROR
         if oracle_report is not None and not oracle_report.ok:
             _print_oracle_report(oracle_report, sys.stderr)
     else:

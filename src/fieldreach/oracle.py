@@ -1,23 +1,20 @@
 """Bounded concrete interpreter and the ground-truth abstraction.
 
-The interpreter executes main directly, records the concrete state after
-every command (including inside callees, keyed by the shared node ids), and
-aborts cleanly when the step budget or the call depth budget runs out.  It
-dispatches on the exact type of each node, so a node class it does not
-know, a subclass included, is a ``TypeError``.  The step budget also
-bounds the cells the records copy, counted apart from the steps: the
-entries of each new snapshot and the slots of each frame copy.  Recorded
-states are copy-on-write.  Consecutive records with no allocation
-or field write in between share one heap snapshot, and a new snapshot is a
-shallow copy of the last one in which only the objects allocated or written
-since are fresh copies.  A recorded object is never changed, so snapshots
-share the objects that did not change (path copying, after Driscoll,
-Sarnak, Sleator and Tarjan, "Making Data Structures Persistent", 1989).
-The run keeps, per snapshot, the snapshot it was copied from and the
-addresses that changed in between.  Frames are shared the same way: a
+The interpreter executes main directly and aborts cleanly when the step
+budget or the call depth budget runs out.  It dispatches on the exact type
+of each node, so a node class it does not know, a subclass included, is a
+``TypeError``.  Recording, it keeps one flat log of the run, in run order:
+each allocation (address, class, initial fields), each field write
+(address, field, old value, new value), and after every command, inside
+callees too, a record (the command's node id, a copy of the frame).  A
 record copies its frame only when the frame was assigned since its last
-copy.  The run also lists every recorded state with its point, in run
-order.
+copy, so consecutive records share it.  The step budget also bounds the
+recorded cells, counted apart from the steps: the log's entries and the
+copied frame slots, linear in the steps.  The recorded states themselves
+(``OracleResult.records`` and ``point_states``) are rebuilt from the log
+only when asked for, with path copying: a new heap snapshot shares the
+objects that did not change since the last one (Driscoll, Sarnak, Sleator
+and Tarjan, "Making Data Structures Persistent", 1989).
 
 The abstraction works on field bits, not on sets of field names.  A check
 labels each object's references with the universe bit of their field (an
@@ -34,21 +31,23 @@ masks are the anchors at the locations it reaches.  Rotating a closed walk
 to its latest-inserted edge shows this is exact: the rest of the walk goes
 from that edge's target back to its source over edges inserted before.
 
-``check_soundness`` replays the run: it visits the recorded states in run
-order and carries one labelled heap (``_HeapTables``) through the
-snapshots' edits, relabelling only the changed objects.  Each rule that
-keeps this cheap is exact.  Added edges push, in place, each kept reach
-table that holds their source, since a new walk takes an added edge.  A
-removed edge drops the kept tables that reach its source, since only their
-walks can take it, and anchors afresh when the heap had a closed walk (a
-removal makes none).  Tables are kept only for the addresses the last
-checked state held; the others are dropped at the next edit and saturated
-afresh when asked for.  A location with no closed walk through it that
-gains an edge to a location whose kept table does not reach it takes that
-table, one step longer, and its cycle table: every new walk takes the edge
-once and never returns.  Anchoring afresh, for the first heap or after a
-removal, anchors only the edges inside one strongly connected component
-(one pass of Tarjan's algorithm), since a closed walk never leaves it.
+``check_soundness`` replays the log forward over one labelled heap
+(``_HeapTables``), starting from the empty heap, and checks each record as
+it comes.  An allocation adds a location whose table holds only itself; a
+write of a reference cuts at most one edge and inserts at most one,
+labelled by the bit of its field.  Each rule that keeps this cheap is
+exact.  An inserted edge pushes, in place, each kept reach table that
+holds its source, since a new walk takes an added edge.  A cut edge drops
+the kept tables that reach its source, since only their walks can take it,
+and anchors afresh when the heap had a closed walk (a removal makes none).
+Tables are kept only for the addresses the last checked state held; the
+others are dropped at the next edit and saturated afresh when asked for.
+A location with no closed walk through it that gains an edge to a location
+whose kept table does not reach it takes that table, one step longer, and
+its cycle table: every new walk takes the edge once and never returns.
+Anchoring afresh, after a removal or when a whole heap is loaded, anchors
+only the edges inside one strongly connected component (one pass of
+Tarjan's algorithm), since a closed walk never leaves it.
 
 So a state abstracts to the exact reachability/cyclicity value.
 ``alpha_state`` builds it over one heap, for callers and as the tests'
@@ -153,32 +152,65 @@ class BudgetExceeded(Exception):
     pass
 
 
-# a snapshot, the snapshot it was copied from, and the addresses allocated
-# or written in between
-Edit = tuple[dict[int, Obj], dict[int, Obj], frozenset[int]]
+# one entry of a run's log: an allocation (address, class, its fields with
+# their initial values), a field write (address, field, old value, new
+# value) or a record (point, frame)
+Event = tuple
 
 
 class OracleResult(Record):
-    __slots__ = ("point_states", "records", "final", "steps", "allocations", "history")
-    _fields = __slots__
+    """A run: its log, its final state and its counts.  ``records`` (every
+    recorded state with its point, in run order) and ``point_states`` (the
+    same states by point) are rebuilt from the log on first access."""
 
-    def __init__(
-        self,
-        point_states: dict[int, list[ConcreteState]],
-        records: list[tuple[int, ConcreteState]],
-        final: ConcreteState,
-        steps: int,
-        allocations: int,
-        history: Optional[dict[int, Edit]] = None,
-    ):
-        self.point_states = point_states
-        # every recorded state with its point, in the order the run made them
-        self.records = records
+    __slots__ = ("log", "final", "steps", "allocations", "records", "point_states")
+    _fields = ("log", "final", "steps", "allocations")
+
+    def __init__(self, log: list[Event], final: ConcreteState, steps: int, allocations: int):
+        self.log = log
         self.final = final
         self.steps = steps
         self.allocations = allocations
-        # the edit that made each recorded snapshot, keyed by the snapshot's id
-        self.history = {} if history is None else history
+
+    def __getattr__(self, name: str):  # called only for an attribute not set yet
+        if name not in ("records", "point_states"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.records, self.point_states = _recorded_states(self.log)
+        return getattr(self, name)
+
+
+def _recorded_states(
+    log: list[Event],
+) -> tuple[list[tuple[int, ConcreteState]], dict[int, list[ConcreteState]]]:
+    """The recorded states of a log, in run order and by point.  Records with
+    no allocation or field write in between share one heap snapshot, and a
+    new snapshot is a shallow copy of the last one in which only the objects
+    allocated or written since are fresh copies (path copying)."""
+    heap: dict[int, Obj] = {}
+    snapshot: dict[int, Obj] = {}
+    changed: set[int] = set()  # allocated or written since the last snapshot
+    records, by_point = [], {}
+    for event in log:
+        if len(event) == 2:
+            if changed:
+                snapshot = dict(snapshot)
+                for a in changed:
+                    o = heap[a]
+                    snapshot[a] = Obj(o.classname, dict(o.fields))
+                changed.clear()
+            nid, frame = event
+            state = ConcreteState(frame, snapshot)
+            records.append((nid, state))
+            by_point.setdefault(nid, []).append(state)
+        elif len(event) == 3:
+            a, classname, fields = event
+            heap[a] = Obj(classname, dict(fields))
+            changed.add(a)
+        else:
+            a, f, _, new = event
+            heap[a].fields[f] = new
+            changed.add(a)
+    return records, by_point
 
 
 class _Interp:
@@ -188,20 +220,17 @@ class _Interp:
         self.budget = budget
         self.record = record
         self.steps = 0
-        self.cells = 0  # snapshot entries and frame slots recorded so far
+        self.slots = 0  # frame slots copied so far
+        self.cells = 0  # frame slots copied and log entries, as of the last record
         self.allocations = 0
         self.next_addr = 1
         self.heap: dict[int, Obj] = {}
-        # the heap as of the last record, and the addresses allocated or
-        # written since; its objects are copies that are never changed
-        self.snapshot: dict[int, Obj] = {}
-        self.dirty: set[int] = set()
-        self.history: dict[int, Edit] = {}
+        self.log: list[Event] = []
+        # per class, its fields with their initial values
+        self.initial: dict[str, tuple[tuple[str, Val], ...]] = {}
         # per call in progress, main's first: the last recorded copy of its
         # frame, or None when the frame was assigned since
         self.frames: list[Optional[dict[str, Val]]] = [None]
-        self.point_states: dict[int, list[ConcreteState]] = {}
-        self.records: list[tuple[int, ConcreteState]] = []
 
     def run_main(self) -> OracleResult:
         if self.program.main is None:
@@ -211,14 +240,7 @@ class _Interp:
         for name, t in env.items():
             frame[name] = 0 if t == INT_TYPE else None
         self.exec_body(self.program.main.body, frame)
-        return OracleResult(
-            self.point_states,
-            self.records,
-            ConcreteState(frame, self.heap),
-            self.steps,
-            self.allocations,
-            self.history,
-        )
+        return OracleResult(self.log, ConcreteState(frame, self.heap), self.steps, self.allocations)
 
     # -- execution
 
@@ -243,8 +265,10 @@ class _Interp:
             base = frame.get(cmd.var)
             if type(base) is not Loc:
                 raise NullDereference(cmd.line)
-            self.heap[base.addr].fields[cmd.fieldname] = value
-            self.dirty.add(base.addr)
+            fields = self.heap[base.addr].fields
+            if self.record:
+                self.log.append((base.addr, cmd.fieldname, fields[cmd.fieldname], value))
+            fields[cmd.fieldname] = value
         elif kind is If:
             if self.eval_guard(cmd.guard, frame):
                 self.exec_body(cmd.then_body, frame)
@@ -259,30 +283,17 @@ class _Interp:
         if not self.record:
             return
         copy = self.frames[-1]
-        dirty = self.dirty
-        # counted before copying: a run that never ends must not exhaust
-        # memory before it exhausts the budget
         if copy is None:
-            self.cells += len(frame)
-        if dirty:
-            self.cells += len(self.heap)
+            self.slots += len(frame)
+        # the record about to be logged included, and counted before the
+        # copy: a run that never ends must not exhaust memory before it
+        # exhausts the budget
+        self.cells = self.slots + len(self.log) + 1
         if self.cells > self.budget:
             raise BudgetExceeded(f"recorded states exceed the budget of {self.budget} cells")
         if copy is None:
             copy = self.frames[-1] = dict(frame)
-        if dirty:
-            # share the unchanged objects, copy only the changed ones
-            snapshot = dict(self.snapshot)
-            heap = self.heap
-            for a in dirty:
-                o = heap[a]
-                snapshot[a] = Obj(o.classname, dict(o.fields))
-            self.history[id(snapshot)] = (snapshot, self.snapshot, frozenset(dirty))
-            dirty.clear()
-            self.snapshot = snapshot
-        state = ConcreteState(copy, self.snapshot)
-        self.point_states.setdefault(cmd.nid, []).append(state)
-        self.records.append((cmd.nid, state))
+        self.log.append((cmd.nid, copy))
 
     def eval_guard(self, guard: Comparison, frame: dict[str, Val]) -> bool:
         left = self.eval_expr(guard.left, frame)
@@ -327,12 +338,15 @@ class _Interp:
         addr = self.next_addr
         self.next_addr += 1
         self.allocations += 1
-        fields = {
-            fname: (0 if ftype == INT_TYPE else None)
-            for fname, ftype in self.ct.fields_of(classname)
-        }
-        self.heap[addr] = Obj(classname, fields)
-        self.dirty.add(addr)
+        initial = self.initial.get(classname)
+        if initial is None:
+            initial = self.initial[classname] = tuple(
+                (fname, 0 if ftype == INT_TYPE else None)
+                for fname, ftype in self.ct.fields_of(classname)
+            )
+        self.heap[addr] = Obj(classname, dict(initial))
+        if self.record:
+            self.log.append((addr, classname, initial))
         return Loc(addr)
 
     def call(self, e: MethodCall, frame: dict[str, Val]) -> Val:
@@ -373,20 +387,6 @@ Out = tuple[tuple[int, int], ...]  # (field bit, target address) per reference
 Succ = dict[int, Out]  # address -> its labelled references
 
 
-def _label(obj: Obj, universe: FieldUniverse, bits: dict[str, int]) -> Out:
-    """The references of one object, each labelled with the abstract bit of
-    its field.  ``bits`` caches the bit of each field name across the
-    objects of one universe."""
-    out = []
-    for f, v in obj.fields.items():
-        if isinstance(v, Loc):
-            bit = bits.get(f)
-            if bit is None:
-                bit = bits[f] = universe.abstract_mask((f,))
-            out.append((bit, v.addr))
-    return tuple(out)
-
-
 def _own_universe(heap: dict[int, Obj]) -> FieldUniverse:
     """A universe of the fields the heap's references carry, one bit per
     field, so masks decode back to field names."""
@@ -403,8 +403,7 @@ def traversal_saturate(
     Without ``require_step`` the pair (src, {}) for the empty path is
     included.  Finite because targets and field subsets are."""
     universe = _own_universe(heap)
-    tables = _HeapTables(universe)
-    tables.load(heap)
+    tables = _HeapTables(universe, heap)
     reached = saturate(tables.succ, universe.halves, {} if require_step else {src: 1}, {src: 1})
     return frozenset(
         (target, frozenset(universe.names_of(m)))
@@ -416,8 +415,7 @@ def traversal_saturate(
 def cycle_field_sets(heap: dict[int, Obj], src: int) -> frozenset[frozenset[str]]:
     """Traversal sets of the non-empty cycles reachable from ``src``."""
     universe = _own_universe(heap)
-    tables = _HeapTables(universe)
-    tables.load(heap)
+    tables = _HeapTables(universe, heap)
     tables.reach(src)
     return frozenset(frozenset(universe.names_of(m)) for m in models_of(tables.cycles[src]))
 
@@ -459,73 +457,67 @@ def _components(succ: Succ) -> dict[int, int]:
 class _HeapTables:
     """The reach and cycle tables of one labelled heap, kept in step with
     its edits by the rules of the module docstring.  ``succ`` holds each
-    address's labelled references; ``reached`` and ``cycles`` the reach
-    table (per target, the masks of the walks to it, the empty walk
-    included) and the cycle table of each kept address; ``anchors`` the
-    union of the anchors at each address.  ``move_to`` follows a heap's
-    history (``OracleResult.history``) from the current heap, or else loads
-    it; the caller sets ``live``.  The heaps must not change while they are
-    used; the history holds them, so their identities are not reused."""
+    address's labelled references, one per field that holds a location;
+    ``reached`` and ``cycles`` the reach table (per target, the masks of the
+    walks to it, the empty walk included) and the cycle table of each kept
+    address; ``anchors`` the union of the anchors at each address.  The
+    tables start from a whole heap, loaded, or from the empty one, and
+    ``apply`` follows one allocation or field write of a run's log; the
+    first edit after the caller sets ``live`` drops the tables of the
+    addresses not in it."""
 
-    def __init__(self, universe: FieldUniverse, history: Optional[dict[int, Edit]] = None):
+    def __init__(self, universe: FieldUniverse, heap: Optional[dict[int, Obj]] = None):
         self.universe = universe
         self.halves = universe.halves
-        self.history = history or {}
         self.bits: dict[str, int] = {}
-        self.heap: Optional[dict[int, Obj]] = None
-        self.succ: Succ = {}
+        self.succ: Succ = {
+            a: tuple((self._bit(f), v.addr) for f, v in o.fields.items() if type(v) is Loc)
+            for a, o in (heap or {}).items()
+        }
         self.reached: dict[int, dict[int, int]] = {}
         self.cycles: dict[int, int] = {}
-        self.anchors: dict[int, int] = {}
-        self.live: Container[int] = ()
-
-    def load(self, heap: dict[int, Obj]) -> None:
-        self.heap = heap
-        self.succ = {a: _label(o, self.universe, self.bits) for a, o in heap.items()}
-        self.reached, self.cycles = {}, {}
+        self.live: Optional[Container[int]] = None
         self._anchor()
 
-    def move_to(self, heap: dict[int, Obj]) -> None:
-        if heap is self.heap:
-            return
-        chain, h = [], heap
-        while h is not self.heap:
-            edit = self.history.get(id(h))
-            if edit is None:
-                self.load(heap)
-                return
-            chain.append(edit)
-            h = edit[1]
-        live, reached = self.live, self.reached
-        for a in [a for a in reached if a not in live]:
-            del reached[a], self.cycles[a]
-        for edit in reversed(chain):
-            self._apply(edit)
+    def _bit(self, f: str) -> int:
+        """The universe bit of field ``f``, cached."""
+        bit = self.bits.get(f)
+        if bit is None:
+            bit = self.bits[f] = self.universe.abstract_mask((f,))
+        return bit
 
-    def _apply(self, edit: Edit) -> None:
-        heap, _, changed = edit
-        self.heap = heap
-        succ = self.succ
-        added = []
-        cut = []  # the addresses that lost an edge
-        for a in changed:
-            out = _label(heap[a], self.universe, self.bits)
-            old = succ.get(a)
-            if old is None:  # allocated since: no reference, and none into it
-                succ[a] = old = ()
-                self.reached[a], self.cycles[a] = {a: 1}, 0
-            if out != old:
-                now = set(out)
-                kept = tuple(edge for edge in old if edge in now)
-                if len(kept) < len(old):
-                    succ[a] = kept
-                    cut.append(a)
-                added += [(a, edge) for edge in now.difference(old)]
-        if cut:
-            self._cut(cut)
-        for a, edge in added:
-            succ[a] += (edge,)
-            self._insert(a, *edge)
+    def apply(self, event: Event) -> None:
+        """Brings the tables to the heap after ``event``, an allocation or a
+        field write.  A write of a reference cuts at most one edge and
+        inserts at most one; another field of the same bit may hold the
+        same edge, so ``succ`` keeps one edge per field."""
+        reached, live = self.reached, self.live
+        if live is not None:
+            for a in [a for a in reached if a not in live]:
+                del reached[a], self.cycles[a]
+            self.live = None
+        if len(event) == 3:  # allocated: no reference, and none into it
+            a = event[0]
+            self.succ[a] = ()
+            reached[a], self.cycles[a] = {a: 1}, 0
+            return
+        a, f, old, new = event
+        was, now = type(old) is Loc, type(new) is Loc
+        if not (was or now) or (was and now and old.addr == new.addr):
+            return  # no edge changes
+        bit = self._bit(f)
+        out = self.succ[a]
+        if was:
+            edge = (bit, old.addr)
+            i = out.index(edge)
+            out = self.succ[a] = out[:i] + out[i + 1 :]
+            if edge not in out:
+                self._cut(a)
+        if now:
+            edge = (bit, new.addr)
+            self.succ[a] = out + (edge,)
+            if edge not in out:
+                self._insert(a, bit, new.addr)
 
     def _insert(self, a: int, bit: int, b: int) -> None:
         """Brings the kept tables and the anchors to the heap with the edge
@@ -561,11 +553,11 @@ class _HeapTables:
                 if a in table:
                     cycles[s] |= anchor
 
-    def _cut(self, cut: list[int]) -> None:
-        """Brings the kept tables and the anchors to the heap with edges out
-        of ``cut`` just removed from ``succ``."""
+    def _cut(self, a: int) -> None:
+        """Brings the kept tables and the anchors to the heap with an edge
+        out of ``a`` just removed from ``succ``."""
         reached = self.reached
-        for s in [s for s, table in reached.items() if any(a in table for a in cut)]:
+        for s in [s for s, table in reached.items() if a in table]:
             del reached[s], self.cycles[s]
         if self.anchors:
             self._anchor()
@@ -612,8 +604,7 @@ def alpha_state(state: ConcreteState, universe: FieldUniverse, variables: Iterab
     locs = {v: state.frame[v].addr for v in variables if isinstance(state.frame.get(v), Loc)}
     if not locs:
         return RcValue.bottom(universe, variables)
-    tables = _HeapTables(universe)
-    tables.load(state.heap)
+    tables = _HeapTables(universe, state.heap)
     reach = {addr: tables.reach(addr) for addr in set(locs.values())}
     entries: dict[tuple[str, str], int] = {}
     for v, av in locs.items():
@@ -679,8 +670,9 @@ def check_soundness(result: AnalysisResult, oracle: OracleResult) -> SoundnessRe
     of the corresponding abstract entry.  A concretely reached point the
     analysis never produced a value for counts against the check.
 
-    The states are visited in run order (``OracleResult.records``), with
-    ``live`` set to the addresses each one held.  Per state, the realized
+    The run's log is replayed in order over one ``_HeapTables``, and each
+    record is checked as it comes, with ``live`` set to the addresses it
+    held.  Per state, the realized
     tables of the variables of the point's scope that hold a location are
     compared directly with the abstract entries, each distinct address's
     reach table taken once: reach pairs first, in scope order, then cycles, a non-null
@@ -690,7 +682,8 @@ def check_soundness(result: AnalysisResult, oracle: OracleResult) -> SoundnessRe
     The witness of a violation is the smallest realized mask outside the
     abstract entry.  The violations are listed by point, then state, then
     comparison."""
-    tables = _HeapTables(result.universe, oracle.history)
+    tables = _HeapTables(result.universe)
+    apply = tables.apply
     names_of = result.universe.names_of
     violations: list[Violation] = []
     missing: set[int] = set()
@@ -699,7 +692,11 @@ def check_soundness(result: AnalysisResult, oracle: OracleResult) -> SoundnessRe
         nid: (value.tables, value.scope.n, value.scope.nn, list(enumerate(value.scope.names)))
         for nid, value in result.point_post.items()
     }
-    for nid, state in oracle.records:
+    for event in oracle.log:
+        if len(event) != 2:
+            apply(event)
+            continue
+        nid, frame = event
         point = points.get(nid)
         if point is None:
             missing.add(nid)
@@ -707,12 +704,10 @@ def check_soundness(result: AnalysisResult, oracle: OracleResult) -> SoundnessRe
         entries, n, nn, scope = point
         idx = seen.get(nid, 0)
         seen[nid] = idx + 1
-        frame = state.frame
         # (name, position, address) of each variable holding a location
         locs = [(v, i, val.addr) for i, v in scope if isinstance(val := frame.get(v), Loc)]
         if not locs:
             continue
-        tables.move_to(state.heap)
         reached, cycles = tables.reached, tables.cycles
         reach: dict[int, dict[int, int]] = {}
         for _, _, a in locs:

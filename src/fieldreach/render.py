@@ -123,9 +123,11 @@ def render_sharing(program, analysis) -> str:
 # ``reach``, ``visit`` in a point; ``cyc``, ``reach`` in ``final``), and only
 # the ``"line#visit"`` point keys are sorted at run time, as strings (they
 # hold digits and ``#`` alone, so they need no escaping).  The pieces are
-# appended to one list, joined once at the end.  Text nested ``depth`` levels
-# deep is laid out as at the top level with every line after the first
-# indented by ``depth`` more steps.  The formula entries, the bulk of a
+# appended to one list (``json_parts``): the command line writes them out
+# one by one, since a report at a wide universe repeats a few entry texts
+# many times over, and ``result_to_json`` joins them.  Text nested
+# ``depth`` levels deep is laid out as at the top level with every line
+# after the first indented by ``depth`` more steps.  The formula entries, the bulk of a
 # report, are laid out from memos that live for one report (``_Entries``):
 # per mask, its encoded model, built once along the universe's walk of its
 # masks in JSON model order (``FieldUniverse.json_walk``), each model from
@@ -297,6 +299,15 @@ def result_to_json(
     """The JSON report: byte for byte ``json.dumps(doc, sort_keys=True,
     indent=2) + "\\n"`` of the document whose ``final`` and point entries are
     ``RcValue.to_json()``."""
+    return "".join(json_parts(result, queries))
+
+
+def json_parts(
+    result: AnalysisResult,
+    queries: Optional[list[tuple[str, object]]] = None,
+) -> list[str]:
+    """The JSON report in pieces, in order; an entry text that repeats is
+    one string many times over."""
     entries = _Entries(result.universe)
     entry = result.entry if isinstance(result.entry, str) else ".".join(result.entry)
     out = ['{\n  "entry": ' + encode_basestring_ascii(entry) + ',\n  "final": ']
@@ -314,4 +325,4 @@ def result_to_json(
     universe = _array(list(map(encode_basestring_ascii, result.universe.fields)), 1)
     out.append(',\n  "queries": ' + _queries(queries or [], 1) + ',\n  "universe": ' + universe)
     out.append("\n}\n")
-    return "".join(out)
+    return out

@@ -103,6 +103,27 @@ def test_json_deterministic(capsys):
     assert doc1 == doc2
 
 
+def test_the_json_report_is_written_in_pieces(monkeypatch, capsys):
+    """The command line writes the report's pieces as they are, never one
+    joined string, and a report that does not fit in memory is an error
+    with a message, not a traceback."""
+    code, whole, _ = invoke(capsys, DLL, "--format", "json", "--query", "reach x tmp")
+    written = []
+    monkeypatch.setattr(sys.stdout, "writelines", lambda parts: written.extend(parts))
+    assert run([DLL, "--format", "json", "--query", "reach x tmp"]) == code == 0
+    assert len(written) > 10
+    elapsed = re.compile(r'"elapsed_ms": [^,]*')
+    assert elapsed.sub("", "".join(written)) == elapsed.sub("", whole)
+
+    def too_large(parts):
+        raise MemoryError
+
+    monkeypatch.setattr(sys.stdout, "writelines", too_large)
+    code, out, err = invoke(capsys, DLL, "--format", "json")
+    assert code == 1
+    assert err == "error: the JSON report does not fit in memory\n"
+
+
 def test_json_schema_round_trip(capsys):
     code, out, err = invoke(capsys, DLL, "--format", "json", "--query", "cyc x {n}")
     assert code == 0

@@ -90,15 +90,18 @@ main {
 
 
 def test_recorded_cells_count_against_the_budget():
-    # a record copies the frame when it was assigned since its last copy,
-    # and the heap index when the heap changed: a loop that never ends and
-    # allocates on every trip copies cells quadratically in steps, so the
-    # cells must stop it first
+    # every allocation, field write and record is one log entry, and a
+    # record copies the frame when it was assigned since its last copy: a
+    # loop that never ends makes cells linearly in its steps, more than one
+    # per step, so the cells must stop it first
     program, ct, _ = build((DATA / "runaway_chain.lang").read_text())
     interp = _Interp(program, ct, 20_000, record=True)
     with pytest.raises(BudgetExceeded, match="20000 cells"):
         interp.run_main()
-    assert interp.steps < 2_000 < 20_000 < interp.cells
+    assert interp.steps < 20_000 < interp.cells
+    # a trip of 7 steps logs 6 records, an allocation and 2 writes, and
+    # copies the frame of 3 slots 4 times
+    assert 2 * interp.steps < interp.cells <= 3 * interp.steps
     # unrecorded, nothing is copied and the steps run out instead
     with pytest.raises(BudgetExceeded, match="step budget 20000"):
         run_concrete(program, ct, budget=20_000, record=False)
@@ -107,12 +110,11 @@ def test_recorded_cells_count_against_the_budget():
     interp = _Interp(program, ct, 100_000, record=True)
     done = interp.run_main()
     assert done.steps == interp.steps < interp.cells
-    # and exactly the cells of the distinct frames and snapshots it recorded
-    states = [s for point in done.point_states.values() for s in point]
-    frames = {id(s.frame): len(s.frame) for s in states}
-    heaps = {id(s.heap): len(s.heap) for s in states}
-    assert interp.cells == sum(frames.values()) + sum(heaps.values())
-    assert len(frames) < len(states)
+    # and exactly its log's entries and the slots of the distinct frames it
+    # recorded
+    frames = {id(s.frame): len(s.frame) for _, s in done.records}
+    assert interp.cells == len(done.log) + sum(frames.values())
+    assert len(frames) < len(done.records)
     run_concrete(program, ct, budget=interp.cells)
     with pytest.raises(BudgetExceeded, match="cells"):
         run_concrete(program, ct, budget=interp.cells - 1)
@@ -306,16 +308,16 @@ class Node { Node n; }
 
 
 def test_copy_on_write_is_invisible(monkeypatch):
-    """Every recorded frame and heap equal copies of the frame and heap
-    taken when the state was recorded, over every corpus program with a
-    ``main``."""
+    """The recorded states rebuilt from the log are, in run order, the
+    points and equal copies of the frames and heaps taken when the states
+    were recorded, over every corpus program with a ``main``."""
     recorded = []
     exec_cmd = _Interp.exec_cmd
 
     # a command's last act is to record the state after it
     def exec_with_copy(self, cmd, frame):
         exec_cmd(self, cmd, frame)
-        recorded.append((self.point_states[cmd.nid][-1], dict(frame), copy.deepcopy(self.heap)))
+        recorded.append((cmd.nid, dict(frame), copy.deepcopy(self.heap)))
 
     monkeypatch.setattr(_Interp, "exec_cmd", exec_with_copy)
     programs = 0
@@ -325,9 +327,11 @@ def test_copy_on_write_is_invisible(monkeypatch):
             continue
         programs += 1
         recorded.clear()
-        run_concrete(program, ct)
+        oracle = run_concrete(program, ct)
         assert recorded, name
-        for state, frame, heap in recorded:
+        assert len(oracle.records) == len(recorded), name
+        for (nid, state), (at, frame, heap) in zip(oracle.records, recorded):
+            assert nid == at, name
             assert state.frame == frame, name
             assert state.heap == heap, name
     assert programs > 20
@@ -449,47 +453,59 @@ def test_mask_tables_abstract_the_reference_sets(case):
 
 
 @st.composite
-def edit_sequences(draw, link_fresh=False):
-    """Heaps that each differ from the one before by allocations and field
-    writes, with a universe carrying ``any``.  As in the interpreter's
-    snapshots, a heap shares the objects that did not change with the heap
-    before it, a written object is a fresh copy, and an allocated object has
-    no reference yet.  A step may allocate, overwrite references, write
-    null, change several objects, or change nothing.  With ``link_fresh``,
-    a step first writes one reference from each object it allocates, so
-    more steps add edges both from new objects and from old ones.  Also
-    returns the history that links them, as ``OracleResult.history``
-    does."""
-    heap, universe = draw(heaps_with_any())
-    fields = sorted(heap[1].fields)
-    heaps, history = [heap], {}
+def edit_logs(draw, link_fresh=False):
+    """A log of allocations, field writes and records from the empty heap,
+    in the interpreter's layout, with a universe carrying ``any``, and the
+    heap at each record.  The first step allocates and links a random heap
+    (``heaps_with_any``), one edge at a time; each later step may allocate,
+    overwrite references, write null, rewrite a field with its own value,
+    write several fields, or change nothing, and ends in a record.  With
+    ``link_fresh``, a step first writes one reference from each object it
+    allocates, so more steps add edges both from new objects and from old
+    ones."""
+    start, universe = draw(heaps_with_any())
+    fields = sorted(start[1].fields)
+    blank = tuple((f, None) for f in fields)
+    heap, log, heaps = {}, [], []
+
+    def allocate(a):
+        heap[a] = Obj("K", dict(blank))
+        log.append((a, "K", blank))
+
+    def write(a, f, value):
+        log.append((a, f, heap[a].fields[f], value))
+        heap[a].fields[f] = value
+
+    def record():
+        log.append((0, {}))
+        heaps.append(copy.deepcopy(heap))
+
+    for a in start:
+        allocate(a)
+    for a, o in start.items():
+        for f, v in o.fields.items():
+            if v is not None:
+                write(a, f, v)
+    record()
     for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        before, heap = heap, dict(heap)
-        changed = set()
-        for _ in range(draw(st.integers(min_value=0, max_value=2))):
-            changed.add(max(heap) + 1)
-            heap[max(heap) + 1] = Obj("K", {f: None for f in fields})
+        fresh = range(len(heap) + 1, len(heap) + 1 + draw(st.integers(min_value=0, max_value=2)))
+        for a in fresh:
+            allocate(a)
         if link_fresh:
-            for a in sorted(changed):
-                target = Loc(draw(st.sampled_from(sorted(heap))))
-                heap[a].fields[draw(st.sampled_from(fields))] = target
+            for a in fresh:
+                write(a, draw(st.sampled_from(fields)), Loc(draw(st.sampled_from(sorted(heap)))))
         for _ in range(draw(st.integers(min_value=0, max_value=3))):
             src = draw(st.sampled_from(sorted(heap)))
             target = draw(st.one_of(st.none(), st.sampled_from(sorted(heap)).map(Loc)))
-            if src not in changed:
-                heap[src] = Obj("K", dict(heap[src].fields))
-                changed.add(src)
-            heap[src].fields[draw(st.sampled_from(fields))] = target
-        history[id(heap)] = (heap, before, frozenset(changed))
-        heaps.append(heap)
-    return heaps, history, universe
+            write(src, draw(st.sampled_from(fields)), target)
+        record()
+    return log, heaps, universe
 
 
 def fresh_tables(heap, universe):
     """The reach and cycle table of every location of ``heap``, built over
     that heap alone."""
-    tables = _HeapTables(universe)
-    tables.load(heap)
+    tables = _HeapTables(universe, heap)
     return {a: (tables.reach(a), tables.cycles[a]) for a in heap}
 
 
@@ -497,22 +513,31 @@ def kept_tables(tables):
     return {a: (table, tables.cycles[a]) for a, table in tables.reached.items()}
 
 
+def replay(tables, log):
+    """Applies the edits of ``log`` and yields at each record, as the check
+    does."""
+    for event in log:
+        if len(event) == 2:
+            yield event
+        else:
+            tables.apply(event)
+
+
 @pytest.mark.parametrize("link_fresh", [False, True], ids=["writes", "fresh-links"])
 @settings(max_examples=200)
 @given(data=st.data())
 def test_replayed_tables_match_a_fresh_build(link_fresh, data):
-    """Replaying a sequence of edits, with a random subset of the addresses
-    live after each heap, the kept tables in random order, and some heaps
-    passed over, so one move applies several edits, gives the tables of a
-    fresh build on every heap: those asked for and those kept.  A last pass in random order moves to heaps
-    the history does not lead to, which loads them."""
-    heaps, history, universe = data.draw(edit_sequences(link_fresh=link_fresh))
-    tables = _HeapTables(universe, history)
-    passes = [h for h in heaps[:-1] if data.draw(st.booleans())] + heaps[-1:]
-    passes += data.draw(st.permutations(heaps))
-    for heap in passes:
-        tables.move_to(heap)
-        assert tables.heap is heap
+    """Replaying a log, with a random subset of the addresses live after
+    each record checked, the kept tables in random order, and some records
+    passed over, as the check passes over a state with no location, gives
+    the tables of a fresh build at every record checked: those asked for
+    and those kept."""
+    log, heaps, universe = data.draw(edit_logs(link_fresh=link_fresh))
+    tables = _HeapTables(universe)
+    for k, _ in enumerate(replay(tables, log)):
+        heap = heaps[k]
+        if k < len(heaps) - 1 and data.draw(st.booleans()):
+            continue
         expected = fresh_tables(heap, universe)
         order = data.draw(st.permutations(sorted(heap)))
         for a in order[: data.draw(st.integers(min_value=0, max_value=len(order)))]:
@@ -523,6 +548,10 @@ def test_replayed_tables_match_a_fresh_build(link_fresh, data):
         tables.reached = dict(data.draw(st.permutations(list(tables.reached.items()))))
 
 
+def allocation(a, fields):
+    return (a, "K", tuple((f, None) for f in fields))
+
+
 def test_a_fresh_location_takes_its_successors_tables(monkeypatch):
     # a ring 1 <-f-> 2, then 3 allocated with 3 -g-> 1: 3 has no closed walk
     # through it and 1 does not reach 3, so 3 takes the tables of 1 with g
@@ -530,8 +559,7 @@ def test_a_fresh_location_takes_its_successors_tables(monkeypatch):
     u = FieldUniverse.of(["f", "g"])
     ring = {1: Obj("K", {"f": Loc(2), "g": None}), 2: Obj("K", {"f": Loc(1), "g": None})}
     grown = {**ring, 3: Obj("K", {"f": None, "g": Loc(1)})}
-    tables = _HeapTables(u, {id(grown): (grown, ring, frozenset({3}))})
-    tables.move_to(ring)
+    tables = _HeapTables(u, ring)
     for a in ring:
         tables.reach(a)
     tables.live = set(ring)
@@ -542,7 +570,8 @@ def test_a_fresh_location_takes_its_successors_tables(monkeypatch):
         return saturate(*args)
 
     monkeypatch.setattr(oracle_module, "saturate", spy)
-    tables.move_to(grown)
+    tables.apply(allocation(3, "fg"))
+    tables.apply((3, "g", None, Loc(1)))
     assert calls == []
     monkeypatch.undo()
     assert kept_tables(tables) == fresh_tables(grown, u)
@@ -552,42 +581,42 @@ def test_a_fresh_location_takes_its_successors_tables(monkeypatch):
 
 
 def test_a_removed_edge_drops_the_tables_that_reach_it(monkeypatch):
-    # the same reference under another field is another edge; an edit that
+    # the same reference under another field is another edge; a write that
     # removes an edge drops the kept tables that reach its source, and
     # anchors afresh only when the heap had a closed walk
     u = FieldUniverse.of(["f", "g"])
-    history = {}
-
-    def edit(heap, addr, **fields):
-        after = dict(heap)
-        after[addr] = Obj("K", dict(heap[addr].fields, **fields) if addr in heap else fields)
-        history[id(after)] = (after, heap, frozenset({addr}))
-        return after
-
-    on_f = {1: Obj("K", {"f": Loc(2), "g": None}), 2: Obj("K", {"f": None, "g": None})}
-    on_g = edit(on_f, 1, f=None, g=Loc(2))  # one removed, one added
-    on_f_again = edit(on_g, 1, f=Loc(2), g=None)  # the edges of on_f
-    rewritten = edit(on_f_again, 1, f=Loc(2))  # a fresh object, the same edges
-    allocated = edit(rewritten, 3, f=None, g=None)
-    closed = edit(allocated, 2, g=Loc(1))  # an edge added, closing a cycle
-    reopened = edit(closed, 1, f=None)  # the cycle's edge removed
+    steps = [
+        ("on_f", [allocation(1, "fg"), allocation(2, "fg"), (1, "f", None, Loc(2))]),
+        ("on_g", [(1, "f", Loc(2), None), (1, "g", None, Loc(2))]),  # one removed, one added
+        ("on_f_again", [(1, "f", None, Loc(2)), (1, "g", Loc(2), None)]),  # the edges of on_f
+        ("rewritten", [(1, "f", Loc(2), Loc(2))]),  # the same edge written again
+        ("allocated", [allocation(3, "fg")]),
+        ("closed", [(2, "g", None, Loc(1))]),  # an edge added, closing a cycle
+        ("reopened", [(1, "f", Loc(2), None)]),  # the cycle's edge removed
+    ]
     anchored = []
     anchor = _HeapTables._anchor
     monkeypatch.setattr(_HeapTables, "_anchor", lambda self: anchored.append(self) or anchor(self))
-    tables = _HeapTables(u, history)
+    tables = _HeapTables(u)
+    heap = {}
     moves = []
-    for heap in (on_f, on_g, on_f_again, rewritten, allocated, closed, reopened):
+    for name, events in steps:
         anchored.clear()
-        tables.move_to(heap)
+        for event in events:
+            tables.apply(event)
+            if len(event) == 3:
+                heap[event[0]] = Obj("K", dict(event[2]))
+            else:
+                heap[event[0]].fields[event[1]] = event[3]
         moves.append((tables in anchored, sorted(tables.reached)))
         for a in heap:
             tables.reach(a)
-        assert kept_tables(tables) == fresh_tables(heap, u)
-        if heap is closed:
+        assert kept_tables(tables) == fresh_tables(heap, u), name
+        if name == "closed":
             assert tables.cycles[1] == table_of(u, [("f", "g")])
         tables.live = set(heap)
     assert moves == [
-        (True, []),  # loaded
+        (False, [1, 2]),  # built from the empty heap
         (False, [2]),
         (False, [2]),
         (False, [1, 2]),
@@ -617,8 +646,7 @@ def test_a_load_anchors_only_the_edges_inside_a_component(monkeypatch):
         return saturate(succ, halves, reached, pending)
 
     monkeypatch.setattr(oracle_module, "saturate", spy)
-    tables = _HeapTables(u)
-    tables.load(heap)
+    tables = _HeapTables(u, heap)
     # one saturation per target of an edge inside the component
     assert sorted(starts) == [3, 4, 5]
     assert set(tables.anchors) == {3, 4, 5}
@@ -631,44 +659,40 @@ def test_a_load_anchors_only_the_edges_inside_a_component(monkeypatch):
     assert cycle_field_sets(heap, 6) == frozenset()
 
 
-def test_records_list_every_state_once_in_run_order(monkeypatch):
-    """Over every corpus program with a ``main``, ``records`` holds each
-    recorded state once, in the order the run recorded them, and grouping
-    it by point gives ``point_states``."""
-    recorded = []
-    exec_cmd = _Interp.exec_cmd
-
-    # a command's last act is to record the state after it
-    def exec_and_log(self, cmd, frame):
-        exec_cmd(self, cmd, frame)
-        recorded.append((cmd.nid, self.point_states[cmd.nid][-1]))
-
-    monkeypatch.setattr(_Interp, "exec_cmd", exec_and_log)
+def test_records_list_every_state_once_in_run_order():
+    """Over every corpus program with a ``main``, ``records`` holds one state
+    per record of the log, in the log's order and with the log's frames,
+    each state once, and grouping it by point gives ``point_states``; each
+    view is built once."""
     programs = 0
     for name, source in sorted(CORPUS.items()):
         program, ct, info = build(source)
         if program.main is None:
             continue
         programs += 1
-        recorded.clear()
         oracle = run_concrete(program, ct)
         records = oracle.records
-        assert [(nid, id(s)) for nid, s in records] == [(nid, id(s)) for nid, s in recorded], name
+        assert records is oracle.records, name
+        logged = [event for event in oracle.log if len(event) == 2]
+        assert [(nid, id(s.frame)) for nid, s in records] == [
+            (nid, id(frame)) for nid, frame in logged
+        ], name
         assert len({id(s) for _, s in records}) == len(records), name
         grouped = {}
         for nid, state in records:
             grouped.setdefault(nid, []).append(state)
+        assert oracle.point_states is oracle.point_states, name
         assert grouped.keys() == oracle.point_states.keys(), name
         for nid, states in grouped.items():
             assert [id(s) for s in states] == [id(s) for s in oracle.point_states[nid]], name
     assert programs > 20
 
 
-def test_snapshot_history_is_exact():
-    """Over every corpus program with a ``main``, each new snapshot names the
-    snapshot it was copied from and the addresses that changed in between:
-    an unchanged address shares its object with the parent, and a changed
-    one does not."""
+def test_the_log_is_exact():
+    """Over every corpus program with a ``main``, the log names each
+    allocation at the next fresh address with its class's fields at their
+    initial values, and each field write with the value the field held
+    before it; its edits, replayed, end at the run's final heap."""
     programs = 0
     for name, source in sorted(CORPUS.items()):
         program, ct, info = build(source)
@@ -676,14 +700,20 @@ def test_snapshot_history_is_exact():
             continue
         programs += 1
         oracle = run_concrete(program, ct)
-        heaps = {id(s.heap): s.heap for states in oracle.point_states.values() for s in states}
-        assert set(oracle.history) == {i for i, h in heaps.items() if h}, name
-        for snapshot, parent, changed in oracle.history.values():
-            assert set(parent) <= set(snapshot), name
-            assert changed and changed <= set(snapshot), name
-            for a, o in snapshot.items():
-                assert (o is parent.get(a)) == (a not in changed), name
-            assert id(parent) in oracle.history or parent == {}, name
+        heap = {}
+        for event in oracle.log:
+            if len(event) == 3:
+                a, classname, fields = event
+                assert a == len(heap) + 1, name
+                initial = tuple((f, 0 if t == "int" else None) for f, t in ct.fields_of(classname))
+                assert fields == initial, name
+                heap[a] = Obj(classname, dict(fields))
+            elif len(event) == 4:
+                a, f, old, new = event
+                assert heap[a].fields[f] == old, name
+                heap[a].fields[f] = new
+        assert heap == oracle.final.heap, name
+        assert len(heap) == oracle.allocations, name
     assert programs > 20
 
 
@@ -963,6 +993,85 @@ main {
 }
 """
 
+# Writes the replay must treat as no edit, or as half of one: a field
+# written with its own value, int fields, allocations never linked.
+QUIET_WRITES = """
+class N { N f; N g; int k; }
+main {
+  int i;
+  N a; N b; N c;
+  a := new N; b := new N;
+  a.f := b;
+  a.f := b;
+  b.g := a;
+  b.g := a;
+  a.k := 3;
+  c := new N;
+  c := new N;
+  i := 0;
+  while (i < 3) {
+    b.k := i;
+    c := a.f;
+    c.f := c;
+    c.f := c;
+    c.f := null;
+    c.f := null;
+    a.k := b.k + a.k;
+    i := i + 1;
+  }
+  a.f := null;
+}
+"""
+
+# Three fields, so a tracked universe of one leaves two on the stand-in
+# bit: both point at b from a, and cutting one must keep the edge.  Under
+# all fields the analysis misses a path of this program (see
+# ``test_a_write_closing_a_cycle_over_parallel_edges_is_sound``).
+STAND_IN = """
+class N { N f; N g; N h; }
+main {
+  N a; N b; N c;
+  a := new N; b := new N; c := new N;
+  a.f := b; a.g := b; a.h := b;
+  b.f := a;
+  a.f := null;
+  a.g := c;
+  c.h := a;
+  a.h := null;
+  a.g := null;
+  a.f := b;
+  b.f := null;
+}
+"""
+
+# Writes inside callees, to the receiver, to an argument and to a fresh
+# object, from several call sites.
+CALLEE_WRITES = """
+class N {
+  N f; N g;
+  N link(N o) {
+    N t;
+    t := new N;
+    this.f := o;
+    t.g := this;
+    o.g := t;
+    return t;
+  }
+  N cut() {
+    this.f := null;
+    return this;
+  }
+}
+main {
+  N a; N b; N c;
+  a := new N; b := new N;
+  c := a.link(b);
+  c := c.link(a);
+  b := a.cut();
+  c := b.link(c);
+}
+"""
+
 CHECK_CASES = {
     **{f"corpus/{name}": src for name, src in CORPUS.items()},
     "data/dll.lang": (DATA / "dll.lang").read_text(),
@@ -970,6 +1079,8 @@ CHECK_CASES = {
     **{f"dll@{n}": DLL_LOOP.replace("TRIPS", str(n)) for n in (1, 4, 9)},
     **{f"tree-loop@{n}": TREE_LOOP.replace("TRIPS", str(n)) for n in (1, 3, 5)},
     "wide7": WIDE7,
+    "quiet-writes": QUIET_WRITES,
+    "callee-writes": CALLEE_WRITES,
 }
 
 
@@ -996,7 +1107,7 @@ def check_case(name, tracked: bool, seed: int = 0):
     """The analysis and the run of one case, its universe all fields or,
     with ``tracked``, a seeded subset that leaves a stand-in bit, and the
     same analysis with thinned point values."""
-    program, ct, info = build(CHECK_CASES[name].lstrip("\n"))
+    program, ct, info = build({**CHECK_CASES, "stand-in": STAND_IN}[name].lstrip("\n"))
     rng = random.Random(f"{name}:{tracked}:{seed}")
     fields = sorted(ct.reference_fields)
     subset = rng.sample(fields, len(fields) // 2) if tracked else None
@@ -1016,6 +1127,28 @@ def test_check_equals_its_reference(name, tracked):
     assert report == reference_check(result, oracle)
     assert report.ok
     assert check_soundness(thin, oracle) == reference_check(thin, oracle)
+
+
+@pytest.mark.parametrize("tracked", [False, True], ids=["all", "tracked"])
+def test_check_equals_its_reference_over_parallel_edges(tracked):
+    """Two fields of one bit pointing from one object to another are one
+    edge twice over: cutting one of them removes no edge.  The check must
+    report what the reference reports, on the analysis's own values and on
+    thinned ones."""
+    result, thin, oracle = check_case("stand-in", tracked)
+    assert check_soundness(result, oracle) == reference_check(result, oracle)
+    assert check_soundness(thin, oracle) == reference_check(thin, oracle)
+
+
+@pytest.mark.xfail(strict=True, reason="the field-write transfer takes a closed cycle only once")
+def test_a_write_closing_a_cycle_over_parallel_edges_is_sound():
+    # after b.f := a, a walk from b to a may go round the new cycle once
+    # through g and once through h, realizing {f,g,h}; the transfer joins
+    # the new edge with each return path alone, so reach(b,a) misses it
+    src = "class N { N f; N g; N h; }\nmain { N a; N b; a := new N; b := new N; a.g := b; a.h := b; b.f := a; }\n"
+    program, ct, info = build(src)
+    result = analyze_program(program, ct, info)
+    assert check_soundness(result, run_concrete(program, ct)).ok
 
 
 def test_thinned_values_reach_every_part_of_the_report():
