@@ -103,7 +103,7 @@ def render_compare(result: AnalysisResult, ct: ClassTable, typeinfo: TypeInfo) -
 
 def render_sharing(program, analysis) -> str:
     """Per-line deep-sharing pairs of main in annotation style: ``DS(a,b), ...``."""
-    post = analysis.point_post["main"]
+    post = analysis.main.post
     lines = []
     for cmd in walk_commands(program.main.body):
         state = post.get(cmd.nid)

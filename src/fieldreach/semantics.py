@@ -7,7 +7,7 @@ through the path operators; a field update joins in the paths the new edge
 can create, including the cycle it may close; a call combines the callee
 summaries with purity- and deep-sharing-guarded repair of everything the
 callee might have rewired, reading the call effect and the callees'
-bindings the sharing analysis recorded at the call site.  Each transfer
+contexts the sharing analysis recorded at the call site.  Each transfer
 writes, by position in the value's flat list of tables, into one fresh
 copy of its input and computes only the terms whose operands are non-zero:
 ``concat`` and ``difference`` give the zero table when either operand is
@@ -17,17 +17,19 @@ Most entries are zero, since most paths and cycles are impossible.
 
 Method denotations map an abstract entry value over the inputs to an exit
 value over inputs plus the return value.  A ``Fixpoint`` worklist holds one
-per context (method, entry value, entry sharing state), joined under
+per context (the callee's sharing context, entry value), joined under
 per-entry widening; a context re-runs only when a denotation it read has
 grown, and the entry body only once no context is pending.  A new context
 is queued, not solved on the spot as in the sharing analysis: under
 widening the order of runs can change the result, and the entry runs are
-what the report counts.  Every run
-records its per-point values afresh, so once the table is stable the last
-run of the entry and of each context, which read only final denotations,
-holds them.  Inside a body, shadow copies of the parameters pin the
-structures the inputs pointed to on entry, so reassigning a parameter does
-not lose its summary rows.
+what the report counts.  A run walks a body together with the sharing
+analysis's last run of it (``_Ctx``), so a field read or a call reads the
+sharing state before it, and a call its record, by node id.  Every run
+records its per-point values afresh in its context's record, so once the
+denotations are stable the last run of the entry and of each context,
+which read only final denotations, holds them.  Inside a body, shadow
+copies of the parameters pin the structures the inputs pointed to on
+entry, so reassigning a parameter does not lose its summary rows.
 Loops iterate to a local fixpoint with per-entry widening to the tautology
 after a configurable number of changes.
 """
@@ -41,10 +43,10 @@ from typing import Iterable, Optional, Union
 
 from .classtable import ClassTable, MethodSig
 from .domain import RcValue, Scope
-from .fixpoint import Fixpoint
+from .fixpoint import Context, Fixpoint
 from .formula import MAX_FIELDS, FieldUniverse, Viability, concat, difference
 from .record import Record
-from .sharing import SharingAnalysis, SharingState
+from .sharing import SharingAnalysis, SharingState, _Body
 from .syntax import (
     Assign,
     BinOp,
@@ -125,7 +127,7 @@ class AnalysisResult(Record):
         self.loop_passes = loop_passes
         self.widenings = widenings
         self.via = via
-        self.sharing = sharing  # the deep-sharing tables the analysis read
+        self.sharing = sharing  # the deep-sharing analysis whose runs it read
         self.elapsed = elapsed
 
     def query_cycle(self, var: str, fields: Iterable[str], point: Optional[int] = None) -> bool:
@@ -186,16 +188,16 @@ class _Recorder(Record):
 
 
 class _Ctx(Record):
-    __slots__ = ("sp_ctx", "recorder", "trace_on")
+    __slots__ = ("sp_run", "recorder", "trace_on")
     _fields = __slots__
 
-    def __init__(self, sp_ctx: object, recorder: _Recorder, trace_on: bool = False):
-        self.sp_ctx = sp_ctx  # key into the sharing analysis point tables
+    def __init__(self, sp_run: _Body, recorder: _Recorder, trace_on: bool = False):
+        self.sp_run = sp_run  # the sharing analysis's last run of the body
         self.recorder = recorder
         self.trace_on = trace_on
 
     def with_trace(self, on: bool) -> "_Ctx":
-        return _Ctx(self.sp_ctx, self.recorder, on)
+        return _Ctx(self.sp_run, self.recorder, on)
 
 
 class Analyzer:
@@ -215,15 +217,16 @@ class Analyzer:
         self.universe = universe
         self.via = Viability(ct, universe)
         self.widening_k = widening_k
-        # context (method, entry value, entry sharing) -> method denotation
+        self.scopes = {sig.key: summary_scope(sig, typeinfo) for sig in ct.all_method_sigs()}
+        # (callee's sharing context, entry value key) -> method denotation,
+        # and the last run's recording; the input is (method, entry value,
+        # sharing context)
         self.memo = Fixpoint(
             self._run_method,
             self._widen_memo,
-            lambda inp: RcValue.bottom(universe, summary_scope(inp[0], typeinfo)),
+            lambda inp: RcValue.bottom(universe, self.scopes[inp[0].key]),
         )
-        self._memo_counters: dict[tuple, list[int]] = {}
-        # the last run's recording of each context; the entry's under None
-        self.recorders: dict[Optional[tuple], _Recorder] = {}
+        self.root: Optional[Context] = None  # the entry's input and last run
 
     # ------------------------------------------------------------------
     # helpers
@@ -263,7 +266,7 @@ class Analyzer:
     def _eval_field_read(self, e: FieldRead, I: RcValue, ctx: _Ctx) -> RcValue:
         if self.ct.field_type(e.fieldname) == INT_TYPE:
             return I
-        sp = self.sharing.state_before(ctx.sp_ctx, e.nid)
+        sp = ctx.sp_run.pre[e.nid]
         u = self.universe
         s = I.scope
         n, names = s.n, s.names
@@ -294,19 +297,19 @@ class Analyzer:
         return out._normalize_in_place()
 
     def _eval_call(self, e: MethodCall, I: RcValue, ctx: _Ctx) -> RcValue:
-        sp = self.sharing.state_before(ctx.sp_ctx, e.nid)
-        sp_after, impure, bindings = self.sharing.call_at(ctx.sp_ctx, e.nid)
+        sp = ctx.sp_run.pre[e.nid]
+        sp_after, impure, callees = ctx.sp_run.calls[e.nid]
         u = self.universe
         true = u.full_table
         s = I.scope
         n, nn, pos, names = s.n, s.nn, s.pos, s.names
         t = I.tables
         actuals = [e.receiver] + list(e.args)
-        callees = self.typeinfo.call_targets[e.nid]
 
         summary_back = RcValue.bottom(u, names)
-        for sig, (formal_to_actual, sp_entry) in zip(callees, bindings):
-            entry = RcValue.bottom(u, summary_scope(sig, self.typeinfo))
+        for formal_to_actual, sp_callee in callees:
+            sig = sp_callee.input[0]
+            entry = RcValue.bottom(u, self.scopes[sig.key])
             es, et = entry.scope, entry.tables
             # (formal position, actual position) for each reference formal
             fa = [(es.pos[f], pos[formal_to_actual[f]]) for f in sig.input_vars if f in es.pos]
@@ -314,7 +317,7 @@ class Analyzer:
                 for f2, a2 in fa:
                     et[f1 * es.n + f2] = t[a1 * n + a2]
                 et[es.nn + f1] = t[nn + a1]
-            output = self._denotation(sig, entry, sp_entry)
+            output = self._denotation(sig, entry, sp_callee)
             mapping = {**formal_to_actual, OUT_VAR: RESULT_VAR}
             summary_back = summary_back.join(output.remap(mapping, names))
         back = summary_back.tables
@@ -428,10 +431,15 @@ class Analyzer:
         v, r = s.pos[cmd.var], s.pos[RESULT_VAR]
         t = evaluated.tables
         fld = self._only([cmd.fieldname])
-        # the new edge alone, or the new edge plus the cycle it may close
+        # the new edge alone, or the new edge plus the cycle it may close,
+        # gone round any number of times: so the ways back are closed under
+        # union, which one model or an up-closed table already is
         mid, cyc_new = fld, t[nn + r]
         back_to_v = t[r * n + v]
         if back_to_v:
+            if back_to_v & (back_to_v - 1) and u.up(back_to_v) != back_to_v:
+                while (more := concat(u, back_to_v, back_to_v)) != back_to_v:
+                    back_to_v = more
             mid |= concat(u, fld, back_to_v)
             cyc_new |= concat(u, back_to_v, fld)
         # a new path runs from a variable that reaches v to one the written
@@ -487,35 +495,32 @@ class Analyzer:
     # ------------------------------------------------------------------
     # method denotations
 
-    def _denotation(self, sig: MethodSig, entry: RcValue, sp_entry: SharingState) -> RcValue:
-        return self.memo.lookup(
-            (sig.key, entry.key(), sp_entry), (sig, entry, sp_entry)
-        )
+    def _denotation(self, sig: MethodSig, entry: RcValue, sp_callee: Context) -> RcValue:
+        return self.memo.lookup((sp_callee, entry.key()), (sig, entry, sp_callee)).summary
 
-    def _widen_memo(self, key: tuple, old: RcValue, new: RcValue) -> RcValue:
-        counters = self._memo_counters.get(key)
-        if counters is None:
-            counters = self._memo_counters[key] = [0] * len(old.tables)
-        return self._widen_value(old, old.join(new), counters)
+    def _widen_memo(self, ctx: Context, new: RcValue) -> RcValue:
+        old = ctx.summary
+        if ctx.counters is None:
+            ctx.counters = [0] * len(old.tables)
+        return self._widen_value(old, old.join(new), ctx.counters)
 
-    def _run_method(self, key: Optional[tuple], inp: tuple, trace_on: bool = False) -> RcValue:
+    def _run_method(self, ctx: Context, trace_on: bool = False) -> RcValue:
         """One run of a method body from a context's input (method, entry
-        value, entry sharing), recorded under the context's key."""
-        sig, entry, sp_entry = inp
+        value, sharing context), recorded in the context's ``run``."""
+        sig, entry, sp_ctx = ctx.input
         env = self.typeinfo.env_for(sig.key)
         decl = self.ct.method_decl(sig)
-        scope = summary_scope(sig, self.typeinfo)
+        scope = self.scopes[sig.key]
         shadows = {w: shallow_name(w) for w in sig.param_names if env.type_of(w) != INT_TYPE}
         # inputs and locals, then ``out``, which the body does not declare
         body = (*env.ref_vars, *(v for v in scope if v not in env), *shadows.values(), RESULT_VAR)
         I0 = entry.remap({x: x for x in entry.scope.names}, body)
         for w, u in shadows.items():
             I0 = I0.copy_var(w, u)
-        recorder = self.recorders[key] = _Recorder()
-        ctx = _Ctx(self.sharing.ctx_key(sig, sp_entry), recorder, trace_on)
+        recorder = ctx.run = _Recorder()
         if trace_on:
             recorder.trace_line(decl.line, I0)
-        I1 = self.exec_body(decl.body, I0, ctx)
+        I1 = self.exec_body(decl.body, I0, _Ctx(sp_ctx.run, recorder, trace_on))
         # the summary speaks of the inputs' entry structures, which the
         # shadows pinned, of ``this`` and of the result
         outputs = {u: w for w, u in shadows.items()}
@@ -529,22 +534,24 @@ class Analyzer:
         self, entry: Union[str, MethodSig], start: RcValue, sp_start: SharingState
     ) -> tuple[RcValue, int]:
         """Solve the fixpoint from the entry; returns the entry's final value
-        and the number of entry runs.  ``recorders`` then holds the last
-        run of the entry and of every context."""
+        and the number of entry runs.  ``root`` and every context then hold
+        their last run."""
         if entry == "main":
             self.sharing.analyze_main(sp_start)
+            sp_ctx = None
         else:
             self.sharing.analyze_method_entry(entry, sp_start)
-        return self.memo.solve(lambda: self._run_entry(entry, start, sp_start))
+            sp_ctx = self.sharing.context(entry, sp_start)
+        self.root = Context((entry, start, sp_ctx), None)
+        return self.memo.solve(self._run_entry)
 
-    def _run_entry(
-        self, entry: Union[str, MethodSig], start: RcValue, sp_start: SharingState
-    ) -> RcValue:
+    def _run_entry(self) -> RcValue:
+        entry, start, _ = self.root.input
         if entry != "main":
-            return self._run_method(None, (entry, start, sp_start), trace_on=True)
-        recorder = self.recorders[None] = _Recorder()
+            return self._run_method(self.root, trace_on=True)
+        recorder = self.root.run = _Recorder()
         recorder.trace_line(self.program.main.line, start)
-        ctx = _Ctx("main", recorder, trace_on=True)
+        ctx = _Ctx(self.sharing.main, recorder, trace_on=True)
         return self.exec_body(self.program.main.body, start, ctx)
 
 
@@ -761,7 +768,8 @@ def analyze_program(
     analyzer = Analyzer(program, ct, typeinfo, sharing, universe, widening_k)
     final, rounds = analyzer.analyze(entry, start.normalize(), sp_start)
     # the entry's last run, then each context's, in the order the fixpoint met them
-    recordings = [analyzer.recorders[None]] + [analyzer.recorders[k] for k in analyzer.memo.inputs]
+    contexts = analyzer.memo.contexts
+    recordings = [analyzer.root.run] + [ctx.run for ctx in contexts.values()]
     merged = _Recorder()  # points join over the runs; a loop's last run counts
     for rec in recordings:
         for nid, value in rec.point_post.items():
@@ -769,8 +777,8 @@ def analyze_program(
         merged.loop_passes.update(rec.loop_passes)
         merged.widenings += rec.widenings
     denotations: dict[tuple[str, str], dict[tuple, RcValue]] = {}
-    for key, value in analyzer.memo.table.items():
-        denotations.setdefault(key[0], {})[key[1:]] = value
+    for (sp_ctx, entry_key), ctx in contexts.items():
+        denotations.setdefault(ctx.input[0].key, {})[(entry_key, sp_ctx.input[1])] = ctx.summary
     # ``final``, the trace and the points share value objects: each distinct
     # one is canonicalised once, keyed by identity while ``distinct`` holds it
     recorded = [final, *(r.value for r in recordings[0].trace), *merged.point_post.values()]

@@ -16,13 +16,14 @@ them.  Method summaries map an entry state over the formals to an exit state
 over formals plus the return value, with the set of possibly-impure argument
 positions (0 is the receiver).  A ``Fixpoint`` grows one summary per
 context (method, entry state) by union; a context re-runs only when a
-summary it read has grown.  A state is its own key, by value.  With no
-widening, any fair order of runs reaches the same least fixpoint, so the
-analysis solves a context where a call first meets it, at most
-``SOLVE_DEPTH`` runs deep (past that, contexts queue): a call then reads a
-final summary, and a program without recursion runs ``main`` and each
-context once, instead of running ``main`` again once its callees have
-grown from bottom.
+summary it read has grown.  The fixpoint finds a context by its key, the
+method and the state by value, once per call site and run; from then on the
+analyses hold its ``Context`` record.  With no widening, any fair order of
+runs reaches the same least fixpoint, so the analysis solves a context where
+a call first meets it, at most ``SOLVE_DEPTH`` runs deep (past that,
+contexts queue): a call then reads a final summary, and a program without
+recursion runs ``main`` and each context once, instead of running ``main``
+again once its callees have grown from bottom.
 
 A state holds each relation as one int: a symmetric n×n bit matrix over a
 name index, bit ``i * n + j`` relating names i and j.  ``SharingAnalysis``
@@ -33,26 +34,28 @@ per name, ``union`` is ``|``, a lookup is one shift, and ``clique``,
 ``copy_alias`` and ``relate`` OR in the rows and columns they touch.  A
 state built outside an analysis (the ``//@ init`` facts, a caller's entry
 state) carries a small index of its own; the analysis moves it onto its
-index where it enters, in ``analyze_main`` and in ``ctx_key``, so every
-context key, this analysis's and the reachability analysis's, holds the
-moved state.  ``sh`` and ``ds`` decode a state into pairs of names.
+index where it enters, in ``analyze_main`` and in ``context``, so every
+context holds the moved state.  ``sh`` and ``ds`` decode a state into pairs
+of names.
 
 Each run of a body, ``main`` or a context, walks it in one frame
 (``_Body``): the type environment, the shadows, the impure positions found
 so far and the point tables, which hold the states before and after each
-point and, per call site, the call effect and each callee's binding
-(``CallRecord``; the reachability analysis reads it with ``call_at``
-instead of computing it again).  ``main`` is the frame with no shadows.
-Each run's tables replace the context's, so they end with its last run,
-which read only final summaries.  ``return e`` runs as ``out := e``.
+point and, per call site, its ``CallRecord``: the call effect and each
+callee's formals and context.  ``main`` is the frame with no shadows.  A
+run's frame replaces the last one, as ``SharingAnalysis.main`` or as its
+context's ``run``, so each ends as the last run, which read only final
+summaries.  The reachability analysis walks a body together with its
+sharing frame and reads the state before a point and a call's record from
+it by node id.  ``return e`` runs as ``out := e``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .classtable import ClassTable, MethodSig
-from .fixpoint import Fixpoint
+from .fixpoint import Context, Fixpoint
 from .record import FrozenRecord, Record
 from .syntax import (
     Assign,
@@ -79,7 +82,6 @@ from .syntax import (
 from .typecheck import TypeEnv, TypeInfo
 
 Pair = tuple[str, str]
-CtxKey = Union[str, tuple[tuple[str, str], "SharingState"]]  # "main" or (method, entry state)
 
 
 # how deep the fixpoint solves a new context on the spot; past it, contexts
@@ -334,13 +336,14 @@ class SharingSummary(FrozenRecord):
 
 
 class CallRecord(NamedTuple):
-    """What a call site did in a run: the callees' summary pairs over the
-    caller's names and the impure positions (``call_effect``), and per
-    callee, in ``call_targets`` order, its ``binding``."""
+    """What a call site did (``call_effect``): the callees' summary pairs
+    over the caller's names and the impure positions, and per callee, in
+    ``call_targets`` order, its formals mapped to the actuals and its
+    context."""
 
     after: SharingState
     impure: frozenset[int]
-    bindings: list[tuple[dict[str, str], SharingState]]
+    callees: list[tuple[dict[str, str], Context]]
 
 
 class _Body(Record):
@@ -348,8 +351,8 @@ class _Body(Record):
     that pin the reference arguments' entry structures (position -> shadow
     name), the positions an update has reached so far, and the point tables
     the run records: the states before and after each point, and per call
-    site its effect and each callee's binding (``CallRecord``).  ``main``
-    has no shadows, so nothing marks it impure."""
+    site its ``CallRecord``.  ``main`` has no shadows, so nothing marks it
+    impure."""
 
     __slots__ = ("env", "shadows", "impure", "pre", "post", "calls")
     _fields = __slots__
@@ -394,18 +397,14 @@ class SharingAnalysis:
         self.none = SharingState.empty([*names, RESULT_VAR, OUT_VAR])
         self.index = self.none.index
         self.res_bit = self.index.mask([RESULT_VAR])
-        # context (method, entry state) -> sharing summary
+        # context (method, entry state) -> sharing summary, and its last run
         self.memo = Fixpoint(
             self._compute_summary,
-            lambda key, old, new: old.union(new),
+            lambda ctx, new: ctx.summary.union(new),
             lambda inp: SharingSummary(self.none, frozenset()),
             SOLVE_DEPTH,
         )
-        # per context: the sharing state before/after each point in its last
-        # run, and what each call site did
-        self.point_pre: dict[CtxKey, dict[int, SharingState]] = {}
-        self.point_post: dict[CtxKey, dict[int, SharingState]] = {}
-        self.point_calls: dict[CtxKey, dict[int, CallRecord]] = {}
+        self.main: Optional[_Body] = None  # the last run of ``main``
 
     # -- public drivers
 
@@ -414,50 +413,34 @@ class SharingAnalysis:
             raise ValueError("program has no main block")
         entry = self.none if entry_state is None else entry_state.over(self.index)
         env, body = self.typeinfo.env_for("main"), self.program.main.body
-        return self.memo.solve(
-            lambda: self._exec_body(body, entry, self._start("main", _Body(env)))
-        )[0]
+
+        def run() -> SharingState:
+            self.main = _Body(env)
+            return self._exec_body(body, entry, self.main)
+
+        return self.memo.solve(run)[0]
 
     def analyze_method_entry(self, sig: MethodSig, entry_state: SharingState) -> SharingSummary:
-        return self.memo.solve(lambda: self.summary(sig, entry_state))[0]
+        return self.memo.solve(lambda: self.context(sig, entry_state).summary)[0]
 
-    def summary(self, sig: MethodSig, entry_state: SharingState) -> SharingSummary:
-        """Memoized method denotation; grows until the fixpoint is solved."""
-        key = self.ctx_key(sig, entry_state)
-        return self.memo.lookup(key, (sig, key[1]))
-
-    def ctx_key(self, sig: MethodSig, entry_state: SharingState) -> CtxKey:
-        """The context of a method entered in a state; a state from outside
-        the analysis is moved onto its index here, so both analyses key the
-        entry's tables by the moved state."""
-        return (sig.key, entry_state.over(self.index))
-
-    def state_before(self, ctx: CtxKey, nid: int) -> SharingState:
-        return self.point_pre[ctx][nid]  # a miss raises: empty would be unsound
-
-    def call_at(self, ctx: CtxKey, nid: int) -> CallRecord:
-        """The effect of a call site and the binding of each of its callees
-        in the context's last run, as ``call_effect`` and ``binding`` give
-        them for ``state_before(ctx, nid)``."""
-        return self.point_calls[ctx][nid]
+    def context(self, sig: MethodSig, entry_state: SharingState) -> Context:
+        """A method entered in a state: its context, whose summary grows
+        until the fixpoint is solved.  A state from outside the analysis is
+        moved onto its index here, so the context holds the moved state."""
+        state = entry_state.over(self.index)
+        return self.memo.lookup((sig.key, state), (sig, state))
 
     # -- summary computation
 
-    def _start(self, ctx: CtxKey, frame: _Body) -> _Body:
-        """Begin a run of a context: its frame's tables replace the last run's."""
-        self.point_pre[ctx], self.point_post[ctx] = frame.pre, frame.post
-        self.point_calls[ctx] = frame.calls
-        return frame
-
-    def _compute_summary(self, ctx: CtxKey, inp: tuple) -> SharingSummary:
-        sig, entry_state = inp
+    def _compute_summary(self, ctx: Context) -> SharingSummary:
+        sig, entry_state = ctx.input
         env = self.typeinfo.env_for(sig.key)
         st, shadows = entry_state, {}
         for i, name in enumerate(sig.input_vars):
             if env.type_of(name) != INT_TYPE:
                 shadows[i] = shallow_name(name)
                 st = st.copy_alias(name, shadows[i])
-        frame = self._start(ctx, _Body(env, shadows))
+        frame = ctx.run = _Body(env, shadows)
         exit_state = self._exec_body(self.ct.method_decl(sig).body, st, frame)
         keep = {sh_name: sig.input_vars[i] for i, sh_name in shadows.items()}
         keep[OUT_VAR] = OUT_VAR
@@ -530,48 +513,29 @@ class SharingAnalysis:
             return self._eval_call(e, st, frame)
         raise TypeError(f"unsupported expression {e!r}")
 
-    @staticmethod
-    def binding(
-        e: MethodCall, sig: MethodSig, st: SharingState
-    ) -> tuple[dict[str, str], SharingState]:
-        """The formals of one callee of a call site mapped to its actuals,
-        and the state the callee is entered in: the pairs among the actuals
-        in the call site's state ``st``, renamed to the formals.  The
-        reachability analysis reads the callee's point tables by this state,
-        so both analyses take it from here."""
-        formal_to_actual = dict(zip(sig.input_vars, [e.receiver, *e.args]))
-        return formal_to_actual, st.remap_from(formal_to_actual)
-
-    def call_effect(
-        self, e: MethodCall, st: SharingState, bindings: Optional[list] = None
-    ) -> tuple[SharingState, frozenset[int]]:
-        """Summary pairs renamed to caller names (result under the internal
-        result variable) plus the combined impure positions, for one call
-        site entered in the given state.  ``bindings``, when given, is the
-        ``binding`` of each callee in ``call_targets`` order."""
-        callees = self.typeinfo.call_targets[e.nid]
-        if bindings is None:
-            bindings = [self.binding(e, sig, st) for sig in callees]
-        renamed, impure = self.none, frozenset()
-        for sig, (formal_to_actual, callee_in) in zip(callees, bindings):
-            summ = self.summary(sig, callee_in)
+    def call_effect(self, e: MethodCall, st: SharingState) -> CallRecord:
+        """One call site entered in the state ``st``: the summary pairs
+        renamed to caller names (the result under the internal result
+        variable), the combined impure positions, and per callee its
+        formals mapped to the actuals and its context, the callee entered
+        in the pairs among the actuals in ``st``, renamed to the formals."""
+        actuals = [e.receiver, *e.args]
+        renamed, impure, callees = self.none, frozenset(), []
+        for sig in self.typeinfo.call_targets[e.nid]:
+            formal_to_actual = dict(zip(sig.input_vars, actuals))
+            callee = self.context(sig, st.remap_from(formal_to_actual))
+            summ = callee.summary
             impure |= summ.impure
             mapping = {**formal_to_actual, OUT_VAR: RESULT_VAR}
             renamed = renamed.union(summ.exit_state.remap_to(mapping))
-        return renamed, impure
-
-    def _call(self, e: MethodCall, st: SharingState, frame: _Body) -> tuple:
-        """``call_effect`` at a call site, recorded in the frame with the
-        bindings it read.  The last visit's record stands: the states a run
-        meets at a point only grow, so its last one is the point's join."""
-        bindings = [self.binding(e, sig, st) for sig in self.typeinfo.call_targets[e.nid]]
-        effect = self.call_effect(e, st, bindings)
-        frame.calls[e.nid] = CallRecord(*effect, bindings)
-        return effect
+            callees.append((formal_to_actual, callee))
+        return CallRecord(renamed, impure, callees)
 
     def _eval_call(self, e: MethodCall, st: SharingState, frame: _Body) -> SharingState:
         actuals = [e.receiver, *e.args]
-        renamed, impure = self._call(e, st, frame)
+        # the last visit's record stands: the states a run meets at a point
+        # only grow, so its last one is the point's join
+        renamed, impure, _ = frame.calls[e.nid] = self.call_effect(e, st)
         # an impure callee argument may update structures shared with the
         # enclosing method's own entry arguments
         for i in impure:

@@ -680,3 +680,11 @@ def call_chain(k: int) -> str:
         f"class C {{\n  C f;\n{methods}  C m{k - 1}(C a) {{\n    return a;\n  }}\n}}\n"
         "main {\n  C c;\n  C x;\n  c := new C;\n  x := c.m0(c);\n}\n"
     )
+
+
+def parallel_edges(k: int) -> str:
+    """``a`` points at ``b`` through k fields, then ``b.f := a`` closes a
+    cycle over each of them."""
+    fields = " ".join(f"N g{i};" for i in range(k))
+    writes = " ".join(f"a.g{i} := b;" for i in range(k))
+    return f"class N {{ N f; {fields} }}\nmain {{ N a; N b; a := new N; b := new N; {writes} b.f := a; }}\n"

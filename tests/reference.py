@@ -320,14 +320,14 @@ class DenseAnalyzer(Analyzer):
     """The analysis with the field read, field write and call transfers that
     compute every entry, zero operands included, by name into a value that
     is joined onto the input, and with the call effect and the callees'
-    bindings computed afresh at each call.  The package skips the terms
+    contexts computed afresh at each call.  The package skips the terms
     with a zero operand, works by position and reads the call records of
     the sharing analysis."""
 
     def _eval_field_read(self, e: FieldRead, I: RcValue, ctx: _Ctx) -> RcValue:
         if self.ct.field_type(e.fieldname) == INT_TYPE:
             return I
-        sp = self.sharing.state_before(ctx.sp_ctx, e.nid)
+        sp = ctx.sp_run.pre[e.nid]
         u = self.universe
         v = e.var
         fld = self._only([e.fieldname])
@@ -351,18 +351,18 @@ class DenseAnalyzer(Analyzer):
         return I.join(extra).normalize()
 
     def _eval_call(self, e: MethodCall, I: RcValue, ctx: _Ctx) -> RcValue:
-        sp = self.sharing.state_before(ctx.sp_ctx, e.nid)
+        sp = ctx.sp_run.pre[e.nid]
         u = self.universe
         true = u.full_table
         reach, cyc = I.reach, I.cyc
         actuals = [e.receiver] + list(e.args)
         ref_actual = [a for a in actuals if a in cyc]
         callees = self.typeinfo.call_targets[e.nid]
+        sp_after, impure, bound = self.sharing.call_effect(e, sp)
 
         summary_back = RcValue.bottom(u, cyc)
-        for sig in callees:
+        for sig, (formal_to_actual, sp_callee) in zip(callees, bound):
             scope = summary_scope(sig, self.typeinfo)
-            formal_to_actual, sp_entry = self.sharing.binding(e, sig, sp)
             formals = [f for f in sig.input_vars if f in scope]
             entry = RcValue.of(
                 u,
@@ -374,12 +374,10 @@ class DenseAnalyzer(Analyzer):
                 },
                 {f: cyc[formal_to_actual[f]] for f in formals},
             )
-            output = self._denotation(sig, entry, sp_entry)
+            output = self._denotation(sig, entry, sp_callee)
             mapping = {**formal_to_actual, OUT_VAR: RESULT_VAR}
             summary_back = summary_back.join(output.remap(mapping, cyc))
         back = summary_back.reach
-
-        sp_after, impure = self.sharing.call_effect(e, sp)
 
         # paths the callee may have created between caller variables: for an
         # impure argument, pre-call reachability into it, the callee-computed
@@ -465,15 +463,20 @@ class DenseAnalyzer(Analyzer):
         v = cmd.var
         reach = evaluated.reach
         fld = self._only([cmd.fieldname])
+        # the ways back to v, closed under union: a walk may go round the
+        # closed cycle any number of times
+        back = reach[(RESULT_VAR, v)]
+        while (more := concat(u, back, back)) != back:
+            back = more
         # the new edge alone, or the new edge plus the cycle it may close
-        mid = fld | concat(u, fld, reach[(RESULT_VAR, v)])
+        mid = fld | concat(u, fld, back)
         refs = list(I.cyc)
         extra_reach = {}
         for w1 in refs:
             head = concat(u, reach[(w1, v)], mid)
             for w2 in refs:
                 extra_reach[(w1, w2)] = concat(u, head, reach[(RESULT_VAR, w2)])
-        cyc_new = concat(u, reach[(RESULT_VAR, v)], fld) | evaluated.cyc[RESULT_VAR]
+        cyc_new = concat(u, back, fld) | evaluated.cyc[RESULT_VAR]
         extra_cyc = {w: cyc_new for w in refs if reach[(w, v)]}
         extra = RcValue.of(u, refs, extra_reach, extra_cyc)
         return evaluated.join(extra).project([RESULT_VAR]).normalize()
@@ -810,12 +813,16 @@ class PairSharingAnalysis(SharingAnalysis):
     def analyze_main(self, entry_state=None):
         entry = self.none if entry_state is None else as_pairs(entry_state)
         env, body = self.typeinfo.env_for("main"), self.program.main.body
-        return self.memo.solve(
-            lambda: self._exec_body(body, entry, self._start("main", _Body(env)))
-        )[0]
 
-    def ctx_key(self, sig, entry_state):
-        return (sig.key, as_pairs(entry_state))
+        def run():
+            self.main = _Body(env)
+            return self._exec_body(body, entry, self.main)
+
+        return self.memo.solve(run)[0]
+
+    def context(self, sig, entry_state):
+        state = as_pairs(entry_state)
+        return self.memo.lookup((sig.key, state), (sig, state))
 
     def _exec(self, cmd: Command, st: PairSharingState, frame: _Body) -> PairSharingState:
         frame.record(frame.pre, cmd.nid, st)
@@ -877,7 +884,7 @@ class PairSharingAnalysis(SharingAnalysis):
 
     def _eval_call(self, e: MethodCall, st: PairSharingState, frame: _Body) -> PairSharingState:
         actuals = [e.receiver, *e.args]
-        renamed, impure = self._call(e, st, frame)
+        renamed, impure, _ = frame.calls[e.nid] = self.call_effect(e, st)
         # an impure callee argument may update structures shared with the
         # enclosing method's own entry arguments
         for i in impure:

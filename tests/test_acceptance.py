@@ -266,7 +266,7 @@ def test_dll_deep_sharing_annotations():
         program, ct, info = build(load("tests/data/dll.lang"))
         analysis = SharingAnalysis(program, ct, info)
         analysis.analyze_main()
-        post = analysis.point_post["main"]
+        post = analysis.main.post
         by_line = {
             cmd.line: post[cmd.nid].ds
             for cmd in walk_commands(program.main.body)

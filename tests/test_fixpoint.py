@@ -15,20 +15,25 @@ def toy_engine(limits, reads, log, depth=0):
     summaries, one more for itself, capped at limits[n]."""
     engine = None
 
-    def compute(key, n):
+    def compute(ctx):
+        n = ctx.input
         log.append(n)
-        seen = [engine.lookup(m, m) + (m == n) for m in reads.get(n, ())]
+        seen = [engine.lookup(m, m).summary + (m == n) for m in reads.get(n, ())]
         return min(limits[n], max(seen, default=0))
 
-    engine = Fixpoint(compute, lambda key, old, new: max(old, new), lambda n: 0, depth)
+    engine = Fixpoint(compute, lambda ctx, new: max(ctx.summary, new), lambda n: 0, depth)
     return engine
+
+
+def summaries(engine):
+    return {key: ctx.summary for key, ctx in engine.contexts.items()}
 
 
 def test_contexts_rerun_only_when_a_read_summary_grows():
     log = []
     engine = toy_engine({0: 9, 1: 3, 2: 0}, {0: [1, 2], 1: [1]}, log)
     engine.solve(lambda: engine.lookup(0, 0))
-    assert engine.table == {0: 3, 1: 3, 2: 0}
+    assert summaries(engine) == {0: 3, 1: 3, 2: 0}
     assert log.count(2) == 1  # its summary never changed
     assert log.count(1) == 4  # three steps up, one to see it is stable
     assert log.count(0) <= 4  # once, then at most once per change of 1
@@ -45,7 +50,7 @@ def test_root_runs_again_only_once_no_context_is_pending():
 def test_lookup_of_an_unknown_context_after_solve_raises():
     engine = toy_engine({0: 1}, {0: [0]}, [])
     engine.solve(lambda: engine.lookup(0, 0))
-    assert engine.lookup(0, 0) == 1
+    assert engine.lookup(0, 0).summary == 1
     with pytest.raises(LookupError):
         engine.lookup(7, 7)
 
@@ -55,18 +60,18 @@ def test_sharing_state_before_an_unknown_point_raises():
     analysis = SharingAnalysis(program, ct, info)
     analysis.analyze_main()
     nid = program.main.body[0].nid
-    assert analysis.state_before("main", nid).sh == frozenset()
+    assert analysis.main.pre[nid].sh == frozenset()
     with pytest.raises(LookupError):
-        analysis.state_before("main", nid + 100)
+        analysis.main.pre[nid + 100]
     with pytest.raises(LookupError):
-        analysis.state_before(("K", "absent"), nid)
+        analysis.memo.lookup(("K", "absent"), None)
 
 
 def toy_solve(limits, reads):
     """The table the queue alone reaches."""
     engine = toy_engine(limits, reads, [])
     engine.solve(lambda: engine.lookup(0, 0))
-    return engine.table
+    return summaries(engine)
 
 
 def test_a_context_solved_on_the_spot_is_final_when_its_reader_gets_it():
@@ -80,13 +85,13 @@ def test_a_context_solved_on_the_spot_is_final_when_its_reader_gets_it():
         engine = toy_engine(limits, tree, log, depth)
         _, roots = engine.solve(lambda: engine.lookup(0, 0))
         assert sorted(log) == [0, 1, 2, 3, 4] and roots == 1
-        assert engine.table == toy_solve(limits, tree)
+        assert summaries(engine) == toy_solve(limits, tree)
     cycle = {0: [1], 1: [2], 2: [0, 2]}
     limits = {0: 5, 1: 7, 2: 3}
     for depth in (1, 2, 24):
         engine = toy_engine(limits, cycle, [], depth)
         engine.solve(lambda: engine.lookup(0, 0))
-        assert engine.table == toy_solve(limits, cycle)
+        assert summaries(engine) == toy_solve(limits, cycle)
 
 
 def test_runs_nest_no_deeper_than_the_bound():
@@ -99,17 +104,17 @@ def test_runs_nest_no_deeper_than_the_bound():
         engine = toy_engine(limits, chain, [], depth)
         compute = engine._compute
 
-        def nested(key, n):
+        def nested(ctx):
             nesting[0] += 1
             deepest[0] = max(deepest[0], nesting[0])
-            out = compute(key, n)
+            out = compute(ctx)
             nesting[0] -= 1
             return out
 
         engine._compute = nested
         engine.solve(lambda: engine.lookup(0, 0))
         assert deepest[0] == max(depth, 1)
-        assert engine.table == toy_solve(limits, chain)
+        assert summaries(engine) == toy_solve(limits, chain)
 
 
 def corpus_jobs():
@@ -181,10 +186,10 @@ def test_corpus_reruns_stay_near_one_per_context(monkeypatch):
         result = analyze_program(program, ct, info, entry=entry_name)
         sharing = result.sharing.memo
         if not calls_itself(ct, info):
-            plain += bool(sharing.table)
+            plain += bool(sharing.contexts)
             assert entry_runs[sharing] == 1, name
-            assert runs["sharing"] - before == len(sharing.table), name
-        contexts["sharing"] += len(sharing.table)
+            assert runs["sharing"] - before == len(sharing.contexts), name
+        contexts["sharing"] += len(sharing.contexts)
         # a method entry is a context of its own, run by the root
         contexts["semantics"] += sum(len(d) for d in result.denotations.values())
         contexts["semantics"] += entry_name != "main"
@@ -237,16 +242,16 @@ def test_each_context_keeps_what_a_replay_would_record(monkeypatch):
     final, a fresh run records the same point values, loop passes and
     widenings (and, for the entry, the same trace)."""
     solved = []
-    runs = {}  # context key -> the recordings its runs left, in order
+    runs = {}  # context -> the recordings its runs left, in order
     analyze, run_method = Analyzer.analyze, Analyzer._run_method
 
     def keep_analyzer(self, entry, start, sp_start):
-        solved.append((self, entry, start, sp_start))
+        solved.append(self)
         return analyze(self, entry, start, sp_start)
 
-    def log_run(self, key, inp, trace_on=False):
-        out = run_method(self, key, inp, trace_on)
-        runs.setdefault(key, []).append(self.recorders[key])
+    def log_run(self, ctx, trace_on=False):
+        out = run_method(self, ctx, trace_on)
+        runs.setdefault(ctx, []).append(ctx.run)
         return out
 
     monkeypatch.setattr(Analyzer, "analyze", keep_analyzer)
@@ -259,18 +264,17 @@ def test_each_context_keeps_what_a_replay_would_record(monkeypatch):
         runs.clear()
         program, ct, info = build(src)
         analyze_program(program, ct, info, entry=entry_name, widening_k=k)
-        analyzer, entry, start, sp_start = solved.pop()
+        analyzer = solved.pop()
         reran_differently += any(
-            recs[0] != recs[-1] for key, recs in runs.items() if key is not None
+            recs[0] != recs[-1] for ctx, recs in runs.items() if ctx is not analyzer.root
         )
-        kept = dict(analyzer.recorders)
-        for key, inp in analyzer.memo.inputs.items():
-            del analyzer.recorders[key]
-            analyzer._run_method(key, inp)
-            assert analyzer.recorders[key] == kept[key], (name, key)
-            widened_in_a_context += kept[key].widenings > 0
-        del analyzer.recorders[None]
-        analyzer._run_entry(entry, start, sp_start)
-        assert analyzer.recorders[None] == kept[None], name
-        assert kept[None].trace, name
+        for key, ctx in analyzer.memo.contexts.items():
+            kept = ctx.run
+            analyzer._run_method(ctx)
+            assert ctx.run == kept and ctx.run is not kept, (name, key)
+            widened_in_a_context += kept.widenings > 0
+        kept = analyzer.root.run
+        analyzer._run_entry()
+        assert analyzer.root.run == kept and analyzer.root.run is not kept, name
+        assert kept.trace, name
     assert reran_differently > 0 and widened_in_a_context > 0

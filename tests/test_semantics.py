@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fieldreach import (
     FieldUniverse,
@@ -579,7 +579,7 @@ def test_field_update_transfer_monotone():
     env = info.env_for("main")
     update_cmd = program.main.body[-1]
     scope = env.ref_vars + (RESULT_VAR,)
-    ctx = _Ctx("main", _Recorder())
+    ctx = _Ctx(sharing.main, _Recorder())
     rng = random.Random(7)
     masks = list(range(1 << universe.size))[:4]  # keep enumeration small
 
@@ -610,7 +610,7 @@ def test_field_read_transfer_monotone():
     env = info.env_for("main")
     read_cmd = program.main.body[-1]
     scope = env.ref_vars + (RESULT_VAR,)
-    ctx = _Ctx("main", _Recorder())
+    ctx = _Ctx(sharing.main, _Recorder())
     rng = random.Random(13)
     masks = list(range(1 << universe.size))[:4]
 
@@ -727,6 +727,40 @@ def _random_init_lines(rng, fields, scope):
         else:
             lines.append(f"//@ init ds({a},{b})")
     return lines
+
+
+CORPUS_METHODS = [
+    (name, sig.key) for name, src in sorted(CORPUS.items()) for sig in build(src)[1].all_method_sigs()
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_denotation_is_monotone_in_its_entry(data):
+    """A whole method denotation is monotone in its entry value: from
+    entries e1 <= e2 over a corpus method's inputs, without widening, the
+    result from e1 is below the one from e2 in ``final`` and at every point
+    both reach."""
+    name, key = data.draw(st.sampled_from(CORPUS_METHODS))
+    program, ct, info = build(CORPUS[name])
+    sig = next(sig for sig in ct.all_method_sigs() if sig.key == key)
+    universe, _, scope = entry_scope(program, ct, info, entry=sig)
+    table = st.integers(0, universe.full_table)
+
+    def entry():
+        value = RcValue.bottom(universe, scope)
+        value.tables[:] = data.draw(st.lists(table, min_size=len(value.tables), max_size=len(value.tables)))
+        return value.normalize()
+
+    e1 = entry()
+    e2 = e1.join(entry())
+    small, big = (
+        analyze_program(program, ct, info, entry=sig, init_rc=e, widening_k=None) for e in (e1, e2)
+    )
+    assert small.final.leq(big.final)
+    for nid, value in small.point_post.items():
+        if nid in big.point_post:
+            assert value.leq(big.point_post[nid]), (name, key, nid)
 
 
 def test_sparse_transfers_equal_the_dense_reference(monkeypatch):

@@ -22,7 +22,7 @@ def per_line_ds(source: str) -> dict[int, frozenset]:
     analysis.analyze_main()
     out: dict[int, frozenset] = {}
     for cmd in walk_commands(program.main.body):
-        post = analysis.point_post.get("main", {}).get(cmd.nid)
+        post = analysis.main.post.get(cmd.nid)
         if post is not None:
             out[cmd.line] = post.ds
     return out
@@ -132,8 +132,7 @@ def test_ds_grows_along_loop():
     analysis = SharingAnalysis(program, ct, info)
     analysis.analyze_main()
     loop = program.main.body[2]
-    pre = analysis.point_pre["main"]
-    post = analysis.point_post["main"]
+    pre, post = analysis.main.pre, analysis.main.post
     head = pre[loop.body[0].nid]
     for inner in (pre[loop.nid], post[loop.body[-1].nid]):
         assert inner.sh <= head.sh and inner.ds <= head.ds
@@ -301,8 +300,7 @@ def test_pure_arguments_never_updated_dynamically():
         tracer.run_main()
         for nid, updated in tracer.updated.items():
             node = call_nodes[nid]
-            sp = analysis.state_before("main", nid)
-            _, flags = analysis.call_effect(node, sp)
+            flags = analysis.call_effect(node, analysis.main.pre[nid]).impure
             assert updated <= set(flags), (name, nid, updated, flags)
 
 
@@ -401,10 +399,11 @@ def test_states_from_outside_move_onto_the_analysis_index():
     sig = ct.all_method_sigs()[0]
     outside = SharingState.empty().add_sh([("this", "this")])
     assert outside.index is not analysis.index
-    key = analysis.ctx_key(sig, outside)
-    assert key[1].index is analysis.index and same(key[1], as_pairs(outside))
     analysis.analyze_method_entry(sig, outside)
-    assert list(analysis.memo.table)[0] == key
+    key, ctx = next(iter(analysis.memo.contexts.items()))
+    state = ctx.input[1]
+    assert key == (sig.key, state) and state.index is analysis.index
+    assert same(state, as_pairs(outside))
 
 
 def test_sharing_tables_equal_the_pair_set_reference(monkeypatch):
@@ -418,27 +417,17 @@ def test_sharing_tables_equal_the_pair_set_reference(monkeypatch):
             m.setattr(fieldreach.semantics, "SharingAnalysis", analysis)
             r = analyze_program(*built, entry=entry)
 
-        def key(ctx):
-            return ctx if ctx == "main" else (ctx[0], ctx[1].sh, ctx[1].ds)
-
-        def tables(points):
-            return {
-                key(ctx): {nid: (s.sh, s.ds) for nid, s in table.items()}
-                for ctx, table in points.items()
-            }
+        def tables(run):
+            return [{nid: (s.sh, s.ds) for nid, s in table.items()} for table in (run.pre, run.post)]
 
         sharing = r.sharing
-        summaries = {
-            key(ctx): (summ.exit_state.sh, summ.exit_state.ds, summ.impure)
-            for ctx, summ in sharing.memo.table.items()
-        }
-        return (
-            tables(sharing.point_pre),
-            tables(sharing.point_post),
-            summaries,
-            r.final,
-            r.point_post,
-        )
+        runs = {"main": tables(sharing.main)} if sharing.main is not None else {}
+        summaries = {}
+        for (method, state), ctx in sharing.memo.contexts.items():
+            key = (method, state.sh, state.ds)
+            runs[key] = tables(ctx.run)
+            summaries[key] = (ctx.summary.exit_state.sh, ctx.summary.exit_state.ds, ctx.summary.impure)
+        return runs, summaries, r.final, r.point_post
 
     rng = random.Random(24)
     data = [(DATA / name).read_text() for name in ("dll.lang", "tree.lang", "tree_main.lang")]
@@ -476,11 +465,10 @@ def _call_nodes(program, ct) -> dict:
 
 
 def test_recorded_call_effects_equal_fresh_ones():
-    """The walk records, per context and call site, the call effect and
-    each callee's binding, which the reachability analysis reads: at every
-    call site of the corpus, the data files and the tree join, they equal
-    ``call_effect`` and ``binding`` computed afresh from the state before
-    the site."""
+    """The walk records, per run and call site, the call effect and each
+    callee's formals and context, which the reachability analysis reads: at
+    every call site of the corpus, the data files and the tree join, they
+    equal ``call_effect`` computed afresh from the state before the site."""
     cases = [(src, "main") for _, src in sorted(CORPUS.items())]
     cases += [((DATA / name).read_text(), "main") for name in ("dll.lang", "tree_main.lang")]
     cases.append(((DATA / "tree.lang").read_text(), "join"))
@@ -491,14 +479,14 @@ def test_recorded_call_effects_equal_fresh_ones():
             continue
         nodes = _call_nodes(program, ct)
         sharing = analyze_program(program, ct, info, entry=entry).sharing
-        assert sharing.point_calls.keys() == sharing.point_pre.keys()
-        for ctx, calls in sharing.point_calls.items():
-            visited = {nid for nid in sharing.point_pre[ctx] if nid in nodes}
-            assert calls.keys() == visited
-            for nid, record in calls.items():
-                e, st = nodes[nid], sharing.state_before(ctx, nid)
-                assert (record.after, record.impure) == sharing.call_effect(e, st)
-                callees = info.call_targets[nid]
-                assert record.bindings == [sharing.binding(e, sig, st) for sig in callees]
+        runs = [ctx.run for ctx in sharing.memo.contexts.values()]
+        runs += [sharing.main] if entry == "main" else []
+        for run in runs:
+            visited = {nid for nid in run.pre if nid in nodes}
+            assert run.calls.keys() == visited
+            for nid, record in run.calls.items():
+                fresh = sharing.call_effect(nodes[nid], run.pre[nid])
+                assert record == fresh
+                assert tuple(ctx.input[0] for _, ctx in record.callees) == info.call_targets[nid]
                 sites += 1
     assert sites >= 20

@@ -63,7 +63,7 @@ def test_corpus_deep_sharing_covered(analyzed, name):
     program, ct, info, result, oracle = analyzed[name]
     sharing = SharingAnalysis(program, ct, info)
     sharing.analyze_main()
-    main_post = sharing.point_post.get("main", {})
+    main_post = sharing.main.post
     for cmd in walk_commands(program.main.body):
         states = oracle.point_states.get(cmd.nid)
         post = main_post.get(cmd.nid)
