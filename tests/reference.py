@@ -464,7 +464,8 @@ class DenseAnalyzer(Analyzer):
         reach = evaluated.reach
         fld = self._only([cmd.fieldname])
         # the ways back to v, closed under union: a walk may go round the
-        # closed cycle any number of times
+        # closed cycle any number of times (no shortcut for a table that is
+        # closed already, as the package takes)
         back = reach[(RESULT_VAR, v)]
         while (more := concat(u, back, back)) != back:
             back = more
