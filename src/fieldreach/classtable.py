@@ -11,18 +11,14 @@ from __future__ import annotations
 from typing import Optional
 
 from .record import FrozenRecord
-from .syntax import ClassDecl, Command, INT_TYPE, MethodDecl, Program
+from .syntax import ClassDecl, Command, INT_TYPE, MethodDecl, Program, SourceError
 
 # the stand-in that field abstraction puts in place of the untracked fields
 ANY_FIELD = "any"
 
 
-class ClassTableError(Exception):
-    def __init__(self, message: str, line: int = 0, col: int = 0):
-        super().__init__(f"{line}:{col}: {message}" if line else message)
-        self.message = message
-        self.line = line
-        self.col = col
+class ClassTableError(SourceError):
+    pass
 
 
 class MethodSig(FrozenRecord):

@@ -12,7 +12,7 @@ import re
 import sys
 from typing import Optional, TextIO
 
-from .classtable import ClassTableError, build_class_table
+from .classtable import build_class_table
 from .oracle import (
     BudgetExceeded,
     NullDereference,
@@ -20,11 +20,12 @@ from .oracle import (
     check_soundness,
     run_concrete,
 )
-from .parser import ParseError, parse_program
+from .parser import parse_program
 from .render import json_parts, render_compare, render_final, render_sharing, render_table
 from .semantics import AnalysisError, analyze_program
 from .semantics import parse_init_annotations  # noqa: F401  (importable from here too)
-from .typecheck import TypeCheckError, type_check
+from .syntax import SourceError
+from .typecheck import type_check
 
 USAGE_ERROR = 2
 ANALYSIS_ERROR = 1
@@ -142,7 +143,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         result = analyze_program(
             program, ct, typeinfo, tracked=tracked, entry=args.entry, widening_k=args.widening
         )
-    except (ParseError, ClassTableError, TypeCheckError, AnalysisError) as exc:
+    except SourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ANALYSIS_ERROR
 
@@ -166,11 +167,10 @@ def run(argv: Optional[list[str]] = None) -> int:
             print(f"error: concrete execution failed: {exc}", file=sys.stderr)
             return ANALYSIS_ERROR
         except BudgetExceeded as exc:
-            print(
-                f"error: concrete execution failed: {exc} "
-                "(--heap-budget bounds the steps and the recorded cells)",
-                file=sys.stderr,
-            )
+            hint = ""
+            if exc.budget is not None:  # the call depth and the stack are fixed
+                hint = " (--heap-budget bounds the steps and the recorded cells)"
+            print(f"error: concrete execution failed: {exc}{hint}", file=sys.stderr)
             return ANALYSIS_ERROR
         oracle_report = check_soundness(result, oracle)
         if not oracle_report.ok:

@@ -234,12 +234,7 @@ def difference(universe: FieldUniverse, a: int, b: int) -> int:
 
 
 class PathFormula(FrozenRecord):
-    __slots__ = ("universe", "table")
-    _fields = __slots__
-
-    def __init__(self, universe: FieldUniverse, table: int):
-        self.universe = universe
-        self.table = table  # bit m is set when mask m is a model
+    __slots__ = ("universe", "table")  # table: bit m is set when mask m is a model
 
     # -- constructors
 

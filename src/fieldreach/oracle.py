@@ -111,19 +111,10 @@ def _wrap(n: int) -> int:
 
 class Obj(Record):
     __slots__ = ("classname", "fields")
-    _fields = __slots__
-
-    def __init__(self, classname: str, fields: dict[str, "Val"]):
-        self.classname = classname
-        self.fields = fields
 
 
 class Loc(FrozenRecord):
     __slots__ = ("addr",)
-    _fields = __slots__
-
-    def __init__(self, addr: int):
-        self.addr = addr
 
 
 Val = Union[int, Loc, None]
@@ -135,11 +126,6 @@ class ConcreteState(Record):
     snapshots, so none of them must be changed."""
 
     __slots__ = ("frame", "heap")
-    _fields = __slots__
-
-    def __init__(self, frame: dict[str, Val], heap: dict[int, Obj]):
-        self.frame = frame
-        self.heap = heap
 
 
 class NullDereference(Exception):
@@ -149,7 +135,12 @@ class NullDereference(Exception):
 
 
 class BudgetExceeded(Exception):
-    pass
+    """The run was cut short.  ``budget`` is the step and cell budget it was
+    given when that ran out, and None when calls or blocks nested too deep."""
+
+    def __init__(self, message: str, budget: Optional[int] = None):
+        super().__init__(message)
+        self.budget = budget
 
 
 # one entry of a run's log: an allocation (address, class, its fields with
@@ -165,12 +156,6 @@ class OracleResult(Record):
 
     __slots__ = ("log", "final", "steps", "allocations", "records", "point_states")
     _fields = ("log", "final", "steps", "allocations")
-
-    def __init__(self, log: list[Event], final: ConcreteState, steps: int, allocations: int):
-        self.log = log
-        self.final = final
-        self.steps = steps
-        self.allocations = allocations
 
     def __getattr__(self, name: str):  # called only for an attribute not set yet
         if name not in ("records", "point_states"):
@@ -247,7 +232,7 @@ class _Interp:
     def _tick(self) -> None:
         self.steps += 1
         if self.steps > self.budget:
-            raise BudgetExceeded(f"step budget {self.budget} exceeded")
+            raise BudgetExceeded(f"step budget {self.budget} exceeded", self.budget)
 
     def exec_body(self, body: list[Command], frame: dict[str, Val]) -> None:
         for cmd in body:
@@ -290,7 +275,9 @@ class _Interp:
         # exhausts the budget
         self.cells = self.slots + len(self.log) + 1
         if self.cells > self.budget:
-            raise BudgetExceeded(f"recorded states exceed the budget of {self.budget} cells")
+            raise BudgetExceeded(
+                f"recorded states exceed the budget of {self.budget} cells", self.budget
+            )
         if copy is None:
             copy = self.frames[-1] = dict(frame)
         self.log.append((cmd.nid, copy))
@@ -622,17 +609,7 @@ def alpha_state(state: ConcreteState, universe: FieldUniverse, variables: Iterab
 
 
 class Violation(Record):
-    __slots__ = ("nid", "kind", "subject", "witness", "state_index")
-    _fields = __slots__
-
-    def __init__(
-        self, nid: int, kind: str, subject: tuple, witness: tuple[str, ...], state_index: int
-    ):
-        self.nid = nid
-        self.kind = kind  # 'reach' | 'cyc'
-        self.subject = subject
-        self.witness = witness
-        self.state_index = state_index
+    __slots__ = ("nid", "kind", "subject", "witness", "state_index")  # kind: 'reach' | 'cyc'
 
     def __str__(self) -> str:
         # the witness's fields in universe order, in query syntax
@@ -646,19 +623,6 @@ class Violation(Record):
 
 class SoundnessReport(Record):
     __slots__ = ("violations", "points_checked", "states_checked", "missing_points")
-    _fields = __slots__
-
-    def __init__(
-        self,
-        violations: list[Violation],
-        points_checked: int,
-        states_checked: int,
-        missing_points: list[int],
-    ):
-        self.violations = violations
-        self.points_checked = points_checked
-        self.states_checked = states_checked
-        self.missing_points = missing_points
 
     @property
     def ok(self) -> bool:

@@ -71,6 +71,7 @@ from .syntax import (
     Program,
     Return,
     Skip,
+    SourceError,
     VarRef,
     While,
     walk_exprs,
@@ -82,12 +83,8 @@ from .syntax import (
 MAX_NESTING = 100
 
 
-class ParseError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col
+class ParseError(SourceError):
+    pass
 
 
 KEYWORDS = {

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import cached_property
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Optional
+
+try:  # the function ``json.encoder`` uses, without loading the ``json`` package
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 from .classtable import ClassTable
 from .compare import alpha_class_pairs, alpha_monotone, alpha_nofields, alpha_q, alpha_scapin

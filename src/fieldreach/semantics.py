@@ -62,6 +62,7 @@ from .syntax import (
     Program,
     Return,
     Skip,
+    SourceError,
     VarRef,
     While,
     INT_TYPE,
@@ -74,61 +75,25 @@ from .typecheck import TypeInfo
 EntryKey = Union[str, tuple[str, str]]  # "main" or a method key
 
 
-class AnalysisError(Exception):
+class AnalysisError(SourceError):
     pass
 
 
 class TraceRow(Record):
     __slots__ = ("line", "visit", "value")
-    _fields = __slots__
-
-    def __init__(self, line: int, visit: int, value: RcValue):
-        self.line = line
-        self.visit = visit
-        self.value = value
 
 
 class AnalysisResult(Record):
     """The outcome of one analysis.  ``final``, ``trace`` and ``point_post``
     hold canonical values (``RcValue.canonical``): every entry is already its
     own ``drop_nonviable``, so readers show and query it as it is.  They
-    share value objects, and each distinct object is canonicalised once."""
+    share value objects, and each distinct object is canonicalised once.
+    ``sharing`` is the deep-sharing analysis whose runs it read."""
 
     __slots__ = (
         "universe", "entry", "display_vars", "final", "trace", "point_post", "denotations",
         "rounds", "loop_passes", "widenings", "via", "sharing", "elapsed",
     )
-    _fields = __slots__
-
-    def __init__(
-        self,
-        universe: FieldUniverse,
-        entry: EntryKey,
-        display_vars: tuple[str, ...],
-        final: RcValue,
-        trace: list[TraceRow],
-        point_post: dict[int, RcValue],
-        denotations: dict[tuple[str, str], dict[tuple, RcValue]],
-        rounds: int,
-        loop_passes: dict[int, int],
-        widenings: int,
-        via: Viability,
-        sharing: SharingAnalysis,
-        elapsed: float,
-    ):
-        self.universe = universe
-        self.entry = entry
-        self.display_vars = display_vars
-        self.final = final
-        self.trace = trace
-        self.point_post = point_post
-        self.denotations = denotations
-        self.rounds = rounds
-        self.loop_passes = loop_passes
-        self.widenings = widenings
-        self.via = via
-        self.sharing = sharing  # the deep-sharing analysis whose runs it read
-        self.elapsed = elapsed
 
     def query_cycle(self, var: str, fields: Iterable[str], point: Optional[int] = None) -> bool:
         """May a cycle traversing exactly these fields be reachable from the
@@ -161,7 +126,6 @@ class _Recorder(Record):
     """What one run of the entry or of a context saw."""
 
     __slots__ = ("trace", "visits", "point_post", "loop_passes", "widenings")
-    _fields = __slots__
 
     def __init__(
         self,
@@ -189,7 +153,6 @@ class _Recorder(Record):
 
 class _Ctx(Record):
     __slots__ = ("sp_run", "recorder", "trace_on")
-    _fields = __slots__
 
     def __init__(self, sp_run: _Body, recorder: _Recorder, trace_on: bool = False):
         self.sp_run = sp_run  # the sharing analysis's last run of the body
@@ -712,7 +675,7 @@ def parse_init_annotations(
         for v in ann.variables:
             if v not in ref_vars:
                 raise AnalysisError(
-                    f"{ann.line}:{ann.col}: annotation names unknown reference variable {v!r}"
+                    f"annotation names unknown reference variable {v!r}", ann.line, ann.col
                 )
         mentioned.update(ann.variables)
         if ann.kind == "ds":
@@ -725,7 +688,7 @@ def parse_init_annotations(
             for f in model:
                 if f not in declared:
                     raise AnalysisError(
-                        f"{ann.line}:{ann.col}: annotation names unknown field {f!r}"
+                        f"annotation names unknown field {f!r}", ann.line, ann.col
                     )
             table |= 1 << universe.abstract_mask(model)
         if ann.kind == "reach":

@@ -320,14 +320,12 @@ class SharingState:
 
 
 class SharingSummary(FrozenRecord):
-    """Effect of a method on its inputs' entry structures plus the result."""
+    """Effect of a method on its inputs' entry structures plus the result:
+    ``exit_state`` has pairs over the formal names ('this', params) and
+    'out', and ``impure`` the argument positions possibly updated, 0 being
+    the receiver."""
 
     __slots__ = ("exit_state", "impure")
-    _fields = __slots__
-
-    def __init__(self, exit_state: SharingState, impure: frozenset[int]):
-        self.exit_state = exit_state  # pairs over formal names ('this', params) and 'out'
-        self.impure = impure  # argument positions possibly updated; 0 = receiver
 
     def union(self, other: "SharingSummary") -> "SharingSummary":
         return SharingSummary(
@@ -355,7 +353,6 @@ class _Body(Record):
     impure."""
 
     __slots__ = ("env", "shadows", "impure", "pre", "post", "calls")
-    _fields = __slots__
 
     def __init__(
         self,

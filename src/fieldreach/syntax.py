@@ -11,7 +11,7 @@ and positions.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from .record import Record
 
@@ -26,6 +26,17 @@ OUT_VAR = "out"
 RESULT_VAR = "%res"
 
 
+class SourceError(Exception):
+    """An error at a source position: the message reads ``line:col:
+    message`` when the position is known, line 0 meaning it is not."""
+
+    def __init__(self, message: str, line: int = 0, col: int = 0):
+        super().__init__(f"{line}:{col}: {message}" if line else message)
+        self.message = message
+        self.line = line
+        self.col = col
+
+
 def shallow_name(param: str) -> str:
     """Name of the analysis-internal copy that pins a parameter's entry value."""
     return f"%in_{param}"
@@ -33,12 +44,6 @@ def shallow_name(param: str) -> str:
 
 class Node(Record):
     __slots__ = ("nid", "line", "col")
-    _fields = ("nid", "line", "col")
-
-    def __init__(self, nid: int, line: int, col: int):
-        self.nid = nid
-        self.line = line
-        self.col = col
 
 
 # --------------------------------------------------------------------------
@@ -51,13 +56,6 @@ class Expr(Node):
 
 class IntLit(Expr):
     __slots__ = ("value",)
-    _fields = ("nid", "line", "col", "value")
-
-    def __init__(self, nid: int, line: int, col: int, value: int):
-        self.nid = nid
-        self.line = line
-        self.col = col
-        self.value = value
 
 
 class NullLit(Expr):
@@ -66,79 +64,28 @@ class NullLit(Expr):
 
 class VarRef(Expr):
     __slots__ = ("name",)
-    _fields = ("nid", "line", "col", "name")
-
-    def __init__(self, nid: int, line: int, col: int, name: str):
-        self.nid = nid
-        self.line = line
-        self.col = col
-        self.name = name
 
 
 class FieldRead(Expr):
     __slots__ = ("var", "fieldname")
-    _fields = ("nid", "line", "col", "var", "fieldname")
-
-    def __init__(self, nid: int, line: int, col: int, var: str, fieldname: str):
-        self.nid = nid
-        self.line = line
-        self.col = col
-        self.var = var
-        self.fieldname = fieldname
 
 
 class BinOp(Expr):
-    __slots__ = ("op", "left", "right")
-    _fields = ("nid", "line", "col", "op", "left", "right")
-
-    def __init__(self, nid: int, line: int, col: int, op: str, left: Expr, right: Expr):
-        self.nid = nid
-        self.line = line
-        self.col = col
-        self.op = op  # one of + - *
-        self.left = left
-        self.right = right
+    __slots__ = ("op", "left", "right")  # op: one of + - *
 
 
 class NewObject(Expr):
     __slots__ = ("classname",)
-    _fields = ("nid", "line", "col", "classname")
-
-    def __init__(self, nid: int, line: int, col: int, classname: str):
-        self.nid = nid
-        self.line = line
-        self.col = col
-        self.classname = classname
 
 
 class MethodCall(Expr):
     __slots__ = ("receiver", "method", "args")
-    _fields = ("nid", "line", "col", "receiver", "method", "args")
-
-    def __init__(
-        self, nid: int, line: int, col: int, receiver: str, method: str, args: list[str]
-    ):
-        self.nid = nid
-        self.line = line
-        self.col = col
-        self.receiver = receiver
-        self.method = method
-        self.args = args
 
 
 class Comparison(Node):
     """Guard of an if/while: a side-effect-free comparison."""
 
-    __slots__ = ("op", "left", "right")
-    _fields = ("nid", "line", "col", "op", "left", "right")
-
-    def __init__(self, nid: int, line: int, col: int, op: str, left: Expr, right: Expr):
-        self.nid = nid
-        self.line = line
-        self.col = col
-        self.op = op  # == != < <= > >=
-        self.left = left
-        self.right = right
+    __slots__ = ("op", "left", "right")  # op: == != < <= > >=
 
 
 # --------------------------------------------------------------------------
@@ -155,74 +102,27 @@ class Skip(Command):
 
 class Assign(Command):
     __slots__ = ("var", "expr")
-    _fields = ("nid", "line", "col", "var", "expr")
-
-    def __init__(self, nid: int, line: int, col: int, var: str, expr: Expr):
-        self.nid = nid
-        self.line = line
-        self.col = col
-        self.var = var
-        self.expr = expr
 
 
 class FieldWrite(Command):
     __slots__ = ("var", "fieldname", "expr")
-    _fields = ("nid", "line", "col", "var", "fieldname", "expr")
-
-    def __init__(self, nid: int, line: int, col: int, var: str, fieldname: str, expr: Expr):
-        self.nid = nid
-        self.line = line
-        self.col = col
-        self.var = var
-        self.fieldname = fieldname
-        self.expr = expr
 
 
 class If(Command):
-    __slots__ = ("guard", "then_body", "else_body")
-    _fields = ("nid", "line", "col", "guard", "then_body", "else_body")
+    """``else_body`` is empty when there is no else branch."""
 
-    def __init__(
-        self,
-        nid: int,
-        line: int,
-        col: int,
-        guard: Comparison,
-        then_body: list[Command],
-        else_body: list[Command],
-    ):
-        self.nid = nid
-        self.line = line
-        self.col = col
-        self.guard = guard
-        self.then_body = then_body
-        self.else_body = else_body  # empty list when no else branch
+    __slots__ = ("guard", "then_body", "else_body")
 
 
 class While(Command):
     __slots__ = ("guard", "body")
-    _fields = ("nid", "line", "col", "guard", "body")
-
-    def __init__(self, nid: int, line: int, col: int, guard: Comparison, body: list[Command]):
-        self.nid = nid
-        self.line = line
-        self.col = col
-        self.guard = guard
-        self.body = body
 
 
 class Return(Command):
     """``return e``: the walkers run it as ``out := e``."""
 
     __slots__ = ("expr",)
-    _fields = ("nid", "line", "col", "expr")
     var = OUT_VAR
-
-    def __init__(self, nid: int, line: int, col: int, expr: Expr):
-        self.nid = nid
-        self.line = line
-        self.col = col
-        self.expr = expr
 
 
 # --------------------------------------------------------------------------
@@ -230,107 +130,38 @@ class Return(Command):
 
 
 class MethodDecl(Record):
-    __slots__ = ("name", "return_type", "params", "locals", "body", "line", "col", "decl_at")
-    _fields = __slots__
+    """``params`` and ``locals`` are (type, name) pairs, in declaration
+    order; ``decl_at`` is the (line, column) of each parameter's name, then
+    of each local's."""
 
-    def __init__(
-        self,
-        name: str,
-        return_type: str,
-        params: list[tuple[str, str]],
-        locals: list[tuple[str, str]],
-        body: list[Command],
-        line: int,
-        col: int,
-        decl_at: list[tuple[int, int]],
-    ):
-        self.name = name
-        self.return_type = return_type
-        self.params = params  # (type, name)
-        self.locals = locals  # (type, name), declaration order
-        self.body = body
-        self.line = line
-        self.col = col
-        # (line, column) of each parameter's name, then of each local's
-        self.decl_at = decl_at
+    __slots__ = ("name", "return_type", "params", "locals", "body", "line", "col", "decl_at")
 
 
 class ClassDecl(Record):
-    __slots__ = ("name", "parent", "fields", "methods", "line", "col", "name_at")
-    _fields = __slots__
+    """``fields`` are (name, declared type) pairs and ``name_at`` is the
+    (line, column) of the class name; ``parent`` is None for a root."""
 
-    def __init__(
-        self,
-        name: str,
-        parent: Optional[str],
-        fields: list[tuple[str, str]],
-        methods: list[MethodDecl],
-        line: int,
-        col: int,
-        name_at: tuple[int, int],
-    ):
-        self.name = name
-        self.parent = parent
-        self.fields = fields  # (name, declared type)
-        self.methods = methods
-        self.line = line
-        self.col = col
-        self.name_at = name_at  # (line, column) of the class name
+    __slots__ = ("name", "parent", "fields", "methods", "line", "col", "name_at")
 
 
 class MainBlock(Record):
-    __slots__ = ("locals", "body", "line", "col", "decl_at")
-    _fields = __slots__
+    """``decl_at`` is the (line, column) of each local's name."""
 
-    def __init__(
-        self,
-        locals: list[tuple[str, str]],
-        body: list[Command],
-        line: int,
-        col: int,
-        decl_at: list[tuple[int, int]],
-    ):
-        self.locals = locals
-        self.body = body
-        self.line = line
-        self.col = col
-        self.decl_at = decl_at  # (line, column) of each local's name
+    __slots__ = ("locals", "body", "line", "col", "decl_at")
 
 
 class InitAnnotation(Record):
-    """A ``//@ init`` line; resolved against the entry scope later."""
+    """A ``//@ init`` line; resolved against the entry scope later.  ``kind``
+    is reach, cyc or ds, ``models`` is None for ds, and the position is that
+    of the ``//@``."""
 
     __slots__ = ("kind", "variables", "models", "line", "col")
-    _fields = __slots__
-
-    def __init__(
-        self,
-        kind: str,
-        variables: tuple[str, ...],
-        models: Optional[list[list[str]]],
-        line: int,
-        col: int,
-    ):
-        self.kind = kind  # reach | cyc | ds
-        self.variables = variables
-        self.models = models  # None for ds
-        self.line = line
-        self.col = col  # of the ``//@``
 
 
 class Program(Record):
-    __slots__ = ("classes", "main", "annotations")
-    _fields = __slots__
+    """``main`` is None for a program without a main block."""
 
-    def __init__(
-        self,
-        classes: list[ClassDecl],
-        main: Optional[MainBlock],
-        annotations: list[InitAnnotation],
-    ):
-        self.classes = classes
-        self.main = main
-        self.annotations = annotations
+    __slots__ = ("classes", "main", "annotations")
 
 
 # --------------------------------------------------------------------------

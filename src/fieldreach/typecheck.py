@@ -30,6 +30,7 @@ from .syntax import (
     Program,
     Return,
     Skip,
+    SourceError,
     VarRef,
     While,
     INT_TYPE,
@@ -41,12 +42,8 @@ NULL_TYPE = "<null>"
 BodyKey = Union[str, tuple[str, str]]  # "main" or (owner, method)
 
 
-class TypeCheckError(Exception):
-    def __init__(self, message: str, line: int = 0, col: int = 0):
-        super().__init__(f"{line}:{col}: {message}" if line else message)
-        self.message = message
-        self.line = line
-        self.col = col
+class TypeCheckError(SourceError):
+    pass
 
 
 class TypeEnv(FrozenRecord):
@@ -72,7 +69,6 @@ class TypeEnv(FrozenRecord):
 
 class TypeInfo(Record):
     __slots__ = ("envs", "call_targets")
-    _fields = __slots__
 
     def __init__(
         self,

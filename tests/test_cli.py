@@ -8,7 +8,9 @@ import sys
 import pytest
 
 import fieldreach
+from fieldreach import analyze_program, build_class_table, parse_program, type_check
 from fieldreach.cli import parse_query, run
+from fieldreach.syntax import SourceError
 
 from corpus import call_chain
 
@@ -25,18 +27,20 @@ TREE_MAIN = "tests/data/tree_main.lang"
 
 
 def test_the_command_line_loads_no_dataclasses():
-    """The package's records are plain classes: a fresh interpreter that
-    imports the command line never loads ``dataclasses``."""
+    """The package's records are plain classes, and the JSON report takes
+    its string encoder from ``_json``: a fresh interpreter that imports the
+    command line never loads ``dataclasses`` or the ``json`` package."""
     src = str(pathlib.Path(fieldreach.__file__).parent.parent)
     probe = (
-        "import sys; loaded = 'dataclasses' in sys.modules; sys.path.insert(0, sys.argv[1]); "
-        "import fieldreach.cli; print(loaded, 'dataclasses' in sys.modules)"
+        "import sys; names = ('dataclasses', 'json'); "
+        "loaded = [n in sys.modules for n in names]; sys.path.insert(0, sys.argv[1]); "
+        "import fieldreach.cli; print(loaded, [n in sys.modules for n in names])"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe, src], capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False False\n"
+    assert done.stdout == "[False, False] [False, False]\n"
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -220,21 +224,35 @@ def test_annotation_unknown_variable(tmp_path, capsys):
     assert err == "error: 1:1: annotation names unknown reference variable 'ghost'\n"
 
 
-@pytest.mark.parametrize(
-    "before, annotation, message",
-    [
-        ("  ", "reach(a,b): [[g]]", "annotation names unknown field 'g'"),
-        ("  ", "cyc(ghost): [[]]", "annotation names unknown reference variable 'ghost'"),
-        ("\t", "reach(a): [[f]]", "reach annotation needs two variables"),
-        ("  ", "reach(a,b): [[f] junk]", "annotation models must be a [[...],...] list"),
-        ("class B { B g; } ", "ds(a,b):", "ds annotation takes no model list"),
-    ],
-)
+ANNOTATION_ERRORS = [
+    ("  ", "reach(a,b): [[g]]", "annotation names unknown field 'g'"),
+    ("  ", "cyc(ghost): [[]]", "annotation names unknown reference variable 'ghost'"),
+    ("\t", "reach(a): [[f]]", "reach annotation needs two variables"),
+    ("  ", "reach(a,b): [[f] junk]", "annotation models must be a [[...],...] list"),
+    ("class B { B g; } ", "ds(a,b):", "ds annotation takes no model list"),
+]
+
+
+def _annotated(before, annotation):
+    return f"class A {{ A f; }}\n{before}//@ init {annotation}\nmain {{ A a; A b; skip; }}\n"
+
+
+@pytest.mark.parametrize("before, annotation, message", ANNOTATION_ERRORS)
 def test_annotation_errors_point_at_the_annotation(tmp_path, capsys, before, annotation, message):
-    source = f"class A {{ A f; }}\n{before}//@ init {annotation}\nmain {{ A a; A b; skip; }}\n"
-    code, out, err = _run_source(tmp_path, capsys, source)
+    code, out, err = _run_source(tmp_path, capsys, _annotated(before, annotation))
     assert code == 1
     assert err == f"error: 2:{len(before) + 1}: {message}\n"
+
+
+@pytest.mark.parametrize("before, annotation, message", ANNOTATION_ERRORS)
+def test_annotation_errors_keep_message_and_position_apart(before, annotation, message):
+    """The parser's and the analysis's errors share one base, which takes
+    the message and the position and writes ``line:col: message``."""
+    with pytest.raises(SourceError) as err:
+        program = parse_program(_annotated(before, annotation))
+        ct = build_class_table(program)
+        analyze_program(program, ct, type_check(program, ct))
+    assert (err.value.message, err.value.line, err.value.col) == (message, 2, len(before) + 1)
 
 
 def test_dump_sharing(capsys):
@@ -384,7 +402,8 @@ def test_unbounded_recursion_under_the_oracle_fails_cleanly(tmp_path, capsys):
     )
     code, out, err = _run_source(tmp_path, capsys, source, "--oracle-check")
     assert code == 1
-    assert "concrete execution failed" in err and "call depth" in err
+    # --heap-budget bounds the steps and the cells, not the call depth
+    assert err == "error: concrete execution failed: call depth budget 100 exceeded at line 1\n"
 
 
 _ELAPSED = re.compile(r'\n *"elapsed_ms": [^\n]*')

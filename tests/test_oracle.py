@@ -148,6 +148,7 @@ main {
     with pytest.raises(BudgetExceeded) as err:
         run(src.replace("DEPTH", str(MAX_CALL_DEPTH)))
     assert str(err.value) == f"call depth budget {MAX_CALL_DEPTH} exceeded at line 7"
+    assert err.value.budget is None
 
 
 def test_recursion_deeper_than_the_stack_is_a_budget_error():
@@ -164,6 +165,7 @@ def test_recursion_deeper_than_the_stack_is_a_budget_error():
     with pytest.raises(BudgetExceeded) as err:
         run(src)
     assert str(err.value) == "execution nests deeper than the interpreter's stack"
+    assert err.value.budget is None
 
 
 def test_arithmetic_wraps():
@@ -249,9 +251,11 @@ def test_budget_messages():
     with pytest.raises(BudgetExceeded) as err:
         run_concrete(program, ct, budget=20_000)
     assert str(err.value) == "recorded states exceed the budget of 20000 cells"
+    assert err.value.budget == 20_000
     with pytest.raises(BudgetExceeded) as err:
         run_concrete(program, ct, budget=20_000, record=False)
     assert str(err.value) == "step budget 20000 exceeded"
+    assert err.value.budget == 20_000
     # the steps run out on the last tick of a loop trip too
     program, ct, _ = build("main { int i; while (i == 0) { skip; } }")
     for budget in (1, 2, 3, 4):

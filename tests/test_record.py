@@ -1,10 +1,14 @@
-"""The package's record classes: each names its fields in constructor
-order, compares and shows itself by them, starts each default container
-afresh, and hashes by its fields only when it is treated as immutable."""
+"""The package's record classes: each names its own fields once, in
+``__slots__``, and takes its inherited and own fields in constructor order
+from a constructor ``Record`` builds unless it writes one; it compares and
+shows itself by them, starts each default container afresh, and hashes by
+its fields only when it is treated as immutable."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+import textwrap
 
 import pytest
 
@@ -27,6 +31,12 @@ RECORDS = sorted(
     key=lambda cls: (cls.__module__, cls.__qualname__),
 )
 FROZEN = {"FieldUniverse", "PathFormula", "Loc", "MethodSig", "TypeEnv", "SharingSummary"}
+# their slots hold derived or lazy values, or they have no slots
+DECLARED_FIELDS = {"FieldUniverse", "MethodSig", "OracleResult", "TypeEnv"}
+# constructors that compute something or have defaults
+WRITTEN_INIT = {
+    "FieldUniverse", "MethodSig", "TypeEnv", "TypeInfo", "_Recorder", "_Ctx", "_Body",
+}
 
 
 def test_every_record_class_is_found():
@@ -84,3 +94,45 @@ def test_default_containers_are_fresh(cls):
             assert value == getattr(second, name) and value is not getattr(second, name)
             fresh += 1
     assert fresh or cls.__name__ == "_Ctx"  # its one default is a flag
+
+
+def _generated(cls) -> bool:
+    return cls.__init__.__code__.co_filename == "<string>"
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_fields_are_the_inherited_ones_then_the_own_slots(cls):
+    if cls.__name__ in DECLARED_FIELDS:
+        assert "_fields" in vars(cls)
+    else:
+        inherited = cls.__mro__[1]._fields
+        assert cls._fields == inherited + tuple(vars(cls)["__slots__"])
+    assert _generated(cls) == (cls.__name__ not in WRITTEN_INIT)
+
+
+@pytest.mark.parametrize(
+    "cls", [cls for cls in RECORDS if _generated(cls)], ids=lambda cls: cls.__name__
+)
+def test_a_generated_constructor(cls):
+    owner = next(c for c in cls.__mro__ if "__init__" in vars(c))
+    assert (owner is cls) == bool(vars(cls)["__slots__"])  # one adding no fields inherits
+    init = cls.__init__
+    assert (init.__qualname__, init.__module__) == (f"{owner.__qualname__}.__init__", cls.__module__)
+    values = {name: _value("k", name) for name in cls._fields}
+    assert cls(**values) == _sample(cls, "k")
+    with pytest.raises(TypeError, match=rf"^{owner.__qualname__}\.__init__\(\) missing 1"):
+        cls(*list(values.values())[:-1])
+    with pytest.raises(TypeError, match=rf"^{owner.__qualname__}\.__init__\(\) takes"):
+        cls(*values.values(), "extra")
+    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+        cls(**values, extra=1)
+
+
+@pytest.mark.parametrize(
+    "cls", [cls for cls in RECORDS if not _generated(cls)], ids=lambda cls: cls.__name__
+)
+def test_a_written_constructor_does_more_than_store_its_parameters(cls):
+    """Plain stores in ``_fields`` order are what ``Record`` builds."""
+    (init,) = ast.parse(textwrap.dedent(inspect.getsource(cls.__init__))).body
+    plain = [ast.unparse(s) for s in init.body] == [f"self.{f} = {f}" for f in cls._fields]
+    assert not plain or _defaults(cls)
