@@ -161,18 +161,23 @@ def run(argv: Optional[list[str]] = None) -> int:
 
     oracle_report = None
     if args.oracle_check:
+        budget_hint = " (--heap-budget bounds the steps and the recorded cells)"
         try:
-            oracle = run_concrete(program, ct, budget=args.heap_budget)
+            oracle_report = check_soundness(
+                result, run_concrete(program, ct, budget=args.heap_budget)
+            )
         except NullDereference as exc:
             print(f"error: concrete execution failed: {exc}", file=sys.stderr)
             return ANALYSIS_ERROR
         except BudgetExceeded as exc:
-            hint = ""
-            if exc.budget is not None:  # the call depth and the stack are fixed
-                hint = " (--heap-budget bounds the steps and the recorded cells)"
+            # the call depth and the stack are fixed, so only a step or cell
+            # budget gets the hint
+            hint = "" if exc.budget is None else budget_hint
             print(f"error: concrete execution failed: {exc}{hint}", file=sys.stderr)
             return ANALYSIS_ERROR
-        oracle_report = check_soundness(result, oracle)
+        except MemoryError:
+            print(f"error: the concrete run does not fit in memory{budget_hint}", file=sys.stderr)
+            return ANALYSIS_ERROR
         if not oracle_report.ok:
             exit_code = ANALYSIS_ERROR
 

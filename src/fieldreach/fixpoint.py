@@ -13,22 +13,22 @@ number of entry runs.  After ``solve`` every context's last run read only
 final summaries, so a lookup of a context the fixpoint never met is an
 error, not a silent bottom.
 
-Two policies decide when a new context runs.  With ``depth`` 0 it is
-queued: the run that met it goes on with its bottom summary and runs again
-once the context has grown.  With ``depth`` d > 0 it is solved on the spot,
-the top-down fixpoint of Le Charlier and Van Hentenryck (TOPLAS 1992): the
+Two policies decide when a new context runs.  By default it is queued:
+the run that met it goes on with its bottom summary and runs again once the
+context has grown.  With ``on_the_spot`` it is solved where it is met, the
+top-down fixpoint of Le Charlier and Van Hentenryck (TOPLAS 1992): the
 lookup runs it, and every context that becomes pending meanwhile, until no
 context is pending but those whose runs are in progress, and only then
 returns it and records the reader.  A caller that reads only contexts
-solved this way, as in a program without recursion, runs once.
-Runs nest at most d deep, and only while the Python stack has room for
-``_RESERVE`` more frames; a context met deeper is queued as under the first
-policy, so a long chain of calls, or one whose bodies nest deeply, takes no
-more of the stack than the parser's nesting bound allows one run.  When
-summaries only grow and nothing is widened, any fair order of runs reaches
-the same least fixpoint, so the two policies give the same summaries and the
-same last runs; the deep-sharing analysis solves on the spot, and the
-reachability analysis, which widens and reports its entry runs, queues.
+solved this way, as in a program without recursion, runs once.  Runs nest
+only while the Python stack has room for ``_RESERVE`` more frames; a
+context met deeper is queued as under the first policy, so a long chain of
+calls, or one whose bodies nest deeply, takes no more of the stack than the
+parser's nesting bound allows one run.  When summaries only grow and
+nothing is widened, any fair order of runs reaches the same least fixpoint,
+so the two policies give the same summaries and the same last runs; the
+deep-sharing analysis solves on the spot, and the reachability analysis,
+which widens and reports its entry runs, queues.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class Context:
     """One context, made once and held by reference: equal and hashed by
     identity, so a reader that holds it never hashes its key."""
 
-    __slots__ = ("input", "summary", "readers", "run", "counters")
+    __slots__ = ("input", "summary", "readers", "run")
 
     def __init__(self, inp, summary):
         self.input = inp
@@ -65,20 +65,20 @@ class Context:
         # ``_ROOT`` stands for the entry
         self.readers: dict[Optional[Context], None] = {}
         self.run = None  # what the last run recorded
-        self.counters: Optional[list[int]] = None  # the merge's widening counts
 
 
 class Fixpoint:
-    def __init__(self, compute: Callable, merge: Callable, bottom: Callable, depth: int = 0):
+    def __init__(
+        self, compute: Callable, merge: Callable, bottom: Callable, on_the_spot: bool = False
+    ):
         self._compute = compute  # context -> one run of its body
         self._merge = merge  # (context, run result) -> its grown summary
         self._bottom = bottom  # input -> the summary a new context starts at
-        self._depth = depth  # how deep new contexts are solved on the spot
+        self._on_the_spot = on_the_spot  # whether new contexts are solved where met
         self.contexts: dict[Hashable, Context] = {}  # in the order first met
         self._pending: dict[Optional[Context], None] = {}
         self._running: dict[Context, None] = {}  # the contexts whose runs are in progress
         self._reader: Optional[Context] = _ROOT
-        self._nested = 0  # on-the-spot solves in progress
         self._solving = False
 
     def lookup(self, key: Hashable, inp) -> Context:
@@ -91,10 +91,8 @@ class Fixpoint:
         if ctx is None:
             ctx = self.contexts[key] = Context(inp, self._bottom(inp))
             self._pending[ctx] = None
-            if self._nested < self._depth and _stack_has_room(_RESERVE):
-                self._nested += 1
+            if self._on_the_spot and _stack_has_room(_RESERVE):
                 self._settle()
-                self._nested -= 1
         ctx.readers[self._reader] = None
         return ctx
 

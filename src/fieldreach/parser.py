@@ -469,7 +469,10 @@ class Parser:
     def parse_atom(self) -> Expr:
         kind, text, line, col = tok = self.advance()
         if kind == "int":
-            return IntLit(self.nid(), line, col, int(text))
+            try:
+                return IntLit(self.nid(), line, col, int(text))
+            except ValueError:  # more digits than Python converts
+                raise _error(f"integer literal of {len(text)} digits is too long", tok) from None
         if text == "-":
             inner = self._nested(tok, self.parse_atom)
             if isinstance(inner, IntLit):

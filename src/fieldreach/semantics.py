@@ -22,14 +22,14 @@ per-entry widening; a context re-runs only when a denotation it read has
 grown, and the entry body only once no context is pending.  A new context
 is queued, not solved on the spot as in the sharing analysis: under
 widening the order of runs can change the result, and the entry runs are
-what the report counts.  A run walks a body together with the sharing
-analysis's last run of it (``_Ctx``), so a field read or a call reads the
-sharing state before it, and a call its record, by node id.  Every run
-records its per-point values afresh in its context's record, so once the
-denotations are stable the last run of the entry and of each context,
-which read only final denotations, holds them.  Inside a body, shadow
-copies of the parameters pin the structures the inputs pointed to on
-entry, so reassigning a parameter does not lose its summary rows.
+what the report counts.  A run walks a body with one record (``_Run``):
+it holds the sharing analysis's last run of the body, so a field read or a
+call reads the sharing state before it, and a call its record, by node id,
+and it records the run's per-point values afresh.  It is its context's
+``run``, so once the denotations are stable the last run of the entry and
+of each context, which read only final denotations, holds them.  Inside a
+body, shadow copies of the parameters pin the structures the inputs pointed
+to on entry, so reassigning a parameter does not lose its summary rows.
 Loops iterate to a local fixpoint with per-entry widening to the tautology
 after a configurable number of changes.
 """
@@ -95,10 +95,10 @@ class AnalysisResult(Record):
         "rounds", "loop_passes", "widenings", "via", "sharing", "elapsed",
     )
 
-    def query_cycle(self, var: str, fields: Iterable[str], point: Optional[int] = None) -> bool:
+    def query_cycle(self, var: str, fields: Iterable[str]) -> bool:
         """May a cycle traversing exactly these fields be reachable from the
         variable?  False means such a cycle is provably impossible."""
-        value = self._value_at(point)
+        value = self.final
         if var not in value.scope.pos:
             raise AnalysisError(f"unknown reference variable {var!r}")
         try:
@@ -108,33 +108,31 @@ class AnalysisResult(Record):
         cyc = value.tables[value.scope.nn + value.scope.pos[var]]
         return bool(cyc >> mask & 1) and self.via.is_viable_mask(mask)
 
-    def query_reach(self, v: str, w: str, point: Optional[int] = None) -> list[list[str]]:
-        value = self._value_at(point)
+    def query_reach(self, v: str, w: str) -> list[list[str]]:
+        value = self.final
         if v not in value.scope.pos or w not in value.scope.pos:
             raise AnalysisError(f"unknown reference variables ({v},{w})")
         return value.reach_at(v, w).json_models()
 
-    def _value_at(self, point: Optional[int]) -> RcValue:
-        if point is None:
-            return self.final
-        if point not in self.point_post:
-            raise AnalysisError(f"unknown program point {point}")
-        return self.point_post[point]
 
+class _Run(Record):
+    """One run of the entry or of a context: the sharing analysis's last
+    run of the body, whether it records trace rows, and what it saw."""
 
-class _Recorder(Record):
-    """What one run of the entry or of a context saw."""
-
-    __slots__ = ("trace", "visits", "point_post", "loop_passes", "widenings")
+    __slots__ = ("sp_run", "trace_on", "trace", "visits", "point_post", "loop_passes", "widenings")
 
     def __init__(
         self,
+        sp_run: Optional[_Body],
+        trace_on: bool = False,
         trace: Optional[list[TraceRow]] = None,
         visits: Optional[dict[int, int]] = None,
         point_post: Optional[dict[int, RcValue]] = None,
         loop_passes: Optional[dict[int, int]] = None,
         widenings: int = 0,
     ):
+        self.sp_run = sp_run
+        self.trace_on = trace_on
         self.trace = [] if trace is None else trace
         self.visits = {} if visits is None else visits
         self.point_post = {} if point_post is None else point_post
@@ -149,18 +147,6 @@ class _Recorder(Record):
     def post(self, nid: int, value: RcValue) -> None:
         prev = self.point_post.get(nid)
         self.point_post[nid] = value if prev is None else prev.join(value)
-
-
-class _Ctx(Record):
-    __slots__ = ("sp_run", "recorder", "trace_on")
-
-    def __init__(self, sp_run: _Body, recorder: _Recorder, trace_on: bool = False):
-        self.sp_run = sp_run  # the sharing analysis's last run of the body
-        self.recorder = recorder
-        self.trace_on = trace_on
-
-    def with_trace(self, on: bool) -> "_Ctx":
-        return _Ctx(self.sp_run, self.recorder, on)
 
 
 class Analyzer:
@@ -189,6 +175,8 @@ class Analyzer:
             self._widen_memo,
             lambda inp: RcValue.bottom(universe, self.scopes[inp[0].key]),
         )
+        # per context, how often each entry of its denotation has changed
+        self.counters: dict[Context, list[int]] = {}
         self.root: Optional[Context] = None  # the entry's input and last run
 
     # ------------------------------------------------------------------
@@ -205,7 +193,7 @@ class Analyzer:
     # ------------------------------------------------------------------
     # expressions
 
-    def eval_expr(self, e: Expr, I: RcValue, ctx: _Ctx) -> RcValue:
+    def eval_expr(self, e: Expr, I: RcValue, run: _Run) -> RcValue:
         if isinstance(e, (IntLit, NullLit)):
             return I
         if isinstance(e, NewObject):
@@ -217,19 +205,19 @@ class Analyzer:
         if isinstance(e, VarRef):  # an int variable is outside the scope: I stays
             return I.copy_var(e.name, RESULT_VAR)
         if isinstance(e, BinOp):
-            left = self.eval_expr(e.left, I, ctx).project([RESULT_VAR])
-            right = self.eval_expr(e.right, left, ctx)
+            left = self.eval_expr(e.left, I, run).project([RESULT_VAR])
+            right = self.eval_expr(e.right, left, run)
             return right.project([RESULT_VAR])
         if isinstance(e, FieldRead):
-            return self._eval_field_read(e, I, ctx)
+            return self._eval_field_read(e, I, run)
         if isinstance(e, MethodCall):
-            return self._eval_call(e, I, ctx)
+            return self._eval_call(e, I, run)
         raise AnalysisError(f"unsupported expression {e!r}")
 
-    def _eval_field_read(self, e: FieldRead, I: RcValue, ctx: _Ctx) -> RcValue:
+    def _eval_field_read(self, e: FieldRead, I: RcValue, run: _Run) -> RcValue:
         if self.ct.field_type(e.fieldname) == INT_TYPE:
             return I
-        sp = ctx.sp_run.pre[e.nid]
+        sp = run.sp_run.pre[e.nid]
         u = self.universe
         s = I.scope
         n, names = s.n, s.names
@@ -259,9 +247,9 @@ class Analyzer:
                 new[w * n + r] |= self._only(())
         return out._normalize_in_place()
 
-    def _eval_call(self, e: MethodCall, I: RcValue, ctx: _Ctx) -> RcValue:
-        sp = ctx.sp_run.pre[e.nid]
-        sp_after, impure, callees = ctx.sp_run.calls[e.nid]
+    def _eval_call(self, e: MethodCall, I: RcValue, run: _Run) -> RcValue:
+        sp = run.sp_run.pre[e.nid]
+        sp_after, impure, callees = run.sp_run.calls[e.nid]
         u = self.universe
         true = u.full_table
         s = I.scope
@@ -350,42 +338,43 @@ class Analyzer:
     # ------------------------------------------------------------------
     # commands
 
-    def exec_body(self, body: list[Command], I: RcValue, ctx: _Ctx) -> RcValue:
+    def exec_body(self, body: list[Command], I: RcValue, run: _Run) -> RcValue:
         for cmd in body:
-            I = self.exec_cmd(cmd, I, ctx)
+            I = self.exec_cmd(cmd, I, run)
         return I
 
-    def exec_cmd(self, cmd: Command, I: RcValue, ctx: _Ctx) -> RcValue:
-        out = self._exec(cmd, I, ctx)
+    def exec_cmd(self, cmd: Command, I: RcValue, run: _Run) -> RcValue:
+        out = self._exec(cmd, I, run)
         self._assert_normal(out)
-        ctx.recorder.post(cmd.nid, out)
-        if ctx.trace_on:
-            ctx.recorder.trace_line(cmd.line, out)
+        run.post(cmd.nid, out)
+        if run.trace_on:
+            run.trace_line(cmd.line, out)
         return out
 
-    def _exec(self, cmd: Command, I: RcValue, ctx: _Ctx) -> RcValue:
+    def _exec(self, cmd: Command, I: RcValue, run: _Run) -> RcValue:
         if isinstance(cmd, Skip):
             return I
         if isinstance(cmd, (Assign, Return)):
-            evaluated = self.eval_expr(cmd.expr, I, ctx)
+            evaluated = self.eval_expr(cmd.expr, I, run)
             if cmd.var not in I.scope.pos:
                 # an int target still consumes the expression result
                 return evaluated.project([RESULT_VAR])
             return evaluated.rename(RESULT_VAR, cmd.var)
         if isinstance(cmd, FieldWrite):
-            return self._exec_field_write(cmd, I, ctx)
+            return self._exec_field_write(cmd, I, run)
         if isinstance(cmd, If):
             # trace rows inside branches would collide with the joined row
-            inner = ctx.with_trace(False)
-            t = self.exec_body(cmd.then_body, I, inner)
-            e = self.exec_body(cmd.else_body, I, inner)
-            return t.join(e)._normalize_in_place()
+            trace_on, run.trace_on = run.trace_on, False
+            t = self.exec_body(cmd.then_body, I, run)
+            e = self.exec_body(cmd.else_body, I, run)
+            run.trace_on = trace_on
+            return t.join(e)
         if isinstance(cmd, While):
-            return self._exec_while(cmd, I, ctx)
+            return self._exec_while(cmd, I, run)
         raise AnalysisError(f"unsupported command {cmd!r}")
 
-    def _exec_field_write(self, cmd: FieldWrite, I: RcValue, ctx: _Ctx) -> RcValue:
-        evaluated = self.eval_expr(cmd.expr, I, ctx)
+    def _exec_field_write(self, cmd: FieldWrite, I: RcValue, run: _Run) -> RcValue:
+        evaluated = self.eval_expr(cmd.expr, I, run)
         if self.ct.field_type(cmd.fieldname) == INT_TYPE:
             return evaluated.project([RESULT_VAR])
         u = self.universe
@@ -422,24 +411,24 @@ class Analyzer:
             new[nn + w1] |= cyc_new
         return out._normalize_in_place()
 
-    def _exec_while(self, cmd: While, I: RcValue, ctx: _Ctx) -> RcValue:
+    def _exec_while(self, cmd: While, I: RcValue, run: _Run) -> RcValue:
         head = I.canonical(self.via)
         counters = [0] * len(I.tables)
         passes = 0
         while True:
-            if ctx.trace_on:
-                ctx.recorder.trace_line(cmd.line, head)
-            after = self.exec_body(cmd.body, head, ctx)
+            if run.trace_on:
+                run.trace_line(cmd.line, head)
+            after = self.exec_body(cmd.body, head, run)
             passes += 1
             joined = head.join(after).canonical(self.via)
             widened = self._widen_value(head, joined, counters)
             if widened == head:
                 break
             head = widened
-        ctx.recorder.loop_passes[cmd.nid] = passes
+        run.loop_passes[cmd.nid] = passes
         # every change of an entry past the k-th widened it once
         k = self.widening_k
-        ctx.recorder.widenings += 0 if k is None else sum(c - k for c in counters if c > k)
+        run.widenings += 0 if k is None else sum(c - k for c in counters if c > k)
         return head
 
     def _widen_value(self, old: RcValue, new: RcValue, counters: list[int]) -> RcValue:
@@ -463,9 +452,8 @@ class Analyzer:
 
     def _widen_memo(self, ctx: Context, new: RcValue) -> RcValue:
         old = ctx.summary
-        if ctx.counters is None:
-            ctx.counters = [0] * len(old.tables)
-        return self._widen_value(old, old.join(new), ctx.counters)
+        counters = self.counters.setdefault(ctx, [0] * len(old.tables))
+        return self._widen_value(old, old.join(new), counters)
 
     def _run_method(self, ctx: Context, trace_on: bool = False) -> RcValue:
         """One run of a method body from a context's input (method, entry
@@ -480,10 +468,10 @@ class Analyzer:
         I0 = entry.remap({x: x for x in entry.scope.names}, body)
         for w, u in shadows.items():
             I0 = I0.copy_var(w, u)
-        recorder = ctx.run = _Recorder()
+        run = ctx.run = _Run(sp_ctx.run, trace_on)
         if trace_on:
-            recorder.trace_line(decl.line, I0)
-        I1 = self.exec_body(decl.body, I0, _Ctx(sp_ctx.run, recorder, trace_on))
+            run.trace_line(decl.line, I0)
+        I1 = self.exec_body(decl.body, I0, run)
         # the summary speaks of the inputs' entry structures, which the
         # shadows pinned, of ``this`` and of the result
         outputs = {u: w for w, u in shadows.items()}
@@ -512,10 +500,9 @@ class Analyzer:
         entry, start, _ = self.root.input
         if entry != "main":
             return self._run_method(self.root, trace_on=True)
-        recorder = self.root.run = _Recorder()
-        recorder.trace_line(self.program.main.line, start)
-        ctx = _Ctx(self.sharing.main, recorder, trace_on=True)
-        return self.exec_body(self.program.main.body, start, ctx)
+        run = self.root.run = _Run(self.sharing.main, trace_on=True)
+        run.trace_line(self.program.main.line, start)
+        return self.exec_body(self.program.main.body, start, run)
 
 
 # --------------------------------------------------------------------------
@@ -733,7 +720,7 @@ def analyze_program(
     # the entry's last run, then each context's, in the order the fixpoint met them
     contexts = analyzer.memo.contexts
     recordings = [analyzer.root.run] + [ctx.run for ctx in contexts.values()]
-    merged = _Recorder()  # points join over the runs; a loop's last run counts
+    merged = _Run(None)  # points join over the runs; a loop's last run counts
     for rec in recordings:
         for nid, value in rec.point_post.items():
             merged.post(nid, value)

@@ -20,10 +20,10 @@ summary it read has grown.  The fixpoint finds a context by its key, the
 method and the state by value, once per call site and run; from then on the
 analyses hold its ``Context`` record.  With no widening, any fair order of
 runs reaches the same least fixpoint, so the analysis solves a context where
-a call first meets it, at most ``SOLVE_DEPTH`` runs deep (past that,
-contexts queue): a call then reads a final summary, and a program without
-recursion runs ``main`` and each context once, instead of running ``main``
-again once its callees have grown from bottom.
+a call first meets it, while the Python stack has room (past that, contexts
+queue): a call then reads a final summary, and a program without recursion
+runs ``main`` and each context once, instead of running ``main`` again once
+its callees have grown from bottom.
 
 A state holds each relation as one int: a symmetric n×n bit matrix over a
 name index, bit ``i * n + j`` relating names i and j.  ``SharingAnalysis``
@@ -82,11 +82,6 @@ from .syntax import (
 from .typecheck import TypeEnv, TypeInfo
 
 Pair = tuple[str, str]
-
-
-# how deep the fixpoint solves a new context on the spot; past it, contexts
-# queue, so a chain of calls of any length stays within Python's stack
-SOLVE_DEPTH = 24
 
 
 def _norm(a: str, b: str) -> Pair:
@@ -399,7 +394,7 @@ class SharingAnalysis:
             self._compute_summary,
             lambda ctx, new: ctx.summary.union(new),
             lambda inp: SharingSummary(self.none, frozenset()),
-            SOLVE_DEPTH,
+            on_the_spot=True,
         )
         self.main: Optional[_Body] = None  # the last run of ``main``
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .classtable import ClassTable, MethodSig
+from .classtable import ClassTable
 from .record import FrozenRecord, Record
 from .syntax import (
     Assign,
@@ -68,15 +68,7 @@ class TypeEnv(FrozenRecord):
 
 
 class TypeInfo(Record):
-    __slots__ = ("envs", "call_targets")
-
-    def __init__(
-        self,
-        envs: Optional[dict[BodyKey, TypeEnv]] = None,
-        call_targets: Optional[dict[int, tuple[MethodSig, ...]]] = None,
-    ):
-        self.envs = {} if envs is None else envs
-        self.call_targets = {} if call_targets is None else call_targets
+    __slots__ = ("envs", "call_targets")  # body -> TypeEnv, call nid -> its targets
 
     def env_for(self, key: BodyKey) -> TypeEnv:
         return self.envs[key]
@@ -85,7 +77,7 @@ class TypeInfo(Record):
 class _Checker:
     def __init__(self, ct: ClassTable):
         self.ct = ct
-        self.info = TypeInfo()
+        self.info = TypeInfo({}, {})
 
     def check_program(self, program: Program) -> TypeInfo:
         for cls in program.classes:

@@ -16,6 +16,7 @@ None of it runs in the package."""
 from __future__ import annotations
 
 import re
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
@@ -35,7 +36,7 @@ from fieldreach.formula import (
 from fieldreach.oracle import Loc
 from fieldreach.parser import KEYWORDS, MAX_NESTING, ParseError
 from fieldreach.record import Record
-from fieldreach.semantics import Analyzer, _Ctx, summary_scope
+from fieldreach.semantics import Analyzer, _Run, summary_scope
 from fieldreach.sharing import SharingAnalysis, _Body
 from fieldreach.syntax import (
     INT_TYPE,
@@ -324,10 +325,10 @@ class DenseAnalyzer(Analyzer):
     with a zero operand, works by position and reads the call records of
     the sharing analysis."""
 
-    def _eval_field_read(self, e: FieldRead, I: RcValue, ctx: _Ctx) -> RcValue:
+    def _eval_field_read(self, e: FieldRead, I: RcValue, run: _Run) -> RcValue:
         if self.ct.field_type(e.fieldname) == INT_TYPE:
             return I
-        sp = ctx.sp_run.pre[e.nid]
+        sp = run.sp_run.pre[e.nid]
         u = self.universe
         v = e.var
         fld = self._only([e.fieldname])
@@ -350,8 +351,8 @@ class DenseAnalyzer(Analyzer):
         extra = RcValue.of(u, cyc, extra_reach, {RESULT_VAR: cyc[v]})
         return I.join(extra).normalize()
 
-    def _eval_call(self, e: MethodCall, I: RcValue, ctx: _Ctx) -> RcValue:
-        sp = ctx.sp_run.pre[e.nid]
+    def _eval_call(self, e: MethodCall, I: RcValue, run: _Run) -> RcValue:
+        sp = run.sp_run.pre[e.nid]
         u = self.universe
         true = u.full_table
         reach, cyc = I.reach, I.cyc
@@ -455,8 +456,8 @@ class DenseAnalyzer(Analyzer):
         assembled = RcValue.of(u, cyc, assembled_reach, assembled_cyc)
         return I.join(summary_back).join(assembled).normalize()
 
-    def _exec_field_write(self, cmd: FieldWrite, I: RcValue, ctx: _Ctx) -> RcValue:
-        evaluated = self.eval_expr(cmd.expr, I, ctx)
+    def _exec_field_write(self, cmd: FieldWrite, I: RcValue, run: _Run) -> RcValue:
+        evaluated = self.eval_expr(cmd.expr, I, run)
         if self.ct.field_type(cmd.fieldname) == INT_TYPE:
             return evaluated.project([RESULT_VAR])
         u = self.universe
@@ -1240,6 +1241,11 @@ class ReferenceParser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
+            limit = sys.get_int_max_str_digits()  # 0: no limit
+            if limit and len(tok.text) > limit:
+                raise ParseError(
+                    f"integer literal of {len(tok.text)} digits is too long", tok.line, tok.col
+                )
             return IntLit(self.nid(), tok.line, tok.col, int(tok.text))
         if tok.kind == "sym" and tok.text == "-":
             self.advance()

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import fieldreach
+import fieldreach.cli
 from fieldreach import analyze_program, build_class_table, parse_program, type_check
 from fieldreach.cli import parse_query, run
 from fieldreach.syntax import SourceError
@@ -447,6 +448,27 @@ def test_calls_from_deep_bodies_nest_only_while_the_stack_has_room(tmp_path, cap
     code, out, err = _run_source(tmp_path, capsys, _deep_chain(6, 97), "--format", "json")
     assert code == 0 and "Traceback" not in err, err
     assert _report_sha(out) == "9d5051539f9c0c5b6aa7fd34a09feff20eb49f11fbfb624fad5fa6ff264a55c4"
+
+
+def test_a_long_integer_literal_is_an_error_at_the_literal(tmp_path, capsys):
+    source = "main { int x; x := " + "9" * 5000 + "; }"
+    code, out, err = _run_source(tmp_path, capsys, source)
+    assert code == 1 and out == ""
+    assert err == "error: 1:20: integer literal of 5000 digits is too long\n"
+
+
+@pytest.mark.parametrize("step", ["run_concrete", "check_soundness"])
+def test_an_oracle_check_out_of_memory_is_an_error_naming_the_budget(monkeypatch, capsys, step):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(fieldreach.cli, step, out_of_memory)
+    code, out, err = invoke(capsys, DLL, "--oracle-check")
+    assert code == 1 and "Traceback" not in out + err
+    assert err == (
+        "error: the concrete run does not fit in memory "
+        "(--heap-budget bounds the steps and the recorded cells)\n"
+    )
 
 
 def test_a_run_that_never_ends_stops_at_the_cell_budget(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from fieldreach import analyze_program
+from fieldreach import analyze_program, fixpoint
 from fieldreach.fixpoint import Fixpoint
 from fieldreach.semantics import Analyzer
 from fieldreach.sharing import SharingAnalysis
@@ -10,7 +12,7 @@ from conftest import DATA, build
 from corpus import CORPUS
 
 
-def toy_engine(limits, reads, log, depth=0):
+def toy_engine(limits, reads, log, on_the_spot=False):
     """Context n reads the contexts reads[n] and takes the largest of their
     summaries, one more for itself, capped at limits[n]."""
     engine = None
@@ -21,7 +23,7 @@ def toy_engine(limits, reads, log, depth=0):
         seen = [engine.lookup(m, m).summary + (m == n) for m in reads.get(n, ())]
         return min(limits[n], max(seen, default=0))
 
-    engine = Fixpoint(compute, lambda ctx, new: max(ctx.summary, new), lambda n: 0, depth)
+    engine = Fixpoint(compute, lambda ctx, new: max(ctx.summary, new), lambda n: 0, on_the_spot)
     return engine
 
 
@@ -80,28 +82,39 @@ def test_a_context_solved_on_the_spot_is_final_when_its_reader_gets_it():
     the one the queue reaches."""
     tree = {0: [1, 2], 1: [3], 2: [3, 4], 3: [], 4: []}
     limits = dict.fromkeys(tree, 9)
-    for depth in (1, 2, 24):
-        log = []
-        engine = toy_engine(limits, tree, log, depth)
-        _, roots = engine.solve(lambda: engine.lookup(0, 0))
-        assert sorted(log) == [0, 1, 2, 3, 4] and roots == 1
-        assert summaries(engine) == toy_solve(limits, tree)
+    log = []
+    engine = toy_engine(limits, tree, log, on_the_spot=True)
+    _, roots = engine.solve(lambda: engine.lookup(0, 0))
+    assert sorted(log) == [0, 1, 2, 3, 4] and roots == 1
+    assert summaries(engine) == toy_solve(limits, tree)
     cycle = {0: [1], 1: [2], 2: [0, 2]}
     limits = {0: 5, 1: 7, 2: 3}
-    for depth in (1, 2, 24):
-        engine = toy_engine(limits, cycle, [], depth)
-        engine.solve(lambda: engine.lookup(0, 0))
-        assert summaries(engine) == toy_solve(limits, cycle)
+    engine = toy_engine(limits, cycle, [], on_the_spot=True)
+    engine.solve(lambda: engine.lookup(0, 0))
+    assert summaries(engine) == toy_solve(limits, cycle)
 
 
-def test_runs_nest_no_deeper_than_the_bound():
-    """A chain of 50 contexts nests its runs at most ``depth`` deep; past
-    the bound the contexts queue, and the table is the same."""
+def _depth() -> int:
+    """How many frames the caller's stack holds."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_runs_nest_no_deeper_than_the_bound(monkeypatch):
+    """A chain of 50 contexts solved on the spot nests its runs 50 deep
+    while the stack has room, and fewer when the stack keeps room for only
+    60 more frames: past that the contexts queue.  Queued, each run is one
+    deep.  The table is the same."""
     chain = {n: [n + 1] for n in range(49)}
     limits = {n: 50 - n for n in range(50)}
-    for depth in (0, 1, 5, 24):
+    roomy = fixpoint._RESERVE
+    tight = sys.getrecursionlimit() - _depth() - 60  # a reserve that leaves 60 frames
+    for on_the_spot, reserve in ((False, roomy), (True, roomy), (True, tight)):
+        monkeypatch.setattr(fixpoint, "_RESERVE", reserve)
         nesting, deepest = [0], [0]
-        engine = toy_engine(limits, chain, [], depth)
+        engine = toy_engine(limits, chain, [], on_the_spot)
         compute = engine._compute
 
         def nested(ctx):
@@ -113,7 +126,12 @@ def test_runs_nest_no_deeper_than_the_bound():
 
         engine._compute = nested
         engine.solve(lambda: engine.lookup(0, 0))
-        assert deepest[0] == max(depth, 1)
+        if not on_the_spot:
+            assert deepest[0] == 1
+        elif reserve == roomy:
+            assert deepest[0] == 50
+        else:
+            assert 1 < deepest[0] < 50, deepest
         assert summaries(engine) == toy_solve(limits, chain)
 
 

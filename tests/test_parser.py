@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -305,6 +306,21 @@ def test_nesting_limit_reports_where_it_is_crossed():
         parse_program(source)
     assert (exc.value.line, exc.value.col) == (depth + 1, 1)
     assert f"nesting deeper than {MAX_NESTING}" in exc.value.message
+
+
+def test_an_integer_literal_longer_than_python_converts_is_an_error_at_it():
+    """Python converts at most ``sys.get_int_max_str_digits()`` digits to an
+    int: a literal up to the limit keeps its value, a longer one is a parse
+    error at the literal, in the package and in the reference alike."""
+    limit = sys.get_int_max_str_digits()
+    fits = parse_program("main { int x; x := " + "9" * limit + "; }")
+    assert fits.main.body[0].expr.value == 10**limit - 1
+    source = "main { int x;\n  x := -" + "9" * 5000 + "; }"
+    with pytest.raises(ParseError) as exc:
+        parse_program(source)
+    assert (exc.value.line, exc.value.col) == (2, 9)
+    assert exc.value.message == "integer literal of 5000 digits is too long"
+    assert _front_end(source) == _reference_front_end(source)
 
 
 def test_operator_chains_count_toward_the_nesting_limit():

@@ -34,13 +34,11 @@ FROZEN = {"FieldUniverse", "PathFormula", "Loc", "MethodSig", "TypeEnv", "Sharin
 # their slots hold derived or lazy values, or they have no slots
 DECLARED_FIELDS = {"FieldUniverse", "MethodSig", "OracleResult", "TypeEnv"}
 # constructors that compute something or have defaults
-WRITTEN_INIT = {
-    "FieldUniverse", "MethodSig", "TypeEnv", "TypeInfo", "_Recorder", "_Ctx", "_Body",
-}
+WRITTEN_INIT = {"FieldUniverse", "MethodSig", "TypeEnv", "_Run", "_Body"}
 
 
 def test_every_record_class_is_found():
-    assert len(RECORDS) == 39
+    assert len(RECORDS) == 38
     assert {cls.__name__ for cls in RECORDS if issubclass(cls, FrozenRecord)} == FROZEN
 
 
@@ -93,7 +91,7 @@ def test_default_containers_are_fresh(cls):
         if isinstance(value, (list, dict, set)):
             assert value == getattr(second, name) and value is not getattr(second, name)
             fresh += 1
-    assert fresh or cls.__name__ == "_Ctx"  # its one default is a flag
+    assert fresh
 
 
 def _generated(cls) -> bool:

@@ -18,8 +18,7 @@ from fieldreach.render import result_to_json
 from fieldreach.semantics import (
     AnalysisError,
     Analyzer,
-    _Ctx,
-    _Recorder,
+    _Run,
     entry_scope,
     find_entry_sig,
     parse_init_annotations,
@@ -579,7 +578,7 @@ def test_field_update_transfer_monotone():
     env = info.env_for("main")
     update_cmd = program.main.body[-1]
     scope = env.ref_vars + (RESULT_VAR,)
-    ctx = _Ctx(sharing.main, _Recorder())
+    run = _Run(sharing.main)
     rng = random.Random(7)
     masks = list(range(1 << universe.size))[:4]  # keep enumeration small
 
@@ -594,8 +593,8 @@ def test_field_update_transfer_monotone():
     for _ in range(25):
         small = random_value()
         big = small.join(random_value())
-        out_small = analyzer.exec_cmd(update_cmd, small, ctx)
-        out_big = analyzer.exec_cmd(update_cmd, big, ctx)
+        out_small = analyzer.exec_cmd(update_cmd, small, run)
+        out_big = analyzer.exec_cmd(update_cmd, big, run)
         assert out_small.leq(out_big)
 
 
@@ -610,7 +609,7 @@ def test_field_read_transfer_monotone():
     env = info.env_for("main")
     read_cmd = program.main.body[-1]
     scope = env.ref_vars + (RESULT_VAR,)
-    ctx = _Ctx(sharing.main, _Recorder())
+    run = _Run(sharing.main)
     rng = random.Random(13)
     masks = list(range(1 << universe.size))[:4]
 
@@ -625,9 +624,39 @@ def test_field_read_transfer_monotone():
     for _ in range(25):
         small = random_value()
         big = small.join(random_value())
-        assert analyzer.exec_cmd(read_cmd, small, ctx).leq(
-            analyzer.exec_cmd(read_cmd, big, ctx)
+        assert analyzer.exec_cmd(read_cmd, small, run).leq(
+            analyzer.exec_cmd(read_cmd, big, run)
         )
+
+
+def test_an_if_inside_a_traced_loop_keeps_the_rows_after_it():
+    """An ``if``'s branches add no trace rows; the ``if`` itself, the
+    commands after it in the loop body, and the commands after the loop do,
+    on every visit."""
+    result, program = analyze(
+        """
+class K { K f; }
+main {
+  K a;
+  int i;
+  a := new K;
+  while (i < 2) {
+    if (i == 0) then {
+      a := new K;
+    } else {
+      skip;
+    }
+    a.f := a;
+    i := i + 1;
+  }
+  skip;
+}
+"""
+    )
+    passes = result.loop_passes[program.main.body[1].nid]
+    assert passes > 1
+    assert [r.line for r in result.trace] == [2, 5] + [6, 7, 12, 13] * passes + [6, 15]
+    assert [r.visit for r in result.trace if r.line == 12] == list(range(1, passes + 1))
 
 
 def test_entry_scope_caps_the_universe_counting_the_stand_in():
