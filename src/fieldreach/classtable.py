@@ -51,20 +51,17 @@ class MethodSig(FrozenRecord):
 class ClassTable:
     def __init__(self, program: Program):
         self._classes: dict[str, ClassDecl] = {}
-        self._parent: dict[str, Optional[str]] = {}
+        # each class's extends chain: the class, then its ancestors
+        self._chain: dict[str, tuple[str, ...]] = {}
         self._own_fields: dict[str, list[tuple[str, str]]] = {}
         self._field_type: dict[str, str] = {}
         self._field_owner: dict[str, str] = {}
         self._methods: dict[tuple[str, str], MethodSig] = {}
         self._method_decls: dict[tuple[str, str], MethodDecl] = {}
         self._build(program)
-        self.class_names: tuple[str, ...] = tuple(sorted(self._classes))
         self.reference_fields: frozenset[str] = frozenset(
             f for f, t in self._field_type.items() if t != INT_TYPE
         )
-        # memos of ``subclasses_of`` and ``fields_of``; the table never changes
-        self._subclasses: dict[str, tuple[str, ...]] = {}
-        self._fields: dict[str, tuple[tuple[str, str], ...]] = {}
 
     # -- construction
 
@@ -76,19 +73,24 @@ class ClassTable:
             if c.name in self._classes:
                 raise ClassTableError(f"duplicate class {c.name!r}", *c.name_at)
             self._classes[c.name] = c
-            self._parent[c.name] = c.parent
         for c in program.classes:
             if c.parent is not None and c.parent not in self._classes:
                 raise ClassTableError(f"unknown superclass {c.parent!r}", c.line, c.col)
         # the extends chain must be acyclic
         for name, c in self._classes.items():
-            seen = {name}
-            cur = self._parent[name]
+            chain = {name: None}
+            cur = c.parent
             while cur is not None:
-                if cur in seen:
+                if cur in chain:
                     raise ClassTableError(f"cyclic extends chain through {name!r}", c.line, c.col)
-                seen.add(cur)
-                cur = self._parent[cur]
+                chain[cur] = None
+                cur = self._classes[cur].parent
+            self._chain[name] = tuple(chain)
+        self.class_names: tuple[str, ...] = tuple(sorted(self._classes))
+        self._subclasses: dict[str, tuple[str, ...]] = {
+            sup: tuple(c for c in self.class_names if sup in self._chain[c])
+            for sup in self.class_names
+        }
         for c in program.classes:
             own: list[tuple[str, str]] = []
             for fname, ftype in c.fields:
@@ -111,6 +113,10 @@ class ClassTable:
                 self._field_owner[fname] = c.name
                 own.append((fname, ftype))
             self._own_fields[c.name] = own
+        self._fields: dict[str, tuple[tuple[str, str], ...]] = {
+            name: tuple(f for cls in reversed(chain) for f in self._own_fields[cls])
+            for name, chain in self._chain.items()
+        }
         for c in program.classes:
             for m in c.methods:
                 key = (c.name, m.name)
@@ -130,8 +136,7 @@ class ClassTable:
         # overriding methods must keep the inherited signature
         for (owner, name), sig in self._methods.items():
             m = self._method_decls[(owner, name)]
-            parent = self._parent[owner]
-            while parent is not None:
+            for parent in self._chain[owner][1:]:
                 psig = self._methods.get((parent, name))
                 if psig is not None and (
                     psig.param_types != sig.param_types
@@ -142,7 +147,6 @@ class ClassTable:
                         m.line,
                         m.col,
                     )
-                parent = self._parent[parent]
 
     # -- queries
 
@@ -151,34 +155,16 @@ class ClassTable:
 
     def is_subclass(self, sub: str, sup: str) -> bool:
         """Reflexive-transitive subclass test."""
-        cur: Optional[str] = sub
-        while cur is not None:
-            if cur == sup:
-                return True
-            cur = self._parent[cur]
-        return False
+        return sub == sup or sup in self._chain[sub]
 
     def subclasses_of(self, name: str) -> tuple[str, ...]:
-        subs = self._subclasses.get(name)
-        if subs is None:
-            subs = self._subclasses[name] = tuple(
-                c for c in self.class_names if self.is_subclass(c, name)
-            )
-        return subs
+        """The class and its subclasses, in name order; none for a name that
+        is not a class."""
+        return self._subclasses.get(name, ())
 
     def fields_of(self, name: str) -> tuple[tuple[str, str], ...]:
         """All fields of a class, inherited ones first, in declaration order."""
-        fields = self._fields.get(name)
-        if fields is None:
-            chain: list[str] = []
-            cur: Optional[str] = name
-            while cur is not None:
-                chain.append(cur)
-                cur = self._parent[cur]
-            fields = self._fields[name] = tuple(
-                f for cls in reversed(chain) for f in self._own_fields[cls]
-            )
-        return fields
+        return self._fields[name]
 
     def class_has_field(self, name: str, fieldname: str) -> bool:
         return any(f == fieldname for f, _ in self.fields_of(name))
@@ -188,12 +174,10 @@ class ClassTable:
 
     def resolve_method(self, classname: str, method: str) -> Optional[MethodSig]:
         """Walk up the subclass chain to the defining class."""
-        cur: Optional[str] = classname
-        while cur is not None:
-            sig = self._methods.get((cur, method))
+        for cls in self._chain[classname]:
+            sig = self._methods.get((cls, method))
             if sig is not None:
                 return sig
-            cur = self._parent[cur]
         return None
 
     def callable_methods(self, static_type: str, method: str) -> tuple[MethodSig, ...]:

@@ -39,14 +39,14 @@ from __future__ import annotations
 import time
 from itertools import compress, count
 from operator import ne
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .classtable import ClassTable, MethodSig
 from .domain import RcValue, Scope
 from .fixpoint import Context, Fixpoint
 from .formula import MAX_FIELDS, FieldUniverse, Viability, concat, difference
 from .record import Record
-from .sharing import SharingAnalysis, SharingState, _Body
+from .sharing import Pair, SharingAnalysis, SharingState, _Body
 from .syntax import (
     Assign,
     BinOp,
@@ -71,9 +71,6 @@ from .syntax import (
     shallow_name,
 )
 from .typecheck import TypeInfo
-
-EntryKey = Union[str, tuple[str, str]]  # "main" or a method key
-
 
 class AnalysisError(SourceError):
     pass
@@ -491,8 +488,7 @@ class Analyzer:
             self.sharing.analyze_main(sp_start)
             sp_ctx = None
         else:
-            self.sharing.analyze_method_entry(entry, sp_start)
-            sp_ctx = self.sharing.context(entry, sp_start)
+            sp_ctx = self.sharing.analyze_method_entry(entry, sp_start)
         self.root = Context((entry, start, sp_ctx), None)
         return self.memo.solve(self._run_entry)
 
@@ -610,7 +606,7 @@ def entry_scope(
     typeinfo: TypeInfo,
     *,
     tracked: Optional[Iterable[str]] = None,
-    entry: EntryKey = "main",
+    entry: Union[str, MethodSig] = "main",
 ) -> tuple[FieldUniverse, Union[str, MethodSig], tuple[str, ...]]:
     """The field universe, the entry (``"main"`` or a method), and the
     reference variables the entry's ``//@ init`` lines may name, in order."""
@@ -630,11 +626,8 @@ def entry_scope(
         if program.main is None:
             raise AnalysisError("program has no main block")
         return universe, "main", typeinfo.env_for("main").ref_vars + (RESULT_VAR,)
-    sig = entry if isinstance(entry, MethodSig) else find_entry_sig(ct, str(entry))
+    sig = entry if isinstance(entry, MethodSig) else find_entry_sig(ct, entry)
     return universe, sig, tuple(v for v in summary_scope(sig, typeinfo) if v != OUT_VAR)
-
-
-_NO_SHARING = SharingState.of([], [])  # the entry facts of a program without annotations
 
 
 def parse_init_annotations(
@@ -642,15 +635,17 @@ def parse_init_annotations(
     universe: FieldUniverse,
     variables: tuple[str, ...],
     ref_vars: frozenset[str],
-) -> tuple[RcValue, SharingState]:
+) -> tuple[RcValue, tuple[Sequence[Pair], Sequence[Pair]]]:
     """Resolve the ``//@ init`` lines into the entry abstract value and the
-    entry sharing state; unannotated entries stay at the contradiction.  The
-    value's scope is ``variables`` restricted to ``ref_vars``, in the order of
-    ``variables``.  A declared reference field the universe does not track
-    folds into the stand-in, as on concrete paths."""
+    entry sharing facts, the ``(sh, ds)`` pairs of names that
+    ``SharingAnalysis.state`` turns into a state; unannotated entries stay at
+    the contradiction and share nothing.  The value's scope is ``variables``
+    restricted to ``ref_vars``, in the order of ``variables``.  A declared
+    reference field the universe does not track folds into the stand-in, as
+    on concrete paths."""
     value = RcValue.bottom(universe, (v for v in variables if v in ref_vars))
     if not program.annotations:
-        return value, _NO_SHARING
+        return value, ((), ())
     t, pos, n, nn = value.tables, value.scope.pos, value.scope.n, value.scope.nn
     sh: list[tuple[str, str]] = []
     ds: list[tuple[str, str]] = []
@@ -690,7 +685,7 @@ def parse_init_annotations(
     sh += [(v, v) for v in mentioned]
     names = value.scope.names
     sh += [(names[k // n], names[k % n]) for k in compress(range(nn), t) if k % (n + 1)]
-    return value._normalize_in_place(), SharingState.of(sh, ds)
+    return value._normalize_in_place(), (sh, ds)
 
 
 def analyze_program(
@@ -699,24 +694,26 @@ def analyze_program(
     typeinfo: TypeInfo,
     *,
     tracked: Optional[Iterable[str]] = None,
-    entry: EntryKey = "main",
+    entry: Union[str, MethodSig] = "main",
     init_rc: Optional[RcValue] = None,
-    init_sp: Optional[SharingState] = None,
+    init_sp: Optional[tuple[Sequence[Pair], Sequence[Pair]]] = None,
     widening_k: Optional[int] = 16,
 ) -> AnalysisResult:
-    """Analyse the entry from the program's ``//@ init`` facts, with
-    ``init_rc``/``init_sp`` joined on top when given."""
+    """Analyse the entry (``"main"``, a method name or a ``MethodSig``) from
+    the program's ``//@ init`` facts, with ``init_rc`` joined on top and the
+    ``(sh, ds)`` pairs of ``init_sp`` added when given, as
+    ``parse_init_annotations`` returns them."""
     started = time.perf_counter()
     universe, entry, scope = entry_scope(program, ct, typeinfo, tracked=tracked, entry=entry)
-    start, sp_start = parse_init_annotations(program, universe, scope, frozenset(scope))
+    start, (sh, ds) = parse_init_annotations(program, universe, scope, frozenset(scope))
     # empty facts join in nothing
     if init_rc is not None and any(init_rc.tables):
         start = start.join(init_rc.remap({x: x for x in init_rc.scope.names}, scope))
-    if init_sp is not None and not init_sp.is_empty:
-        sp_start = sp_start.union(init_sp)
+    if init_sp is not None:
+        sh, ds = [*sh, *init_sp[0]], [*ds, *init_sp[1]]
     sharing = SharingAnalysis(program, ct, typeinfo)
     analyzer = Analyzer(program, ct, typeinfo, sharing, universe, widening_k)
-    final, rounds = analyzer.analyze(entry, start.normalize(), sp_start)
+    final, rounds = analyzer.analyze(entry, start.normalize(), sharing.state(sh, ds))
     # the entry's last run, then each context's, in the order the fixpoint met them
     contexts = analyzer.memo.contexts
     recordings = [analyzer.root.run] + [ctx.run for ctx in contexts.values()]

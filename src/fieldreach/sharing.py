@@ -26,17 +26,17 @@ runs ``main`` and each context once, instead of running ``main`` again once
 its callees have grown from bottom.
 
 A state holds each relation as one int: a symmetric n×n bit matrix over a
-name index, bit ``i * n + j`` relating names i and j.  ``SharingAnalysis``
-builds one index per analysis, over every variable of every body, the
-shadow of every method input, the result variable and ``out``, so each
-transfer is a few big-int operations: ``kill`` is an ``&`` with a mask kept
-per name, ``union`` is ``|``, a lookup is one shift, and ``clique``,
-``copy_alias`` and ``relate`` OR in the rows and columns they touch.  A
-state built outside an analysis (the ``//@ init`` facts, a caller's entry
-state) carries a small index of its own; the analysis moves it onto its
-index where it enters, in ``analyze_main`` and in ``context``, so every
-context holds the moved state.  ``sh`` and ``ds`` decode a state into pairs
-of names.
+name index, bit ``i * n + j`` relating names i and j.  Each analysis has
+one index, over every variable of every body, the shadow of every method
+input, the result variable and ``out``, and every state of the analysis
+lies over it, so each transfer is a few big-int operations: ``kill`` is an
+``&`` with a mask kept per name, ``union`` is ``|``, a lookup is one shift,
+and ``clique``, ``copy_alias`` and ``relate`` OR in the rows and columns
+they touch.  Facts from outside the analysis (the ``//@ init`` facts, a
+caller's entry pairs) come in as pairs of names, which
+``SharingAnalysis.state`` turns into a state over the index; a state over
+another index is an error where it enters and in ``union``.  ``sh`` and
+``ds`` decode a state into pairs of names.
 
 Each run of a body, ``main`` or a context, walks it in one frame
 (``_Body``): the type environment, the shadows, the impure positions found
@@ -141,11 +141,6 @@ class _Index:
             matrix ^= low
         return frozenset(out)
 
-    def including(self, names: Iterable[str]) -> "_Index":
-        """This index, or a longer one when some of the names are new."""
-        new = [v for v in names if v not in self.pos]
-        return _Index((*self.names, *new)) if new else self
-
 
 def _alias(ix: _Index, m: int, s: int, d: int) -> int:
     """Matrix ``m`` with name d bound to the location of name s: d's row
@@ -163,25 +158,15 @@ class SharingState:
     """The two relations as symmetric bit matrices over one name index.
 
     Every operation takes names, or rows of positions, on the state's own
-    index; a name it does not hold raises ``KeyError``.  Two states are
-    equal when their indexes list the same names and their matrices are
-    equal.  ``sh`` and ``ds`` decode the relations into pairs."""
+    index; a name it does not hold raises ``KeyError``, and a ``union`` of
+    states over two indexes raises ``ValueError``.  Two states are equal
+    when their indexes list the same names and their matrices are equal.
+    ``sh`` and ``ds`` decode the relations into pairs."""
 
     __slots__ = ("index", "_sh", "_ds")
 
     def __init__(self, index: _Index, sh: int = 0, ds: int = 0):
         self.index, self._sh, self._ds = index, sh, ds
-
-    @staticmethod
-    def empty(names: Iterable[str] = ()) -> "SharingState":
-        """No pairs, over an index of the names."""
-        return SharingState(_Index(names))
-
-    @staticmethod
-    def of(sh: list[Pair], ds: list[Pair]) -> "SharingState":
-        """The pairs, over an index of their names in order of appearance."""
-        ix = _Index(v for p in sh + ds for v in p)
-        return SharingState(ix, ix.matrix(sh), ix.matrix(ds))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SharingState):
@@ -199,23 +184,12 @@ class SharingState:
         return f"SharingState(sh={sorted(self.sh)}, ds={sorted(self.ds)})"
 
     @property
-    def is_empty(self) -> bool:
-        """Neither relation holds a pair."""
-        return not (self._sh or self._ds)
-
-    @property
     def sh(self) -> frozenset[Pair]:
         return self.index.pairs(self._sh)
 
     @property
     def ds(self) -> frozenset[Pair]:
         return self.index.pairs(self._ds)
-
-    def over(self, index: _Index) -> "SharingState":
-        """The same pairs over another index, which holds all their names."""
-        if index is self.index:
-            return self
-        return SharingState(index, index.matrix(self.sh), index.matrix(self.ds))
 
     def has_sh(self, a: str, b: str) -> bool:
         ix = self.index
@@ -246,12 +220,6 @@ class SharingState:
         keep = self.index.keep[self.index.pos[v]]
         return SharingState(self.index, self._sh & keep, self._ds & keep)
 
-    def add_sh(self, pairs: Iterable[Pair]) -> "SharingState":
-        """These pairs added to ``sh``, over an index that holds their names."""
-        pairs = list(pairs)
-        st = self.over(self.index.including(v for p in pairs for v in p))
-        return SharingState(st.index, st._sh | st.index.matrix(pairs), st._ds)
-
     def relate(self, v: str, sh_row: int, ds_row: int) -> "SharingState":
         """Pair v with the names of ``sh_row`` in ``sh`` and with those of
         ``ds_row`` in ``ds``."""
@@ -266,8 +234,7 @@ class SharingState:
 
     def union(self, other: "SharingState") -> "SharingState":
         if other.index is not self.index:
-            ix = self.index.including(other.index.names)
-            return self.over(ix).union(other.over(ix))
+            raise ValueError("union of sharing states over two name indexes")
         return SharingState(self.index, self._sh | other._sh, self._ds | other._ds)
 
     def clique(self, row: int) -> "SharingState":
@@ -345,7 +312,10 @@ class _Body(Record):
     name), the positions an update has reached so far, and the point tables
     the run records: the states before and after each point, and per call
     site its ``CallRecord``.  ``main`` has no shadows, so nothing marks it
-    impure."""
+    impure.  Each visit of a point overwrites its entries, and the last
+    visit's stand: the states a run meets at a point only grow (a loop head
+    only grows, the summaries the run reads only grow, and every transfer is
+    monotone), so its last one is the point's join."""
 
     __slots__ = ("env", "shadows", "impure", "pre", "post", "calls")
 
@@ -372,11 +342,6 @@ class _Body(Record):
             if st.has_sh(var, sh_name):
                 self.impure.add(i)
 
-    @staticmethod
-    def record(table: dict[int, SharingState], nid: int, st: SharingState) -> None:
-        prev = table.get(nid)
-        table[nid] = st if prev is None else prev.union(st)
-
 
 class SharingAnalysis:
     def __init__(self, program: Program, ct: ClassTable, typeinfo: TypeInfo):
@@ -386,8 +351,8 @@ class SharingAnalysis:
         names = [v for env in typeinfo.envs.values() for v in env.variables]
         names += [shallow_name(v) for sig in ct.all_method_sigs() for v in sig.input_vars]
         # every state of the analysis lies over this index
-        self.none = SharingState.empty([*names, RESULT_VAR, OUT_VAR])
-        self.index = self.none.index
+        self.index = _Index([*names, RESULT_VAR, OUT_VAR])
+        self.none = SharingState(self.index)
         self.res_bit = self.index.mask([RESULT_VAR])
         # context (method, entry state) -> sharing summary, and its last run
         self.memo = Fixpoint(
@@ -398,12 +363,23 @@ class SharingAnalysis:
         )
         self.main: Optional[_Body] = None  # the last run of ``main``
 
+    def state(self, sh: Iterable[Pair] = (), ds: Iterable[Pair] = ()) -> SharingState:
+        """The state of these pairs of names, over the analysis's index."""
+        ix = self.index
+        return SharingState(ix, ix.matrix(sh), ix.matrix(ds))
+
+    def _own(self, state: SharingState) -> SharingState:
+        """The state, which must lie over the analysis's index."""
+        if state.index is not self.index:
+            raise ValueError("a sharing state over another name index")
+        return state
+
     # -- public drivers
 
     def analyze_main(self, entry_state: Optional[SharingState] = None) -> SharingState:
         if self.program.main is None:
             raise ValueError("program has no main block")
-        entry = self.none if entry_state is None else entry_state.over(self.index)
+        entry = self.none if entry_state is None else self._own(entry_state)
         env, body = self.typeinfo.env_for("main"), self.program.main.body
 
         def run() -> SharingState:
@@ -412,15 +388,15 @@ class SharingAnalysis:
 
         return self.memo.solve(run)[0]
 
-    def analyze_method_entry(self, sig: MethodSig, entry_state: SharingState) -> SharingSummary:
-        return self.memo.solve(lambda: self.context(sig, entry_state).summary)[0]
+    def analyze_method_entry(self, sig: MethodSig, entry_state: SharingState) -> Context:
+        """The method entered in the state: its context, solved."""
+        self._own(entry_state)
+        return self.memo.solve(lambda: self.context(sig, entry_state))[0]
 
     def context(self, sig: MethodSig, entry_state: SharingState) -> Context:
         """A method entered in a state: its context, whose summary grows
-        until the fixpoint is solved.  A state from outside the analysis is
-        moved onto its index here, so the context holds the moved state."""
-        state = entry_state.over(self.index)
-        return self.memo.lookup((sig.key, state), (sig, state))
+        until the fixpoint is solved."""
+        return self.memo.lookup((sig.key, entry_state), (sig, entry_state))
 
     # -- summary computation
 
@@ -446,7 +422,7 @@ class SharingAnalysis:
         return st
 
     def _exec(self, cmd: Command, st: SharingState, frame: _Body) -> SharingState:
-        frame.record(frame.pre, cmd.nid, st)
+        frame.pre[cmd.nid] = st
         if isinstance(cmd, Skip):
             out = st
         elif isinstance(cmd, (Assign, Return)):
@@ -469,7 +445,7 @@ class SharingAnalysis:
                 out = head
         else:
             raise TypeError(f"unsupported command {cmd!r}")
-        frame.record(frame.post, cmd.nid, out)
+        frame.post[cmd.nid] = out
         return out
 
     # -- expression transfer (binds RESULT_VAR)
@@ -487,7 +463,7 @@ class SharingAnalysis:
                 return st.kill(RESULT_VAR)
             return st.copy_alias(e.name, RESULT_VAR)
         if isinstance(e, FieldRead):
-            frame.record(frame.pre, e.nid, st)
+            frame.pre[e.nid] = st
             st1 = st.kill(RESULT_VAR)
             if self.ct.field_type(e.fieldname) == INT_TYPE:
                 return st1
@@ -501,7 +477,7 @@ class SharingAnalysis:
                 ds_row |= self.res_bit
             return st1.relate(RESULT_VAR, sh_row | v_bit, ds_row)
         if isinstance(e, MethodCall):
-            frame.record(frame.pre, e.nid, st)
+            frame.pre[e.nid] = st
             return self._eval_call(e, st, frame)
         raise TypeError(f"unsupported expression {e!r}")
 
@@ -525,8 +501,6 @@ class SharingAnalysis:
 
     def _eval_call(self, e: MethodCall, st: SharingState, frame: _Body) -> SharingState:
         actuals = [e.receiver, *e.args]
-        # the last visit's record stands: the states a run meets at a point
-        # only grow, so its last one is the point's join
         renamed, impure, _ = frame.calls[e.nid] = self.call_effect(e, st)
         # an impure callee argument may update structures shared with the
         # enclosing method's own entry arguments
@@ -557,8 +531,6 @@ def analyze_purity(
     out: dict[tuple[str, str], frozenset[int]] = {}
     for sig in ct.all_method_sigs():
         env = typeinfo.env_for(sig.key)
-        entry = analysis.none.add_sh(
-            [(n, n) for n in sig.input_vars if env.type_of(n) != INT_TYPE]
-        )
-        out[sig.key] = analysis.analyze_method_entry(sig, entry).impure
+        entry = analysis.state([(n, n) for n in sig.input_vars if env.type_of(n) != INT_TYPE])
+        out[sig.key] = analysis.analyze_method_entry(sig, entry).summary.impure
     return out

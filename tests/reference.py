@@ -805,8 +805,10 @@ def as_pairs(state):
 
 class PairSharingAnalysis(SharingAnalysis):
     """The deep-sharing analysis over ``PairSharingState``, with the
-    transfers that walk pairs.  A state from outside is decoded into pairs
-    where the package moves it onto its index."""
+    transfers that walk pairs.  An entry state, which ``state`` builds over
+    the package's index, is decoded into pairs where it enters.  Each visit
+    of a point joins its state into the point's entries, where the package
+    keeps the last visit's."""
 
     def __init__(self, program, ct, typeinfo):
         super().__init__(program, ct, typeinfo)
@@ -826,8 +828,13 @@ class PairSharingAnalysis(SharingAnalysis):
         state = as_pairs(entry_state)
         return self.memo.lookup((sig.key, state), (sig, state))
 
+    @staticmethod
+    def _join(table, nid, st):
+        prev = table.get(nid)
+        table[nid] = st if prev is None else prev.union(st)
+
     def _exec(self, cmd: Command, st: PairSharingState, frame: _Body) -> PairSharingState:
-        frame.record(frame.pre, cmd.nid, st)
+        self._join(frame.pre, cmd.nid, st)
         if isinstance(cmd, Skip):
             out = st
         elif isinstance(cmd, (Assign, Return)):
@@ -850,7 +857,7 @@ class PairSharingAnalysis(SharingAnalysis):
                 out = head
         else:
             raise TypeError(f"unsupported command {cmd!r}")
-        frame.record(frame.post, cmd.nid, out)
+        self._join(frame.post, cmd.nid, out)
         return out
 
     def _eval(self, e: Expr, st: PairSharingState, frame: _Body) -> PairSharingState:
@@ -866,7 +873,7 @@ class PairSharingAnalysis(SharingAnalysis):
                 return st.kill(RESULT_VAR)
             return st.copy_alias(e.name, RESULT_VAR)
         if isinstance(e, FieldRead):
-            frame.record(frame.pre, e.nid, st)
+            self._join(frame.pre, e.nid, st)
             st1 = st.kill(RESULT_VAR)
             if self.ct.field_type(e.fieldname) == INT_TYPE:
                 return st1
@@ -880,7 +887,7 @@ class PairSharingAnalysis(SharingAnalysis):
                 ds_pairs.append((RESULT_VAR, RESULT_VAR))
             return st1.add_sh(sh_pairs).add_ds(ds_pairs)
         if isinstance(e, MethodCall):
-            frame.record(frame.pre, e.nid, st)
+            self._join(frame.pre, e.nid, st)
             return self._eval_call(e, st, frame)
         raise TypeError(f"unsupported expression {e!r}")
 

@@ -24,6 +24,7 @@ from fieldreach.semantics import (
     parse_init_annotations,
     stitch_paths,
 )
+from fieldreach.sharing import _Index
 from fieldreach.syntax import RESULT_VAR, walk_commands
 
 from conftest import DATA, build, pf
@@ -481,7 +482,7 @@ class K {
         {(v, v): empty for v in ("this", "x1", "x2")},
         dict.fromkeys(("this", "x1", "x2"), empty),
     )
-    sp = SharingState.empty().add_sh([(v, v) for v in ("this", "x1", "x2")])
+    sp = ([(v, v) for v in ("this", "x1", "x2")], [])
     result = analyze_program(program, ct, info, entry=sig, init_rc=entry, init_sp=sp)
     assert result.final.reach_at("x1", "x2") == pf(universe, ["f"])
     assert result.final.reach_at("x1", "out") == pf(universe, ["f"])
@@ -728,7 +729,7 @@ def test_programs_without_init_lines_take_the_fast_paths_to_the_same_results(nam
             refs = frozenset(v for v in variables if env.type_of(v) != "int")
         rc, sp = parse_init_annotations(program, universe, variables, refs)
         assert rc == RcValue.bottom(universe, [v for v in variables if v in refs])
-        assert sp.is_empty and sp.sh == frozenset() and sp.ds == frozenset()
+        assert sp == ((), ())
         bare = analyze_program(program, ct, info, entry=entry)
         given = analyze_program(program, ct, info, entry=entry, init_rc=rc, init_sp=sp)
         assert given.final == bare.final and given.trace == bare.trace
@@ -846,9 +847,11 @@ def test_stitched_paths_equal_the_pair_by_pair_reference(data):
     actuals = data.draw(st.lists(st.sampled_from([*names, "k"]), min_size=1, max_size=5))
     impure = frozenset(data.draw(st.sets(st.integers(0, len(actuals) - 1))))
 
+    ix = _Index(scope.names)
+
     def state():
         pairs = data.draw(st.lists(st.tuples(*[st.sampled_from(scope.names)] * 2), max_size=8))
-        return SharingState.of([(v, v) for v in scope.names], pairs)
+        return SharingState(ix, ix.matrix([(v, v) for v in scope.names]), ix.matrix(pairs))
 
     sp, sp_after = state(), state()
     got, want = list(start), list(start)

@@ -1,16 +1,18 @@
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 import fieldreach.semantics
 from fieldreach import SharingAnalysis, SharingState, analyze_program, analyze_purity
 from fieldreach.oracle import Loc, _Interp
 from fieldreach.semantics import entry_scope
+from fieldreach.sharing import _Index
 from fieldreach.syntax import RESULT_VAR, FieldWrite, MethodCall, walk_commands, walk_exprs
 
 from conftest import DATA, build
 from corpus import CORPUS
-from reference import PairSharingAnalysis, PairSharingState, as_pairs, reachable
+from reference import PairSharingAnalysis, PairSharingState, reachable
 from test_render_json import WIDE
 from test_semantics import _random_init_lines
 
@@ -318,12 +320,11 @@ class K {
     )
     analysis = SharingAnalysis(program, ct, info)
     sig = ct.resolve_method("K", "mth")
-    independent = SharingState.empty().add_sh(
-        [("this", "this"), ("x1", "x1"), ("x2", "x2")]
-    )
-    assert analysis.analyze_method_entry(sig, independent).impure == frozenset({1})
-    entangled = independent.add_sh([("x1", "x2")])
-    assert analysis.analyze_method_entry(sig, entangled).impure == frozenset({1, 2})
+    independent = [("this", "this"), ("x1", "x1"), ("x2", "x2")]
+    ctx = analysis.analyze_method_entry(sig, analysis.state(independent))
+    assert ctx.summary.impure == frozenset({1})
+    entangled = analysis.state([*independent, ("x1", "x2")])
+    assert analysis.analyze_method_entry(sig, entangled).summary.impure == frozenset({1, 2})
 
 
 # --------------------------------------------------------------------------
@@ -334,19 +335,20 @@ NAME_POOL = ("a", "b", "c", "this", RESULT_VAR, "%in_this")
 
 @st.composite
 def states(draw):
-    """Names, two states over an index of them with their pair-set
-    references, and names outside the index."""
+    """Names, and two states over an index of them with their pair-set
+    references."""
     names = draw(st.lists(st.sampled_from(NAME_POOL), min_size=1, max_size=6, unique=True))
     pairs = st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=8)
+    ix = _Index(names)
 
     def state():
         sh, ds = draw(pairs), draw(pairs)
         return (
-            SharingState.empty(names).union(SharingState.of(sh, ds)),
+            SharingState(ix, ix.matrix(sh), ix.matrix(ds)),
             PairSharingState.empty().add_sh(sh).add_ds(ds),
         )
 
-    return names, state(), state(), [v for v in NAME_POOL if v not in names]
+    return names, state(), state()
 
 
 def same(state, ref):
@@ -359,7 +361,7 @@ def names_of(state, row):
 
 @given(states(), st.data())
 def test_bit_matrix_state_equals_the_pair_sets(drawn, data):
-    names, (s, r), (s2, r2), outside = drawn
+    names, (s, r), (s2, r2) = drawn
     pick = st.sampled_from(names)
     assert same(s, r) and same(s2, r2)
     assert (s == s2) == (r == r2)
@@ -378,14 +380,6 @@ def test_bit_matrix_state_equals_the_pair_sets(drawn, data):
     assert same(s.clique(s.index.mask(group)), r.clique(group))
     assert names_of(s, s.shset(s.index.mask(group))) == set().union(*map(r.shset, group))
     assert same(s.union(s2), r.union(r2))
-    # a state from outside, on an index of its own, some of its names new
-    new = st.sampled_from(names + outside)
-    extra = data.draw(st.lists(st.tuples(new, new), max_size=4))
-    assert same(s.add_sh(extra), r.add_sh(extra))
-    assert same(s.union(SharingState.of([], extra)), r.add_ds(extra))
-    other = SharingState.empty().add_sh(extra)
-    assert same(s.union(other), r.union(as_pairs(other)))
-    assert same(other.union(s), as_pairs(other).union(r))
     # two new names may be fed by one old name; old names may go unmapped
     sources = data.draw(st.dictionaries(pick, pick, max_size=4))
     assert same(s.remap_from(sources), r.remap_from(sources))
@@ -393,24 +387,49 @@ def test_bit_matrix_state_equals_the_pair_sets(drawn, data):
     assert same(s.remap_to(mapping), r.remap_to(mapping))
 
 
-def test_states_from_outside_move_onto_the_analysis_index():
+def test_states_over_another_index_are_refused():
+    """A state over another analysis's index, or over an index of the same
+    names, enters neither ``union`` nor the analysis."""
+    program, ct, info = build(DATA.joinpath("tree_main.lang").read_text())
+    analysis = SharingAnalysis(program, ct, info)
+    sig = ct.all_method_sigs()[0]
+    pairs = [("this", "this")]
+    same_names = _Index(analysis.index.names)
+    others = [
+        SharingAnalysis(program, ct, info).state(pairs),
+        SharingState(same_names, same_names.matrix(pairs)),
+    ]
+    for other in others:
+        assert other.index is not analysis.index and other.sh == analysis.state(pairs).sh
+        with pytest.raises(ValueError):
+            analysis.none.union(other)
+        with pytest.raises(ValueError):
+            other.union(analysis.none)
+        with pytest.raises(ValueError):
+            analysis.analyze_method_entry(sig, other)
+        with pytest.raises(ValueError):
+            analysis.analyze_main(other)
+    assert not analysis.memo.contexts and analysis.main is None
+
+
+def test_a_state_from_the_analysis_keys_its_context_as_it_is():
     program, ct, info = build(DATA.joinpath("tree.lang").read_text())
     analysis = SharingAnalysis(program, ct, info)
     sig = ct.all_method_sigs()[0]
-    outside = SharingState.empty().add_sh([("this", "this")])
-    assert outside.index is not analysis.index
-    analysis.analyze_method_entry(sig, outside)
-    key, ctx = next(iter(analysis.memo.contexts.items()))
-    state = ctx.input[1]
-    assert key == (sig.key, state) and state.index is analysis.index
-    assert same(state, as_pairs(outside))
+    state = analysis.state([("this", "this")], [("this", "this")])
+    ctx = analysis.analyze_method_entry(sig, state)
+    assert ctx.input[1] is state and ctx.input[0] is sig
+    assert analysis.memo.contexts[(sig.key, state)] is ctx
+    assert state.sh == state.ds == {("this", "this")}
 
 
 def test_sharing_tables_equal_the_pair_set_reference(monkeypatch):
     """The analysis on bit matrices gives the tables, summaries and impure
     sets of the one on pair sets, on every entry of the corpus and the data
     programs, from the program's own facts and from seeded random extra
-    facts."""
+    facts.  The package keeps each point's last visit, the reference joins
+    every visit, so the tables agree only while a run's states at a point
+    grow."""
 
     def outcome(analysis, built, entry):
         with monkeypatch.context() as m:
