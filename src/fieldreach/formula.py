@@ -9,6 +9,16 @@ shift of the table by the field's bit, and dropping it is the shift back;
 concatenation, difference and the up-closure (the Boolean zeta transform)
 are built from these shifts.
 
+Each ``FieldUniverse`` holds one table of path products, ``products``:
+``concat``, ``difference`` and ``up`` return the stored answer for operands
+they have met before and store every answer they compute.  The table lives
+exactly as long as its universe: each analysis builds its own
+(``semantics.entry_scope``), which its result keeps, so nothing is shared
+between analyses.  It stays small because one analysis builds few distinct
+tables: loop passes, fixpoint rounds and contexts meet the same entries
+again, so most products repeat an operand pair the analysis has already
+taken, and the table grows with the distinct pairs, not with the calls.
+
 Two formulas are equal as analysis facts when they have the same *viable*
 models: assignments no heap admitted by the class declarations can realize
 carry no information.  ``Viability`` is the truth table of the realizable
@@ -67,13 +77,16 @@ class FieldUniverse(FrozenRecord):
     model list with no per-model sort, and ``json_rank`` orders any table's
     models by one integer key each."""
 
-    _fields = ("fields",)  # an instance dict holds the cached properties
+    _fields = ("fields",)  # an instance dict holds the caches and the products
 
     def __init__(self, fields: tuple[str, ...]):
         self.fields = fields
         self._index = {f: i for i, f in enumerate(fields)}
         if len(self._index) != len(fields):
             raise ValueError("duplicate field in universe")
+        # the path products computed over this universe, by operator and
+        # operands (see the module docstring); not part of equality
+        self.products: dict[tuple, int] = {}
 
     @staticmethod
     def of(fields: Iterable[str]) -> "FieldUniverse":
@@ -108,10 +121,19 @@ class FieldUniverse(FrozenRecord):
         return _halves(len(self.fields))
 
     def up(self, table: int) -> int:
-        """Up-closure: every superset of a model becomes a model."""
-        for bit, (without, _) in self.halves.items():
-            table |= (table & without) << bit
-        return table
+        """Up-closure: every superset of a model becomes a model.  The
+        answer comes from this universe's table of products when the table
+        was closed before, and is stored there otherwise; the table lives as
+        long as the universe, one analysis's, and stays small because that
+        analysis closes the same few tables again (module docstring)."""
+        key = ("up", table)
+        out = self.products.get(key)
+        if out is None:
+            out = table
+            for bit, (without, _) in self.halves.items():
+                out |= (out & without) << bit
+            self.products[key] = out
+        return out
 
     @property
     def has_any(self) -> bool:
@@ -190,9 +212,22 @@ def models_of(table: int) -> Iterator[int]:
 
 def concat(universe: FieldUniverse, a: int, b: int) -> int:
     """Models of the result are pairwise unions: a path split into two legs
-    traverses the union of what each leg traverses.  Each model of the
-    sparser side widens the other table by its fields, one masked shift per
-    field.
+    traverses the union of what each leg traverses.  Concatenation is
+    commutative, so the universe's table of products keys the answer on the
+    unordered pair: a pair met before, either way round, is one lookup, and
+    a new one is computed by ``_concat`` and stored.  The table lives as
+    long as the universe, one analysis's, and stays small because that
+    analysis concatenates the same few tables again (module docstring)."""
+    key = ("concat", a, b) if a <= b else ("concat", b, a)
+    out = universe.products.get(key)
+    if out is None:
+        out = universe.products[key] = _concat(universe, a, b)
+    return out
+
+
+def _concat(universe: FieldUniverse, a: int, b: int) -> int:
+    """``concat`` computed: each model of the sparser side widens the other
+    table by its fields, one masked shift per field.
 
     When the denser side U is up-closed, the result is ``U & up(few)``: a
     union with a model of U is a superset of it, so in U, and a model z of
@@ -220,16 +255,24 @@ def difference(universe: FieldUniverse, a: int, b: int) -> int:
     model of ``a``: what remains of a path after cutting off a prefix.  With
     no model in ``b`` the defining set is empty.  Per model of ``b``, each of
     its fields is dropped, or not, from every model of ``a`` that has it:
-    one masked shift of the table per field."""
-    halves = universe.halves
-    out = 0
-    for y in models_of(b):
-        t = a
-        while y:
-            bit = y & -y
-            y ^= bit
-            t |= (t & halves[bit][1]) >> bit
-        out |= t
+    one masked shift of the table per field.  The answer comes from the
+    universe's table of products when the ordered pair was met before, and
+    is stored there otherwise; the table lives as long as the universe, one
+    analysis's, and stays small because that analysis cuts the same few
+    tables again (module docstring)."""
+    key = ("difference", a, b)
+    out = universe.products.get(key)
+    if out is None:
+        halves = universe.halves
+        out = 0
+        for y in models_of(b):
+            t = a
+            while y:
+                bit = y & -y
+                y ^= bit
+                t |= (t & halves[bit][1]) >> bit
+            out |= t
+        universe.products[key] = out
     return out
 
 

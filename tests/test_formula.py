@@ -255,6 +255,71 @@ def test_difference_by_shifts_matches_the_submask_walk(drawn):
     assert difference(u, a, b) == submask_walk_difference(u, a, b)
 
 
+def up_by_supersets(universe, table):
+    """The up-closure by its definition: every superset of every model."""
+    full = (1 << universe.size) - 1
+    return sum({1 << (m | x) for m in models_of(table) for x in submasks(full & ~m)})
+
+
+@st.composite
+def busy_universes(draw):
+    """A universe of 1-6 fields, sometimes ending with the stand-in, whose
+    table of products already holds the answers to 5-30 random ``concat``,
+    ``difference`` and ``up`` calls, those calls' operands, and two operands
+    to ask about: non-zero tables, random, up-closed or the tautology, or
+    operands the table has met before."""
+    names = tuple(f"f{i}" for i in range(draw(st.integers(1, 6))))
+    with_any = draw(st.booleans())
+    u = FieldUniverse.tracked(names, names[:-1] if with_any else names)
+    random_table = st.integers(min_value=1, max_value=u.full_table)
+    up_closed = random_table.map(lambda t: up_by_supersets(u, t))
+    table = st.one_of(random_table, up_closed, st.just(u.full_table))
+    met = []
+    for _ in range(draw(st.integers(5, 30))):
+        op, a, b = draw(st.sampled_from("cdu")), draw(table), draw(table)
+        if op == "c":
+            concat(u, a, b)
+        elif op == "d":
+            difference(u, a, b)
+        else:
+            u.up(a)
+        met += [a, b]
+    operand = st.one_of(table, st.sampled_from(met))
+    return u, draw(operand), draw(operand)
+
+
+@given(busy_universes())
+def test_a_busy_table_of_products_answers_as_a_fresh_universe(drawn):
+    """A universe answers from its table of products exactly what a fresh
+    universe of the same fields computes and what the references define:
+    concatenation the same either way round, difference not."""
+    u, a, b = drawn
+    assert u.products
+    # each product is asked again once its answer is stored
+    want = concat_by_models(u, a, b)
+    assert concat(u, a, b) == concat(FieldUniverse(u.fields), a, b) == want
+    assert concat(u, b, a) == want
+    want = submask_walk_difference(u, a, b)
+    assert difference(u, a, b) == difference(FieldUniverse(u.fields), a, b) == want
+    assert difference(u, b, a) == submask_walk_difference(u, b, a)
+    assert difference(u, a, b) == want
+    for t in (a, b):
+        assert u.up(t) == FieldUniverse(u.fields).up(t) == up_by_supersets(u, t)
+        assert u.up(t) == up_by_supersets(u, t)
+
+
+def test_each_universe_has_its_own_table_of_products():
+    """Two universes of the same fields are equal but share no products, so
+    a table lives and dies with the universe one analysis builds."""
+    first, second = FieldUniverse.of(["f", "g"]), FieldUniverse.of(["f", "g"])
+    assert first == second and hash(first) == hash(second)
+    assert first.products is not second.products
+    assert concat(first, 0b0010, 0b0100) == 0b1000
+    assert difference(first, 0b1000, 0b0100) == 0b1010
+    assert first.up(0b0010) == 0b1010
+    assert len(first.products) == 3 and second.products == {}
+
+
 @given(st.data())
 def test_a_zero_operand_gives_zero(data):
     """What lets the transfer functions skip every term with a zero operand:

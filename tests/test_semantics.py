@@ -27,7 +27,7 @@ from fieldreach.semantics import (
 from fieldreach.sharing import _Index
 from fieldreach.syntax import RESULT_VAR, walk_commands
 
-from conftest import DATA, build, pf
+from conftest import DATA, analyze_entry, build, pf
 from corpus import CORPUS, many_arguments
 from reference import DenseAnalyzer, replaced, stitch_pair_by_pair
 from test_render_json import WIDE
@@ -885,3 +885,13 @@ def test_transfers_compute_no_term_with_a_zero_operand(monkeypatch):
             analyze_program(program, ct, info, entry=entry)
     analyze_program(*build(many_arguments(4)))
     assert calls["concat"] > 1000 and calls["difference"] > 100, calls
+
+
+def test_the_table_of_products_stays_small():
+    """The operands of the path algebra repeat within an analysis, so its
+    universe's table of products stays small even on the call-heavy
+    probes: ``many_arguments(10)`` from ``main`` and ``many_arguments(4)``
+    from ``go``, which meets 124 contexts, store 109 and 84 products."""
+    for source, entry in ((many_arguments(10), "main"), (many_arguments(4), "go")):
+        products = analyze_entry(source, entry).universe.products
+        assert 0 < len(products) <= 200, (entry, len(products))
