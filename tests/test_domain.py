@@ -69,9 +69,9 @@ def _assert_one_scope(value, ints):
 def test_int_vars_have_no_entries():
     # a value's scope is its reference variables: reach has one entry per
     # ordered pair of the cyc keys, and an int variable has no entry at all
-    for _, src, entry, tracked in CASES:
+    for _, src, entry, tracked, k in CASES:
         program, ct, info = build(src)
-        result = analyze_program(program, ct, info, tracked=tracked, entry=entry)
+        result = analyze_program(program, ct, info, tracked=tracked, entry=entry, widening_k=k)
         ints = _int_vars(info.env_for(result.entry))
         for value in [result.final] + [row.value for row in result.trace]:
             _assert_one_scope(value, ints)

@@ -6,6 +6,9 @@ text report (the per-line table plus the final value) what
 on every case, ``--dump-sharing`` on the ``main`` entries) what
 ``data/view_digests.json`` records.
 
+Three cases widen (``k`` below 16), so the bytes of a widened report are
+pinned too.
+
 A change that alters a report on purpose must prove it is a precision gain;
 only then regenerate the three files with ``PYTHONPATH=src python tests/test_reports.py``.
 """
@@ -25,24 +28,38 @@ from fieldreach.render import (
 )
 from fieldreach.semantics import analyze_program
 
-from conftest import DATA, analyze_entry, build
+from conftest import DATA, build
 from corpus import CORPUS
+from test_fixpoint import WIDENS_IN_A_CALLEE
 from test_render_json import WIDE
+from test_semantics import ROTATING
 
 DIGESTS = DATA / "report_digests.json"
 TEXT_DIGESTS = DATA / "text_digests.json"
 VIEW_DIGESTS = DATA / "view_digests.json"
 _ELAPSED = re.compile(r'\n *"elapsed_ms": [^\n]*')
 
-# (name, source, entry, tracked fields)
-CASES = [(f"corpus/{name}", src, "main", None) for name, src in sorted(CORPUS.items())] + [
-    ("data/dll.lang", (DATA / "dll.lang").read_text(), "main", None),
-    ("data/tree.lang@join", (DATA / "tree.lang").read_text(), "join", None),
-    ("data/tree_main.lang[left]", (DATA / "tree_main.lang").read_text(), "main", ["left"]),
+# (name, source, entry, tracked fields, widening k)
+CASES = [(f"corpus/{name}", src, "main", None, 16) for name, src in sorted(CORPUS.items())] + [
+    ("data/dll.lang", (DATA / "dll.lang").read_text(), "main", None, 16),
+    ("data/tree.lang@join", (DATA / "tree.lang").read_text(), "join", None, 16),
+    ("data/tree_main.lang[left]", (DATA / "tree_main.lang").read_text(), "main", ["left"], 16),
     # seven fields; the final canonicalisation drops models from most of
     # the values this case records
-    ("wide", WIDE, "main", None),
+    ("wide", WIDE, "main", None, 16),
+    # widened reports: reversal is the one corpus program that widens at
+    # k = 1 or 2 (10 widening events at 1), ROTATING widens its main loop
+    # and WIDENS_IN_A_CALLEE a loop inside a context
+    ("corpus/reversal@widening=1", CORPUS["reversal"], "main", None, 1),
+    ("rotating@widening=3", ROTATING.lstrip("\n"), "main", None, 3),
+    ("widens_in_a_callee@widening=1", WIDENS_IN_A_CALLEE, "main", None, 1),
 ]
+
+
+def _analyze(src, entry, tracked, k):
+    """The program's class table, its type information and its analysis."""
+    program, ct, info = build(src)
+    return ct, info, analyze_program(program, ct, info, tracked=tracked, entry=entry, widening_k=k)
 
 
 def _sha(text: str) -> str:
@@ -52,14 +69,13 @@ def _sha(text: str) -> str:
 def current_digests() -> tuple[dict[str, str], dict[str, str], dict[str, str]]:
     """The JSON report, the text report and the view digests of every case."""
     reports, texts, views = {}, {}, {}
-    for name, src, entry, tracked in CASES:
-        program, ct, info = build(src)
-        result = analyze_program(program, ct, info, tracked=tracked, entry=entry)
+    for name, src, entry, tracked, k in CASES:
+        ct, info, result = _analyze(src, entry, tracked, k)
         reports[name] = _sha(_ELAPSED.sub("", result_to_json(result)))
         texts[name] = _sha(render_table(result) + render_final(result))
         views[f"{name} compare"] = _sha(render_compare(result, ct, info))
         if entry == "main":
-            views[f"{name} sharing"] = _sha(render_sharing(program, result.sharing))
+            views[f"{name} sharing"] = _sha(render_sharing(result.sharing.program, result.sharing))
     return reports, texts, views
 
 
@@ -89,11 +105,11 @@ def test_views_match_golden_digests(digests):
     assert not changed, f"views differ from the golden digests: {changed}"
 
 
-@pytest.mark.parametrize("name,src,entry,tracked", CASES, ids=[c[0] for c in CASES])
-def test_recorded_values_are_canonical(name, src, entry, tracked):
+@pytest.mark.parametrize("name,src,entry,tracked,k", CASES, ids=[c[0] for c in CASES])
+def test_recorded_values_are_canonical(name, src, entry, tracked, k):
     """Every value a result holds is in normal form and its own canonical
     form, however many places share it."""
-    result = analyze_entry(src, entry, tracked)
+    result = _analyze(src, entry, tracked, k)[2]
     values = [result.final] + [row.value for row in result.trace]
     values += result.point_post.values()
     for value in values:
