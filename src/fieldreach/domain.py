@@ -19,11 +19,20 @@ name, ``reach_at`` and ``cyc_at`` give an entry as a read-only
 variable pairs and variables to tables, in scope order; ``of`` builds a
 value from such mappings.  Values are kept in normal form — the cyclicity
 entry of a variable always covers its self-reachability, since a path from
-a variable back to itself is a cycle.  Operations are functional; instances
-are treated as immutable, with one exception: ``_normalize_in_place`` folds
-in place, and runs only on a value its caller has just built.  ``rename``,
-the move of a call's or an expression's result onto its variable, is
-``copy_var`` then ``project``.
+a variable back to itself is a cycle.
+
+Operations are functional, and a value that anyone holds is immutable.  The
+exceptions are the ``_..._in_place`` methods (``_normalize_in_place``,
+``_drop_in_place``, ``_copy_in_place``, ``_move_in_place``), which write
+into the value itself, and the transfers of ``semantics``, which write into
+its list by position.  The rule that makes this safe: a transfer writes
+only into a value it built in this visit, never into one held by a run
+record, a trace row, a context or a caller, and so never into its own
+input.  So an expression hands back either its input, untouched, or a
+value it built, and the command that consumes the result moves or drops
+the result variable in place in the latter and copies the former first.
+``rename``, the move of a call's or an expression's result onto its
+variable, is ``copy_var`` then ``project`` in one copy.
 """
 
 from __future__ import annotations
@@ -119,18 +128,14 @@ class RcValue:
     def project(self, variables: Iterable[str]) -> "RcValue":
         """Forget everything about the given variables: their rows, columns
         and cyclicity become false."""
-        s = self.scope
-        gone = [s.pos[v] for v in variables if v in s.pos]
+        pos = self.scope.pos
+        gone = [pos[v] for v in variables if v in pos]
         if not gone:
             return self
-        n, nn = s.n, s.nn
-        t = self.tables[:]
-        zeros = [0] * n
+        out = self._fresh()
         for i in gone:
-            t[i * n : i * n + n] = zeros
-            t[i:nn:n] = zeros
-            t[nn + i] = 0
-        return RcValue(self.universe, s, t)
+            out._drop_in_place(i)
+        return out
 
     def rename(self, src: str, dst: str) -> "RcValue":
         """Move ``src`` onto ``dst``: ``dst`` takes ``src``'s rows, columns
@@ -140,22 +145,40 @@ class RcValue:
         pos = self.scope.pos
         if src == dst or src not in pos or dst not in pos:
             return self
-        return self.copy_var(src, dst).project([src])
+        return self._fresh()._move_in_place(pos[src], pos[dst])
 
     def copy_var(self, src: str, dst: str) -> "RcValue":
         """Make ``dst`` an exact alias snapshot of ``src``: they alias each
         other, and ``dst`` inherits rows, columns and cyclicity."""
-        s = self.scope
-        if src == dst or src not in s.pos or dst not in s.pos:
+        pos = self.scope.pos
+        if src == dst or src not in pos or dst not in pos:
             return self
-        i, j, n, nn = s.pos[src], s.pos[dst], s.n, s.nn
-        t = self.tables[:]
-        # dst's row, then its column from the updated list: the crossing
-        # entries (dst, dst), (src, dst) and (dst, src) all read (src, src)
+        return self._fresh()._copy_in_place(pos[src], pos[dst])
+
+    # -- in place, for a value no one else holds yet (see the module doc)
+
+    def _drop_in_place(self, i: int) -> "RcValue":
+        """``project`` of the variable at position i, in place."""
+        t, n, nn = self.tables, self.scope.n, self.scope.nn
+        zeros = [0] * n
+        t[i * n : i * n + n] = zeros
+        t[i:nn:n] = zeros
+        t[nn + i] = 0
+        return self
+
+    def _copy_in_place(self, i: int, j: int) -> "RcValue":
+        """``copy_var`` from position i to position j != i, in place."""
+        t, n, nn = self.tables, self.scope.n, self.scope.nn
+        # j's row, then its column from the updated list: the crossing
+        # entries (j, j), (i, j) and (j, i) all read (i, i)
         t[j * n : j * n + n] = t[i * n : i * n + n]
         t[j:nn:n] = t[i:nn:n]
         t[nn + j] = t[nn + i]
-        return RcValue(self.universe, s, t)
+        return self
+
+    def _move_in_place(self, i: int, j: int) -> "RcValue":
+        """``rename`` from position i to position j != i, in place."""
+        return self._copy_in_place(i, j)._drop_in_place(i)
 
     # -- lattice structure
 
@@ -189,7 +212,7 @@ class RcValue:
         return self._fresh()._normalize_in_place()
 
     def _normalize_in_place(self) -> "RcValue":
-        """``normalize`` without the copy, for a value no one else holds yet."""
+        """``normalize``, in place."""
         t, n, nn = self.tables, self.scope.n, self.scope.nn
         t[nn:] = map(or_, t[nn:], t[0:nn : n + 1])
         return self

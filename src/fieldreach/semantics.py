@@ -8,12 +8,19 @@ can create, including the cycle it may close; a call combines the callee
 summaries with purity- and deep-sharing-guarded repair of everything the
 callee might have rewired, reading the call effect and the callees'
 contexts the sharing analysis recorded at the call site.  Each transfer
-writes, by position in the value's flat list of tables, into one fresh
-copy of its input and computes only the terms whose operands are non-zero:
-``concat`` and ``difference`` give the zero table when either operand is
-zero and ``t |= 0`` changes nothing, so a skipped term is one that adds
-nothing.
-Most entries are zero, since most paths and cycles are impossible.
+builds its output once: it writes, by position in the value's flat list of
+tables, into one fresh copy of its input, and computes only the terms whose
+operands are non-zero: ``concat`` and ``difference`` give the zero table
+when either operand is zero and ``t |= 0`` changes nothing, so a skipped
+term is one that adds nothing.  Most entries are zero, since most paths and
+cycles are impossible.  A transfer writes only into a value it built in
+this visit, never into its input or any value a run record, a trace row, a
+context or a caller holds (the rule of ``domain``): an expression hands
+back its input untouched or a value it built, and the command moves the
+result variable onto its target, or drops it, in place in the latter.  So
+an assignment, too, builds one fresh copy of its input, and one that
+changes nothing, such as ``i := i + 1``, builds none.  A loop widens the
+join it has just built.
 
 Method denotations map an abstract entry value over the inputs to an exit
 value over inputs plus the return value.  A ``Fixpoint`` worklist holds one
@@ -163,14 +170,18 @@ class Analyzer:
         self.universe = universe
         self.via = Viability(ct, universe)
         self.widening_k = widening_k
-        self.scopes = {sig.key: summary_scope(sig, typeinfo) for sig in ct.all_method_sigs()}
+        self.scopes = {
+            sig.key: Scope.of(summary_scope(sig, typeinfo)) for sig in ct.all_method_sigs()
+        }
+        # per reference field, its bit in the universe's masks
+        self.field_bits = {f: universe.abstract_mask([f]) for f in ct.reference_fields}
         # (callee's sharing context, entry value key) -> method denotation,
         # and the last run's recording; the input is (method, entry value,
         # sharing context)
         self.memo = Fixpoint(
             self._run_method,
             self._widen_memo,
-            lambda inp: RcValue.bottom(universe, self.scopes[inp[0].key]),
+            lambda inp: RcValue.bottom(universe, self.scopes[inp[0].key].names),
         )
         # per context, how often each entry of its denotation has changed
         self.counters: dict[Context, list[int]] = {}
@@ -179,32 +190,46 @@ class Analyzer:
     # ------------------------------------------------------------------
     # helpers
 
-    def _only(self, fields: Iterable[str]) -> int:
-        """The table whose one model is exactly this field set."""
-        return 1 << self.universe.abstract_mask(fields)
-
     def _assert_normal(self, value: RcValue) -> None:
         if not value.is_normal():
             raise AssertionError("transfer produced a value out of normal form")
+
+    @staticmethod
+    def _drop_result(value: RcValue, I: RcValue) -> RcValue:
+        """``value``, which is ``I`` or a value built in this visit, with the
+        result variable forgotten: in place in a built value; ``I`` itself
+        when its result entries are already false."""
+        s = value.scope
+        r = s.pos[RESULT_VAR]
+        if value is not I:
+            return value._drop_in_place(r)
+        n, t = s.n, I.tables
+        if t[s.nn + r] or any(t[r * n : r * n + n]) or any(t[r : s.nn : n]):
+            return I.project([RESULT_VAR])
+        return I
 
     # ------------------------------------------------------------------
     # expressions
 
     def eval_expr(self, e: Expr, I: RcValue, run: _Run) -> RcValue:
+        """The value after the expression, which binds the result variable:
+        ``I`` itself, untouched, or a value built in this visit."""
         if isinstance(e, (IntLit, NullLit)):
             return I
         if isinstance(e, NewObject):
             out = I._fresh()
             s = I.scope
             r = s.pos[RESULT_VAR]
-            out.tables[r * s.n + r] = out.tables[s.nn + r] = self._only(())
+            # the one model of the table 1 is the empty path
+            out.tables[r * s.n + r] = out.tables[s.nn + r] = 1
             return out
         if isinstance(e, VarRef):  # an int variable is outside the scope: I stays
             return I.copy_var(e.name, RESULT_VAR)
         if isinstance(e, BinOp):
-            left = self.eval_expr(e.left, I, run).project([RESULT_VAR])
-            right = self.eval_expr(e.right, left, run)
-            return right.project([RESULT_VAR])
+            left = self._drop_result(self.eval_expr(e.left, I, run), I)
+            # the right operand hands back ``left``, which is I or built here,
+            # or a value it built
+            return self._drop_result(self.eval_expr(e.right, left, run), I)
         if isinstance(e, FieldRead):
             return self._eval_field_read(e, I, run)
         if isinstance(e, MethodCall):
@@ -212,15 +237,17 @@ class Analyzer:
         raise AnalysisError(f"unsupported expression {e!r}")
 
     def _eval_field_read(self, e: FieldRead, I: RcValue, run: _Run) -> RcValue:
-        if self.ct.field_type(e.fieldname) == INT_TYPE:
+        fld_mask = self.field_bits.get(e.fieldname)
+        if fld_mask is None:  # an int field
             return I
-        sp = run.sp_run.pre[e.nid]
         u = self.universe
         s = I.scope
         n, names = s.n, s.names
         v, r = s.pos[e.var], s.pos[RESULT_VAR]
-        fld = self._only([e.fieldname])
-        fld_mask = u.abstract_mask([e.fieldname])
+        fld = 1 << fld_mask
+        # the variables v deep-shares with, as a row of the sharing index
+        ds_v = self.sharing.ds_row(run.sp_run.pre[e.nid], e.var)
+        at = self.sharing.index.pos
         t = I.tables
         out = I._fresh()
         new = out.tables
@@ -232,7 +259,7 @@ class Analyzer:
             from_v = t[v * n + w]
             if from_v:
                 new[r * n + w] |= difference(u, from_v, fld)
-            if sp.has_ds(names[w], e.var):
+            if ds_v >> at[names[w]] & 1:
                 new[w * n + r] = u.full_table
                 continue
             into = t[w * n + v]
@@ -241,7 +268,7 @@ class Analyzer:
             # the read value may be w itself: exactly when the one-step
             # path through this field is an admitted way from v to w
             if from_v >> fld_mask & 1:
-                new[w * n + r] |= self._only(())
+                new[w * n + r] |= 1
         return out._normalize_in_place()
 
     def _eval_call(self, e: MethodCall, I: RcValue, run: _Run) -> RcValue:
@@ -254,20 +281,21 @@ class Analyzer:
         t = I.tables
         actuals = [e.receiver] + list(e.args)
 
-        summary_back = RcValue.bottom(u, names)
+        summary_back = None  # a lone callee's remapped summary is the join
         for formal_to_actual, sp_callee in callees:
             sig = sp_callee.input[0]
-            entry = RcValue.bottom(u, self.scopes[sig.key])
-            es, et = entry.scope, entry.tables
+            es = self.scopes[sig.key]
+            et = [0] * (es.nn + es.n)
             # (formal position, actual position) for each reference formal
             fa = [(es.pos[f], pos[formal_to_actual[f]]) for f in sig.input_vars if f in es.pos]
             for f1, a1 in fa:
                 for f2, a2 in fa:
                     et[f1 * es.n + f2] = t[a1 * n + a2]
                 et[es.nn + f1] = t[nn + a1]
-            output = self._denotation(sig, entry, sp_callee)
+            output = self._denotation(sig, RcValue(u, es, et), sp_callee)
             mapping = {**formal_to_actual, OUT_VAR: RESULT_VAR}
-            summary_back = summary_back.join(output.remap(mapping, names))
+            remapped = output.remap(mapping, names)
+            summary_back = remapped if summary_back is None else summary_back.join(remapped)
         back = summary_back.tables
         out = I.join(summary_back)
         new = out.tables
@@ -281,7 +309,12 @@ class Analyzer:
         r = pos[RESULT_VAR]
         others = [w for w in range(n) if w != r]
         refs = [v for v in dict.fromkeys(actuals) if v in pos]
-        if any(sp_after.has_ds(vk, RESULT_VAR) for vk in refs):
+        # deep sharing by rows of the sharing index: ``at`` gives each
+        # variable's position in it, and a row has one bit per position
+        ds_row, ix_pos = self.sharing.ds_row, self.sharing.index.pos
+        at = [ix_pos[w] for w in names]
+        ds_res = ds_row(sp_after, RESULT_VAR)
+        if any(ds_res >> ix_pos[vk] & 1 for vk in refs):
             for w in others:
                 new[r * n + w] = true
         else:
@@ -306,14 +339,15 @@ class Analyzer:
         for vk in refs:
             k = pos[vk]
             leg = back[k * n + r]
+            ds_k = ds_row(sp, vk)
             for w in others:
-                if sp.has_ds(names[w], vk):
+                if ds_k >> at[w] & 1:
                     new[w * n + r] = true
                 elif leg:
                     if t[w * n + k]:
                         new[w * n + r] |= concat(u, t[w * n + k], leg)
                     if t[k * n + w]:
-                        new[w * n + r] |= self._only(())
+                        new[w * n + r] |= 1
             if leg:
                 new[nn + r] |= t[nn + k]
 
@@ -326,8 +360,9 @@ class Analyzer:
             ci = back[nn + a]
             if not ci:
                 continue
+            ds_i = ds_row(sp, vi)
             for w in others:
-                if t[w * n + a] or t[a * n + w] or sp.has_ds(names[w], vi):
+                if t[w * n + a] or t[a * n + w] or ds_i >> at[w] & 1:
                     new[nn + w] |= ci
 
         return out._normalize_in_place()
@@ -353,10 +388,13 @@ class Analyzer:
             return I
         if isinstance(cmd, (Assign, Return)):
             evaluated = self.eval_expr(cmd.expr, I, run)
-            if cmd.var not in I.scope.pos:
+            pos = I.scope.pos
+            if cmd.var not in pos:
                 # an int target still consumes the expression result
-                return evaluated.project([RESULT_VAR])
-            return evaluated.rename(RESULT_VAR, cmd.var)
+                return self._drop_result(evaluated, I)
+            if evaluated is I:
+                return I.rename(RESULT_VAR, cmd.var)
+            return evaluated._move_in_place(pos[RESULT_VAR], pos[cmd.var])
         if isinstance(cmd, FieldWrite):
             return self._exec_field_write(cmd, I, run)
         if isinstance(cmd, If):
@@ -372,14 +410,15 @@ class Analyzer:
 
     def _exec_field_write(self, cmd: FieldWrite, I: RcValue, run: _Run) -> RcValue:
         evaluated = self.eval_expr(cmd.expr, I, run)
-        if self.ct.field_type(cmd.fieldname) == INT_TYPE:
-            return evaluated.project([RESULT_VAR])
+        fld_mask = self.field_bits.get(cmd.fieldname)
+        if fld_mask is None:  # an int field
+            return self._drop_result(evaluated, I)
         u = self.universe
         s = evaluated.scope
         n, nn = s.n, s.nn
         v, r = s.pos[cmd.var], s.pos[RESULT_VAR]
         t = evaluated.tables
-        fld = self._only([cmd.fieldname])
+        fld = 1 << fld_mask
         # the new edge alone, or the new edge plus the cycle it may close,
         # gone round any number of times: so the ways back are closed under
         # union, which one model or an up-closed table already is
@@ -392,16 +431,14 @@ class Analyzer:
             mid |= concat(u, fld, back_to_v)
             cyc_new |= concat(u, back_to_v, fld)
         # a new path runs from a variable that reaches v to one the written
-        # value reaches; the result variable is in every body's scope, so
-        # the projection is a fresh copy
-        out = evaluated.project([RESULT_VAR])
-        new = out.tables
+        # value reaches: the result row and v's column, read before the
+        # result is dropped and the new paths are written
         others = [w for w in range(n) if w != r]
         tails = [(w2, t[r * n + w2]) for w2 in others if t[r * n + w2]]
-        for w1 in others:
-            into = t[w1 * n + v]
-            if not into:
-                continue
+        intos = [(w1, t[w1 * n + v]) for w1 in others if t[w1 * n + v]]
+        out = (I._fresh() if evaluated is I else evaluated)._drop_in_place(r)
+        new = out.tables
+        for w1, into in intos:
             head = concat(u, into, mid)
             for w2, tail in tails:
                 new[w1 * n + w2] |= concat(u, head, tail)
@@ -418,7 +455,7 @@ class Analyzer:
             after = self.exec_body(cmd.body, head, run)
             passes += 1
             joined = head.join(after).canonical(self.via)
-            widened = self._widen_value(head, joined, counters)
+            widened = self._widen_in_place(head, joined, counters)
             if widened == head:
                 break
             head = widened
@@ -428,18 +465,19 @@ class Analyzer:
         run.widenings += 0 if k is None else sum(c - k for c in counters if c > k)
         return head
 
-    def _widen_value(self, old: RcValue, new: RcValue, counters: list[int]) -> RcValue:
-        """``new`` with every entry that has changed more than k times, by
-        the position counts in ``counters``, widened to the tautology."""
+    def _widen_in_place(self, old: RcValue, new: RcValue, counters: list[int]) -> RcValue:
+        """``new``, a join the caller has just built, with every entry that
+        has changed more than k times, by the position counts in
+        ``counters``, widened to the tautology in place."""
         if self.widening_k is None:
             return new
-        out = new._fresh()
-        t, full, k = out.tables, self.universe.full_table, self.widening_k
-        for i in compress(count(), map(ne, new.tables, old.tables)):
+        t, full, k = new.tables, self.universe.full_table, self.widening_k
+        # an entry is widened only after the comparison has passed it
+        for i in compress(count(), map(ne, t, old.tables)):
             counters[i] += 1
             if counters[i] > k:
                 t[i] = full
-        return out._normalize_in_place()
+        return new._normalize_in_place()
 
     # ------------------------------------------------------------------
     # method denotations
@@ -450,7 +488,7 @@ class Analyzer:
     def _widen_memo(self, ctx: Context, new: RcValue) -> RcValue:
         old = ctx.summary
         counters = self.counters.setdefault(ctx, [0] * len(old.tables))
-        return self._widen_value(old, old.join(new), counters)
+        return self._widen_in_place(old, old.join(new), counters)
 
     def _run_method(self, ctx: Context, trace_on: bool = False) -> RcValue:
         """One run of a method body from a context's input (method, entry
@@ -461,10 +499,13 @@ class Analyzer:
         scope = self.scopes[sig.key]
         shadows = {w: shallow_name(w) for w in sig.param_names if env.type_of(w) != INT_TYPE}
         # inputs and locals, then ``out``, which the body does not declare
-        body = (*env.ref_vars, *(v for v in scope if v not in env), *shadows.values(), RESULT_VAR)
+        body = (
+            *env.ref_vars, *(v for v in scope.names if v not in env), *shadows.values(), RESULT_VAR
+        )
         I0 = entry.remap({x: x for x in entry.scope.names}, body)
+        pos = I0.scope.pos
         for w, u in shadows.items():
-            I0 = I0.copy_var(w, u)
+            I0._copy_in_place(pos[w], pos[u])
         run = ctx.run = _Run(sp_ctx.run, trace_on)
         if trace_on:
             run.trace_line(decl.line, I0)
@@ -473,7 +514,7 @@ class Analyzer:
         # shadows pinned, of ``this`` and of the result
         outputs = {u: w for w, u in shadows.items()}
         outputs.update({"this": "this", OUT_VAR: OUT_VAR})
-        return I1.remap(outputs, scope)._normalize_in_place().canonical(self.via)
+        return I1.remap(outputs, scope.names)._normalize_in_place().canonical(self.via)
 
     # ------------------------------------------------------------------
     # drivers

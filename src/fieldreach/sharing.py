@@ -29,10 +29,14 @@ A state holds each relation as one int: a symmetric n×n bit matrix over a
 name index, bit ``i * n + j`` relating names i and j.  Each analysis has
 one index, over every variable of every body, the shadow of every method
 input, the result variable and ``out``, and every state of the analysis
-lies over it, so each transfer is a few big-int operations: ``kill`` is an
-``&`` with a mask kept per name, ``union`` is ``|``, a lookup is one shift,
-and ``clique``, ``copy_alias`` and ``relate`` OR in the rows and columns
-they touch.  Facts from outside the analysis (the ``//@ init`` facts, a
+lies over it, so each transfer is a few big-int operations on the two
+matrices: killing a name is an ``&`` with a mask kept per name, ``union``
+is ``|``, a lookup is one shift, and ``_Index.relate``, ``_Index.block``
+and ``_alias`` OR in the rows and columns they touch.  A transfer builds
+one state from the two ints it computed, or none when they are its
+input's, so ``x := new N`` builds one state and ``i := i + 1`` none.
+States are immutable, so no state a frame, a context or a caller holds
+ever changes.  Facts from outside the analysis (the ``//@ init`` facts, a
 caller's entry pairs) come in as pairs of names, which
 ``SharingAnalysis.state`` turns into a state over the index; a state over
 another index is an error where it enters and in ``union``.  ``sh`` and
@@ -106,6 +110,25 @@ class _Index:
         # per position, everything but its row and column
         self.keep = [full ^ (self.row0 << i * n | self.col0 << i) for i in range(n)]
 
+    def shset(self, sh: int, row: int) -> int:
+        """The names whose region may overlap, by the ``sh`` matrix, that of
+        a name of the row, the row's names included."""
+        out, n, row0 = row, self.n, self.row0
+        while row:
+            low = row & -row
+            out |= sh >> (low.bit_length() - 1) * n & row0
+            row ^= low
+        return out
+
+    def relate(self, m: int, i: int, row: int) -> int:
+        """Matrix ``m`` with name i paired with the names of the row."""
+        return m | row << i * self.n | self.column(row) << i
+
+    def block(self, row: int) -> int:
+        """The matrix relating every two names of the row, each to itself
+        too."""
+        return self.column(row) * row  # no carries: rows are n bits apart
+
     def mask(self, names: Iterable[str]) -> int:
         """The positions of the names, as a row."""
         m = 0
@@ -157,11 +180,12 @@ def _alias(ix: _Index, m: int, s: int, d: int) -> int:
 class SharingState:
     """The two relations as symmetric bit matrices over one name index.
 
-    Every operation takes names, or rows of positions, on the state's own
-    index; a name it does not hold raises ``KeyError``, and a ``union`` of
-    states over two indexes raises ``ValueError``.  Two states are equal
-    when their indexes list the same names and their matrices are equal.
-    ``sh`` and ``ds`` decode the relations into pairs."""
+    Every operation takes names on the state's own index; a name it does
+    not hold raises ``KeyError``, and a ``union`` of states over two indexes
+    raises ``ValueError``.  Two states are equal when their indexes list the
+    same names and their matrices are equal.  ``sh`` and ``ds`` decode the
+    relations into pairs.  The transfers work on the two matrices, with the
+    operations of ``_Index``, and build one state per point."""
 
     __slots__ = ("index", "_sh", "_ds")
 
@@ -191,10 +215,6 @@ class SharingState:
     def ds(self) -> frozenset[Pair]:
         return self.index.pairs(self._ds)
 
-    def has_sh(self, a: str, b: str) -> bool:
-        ix = self.index
-        return bool(self._sh >> ix.pos[a] * ix.n + ix.pos[b] & 1)
-
     def has_ds(self, a: str, b: str) -> bool:
         ix = self.index
         return bool(self._ds >> ix.pos[a] * ix.n + ix.pos[b] & 1)
@@ -205,43 +225,10 @@ class SharingState:
         at = ix.pos[v] * ix.n
         return self._sh >> at & ix.row0, self._ds >> at & ix.row0
 
-    def shset(self, row: int) -> int:
-        """The names whose region may overlap that of a name of the row, the
-        row's names included."""
-        ix = self.index
-        out, n, sh, row0 = row, ix.n, self._sh, ix.row0
-        while row:
-            low = row & -row
-            out |= sh >> (low.bit_length() - 1) * n & row0
-            row ^= low
-        return out
-
-    def kill(self, v: str) -> "SharingState":
-        keep = self.index.keep[self.index.pos[v]]
-        return SharingState(self.index, self._sh & keep, self._ds & keep)
-
-    def relate(self, v: str, sh_row: int, ds_row: int) -> "SharingState":
-        """Pair v with the names of ``sh_row`` in ``sh`` and with those of
-        ``ds_row`` in ``ds``."""
-        ix = self.index
-        i = ix.pos[v]
-        at = i * ix.n
-        return SharingState(
-            ix,
-            self._sh | sh_row << at | ix.column(sh_row) << i,
-            self._ds | ds_row << at | ix.column(ds_row) << i,
-        )
-
     def union(self, other: "SharingState") -> "SharingState":
         if other.index is not self.index:
             raise ValueError("union of sharing states over two name indexes")
         return SharingState(self.index, self._sh | other._sh, self._ds | other._ds)
-
-    def clique(self, row: int) -> "SharingState":
-        """Relate every two names of the row, each to itself too, in both
-        relations."""
-        block = self.index.column(row) * row  # no carries: rows are n bits apart
-        return SharingState(self.index, self._sh | block, self._ds | block)
 
     def copy_alias(self, src: str, dst: str) -> "SharingState":
         """Bind ``dst`` to the same location as ``src``."""
@@ -335,13 +322,6 @@ class _Body(Record):
         self.post = {} if post is None else post
         self.calls = {} if calls is None else calls
 
-    def touch(self, st: SharingState, var: str) -> None:
-        """An update through ``var`` reaches every entry structure it may
-        share with."""
-        for i, sh_name in self.shadows.items():
-            if st.has_sh(var, sh_name):
-                self.impure.add(i)
-
 
 class SharingAnalysis:
     def __init__(self, program: Program, ct: ClassTable, typeinfo: TypeInfo):
@@ -353,7 +333,10 @@ class SharingAnalysis:
         # every state of the analysis lies over this index
         self.index = _Index([*names, RESULT_VAR, OUT_VAR])
         self.none = SharingState(self.index)
-        self.res_bit = self.index.mask([RESULT_VAR])
+        self.res_pos = self.index.pos[RESULT_VAR]
+        self.res_bit = 1 << self.res_pos
+        # everything but the result variable's row and column
+        self.res_keep = self.index.keep[self.res_pos]
         # context (method, entry state) -> sharing summary, and its last run
         self.memo = Fixpoint(
             self._compute_summary,
@@ -367,6 +350,11 @@ class SharingAnalysis:
         """The state of these pairs of names, over the analysis's index."""
         ix = self.index
         return SharingState(ix, ix.matrix(sh), ix.matrix(ds))
+
+    def ds_row(self, state: SharingState, v: str) -> int:
+        """The names v deep-shares with in the state, as a row of the
+        analysis's index: bit i for the name at position i."""
+        return state.rows(v)[1]
 
     def _own(self, state: SharingState) -> SharingState:
         """The state, which must lie over the analysis's index."""
@@ -426,16 +414,20 @@ class SharingAnalysis:
         if isinstance(cmd, Skip):
             out = st
         elif isinstance(cmd, (Assign, Return)):
-            out = self._eval(cmd.expr, st, frame)
+            sh, ds = self._eval(cmd.expr, st, frame)
             if frame.env.type_of(cmd.var) != INT_TYPE:
-                out = out.copy_alias(RESULT_VAR, cmd.var)
-            out = out.kill(RESULT_VAR)
+                ix, r = self.index, self.res_pos
+                d = ix.pos[cmd.var]
+                sh, ds = _alias(ix, sh, r, d), _alias(ix, ds, r, d)
+            out = self._state(st, sh & self.res_keep, ds & self.res_keep)
         elif isinstance(cmd, FieldWrite):
-            out = self._eval(cmd.expr, st, frame)
-            frame.touch(out, cmd.var)
+            sh, ds = self._eval(cmd.expr, st, frame)
+            self._touch(frame, sh, cmd.var)
             if self.ct.field_type(cmd.fieldname) != INT_TYPE and not isinstance(cmd.expr, NullLit):
-                out = out.clique(out.shset(self.index.mask([cmd.var]) | self.res_bit))
-            out = out.kill(RESULT_VAR)
+                ix = self.index
+                block = ix.block(ix.shset(sh, 1 << ix.pos[cmd.var] | self.res_bit))
+                sh, ds = sh | block, ds | block
+            out = self._state(st, sh & self.res_keep, ds & self.res_keep)
         elif isinstance(cmd, If):
             t = self._exec_body(cmd.then_body, st, frame)
             out = t.union(self._exec_body(cmd.else_body, st, frame))
@@ -448,34 +440,59 @@ class SharingAnalysis:
         frame.post[cmd.nid] = out
         return out
 
+    def _state(self, st: SharingState, sh: int, ds: int) -> SharingState:
+        """The state of the two matrices: ``st`` itself when they are its own."""
+        if sh == st._sh and ds == st._ds:
+            return st
+        return SharingState(self.index, sh, ds)
+
+    def _touch(self, frame: _Body, sh: int, var: str) -> None:
+        """An update through ``var`` reaches every entry structure it may
+        share with by the ``sh`` matrix."""
+        if frame.shadows:
+            ix = self.index
+            row = sh >> ix.pos[var] * ix.n
+            for i, sh_name in frame.shadows.items():
+                if row >> ix.pos[sh_name] & 1:
+                    frame.impure.add(i)
+
     # -- expression transfer (binds RESULT_VAR)
 
-    def _eval(self, e: Expr, st: SharingState, frame: _Body) -> SharingState:
+    def _eval(self, e: Expr, st: SharingState, frame: _Body) -> tuple[int, int]:
+        """The ``sh`` and ``ds`` matrices after the expression, which binds
+        the result variable."""
+        keep = self.res_keep
         if isinstance(e, (IntLit, NullLit)):
-            return st.kill(RESULT_VAR)
+            return st._sh & keep, st._ds & keep
         if isinstance(e, BinOp):
-            st1 = self._eval(e.left, st, frame).kill(RESULT_VAR)
-            return self._eval(e.right, st1, frame).kill(RESULT_VAR)
+            sh, ds = self._eval(e.left, st, frame)
+            sh, ds = self._eval(e.right, self._state(st, sh & keep, ds & keep), frame)
+            return sh & keep, ds & keep
         if isinstance(e, NewObject):
-            return st.kill(RESULT_VAR).relate(RESULT_VAR, self.res_bit, 0)
+            r = self.res_pos
+            return st._sh & keep | 1 << r * self.index.n + r, st._ds & keep
         if isinstance(e, VarRef):
             if frame.env.type_of(e.name) == INT_TYPE:
-                return st.kill(RESULT_VAR)
-            return st.copy_alias(e.name, RESULT_VAR)
+                return st._sh & keep, st._ds & keep
+            ix, r = self.index, self.res_pos
+            v = ix.pos[e.name]
+            return _alias(ix, st._sh, v, r), _alias(ix, st._ds, v, r)
         if isinstance(e, FieldRead):
             frame.pre[e.nid] = st
-            st1 = st.kill(RESULT_VAR)
+            sh, ds = st._sh & keep, st._ds & keep
             if self.ct.field_type(e.fieldname) == INT_TYPE:
-                return st1
+                return sh, ds
             # the result shares with all v shares with, and with v; v's self
             # pair in a relation relates the result to itself there too
-            v_bit = self.index.mask([e.var])
-            sh_row, ds_row = st1.rows(e.var)
+            ix, r = self.index, self.res_pos
+            v = ix.pos[e.var]
+            v_bit = 1 << v
+            sh_row, ds_row = sh >> v * ix.n & ix.row0, ds >> v * ix.n & ix.row0
             if sh_row & v_bit:
                 sh_row |= self.res_bit
             if ds_row & v_bit:
                 ds_row |= self.res_bit
-            return st1.relate(RESULT_VAR, sh_row | v_bit, ds_row)
+            return ix.relate(sh, r, sh_row | v_bit), ix.relate(ds, r, ds_row)
         if isinstance(e, MethodCall):
             frame.pre[e.nid] = st
             return self._eval_call(e, st, frame)
@@ -499,23 +516,29 @@ class SharingAnalysis:
             callees.append((formal_to_actual, callee))
         return CallRecord(renamed, impure, callees)
 
-    def _eval_call(self, e: MethodCall, st: SharingState, frame: _Body) -> SharingState:
+    def _eval_call(self, e: MethodCall, st: SharingState, frame: _Body) -> tuple[int, int]:
         actuals = [e.receiver, *e.args]
         renamed, impure, _ = frame.calls[e.nid] = self.call_effect(e, st)
         # an impure callee argument may update structures shared with the
         # enclosing method's own entry arguments
         for i in impure:
-            frame.touch(st, actuals[i])
-        st1 = st.kill(RESULT_VAR)
+            self._touch(frame, st._sh, actuals[i])
+        ix = self.index
+        sh, ds = st._sh & self.res_keep, st._ds & self.res_keep
         if impure:
-            refs = self.index.mask(a for a in actuals if frame.env.type_of(a) != INT_TYPE)
-            return st1.clique(self.res_bit | st1.shset(refs))
+            refs = ix.mask(a for a in actuals if frame.env.type_of(a) != INT_TYPE)
+            block = ix.block(self.res_bit | ix.shset(sh, refs))
+            return sh | block, ds | block
         # pure call: the existing heap is untouched; only wire the result to
         # the regions of what the callee relates it to (itself included, as
-        # st1 relates the result to nothing else)
+        # sh relates the result to nothing else)
         sh_row, ds_row = renamed.rows(RESULT_VAR)
         # the result may be a fresh object
-        return st1.relate(RESULT_VAR, self.res_bit | st1.shset(sh_row), st1.shset(ds_row))
+        r = self.res_pos
+        return (
+            ix.relate(sh, r, self.res_bit | ix.shset(sh, sh_row)),
+            ix.relate(ds, r, ix.shset(sh, ds_row)),
+        )
 
 
 # --------------------------------------------------------------------------

@@ -325,6 +325,10 @@ class DenseAnalyzer(Analyzer):
     with a zero operand, works by position and reads the call records of
     the sharing analysis."""
 
+    def _only(self, fields: Iterable[str]) -> int:
+        """The table whose one model is exactly this field set."""
+        return 1 << self.universe.abstract_mask(fields)
+
     def _eval_field_read(self, e: FieldRead, I: RcValue, run: _Run) -> RcValue:
         if self.ct.field_type(e.fieldname) == INT_TYPE:
             return I
@@ -803,6 +807,14 @@ def as_pairs(state):
     return PairSharingState(frozenset(state.sh), frozenset(state.ds))
 
 
+def touch(frame: _Body, st: PairSharingState, var: str) -> None:
+    """An update through ``var`` reaches every entry structure it may share
+    with: the frame's impure positions take each shadow sharing with it."""
+    for i, sh_name in frame.shadows.items():
+        if st.has_sh(var, sh_name):
+            frame.impure.add(i)
+
+
 class PairSharingAnalysis(SharingAnalysis):
     """The deep-sharing analysis over ``PairSharingState``, with the
     transfers that walk pairs.  An entry state, which ``state`` builds over
@@ -828,6 +840,9 @@ class PairSharingAnalysis(SharingAnalysis):
         state = as_pairs(entry_state)
         return self.memo.lookup((sig.key, state), (sig, state))
 
+    def ds_row(self, state, v):
+        return self.index.mask(_partners(state.ds, v))
+
     @staticmethod
     def _join(table, nid, st):
         prev = table.get(nid)
@@ -844,7 +859,7 @@ class PairSharingAnalysis(SharingAnalysis):
             out = out.kill(RESULT_VAR)
         elif isinstance(cmd, FieldWrite):
             out = self._eval(cmd.expr, st, frame)
-            frame.touch(out, cmd.var)
+            touch(frame, out, cmd.var)
             if self.ct.field_type(cmd.fieldname) != INT_TYPE and not isinstance(cmd.expr, NullLit):
                 out = out.clique(out.shset(cmd.var) | out.shset(RESULT_VAR))
             out = out.kill(RESULT_VAR)
@@ -897,7 +912,7 @@ class PairSharingAnalysis(SharingAnalysis):
         # an impure callee argument may update structures shared with the
         # enclosing method's own entry arguments
         for i in impure:
-            frame.touch(st, actuals[i])
+            touch(frame, st, actuals[i])
         st1 = st.kill(RESULT_VAR)
         if impure:
             refs = [a for a in actuals if frame.env.type_of(a) != INT_TYPE]

@@ -30,6 +30,8 @@ from fieldreach.syntax import RESULT_VAR, walk_commands
 from conftest import DATA, analyze_entry, build, pf
 from corpus import CORPUS, many_arguments
 from reference import DenseAnalyzer, replaced, stitch_pair_by_pair
+from test_fixpoint import WIDENS_IN_A_CALLEE
+from test_oracle import TREE_LOOP
 from test_render_json import WIDE
 
 K3 = "class K { K f; K g; K h; }\n"
@@ -895,3 +897,54 @@ def test_the_table_of_products_stays_small():
     for source, entry in ((many_arguments(10), "main"), (many_arguments(4), "go")):
         products = analyze_entry(source, entry).universe.products
         assert 0 < len(products) <= 200, (entry, len(products))
+
+
+def test_transfers_write_only_into_values_they_built(monkeypatch):
+    """A transfer writes only into a value it built in this visit: no
+    command changes its input's tables, and no value a run records, at a
+    point or in a trace row, changes before ``analyze_program`` returns.
+    Over every entry of the corpus and the data programs, the tree loop at
+    12 trips, ``many_arguments(4)`` from ``go``, and reversal and
+    WIDENS_IN_A_CALLEE widened at k = 1."""
+    exec_cmd, post, trace_line = Analyzer.exec_cmd, _Run.post, _Run.trace_line
+    recorded = []  # (value, its tables when recorded)
+    transfers = 0
+
+    def checked_exec_cmd(self, cmd, I, run):
+        nonlocal transfers
+        before = I.tables[:]
+        out = exec_cmd(self, cmd, I, run)
+        assert I.tables == before, ("input written", cmd.line)
+        transfers += 1
+        return out
+
+    def recording_post(self, nid, value):
+        recorded.append((value, value.tables[:]))
+        post(self, nid, value)
+
+    def recording_trace_line(self, line, value):
+        recorded.append((value, value.tables[:]))
+        trace_line(self, line, value)
+
+    monkeypatch.setattr(Analyzer, "exec_cmd", checked_exec_cmd)
+    monkeypatch.setattr(_Run, "post", recording_post)
+    monkeypatch.setattr(_Run, "trace_line", recording_trace_line)
+    data = [(DATA / name).read_text() for name in ("dll.lang", "tree.lang", "tree_main.lang")]
+    jobs = []
+    for source in [src for _, src in sorted(CORPUS.items())] + data:
+        program, ct, info = build(source)
+        entries = ["main"] if program.main is not None else []
+        jobs += [(source, entry, 16) for entry in entries + list(ct.all_method_sigs())]
+    jobs += [
+        (TREE_LOOP.replace("TRIPS", "12"), "main", 16),
+        (many_arguments(4), "go", 16),
+        (CORPUS["reversal"], "main", 1),
+        (WIDENS_IN_A_CALLEE, "main", 1),
+    ]
+    for source, entry, k in jobs:
+        recorded.clear()
+        program, ct, info = build(source)
+        analyze_program(program, ct, info, entry=entry, widening_k=k)
+        changed = [i for i, (value, tables) in enumerate(recorded) if value.tables != tables]
+        assert not changed, (entry, changed[:5])
+    assert transfers > 10000

@@ -366,19 +366,26 @@ def test_bit_matrix_state_equals_the_pair_sets(drawn, data):
     assert same(s, r) and same(s2, r2)
     assert (s == s2) == (r == r2)
     assert s != s2 or hash(s) == hash(s2)
+    ix = s.index
     for a in names:
-        assert names_of(s, s.shset(s.index.mask([a]))) == r.shset(a)
+        assert names_of(s, ix.shset(s._sh, ix.mask([a]))) == r.shset(a)
         sh_row, ds_row = s.rows(a)
         assert names_of(s, sh_row) == {b for b in names if r.has_sh(a, b)}
         assert names_of(s, ds_row) == {b for b in names if r.has_ds(a, b)}
         for b in names:
-            assert s.has_sh(a, b) == r.has_sh(a, b) and s.has_ds(a, b) == r.has_ds(a, b)
+            assert s.has_ds(a, b) == r.has_ds(a, b)
     v, src, dst = data.draw(pick), data.draw(pick), data.draw(pick)
-    assert same(s.kill(v), r.kill(v))
+    keep = ix.keep[ix.pos[v]]
+    assert same(SharingState(ix, s._sh & keep, s._ds & keep), r.kill(v))
     assert same(s.copy_alias(src, dst), r.copy_alias(src, dst))
     group = data.draw(st.lists(pick, unique=True))
-    assert same(s.clique(s.index.mask(group)), r.clique(group))
-    assert names_of(s, s.shset(s.index.mask(group))) == set().union(*map(r.shset, group))
+    block = ix.block(ix.mask(group))
+    assert same(SharingState(ix, s._sh | block, s._ds | block), r.clique(group))
+    assert names_of(s, ix.shset(s._sh, ix.mask(group))) == set().union(*map(r.shset, group))
+    # relating v to a group adds exactly the pairs of v with the group
+    row = ix.mask(group)
+    related = SharingState(ix, ix.relate(s._sh, ix.pos[v], row), s._ds)
+    assert same(related, r.add_sh([(v, w) for w in group]))
     assert same(s.union(s2), r.union(r2))
     # two new names may be fed by one old name; old names may go unmapped
     sources = data.draw(st.dictionaries(pick, pick, max_size=4))
