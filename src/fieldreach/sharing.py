@@ -505,14 +505,15 @@ class SharingAnalysis:
         formals mapped to the actuals and its context, the callee entered
         in the pairs among the actuals in ``st``, renamed to the formals."""
         actuals = [e.receiver, *e.args]
-        renamed, impure, callees = self.none, frozenset(), []
+        renamed, impure, callees = None, frozenset(), []  # a lone callee's pairs are the union
         for sig in self.typeinfo.call_targets[e.nid]:
             formal_to_actual = dict(zip(sig.input_vars, actuals))
             callee = self.context(sig, st.remap_from(formal_to_actual))
             summ = callee.summary
             impure |= summ.impure
             mapping = {**formal_to_actual, OUT_VAR: RESULT_VAR}
-            renamed = renamed.union(summ.exit_state.remap_to(mapping))
+            pairs = summ.exit_state.remap_to(mapping)
+            renamed = pairs if renamed is None else renamed.union(pairs)
             callees.append((formal_to_actual, callee))
         return CallRecord(renamed, impure, callees)
 
