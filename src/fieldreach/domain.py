@@ -212,7 +212,7 @@ class RcValue:
         return self._fresh()._normalize_in_place()
 
     def _normalize_in_place(self) -> "RcValue":
-        """``normalize``, in place."""
+        """``normalize`` without the copy, for a value no one else holds yet."""
         t, n, nn = self.tables, self.scope.n, self.scope.nn
         t[nn:] = map(or_, t[nn:], t[0:nn : n + 1])
         return self

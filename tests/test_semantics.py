@@ -929,7 +929,7 @@ def test_transfers_write_only_into_values_they_built(monkeypatch):
     monkeypatch.setattr(Analyzer, "exec_cmd", checked_exec_cmd)
     monkeypatch.setattr(_Run, "post", recording_post)
     monkeypatch.setattr(_Run, "trace_line", recording_trace_line)
-    data = [(DATA / name).read_text() for name in ("dll.lang", "tree.lang", "tree_main.lang")]
+    data = [path.read_text() for path in sorted(DATA.glob("*.lang"))]
     jobs = []
     for source in [src for _, src in sorted(CORPUS.items())] + data:
         program, ct, info = build(source)

@@ -379,11 +379,11 @@ def test_bit_matrix_state_equals_the_pair_sets(drawn, data):
     assert same(SharingState(ix, s._sh & keep, s._ds & keep), r.kill(v))
     assert same(s.copy_alias(src, dst), r.copy_alias(src, dst))
     group = data.draw(st.lists(pick, unique=True))
-    block = ix.block(ix.mask(group))
-    assert same(SharingState(ix, s._sh | block, s._ds | block), r.clique(group))
-    assert names_of(s, ix.shset(s._sh, ix.mask(group))) == set().union(*map(r.shset, group))
-    # relating v to a group adds exactly the pairs of v with the group
     row = ix.mask(group)
+    block = ix.block(row)
+    assert same(SharingState(ix, s._sh | block, s._ds | block), r.clique(group))
+    assert names_of(s, ix.shset(s._sh, row)) == set().union(*map(r.shset, group))
+    # relating v to a group adds exactly the pairs of v with the group
     related = SharingState(ix, ix.relate(s._sh, ix.pos[v], row), s._ds)
     assert same(related, r.add_sh([(v, w) for w in group]))
     assert same(s.union(s2), r.union(r2))
