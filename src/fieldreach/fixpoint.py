@@ -13,22 +13,19 @@ number of entry runs.  After ``solve`` every context's last run read only
 final summaries, so a lookup of a context the fixpoint never met is an
 error, not a silent bottom.
 
-Two policies decide when a new context runs.  By default it is queued:
-the run that met it goes on with its bottom summary and runs again once the
-context has grown.  With ``on_the_spot`` it is solved where it is met, the
-top-down fixpoint of Le Charlier and Van Hentenryck (TOPLAS 1992): the
-lookup runs it, and every context that becomes pending meanwhile, until no
-context is pending but those whose runs are in progress, and only then
-returns it and records the reader.  A caller that reads only contexts
-solved this way, as in a program without recursion, runs once.  Runs nest
-only while the Python stack has room for ``_RESERVE`` more frames; a
-context met deeper is queued as under the first policy, so a long chain of
-calls, or one whose bodies nest deeply, takes no more of the stack than the
-parser's nesting bound allows one run.  When summaries only grow and
-nothing is widened, any fair order of runs reaches the same least fixpoint,
-so the two policies give the same summaries and the same last runs; the
-deep-sharing analysis solves on the spot, and the reachability analysis,
-which widens and reports its entry runs, queues.
+A new context is solved where it is met, the top-down fixpoint of Le
+Charlier and Van Hentenryck (TOPLAS 1992): the lookup runs it, and every
+context that becomes pending meanwhile, until no context is pending but
+those whose runs are in progress, and only then returns it and records the
+reader.  A caller that reads only contexts solved this way, as in a program
+without recursion, runs once.  Runs nest only while the Python stack has
+room for ``_RESERVE`` more frames; a context met deeper is queued: the run
+that met it goes on with its bottom summary and runs again once the
+context has grown.  So a long chain of calls, or one whose bodies nest
+deeply, takes no more of the stack than the parser's nesting bound allows
+one run.  When summaries only grow and nothing is widened, any fair order
+of runs reaches the same least fixpoint, so the queued contexts change no
+summary; under widening the tests check that they change no report.
 """
 
 from __future__ import annotations
@@ -68,13 +65,10 @@ class Context:
 
 
 class Fixpoint:
-    def __init__(
-        self, compute: Callable, merge: Callable, bottom: Callable, on_the_spot: bool = False
-    ):
+    def __init__(self, compute: Callable, merge: Callable, bottom: Callable):
         self._compute = compute  # context -> one run of its body
         self._merge = merge  # (context, run result) -> its grown summary
         self._bottom = bottom  # input -> the summary a new context starts at
-        self._on_the_spot = on_the_spot  # whether new contexts are solved where met
         self.contexts: dict[Hashable, Context] = {}  # in the order first met
         self._pending: dict[Optional[Context], None] = {}
         self._running: dict[Context, None] = {}  # the contexts whose runs are in progress
@@ -82,16 +76,16 @@ class Fixpoint:
         self._solving = False
 
     def lookup(self, key: Hashable, inp) -> Context:
-        """A context, read by the running context; an unknown one is solved
-        on the spot or starts at bottom during ``solve``, and raises
-        ``KeyError`` after."""
+        """A context, read by the running context; during ``solve`` an
+        unknown one is solved on the spot, or queued at bottom past the stack
+        bound, and after it raises ``KeyError``."""
         if not self._solving:
             return self.contexts[key]
         ctx = self.contexts.get(key)
         if ctx is None:
             ctx = self.contexts[key] = Context(inp, self._bottom(inp))
             self._pending[ctx] = None
-            if self._on_the_spot and _stack_has_room(_RESERVE):
+            if _stack_has_room(_RESERVE):
                 self._settle()
         ctx.readers[self._reader] = None
         return ctx

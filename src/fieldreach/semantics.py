@@ -26,13 +26,14 @@ Method denotations map an abstract entry value over the inputs to an exit
 value over inputs plus the return value.  A ``Fixpoint`` worklist holds one
 per context (the callee's sharing context, entry value), joined under
 per-entry widening; a context re-runs only when a denotation it read has
-grown, and the entry body only once no context is pending.  A new context
-is queued, not solved on the spot as in the sharing analysis: under
-widening the order of runs can change the result, and the entry runs are
-what the report counts.  A run walks a body with one record (``_Run``):
-it holds the sharing analysis's last run of the body, so a field read or a
-call reads the sharing state before it, and a call its record, by node id,
-and it records the run's per-point values afresh.  It is its context's
+grown, and the entry body only once no context is pending.  As in the
+sharing analysis, a new context is solved where a call meets it, and queued
+only past the fixpoint's stack bound, so a program without recursion runs
+its entry once (the report's ``iterations`` counts the entry runs).  A run
+walks a body with one record (``_Run``): it holds the sharing analysis's
+last run of the body, so a field read or a call reads the sharing state
+before it, and a call its record, by node id, and it records the run's
+per-point values afresh.  It is its context's
 ``run``, so once the denotations are stable the last run of the entry and
 of each context, which read only final denotations, holds them.  Inside a
 body, shadow copies of the parameters pin the structures the inputs pointed

@@ -18,12 +18,11 @@ positions (0 is the receiver).  A ``Fixpoint`` grows one summary per
 context (method, entry state) by union; a context re-runs only when a
 summary it read has grown.  The fixpoint finds a context by its key, the
 method and the state by value, once per call site and run; from then on the
-analyses hold its ``Context`` record.  With no widening, any fair order of
-runs reaches the same least fixpoint, so the analysis solves a context where
-a call first meets it, while the Python stack has room (past that, contexts
-queue): a call then reads a final summary, and a program without recursion
-runs ``main`` and each context once, instead of running ``main`` again once
-its callees have grown from bottom.
+analyses hold its ``Context`` record.  The fixpoint solves a context where
+a call first meets it, and queues it only once the Python stack has no room
+for its run: a call then reads a final summary, and a program without
+recursion runs ``main`` and each context once, instead of running ``main``
+again once its callees have grown from bottom.
 
 A state holds each relation as one int: a symmetric n×n bit matrix over a
 name index, bit ``i * n + j`` relating names i and j.  Each analysis has
@@ -342,7 +341,6 @@ class SharingAnalysis:
             self._compute_summary,
             lambda ctx, new: ctx.summary.union(new),
             lambda inp: SharingSummary(self.none, frozenset()),
-            on_the_spot=True,
         )
         self.main: Optional[_Body] = None  # the last run of ``main``
 

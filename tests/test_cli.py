@@ -415,12 +415,13 @@ def _report_sha(text):
 
 
 def test_a_600_method_call_chain_stays_within_the_stack(tmp_path, capsys):
-    """Solved where the deep-sharing analysis meets them, 600 nested calls
-    would take 600 runs' worth of Python stack; past the nesting bound the
-    contexts queue, and the report is the one the queue alone gives."""
+    """Solved where the analyses meet them, 600 nested calls would take 600
+    runs' worth of Python stack; past the nesting bound the contexts queue,
+    and still the entry runs once."""
     code, out, err = _run_source(tmp_path, capsys, call_chain(600), "--format", "json")
     assert code == 0 and "Traceback" not in err, err
-    assert _report_sha(out) == "1ba8f92359d0ea65c476984faa02ad4f59bbd9423e0f005374ab9e0c55bd473c"
+    assert '"iterations": 1,' in out
+    assert _report_sha(out) == "166cd4af1e0da17426c6e59e1aa9d2b4bbb928a1a2d714935d638c548dd94570"
 
 
 def _deep_chain(k, loops):
@@ -444,10 +445,11 @@ def _deep_chain(k, loops):
 def test_calls_from_deep_bodies_nest_only_while_the_stack_has_room(tmp_path, capsys):
     """Six methods whose calls sit 97 loops deep: a run takes about 200
     frames, so only a few can nest within the recursion limit; the rest
-    queue, and the report is the one the queue alone gives."""
+    queue, and still the entry runs once."""
     code, out, err = _run_source(tmp_path, capsys, _deep_chain(6, 97), "--format", "json")
     assert code == 0 and "Traceback" not in err, err
-    assert _report_sha(out) == "9d5051539f9c0c5b6aa7fd34a09feff20eb49f11fbfb624fad5fa6ff264a55c4"
+    assert '"iterations": 1,' in out
+    assert _report_sha(out) == "daf31e0fb752de0c30cd165db7319a1644de4b99721d51a6d0ec5f18ca3cdef4"
 
 
 def test_a_long_integer_literal_is_an_error_at_the_literal(tmp_path, capsys):

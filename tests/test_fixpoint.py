@@ -12,7 +12,7 @@ from conftest import DATA, build
 from corpus import CORPUS
 
 
-def toy_engine(limits, reads, log, on_the_spot=False):
+def toy_engine(limits, reads, log):
     """Context n reads the contexts reads[n] and takes the largest of their
     summaries, one more for itself, capped at limits[n]."""
     engine = None
@@ -23,25 +23,37 @@ def toy_engine(limits, reads, log, on_the_spot=False):
         seen = [engine.lookup(m, m).summary + (m == n) for m in reads.get(n, ())]
         return min(limits[n], max(seen, default=0))
 
-    engine = Fixpoint(compute, lambda ctx, new: max(ctx.summary, new), lambda n: 0, on_the_spot)
+    engine = Fixpoint(compute, lambda ctx, new: max(ctx.summary, new), lambda n: 0)
     return engine
+
+
+def queue_all(monkeypatch):
+    """Leave the stack no room for a nested run, so every new context
+    queues."""
+    monkeypatch.setattr(fixpoint, "_RESERVE", sys.getrecursionlimit())
 
 
 def summaries(engine):
     return {key: ctx.summary for key, ctx in engine.contexts.items()}
 
 
-def test_contexts_rerun_only_when_a_read_summary_grows():
-    log = []
-    engine = toy_engine({0: 9, 1: 3, 2: 0}, {0: [1, 2], 1: [1]}, log)
-    engine.solve(lambda: engine.lookup(0, 0))
-    assert summaries(engine) == {0: 3, 1: 3, 2: 0}
-    assert log.count(2) == 1  # its summary never changed
-    assert log.count(1) == 4  # three steps up, one to see it is stable
-    assert log.count(0) <= 4  # once, then at most once per change of 1
+def test_contexts_rerun_only_when_a_read_summary_grows(monkeypatch):
+    for queued in (False, True):
+        if queued:
+            queue_all(monkeypatch)
+        log = []
+        engine = toy_engine({0: 9, 1: 3, 2: 0}, {0: [1, 2], 1: [1]}, log)
+        engine.solve(lambda: engine.lookup(0, 0))
+        assert summaries(engine) == {0: 3, 1: 3, 2: 0}
+        assert log.count(2) == 1  # its summary never changed
+        assert log.count(1) == 4  # three steps up, one to see it is stable
+        # solved on the spot, 1 is final before 0 reads it; queued, 0 runs
+        # once, then at most once per change of 1
+        assert log.count(0) <= (4 if queued else 1)
 
 
-def test_root_runs_again_only_once_no_context_is_pending():
+def test_root_runs_again_only_once_no_context_is_pending(monkeypatch):
+    queue_all(monkeypatch)
     log = []
     engine = toy_engine({0: 5}, {0: [0]}, log)
     _, roots = engine.solve(lambda: engine.lookup(0, 0))
@@ -71,8 +83,10 @@ def test_sharing_state_before_an_unknown_point_raises():
 
 def toy_solve(limits, reads):
     """The table the queue alone reaches."""
-    engine = toy_engine(limits, reads, [])
-    engine.solve(lambda: engine.lookup(0, 0))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        queue_all(monkeypatch)
+        engine = toy_engine(limits, reads, [])
+        engine.solve(lambda: engine.lookup(0, 0))
     return summaries(engine)
 
 
@@ -83,13 +97,13 @@ def test_a_context_solved_on_the_spot_is_final_when_its_reader_gets_it():
     tree = {0: [1, 2], 1: [3], 2: [3, 4], 3: [], 4: []}
     limits = dict.fromkeys(tree, 9)
     log = []
-    engine = toy_engine(limits, tree, log, on_the_spot=True)
+    engine = toy_engine(limits, tree, log)
     _, roots = engine.solve(lambda: engine.lookup(0, 0))
     assert sorted(log) == [0, 1, 2, 3, 4] and roots == 1
     assert summaries(engine) == toy_solve(limits, tree)
     cycle = {0: [1], 1: [2], 2: [0, 2]}
     limits = {0: 5, 1: 7, 2: 3}
-    engine = toy_engine(limits, cycle, [], on_the_spot=True)
+    engine = toy_engine(limits, cycle, [])
     engine.solve(lambda: engine.lookup(0, 0))
     assert summaries(engine) == toy_solve(limits, cycle)
 
@@ -105,16 +119,17 @@ def _depth() -> int:
 def test_runs_nest_no_deeper_than_the_bound(monkeypatch):
     """A chain of 50 contexts solved on the spot nests its runs 50 deep
     while the stack has room, and fewer when the stack keeps room for only
-    60 more frames: past that the contexts queue.  Queued, each run is one
-    deep.  The table is the same."""
+    60 more frames: past that the contexts queue.  With no room at all,
+    each run is one deep.  The table is the same."""
     chain = {n: [n + 1] for n in range(49)}
     limits = {n: 50 - n for n in range(50)}
     roomy = fixpoint._RESERVE
     tight = sys.getrecursionlimit() - _depth() - 60  # a reserve that leaves 60 frames
-    for on_the_spot, reserve in ((False, roomy), (True, roomy), (True, tight)):
+    no_room = sys.getrecursionlimit()
+    for reserve in (no_room, roomy, tight):
         monkeypatch.setattr(fixpoint, "_RESERVE", reserve)
         nesting, deepest = [0], [0]
-        engine = toy_engine(limits, chain, [], on_the_spot)
+        engine = toy_engine(limits, chain, [])
         compute = engine._compute
 
         def nested(ctx):
@@ -126,7 +141,7 @@ def test_runs_nest_no_deeper_than_the_bound(monkeypatch):
 
         engine._compute = nested
         engine.solve(lambda: engine.lookup(0, 0))
-        if not on_the_spot:
+        if reserve == no_room:
             assert deepest[0] == 1
         elif reserve == roomy:
             assert deepest[0] == 50
@@ -168,11 +183,11 @@ def calls_itself(ct, info) -> bool:
     return False
 
 
-def test_corpus_reruns_stay_near_one_per_context(monkeypatch):
-    """The deep-sharing analysis solves a context where it meets it, so on
-    a program without recursion its entry and each context run once; the
-    reachability analysis queues, and reruns at most half as often again
-    as it has contexts."""
+def test_corpus_runs_each_context_once_without_recursion(monkeypatch):
+    """Both analyses solve a context where they meet it, so on a program
+    without recursion each runs its entry once and each context once; over
+    the corpus, recursion included, the runs stay within half as many again
+    as the contexts."""
     runs = {"sharing": 0, "semantics": 0}
     compute_summary = SharingAnalysis._compute_summary
     run_method = Analyzer._run_method
@@ -200,17 +215,18 @@ def test_corpus_reruns_stay_near_one_per_context(monkeypatch):
     plain = 0
     for name, src, entry_name in corpus_jobs():
         program, ct, info = build(src)
-        before = runs["sharing"]
+        before = dict(runs)
         result = analyze_program(program, ct, info, entry=entry_name)
         sharing = result.sharing.memo
+        # a method entry is a context of its own, run by the root
+        semantics = sum(len(d) for d in result.denotations.values()) + (entry_name != "main")
         if not calls_itself(ct, info):
             plain += bool(sharing.contexts)
-            assert entry_runs[sharing] == 1, name
-            assert runs["sharing"] - before == len(sharing.contexts), name
+            assert entry_runs[sharing] == 1 and result.rounds == 1, name
+            assert runs["sharing"] - before["sharing"] == len(sharing.contexts), name
+            assert runs["semantics"] - before["semantics"] == semantics, name
         contexts["sharing"] += len(sharing.contexts)
-        # a method entry is a context of its own, run by the root
-        contexts["semantics"] += sum(len(d) for d in result.denotations.values())
-        contexts["semantics"] += entry_name != "main"
+        contexts["semantics"] += semantics
     assert contexts["sharing"] > 20 and contexts["semantics"] > 20 and plain > 10
     for analysis in ("sharing", "semantics"):
         assert runs[analysis] <= 1.5 * contexts[analysis], (analysis, runs, contexts)

@@ -30,7 +30,7 @@ from fieldreach.semantics import analyze_program
 
 from conftest import DATA, build
 from corpus import CORPUS
-from test_fixpoint import WIDENS_IN_A_CALLEE
+from test_fixpoint import WIDENS_IN_A_CALLEE, queue_all
 from test_render_json import WIDE
 from test_semantics import ROTATING
 
@@ -38,6 +38,7 @@ DIGESTS = DATA / "report_digests.json"
 TEXT_DIGESTS = DATA / "text_digests.json"
 VIEW_DIGESTS = DATA / "view_digests.json"
 _ELAPSED = re.compile(r'\n *"elapsed_ms": [^\n]*')
+_ITERATIONS = re.compile(r'\n *"iterations": [^\n]*')
 
 # (name, source, entry, tracked fields, widening k)
 CASES = [(f"corpus/{name}", src, "main", None, 16) for name, src in sorted(CORPUS.items())] + [
@@ -103,6 +104,28 @@ def test_text_reports_match_golden_digests(digests):
 def test_views_match_golden_digests(digests):
     changed = _changed(digests[2], VIEW_DIGESTS)
     assert not changed, f"views differ from the golden digests: {changed}"
+
+
+def test_queued_contexts_give_the_same_reports(monkeypatch):
+    """With no stack room for a nested run, every context queues and the
+    entry runs again once its callees have grown; under widening, too, the
+    reports of every case and of the corpus at k = 1 and 2 are the ones
+    solving on the spot gives, the entry runs aside."""
+    jobs = CASES + [(name, src, "main", None, k) for name, src in CORPUS.items() for k in (1, 2)]
+
+    def reports():
+        return {
+            (name, k): _ELAPSED.sub("", result_to_json(_analyze(src, entry, tracked, k)[2]))
+            for name, src, entry, tracked, k in jobs
+        }
+
+    on_the_spot = reports()
+    queue_all(monkeypatch)
+    queued = reports()
+    for key, report in queued.items():
+        assert _ITERATIONS.sub("", report) == _ITERATIONS.sub("", on_the_spot[key]), key
+    # the queue did run some entries again
+    assert any('"iterations": 1,' not in report for report in queued.values())
 
 
 @pytest.mark.parametrize("name,src,entry,tracked,k", CASES, ids=[c[0] for c in CASES])

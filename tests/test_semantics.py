@@ -817,8 +817,8 @@ def test_sparse_transfers_equal_the_dense_reference(monkeypatch):
         program, ct, info = build(source)
         fields = sorted(ct.reference_fields)
         entries = ["main"] if program.main is not None else []
-        # the probe's method entry, from no facts, meets over a hundred
-        # contexts; its main reaches every call shape
+        # the probe's main reaches every call shape, so its method entry is
+        # left out
         entries += ct.all_method_sigs() if source is not probe else []
         for entry in entries:
             for tracked in (None, rng.sample(fields, rng.randint(0, max(0, len(fields) - 1)))):
@@ -893,10 +893,19 @@ def test_the_table_of_products_stays_small():
     """The operands of the path algebra repeat within an analysis, so its
     universe's table of products stays small even on the call-heavy
     probes: ``many_arguments(10)`` from ``main`` and ``many_arguments(4)``
-    from ``go``, which meets 124 contexts, store 109 and 84 products."""
+    from ``go`` store 109 and 30 products."""
     for source, entry in ((many_arguments(10), "main"), (many_arguments(4), "go")):
         products = analyze_entry(source, entry).universe.products
         assert 0 < len(products) <= 200, (entry, len(products))
+
+
+def test_a_method_entry_from_no_facts_meets_few_contexts():
+    """From ``go`` with no entry facts, ``many_arguments(4)`` meets 18
+    contexts: each is solved where a call meets it, so no run goes on from a
+    summary still on its way up the lattice and meets contexts that the
+    final summaries never give."""
+    result = analyze_entry(many_arguments(4), "go")
+    assert sum(len(d) for d in result.denotations.values()) <= 24
 
 
 def test_transfers_write_only_into_values_they_built(monkeypatch):
@@ -947,4 +956,4 @@ def test_transfers_write_only_into_values_they_built(monkeypatch):
         analyze_program(program, ct, info, entry=entry, widening_k=k)
         changed = [i for i, (value, tables) in enumerate(recorded) if value.tables != tables]
         assert not changed, (entry, changed[:5])
-    assert transfers > 10000
+    assert transfers > 2000
